@@ -29,7 +29,7 @@ from .grids import integer_grid
 from .groups import algebra_check, convolve
 from .models import sample
 from .norms import default_p_max, discrete_norm, gls_norm, restricted_norm
-from .reporting import fmt, render_csv
+from .reporting import render_csv
 from .specs import (
     grid_from_spec,
     load_group_function,

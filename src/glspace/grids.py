@@ -181,7 +181,6 @@ class RestrictedSet:
         """Pull more points out of a backing grid until one reaches p."""
         if self.grid is None or self.grid.generator is None:
             return
-        m = int(np.searchsorted(self._lo, self.grid.values[-1], side="right")) or self._lo.size
         last = self._hi[-1]
         new = []
         idx = self.grid.M

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, GroupAxiomError, SizeMismatchError, SpecParseError
 from .generating import GeneratingFunction
 from .grids import RestrictedSet
-from .models import RandomVariableModel
+from .models import RandomVariableModel, _check_finite, power_mean
 from .norms import gls_norm
 
 _EXHAUSTIVE_ASSOC_LIMIT = 128
@@ -195,17 +195,7 @@ def convolve(G: FiniteGroup, f, g) -> np.ndarray:
 
 def group_lp_norm(G: FiniteGroup, f, p) -> float:
     """Normalized power mean ((1/n) sum |f|^p)^(1/p); p = inf gives max."""
-    fv = np.abs(_check_values(G, f))
-    p = float(p)
-    if math.isinf(p):
-        return float(fv.max())
-    if p < 1.0:
-        raise DomainError(f"group norms are defined for p >= 1, got {p:g}")
-    mx = float(fv.max())
-    if mx == 0.0:
-        return 0.0
-    # scale by the max so large p cannot overflow
-    return mx * float(np.mean((fv / mx) ** p)) ** (1.0 / p)
+    return power_mean(np.abs(_check_values(G, f)), p)
 
 
 class GroupFunctionModel(RandomVariableModel):
@@ -217,14 +207,12 @@ class GroupFunctionModel(RandomVariableModel):
 
     def __init__(self, group: FiniteGroup, values, label: Optional[str] = None):
         self.group = group
-        self.values = _check_values(group, values)
         self.label = label or f"fn-on-{group.name}"
+        self.values = _check_finite(_check_values(group, values), self.label)
+        self._abs = np.abs(self.values)
 
     def lp_norm(self, p):
-        arr = np.asarray(p, dtype=float)
-        if arr.ndim:
-            return np.array([group_lp_norm(self.group, self.values, float(q)) for q in arr.ravel()]).reshape(arr.shape)
-        return group_lp_norm(self.group, self.values, float(arr))
+        return power_mean(self._abs, p)
 
 
 # ---------------------------------------------------------------------------

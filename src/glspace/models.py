@@ -30,6 +30,8 @@ from .errors import (
 )
 
 SAMPLE_CHUNK = 65536
+#: largest chunk x n temporary power_mean builds for an array of p
+_POWER_MEAN_BLOCK = 1 << 18
 
 
 class MomentInstabilityWarning(UserWarning):
@@ -51,9 +53,48 @@ class SampleBatch:
 
 def _check_p(p) -> np.ndarray:
     arr = np.asarray(p, dtype=float)
-    if np.any(arr < 1.0):
+    # a 0-d array takes the float comparison: np.any costs microseconds per call
+    if ((arr < 1.0).any() if arr.ndim else float(arr) < 1.0):
         raise DomainError(f"moments are defined for p >= 1, got {p}")
     return arr
+
+
+def _check_finite(values: np.ndarray, label: str) -> np.ndarray:
+    """``values`` unchanged, or DomainError naming the first non-finite one."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(f"{label}: value {float(values[i])} at index {i} is not finite")
+    return values
+
+
+def power_mean(abs_values: np.ndarray, p):
+    """Normalized power mean ((1/n) sum a^p)^(1/p) of nonnegative values.
+
+    The values are scaled by their maximum first, so a large p cannot
+    overflow, and p = inf gives the maximum exactly (the scaled mean is
+    at least 1/n and its 0th power is 1).  ``p`` is a scalar (returns a
+    float) or an array (returns an array of its shape); an array is
+    evaluated in chunks of p so the chunk x n temporary stays within
+    _POWER_MEAN_BLOCK elements.
+    """
+    ps = _check_p(p)
+    mx = float(abs_values.max())
+    if not ps.ndim:
+        if mx == 0.0:
+            return 0.0
+        q = float(ps)
+        return mx * float(np.mean((abs_values / mx) ** q)) ** (1.0 / q)
+    if mx == 0.0:
+        return np.zeros(ps.shape)
+    scaled = abs_values / mx
+    flat = ps.ravel()
+    out = np.empty(flat.size)
+    step = max(1, _POWER_MEAN_BLOCK // scaled.size)
+    for start in range(0, flat.size, step):
+        q = flat[start : start + step]
+        out[start : start + step] = np.mean(scaled ** q[:, None], axis=1) ** (1.0 / q)
+    return mx * out.reshape(ps.shape)
 
 
 def _uniform_chunk(seed: int, chunk_index: int, count: int) -> np.ndarray:
@@ -200,33 +241,27 @@ class EmpiricalModel(RandomVariableModel):
         vals = np.asarray(values, dtype=float).ravel()
         if vals.size == 0:
             raise EmptyBatchError("empirical model needs at least one value")
-        self.values = vals
+        self.values = _check_finite(vals, label)
         self.label = label
         self._abs = np.abs(vals)
-        self._max = float(self._abs.max())
+        # beyond this p the plug-in moment is dominated by the sample maximum
+        self._stable_p = 5.0 * math.log(max(vals.size, 2))
 
     @classmethod
     def from_file(cls, path) -> "EmpiricalModel":
         text = Path(path).read_text().split()
         return cls(np.array([float(t) for t in text]), label=f"empirical:{path}")
 
-    def _plugin(self, p: float) -> float:
-        n = self._abs.size
-        if p > 5.0 * math.log(max(n, 2)):
-            warnings.warn(
-                f"plug-in moment at p={p:g} with n={n} is dominated by the sample maximum",
-                MomentInstabilityWarning,
-                stacklevel=3,
-            )
-        if self._max == 0.0:
-            return 0.0
-        return self._max * float(np.mean((self._abs / self._max) ** p)) ** (1.0 / p)
-
     def lp_norm(self, p):
-        arr = _check_p(p)
-        if arr.ndim:
-            return np.array([self._plugin(float(q)) for q in arr.ravel()]).reshape(arr.shape)
-        return self._plugin(float(arr))
+        out = power_mean(self._abs, p)
+        top = float(np.max(p)) if np.ndim(p) else float(p)
+        if top > self._stable_p:
+            warnings.warn(
+                f"plug-in moment at p={top:g} with n={self._abs.size} is dominated by the sample maximum",
+                MomentInstabilityWarning,
+                stacklevel=2,
+            )
+        return out
 
     @property
     def supports_sampling(self) -> bool:

@@ -10,9 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import math
-from pathlib import Path
 
-__all__ = ["fmt", "format_row", "render_csv", "write_csv"]
+__all__ = ["fmt", "format_row", "render_csv"]
 
 
 def fmt(value) -> str:
@@ -40,10 +39,3 @@ def render_csv(header, rows) -> str:
     for row in rows:
         writer.writerow(format_row(row))
     return buf.getvalue()
-
-
-def write_csv(path, header, rows) -> str:
-    """Render and write; returns the text so callers can also echo it."""
-    text = render_csv(header, rows)
-    Path(path).write_text(text)
-    return text

@@ -53,10 +53,9 @@ def golden_section_max(
     if hi < lo:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
     best_x, best_v = lo, f(lo)
-    for x in (hi,):
-        v = f(x)
-        if v > best_v:
-            best_x, best_v = x, v
+    v = f(hi)
+    if v > best_v:
+        best_x, best_v = hi, v
     a, b = lo, hi
     x1 = b - INV_PHI * (b - a)
     x2 = a + INV_PHI * (b - a)
@@ -95,7 +94,7 @@ def _local_max_indices(ys: np.ndarray) -> list[int]:
 
 
 def grid_refine_supremum(
-    f: Callable[[np.ndarray], np.ndarray] | Callable[[float], float],
+    f: Callable[[np.ndarray | float], np.ndarray | float],
     lo: float,
     hi: float,
     n_points: int = 512,
@@ -108,13 +107,21 @@ def grid_refine_supremum(
     ratios that vary on a log scale in p).  Every local maximum of the
     scan, endpoints included, is refined with a golden-section search in
     its bracketing cell; refinement never loses the grid value it started
-    from.
+    from.  ``f`` must accept an array of points (see _eval_array);
+    ``n_evaluations`` counts the scan points and every refinement call.
     """
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
         v = float(_eval_scalar(f, lo))
         return SupremumResult(v, lo, True, 1)
+    n_refine = 0
+
+    def refine_f(x: float) -> float:
+        nonlocal n_refine
+        n_refine += 1
+        return _eval_scalar(f, x)
+
     n_points = max(int(n_points), 2)
     if geometric and lo > 0:
         xs = np.geomspace(lo, hi, n_points)
@@ -127,7 +134,7 @@ def grid_refine_supremum(
         bl = xs[i - 1] if i > 0 else xs[i]
         bh = xs[i + 1] if i < len(xs) - 1 else xs[i]
         if bh > bl:
-            arg, val = golden_section_max(lambda x: _eval_scalar(f, x), bl, bh, tol=refine_tol)
+            arg, val = golden_section_max(refine_f, bl, bh, tol=refine_tol)
         else:
             arg, val = xs[i], ys[i]
         if ys[i] > val:
@@ -136,7 +143,7 @@ def grid_refine_supremum(
     best_val = max(v for _, v in candidates)
     best_arg = min(a for a, v in candidates if v == best_val)
     decreasing = bool(len(ys) >= 3 and ys[-3] > ys[-2] > ys[-1])
-    return SupremumResult(best_val, best_arg, decreasing, len(xs))
+    return SupremumResult(best_val, best_arg, decreasing, len(xs) + n_refine)
 
 
 def golden_section_min(
@@ -152,7 +159,7 @@ def golden_section_min(
 
 
 def sampled_min(
-    f: Callable[[np.ndarray], np.ndarray] | Callable[[float], float],
+    f: Callable[[np.ndarray | float], np.ndarray | float],
     lo: float,
     hi: float,
     n_samples: int = 256,
@@ -180,13 +187,16 @@ def _eval_scalar(f, x: float) -> float:
 
 
 def _eval_array(f, xs: np.ndarray) -> np.ndarray:
-    try:
-        ys = np.asarray(f(xs), dtype=float)
-        if ys.shape == xs.shape:
-            return ys
-    except (TypeError, ValueError):
-        pass
-    return np.array([_eval_scalar(f, x) for x in xs], dtype=float)
+    """``f`` on every point of ``xs`` in one call.
+
+    ``f`` must accept an array and return one value per point; a
+    function that only takes scalars is a caller error, not something to
+    fall back from point by point.
+    """
+    ys = np.asarray(f(xs), dtype=float)
+    if ys.shape != xs.shape:
+        raise ValueError(f"f returned shape {ys.shape} for {xs.shape} points; it must accept arrays")
+    return ys
 
 
 def enumerate_max(values: Sequence[float]) -> tuple[int, float]:

@@ -37,6 +37,7 @@ from .groups import FiniteGroup, make_group
 from .models import (
     EmpiricalModel,
     RandomVariableModel,
+    _check_finite,
     constant_model,
     exponential_model,
     gaussian_model,
@@ -183,7 +184,7 @@ def load_group_function(path, G: FiniteGroup) -> np.ndarray:
     constructor documents)."""
     try:
         tokens = Path(path).read_text().split()
-        values = np.array([float(t) for t in tokens])
+        values = _check_finite(np.array([float(t) for t in tokens]), str(path))
     except (OSError, ValueError) as exc:
         raise SpecParseError(f"cannot load group function {path!r}: {exc}") from exc
     if values.size != G.order:

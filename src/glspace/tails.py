@@ -271,13 +271,11 @@ def membership_K_estimate(
             )
         hi = max(lo, min(vmax, K * psi_M * (1.0 - 1e-9)))
         xs = np.geomspace(lo, hi, probes)
-        bad = 0
         for x in xs:
             e_val = math.exp(-h_transform(q, psi, float(x) / K).value)
             if survival(float(x)) > e_val + _binomial_slack(e_val, batch.size):
-                bad += 1
                 break
-        if bad == 0:
+        else:
             return MembershipEstimate(
                 K_hat=K,
                 x_range_checked=(float(lo), float(hi)),

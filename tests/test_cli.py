@@ -4,6 +4,7 @@ import csv
 import io
 
 import numpy as np
+import pytest
 
 from glspace.cli import main
 
@@ -67,6 +68,31 @@ def test_missing_empirical_file_exits_2(capsys):
     )
     assert code == 2
     assert err != "" and out == ""
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_empirical_sample_exits_2(capsys, tmp_path, bad):
+    sample_file = tmp_path / "sample.txt"
+    sample_file.write_text(f"1.0\n2.5\n{bad}\n3.0\n")
+    code, out, err = run_cli(
+        capsys,
+        "norm",
+        "--model", f"empirical:{sample_file}",
+        "--psi", "power_slowvary(r=2, delta=0)",
+    )
+    assert code == 2 and out == ""
+    assert f"value {bad} at index 2" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_group_function_exits_2(capsys, tmp_path, bad):
+    f = tmp_path / "f.txt"
+    g = tmp_path / "g.txt"
+    f.write_text(f"1.0\n{bad}\n0.5\n2.0\n")
+    g.write_text("1.0\n0.0\n0.0\n0.0\n")
+    code, out, err = run_cli(capsys, "convolve", "--group", "cyclic:4", str(f), str(g))
+    assert code == 2 and out == ""
+    assert f"value {bad} at index 1" in err
 
 
 def test_norm_requires_a_model(capsys):

@@ -9,6 +9,7 @@ from glspace import (
     DomainError,
     FiniteGroup,
     GroupAxiomError,
+    GroupFunctionModel,
     PowerSlowVaryParams,
     YoungTriple,
     algebra_check,
@@ -115,6 +116,23 @@ def test_group_norms():
     assert group_lp_norm(G, f, math.inf) == 4.0
     with pytest.raises(DomainError):
         group_lp_norm(G, f, 0.5)
+
+
+@pytest.mark.parametrize("G", small_groups(), ids=lambda G: G.name)
+def test_group_moments_array_matches_scalar_up_to_inf(G):
+    fm = GroupFunctionModel(G, np.random.default_rng(G.order).normal(size=G.order))
+    ps = np.append(np.geomspace(1.0, 200.0, 511), math.inf)
+    expect = np.array([group_lp_norm(G, fm.values, float(p)) for p in ps])
+    got = fm.lp_norm(ps)
+    np.testing.assert_array_max_ulp(got, expect, maxulp=4)
+    assert got[-1] == fm.lp_norm(math.inf) == np.abs(fm.values).max()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_group_function_rejects_non_finite_values(bad):
+    G = cyclic_group(3)
+    with pytest.raises(DomainError, match=rf"value {bad!r} at index 1"):
+        GroupFunctionModel(G, [1.0, bad, 2.0])
 
 
 def test_young_triple_validation():

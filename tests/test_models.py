@@ -1,6 +1,7 @@
 """Moment backends: closed forms, quadrature twins, plug-in samples."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from glspace import (
 from glspace.models import (
     SAMPLE_CHUNK,
     exponential_density_model,
+    power_mean,
     uniform01_density_model,
     uniform_stream,
 )
@@ -132,8 +134,65 @@ def test_plugin_warns_when_p_outruns_the_sample():
         m.lp_norm(30.0)
 
 
+def test_array_call_warns_once_naming_the_largest_p():
+    m = EmpiricalModel(np.arange(1.0, 101.0))
+    with pytest.warns(MomentInstabilityWarning) as record:
+        m.lp_norm(np.geomspace(1.0, 200.0, 512))
+    assert len(record) == 1
+    assert "p=200 " in str(record[0].message)
+
+
+@pytest.mark.parametrize(
+    "n,n_p",
+    [
+        (1, 512),
+        (5, 512),
+        (256, 512),
+        (1 << 16, 512),  # 4 p per chunk, 128 chunks
+        ((1 << 18) + 3, 16),  # one p per chunk
+    ],
+)
+def test_power_mean_array_matches_scalar(n, n_p):
+    a = np.abs(np.random.default_rng(n).normal(size=n))
+    ps = np.geomspace(1.0, 200.0, n_p)
+    ps[-1] = math.inf
+    expect = np.array([power_mean(a, float(p)) for p in ps])
+    got = power_mean(a, ps)
+    assert got.shape == ps.shape
+    np.testing.assert_array_max_ulp(got, expect, maxulp=4)
+    assert got[-1] == a.max()
+    two_d = power_mean(a, ps[:-2].reshape(2, -1))
+    np.testing.assert_array_equal(two_d.ravel(), got[:-2])
+
+
+def test_power_mean_chunks_its_temporary():
+    a = np.random.default_rng(0).random(1 << 16)
+    tracemalloc.start()
+    try:
+        power_mean(a, np.geomspace(1.0, 200.0, 512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one unchunked 512 x 2^16 temporary alone would be 256 MiB
+    assert peak < 8 * 2**20
+
+
 def test_zero_sample_has_zero_norm():
     assert EmpiricalModel(np.zeros(8)).lp_norm(2.0) == 0.0
+    assert np.array_equal(power_mean(np.zeros(8), np.array([1.0, 3.0, math.inf])), np.zeros(3))
+
+
+def test_power_mean_rejects_p_below_one():
+    with pytest.raises(DomainError):
+        power_mean(np.ones(3), 0.5)
+    with pytest.raises(DomainError):
+        EmpiricalModel([1.0, 2.0]).lp_norm(np.array([2.0, 0.9]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_empirical_rejects_non_finite_values(bad):
+    with pytest.raises(DomainError, match=rf"value {bad!r} at index 2"):
+        EmpiricalModel([1.0, 2.0, bad, 4.0])
 
 
 def test_empirical_rejects_empty_input():
