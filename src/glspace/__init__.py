@@ -36,12 +36,10 @@ from .generating import (
 from .grids import (
     EquivalenceConstant,
     GridSequence,
-    PartitionCell,
     RestrictedSet,
     geometric_grid,
     integer_grid,
     p_plus,
-    partition_cells,
     w_constant,
     w_hat_constant,
     z_constant,

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import GlsError, SpecParseError
+from .errors import DomainError, GlsError, SpecParseError
 from .generating import PowerSlowVaryParams, make_power_slowvary, natural_psi
 from .grids import integer_grid
 from .groups import algebra_check, convolve
@@ -297,7 +297,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return int(args.func(cfg))
-    except SpecParseError as exc:
+    except (SpecParseError, DomainError) as exc:
         print(f"gls: {exc}", file=sys.stderr)
         return 2
     except GlsError as exc:

@@ -111,21 +111,6 @@ def integer_grid(M: int) -> GridSequence:
     return GridSequence(np.arange(1, M + 1, dtype=float), f"grid:integers:M={M}", generator=float)
 
 
-@dataclass(frozen=True)
-class PartitionCell:
-    """Half-open cell A(m) = [q(m), q(m+1)) of the induced partition."""
-
-    m: int
-    lower: float
-    upper: float
-
-
-def partition_cells(grid: GridSequence):
-    """Disjoint cells covering [1, q(M)); adjacent cells share endpoints."""
-    v = grid.values
-    return [PartitionCell(m + 1, float(v[m]), float(v[m + 1])) for m in range(grid.M - 1)]
-
-
 class RestrictedSet:
     """Borel subset of [1, inf) containing 1, as merged closed segments."""
 
@@ -358,22 +343,21 @@ def w_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConstant:
 def w_hat_constant(q: GridSequence, psi: GeneratingFunction, cell_grid: int = 256) -> EquivalenceConstant:
     """W^ = max_m psi(q(m+1)) / min over the cell A(m) of psi.
 
-    The cell minimum comes from cell_grid samples polished by local
-    refinement, so for increasing psi this reproduces W exactly (the
-    minimum sits at the left endpoint, which is a sample).  Valid for
-    non-monotone generating functions, where W is not.
+    The cell minima come from one sampled_min call over all cells,
+    cell_grid samples per cell polished by local refinement, so for
+    increasing psi this reproduces W exactly (the minimum sits at the
+    left endpoint, which is a sample).  Valid for non-monotone
+    generating functions, where W is not.
     """
     grid = q
     if grid.M < 2:
         raise DomainError("W^ needs at least two grid points")
     if cell_grid < 2:
         raise DomainError("cell_grid must be at least 2 samples per cell")
-    f = lambda p: psi_eval(psi, p)
-    ratios = []
-    for cell in partition_cells(grid):
-        mn = sampled_min(f, cell.lower, cell.upper, n_samples=cell_grid)
-        ratios.append(psi_eval(psi, cell.upper) / mn)
-    idx, best = enumerate_max(ratios)
+    v = grid.values
+    mins = sampled_min(lambda p: psi_eval(psi, p), v[:-1], v[1:], n_samples=cell_grid)
+    ratios = psi_eval(psi, v[1:]) / mins
+    idx, best = enumerate_max(ratios.tolist())
     tail_increasing = len(ratios) >= 3 and ratios[-1] > ratios[-2] > ratios[-3]
     return EquivalenceConstant(
         kind="W_hat",

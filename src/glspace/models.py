@@ -189,26 +189,67 @@ class DensityModel(RandomVariableModel):
         self.epsrel = float(epsrel)
         self.moment_tolerance = float(epsrel)
         self._icdf_table = None
+        self._probe = None
 
-    def _moment(self, p: float) -> float:
+    def _log_probe(self):
+        """(x, ln|x|, ln rho(x)) on the probe points |x| = e^t, t in [-30, 30],
+        that lie in the support (finite ends included)."""
+        if self._probe is None:
+            a, b = self.support
+            r = np.exp(np.linspace(-30.0, 30.0, 1201))
+            xs = np.concatenate([-r[::-1], r, [x for x in (a, b) if math.isfinite(x) and x != 0.0]])
+            xs = np.unique(xs[(xs >= a) & (xs <= b)])
+            rho = np.array([self.density(float(x)) for x in xs])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                self._probe = (xs, np.log(np.abs(xs)), np.log(rho))
+        return self._probe
+
+    def _log_moment(self, p: float) -> float:
+        """ln E|f|^p by quadrature of exp(p ln|x| + ln rho(x) - c), then + c.
+
+        c is the largest log-integrand on the probe points, so the scaled
+        integrand peaks near 1 and neither |x|^p nor the moment overflows;
+        the integral is split at that probe point so quad sees the peak.
+        """
         a, b = self.support
-        integrand = lambda x: abs(x) ** p * self.density(x)
+        xs, log_x, log_rho = self._log_probe()
+        g = p * log_x + log_rho
+        ok = np.flatnonzero(np.isfinite(g))
+        if ok.size:
+            k = ok[np.argmax(g[ok])]
+            c, peak = float(g[k]), float(xs[k])
+        else:
+            c, peak = 0.0, a
+
+        def integrand(x):
+            rho = self.density(x)
+            if rho <= 0.0 or x == 0.0:
+                return 0.0
+            return math.exp(p * math.log(abs(x)) + math.log(rho) - c)
+
+        pieces = [(a, peak), (peak, b)] if a < peak < b else [(a, b)]
+        total = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
             try:
-                val, _ = quad(integrand, a, b, epsabs=self.epsabs, epsrel=self.epsrel, limit=200)
+                for lo, hi in pieces:
+                    total += quad(integrand, lo, hi, epsabs=self.epsabs, epsrel=self.epsrel, limit=200)[0]
             except IntegrationWarning as exc:
                 raise DivergentMomentError(p, f"quadrature did not converge at p={p}: {exc}") from exc
-        if not math.isfinite(val):
+            except OverflowError as exc:
+                raise DivergentMomentError(
+                    p, f"{self.label}: moment integrand at p={p} peaks outside the probe range"
+                ) from exc
+        if not math.isfinite(total):
             raise DivergentMomentError(p)
-        return val
+        return math.log(total) + c if total > 0.0 else -math.inf
 
     def lp_norm(self, p):
         arr = _check_p(p)
         if arr.ndim:
-            return np.array([self._moment(float(q)) ** (1.0 / float(q)) for q in arr.ravel()]).reshape(arr.shape)
+            return np.array([math.exp(self._log_moment(float(q)) / float(q)) for q in arr.ravel()]).reshape(arr.shape)
         q = float(arr)
-        return self._moment(q) ** (1.0 / q)
+        return math.exp(self._log_moment(q) / q)
 
     @property
     def supports_sampling(self) -> bool:

@@ -37,7 +37,7 @@ from .grids import (
     z_constant,
 )
 from .models import EmpiricalModel, RandomVariableModel
-from .search import enumerate_max, grid_refine_supremum
+from .search import enumerate_max, grid_refine_supremum, sup_rows
 
 DEFAULT_P_MAX = 200.0
 
@@ -108,6 +108,8 @@ def gls_norm(
 
     def consider(val: float, arg: float) -> None:
         nonlocal best_val, best_arg
+        if val != val:
+            raise DomainError(f"the ratio is NaN at p={arg!r}")
         if val > best_val or (val == best_val and arg < best_arg):
             best_val, best_arg = val, arg
 
@@ -176,6 +178,9 @@ def discrete_norm(model: RandomVariableModel, psi: GeneratingFunction, q: GridSe
             n_evaluations=0,
         )
     ratios = moments / psi_eval(psi, q.values)
+    nan = np.flatnonzero(np.isnan(ratios))
+    if nan.size:
+        raise DomainError(f"the ratio is NaN at p={float(q.values[nan[0]])!r}")
     idx, best = enumerate_max(ratios.tolist())
     decreasing = ratios.size >= 3 and ratios[-3] > ratios[-2] > ratios[-1]
     return NormResult(
@@ -295,44 +300,36 @@ def _cellwise_full_norm(
     refine_tol: float = 1e-10,
     points_per_cell: int = 64,
 ) -> NormResult:
-    """Full norm over [1, q(M)] scanned one partition cell at a time.
+    """Full norm over [1, q(M)] with every partition cell scanned on its own.
 
     An oscillating psi can hide whole peaks between the samples of a
     single geometric scan of [1, q(M)].  The W^ constant resolves each
     cell with its own dense sample, so the norm search on the other side
     of the sandwich has to match that resolution or the two sides end up
-    looking at different functions.
+    looking at different functions.  All cells are one sup_rows search,
+    each cell a row of points_per_cell evenly spaced points.
     """
-    ratio = _ratio_fn(model, psi)
-    best_val, best_arg = -math.inf, math.inf
-    n_eval = 0
-    edge_decreasing = True
-    P = float(gtr.values[-1])
+    v = gtr.values
+    P = float(v[-1])
+    xs = np.linspace(v[:-1], v[1:], points_per_cell, axis=1)
+    xs[:, 0], xs[:, -1] = v[:-1], v[1:]
     try:
-        for m in range(gtr.M - 1):
-            a, b = float(gtr.values[m]), float(gtr.values[m + 1])
-            res = grid_refine_supremum(
-                ratio, a, b, n_points=points_per_cell, refine_tol=refine_tol, geometric=False
-            )
-            if res.value > best_val or (res.value == best_val and res.arg < best_arg):
-                best_val, best_arg = res.value, res.arg
-            n_eval += res.n_evaluations
-            if b == P:
-                edge_decreasing = res.decreasing_at_hi
+        res = sup_rows(_ratio_fn(model, psi), xs, refine_tol)
     except DivergentMomentError as exc:
         return NormResult(
             value=math.inf,
             arg_p=float(exc.p),
             truncation_p_max=P,
             decreasing_at_hi=False,
-            n_evaluations=n_eval,
+            n_evaluations=0,
         )
+    best_val = res.values.max()
     return NormResult(
         value=float(best_val),
-        arg_p=float(best_arg),
+        arg_p=float(res.args[res.values == best_val].min()),
         truncation_p_max=P,
-        decreasing_at_hi=bool(edge_decreasing),
-        n_evaluations=int(n_eval),
+        decreasing_at_hi=bool(res.decreasing_at_hi[-1]),
+        n_evaluations=res.n_evaluations,
     )
 
 
@@ -361,8 +358,8 @@ def sandwich_check_discrete(
     P = float(gtr.values[-1])
     inner = discrete_norm(model, psi, gtr)
     if use_w_hat:
-        full = _cellwise_full_norm(model, psi, gtr)
         const = w_hat_constant(gtr, psi)
+        full = _cellwise_full_norm(model, psi, gtr)
     else:
         if not psi.strictly_increasing and not psi_validate(psi, p_max=P).monotone:
             raise NonMonotoneError(

@@ -1,18 +1,28 @@
-"""Supremum search over an interval: coarse grid plus golden-section refinement.
+"""Supremum search: one batched scan plus golden-section refinement.
 
-Nothing here assumes unimodality.  The grid stage locates every local
-maximum (plateaus and endpoints included) and each one is refined
-independently; the best refined value wins, with ties broken toward the
-smallest argument so results are deterministic.
+Nothing here assumes unimodality.  A search covers one or more rows
+(segments or cells), each sampled on its own increasing grid, and ``f``
+is evaluated on every row in one array call.  Every local maximum of a
+row (plateaus and endpoints included) is bracketed by its scan
+neighbours and refined by golden section.  Several brackets refine in
+lockstep, one array call of ``f`` per iteration (Kiefer, "Sequential
+minimax search for a maximum", Proc. AMS 1953); a lone bracket takes the
+scalar golden_section_max, which is cheaper than numpy bookkeeping on a
+one-element array.  Both use the same update rule, stopping width and
+tie-break, so they give bit-identical results.  The best value of a row
+wins, with ties broken toward the smallest argument so results are
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+
+from .errors import DomainError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -34,6 +44,16 @@ class SupremumResult:
 
     def __float__(self) -> float:
         return self.value
+
+
+class RowSupremum(NamedTuple):
+    """Per-row outcome of sup_rows; see SupremumResult for the fields.
+    ``n_evaluations`` counts every point ``f`` saw, over all rows."""
+
+    values: np.ndarray
+    args: np.ndarray
+    decreasing_at_hi: np.ndarray
+    n_evaluations: int
 
 
 def golden_section_max(
@@ -79,18 +99,93 @@ def golden_section_max(
     return best_x, best_v
 
 
-def _local_max_indices(ys: np.ndarray) -> list[int]:
-    """Indices that are not dominated by a neighbour (plateau tolerant)."""
-    n = len(ys)
-    if n == 1:
-        return [0]
-    idx = []
-    for i in range(n):
-        left_ok = i == 0 or ys[i] >= ys[i - 1]
-        right_ok = i == n - 1 or ys[i] >= ys[i + 1]
-        if left_ok and right_ok:
-            idx.append(i)
-    return idx
+def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float, max_iter: int = 200):
+    """golden_section_max on every bracket [lo[k], hi[k]] at once.
+
+    ``f_lo`` / ``f_hi`` are the values already known at the bracket ends.
+    Each iteration moves every bracket still wider than its stopping
+    width and evaluates ``f`` once on the array of new points.  Returns
+    (args, values, number of points evaluated).
+    """
+    best_x, best_v = lo.copy(), f_lo.copy()
+    up = f_hi > best_v
+    best_x[up], best_v[up] = hi[up], f_hi[up]
+    a, b = lo.copy(), hi.copy()
+    x1 = b - INV_PHI * (b - a)
+    x2 = a + INV_PHI * (b - a)
+    k = lo.size
+    f12 = _eval_array(f, np.concatenate([x1, x2]))
+    f1, f2 = f12[:k], f12[k:]
+    n_eval = 2 * k
+    width_tol = tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    for _ in range(max_iter):
+        act = np.flatnonzero(b - a > width_tol)
+        if act.size == 0:
+            break
+        go_left = f1[act] >= f2[act]
+        L, R = act[go_left], act[~go_left]
+        b[L], x2[L], f2[L] = x2[L], x1[L], f1[L]
+        x1[L] = b[L] - INV_PHI * (b[L] - a[L])
+        a[R], x1[R], f1[R] = x1[R], x2[R], f2[R]
+        x2[R] = a[R] + INV_PHI * (b[R] - a[R])
+        x = np.where(go_left, x1[act], x2[act])
+        v = _eval_array(f, x)
+        n_eval += act.size
+        f1[L], f2[R] = v[go_left], v[~go_left]
+        better = (v > best_v[act]) | ((v == best_v[act]) & (x < best_x[act]))
+        won = act[better]
+        best_x[won], best_v[won] = x[better], v[better]
+    return best_x, best_v, n_eval
+
+
+def sup_rows(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, refine_tol: float = 1e-10) -> RowSupremum:
+    """Supremum of ``f`` over each row of the scan grid ``xs``.
+
+    Each row is an increasing grid whose first and last points are the
+    ends of its interval.  ``f`` sees all rows in one array call; every
+    local maximum of a row is then refined inside the cell spanned by
+    its scan neighbours.  Lockstep refinement reuses the scan values at
+    the bracket ends; a lone bracket goes to golden_section_max, which
+    evaluates them again.  Refinement never loses the scan value it
+    started from.  A NaN value of ``f`` raises DomainError naming the
+    first p where it occurred.
+    """
+    rows, n = xs.shape
+    ys = _eval_array(f, xs.ravel()).reshape(rows, n)
+    pad = np.full((rows, 1), -np.inf)
+    peak = (ys >= np.hstack([pad, ys[:, :-1]])) & (ys >= np.hstack([ys[:, 1:], pad]))
+    r, i = np.nonzero(peak)
+    il, ih = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
+    bl, bh = xs[r, il], xs[r, ih]
+    cand_x, cand_v = xs[r, i], ys[r, i]
+    n_eval = xs.size
+    k = np.flatnonzero(bh > bl)
+    if k.size == 1:
+        count = [0]
+
+        def refine_f(x: float) -> float:
+            count[0] += 1
+            return _eval_scalar(f, x)
+
+        arg, val = golden_section_max(refine_f, bl[k[0]], bh[k[0]], tol=refine_tol)
+        ref_x, ref_v = np.array([arg], dtype=float), np.array([val], dtype=float)
+        n_eval += count[0]
+    elif k.size:
+        ref_x, ref_v, n_ref = _golden_lockstep(
+            f, bl[k], ys[r[k], il[k]], bh[k], ys[r[k], ih[k]], refine_tol
+        )
+        n_eval += n_ref
+    if k.size:
+        keep = ~(cand_v[k] > ref_v)
+        cand_x[k[keep]], cand_v[k[keep]] = ref_x[keep], ref_v[keep]
+    # per row: largest value, then smallest arg; every row has a peak
+    order = np.lexsort((cand_x, -cand_v, r))
+    first = order[np.r_[True, r[order][1:] != r[order][:-1]]]
+    if n >= 3:
+        decreasing = (ys[:, -3] > ys[:, -2]) & (ys[:, -2] > ys[:, -1])
+    else:
+        decreasing = np.zeros(rows, dtype=bool)
+    return RowSupremum(cand_v[first], cand_x[first], decreasing, int(n_eval))
 
 
 def grid_refine_supremum(
@@ -104,86 +199,57 @@ def grid_refine_supremum(
     """Supremum of ``f`` over [lo, hi] by coarse scan plus local refinement.
 
     The scan grid is geometrically spaced by default (suited to moment
-    ratios that vary on a log scale in p).  Every local maximum of the
-    scan, endpoints included, is refined with a golden-section search in
-    its bracketing cell; refinement never loses the grid value it started
-    from.  ``f`` must accept an array of points (see _eval_array);
-    ``n_evaluations`` counts the scan points and every refinement call.
+    ratios that vary on a log scale in p); the search is sup_rows on one
+    row.  ``f`` must accept an array of points (see _eval_array);
+    ``n_evaluations`` counts the scan points and every refinement point.
     """
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
-        v = float(_eval_scalar(f, lo))
-        return SupremumResult(v, lo, True, 1)
-    n_refine = 0
-
-    def refine_f(x: float) -> float:
-        nonlocal n_refine
-        n_refine += 1
-        return _eval_scalar(f, x)
-
+        return SupremumResult(_eval_scalar(f, lo), lo, True, 1)
     n_points = max(int(n_points), 2)
     if geometric and lo > 0:
         xs = np.geomspace(lo, hi, n_points)
     else:
         xs = np.linspace(lo, hi, n_points)
     xs[0], xs[-1] = lo, hi
-    ys = _eval_array(f, xs)
-    candidates: list[tuple[float, float]] = []
-    for i in _local_max_indices(ys):
-        bl = xs[i - 1] if i > 0 else xs[i]
-        bh = xs[i + 1] if i < len(xs) - 1 else xs[i]
-        if bh > bl:
-            arg, val = golden_section_max(refine_f, bl, bh, tol=refine_tol)
-        else:
-            arg, val = xs[i], ys[i]
-        if ys[i] > val:
-            arg, val = xs[i], ys[i]
-        candidates.append((float(arg), float(val)))
-    best_val = max(v for _, v in candidates)
-    best_arg = min(a for a, v in candidates if v == best_val)
-    decreasing = bool(len(ys) >= 3 and ys[-3] > ys[-2] > ys[-1])
-    return SupremumResult(best_val, best_arg, decreasing, len(xs) + n_refine)
-
-
-def golden_section_min(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> tuple[float, float]:
-    """Golden-section minimization on [lo, hi]; see golden_section_max."""
-    arg, val = golden_section_max(lambda x: -f(x), lo, hi, tol=tol, max_iter=max_iter)
-    return arg, -val
+    res = sup_rows(f, xs[None, :], refine_tol)
+    return SupremumResult(
+        float(res.values[0]), float(res.args[0]), bool(res.decreasing_at_hi[0]), res.n_evaluations
+    )
 
 
 def sampled_min(
-    f: Callable[[np.ndarray | float], np.ndarray | float],
-    lo: float,
-    hi: float,
+    f: Callable[[np.ndarray], np.ndarray],
+    lo,
+    hi,
     n_samples: int = 256,
     refine_tol: float = 1e-12,
-) -> float:
-    """Minimum of ``f`` over [lo, hi] by dense sampling plus refinement
-    around the best sample.  No unimodality is assumed; every local
-    minimum of the sample is refined."""
-    if hi <= lo:
-        return float(_eval_scalar(f, lo))
-    xs = np.linspace(lo, hi, max(int(n_samples), 2))
-    ys = _eval_array(f, xs)
-    best = float(ys.min())
-    for i in _local_max_indices(-ys):
-        bl = xs[i - 1] if i > 0 else xs[i]
-        bh = xs[i + 1] if i < len(xs) - 1 else xs[i]
-        if bh > bl:
-            _, val = golden_section_min(lambda x: _eval_scalar(f, x), bl, bh, tol=refine_tol)
-            best = min(best, float(val))
-    return best
+) -> np.ndarray:
+    """Minimum of ``f`` over each interval [lo[k], hi[k]].
+
+    ``lo`` and ``hi`` are arrays of interval bounds; the minima come back
+    in their shape.  Each interval is sampled at n_samples evenly spaced
+    points and the minimum is sup_rows of ``-f``, so every local minimum
+    of every sample is refined and no unimodality is assumed.
+    """
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if np.any(hi < lo):
+        raise ValueError("sampled_min needs lo <= hi for every interval")
+    xs = np.linspace(lo, hi, max(int(n_samples), 2), axis=-1)
+    res = sup_rows(lambda x: -f(x), xs.reshape(lo.size, -1), refine_tol)
+    return -res.values.reshape(lo.shape)
+
+
+def _nan_error(x) -> DomainError:
+    return DomainError(f"the searched function is NaN at p={float(x)!r}")
 
 
 def _eval_scalar(f, x: float) -> float:
-    return float(f(float(x)))
+    v = float(f(float(x)))
+    if v != v:
+        raise _nan_error(x)
+    return v
 
 
 def _eval_array(f, xs: np.ndarray) -> np.ndarray:
@@ -191,11 +257,15 @@ def _eval_array(f, xs: np.ndarray) -> np.ndarray:
 
     ``f`` must accept an array and return one value per point; a
     function that only takes scalars is a caller error, not something to
-    fall back from point by point.
+    fall back from point by point.  A NaN value raises DomainError
+    naming the first point where it occurred.
     """
     ys = np.asarray(f(xs), dtype=float)
     if ys.shape != xs.shape:
         raise ValueError(f"f returned shape {ys.shape} for {xs.shape} points; it must accept arrays")
+    nan = np.isnan(ys)
+    if nan.any():
+        raise _nan_error(xs[np.argmax(nan)])
     return ys
 
 

@@ -217,3 +217,17 @@ def test_strict_flag_accepts_finite_norms(capsys):
         "--strict",
     )
     assert code == 0
+
+
+def test_nan_ratio_exits_2(capsys, monkeypatch):
+    import glspace.cli
+    from glspace import GeneratingFunction
+
+    def evaluator(p):
+        return np.where(np.asarray(p) > 50.0, np.nan, np.sqrt(p))
+
+    nan_psi = GeneratingFunction(evaluator, False, 1.0, "nan_above_50")
+    monkeypatch.setattr(glspace.cli, "psi_from_spec", lambda spec: nan_psi)
+    code, out, err = run_cli(capsys, "norm", "--model", "exponential", "--psi", "nan_above_50")
+    assert code == 2 and out == ""
+    assert "NaN at p=50." in err

@@ -52,6 +52,16 @@ def test_evaluation_rejects_p_below_one():
         psi_eval(psi, np.array([1.0, 0.99]))
 
 
+@pytest.mark.parametrize(
+    "p", [0.5, np.float64(0.5), np.array(0.5), 0], ids=["float", "numpy_float", "0d_array", "int"]
+)
+def test_scalar_evaluation_rejects_p_below_one(p):
+    # scalars take a float comparison instead of np.any; the check must hold
+    psi = make_power_slowvary(PowerSlowVaryParams(r=2.0))
+    with pytest.raises(DomainError, match="p >= 1"):
+        psi_eval(psi, p)
+
+
 def test_vectorized_matches_scalar_evaluation():
     psi = make_power_slowvary(PowerSlowVaryParams(r=1.5, delta=1.0))
     ps = np.array([1.0, 2.0, 3.7, 50.0, 200.0])

@@ -20,7 +20,6 @@ from glspace import (
     w_hat_constant,
     z_constant,
 )
-from glspace.grids import partition_cells
 
 
 def root_psi():
@@ -83,15 +82,6 @@ def test_invalid_grids_rejected():
         GridSequence([1.0, 1.0, 2.0])
     with pytest.raises(DomainError):
         GridSequence([])
-
-
-def test_partition_cells_tile_the_grid():
-    cells = partition_cells(integer_grid(4))
-    assert [(c.m, c.lower, c.upper) for c in cells] == [
-        (1, 1.0, 2.0),
-        (2, 2.0, 3.0),
-        (3, 3.0, 4.0),
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,15 @@ from glspace import (
     EmpiricalModel,
     EmptyBatchError,
     MomentInstabilityWarning,
+    PowerSlowVaryParams,
     UnsupportedBackendError,
     constant_model,
     empirical_survival,
     exponential_model,
     gaussian_density_model,
     gaussian_model,
+    gls_norm,
+    make_power_slowvary,
     rademacher_model,
     sample,
     uniform01_model,
@@ -69,8 +72,17 @@ def test_moments_reject_p_below_one():
 )
 def test_quadrature_twin_agrees_with_closed_form(make_closed, make_density):
     closed, density = make_closed(), make_density()
-    for p in (1.0, 2.0, 3.7, 10.0):
+    # the default norm window runs to p = 200, where |x|^p alone overflows
+    for p in (1.0, 2.0, 3.7, 10.0, 50.0, 80.0, 100.0, 150.0, 200.0):
         assert density.lp_norm(p) == pytest.approx(closed.lp_norm(p), rel=1e-6)
+
+
+def test_density_norm_over_the_default_window():
+    psi = make_power_slowvary(PowerSlowVaryParams(r=2.0))
+    res = gls_norm(gaussian_density_model(), psi)
+    ref = gls_norm(gaussian_model(), psi)
+    assert res.value == pytest.approx(ref.value, rel=1e-6)
+    assert res.truncation_p_max == 200.0
 
 
 @pytest.mark.parametrize(

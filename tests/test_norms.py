@@ -11,6 +11,7 @@ from glspace import (
     DensityModel,
     DomainError,
     EmpiricalModel,
+    GeneratingFunction,
     NonMonotoneError,
     PowerSlowVaryParams,
     RestrictedSet,
@@ -18,6 +19,7 @@ from glspace import (
     constant_model,
     default_p_max,
     discrete_norm,
+    exponential_model,
     gaussian_model,
     geometric_grid,
     gls_norm,
@@ -172,3 +174,23 @@ def test_default_window():
     assert default_p_max(EmpiricalModel(np.ones(1000))) == pytest.approx(
         5.0 * math.log(1000.0)
     )
+
+
+def nan_above_50_psi():
+    """sqrt(p) below p = 50 and NaN above it."""
+
+    def evaluator(p):
+        return np.where(np.asarray(p) > 50.0, np.nan, np.sqrt(p))
+
+    return GeneratingFunction(evaluator, False, 1.0, "nan_above_50")
+
+
+def test_nan_ratio_raises_naming_p():
+    # the ratio Gamma(p+1)^(1/p) / sqrt(p) increases, so a NaN must not
+    # lose silently to the value at p = 1
+    with pytest.raises(DomainError, match=r"NaN at p=50\.\d"):
+        gls_norm(exponential_model(), nan_above_50_psi())
+    with pytest.raises(DomainError, match=r"NaN at p=51\.0"):
+        discrete_norm(exponential_model(), nan_above_50_psi(), integer_grid(60))
+    with pytest.raises(DomainError, match=r"NaN at p=5[01]\.\d"):
+        sandwich_check_discrete(exponential_model(), nan_above_50_psi(), integer_grid(60), p_max=55.0, use_w_hat=True)

@@ -1,9 +1,11 @@
-"""Supremum search: evaluation accounting and the array contract."""
+"""Supremum search: lockstep refinement, batched cells, evaluation accounting."""
 
 import numpy as np
 import pytest
 
-from glspace.search import grid_refine_supremum
+from glspace import constant_model, gaussian_model, integer_grid, natural_psi, psi_eval, sqrt_dip_psi, w_hat_constant
+from glspace.norms import _cellwise_full_norm, _ratio_fn
+from glspace.search import _golden_lockstep, golden_section_max, grid_refine_supremum
 
 
 def test_n_evaluations_counts_every_refinement_call():
@@ -23,3 +25,94 @@ def test_n_evaluations_counts_every_refinement_call():
 def test_scalar_only_function_is_rejected():
     with pytest.raises(ValueError, match="must accept arrays"):
         grid_refine_supremum(lambda p: 1.0, 1.0, 2.0)
+
+
+def _tri(x):
+    return np.abs(np.mod(x, 2.0) - 1.0)
+
+
+def _multi_peak(x):
+    """Peaks, flat steps (exact ties) and monotone stretches; only exactly
+    rounded operations, so a point gives the same bits alone or in an array."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x < 10.0, np.floor(6.0 * _tri(x)) / 6.0, _tri(1.7 * x) * (1.0 + 0.01 * x))
+
+
+def test_lockstep_matches_golden_section_bit_for_bit():
+    rng = np.random.default_rng(20240611)
+    lo = rng.uniform(1.0, 20.0, 240)
+    hi = lo + 10.0 ** rng.uniform(-4.0, 0.7, lo.size)
+    # brackets that sit on a flat step, and ones ending exactly on a peak
+    lo[:20], hi[:20] = 2.0 + 0.01 * np.arange(20), 2.1 + 0.01 * np.arange(20)
+    lo[20:40], hi[20:40] = 3.5 + 0.01 * np.arange(20), 4.0
+    for tol in (1e-10, 1e-12):
+        args, vals, n_eval = _golden_lockstep(_multi_peak, lo, _multi_peak(lo), hi, _multi_peak(hi), tol)
+        calls = [0]
+
+        def scalar_f(x):
+            calls[0] += 1
+            return float(_multi_peak(x))
+
+        for k in range(lo.size):
+            arg, val = golden_section_max(scalar_f, lo[k], hi[k], tol=tol)
+            assert (args[k], vals[k]) == (arg, val), k
+        # same points, except the bracket ends the lockstep path already knew
+        assert n_eval == calls[0] - 2 * lo.size
+    # the cases the brackets were built to hit
+    assert np.any(args[:20] == lo[:20]) and np.any(args[20:40] == hi[20:40])
+
+
+def _cells(q):
+    return zip(q.values[:-1].tolist(), q.values[1:].tolist())
+
+
+def test_cellwise_norm_equals_a_per_cell_search():
+    model, psi, q = gaussian_model(), sqrt_dip_psi(), integer_grid(256)
+    ratio = _ratio_fn(model, psi)
+    best_val, best_arg, n_eval = -np.inf, np.inf, 0
+    for a, b in _cells(q):
+        res = grid_refine_supremum(ratio, a, b, n_points=64, geometric=False)
+        if res.value > best_val or (res.value == best_val and res.arg < best_arg):
+            best_val, best_arg = res.value, res.arg
+        n_eval += res.n_evaluations
+    batched = _cellwise_full_norm(model, psi, q)
+    assert (batched.value, batched.arg_p) == (best_val, best_arg)
+    assert batched.decreasing_at_hi == res.decreasing_at_hi
+    # the same points are searched; the per-cell loop re-evaluates bracket ends
+    assert batched.n_evaluations <= n_eval
+
+
+def test_w_hat_equals_a_per_cell_minimum():
+    psi, q = sqrt_dip_psi(), integer_grid(256)
+    ratios = []
+    for a, b in _cells(q):
+        xs = np.linspace(a, b, 256)
+        ys = psi_eval(psi, xs)
+        mn = float(ys.min())
+        for i in range(xs.size):
+            if (i == 0 or ys[i] <= ys[i - 1]) and (i == xs.size - 1 or ys[i] <= ys[i + 1]):
+                bl, bh = xs[max(i - 1, 0)], xs[min(i + 1, xs.size - 1)]
+                if bh > bl:
+                    _, v = golden_section_max(lambda x: -psi_eval(psi, x), bl, bh, tol=1e-12)
+                    mn = min(mn, -v)
+        ratios.append(psi_eval(psi, b) / mn)
+    const = w_hat_constant(q, psi)
+    k = int(np.argmax(ratios))
+    assert (const.value, const.arg, const.tail_ratio) == (ratios[k], k + 1.0, ratios[-1])
+
+
+def test_flat_ratio_refines_in_few_array_calls():
+    model = constant_model(3.0)
+    ratio = _ratio_fn(model, natural_psi(model))
+    calls, points = [0], [0]
+
+    def counted(p):
+        calls[0] += 1
+        points[0] += np.size(p)
+        return ratio(p)
+
+    res = grid_refine_supremum(counted, 1.0, 200.0)
+    assert (res.value, res.arg) == (3.0, 1.0)
+    assert res.n_evaluations == points[0] > 512
+    # one scan call, then one call per lockstep iteration for all 512 brackets
+    assert calls[0] <= 60
