@@ -39,7 +39,6 @@ from .grids import (
     RestrictedSet,
     geometric_grid,
     integer_grid,
-    p_plus,
     w_constant,
     w_hat_constant,
     z_constant,
@@ -73,7 +72,6 @@ from .models import (
     exponential_model,
     gaussian_density_model,
     gaussian_model,
-    lp_norm,
     rademacher_model,
     sample,
     uniform01_model,

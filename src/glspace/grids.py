@@ -162,50 +162,30 @@ class RestrictedSet:
     def sup_value(self) -> float:
         return math.inf if self.grid is not None else float(self._hi[-1])
 
-    def _extend_to(self, p: float) -> None:
-        """Pull more points out of a backing grid until one reaches p."""
-        if self.grid is None or self.grid.generator is None:
-            return
-        last = self._hi[-1]
-        new = []
-        idx = self.grid.M
-        while last < p:
-            idx += 1
-            if idx > _EXTEND_CAP:
-                raise TruncationError(f"{self.description} tail did not reach {p:g}")
-            last = self.grid.value_at(idx)
-            new.append(last)
-        if new:
-            arr = np.array(new)
-            self._lo = np.concatenate([self._lo, arr])
-            self._hi = np.concatenate([self._hi, arr])
-
     def contains(self, p):
         arr = np.asarray(p, dtype=float)
-        scalar = arr.ndim == 0
         flat = np.atleast_1d(arr)
-        if self.grid is not None and flat.max(initial=1.0) > self._hi[-1]:
-            self._extend_to(float(flat.max()))
-        idx = np.searchsorted(self._hi, flat, side="left")
-        ok = idx < self._hi.size
-        res = np.zeros(flat.shape, dtype=bool)
-        res[ok] = self._lo[idx[ok]] <= flat[ok]
-        return bool(res[0]) if scalar else res.reshape(arr.shape)
+        res = flat >= 1.0
+        res[res] = self.p_plus(flat[res]) == flat[res]
+        return bool(res[0]) if arr.ndim == 0 else res.reshape(arr.shape)
 
     def p_plus(self, p):
-        """Smallest element of the set that is >= p (inf if none)."""
+        """Smallest element of the set that is >= p (inf if none).
+
+        Past the stored points of a grid-backed set the grid is read, not
+        copied in: a query never changes the set."""
         arr = np.asarray(p, dtype=float)
-        scalar = arr.ndim == 0
         flat = np.atleast_1d(arr).astype(float)
         if np.any(flat < 1.0):
             raise DomainError("p_plus is defined for p >= 1")
-        if self.grid is not None and flat.max() > self._hi[-1]:
-            self._extend_to(float(flat.max()))
         idx = np.searchsorted(self._hi, flat, side="left")
         out = np.full(flat.shape, math.inf)
         ok = idx < self._hi.size
         out[ok] = np.maximum(flat[ok], self._lo[idx[ok]])
-        return float(out[0]) if scalar else out.reshape(arr.shape)
+        if self.grid is not None and self.grid.generator is not None:
+            for k in np.flatnonzero(~ok):
+                out[k] = self.grid.value_at(self.grid.first_index_at_least(flat[k]))
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     def window_point(self, p_max: float) -> float:
         """Smallest set element >= p_max, used to truncate comparisons."""
@@ -224,6 +204,9 @@ class RestrictedSet:
         if not self.contains(P):
             raise DomainError(f"window point {P:g} is not an element of {self.description}")
         segs = [(a, min(b, P)) for a, b in self.segments if a <= P]
+        if P > self._hi[-1]:  # a grid-backed set, read on to P
+            tail = range(self.grid.M + 1, self.grid.first_index_at_least(P) + 1)
+            segs += [(v, v) for v in map(self.grid.value_at, tail)]
         return RestrictedSet(segs, f"{self.description}|p<={P:g}", windowed_at=float(P))
 
     def gaps(self):
@@ -261,11 +244,6 @@ class EquivalenceConstant:
 
     def __float__(self) -> float:
         return self.value
-
-
-def p_plus(S: RestrictedSet, p):
-    """Smallest element of S at or above p; +inf when none exists."""
-    return S.p_plus(p)
 
 
 def z_constant(S: RestrictedSet, psi: GeneratingFunction, tail_terms: int = 8) -> EquivalenceConstant:

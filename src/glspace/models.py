@@ -407,11 +407,6 @@ def exponential_density_model() -> DensityModel:
 # ---------------------------------------------------------------------------
 # Module-level operations
 
-def lp_norm(model: RandomVariableModel, p):
-    """(E|f|^p)^(1/p) through whichever backend the model carries."""
-    return model.lp_norm(p)
-
-
 def sample(model: RandomVariableModel, n: int, seed: int) -> SampleBatch:
     """Deterministic sample of size n; chunk order cannot change the bits."""
     if n < 0:

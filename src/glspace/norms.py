@@ -3,7 +3,10 @@
 The central quantity is sup over admissible p of |f|_p / psi(p).  The
 full norm ranges over [1, p_max], the restricted norm over a Borel
 subset, the discrete norm over a grid (exact enumeration, no
-refinement).  Sandwich checks verify the two-sided equivalence
+refinement).  All three are one search, _sup_norm: intervals and grid
+cells are rows of one scan grid, refined together, and isolated points
+and grid values are evaluated exactly in one array call.  Sandwich
+checks verify the two-sided equivalence
 
     inner <= full <= constant * inner
 
@@ -37,7 +40,8 @@ from .grids import (
     z_constant,
 )
 from .models import EmpiricalModel, RandomVariableModel
-from .search import enumerate_max, grid_refine_supremum, sup_rows
+from .search import _eval_array, sup_rows
+from .search import grid_refine_supremum  # noqa: F401  unused here; the benchmark tracer patches it
 
 DEFAULT_P_MAX = 200.0
 
@@ -80,6 +84,49 @@ def _ratio_fn(model: RandomVariableModel, psi: GeneratingFunction):
     return ratio
 
 
+def _sup_norm(ratio, p_max: float, rows: np.ndarray, points: np.ndarray,
+              refine_tol: float = 1e-10, grid: bool = False) -> NormResult:
+    """sup of ``ratio`` over the scan rows and the exact points.
+
+    Every row of ``rows`` is an increasing scan grid of one interval,
+    refined by sup_rows; ``points`` are evaluated exactly, all in one
+    array call.  The best value wins, ties going to the smallest p, and
+    n_evaluations counts every point the ratio was asked for, including
+    those of a call that raised.  The edge evidence decreasing_at_hi is
+    the last row's when that row ends at p_max (True when none does);
+    with ``grid`` the points are a grid, the evidence is its last three
+    ratios, and the result carries the 1-based arg_index.
+    """
+    asked = [0]
+
+    def counted(p):
+        # scalar refinement passes floats, on which np.size costs about 2 us a call
+        asked[0] += p.size if isinstance(p, np.ndarray) else 1
+        return ratio(p)
+
+    try:
+        at_points = _eval_array(counted, points)
+        found = sup_rows(counted, rows, refine_tol)
+    except DivergentMomentError as exc:
+        return NormResult(math.inf, float(exc.p), float(p_max), False, asked[0])
+    vals = np.concatenate([at_points, found.values])
+    args = np.concatenate([points, found.args])
+    ties = np.flatnonzero(vals == vals.max())
+    k = ties[np.argmin(args[ties])]
+    if grid:
+        decreasing = vals.size >= 3 and vals[-3] > vals[-2] > vals[-1]
+    else:
+        decreasing = rows.size == 0 or rows[-1, -1] != p_max or found.decreasing_at_hi[-1]
+    return NormResult(
+        value=float(vals[k]),
+        arg_p=float(args[k]),
+        truncation_p_max=float(p_max),
+        decreasing_at_hi=bool(decreasing),
+        n_evaluations=asked[0],
+        arg_index=int(k) + 1 if grid else None,
+    )
+
+
 def gls_norm(
     model: RandomVariableModel,
     psi: GeneratingFunction,
@@ -87,70 +134,24 @@ def gls_norm(
     refine_tol: float = 1e-10,
     rset: Optional[RestrictedSet] = None,
     n_points: int = 512,
-    extra_points=(),
 ) -> NormResult:
     """sup over S intersected with [1, p_max] of |f|_p / psi(p).
 
-    With rset=None the domain is all of [1, p_max].  Interval components
-    are scanned on a geometric grid of n_points and every local maximum
-    is polished to refine_tol (no unimodality assumed); point components
-    are enumerated exactly.  ``extra_points`` are additional exact
-    evaluation points; ones outside the domain are ignored.
+    With rset=None the domain is all of [1, p_max].  Every interval
+    component is a geometric scan row of n_points, all searched at once,
+    and every local maximum is polished to refine_tol (no unimodality
+    assumed); point components are evaluated exactly.
     """
     if p_max < 1.0:
         raise DomainError(f"p_max must be at least 1, got {p_max:g}")
-    ratio = _ratio_fn(model, psi)
     segments = [(1.0, p_max)] if rset is None else rset.segments
-
-    best_val, best_arg = -math.inf, math.inf
-    n_eval = 0
-    edge_decreasing = True
-
-    def consider(val: float, arg: float) -> None:
-        nonlocal best_val, best_arg
-        if val != val:
-            raise DomainError(f"the ratio is NaN at p={arg!r}")
-        if val > best_val or (val == best_val and arg < best_arg):
-            best_val, best_arg = val, arg
-
-    try:
-        for a, b in segments:
-            a = max(a, 1.0)
-            b = min(b, p_max)
-            if a > b:
-                continue
-            if a == b:
-                consider(float(ratio(a)), a)
-                n_eval += 1
-                continue
-            res = grid_refine_supremum(ratio, a, b, n_points=n_points, refine_tol=refine_tol)
-            consider(res.value, res.arg)
-            n_eval += res.n_evaluations
-            if b == p_max:
-                edge_decreasing = res.decreasing_at_hi
-        for p in extra_points:
-            p = float(p)
-            if 1.0 <= p <= p_max and (rset is None or rset.contains(p)):
-                consider(float(ratio(p)), p)
-                n_eval += 1
-    except DivergentMomentError as exc:
-        return NormResult(
-            value=math.inf,
-            arg_p=float(exc.p),
-            truncation_p_max=float(p_max),
-            decreasing_at_hi=False,
-            n_evaluations=n_eval,
-        )
-
-    if not math.isfinite(best_arg) and best_val == -math.inf:
-        raise DomainError("domain is empty below p_max")
-    return NormResult(
-        value=float(best_val),
-        arg_p=float(best_arg),
-        truncation_p_max=float(p_max),
-        decreasing_at_hi=bool(edge_decreasing),
-        n_evaluations=int(n_eval),
-    )
+    lo, hi = np.array(segments, dtype=float).T
+    lo, hi = np.maximum(lo, 1.0), np.minimum(hi, p_max)
+    lo, hi = lo[lo <= hi], hi[lo <= hi]
+    span = lo < hi
+    rows = np.geomspace(lo[span], hi[span], max(int(n_points), 2), axis=1)
+    rows[:, 0], rows[:, -1] = lo[span], hi[span]
+    return _sup_norm(_ratio_fn(model, psi), p_max, rows, lo[~span], refine_tol)
 
 
 def restricted_norm(
@@ -167,30 +168,7 @@ def restricted_norm(
 
 def discrete_norm(model: RandomVariableModel, psi: GeneratingFunction, q: GridSequence) -> NormResult:
     """max over the stored grid of |f|_{q(m)} / psi(q(m)); exact enumeration."""
-    try:
-        moments = np.asarray(model.lp_norm(q.values), dtype=float)
-    except DivergentMomentError as exc:
-        return NormResult(
-            value=math.inf,
-            arg_p=float(exc.p),
-            truncation_p_max=float(q.values[-1]),
-            decreasing_at_hi=False,
-            n_evaluations=0,
-        )
-    ratios = moments / psi_eval(psi, q.values)
-    nan = np.flatnonzero(np.isnan(ratios))
-    if nan.size:
-        raise DomainError(f"the ratio is NaN at p={float(q.values[nan[0]])!r}")
-    idx, best = enumerate_max(ratios.tolist())
-    decreasing = ratios.size >= 3 and ratios[-3] > ratios[-2] > ratios[-1]
-    return NormResult(
-        value=float(best),
-        arg_p=float(q.values[idx]),
-        truncation_p_max=float(q.values[-1]),
-        decreasing_at_hi=bool(decreasing),
-        n_evaluations=int(ratios.size),
-        arg_index=idx + 1,
-    )
+    return _sup_norm(_ratio_fn(model, psi), q.values[-1], np.empty((0, 2)), q.values, grid=True)
 
 
 # ---------------------------------------------------------------------------
@@ -306,31 +284,13 @@ def _cellwise_full_norm(
     single geometric scan of [1, q(M)].  The W^ constant resolves each
     cell with its own dense sample, so the norm search on the other side
     of the sandwich has to match that resolution or the two sides end up
-    looking at different functions.  All cells are one sup_rows search,
-    each cell a row of points_per_cell evenly spaced points.
+    looking at different functions.  Each cell is a scan row of
+    points_per_cell evenly spaced points.
     """
     v = gtr.values
-    P = float(v[-1])
     xs = np.linspace(v[:-1], v[1:], points_per_cell, axis=1)
     xs[:, 0], xs[:, -1] = v[:-1], v[1:]
-    try:
-        res = sup_rows(_ratio_fn(model, psi), xs, refine_tol)
-    except DivergentMomentError as exc:
-        return NormResult(
-            value=math.inf,
-            arg_p=float(exc.p),
-            truncation_p_max=P,
-            decreasing_at_hi=False,
-            n_evaluations=0,
-        )
-    best_val = res.values.max()
-    return NormResult(
-        value=float(best_val),
-        arg_p=float(res.args[res.values == best_val].min()),
-        truncation_p_max=P,
-        decreasing_at_hi=bool(res.decreasing_at_hi[-1]),
-        n_evaluations=res.n_evaluations,
-    )
+    return _sup_norm(_ratio_fn(model, psi), v[-1], xs, np.empty(0), refine_tol)
 
 
 def sandwich_check_discrete(

@@ -140,6 +140,19 @@ def test_grid_backed_sets_pull_points_on_demand():
     assert G.sup_value == math.inf
 
 
+def test_grid_backed_set_queries_leave_it_unchanged():
+    G = RestrictedSet.from_grid(integer_grid(5))
+    assert G.contains(100.0) and not G.contains(100.5)
+    np.testing.assert_array_equal(G.contains(np.array([0.5, 3.0, 6.5, 150.0])), [False, True, False, True])
+    np.testing.assert_array_equal(G.p_plus(np.array([2.5, 6.5, 149.2])), [3.0, 7.0, 150.0])
+    assert G.window_point(200.0) == 200.0
+    assert G.segments == [(v, v) for v in (1.0, 2.0, 3.0, 4.0, 5.0)]
+    # the window reads the grid on to P without taking it into G
+    W = G.windowed(12.0)
+    assert W.segments == [(float(m), float(m)) for m in range(1, 13)]
+    assert len(G.segments) == 5
+
+
 # ---------------------------------------------------------------------------
 # Equivalence constants
 

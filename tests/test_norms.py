@@ -29,9 +29,13 @@ from glspace import (
     restricted_norm,
     sandwich_check_discrete,
     sandwich_check_restricted,
+    set_fixtures,
+    set_from_spec,
     sqrt_dip_psi,
     uniform01_model,
 )
+from glspace.norms import _cellwise_full_norm, _ratio_fn
+from glspace.search import grid_refine_supremum
 
 
 def root_psi():
@@ -194,3 +198,103 @@ def test_nan_ratio_raises_naming_p():
         discrete_norm(exponential_model(), nan_above_50_psi(), integer_grid(60))
     with pytest.raises(DomainError, match=r"NaN at p=5[01]\.\d"):
         sandwich_check_discrete(exponential_model(), nan_above_50_psi(), integer_grid(60), p_max=55.0, use_w_hat=True)
+
+
+def _per_segment_norm(model, psi, S, p_max=200.0):
+    """gls_norm as a loop: grid_refine_supremum on each interval and a
+    scalar ratio call on each point, the best value winning and ties
+    going to the smallest p."""
+    ratio = _ratio_fn(model, psi)
+    best_val, best_arg, edge = -math.inf, math.inf, True
+    for a, b in S.segments:
+        a, b = max(a, 1.0), min(b, p_max)
+        if a > b:
+            continue
+        if a == b:
+            val, arg = float(ratio(a)), a
+        else:
+            res = grid_refine_supremum(ratio, a, b)
+            val, arg = res.value, res.arg
+            if b == p_max:
+                edge = res.decreasing_at_hi
+        if val > best_val or (val == best_val and arg < best_arg):
+            best_val, best_arg = val, arg
+    return best_val, best_arg, edge
+
+
+MIXED_SET = RestrictedSet([(1.0, 1.5), (2.0, 2.0), (3.0, 4.5), (6.0, 6.0), (7.25, 7.25), (9.0, math.inf)])
+
+
+@pytest.mark.parametrize("model", [gaussian_model(), exponential_model()], ids=lambda m: m.label)
+@pytest.mark.parametrize("psi", [root_psi(), sqrt_dip_psi()], ids=lambda p: p.description)
+def test_norm_over_a_set_equals_a_per_segment_search(model, psi):
+    for S in set_fixtures() + [MIXED_SET, RestrictedSet.from_grid(integer_grid(40))]:
+        for p_max in (200.0, 6.0):
+            res = gls_norm(model, psi, p_max, rset=S)
+            val, arg, edge = _per_segment_norm(model, psi, S, p_max)
+            assert abs(res.value - val) <= 4 * np.spacing(val), (S.description, p_max)
+            assert res.arg_p == arg, (S.description, p_max)
+            assert res.decreasing_at_hi == edge, (S.description, p_max)
+
+
+def _counting(model):
+    """``model`` with its moment map wrapped to count the points asked for."""
+    seen = [0]
+    lp_norm = model.lp_norm
+
+    def counted(p):
+        seen[0] += np.size(p)
+        return lp_norm(p)
+
+    model.lp_norm = counted
+    return model, seen
+
+
+def pareto3_density():
+    """Density 2/x^3 on [1, inf): moments diverge from p = 2."""
+    return DensityModel("pareto3", lambda x: 2.0 / x**3, (1.0, math.inf))
+
+
+def test_evaluation_counts_include_the_call_that_diverged():
+    model, seen = _counting(pareto3_density())
+    res = _cellwise_full_norm(model, sqrt_dip_psi(), integer_grid(5))
+    assert math.isinf(res.value) and res.arg_p == 2.0
+    assert res.n_evaluations == seen[0] == 4 * 64
+    model, seen = _counting(pareto3_density())
+    res = gls_norm(model, root_psi(), rset=set_from_spec("intervals:1-1.5,3-inf"))
+    assert math.isinf(res.value) and res.arg_p == 3.0
+    assert res.n_evaluations == seen[0] == 2 * 512
+
+
+def test_evaluation_counts_are_the_points_seen():
+    for S in (None, MIXED_SET, RestrictedSet.from_grid(integer_grid(40))):
+        model, seen = _counting(gaussian_model())
+        res = gls_norm(model, sqrt_dip_psi(), rset=S)
+        assert res.n_evaluations == seen[0] > 0
+    model, seen = _counting(gaussian_model())
+    assert discrete_norm(model, sqrt_dip_psi(), integer_grid(40)).n_evaluations == seen[0] == 40
+
+
+def test_restricted_norm_ignores_earlier_set_queries():
+    G = RestrictedSet.from_grid(integer_grid(5))
+    before = gls_norm(exponential_model(), root_psi(), 200.0, rset=G)
+    assert G.contains(100.0)
+    after = gls_norm(exponential_model(), root_psi(), 200.0, rset=G)
+    assert before == after
+    assert before.n_evaluations == 5
+    assert before.value == pytest.approx(1.165067927680028, rel=1e-12)
+    S = set_from_spec("grid:integers:M=5")
+    rep = sandwich_check_restricted(exponential_model(), root_psi(), S)
+    assert rep.window_p == 200.0
+    assert rep.inner_value == pytest.approx(5.296261809217376, rel=1e-12)
+    assert len(S.segments) == 5
+
+
+def test_ties_go_to_the_smallest_p():
+    model = constant_model(3.0)
+    psi = natural_psi(model)  # the ratio is exactly 3 everywhere
+    for S in (None, MIXED_SET, RestrictedSet.from_grid(integer_grid(10))):
+        res = gls_norm(model, psi, rset=S)
+        assert (res.value, res.arg_p) == (3.0, 1.0)
+    assert discrete_norm(model, psi, integer_grid(10)).arg_index == 1
+    assert _cellwise_full_norm(model, psi, integer_grid(10)).arg_p == 1.0

@@ -5,7 +5,8 @@ import pytest
 
 from glspace import constant_model, gaussian_model, integer_grid, natural_psi, psi_eval, sqrt_dip_psi, w_hat_constant
 from glspace.norms import _cellwise_full_norm, _ratio_fn
-from glspace.search import _golden_lockstep, golden_section_max, grid_refine_supremum
+from glspace import search
+from glspace.search import SCALAR_BRACKETS, _golden_lockstep, golden_section_max, grid_refine_supremum, sup_rows
 
 
 def test_n_evaluations_counts_every_refinement_call():
@@ -116,3 +117,52 @@ def test_flat_ratio_refines_in_few_array_calls():
     assert res.n_evaluations == points[0] > 512
     # one scan call, then one call per lockstep iteration for all 512 brackets
     assert calls[0] <= 60
+
+
+def _one_peak_per_row(k):
+    """k scan rows over [j, j + 0.75], j = 1..k, and an f whose one peak in
+    each row sits at j + 0.3."""
+    xs = np.linspace(np.arange(1.0, k + 1), np.arange(1.75, k + 1), 33, axis=1)
+    return xs, lambda x: -((np.mod(x, 1.0) - 0.3) ** 2)
+
+
+def _routed(monkeypatch, k):
+    """sup_rows on k brackets; returns (result, array calls of f, calls of
+    golden_section_max)."""
+    xs, f = _one_peak_per_row(k)
+    array_calls, golden_calls = [0], [0]
+
+    def counted_f(x):
+        array_calls[0] += np.ndim(x) > 0
+        return f(x)
+
+    def counted_golden(*args, **kw):
+        golden_calls[0] += 1
+        return golden_section_max(*args, **kw)
+
+    monkeypatch.setattr(search, "golden_section_max", counted_golden)
+    return sup_rows(counted_f, xs), array_calls[0], golden_calls[0]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_few_brackets_refine_one_by_one(monkeypatch, k):
+    assert k <= SCALAR_BRACKETS
+    res, array_calls, golden_calls = _routed(monkeypatch, k)
+    # the scan is the only array call; each bracket goes to golden_section_max
+    assert (array_calls, golden_calls) == (1, k)
+    np.testing.assert_allclose(res.args, np.arange(1, k + 1) + 0.3, atol=1e-6)
+    # the lockstep path gives the same bits
+    monkeypatch.setattr(search, "SCALAR_BRACKETS", 0)
+    lock, array_calls, golden_calls = _routed(monkeypatch, k)
+    assert golden_calls == 0 and array_calls > 1
+    np.testing.assert_array_equal(lock.values, res.values)
+    np.testing.assert_array_equal(lock.args, res.args)
+
+
+@pytest.mark.parametrize("k", [SCALAR_BRACKETS + 1, 12])
+def test_many_brackets_go_lockstep(monkeypatch, k):
+    res, array_calls, golden_calls = _routed(monkeypatch, k)
+    assert golden_calls == 0
+    # the scan plus one call per lockstep iteration
+    assert 10 < array_calls < 100
+    np.testing.assert_allclose(res.args, np.arange(1, k + 1) + 0.3, atol=1e-6)
