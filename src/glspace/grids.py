@@ -27,8 +27,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NonMonotoneError, TruncationError
-from .generating import GeneratingFunction, psi_eval
-from .search import enumerate_max, sampled_min
+from .generating import GeneratingFunction, psi_eval, psi_validate
+from .search import sampled_min
 
 _EXTEND_CAP = 200000
 
@@ -252,26 +252,29 @@ def z_constant(S: RestrictedSet, psi: GeneratingFunction, tail_terms: int = 8) -
     Inside a segment p+(p) = p, so only the gaps contribute.  Over a gap
     (b, a) the supremum of psi(a)/psi(p) is the limit value psi(a)/psi(b)
     as p drops to b (psi continuous and nondecreasing); the closed-form
-    gap analysis therefore requires the monotone flag and rejects
-    anything else (the W^ machinery covers non-monotone psi).  A bounded
-    set has nothing beyond its last point, so p_plus diverges there and
-    Z = +inf with an unbounded-gap marker.
+    gap analysis therefore requires psi to be flagged strictly increasing
+    or sampled nondecreasing up to the last gap end, and rejects anything
+    else (the W^ machinery covers non-monotone psi).  A bounded set has
+    nothing beyond its last point, so p_plus diverges there and Z = +inf
+    with an unbounded-gap marker.
     """
-    if not psi.strictly_increasing:
-        raise NonMonotoneError(
-            f"{psi.description} is not flagged increasing; the gap analysis for Z "
-            "needs monotone psi (use the W^ cell-minimum machinery instead)"
-        )
     rset = S
     gaps = rset.gaps()
     detail = ""
-    if rset.grid is not None and rset.grid.generator is not None:
+    extended = rset.grid is not None and rset.grid.generator is not None
+    if extended:
         # the stored points are a truncation; extend a few gaps past the
         # end so the reported tail ratio reflects the true sequence
         last = rset.grid.M
         ext = [rset.grid.value_at(m) for m in range(last, last + tail_terms + 1)]
         gaps = gaps + [(ext[i], ext[i + 1]) for i in range(tail_terms)]
-    elif math.isfinite(rset.sup_value) and rset.windowed_at is None:
+    # gaps run in increasing order, so the last one ends highest
+    if gaps and not psi.strictly_increasing and not psi_validate(psi, p_max=gaps[-1][1]).monotone:
+        raise NonMonotoneError(
+            f"{psi.description} is not nondecreasing on [1, {gaps[-1][1]:g}]; the gap analysis "
+            "for Z needs monotone psi (use the W^ cell-minimum machinery instead)"
+        )
+    if not extended and math.isfinite(rset.sup_value) and rset.windowed_at is None:
         # nothing beyond the last point: p_plus diverges there, so no
         # finite Z compares the set against the untruncated full norm
         return EquivalenceConstant(
@@ -285,13 +288,13 @@ def z_constant(S: RestrictedSet, psi: GeneratingFunction, tail_terms: int = 8) -
         return EquivalenceConstant(kind="Z", value=1.0, arg=1.0, detail="set has no gaps")
 
     ratios = [psi_eval(psi, hi) / psi_eval(psi, lo) for lo, hi in gaps]
-    idx, best = enumerate_max(ratios)
+    idx = int(np.argmax(ratios))
     tail_increasing = len(ratios) >= 3 and ratios[-1] > ratios[-2] > ratios[-3]
     if tail_increasing:
         detail = "gap ratios still increasing at truncation; value may understate Z"
     return EquivalenceConstant(
         kind="Z",
-        value=max(1.0, best),
+        value=max(1.0, ratios[idx]),
         arg=gaps[idx][0],
         tail_ratio=ratios[-1],
         tail_increasing=tail_increasing,
@@ -299,23 +302,26 @@ def z_constant(S: RestrictedSet, psi: GeneratingFunction, tail_terms: int = 8) -
     )
 
 
-def w_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConstant:
-    """W = max_m psi(q(m+1))/psi(q(m)) over the stored grid."""
-    grid = q
-    if grid.M < 2:
-        raise DomainError("W needs at least two grid points")
-    vals = psi_eval(psi, grid.values)
-    ratios = vals[1:] / vals[:-1]
-    idx, best = enumerate_max(ratios.tolist())
+def _grid_constant(kind: str, ratios: np.ndarray) -> EquivalenceConstant:
+    """W or W^ from its per-cell ratios: the first maximum and the tail evidence."""
+    idx = int(np.argmax(ratios))
     tail_increasing = ratios.size >= 3 and ratios[-1] > ratios[-2] > ratios[-3]
     return EquivalenceConstant(
-        kind="W",
-        value=float(best),
+        kind=kind,
+        value=float(ratios[idx]),
         arg=float(idx + 1),
         tail_ratio=float(ratios[-1]),
         tail_increasing=bool(tail_increasing),
         detail="ratios still increasing at truncation" if tail_increasing else "",
     )
+
+
+def w_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConstant:
+    """W = max_m psi(q(m+1))/psi(q(m)) over the stored grid."""
+    if q.M < 2:
+        raise DomainError("W needs at least two grid points")
+    vals = psi_eval(psi, q.values)
+    return _grid_constant("W", vals[1:] / vals[:-1])
 
 
 def w_hat_constant(q: GridSequence, psi: GeneratingFunction, cell_grid: int = 256) -> EquivalenceConstant:
@@ -327,21 +333,10 @@ def w_hat_constant(q: GridSequence, psi: GeneratingFunction, cell_grid: int = 25
     left endpoint, which is a sample).  Valid for non-monotone
     generating functions, where W is not.
     """
-    grid = q
-    if grid.M < 2:
+    if q.M < 2:
         raise DomainError("W^ needs at least two grid points")
     if cell_grid < 2:
         raise DomainError("cell_grid must be at least 2 samples per cell")
-    v = grid.values
+    v = q.values
     mins = sampled_min(lambda p: psi_eval(psi, p), v[:-1], v[1:], n_samples=cell_grid)
-    ratios = psi_eval(psi, v[1:]) / mins
-    idx, best = enumerate_max(ratios.tolist())
-    tail_increasing = len(ratios) >= 3 and ratios[-1] > ratios[-2] > ratios[-3]
-    return EquivalenceConstant(
-        kind="W_hat",
-        value=float(best),
-        arg=float(idx + 1),
-        tail_ratio=float(ratios[-1]),
-        tail_increasing=bool(tail_increasing),
-        detail="ratios still increasing at truncation" if tail_increasing else "",
-    )
+    return _grid_constant("W_hat", psi_eval(psi, v[1:]) / mins)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,14 @@ class SampleBatch:
     def __post_init__(self):
         if len(self.values) != self.size:
             raise ValueError(f"batch of {len(self.values)} values declared size {self.size}")
+
+    @cached_property
+    def sorted_abs(self) -> np.ndarray:
+        """|values| in increasing order, sorted once per batch."""
+        absv = np.abs(self.values)
+        absv.sort()
+        absv.flags.writeable = False  # shared by every caller
+        return absv
 
 
 def _check_p(p) -> np.ndarray:
@@ -415,8 +424,9 @@ def sample(model: RandomVariableModel, n: int, seed: int) -> SampleBatch:
     return SampleBatch(values=values, seed=int(seed), size=int(n))
 
 
-def empirical_survival(batch: SampleBatch, x: float) -> float:
-    """Fraction of the batch with |value| >= x."""
+def empirical_survival(batch: SampleBatch, x):
+    """Fraction of the batch with |value| >= x, for a scalar or an array x."""
     if batch.size == 0:
         raise EmptyBatchError("survival of an empty batch is undefined")
-    return float(np.count_nonzero(np.abs(batch.values) >= x)) / batch.size
+    count = batch.size - np.searchsorted(batch.sorted_abs, x, side="left")
+    return count / batch.size if np.ndim(x) else float(count) / batch.size

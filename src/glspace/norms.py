@@ -142,8 +142,8 @@ def gls_norm(
     and every local maximum is polished to refine_tol (no unimodality
     assumed); point components are evaluated exactly.
     """
-    if p_max < 1.0:
-        raise DomainError(f"p_max must be at least 1, got {p_max:g}")
+    if not 1.0 <= p_max < math.inf:
+        raise DomainError(f"p_max must be finite and at least 1, got {p_max:g}")
     segments = [(1.0, p_max)] if rset is None else rset.segments
     lo, hi = np.array(segments, dtype=float).T
     lo, hi = np.maximum(lo, 1.0), np.minimum(hi, p_max)

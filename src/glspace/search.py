@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -276,14 +276,3 @@ def _eval_array(f, xs: np.ndarray) -> np.ndarray:
     if nan.any():
         raise _nan_error(xs[np.argmax(nan)])
     return ys
-
-
-def enumerate_max(values: Sequence[float]) -> tuple[int, float]:
-    """Index and value of the maximum, ties broken toward the smallest
-    index (deterministic reduction order)."""
-    best_i = 0
-    best_v = values[0]
-    for i, v in enumerate(values):
-        if v > best_v:
-            best_i, best_v = i, v
-    return best_i, float(best_v)

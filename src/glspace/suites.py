@@ -42,7 +42,7 @@ from .models import (
     uniform01_model,
 )
 from .norms import sandwich_check_discrete, sandwich_check_restricted
-from .tails import default_probe_points, make_tail_envelope, tail_check
+from .tails import tail_check
 
 __all__ = [
     "SUITE_NAMES",
@@ -242,8 +242,6 @@ def tails_suite(
         psi = natural_psi(model)
     if q is None:
         q = integer_grid(50)
-    if x_grid is None:
-        x_grid = default_probe_points(make_tail_envelope(model, psi, q))
     report = tail_check(model, psi, q, n=n, seed=seed, x_grid=x_grid)
     rows = []
     failures = 0

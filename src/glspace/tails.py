@@ -9,21 +9,22 @@ Chebyshev-Markov envelope P(|f| >= x) <= exp(-h(x / N)).  The envelope
 is informative for x >= e * N and that threshold is enforced; the bound
 is silent below it.
 
-For nondecreasing psi the supremum sits at or before the first index
-where psi(q(m)) crosses x: beyond the crossing every term is negative
-and strictly decreasing, so enumeration stops five indices past it (the
-margin absorbs non-strict plateaus).  The crossing must happen within
-the materialized truncation M, otherwise the value would silently
-depend on how far the grid happens to be materialized; that case is a
-truncation error telling the caller to raise M.  Without monotonicity
-nothing orders the terms, so all stored indices are enumerated and an
-unresolved supremum (still rising at the end) is likewise an error.
+h is evaluated on the M stored grid points only, for any number of x at
+once: one table of psi(q(m)) and ln psi(q(m)) per call, one array of
+terms, the first maximum of each row.  The logarithms are taken with
+math.log, one value at a time, so every term has the bits of scalar
+arithmetic.  A supremum the stored points cannot settle is a truncation
+error telling the caller to raise M.  For strictly increasing psi that
+is the case when psi(q(M)) < x: only once psi crosses x are all later
+terms negative and falling.  Without monotonicity nothing orders the
+terms, so the supremum is unresolved when it sits at one of the last two
+indices or the terms are still rising at the end.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,7 +35,6 @@ from .grids import GridSequence
 from .models import RandomVariableModel, SampleBatch, empirical_survival, sample
 from .norms import discrete_norm
 
-_CROSSING_MARGIN = 5
 _DEFAULT_MEMBERSHIP_PROBES = 64
 
 
@@ -49,49 +49,51 @@ class HTransformResult:
         return self.value
 
 
-def h_transform(q: GridSequence, psi: GeneratingFunction, x: float):
-    """sup_m q(m) * (ln x - ln psi(q(m))) as an HTransformResult.
+class _HTable:
+    """psi(q(m)) and ln psi(q(m)) on the stored grid, and h at many x."""
 
-    Terms are evaluated in scalar arithmetic in index order, so the
-    result is bit-identical to a naive full enumeration over the same
-    indices (the cutoff never skips a candidate that could win).
-    """
-    if x < 1.0:
-        raise DomainError(f"h is defined for x >= 1, got {x:g}")
-    log_x = math.log(x)
-    vals = np.asarray(psi_eval(psi, q.values), dtype=float)
+    def __init__(self, q: GridSequence, psi: GeneratingFunction):
+        self.q = q
+        self.strict = psi.strictly_increasing
+        self.psi_values = psi_eval(psi, q.values)
+        # math.log, not np.log: NumPy's SIMD log differs from libm in the last place
+        self.log_psi = np.array([math.log(v) for v in self.psi_values.tolist()])
 
-    if psi.strictly_increasing:
-        crossing = int(np.argmax(vals >= x)) + 1 if bool((vals >= x).any()) else 0
-        if crossing == 0:
-            raise TruncationError(
-                f"psi(q(M)) = {vals[-1]:g} < x = {x:g} at the materialized truncation "
-                f"M = {q.M}; raise M so the supremum is provably bracketed"
+    def __call__(self, xs: np.ndarray):
+        """h at every x of ``xs``: (values, 1-based arg indices, resolved mask)."""
+        log_x = np.array([math.log(x) for x in xs.tolist()])
+        terms = self.q.values * (log_x[:, None] - self.log_psi)
+        k = np.argmax(terms, axis=1)
+        values = terms[np.arange(xs.size), k]
+        if self.strict:
+            resolved = self.psi_values.max() >= xs
+        else:
+            # with one stored point the rising test compares the term with itself
+            rising = terms[:, -1] > terms[:, max(self.q.M - 2, 0)]
+            resolved = (k < self.q.M - 2) & ~rising
+        return values, k + 1, resolved
+
+    def truncation_error(self, x: float) -> TruncationError:
+        if self.strict:
+            return TruncationError(
+                f"psi(q(M)) = {self.psi_values[-1]:g} < x = {x:g} at the materialized truncation "
+                f"M = {self.q.M}; raise M so the supremum is provably bracketed"
             )
-        last = crossing + _CROSSING_MARGIN
-        if q.generator is None:
-            # past the crossing terms only fall, so clamping is safe
-            last = min(last, q.M)
-        best_val, best_m = -math.inf, 0
-        for m in range(1, last + 1):
-            if m <= q.M:
-                qm, pv = float(q.values[m - 1]), float(vals[m - 1])
-            else:
-                qm = q.value_at(m)
-                pv = float(psi_eval(psi, qm))
-            term = qm * (log_x - math.log(pv))
-            if term > best_val:
-                best_val, best_m = term, m
-        return HTransformResult(value=best_val, arg_index=best_m, x=x, n_terms=last)
-
-    terms = [float(q.values[i]) * (log_x - math.log(float(vals[i]))) for i in range(q.M)]
-    best_m = max(range(len(terms)), key=lambda i: (terms[i], -i)) + 1
-    rising = len(terms) >= 2 and terms[-1] > terms[-2]
-    if best_m >= len(terms) - 1 or rising:
-        raise TruncationError(
-            f"h({x:g}) supremum is unresolved at the end of {q.description}; increase M"
+        return TruncationError(
+            f"h({x:g}) supremum is unresolved at the end of {self.q.description}; increase M"
         )
-    return HTransformResult(value=terms[best_m - 1], arg_index=best_m, x=x, n_terms=len(terms))
+
+
+def h_transform(q: GridSequence, psi: GeneratingFunction, x: float):
+    """sup_m q(m) * (ln x - ln psi(q(m))) over the stored grid, as an
+    HTransformResult; bit-identical to a scalar enumeration of the M terms."""
+    if not x >= 1.0:
+        raise DomainError(f"h is defined for x >= 1, got {x:g}")
+    table = _HTable(q, psi)
+    values, args, resolved = table(np.array([x], dtype=float))
+    if not resolved[0]:
+        raise table.truncation_error(x)
+    return HTransformResult(value=float(values[0]), arg_index=int(args[0]), x=x, n_terms=q.M)
 
 
 def quadratic_h_reference(x: float) -> float:
@@ -163,8 +165,7 @@ class TailReport:
     rows: Tuple[TailRow, ...]
     norm_value: float
     threshold: float
-    n: int
-    seed: int
+    batch: SampleBatch = field(compare=False, repr=False)
 
     @property
     def n_active(self) -> int:
@@ -175,10 +176,10 @@ class TailReport:
         return all(r.ok for r in self.rows if r.in_domain)
 
 
-def _binomial_slack(envelope: float, n: int) -> float:
+def _binomial_slack(envelope, n: int):
     # three standard deviations of the empirical frequency when the true
-    # probability sits at the envelope, plus a one-count floor
-    return 3.0 * math.sqrt(max(envelope * (1.0 - envelope), 0.0) / n) + 1.0 / n
+    # probability sits at the envelope (a float or an array), plus a one-count floor
+    return 3.0 * np.sqrt(np.maximum(envelope * (1.0 - envelope), 0.0) / n) + 1.0 / n
 
 
 def tail_check(
@@ -187,17 +188,21 @@ def tail_check(
     q: GridSequence,
     n: int = 200_000,
     seed: int = 0,
-    x_grid: Sequence[float] = (),
+    x_grid: Optional[Sequence[float]] = None,
 ) -> TailReport:
     """Empirical survival against the envelope at each probe point.
 
-    Probes below the e*norm threshold are reported as out-of-domain, not
+    ``x_grid`` defaults to default_probe_points of the envelope.  Probes
+    below the e*norm threshold are reported as out-of-domain, not
     judged.  The pass condition allows three standard deviations of
     sampling noise on top of the envelope, so a mathematically correct
-    bound fails with probability well under 1e-3 per probe.
+    bound fails with probability well under 1e-3 per probe.  The report
+    keeps the sample it judged.
     """
     env = make_tail_envelope(model, psi, q)
     batch = sample(model, n, seed)
+    if x_grid is None:
+        x_grid = default_probe_points(env)
     rows = []
     for x in x_grid:
         x = float(x)
@@ -206,9 +211,9 @@ def tail_check(
             rows.append(TailRow(x=x, empirical=emp, envelope=math.nan, slack=math.nan, in_domain=False, ok=True))
             continue
         e_val = tail_envelope(env, x)
-        slack = _binomial_slack(e_val, n)
+        slack = float(_binomial_slack(e_val, n))
         rows.append(TailRow(x=x, empirical=emp, envelope=e_val, slack=slack, in_domain=True, ok=emp <= e_val + slack))
-    return TailReport(rows=tuple(rows), norm_value=env.norm_value, threshold=env.domain_threshold, n=n, seed=seed)
+    return TailReport(rows=tuple(rows), norm_value=env.norm_value, threshold=env.domain_threshold, batch=batch)
 
 
 @dataclass(frozen=True)
@@ -233,18 +238,21 @@ def membership_K_estimate(
 
     Candidates are scanned in increasing order; K is accepted when the
     empirical survival stays at or below exp(-h(x/K)) plus sampling
-    slack on a probe grid spanning [e*K, max|values|].  An empty probe
-    range means the sample never reaches the envelope's domain, so the
-    bound holds trivially (survival is 0 there) and K is accepted.  The
-    default candidate grid spans the batch's own scale; callers with a
+    slack on a probe grid spanning [e*K, max|values|].  All probes of a
+    candidate are judged in one array call, and the first bad probe
+    decides: a violation moves on to the next K, an h the stored grid
+    cannot resolve is a TruncationError.  An empty probe range means the
+    sample never reaches the envelope's domain, so the bound holds
+    trivially (survival is 0 there) and K is accepted.  The default
+    candidate grid spans the batch's own scale; callers with a
     computable discrete norm should pass a grid bracketing it.
     """
-    absv = np.abs(batch.values)
-    vmax = float(absv.max()) if absv.size else 0.0
+    absv = batch.sorted_abs
+    vmax = float(absv[-1]) if absv.size else 0.0
     if K_grid is None:
         if vmax <= 0.0:
             raise DomainError("all-zero batch has no intrinsic scale; pass an explicit K_grid")
-        vmin = float(absv[absv > 0].min())
+        vmin = float(absv[np.searchsorted(absv, 0.0, side="right")])
         K_grid = np.geomspace(max(vmin, vmax * 1e-6), vmax, 32)
     ks = sorted(float(k) for k in K_grid)
     if not ks or ks[0] <= 0.0:
@@ -252,17 +260,13 @@ def membership_K_estimate(
     # largest x/K whose h supremum the stored grid provably brackets;
     # probes are capped there so a small candidate K is judged on the
     # part of the tail its envelope can actually be evaluated on
-    psi_M = float(psi_eval(psi, q.values[-1]))
+    table = _HTable(q, psi)
+    psi_M = float(table.psi_values[-1])
     if psi_M < math.e:
         raise TruncationError(
             f"psi(q(M)) = {psi_M:g} < e on {q.description}; the envelope domain "
             "is empty for every scale, raise M"
         )
-    sorted_abs = np.sort(absv)
-
-    def survival(x: float) -> float:
-        return float(absv.size - np.searchsorted(sorted_abs, x, side="left")) / absv.size
-
     for K in ks:
         lo = math.e * K
         if lo > vmax:
@@ -271,18 +275,17 @@ def membership_K_estimate(
             )
         hi = max(lo, min(vmax, K * psi_M * (1.0 - 1e-9)))
         xs = np.geomspace(lo, hi, probes)
-        for x in xs:
-            e_val = math.exp(-h_transform(q, psi, float(x) / K).value)
-            if survival(float(x)) > e_val + _binomial_slack(e_val, batch.size):
-                break
-        else:
+        h, _, resolved = table(xs / K)
+        # math.exp, not np.exp: NumPy's SIMD exp differs from libm in the last place
+        e_val = np.array([math.exp(-v) for v in h.tolist()])
+        bad = ~resolved | (empirical_survival(batch, xs) > e_val + _binomial_slack(e_val, batch.size))
+        if not bad.any():
             return MembershipEstimate(
-                K_hat=K,
-                x_range_checked=(float(lo), float(hi)),
-                violations=0,
-                K_grid=tuple(ks),
-                n=batch.size,
+                K_hat=K, x_range_checked=(float(lo), float(hi)), violations=0, K_grid=tuple(ks), n=batch.size
             )
+        first = int(np.argmax(bad))
+        if not resolved[first]:
+            raise table.truncation_error(float(xs[first]) / K)
     raise NoFeasibleKError(
         f"no candidate K in [{ks[0]:g}, {ks[-1]:g}] dominates the observed tail (n={batch.size})"
     )

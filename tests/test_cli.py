@@ -231,3 +231,43 @@ def test_nan_ratio_exits_2(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "norm", "--model", "exponential", "--psi", "nan_above_50")
     assert code == 2 and out == ""
     assert "NaN at p=50." in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_p_max_exits_2(capsys, bad):
+    code, out, err = run_cli(
+        capsys, "norm", "--model", "gaussian", "--psi", "power_slowvary(r=2)", "--p-max", bad
+    )
+    assert code == 2 and out == ""
+    assert f"p_max must be finite and at least 1, got {bad}" in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_tail_probe_exits_2(capsys, tmp_path):
+    cfg = tmp_path / "tail.cfg"
+    cfg.write_text("model=gaussian\nxs=2.5,nan\nn=1000\n")
+    code, out, err = run_cli(capsys, "tail", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "xs entries must be finite, got nan" in err
+    assert "Traceback" not in err
+
+
+def test_tail_samples_once_and_builds_one_envelope(capsys, monkeypatch):
+    import glspace.cli
+    import glspace.tails
+
+    calls = {"sample": 0, "discrete_norm": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+
+        return wrapper
+
+    for mod in (glspace.cli, glspace.tails):
+        for name in calls:
+            monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    code, out, _ = run_cli(capsys, "tail", "--model", "gaussian", "--n", "20000", "--seed", "3")
+    assert code == 0 and out.splitlines()[-1].startswith("K_hat,")
+    assert calls == {"sample": 1, "discrete_norm": 1}

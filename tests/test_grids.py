@@ -12,9 +12,14 @@ from glspace import (
     PowerSlowVaryParams,
     RestrictedSet,
     TruncationError,
+    constant_model,
     geometric_grid,
     integer_grid,
     make_power_slowvary,
+    natural_psi,
+    rademacher_model,
+    sandwich_check_restricted,
+    set_from_spec,
     sqrt_dip_psi,
     w_constant,
     w_hat_constant,
@@ -181,6 +186,18 @@ def test_gap_analysis_requires_monotone_psi():
     S = RestrictedSet.from_intervals([(1.0, 2.0), (3.0, math.inf)])
     with pytest.raises(NonMonotoneError):
         z_constant(S, sqrt_dip_psi())
+
+
+@pytest.mark.parametrize("model", [rademacher_model(), constant_model(3.0)])
+def test_gap_analysis_accepts_nondecreasing_psi(model):
+    # the natural psi of these models is identically 1: nondecreasing,
+    # not strictly increasing
+    psi = natural_psi(model)
+    assert not psi.strictly_increasing
+    S = set_from_spec("intervals:1-2,4-inf")
+    assert z_constant(S, psi).value == 1.0
+    rep = sandwich_check_restricted(model, psi, S, p_max=10.0)
+    assert rep.constant.value == 1.0 and rep.ok
 
 
 def test_grid_set_constant_matches_the_grid_constant():

@@ -227,6 +227,15 @@ def test_empirical_survival_matches_the_normal_tail():
     assert empirical_survival(batch, 0.0) == 1.0
 
 
+def test_empirical_survival_of_an_array_counts_like_each_point():
+    batch = sample(exponential_model(), 50_000, seed=2)
+    xs = np.concatenate([[0.0, -1.0, np.inf], np.abs(batch.values[:20]), np.linspace(0.0, 8.0, 41)])
+    want = [np.count_nonzero(np.abs(batch.values) >= x) / batch.size for x in xs]
+    got = empirical_survival(batch, xs)
+    assert got.shape == xs.shape and got.tolist() == want
+    assert [empirical_survival(batch, float(x)) for x in xs] == want
+
+
 def test_empty_batch_has_no_survival():
     with pytest.raises(EmptyBatchError):
         empirical_survival(sample(gaussian_model(), 0, seed=0), 1.0)

@@ -7,6 +7,7 @@ import pytest
 
 from glspace import (
     DomainError,
+    GeneratingFunction,
     NoFeasibleKError,
     PowerSlowVaryParams,
     SampleBatch,
@@ -216,3 +217,96 @@ def test_membership_needs_a_grid_reaching_e():
     batch = sample(gaussian_model(), 1_000, seed=0)
     with pytest.raises(TruncationError):
         membership_K_estimate(batch, integer_grid(5), root_psi(), K_grid=[1.0])
+
+
+def test_h_past_the_stored_grid_ends_at_M():
+    # the crossing sits within five indices of M on grids with a
+    # generator; the stored terms alone give the naive answer
+    for q, psi in ((integer_grid(50), root_psi()), (geometric_grid(2, 12), root_psi())):
+        vals = psi_eval(psi, q.values)
+        x = 0.5 * float(vals[-3] + vals[-2])
+        assert q.generator is not None
+        res = h_transform(q, psi, x)
+        assert (res.value, res.arg_index) == naive_h(q, psi, x)
+        assert res.n_terms == q.M
+
+
+def plateau_psi():
+    # non-strict: sqrt(p) up to 9, flat at 3 to p = 29, 10 from p = 30 on;
+    # on integer_grid(30) h(x) from about x = 3.3 on peaks at m = 29,
+    # where it is unresolved
+    return GeneratingFunction(
+        evaluator=lambda p: np.where(p < 29.5, np.sqrt(np.minimum(p, 9.0)), 10.0),
+        strictly_increasing=False,
+        value_at_one=1.0,
+        description="plateau",
+    )
+
+
+def reference_membership(batch, q, psi, K_grid, probes=64):
+    """Probe by probe, one h_transform call each, stopping at the first
+    violation; returns (K_hat, x_range_checked) or raises."""
+    absv = np.abs(batch.values)
+    vmax = float(absv.max())
+    n = absv.size
+    psi_M = float(psi_eval(psi, q.values[-1]))
+    for K in sorted(float(k) for k in K_grid):
+        lo = math.e * K
+        if lo > vmax:
+            return K, None
+        hi = max(lo, min(vmax, K * psi_M * (1.0 - 1e-9)))
+        for x in np.geomspace(lo, hi, probes):
+            e_val = math.exp(-h_transform(q, psi, float(x) / K).value)
+            slack = 3.0 * math.sqrt(max(e_val * (1.0 - e_val), 0.0) / n) + 1.0 / n
+            if np.count_nonzero(absv >= x) / n > e_val + slack:
+                break
+        else:
+            return K, (float(lo), float(hi))
+    raise NoFeasibleKError("no candidate K")
+
+
+def outcome(fn):
+    """(K_hat, x_range_checked), or the error type with a TruncationError's message."""
+    try:
+        return fn()
+    except TruncationError as exc:
+        return "TruncationError", str(exc)
+    except NoFeasibleKError:
+        return "NoFeasibleKError", ""
+
+
+@pytest.mark.parametrize(
+    "psi, q, K_grid",
+    [
+        (root_psi(), integer_grid(60), np.geomspace(0.3, 4.0, 24)),
+        (root_psi(), geometric_grid(2, 12), np.geomspace(0.05, 2.0, 16)),
+        (root_psi(), integer_grid(60), [0.05, 0.1]),
+        (sqrt_dip_psi(), integer_grid(60), np.geomspace(0.3, 4.0, 24)),
+        (sqrt_dip_psi(), geometric_grid(2, 12), np.geomspace(0.05, 2.0, 16)),
+        # K = 0.1 fails at its first probe, before its unresolved probes
+        (plateau_psi(), integer_grid(30), [0.1, 5.0]),
+        # K = 1 passes its first probes, then meets an unresolved one
+        (plateau_psi(), integer_grid(30), [1.0, 5.0]),
+    ],
+)
+def test_membership_matches_the_per_probe_reference(psi, q, K_grid):
+    batch = sample(gaussian_model(), 20_000, seed=4)
+
+    def estimate():
+        est = membership_K_estimate(batch, q, psi, K_grid=K_grid)
+        return est.K_hat, est.x_range_checked
+
+    assert outcome(estimate) == outcome(lambda: reference_membership(batch, q, psi, K_grid))
+
+
+def test_membership_plateau_cases_hit_both_orders():
+    batch = sample(gaussian_model(), 20_000, seed=4)
+    q, psi = integer_grid(30), plateau_psi()
+    # a violation first: the unresolved probes of K = 0.1 are never judged
+    assert h_transform(q, psi, 3.2).arg_index < q.M - 1
+    with pytest.raises(TruncationError):
+        h_transform(q, psi, 3.3)
+    assert membership_K_estimate(batch, q, psi, K_grid=[0.1, 5.0]).K_hat == 5.0
+    # an unresolved probe first: the estimate stops there
+    with pytest.raises(TruncationError, match="unresolved"):
+        membership_K_estimate(batch, q, psi, K_grid=[1.0, 5.0])
