@@ -252,10 +252,12 @@ def cmd_tail(cfg: dict) -> int:
     rows = [(r.x, r.empirical, r.envelope, r.slack, r.ok) for r in report.rows]
 
     # the K estimate gets a trailing row: its candidate grid brackets the
-    # known norm, and the envelope column reports K / norm
+    # known norm, and the envelope column reports K / norm; the slack
+    # column notes a K accepted without judging a single probe
     N = report.norm_value
     est = membership_K_estimate(report.batch, q, psi, K_grid=np.geomspace(N / 4.0, 8.0 * N, 32))
-    rows.append(("K_hat", est.K_hat, est.K_hat / N, "", True))
+    note = "" if est.x_range_checked is not None else "unchecked: e*K exceeds the sample maximum"
+    rows.append(("K_hat", est.K_hat, est.K_hat / N, note, True))
 
     _emit(render_csv(("x", "empirical_survival", "envelope", "slack", "pass"), rows), cfg)
     return 0 if report.all_ok else 1

@@ -31,6 +31,8 @@ from .generating import GeneratingFunction, psi_eval, psi_validate
 from .search import sampled_min
 
 _EXTEND_CAP = 200000
+# Z on a generator-backed set also reads this many gaps past the stored points
+_Z_TAIL_TERMS = 8
 
 
 class GridSequence:
@@ -246,7 +248,7 @@ class EquivalenceConstant:
         return self.value
 
 
-def z_constant(S: RestrictedSet, psi: GeneratingFunction, tail_terms: int = 8) -> EquivalenceConstant:
+def z_constant(S: RestrictedSet, psi: GeneratingFunction) -> EquivalenceConstant:
     """Z = sup_p psi(p+(p))/psi(p), by structural analysis of the gaps.
 
     Inside a segment p+(p) = p, so only the gaps contribute.  Over a gap
@@ -266,8 +268,8 @@ def z_constant(S: RestrictedSet, psi: GeneratingFunction, tail_terms: int = 8) -
         # the stored points are a truncation; extend a few gaps past the
         # end so the reported tail ratio reflects the true sequence
         last = rset.grid.M
-        ext = [rset.grid.value_at(m) for m in range(last, last + tail_terms + 1)]
-        gaps = gaps + [(ext[i], ext[i + 1]) for i in range(tail_terms)]
+        ext = [rset.grid.value_at(m) for m in range(last, last + _Z_TAIL_TERMS + 1)]
+        gaps = gaps + [(ext[i], ext[i + 1]) for i in range(_Z_TAIL_TERMS)]
     # gaps run in increasing order, so the last one ends highest
     if gaps and not psi.strictly_increasing and not psi_validate(psi, p_max=gaps[-1][1]).monotone:
         raise NonMonotoneError(
@@ -324,19 +326,17 @@ def w_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConstant:
     return _grid_constant("W", vals[1:] / vals[:-1])
 
 
-def w_hat_constant(q: GridSequence, psi: GeneratingFunction, cell_grid: int = 256) -> EquivalenceConstant:
+def w_hat_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConstant:
     """W^ = max_m psi(q(m+1)) / min over the cell A(m) of psi.
 
     The cell minima come from one sampled_min call over all cells,
-    cell_grid samples per cell polished by local refinement, so for
+    256 samples per cell polished by local refinement, so for
     increasing psi this reproduces W exactly (the minimum sits at the
     left endpoint, which is a sample).  Valid for non-monotone
     generating functions, where W is not.
     """
     if q.M < 2:
         raise DomainError("W^ needs at least two grid points")
-    if cell_grid < 2:
-        raise DomainError("cell_grid must be at least 2 samples per cell")
     v = q.values
-    mins = sampled_min(lambda p: psi_eval(psi, p), v[:-1], v[1:], n_samples=cell_grid)
+    mins = sampled_min(lambda p: psi_eval(psi, p), v[:-1], v[1:])
     return _grid_constant("W_hat", psi_eval(psi, v[1:]) / mins)

@@ -30,6 +30,9 @@ from .norms import gls_norm
 _EXHAUSTIVE_ASSOC_LIMIT = 128
 _PRODUCT_ORDER_LIMIT = 10_000
 _YOUNG_EXPONENT_TOL = 1e-12
+# relative slack of the Young and algebra verdicts, stored on their reports
+_YOUNG_SLACK = 1e-12
+_ALGEBRA_SLACK = 1e-9
 
 
 class FiniteGroup:
@@ -257,12 +260,12 @@ class YoungReport:
         return self.lhs / self.rhs if self.rhs > 0.0 else (0.0 if self.lhs == 0.0 else math.inf)
 
 
-def young_check(G: FiniteGroup, f, g, triple: YoungTriple, slack: float = 1e-12) -> YoungReport:
+def young_check(G: FiniteGroup, f, g, triple: YoungTriple) -> YoungReport:
     """|f*g|_r <= |f|_p |g|_q with constant 1 under normalized measure."""
     conv = convolve(G, f, g)
     lhs = group_lp_norm(G, conv, triple.r)
     rhs = group_lp_norm(G, f, triple.p) * group_lp_norm(G, g, triple.q)
-    return YoungReport(triple=triple, lhs=lhs, rhs=rhs, slack=slack)
+    return YoungReport(triple=triple, lhs=lhs, rhs=rhs, slack=_YOUNG_SLACK)
 
 
 @dataclass(frozen=True)
@@ -294,7 +297,6 @@ def algebra_check(
     psi: GeneratingFunction,
     S: Optional[RestrictedSet] = None,
     p_max: float = 200.0,
-    slack: float = 1e-9,
 ) -> AlgebraReport:
     """Submultiplicativity of the norm under convolution.
 
@@ -315,7 +317,7 @@ def algebra_check(
         f_norm=gls_norm(fm, psi, p_max, **kw).value,
         g_norm=gls_norm(gm, psi, p_max, **kw).value,
         constant=psi.value_at_one,
-        slack=slack,
+        slack=_ALGEBRA_SLACK,
         sup_values=(
             float(np.abs(fv).max()),
             float(np.abs(gv).max()),

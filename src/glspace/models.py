@@ -33,6 +33,9 @@ from .errors import (
 SAMPLE_CHUNK = 65536
 #: largest chunk x n temporary power_mean builds for an array of p
 _POWER_MEAN_BLOCK = 1 << 18
+# absolute and relative error targets of DensityModel's quadrature
+_QUAD_EPSABS = 1e-10
+_QUAD_EPSREL = 1e-8
 
 
 class MomentInstabilityWarning(UserWarning):
@@ -190,13 +193,12 @@ class DensityModel(RandomVariableModel):
     deterministic); rejection samplers would not.
     """
 
-    def __init__(self, label, density, support, epsabs=1e-10, epsrel=1e-8):
+    moment_tolerance = _QUAD_EPSREL
+
+    def __init__(self, label, density, support):
         self.label = label
         self.density = density
         self.support = (float(support[0]), float(support[1]))
-        self.epsabs = float(epsabs)
-        self.epsrel = float(epsrel)
-        self.moment_tolerance = float(epsrel)
         self._icdf_table = None
         self._probe = None
 
@@ -242,7 +244,7 @@ class DensityModel(RandomVariableModel):
             warnings.simplefilter("error", IntegrationWarning)
             try:
                 for lo, hi in pieces:
-                    total += quad(integrand, lo, hi, epsabs=self.epsabs, epsrel=self.epsrel, limit=200)[0]
+                    total += quad(integrand, lo, hi, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=200)[0]
             except IntegrationWarning as exc:
                 raise DivergentMomentError(p, f"quadrature did not converge at p={p}: {exc}") from exc
             except OverflowError as exc:

@@ -44,6 +44,10 @@ from .search import _eval_array, sup_rows
 from .search import grid_refine_supremum  # noqa: F401  unused here; the benchmark tracer patches it
 
 DEFAULT_P_MAX = 200.0
+# scan points per W^ cell in _cellwise_full_norm
+_CELL_POINTS = 64
+# relative tolerance a sandwich allows on top of the moment backend's own
+_RTOL = 1e-9
 
 
 def default_p_max(model: RandomVariableModel) -> float:
@@ -84,8 +88,7 @@ def _ratio_fn(model: RandomVariableModel, psi: GeneratingFunction):
     return ratio
 
 
-def _sup_norm(ratio, p_max: float, rows: np.ndarray, points: np.ndarray,
-              refine_tol: float = 1e-10, grid: bool = False) -> NormResult:
+def _sup_norm(ratio, p_max: float, rows: np.ndarray, points: np.ndarray, grid: bool = False) -> NormResult:
     """sup of ``ratio`` over the scan rows and the exact points.
 
     Every row of ``rows`` is an increasing scan grid of one interval,
@@ -106,7 +109,7 @@ def _sup_norm(ratio, p_max: float, rows: np.ndarray, points: np.ndarray,
 
     try:
         at_points = _eval_array(counted, points)
-        found = sup_rows(counted, rows, refine_tol)
+        found = sup_rows(counted, rows)
     except DivergentMomentError as exc:
         return NormResult(math.inf, float(exc.p), float(p_max), False, asked[0])
     vals = np.concatenate([at_points, found.values])
@@ -131,7 +134,6 @@ def gls_norm(
     model: RandomVariableModel,
     psi: GeneratingFunction,
     p_max: float = DEFAULT_P_MAX,
-    refine_tol: float = 1e-10,
     rset: Optional[RestrictedSet] = None,
     n_points: int = 512,
 ) -> NormResult:
@@ -139,7 +141,7 @@ def gls_norm(
 
     With rset=None the domain is all of [1, p_max].  Every interval
     component is a geometric scan row of n_points, all searched at once,
-    and every local maximum is polished to refine_tol (no unimodality
+    and every local maximum is polished by golden section (no unimodality
     assumed); point components are evaluated exactly.
     """
     if not 1.0 <= p_max < math.inf:
@@ -151,19 +153,14 @@ def gls_norm(
     span = lo < hi
     rows = np.geomspace(lo[span], hi[span], max(int(n_points), 2), axis=1)
     rows[:, 0], rows[:, -1] = lo[span], hi[span]
-    return _sup_norm(_ratio_fn(model, psi), p_max, rows, lo[~span], refine_tol)
+    return _sup_norm(_ratio_fn(model, psi), p_max, rows, lo[~span])
 
 
 def restricted_norm(
-    model: RandomVariableModel,
-    psi: GeneratingFunction,
-    S: RestrictedSet,
-    p_max: float = DEFAULT_P_MAX,
-    refine_tol: float = 1e-10,
-    n_points: int = 512,
+    model: RandomVariableModel, psi: GeneratingFunction, S: RestrictedSet, p_max: float = DEFAULT_P_MAX
 ) -> NormResult:
     """Norm over the given set, truncated at p_max."""
-    return gls_norm(model, psi, p_max, refine_tol=refine_tol, rset=S, n_points=n_points)
+    return gls_norm(model, psi, p_max, rset=S)
 
 
 def discrete_norm(model: RandomVariableModel, psi: GeneratingFunction, q: GridSequence) -> NormResult:
@@ -180,9 +177,9 @@ class SandwichReport:
 
     left  :  inner <= full        (a sup over a subset cannot exceed it)
     right :  full <= constant * inner
-    ``slack`` is the relative tolerance applied (requested tolerance plus
-    the moment backend's own).  When the constant or a norm is infinite
-    the right side is not applicable and only the left side is judged.
+    ``slack`` is the relative tolerance applied (1e-9 plus twice the
+    moment backend's own).  When the constant or a norm is infinite the
+    right side is not applicable and only the left side is judged.
     """
 
     kind: str
@@ -198,14 +195,6 @@ class SandwichReport:
     slack: float
 
     @property
-    def applicable(self) -> bool:
-        return (
-            math.isfinite(self.constant.value)
-            and math.isfinite(self.full_value)
-            and math.isfinite(self.inner_value)
-        )
-
-    @property
     def bound(self) -> float:
         return self.constant.value * self.inner_value
 
@@ -213,54 +202,30 @@ class SandwichReport:
     def ok(self) -> bool:
         return self.left_ok and self.right_ok
 
-    @property
-    def left_margin(self) -> float:
-        return self.full_value - self.inner_value
 
-    @property
-    def right_margin(self) -> float:
-        return self.bound - self.full_value
-
-
-def _combined_slack(model: RandomVariableModel, rtol: float) -> float:
-    # two moment evaluations enter each compared ratio
-    return rtol + 2.0 * model.moment_tolerance
-
-
-def _judge(full: float, inner: float, constant: float, slack: float):
-    left_ok = inner <= full * (1.0 + slack)
-    if not (math.isfinite(constant) and math.isfinite(full) and math.isfinite(inner)):
-        return left_ok, True  # right side not applicable, never asserted false
-    right_ok = full <= constant * inner * (1.0 + slack)
-    return left_ok, right_ok
-
-
-def sandwich_check_restricted(
+def _sandwich_report(
+    kind: str,
     model: RandomVariableModel,
     psi: GeneratingFunction,
-    S: RestrictedSet,
-    p_max: float = DEFAULT_P_MAX,
-    rtol: float = 1e-9,
-    n_points: int = 512,
+    domain_description: str,
+    P: float,
+    inner: NormResult,
+    full: NormResult,
+    const: EquivalenceConstant,
 ) -> SandwichReport:
-    """Check inner <= full <= Z * inner on the window [1, p_plus(p_max)].
-
-    Z is computed over the windowed set: its gaps are exactly the gaps
-    a p in the window can fall into, so the bound is valid and finite
-    even when the untruncated set continues with larger gaps.
-    """
-    P = S.window_point(p_max)
-    windowed = S.windowed(P)
-    inner = gls_norm(model, psi, P, rset=windowed, n_points=n_points)
-    full = gls_norm(model, psi, P, n_points=n_points)
-    const = z_constant(windowed, psi)
-    slack = _combined_slack(model, rtol)
-    left_ok, right_ok = _judge(full.value, inner.value, const.value, slack)
+    """Judge inner <= full <= constant * inner with the combined slack."""
+    # two moment evaluations enter each compared ratio
+    slack = _RTOL + 2.0 * model.moment_tolerance
+    left_ok = inner.value <= full.value * (1.0 + slack)
+    if math.isfinite(const.value) and math.isfinite(full.value) and math.isfinite(inner.value):
+        right_ok = full.value <= const.value * inner.value * (1.0 + slack)
+    else:
+        right_ok = True  # right side not applicable, never asserted false
     return SandwichReport(
-        kind="restricted",
+        kind=kind,
         model_label=model.label,
         psi_description=psi.description,
-        domain_description=S.description,
+        domain_description=domain_description,
         window_p=P,
         full_value=full.value,
         inner_value=inner.value,
@@ -271,13 +236,26 @@ def sandwich_check_restricted(
     )
 
 
-def _cellwise_full_norm(
+def sandwich_check_restricted(
     model: RandomVariableModel,
     psi: GeneratingFunction,
-    gtr: GridSequence,
-    refine_tol: float = 1e-10,
-    points_per_cell: int = 64,
-) -> NormResult:
+    S: RestrictedSet,
+    p_max: float = DEFAULT_P_MAX,
+) -> SandwichReport:
+    """Check inner <= full <= Z * inner on the window [1, p_plus(p_max)].
+
+    Z is computed over the windowed set: its gaps are exactly the gaps
+    a p in the window can fall into, so the bound is valid and finite
+    even when the untruncated set continues with larger gaps.
+    """
+    P = S.window_point(p_max)
+    windowed = S.windowed(P)
+    inner = gls_norm(model, psi, P, rset=windowed)
+    full = gls_norm(model, psi, P)
+    return _sandwich_report("restricted", model, psi, S.description, P, inner, full, z_constant(windowed, psi))
+
+
+def _cellwise_full_norm(model: RandomVariableModel, psi: GeneratingFunction, gtr: GridSequence) -> NormResult:
     """Full norm over [1, q(M)] with every partition cell scanned on its own.
 
     An oscillating psi can hide whole peaks between the samples of a
@@ -285,12 +263,12 @@ def _cellwise_full_norm(
     cell with its own dense sample, so the norm search on the other side
     of the sandwich has to match that resolution or the two sides end up
     looking at different functions.  Each cell is a scan row of
-    points_per_cell evenly spaced points.
+    _CELL_POINTS evenly spaced points.
     """
     v = gtr.values
-    xs = np.linspace(v[:-1], v[1:], points_per_cell, axis=1)
+    xs = np.linspace(v[:-1], v[1:], _CELL_POINTS, axis=1)
     xs[:, 0], xs[:, -1] = v[:-1], v[1:]
-    return _sup_norm(_ratio_fn(model, psi), v[-1], xs, np.empty(0), refine_tol)
+    return _sup_norm(_ratio_fn(model, psi), v[-1], xs, np.empty(0))
 
 
 def sandwich_check_discrete(
@@ -299,8 +277,6 @@ def sandwich_check_discrete(
     q: GridSequence,
     p_max: float = DEFAULT_P_MAX,
     use_w_hat: bool = False,
-    rtol: float = 1e-9,
-    n_points: int = 512,
 ) -> SandwichReport:
     """Check discrete <= full <= W * discrete (or W^ when requested).
 
@@ -326,20 +302,6 @@ def sandwich_check_discrete(
                 f"{psi.description} is not nondecreasing on [1, {P:g}]; "
                 "the W bound does not apply, pass use_w_hat=True"
             )
-        full = gls_norm(model, psi, P, n_points=n_points)
+        full = gls_norm(model, psi, P)
         const = w_constant(gtr, psi)
-    slack = _combined_slack(model, rtol)
-    left_ok, right_ok = _judge(full.value, inner.value, const.value, slack)
-    return SandwichReport(
-        kind="discrete",
-        model_label=model.label,
-        psi_description=psi.description,
-        domain_description=q.description,
-        window_p=P,
-        full_value=full.value,
-        inner_value=inner.value,
-        constant=const,
-        left_ok=bool(left_ok),
-        right_ok=bool(right_ok),
-        slack=slack,
-    )
+    return _sandwich_report("discrete", model, psi, q.description, P, inner, full, const)

@@ -33,6 +33,15 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # and at about 4 for a ratio of moments on a group of order 12.
 SCALAR_BRACKETS = 4
 
+# refinement stops once a bracket is narrower than this, relative to the
+# magnitude of its ends; _MAX_ITER only stops a runaway loop, since 200
+# golden steps shrink a bracket by a factor of about 1e-42
+_REFINE_TOL = 1e-10
+_MAX_ITER = 200
+# sampled_min: samples per interval, and its (tighter) refinement tolerance
+_MIN_SAMPLES = 256
+_MIN_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SupremumResult:
@@ -67,8 +76,7 @@ def golden_section_max(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    tol: float = 1e-10,
-    max_iter: int = 200,
+    tol: float = _REFINE_TOL,
 ) -> tuple[float, float]:
     """Golden-section maximization on [lo, hi].
 
@@ -88,7 +96,7 @@ def golden_section_max(
     x2 = a + INV_PHI * (b - a)
     f1, f2 = f(x1), f(x2)
     width_tol = tol * max(1.0, abs(lo), abs(hi))
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if (b - a) <= width_tol:
             break
         if f1 >= f2:
@@ -106,7 +114,7 @@ def golden_section_max(
     return best_x, best_v
 
 
-def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float, max_iter: int = 200):
+def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float):
     """golden_section_max on every bracket [lo[k], hi[k]] at once.
 
     ``f_lo`` / ``f_hi`` are the values already known at the bracket ends.
@@ -125,7 +133,7 @@ def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float, max_iter: int = 200):
     f1, f2 = f12[:k], f12[k:]
     n_eval = 2 * k
     width_tol = tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         act = np.flatnonzero(b - a > width_tol)
         if act.size == 0:
             break
@@ -145,7 +153,7 @@ def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float, max_iter: int = 200):
     return best_x, best_v, n_eval
 
 
-def sup_rows(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, refine_tol: float = 1e-10) -> RowSupremum:
+def sup_rows(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, refine_tol: float = _REFINE_TOL) -> RowSupremum:
     """Supremum of ``f`` over each row of the scan grid ``xs``.
 
     Each row is an increasing grid whose first and last points are the
@@ -199,7 +207,6 @@ def grid_refine_supremum(
     lo: float,
     hi: float,
     n_points: int = 512,
-    refine_tol: float = 1e-10,
     geometric: bool = True,
 ) -> SupremumResult:
     """Supremum of ``f`` over [lo, hi] by coarse scan plus local refinement.
@@ -219,31 +226,25 @@ def grid_refine_supremum(
     else:
         xs = np.linspace(lo, hi, n_points)
     xs[0], xs[-1] = lo, hi
-    res = sup_rows(f, xs[None, :], refine_tol)
+    res = sup_rows(f, xs[None, :])
     return SupremumResult(
         float(res.values[0]), float(res.args[0]), bool(res.decreasing_at_hi[0]), res.n_evaluations
     )
 
 
-def sampled_min(
-    f: Callable[[np.ndarray], np.ndarray],
-    lo,
-    hi,
-    n_samples: int = 256,
-    refine_tol: float = 1e-12,
-) -> np.ndarray:
+def sampled_min(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
     """Minimum of ``f`` over each interval [lo[k], hi[k]].
 
     ``lo`` and ``hi`` are arrays of interval bounds; the minima come back
-    in their shape.  Each interval is sampled at n_samples evenly spaced
+    in their shape.  Each interval is sampled at _MIN_SAMPLES evenly spaced
     points and the minimum is sup_rows of ``-f``, so every local minimum
     of every sample is refined and no unimodality is assumed.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if np.any(hi < lo):
         raise ValueError("sampled_min needs lo <= hi for every interval")
-    xs = np.linspace(lo, hi, max(int(n_samples), 2), axis=-1)
-    res = sup_rows(lambda x: -f(x), xs.reshape(lo.size, -1), refine_tol)
+    xs = np.linspace(lo, hi, _MIN_SAMPLES, axis=-1)
+    res = sup_rows(lambda x: -f(x), xs.reshape(lo.size, -1), _MIN_TOL)
     return -res.values.reshape(lo.shape)
 
 

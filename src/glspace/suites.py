@@ -11,21 +11,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .generating import (
-    GeneratingFunction,
     PowerSlowVaryParams,
     make_power_slowvary,
     natural_psi,
     raw_power_slowvary,
     sqrt_dip_psi,
 )
-from .grids import GridSequence, RestrictedSet, geometric_grid, integer_grid
+from .grids import RestrictedSet, geometric_grid, integer_grid
 from .groups import (
-    FiniteGroup,
     YoungTriple,
     algebra_check,
     cyclic_group,
@@ -34,7 +32,6 @@ from .groups import (
     young_check,
 )
 from .models import (
-    RandomVariableModel,
     constant_model,
     exponential_model,
     gaussian_model,
@@ -168,7 +165,6 @@ def sandwich_suite(
     seed: int,
     n_restricted: int = 50,
     n_discrete: int = 50,
-    p_max: float = 200.0,
 ) -> SuiteResult:
     """Randomized two-sided equivalence checks, restricted and discrete.
 
@@ -207,42 +203,31 @@ def sandwich_suite(
         model = _pick(rng, models)
         psi = _pick(rng, psis)
         S = _pick(rng, sets)
-        push(f"sandwich-r{i:02d}", sandwich_check_restricted(model, psi, S, p_max=p_max))
+        push(f"sandwich-r{i:02d}", sandwich_check_restricted(model, psi, S))
 
     for i in range(n_discrete):
         model = _pick(rng, models)
         if i % 5 == 4:
-            rep = sandwich_check_discrete(model, dip, dip_grid, p_max=p_max, use_w_hat=True)
+            rep = sandwich_check_discrete(model, dip, dip_grid, use_w_hat=True)
         else:
             psi = _pick(rng, psis)
             q = _pick(rng, grids)
-            rep = sandwich_check_discrete(model, psi, q, p_max=p_max)
+            rep = sandwich_check_discrete(model, psi, q)
         push(f"sandwich-d{i:02d}", rep)
 
     return SuiteResult("sandwich", SANDWICH_HEADER, tuple(rows), failures)
 
 
-def tails_suite(
-    seed: int,
-    model: Optional[RandomVariableModel] = None,
-    psi: Optional[GeneratingFunction] = None,
-    q: Optional[GridSequence] = None,
-    n: int = 200_000,
-    x_grid: Optional[Sequence[float]] = None,
-) -> SuiteResult:
+def tails_suite(seed: int, n: int = 200_000) -> SuiteResult:
     """Monte Carlo check of the exp(-h(x/N)) envelope on one model.
 
-    Defaults to the Gaussian with its own moment-ratio psi on the integer
-    grid.  Probe points below the e*N validity threshold are reported as
-    out-of-domain rows and never count as failures.
+    The model is the Gaussian with its own moment-ratio psi on the
+    integer grid q(m) = m, M = 50.  Probe points below the e*N validity
+    threshold are reported as out-of-domain rows and never count as
+    failures.
     """
-    if model is None:
-        model = gaussian_model()
-    if psi is None:
-        psi = natural_psi(model)
-    if q is None:
-        q = integer_grid(50)
-    report = tail_check(model, psi, q, n=n, seed=seed, x_grid=x_grid)
+    model = gaussian_model()
+    report = tail_check(model, natural_psi(model), integer_grid(50), n=n, seed=seed)
     rows = []
     failures = 0
     for r in report.rows:
@@ -274,15 +259,17 @@ def young_suite(seed: int, n_cases: int = 200) -> SuiteResult:
     return SuiteResult("young", YOUNG_HEADER, tuple(rows), failures)
 
 
-def algebra_suite(
-    seed: int,
-    n_normalized: int = 100,
-    n_unnormalized: int = 50,
-) -> SuiteResult:
+# algebra_suite: number of cases with normalized psi, then with raw psi
+_ALGEBRA_NORMALIZED = 100
+_ALGEBRA_UNNORMALIZED = 50
+
+
+def algebra_suite(seed: int) -> SuiteResult:
     """Submultiplicativity of the norm under convolution.
 
-    The first block uses normalized psi (constant exactly 1), the second
-    non-normalized members whose value at 1 carries into the bound.
+    The first 100 cases use normalized psi (constant exactly 1), the
+    other 50 non-normalized members whose value at 1 carries into the
+    bound.
     Every fifth case restricts the domain to an interval fixture.
     """
     rng = np.random.default_rng(seed)
@@ -295,8 +282,8 @@ def algebra_suite(
     sets = set_fixtures()
     rows = []
     failures = 0
-    for i in range(n_normalized + n_unnormalized):
-        normalized = i < n_normalized
+    for i in range(_ALGEBRA_NORMALIZED + _ALGEBRA_UNNORMALIZED):
+        normalized = i < _ALGEBRA_NORMALIZED
         G = _pick(rng, groups)
         f = _draw_function(rng, G.order)
         g = _draw_function(rng, G.order)

@@ -35,7 +35,8 @@ from .grids import GridSequence
 from .models import RandomVariableModel, SampleBatch, empirical_survival, sample
 from .norms import discrete_norm
 
-_DEFAULT_MEMBERSHIP_PROBES = 64
+# probe points per candidate K in membership_K_estimate
+_MEMBERSHIP_PROBES = 64
 
 
 @dataclass(frozen=True)
@@ -232,7 +233,6 @@ def membership_K_estimate(
     q: GridSequence,
     psi: GeneratingFunction,
     K_grid: Optional[Sequence[float]] = None,
-    probes: int = _DEFAULT_MEMBERSHIP_PROBES,
 ) -> MembershipEstimate:
     """Estimate the norm scale K from tail data alone.
 
@@ -274,7 +274,7 @@ def membership_K_estimate(
                 K_hat=K, x_range_checked=None, violations=0, K_grid=tuple(ks), n=batch.size
             )
         hi = max(lo, min(vmax, K * psi_M * (1.0 - 1e-9)))
-        xs = np.geomspace(lo, hi, probes)
+        xs = np.geomspace(lo, hi, _MEMBERSHIP_PROBES)
         h, _, resolved = table(xs / K)
         # math.exp, not np.exp: NumPy's SIMD exp differs from libm in the last place
         e_val = np.array([math.exp(-v) for v in h.tolist()])

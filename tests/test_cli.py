@@ -271,3 +271,22 @@ def test_tail_samples_once_and_builds_one_envelope(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "tail", "--model", "gaussian", "--n", "20000", "--seed", "3")
     assert code == 0 and out.splitlines()[-1].startswith("K_hat,")
     assert calls == {"sample": 1, "discrete_norm": 1}
+
+
+def test_tail_k_hat_row_notes_when_no_probe_was_judged(capsys):
+    # e*K of the smallest candidate lies beyond the largest of 1000 draws
+    code, out, _ = run_cli(
+        capsys,
+        "tail",
+        "--model", "exponential",
+        "--grid", "geometric:D=2:M=20",
+        "--psi", "power_slowvary(r=2, delta=0)",
+        "--n", "1000",
+        "--seed", "12345",
+    )
+    assert code == 0
+    k_row = out.splitlines()[-1].split(",")
+    assert k_row[0] == "K_hat" and k_row[2] == "0.25"
+    assert k_row[3] == "unchecked: e*K exceeds the sample maximum"
+    code, out, _ = run_cli(capsys, "tail", "--model", "gaussian", "--n", "20000", "--seed", "3")
+    assert code == 0 and out.splitlines()[-1].split(",")[3] == ""

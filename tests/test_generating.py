@@ -1,6 +1,7 @@
 """Generating-function families: normalization, monotonicity, domains."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from glspace import (
     DomainError,
+    EmpiricalModel,
     PowerSlowVaryParams,
     gaussian_model,
     make_power_slowvary,
@@ -114,3 +116,12 @@ def test_validation_detects_the_dip():
 def test_family_strictly_increasing_for_nonnegative_delta(r, delta, a, scale):
     psi = make_power_slowvary(PowerSlowVaryParams(r=r, delta=delta))
     assert psi_eval(psi, a * scale) > psi_eval(psi, a)
+
+
+def test_natural_psi_of_a_small_sample_builds_without_warnings():
+    # the strictness probe reaches p = 50, past the stable p = 5 ln n = 41.6
+    values = np.random.default_rng(5).standard_normal(4096)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = natural_psi(EmpiricalModel(values))
+    assert psi.strictly_increasing
