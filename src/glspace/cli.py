@@ -35,6 +35,7 @@ from .specs import (
     load_group_function,
     make_group,
     model_from_spec,
+    natural_psi_from_spec,
     psi_from_spec,
     set_from_spec,
 )
@@ -178,8 +179,16 @@ _NORM_HEADER = ("kind", "model", "psi", "domain", "p_max", "value", "arg_p", "ar
 
 
 def cmd_norm(cfg: dict) -> int:
-    model = model_from_spec(_require(cfg, "model", "norm"))
-    psi = psi_from_spec(_require(cfg, "psi", "norm"))
+    model_spec = _require(cfg, "model", "norm")
+    model = model_from_spec(model_spec)
+    psi_spec = _require(cfg, "psi", "norm")
+    kind, _, rest = psi_spec.strip().partition(":")
+    if kind == "natural" and rest.strip() == model_spec.strip():
+        # the natural psi of --model itself: built on the same model, so the
+        # ratio takes one moment per p
+        psi = natural_psi_from_spec(rest, model)
+    else:
+        psi = psi_from_spec(psi_spec)
     rset = set_from_spec(str(cfg["set"])) if "set" in cfg else None
     grid = grid_from_spec(str(cfg["grid"])) if "grid" in cfg else None
     p_max = _cfg_float(cfg, "p_max", default_p_max(model))

@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DegenerateModelError, DomainError
-from .models import MomentInstabilityWarning
+from .models import MomentInstabilityWarning, RandomVariableModel, _check_p
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,8 @@ class GeneratingFunction:
     strictly_increasing: bool
     value_at_one: float
     description: str = ""
+    #: the model a natural psi is the moment ratio |f|_p / |f|_1 of
+    source: Optional[RandomVariableModel] = field(default=None, compare=False, repr=False)
 
     def __call__(self, p):
         return psi_eval(self, p)
@@ -60,15 +62,11 @@ class PowerSlowVaryParams:
 
 
 def psi_eval(psi: GeneratingFunction, p):
-    """Evaluate psi at p (scalar or array), rejecting p < 1."""
-    arr = np.asarray(p, dtype=float)
-    # a 0-d array takes the float comparison: np.any costs microseconds per call
-    if ((arr < 1.0).any() if arr.ndim else float(arr) < 1.0):
-        raise DomainError(f"generating functions are defined for p >= 1, got {p}")
-    out = psi.evaluator(arr if arr.ndim else float(arr))
-    if arr.ndim:
-        return np.asarray(out, dtype=float)
-    return float(out)
+    """Evaluate psi at p (scalar or array), rejecting p < 1.  A scalar
+    reaches the evaluator as a float, an array as a float array."""
+    q = _check_p(p, "generating functions")
+    out = psi.evaluator(q)
+    return float(out) if type(q) is float else np.asarray(out, dtype=float)
 
 
 def _power_slowvary(params: PowerSlowVaryParams, scale: float, name: str) -> GeneratingFunction:
@@ -131,6 +129,7 @@ def natural_psi(model) -> GeneratingFunction:
         strictly_increasing=strict,
         value_at_one=1.0,
         description=f"natural({getattr(model, 'label', 'model')})",
+        source=model,
     )
 
 

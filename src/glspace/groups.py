@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -24,7 +25,7 @@ import numpy as np
 from .errors import DomainError, GroupAxiomError, SizeMismatchError, SpecParseError
 from .generating import GeneratingFunction
 from .grids import RestrictedSet
-from .models import RandomVariableModel, _check_finite, power_mean
+from .models import PowerMeanState, RandomVariableModel, _check_finite, power_mean
 from .norms import gls_norm
 
 _EXHAUSTIVE_ASSOC_LIMIT = 128
@@ -212,10 +213,13 @@ class GroupFunctionModel(RandomVariableModel):
         self.group = group
         self.label = label or f"fn-on-{group.name}"
         self.values = _check_finite(_check_values(group, values), self.label)
-        self._abs = np.abs(self.values)
+
+    @cached_property
+    def _moments(self) -> PowerMeanState:
+        return PowerMeanState.of(np.abs(self.values))
 
     def lp_norm(self, p):
-        return power_mean(self._abs, p)
+        return power_mean(self._moments, p)
 
 
 # ---------------------------------------------------------------------------

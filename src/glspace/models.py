@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, cumulative_trapezoid, quad
@@ -63,12 +64,21 @@ class SampleBatch:
         return absv
 
 
-def _check_p(p) -> np.ndarray:
-    arr = np.asarray(p, dtype=float)
-    # a 0-d array takes the float comparison: np.any costs microseconds per call
-    if ((arr < 1.0).any() if arr.ndim else float(arr) < 1.0):
-        raise DomainError(f"moments are defined for p >= 1, got {p}")
-    return arr
+def _check_p(p, what: str = "moments"):
+    """``p`` as a float (a scalar p) or a float array, or DomainError naming
+    it when some p < 1.  A Python float, what the scalar refinement passes,
+    is returned as it is: it never becomes a 0-d array."""
+    q = p
+    if type(q) is not float:
+        q = np.asarray(p, dtype=float)
+        if q.ndim:
+            if (q < 1.0).any():
+                raise DomainError(f"{what} are defined for p >= 1, got {p}")
+            return q
+        q = float(q)
+    if q < 1.0:
+        raise DomainError(f"{what} are defined for p >= 1, got {p}")
+    return q
 
 
 def _check_finite(values: np.ndarray, label: str) -> np.ndarray:
@@ -80,33 +90,50 @@ def _check_finite(values: np.ndarray, label: str) -> np.ndarray:
     return values
 
 
-def power_mean(abs_values: np.ndarray, p):
+class PowerMeanState(NamedTuple):
+    """What power_mean reads of fixed nonnegative values: their maximum,
+    and the values divided by it (None when the maximum is 0)."""
+
+    mx: float
+    scaled: Optional[np.ndarray]
+
+    @classmethod
+    def of(cls, abs_values: np.ndarray) -> "PowerMeanState":
+        mx = float(abs_values.max())
+        return cls(mx, abs_values / mx if mx != 0.0 else None)
+
+
+def power_mean(abs_values, p):
     """Normalized power mean ((1/n) sum a^p)^(1/p) of nonnegative values.
 
     The values are scaled by their maximum first, so a large p cannot
     overflow, and p = inf gives the maximum exactly (the scaled mean is
-    at least 1/n and its 0th power is 1).  ``p`` is a scalar (returns a
-    float) or an array (returns an array of its shape); an array is
-    evaluated in chunks of p so the chunk x n temporary stays within
-    _POWER_MEAN_BLOCK elements.
+    at least 1/n and its 0th power is 1).  ``abs_values`` is the array of
+    values or its PowerMeanState, which a model computes once instead of
+    on every call.  ``p`` is a scalar (returns a float) or an array
+    (returns an array of its shape); an array is evaluated in chunks of p
+    so the chunk x n temporary stays within _POWER_MEAN_BLOCK elements.
+    A scalar and an array element give the same bits: the mean is the
+    same pairwise sum and division, and the 1/p-th root is libm's pow in
+    both (np.float_power; np.power may take a SIMD pow that differs from
+    libm in the last place).
     """
-    ps = _check_p(p)
-    mx = float(abs_values.max())
-    if not ps.ndim:
-        if mx == 0.0:
+    mx, scaled = abs_values if isinstance(abs_values, PowerMeanState) else PowerMeanState.of(abs_values)
+    q = _check_p(p)
+    if type(q) is float:
+        if scaled is None:
             return 0.0
-        q = float(ps)
-        return mx * float(np.mean((abs_values / mx) ** q)) ** (1.0 / q)
-    if mx == 0.0:
-        return np.zeros(ps.shape)
-    scaled = abs_values / mx
-    flat = ps.ravel()
+        return mx * float(np.add.reduce(scaled ** q) / scaled.size) ** (1.0 / q)
+    if scaled is None:
+        return np.zeros(q.shape)
+    flat = q.ravel()
     out = np.empty(flat.size)
     step = max(1, _POWER_MEAN_BLOCK // scaled.size)
     for start in range(0, flat.size, step):
-        q = flat[start : start + step]
-        out[start : start + step] = np.mean(scaled ** q[:, None], axis=1) ** (1.0 / q)
-    return mx * out.reshape(ps.shape)
+        qs = flat[start : start + step]
+        mean = np.add.reduce(scaled ** qs[:, None], axis=1) / scaled.size
+        out[start : start + step] = np.float_power(mean, 1.0 / qs)
+    return mx * out.reshape(q.shape)
 
 
 def _uniform_chunk(seed: int, chunk_index: int, count: int) -> np.ndarray:
@@ -169,9 +196,9 @@ class ClosedFormModel(RandomVariableModel):
         self._transform = transform
 
     def lp_norm(self, p):
-        arr = _check_p(p)
-        out = self._moment_fn(arr if arr.ndim else float(arr))
-        return np.asarray(out, dtype=float) if arr.ndim else float(out)
+        q = _check_p(p)
+        out = self._moment_fn(q)
+        return float(out) if type(q) is float else np.asarray(out, dtype=float)
 
     @property
     def supports_sampling(self) -> bool:
@@ -256,11 +283,10 @@ class DensityModel(RandomVariableModel):
         return math.log(total) + c if total > 0.0 else -math.inf
 
     def lp_norm(self, p):
-        arr = _check_p(p)
-        if arr.ndim:
-            return np.array([math.exp(self._log_moment(float(q)) / float(q)) for q in arr.ravel()]).reshape(arr.shape)
-        q = float(arr)
-        return math.exp(self._log_moment(q) / q)
+        q = _check_p(p)
+        if type(q) is float:
+            return math.exp(self._log_moment(q) / q)
+        return np.array([math.exp(self._log_moment(float(x)) / float(x)) for x in q.ravel()]).reshape(q.shape)
 
     @property
     def supports_sampling(self) -> bool:
@@ -295,7 +321,6 @@ class EmpiricalModel(RandomVariableModel):
             raise EmptyBatchError("empirical model needs at least one value")
         self.values = _check_finite(vals, label)
         self.label = label
-        self._abs = np.abs(vals)
         # beyond this p the plug-in moment is dominated by the sample maximum
         self._stable_p = 5.0 * math.log(max(vals.size, 2))
 
@@ -304,12 +329,16 @@ class EmpiricalModel(RandomVariableModel):
         text = Path(path).read_text().split()
         return cls(np.array([float(t) for t in text]), label=f"empirical:{path}")
 
+    @cached_property
+    def _moments(self) -> PowerMeanState:
+        return PowerMeanState.of(np.abs(self.values))
+
     def lp_norm(self, p):
-        out = power_mean(self._abs, p)
-        top = float(np.max(p)) if np.ndim(p) else float(p)
+        out = power_mean(self._moments, p)
+        top = p if type(p) is float else float(np.max(p))
         if top > self._stable_p:
             warnings.warn(
-                f"plug-in moment at p={top:g} with n={self._abs.size} is dominated by the sample maximum",
+                f"plug-in moment at p={top:g} with n={self.values.size} is dominated by the sample maximum",
                 MomentInstabilityWarning,
                 stacklevel=2,
             )

@@ -82,6 +82,17 @@ class NormResult:
 
 
 def _ratio_fn(model: RandomVariableModel, psi: GeneratingFunction):
+    if psi.source is model:
+        # psi(p) = |f|_p / |f|_1 of this very model: one moment per p serves
+        # both, and m / (m / m1) is the division the two-call route makes
+        m1 = float(model.lp_norm(1.0))
+
+        def natural_ratio(p):
+            m = model.lp_norm(p)
+            return m / (m / m1)
+
+        return natural_ratio
+
     def ratio(p):
         return model.lp_norm(p) / psi_eval(psi, p)
 

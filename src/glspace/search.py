@@ -3,14 +3,16 @@
 Nothing here assumes unimodality.  A search covers one or more rows
 (segments or cells), each sampled on its own increasing grid, and ``f``
 is evaluated on every row in one array call.  Every local maximum of a
-row (plateaus and endpoints included) is bracketed by its scan
-neighbours and refined by golden section.  Several brackets refine in
+row (endpoints included) is bracketed by its scan neighbours and refined
+by golden section, unless it is a plateau: a scan value whose neighbours
+agree with it to a few ulp keeps that value.  Several brackets refine in
 lockstep, one array call of ``f`` per iteration (Kiefer, "Sequential
 minimax search for a maximum", Proc. AMS 1953); a search with only a few
 brackets refines each one with the scalar golden_section_max, which is
 cheaper than numpy bookkeeping on a few-element array.  Both use the same
 update rule, stopping width and tie-break, so they give bit-identical
-results.  The best value of a row wins, with ties broken toward the
+results as long as ``f`` gives the same bits for a float and for the same
+point in an array, which the moment backends and psi do.  The best value of a row wins, with ties broken toward the
 smallest argument so results are deterministic.
 """
 
@@ -28,10 +30,11 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Searches with at most this many brackets refine them one by one with the
 # scalar golden_section_max; more go lockstep.  Timed on 64-point rows with
-# one bracket each (Python 3.11, NumPy 2.4, CPU time, median of 25 rounds),
-# lockstep becomes the cheaper path at 6-7 brackets for a Gaussian ratio
-# and at about 4 for a ratio of moments on a group of order 12.
-SCALAR_BRACKETS = 4
+# one bracket each (Python 3.11, NumPy 2.4, CPU time, median of 25 rounds,
+# the two paths alternating), lockstep becomes the cheaper path at 9
+# brackets for a Gaussian ratio, a ratio of moments on a group of order 12
+# and a 4096-value sample, all under power_slowvary(r=2, delta=0.5).
+SCALAR_BRACKETS = 8
 
 # refinement stops once a bracket is narrower than this, relative to the
 # magnitude of its ends; _MAX_ITER only stops a runaway loop, since 200
@@ -41,6 +44,9 @@ _MAX_ITER = 200
 # sampled_min: samples per interval, and its (tighter) refinement tolerance
 _MIN_SAMPLES = 256
 _MIN_TOL = 1e-12
+# a bracket whose scan value and scan neighbours agree within this many
+# ulp of the value is a plateau, and is not refined
+_PLATEAU_ULP = 4
 
 
 @dataclass(frozen=True)
@@ -64,12 +70,14 @@ class SupremumResult:
 
 class RowSupremum(NamedTuple):
     """Per-row outcome of sup_rows; see SupremumResult for the fields.
-    ``n_evaluations`` counts every point ``f`` saw, over all rows."""
+    ``n_evaluations`` counts every point ``f`` saw, over all rows, and
+    ``plateaus`` the brackets left unrefined because they were flat."""
 
     values: np.ndarray
     args: np.ndarray
     decreasing_at_hi: np.ndarray
     n_evaluations: int
+    plateaus: int
 
 
 def golden_section_max(
@@ -159,8 +167,10 @@ def sup_rows(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, refine_tol: 
     Each row is an increasing grid whose first and last points are the
     ends of its interval.  ``f`` sees all rows in one array call; every
     local maximum of a row is then refined inside the cell spanned by
-    its scan neighbours.  Lockstep refinement reuses the scan values at
-    the bracket ends; up to SCALAR_BRACKETS brackets go one by one to
+    its scan neighbours, unless the three scan values agree within
+    _PLATEAU_ULP ulp: such a plateau (a flat ratio makes every scan point
+    one) keeps its scan value.  Lockstep refinement reuses the scan values
+    at the bracket ends; up to SCALAR_BRACKETS brackets go one by one to
     golden_section_max, which evaluates them again.  Refinement never
     loses the scan value it started from.  A NaN value of ``f`` raises
     DomainError naming the first p where it occurred.
@@ -175,6 +185,9 @@ def sup_rows(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, refine_tol: 
     cand_x, cand_v = xs[r, i], ys[r, i]
     n_eval = xs.size
     k = np.flatnonzero(bh > bl)
+    near = _PLATEAU_ULP * np.spacing(np.abs(cand_v[k]))
+    flat = (cand_v[k] - ys[r[k], il[k]] <= near) & (cand_v[k] - ys[r[k], ih[k]] <= near)
+    k = k[~flat]
     if k.size <= SCALAR_BRACKETS:
         count = [0]
 
@@ -182,7 +195,10 @@ def sup_rows(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, refine_tol: 
             count[0] += 1
             return _eval_scalar(f, x)
 
-        refined = [golden_section_max(refine_f, bl[j], bh[j], tol=refine_tol) for j in k]
+        # Python floats in, so the golden-section arithmetic and the ratio
+        # take float paths (same IEEE operations as on numpy scalars)
+        ends = zip(bl[k].tolist(), bh[k].tolist())
+        refined = [golden_section_max(refine_f, a, b, tol=refine_tol) for a, b in ends]
         ref_x, ref_v = np.array(refined, dtype=float).reshape(-1, 2).T
         n_eval += count[0]
     else:
@@ -199,7 +215,7 @@ def sup_rows(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, refine_tol: 
         decreasing = (ys[:, -3] > ys[:, -2]) & (ys[:, -2] > ys[:, -1])
     else:
         decreasing = np.zeros(rows, dtype=bool)
-    return RowSupremum(cand_v[first], cand_x[first], decreasing, int(n_eval))
+    return RowSupremum(cand_v[first], cand_x[first], decreasing, int(n_eval), int(np.count_nonzero(flat)))
 
 
 def grid_refine_supremum(

@@ -21,6 +21,7 @@ import dataclasses
 import math
 import re
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
@@ -48,6 +49,7 @@ from .models import (
 __all__ = [
     "model_from_spec",
     "psi_from_spec",
+    "natural_psi_from_spec",
     "grid_from_spec",
     "set_from_spec",
     "make_group",
@@ -114,15 +116,20 @@ def psi_from_spec(spec: str) -> GeneratingFunction:
         except DomainError as exc:
             raise SpecParseError(str(exc)) from exc
     if s.startswith("natural:"):
-        rest = s[len("natural:"):]
-        try:
-            psi = natural_psi(model_from_spec(rest))
-        except GlsError as exc:
-            raise SpecParseError(f"cannot build natural psi from {rest!r}: {exc}") from exc
-        return dataclasses.replace(psi, description=f"natural:{rest.strip()}")
+        return natural_psi_from_spec(s[len("natural:"):])
     if s == "sqrt_dip":
         return sqrt_dip_psi()
     raise SpecParseError(f"unknown psi spec {spec!r}")
+
+
+def natural_psi_from_spec(spec: str, model: Optional[RandomVariableModel] = None) -> GeneratingFunction:
+    """The psi natural:<spec>, built on ``model`` when the caller already
+    holds the model of ``spec`` (a sample file is then read once)."""
+    try:
+        psi = natural_psi(model if model is not None else model_from_spec(spec))
+    except GlsError as exc:
+        raise SpecParseError(f"cannot build natural psi from {spec!r}: {exc}") from exc
+    return dataclasses.replace(psi, description=f"natural:{spec.strip()}")
 
 
 def _kv_fields(parts, spec: str) -> dict:

@@ -171,7 +171,8 @@ def test_power_mean_array_matches_scalar(n, n_p):
     expect = np.array([power_mean(a, float(p)) for p in ps])
     got = power_mean(a, ps)
     assert got.shape == ps.shape
-    np.testing.assert_array_max_ulp(got, expect, maxulp=4)
+    # same sum, division and libm root on both paths: the same bits
+    np.testing.assert_array_equal(got, expect)
     assert got[-1] == a.max()
     two_d = power_mean(a, ps[:-2].reshape(2, -1))
     np.testing.assert_array_equal(two_d.ravel(), got[:-2])

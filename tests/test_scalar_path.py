@@ -1,0 +1,153 @@
+"""A scalar p takes a float path through the moments and psi; it must give
+the bits of the array path, and a natural psi must cost one moment per p."""
+
+import csv
+import dataclasses
+import io
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from glspace import (
+    DomainError,
+    EmpiricalModel,
+    GroupFunctionModel,
+    PowerSlowVaryParams,
+    constant_model,
+    default_p_max,
+    dihedral_group,
+    exponential_model,
+    gaussian_model,
+    gls_norm,
+    make_power_slowvary,
+    natural_psi,
+    psi_eval,
+    psi_from_spec,
+    rademacher_model,
+    raw_power_slowvary,
+    sqrt_dip_psi,
+    uniform01_model,
+)
+from glspace.cli import main
+from glspace.norms import _ratio_fn
+
+_D6 = dihedral_group(6)
+_SAMPLE = EmpiricalModel(np.random.default_rng(5).normal(size=300))
+
+MODELS = {
+    "gaussian": gaussian_model(),
+    "uniform01": uniform01_model(),
+    "exponential": exponential_model(),
+    "constant": constant_model(-2.5),
+    "rademacher": rademacher_model(),
+    "empirical": _SAMPLE,
+    "group": GroupFunctionModel(_D6, np.random.default_rng(6).normal(size=12)),
+    "group_zero": GroupFunctionModel(_D6, np.zeros(12)),
+}
+
+PSIS = {
+    "power_slowvary": make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=0.5)),
+    "raw_power_slowvary": raw_power_slowvary(PowerSlowVaryParams(r=1.5, delta=1.0)),
+    "sqrt_dip": sqrt_dip_psi(),
+    "natural_gaussian": natural_psi(gaussian_model()),
+    "natural_empirical": natural_psi(_SAMPLE),
+}
+
+_P = st.floats(1.0, 200.0)
+# beyond p = 5 ln 300 the sample's plug-in moments warn; that is not under test
+_quiet = pytest.mark.filterwarnings("ignore::glspace.MomentInstabilityWarning")
+
+
+def _bits(x) -> str:
+    return float(x).hex()
+
+
+def _assert_one_path(fn, ps):
+    """fn at each p as a float and as a 0-d array has the bits of its
+    element of fn at the array of all of them."""
+    in_array = fn(np.array(ps))
+    for p, expect in zip(ps, in_array):
+        as_float, as_0d = fn(p), fn(np.array(p))
+        assert type(as_float) is float and type(as_0d) is float
+        assert _bits(as_float) == _bits(as_0d) == _bits(expect), p
+
+
+@_quiet
+@pytest.mark.parametrize("name", MODELS)
+@given(ps=st.lists(_P, min_size=1, max_size=8))
+def test_moment_float_path_has_the_array_bits(name, ps):
+    _assert_one_path(MODELS[name].lp_norm, ps)
+
+
+@_quiet
+@pytest.mark.parametrize("name", PSIS)
+@given(ps=st.lists(_P, min_size=1, max_size=8))
+def test_psi_float_path_has_the_array_bits(name, ps):
+    psi = PSIS[name]
+    _assert_one_path(lambda q: psi_eval(psi, q), ps)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_float_moment_below_one_is_rejected_naming_p(name):
+    with pytest.raises(DomainError, match=r"moments are defined for p >= 1, got 0\.75"):
+        MODELS[name].lp_norm(0.75)
+
+
+@pytest.mark.parametrize("name", PSIS)
+def test_float_psi_below_one_is_rejected_naming_p(name):
+    with pytest.raises(DomainError, match=r"defined for p >= 1, got 0\.75"):
+        psi_eval(PSIS[name], 0.75)
+
+
+@_quiet
+@pytest.mark.parametrize("model", [gaussian_model(), _SAMPLE, MODELS["group"]], ids=["gaussian", "empirical", "group"])
+def test_natural_ratio_takes_one_moment_per_p_with_the_two_call_bits(model, monkeypatch):
+    psi = natural_psi(model)
+    two_call = dataclasses.replace(psi, source=None)
+    ps = np.geomspace(1.0, 200.0, 37)
+    shared = _ratio_fn(model, psi)
+    for p in [*ps.tolist(), ps]:
+        expect = model.lp_norm(p) / psi_eval(two_call, p)
+        np.testing.assert_array_equal(shared(p), expect)
+        np.testing.assert_array_equal(_ratio_fn(model, two_call)(p), expect)
+
+    calls = [0]
+    lp_norm = type(model).lp_norm
+
+    def counted(self, p):
+        calls[0] += np.size(p)
+        return lp_norm(self, p)
+
+    monkeypatch.setattr(type(model), "lp_norm", counted)
+    res = gls_norm(model, psi, p_max=60.0)
+    one_moment = calls[0]
+    calls[0] = 0
+    ref = gls_norm(model, two_call, p_max=60.0)
+    assert (res.value, res.arg_p, res.n_evaluations) == (ref.value, ref.arg_p, ref.n_evaluations)
+    # |f|_1 once for the ratio, then one moment per point the ratio saw
+    assert one_moment == res.n_evaluations + 1
+    assert calls[0] == 2 * ref.n_evaluations
+
+
+def test_norm_of_a_sample_under_its_own_natural_psi_reads_the_file_once(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "x.txt"
+    path.write_text("\n".join(map(repr, np.random.default_rng(8).normal(size=400).tolist())))
+    spec = f"empirical:{path}"
+    reads = [0]
+    from_file = EmpiricalModel.from_file.__func__
+
+    def counted(cls, p):
+        reads[0] += 1
+        return from_file(cls, p)
+
+    monkeypatch.setattr(EmpiricalModel, "from_file", classmethod(counted))
+    assert main(["norm", "--model", spec, "--psi", f"natural:{spec}"]) == 0
+    assert reads[0] == 1
+    row = next(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    # the two-call route: the psi's own model is a second object
+    model = EmpiricalModel.from_file(path)
+    ref = gls_norm(model, psi_from_spec(f"natural:{spec}"), default_p_max(model))
+    assert row["psi"] == f"natural:{spec}"
+    assert (float(row["value"]), float(row["arg_p"])) == (ref.value, ref.arg_p)

@@ -9,20 +9,6 @@ from glspace import search
 from glspace.search import SCALAR_BRACKETS, _golden_lockstep, golden_section_max, grid_refine_supremum, sup_rows
 
 
-def test_n_evaluations_counts_every_refinement_call():
-    seen = [0]
-
-    def flat(p):
-        seen[0] += np.size(p)
-        return np.ones_like(p)
-
-    res = grid_refine_supremum(flat, 1.0, 200.0)
-    # a flat function is a plateau of local maxima, each one refined
-    assert res.n_evaluations == seen[0]
-    assert res.n_evaluations > 512
-    assert res.value == 1.0 and res.arg == 1.0
-
-
 def test_scalar_only_function_is_rejected():
     with pytest.raises(ValueError, match="must accept arrays"):
         grid_refine_supremum(lambda p: 1.0, 1.0, 2.0)
@@ -37,6 +23,20 @@ def _multi_peak(x):
     rounded operations, so a point gives the same bits alone or in an array."""
     x = np.asarray(x, dtype=float)
     return np.where(x < 10.0, np.floor(6.0 * _tri(x)) / 6.0, _tri(1.7 * x) * (1.0 + 0.01 * x))
+
+
+def test_n_evaluations_counts_every_refinement_call():
+    seen = [0]
+
+    def counted(p):
+        seen[0] += np.size(p)
+        return _multi_peak(p)
+
+    res = grid_refine_supremum(counted, 1.0, 200.0)
+    # the peaks past p = 10 are refined; the flat steps below it are not
+    assert res.n_evaluations == seen[0]
+    assert res.n_evaluations > 512
+    assert res.value == float(_multi_peak(res.arg)) > 2.0
 
 
 def test_lockstep_matches_golden_section_bit_for_bit():
@@ -114,9 +114,9 @@ def test_flat_ratio_refines_in_few_array_calls():
 
     res = grid_refine_supremum(counted, 1.0, 200.0)
     assert (res.value, res.arg) == (3.0, 1.0)
-    assert res.n_evaluations == points[0] > 512
-    # one scan call, then one call per lockstep iteration for all 512 brackets
-    assert calls[0] <= 60
+    # every scan point is a plateau: the scan is the only call
+    assert res.n_evaluations == points[0] == 512
+    assert calls[0] == 1
 
 
 def _one_peak_per_row(k):
@@ -144,7 +144,7 @@ def _routed(monkeypatch, k):
     return sup_rows(counted_f, xs), array_calls[0], golden_calls[0]
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, SCALAR_BRACKETS])
 def test_few_brackets_refine_one_by_one(monkeypatch, k):
     assert k <= SCALAR_BRACKETS
     res, array_calls, golden_calls = _routed(monkeypatch, k)
@@ -166,3 +166,16 @@ def test_many_brackets_go_lockstep(monkeypatch, k):
     # the scan plus one call per lockstep iteration
     assert 10 < array_calls < 100
     np.testing.assert_allclose(res.args, np.arange(1, k + 1) + 0.3, atol=1e-6)
+
+
+def test_plateaus_are_counted_and_not_refined():
+    xs = np.geomspace(1.0, 200.0, 64)[None, :]
+    # ulp noise on a constant, as a natural psi's ratio shows
+    ys = 0.5 + np.spacing(0.5) * np.resize([0.0, 2.0, 1.0], 64)
+    flat = sup_rows(lambda x: np.interp(x, xs[0], ys), xs)
+    # each local maximum (every third point) is a plateau; the scan is all
+    assert (flat.plateaus, flat.n_evaluations) == (np.count_nonzero(ys == ys.max()), 64)
+    assert (flat.values[0], flat.args[0]) == (ys.max(), xs[0, 1])
+    peaks, f = _one_peak_per_row(3)
+    res = sup_rows(f, peaks)
+    assert res.plateaus == 0 and res.n_evaluations > peaks.size
