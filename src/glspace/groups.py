@@ -214,6 +214,10 @@ class GroupFunctionModel(RandomVariableModel):
         self.label = label or f"fn-on-{group.name}"
         self.values = _check_finite(_check_values(group, values), self.label)
 
+    @property
+    def power_mean_size(self) -> int:
+        return self.values.size
+
     @cached_property
     def _moments(self) -> PowerMeanState:
         return PowerMeanState.of(np.abs(self.values))

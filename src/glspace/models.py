@@ -169,6 +169,9 @@ class RandomVariableModel:
     label: str = "model"
     #: relative tolerance of the moment backend; 0 means exact
     moment_tolerance: float = 0.0
+    #: number of values whose normalized power mean is the moment map, or 0
+    #: when the moments are not power_mean (the norm search prunes by it)
+    power_mean_size: int = 0
 
     def lp_norm(self, p):
         raise NotImplementedError
@@ -326,8 +329,12 @@ class EmpiricalModel(RandomVariableModel):
 
     @classmethod
     def from_file(cls, path) -> "EmpiricalModel":
-        text = Path(path).read_text().split()
-        return cls(np.array([float(t) for t in text]), label=f"empirical:{path}")
+        # NumPy parses each token as float() does: same bits, same ValueError
+        return cls(np.array(Path(path).read_text().split(), dtype=float), label=f"empirical:{path}")
+
+    @property
+    def power_mean_size(self) -> int:
+        return self.values.size
 
     @cached_property
     def _moments(self) -> PowerMeanState:

@@ -5,8 +5,11 @@ full norm ranges over [1, p_max], the restricted norm over a Borel
 subset, the discrete norm over a grid (exact enumeration, no
 refinement).  All three are one search, _sup_norm: intervals and grid
 cells are rows of one scan grid, refined together, and isolated points
-and grid values are evaluated exactly in one array call.  Sandwich
-checks verify the two-sided equivalence
+and grid values are evaluated exactly in one array call.  For a large
+sample or group function under a strictly increasing psi the scan is
+pruned: a cell whose bound |f|(right end) / psi(left end) lies below the
+best value is not evaluated (see search), which leaves the result's bits
+as they are.  Sandwich checks verify the two-sided equivalence
 
     inner <= full <= constant * inner
 
@@ -48,6 +51,14 @@ DEFAULT_P_MAX = 200.0
 _CELL_POINTS = 64
 # relative tolerance a sandwich allows on top of the moment backend's own
 _RTOL = 1e-9
+# the norm search is pruned only when the moment is a power mean of at
+# least this many values.  Timed on full and two-interval norms of normal
+# samples and on cyclic-group functions under power_slowvary(r=2,
+# delta=0.5) (Python 3.11, NumPy 2.4, CPU time, median of 21 rounds, the
+# two paths alternating): the pruned scan breaks even at 48-64 values and
+# takes 0.56-0.85 of the full scan's time at 128.  A flat ratio (a sample
+# under its own natural psi) drops no cell and pays 12-20% more there.
+_PRUNE_MIN_VALUES = 128
 
 
 def default_p_max(model: RandomVariableModel) -> float:
@@ -82,20 +93,40 @@ class NormResult:
 
 
 def _ratio_fn(model: RandomVariableModel, psi: GeneratingFunction):
+    """p -> |f|_p / psi(p).  Its ``parts`` attribute gives the numerator
+    and denominator apart, with the same bits, when the pruned search
+    applies, and is None otherwise.
+
+    The cell bound of the pruned search needs |f|_p nondecreasing, which a
+    power mean is exactly (a density moment only to its quadrature noise,
+    1e-8), and psi nondecreasing, which its strictly_increasing flag
+    promises.  On small arrays the full scan is cheaper.  ``ratio`` repeats
+    the operations of ``parts`` instead of calling it: scalar refinement
+    calls it thousands of times per norm.
+    """
     if psi.source is model:
         # psi(p) = |f|_p / |f|_1 of this very model: one moment per p serves
         # both, and m / (m / m1) is the division the two-call route makes
         m1 = float(model.lp_norm(1.0))
 
-        def natural_ratio(p):
+        def parts(p):
+            m = model.lp_norm(p)
+            return m, m / m1
+
+        def ratio(p):
             m = model.lp_norm(p)
             return m / (m / m1)
 
-        return natural_ratio
+    else:
 
-    def ratio(p):
-        return model.lp_norm(p) / psi_eval(psi, p)
+        def parts(p):
+            return model.lp_norm(p), psi_eval(psi, p)
 
+        def ratio(p):
+            return model.lp_norm(p) / psi_eval(psi, p)
+
+    prunable = model.power_mean_size >= _PRUNE_MIN_VALUES and psi.strictly_increasing
+    ratio.parts = parts if prunable else None
     return ratio
 
 
@@ -103,13 +134,15 @@ def _sup_norm(ratio, p_max: float, rows: np.ndarray, points: np.ndarray, grid: b
     """sup of ``ratio`` over the scan rows and the exact points.
 
     Every row of ``rows`` is an increasing scan grid of one interval,
-    refined by sup_rows; ``points`` are evaluated exactly, all in one
-    array call.  The best value wins, ties going to the smallest p, and
-    n_evaluations counts every point the ratio was asked for, including
-    those of a call that raised.  The edge evidence decreasing_at_hi is
-    the last row's when that row ends at p_max (True when none does);
-    with ``grid`` the points are a grid, the evidence is its last three
-    ratios, and the result carries the 1-based arg_index.
+    refined by sup_rows, which prunes with the ratio's ``parts`` when it
+    has them, against the best exact-point value too; ``points`` are
+    evaluated exactly, all in one array call.  The best value wins, ties
+    going to the smallest p, and n_evaluations counts every point the
+    ratio was asked for, including those of a call that raised.  The edge
+    evidence decreasing_at_hi is the last row's when that row ends at
+    p_max (True when none does); with ``grid`` the points are a grid, the
+    evidence is its last three ratios, and the result carries the 1-based
+    arg_index.
     """
     asked = [0]
 
@@ -118,9 +151,17 @@ def _sup_norm(ratio, p_max: float, rows: np.ndarray, points: np.ndarray, grid: b
         asked[0] += p.size if isinstance(p, np.ndarray) else 1
         return ratio(p)
 
+    # a wrapped ratio (the benchmark tracer's) has no parts: full scan
+    parts = getattr(ratio, "parts", None)
+
+    def counted_parts(p):
+        asked[0] += p.size
+        return parts(p)
+
     try:
         at_points = _eval_array(counted, points)
-        found = sup_rows(counted, rows)
+        floor = float(at_points.max()) if at_points.size else -math.inf
+        found = sup_rows(counted, rows, parts=counted_parts if parts else None, floor=floor)
     except DivergentMomentError as exc:
         return NormResult(math.inf, float(exc.p), float(p_max), False, asked[0])
     vals = np.concatenate([at_points, found.values])

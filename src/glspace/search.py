@@ -12,19 +12,35 @@ brackets refines each one with the scalar golden_section_max, which is
 cheaper than numpy bookkeeping on a few-element array.  Both use the same
 update rule, stopping width and tie-break, so they give bit-identical
 results as long as ``f`` gives the same bits for a float and for the same
-point in an array, which the moment backends and psi do.  The best value of a row wins, with ties broken toward the
-smallest argument so results are deterministic.
+point in an array, which the moment backends and psi do.  The best value
+of a row wins, with ties broken toward the smallest argument so results
+are deterministic.
+
+A search may be pruned.  When ``f = num / den`` with ``num`` and ``den``
+nondecreasing and ``den`` positive (a moment over a nondecreasing
+generating function: on a probability space |f|_p is nondecreasing in p),
+the sup of ``f`` over a cell [a, b] is at most num(b) / den(a).  This is
+the W constant's argument (full <= W * discrete) on the scan grid, used
+as the Lipschitz bound is in the branch and bound of Piyavskii (1972) and
+Shubert (1972).  The pruned scan evaluates every _COARSE_STEP-th point of each row and the row ends first,
+drops every cell whose bound, widened by _PRUNE_MARGIN for rounding, is
+below the best value seen, and evaluates the rest: the points of the live
+cells, the point next to each end of a live cell and the last three points
+of each row.  Every dropped point or bracket is strictly below a value the
+search evaluates, and every local maximum that remains has the same scan
+neighbours as in the full scan, so the overall supremum, its argument and
+the edge evidence keep their bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DivergentMomentError, DomainError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -47,6 +63,12 @@ _MIN_TOL = 1e-12
 # a bracket whose scan value and scan neighbours agree within this many
 # ulp of the value is a plateau, and is not refined
 _PLATEAU_ULP = 4
+# the pruned scan's coarse pass takes every _COARSE_STEP-th point of a row
+# and its last one; a cell is dropped when its bound times 1 + _PRUNE_MARGIN
+# is below the best value.  The margin covers the rounding of the moment
+# and of psi (a few ulp, about 1e-14 relative) with room to spare
+_COARSE_STEP = 8
+_PRUNE_MARGIN = 1e-10
 
 
 @dataclass(frozen=True)
@@ -70,14 +92,16 @@ class SupremumResult:
 
 class RowSupremum(NamedTuple):
     """Per-row outcome of sup_rows; see SupremumResult for the fields.
-    ``n_evaluations`` counts every point ``f`` saw, over all rows, and
-    ``plateaus`` the brackets left unrefined because they were flat."""
+    ``n_evaluations`` counts every point ``f`` saw, over all rows,
+    ``plateaus`` the brackets left unrefined because they were flat, and
+    ``pruned`` the cells a pruned scan dropped unevaluated."""
 
     values: np.ndarray
     args: np.ndarray
     decreasing_at_hi: np.ndarray
     n_evaluations: int
     plateaus: int
+    pruned: int
 
 
 def golden_section_max(
@@ -161,7 +185,13 @@ def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float):
     return best_x, best_v, n_eval
 
 
-def sup_rows(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, refine_tol: float = _REFINE_TOL) -> RowSupremum:
+def sup_rows(
+    f: Callable[[np.ndarray], np.ndarray],
+    xs: np.ndarray,
+    refine_tol: float = _REFINE_TOL,
+    parts: Optional[Callable[[np.ndarray], tuple]] = None,
+    floor: float = -math.inf,
+) -> RowSupremum:
     """Supremum of ``f`` over each row of the scan grid ``xs``.
 
     Each row is an increasing grid whose first and last points are the
@@ -174,17 +204,42 @@ def sup_rows(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, refine_tol: 
     golden_section_max, which evaluates them again.  Refinement never
     loses the scan value it started from.  A NaN value of ``f`` raises
     DomainError naming the first p where it occurred.
+
+    With ``parts`` the scan is pruned (see the module docstring):
+    ``parts(x)`` returns arrays (num, den) with num / den giving the bits
+    of ``f(x)``, both nondecreasing and den positive.  ``floor`` is a value
+    known from elsewhere (the exact points of a norm) that the pruning
+    also compares against.  The largest of the row values and ``floor``
+    and its argument are then those of the full scan, bit for bit, as is
+    ``decreasing_at_hi``; a row that cannot hold that supremum may report
+    a lower value.  When a NaN value or a divergent moment stops the
+    pruned scan, the full scan runs instead, so the error and the p it
+    names are the full scan's.
     """
     rows, n = xs.shape
-    ys = _eval_array(f, xs.ravel()).reshape(rows, n)
+    known = None
+    pruned = 0
+    if parts is not None and xs.size:
+        try:
+            ys, known, pruned, n_eval = _pruned_scan(f, xs, parts, floor)
+        except (DomainError, DivergentMomentError):
+            known = None
+    if known is None:
+        ys = _eval_array(f, xs.ravel()).reshape(rows, n)
+        n_eval = xs.size
     pad = np.full((rows, 1), -np.inf)
     peak = (ys >= np.hstack([pad, ys[:, :-1]])) & (ys >= np.hstack([ys[:, 1:], pad]))
+    if known is not None:
+        peak &= known
     r, i = np.nonzero(peak)
     il, ih = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
     bl, bh = xs[r, il], xs[r, ih]
     cand_x, cand_v = xs[r, i], ys[r, i]
-    n_eval = xs.size
     k = np.flatnonzero(bh > bl)
+    if known is not None:
+        # a peak next to an unevaluated point lies in a dropped cell: it
+        # keeps its value, which is below the best one
+        k = k[known[r[k], il[k]] & known[r[k], ih[k]]]
     near = _PLATEAU_ULP * np.spacing(np.abs(cand_v[k]))
     flat = (cand_v[k] - ys[r[k], il[k]] <= near) & (cand_v[k] - ys[r[k], ih[k]] <= near)
     k = k[~flat]
@@ -215,7 +270,51 @@ def sup_rows(f: Callable[[np.ndarray], np.ndarray], xs: np.ndarray, refine_tol: 
         decreasing = (ys[:, -3] > ys[:, -2]) & (ys[:, -2] > ys[:, -1])
     else:
         decreasing = np.zeros(rows, dtype=bool)
-    return RowSupremum(cand_v[first], cand_x[first], decreasing, int(n_eval), int(np.count_nonzero(flat)))
+    return RowSupremum(
+        cand_v[first], cand_x[first], decreasing, int(n_eval), int(np.count_nonzero(flat)), pruned
+    )
+
+
+def cell_bounds(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Upper bound num(b) / den(a) of num / den on each cell [a, b]
+    between consecutive points (last axis) of a row, for nondecreasing
+    num and den."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return num[..., 1:] / den[..., :-1]
+
+
+def _pruned_scan(f, xs: np.ndarray, parts, floor: float):
+    """The scan of sup_rows, pruned by the cell bounds of ``parts``.
+
+    Returns (ys, known, pruned cells, points evaluated): ``ys`` holds the
+    value of every evaluated point and -inf elsewhere, ``known`` marks the
+    evaluated points.  One call of ``parts``, one array call of ``f``.
+    """
+    rows, n = xs.shape
+    coarse = np.zeros(n, dtype=bool)
+    coarse[::_COARSE_STEP] = True
+    coarse[-1] = True
+    c = np.flatnonzero(coarse)
+    xc = xs[:, c]
+    num, den = (np.asarray(a, dtype=float).reshape(xc.shape) for a in parts(xc.ravel()))
+    yc = _checked(xc, num / den)
+    best = max(floor, float(yc.max()))
+    # a NaN bound, or a den that is not positive, keeps its cell
+    live = ~(cell_bounds(num, den) * (1.0 + _PRUNE_MARGIN) < best) | ~(den[:, :-1] > 0.0)
+    # a live cell [c_k, c_k+1] needs its points and the scan neighbours of
+    # its ends, c_k - 1 and c_k+1 + 1, so that each of its peaks is judged
+    # and bracketed as in the full scan; cover marks c_k .. c_k+1 - 1
+    cover = np.zeros((rows, n), dtype=bool)
+    cover[:, :-1] = np.repeat(live, np.diff(c), axis=1)
+    need = cover.copy()
+    need[:, :-1] |= cover[:, 1:]
+    need[:, 2:] |= cover[:, :-2]
+    need[:, -3:] = True  # the decreasing_at_hi evidence
+    fine = need & ~coarse
+    ys = np.full((rows, n), -np.inf)
+    ys[:, c] = yc
+    ys[fine] = _eval_array(f, xs[fine])
+    return ys, need | coarse, int(live.size - np.count_nonzero(live)), yc.size + int(np.count_nonzero(fine))
 
 
 def grid_refine_supremum(
@@ -286,10 +385,16 @@ def _eval_array(f, xs: np.ndarray) -> np.ndarray:
     """
     if xs.size == 0:
         return np.empty(xs.shape)
-    ys = np.asarray(f(xs), dtype=float)
+    return _checked(xs, f(xs))
+
+
+def _checked(xs: np.ndarray, ys) -> np.ndarray:
+    """``ys``, the values at the points ``xs``, as a float array of their
+    shape; DomainError naming the first point whose value is NaN."""
+    ys = np.asarray(ys, dtype=float)
     if ys.shape != xs.shape:
         raise ValueError(f"f returned shape {ys.shape} for {xs.shape} points; it must accept arrays")
     nan = np.isnan(ys)
     if nan.any():
-        raise _nan_error(xs[np.argmax(nan)])
+        raise _nan_error(xs.flat[np.argmax(nan)])
     return ys

@@ -213,6 +213,23 @@ def test_empirical_rejects_empty_input():
         EmpiricalModel([])
 
 
+def test_from_file_parses_each_token_as_float_does(tmp_path):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(2000) * 10.0 ** rng.integers(-300, 300, 2000)
+    tokens = list(map(repr, x.tolist())) + ["-0", "+7", ".5", "1_000", "4.9e-324", "1e-330", "1E5"]
+    path = tmp_path / "x.txt"
+    path.write_text("\n".join(tokens) + "\n")
+    values = EmpiricalModel.from_file(path).values
+    np.testing.assert_array_equal(values.view(np.int64), np.array([float(t) for t in tokens]).view(np.int64))
+
+
+def test_from_file_keeps_floats_error_text(tmp_path):
+    path = tmp_path / "x.txt"
+    path.write_text("1.0\n0x1p3\n2.0\n")
+    with pytest.raises(ValueError, match=r"^could not convert string to float: '0x1p3'$"):
+        EmpiricalModel.from_file(path)
+
+
 def test_scaling_is_exact_homogeneity():
     g = gaussian_model()
     s = g.scaled(-2.0)

@@ -271,6 +271,10 @@ def test_evaluation_counts_are_the_points_seen():
         model, seen = _counting(gaussian_model())
         res = gls_norm(model, sqrt_dip_psi(), rset=S)
         assert res.n_evaluations == seen[0] > 0
+        # a pruned search counts the points of both of its passes
+        model, seen = _counting(EmpiricalModel(np.random.default_rng(2).normal(size=400)))
+        res = gls_norm(model, root_psi(), default_p_max(model), rset=S)
+        assert res.n_evaluations == seen[0] > 0
     model, seen = _counting(gaussian_model())
     assert discrete_norm(model, sqrt_dip_psi(), integer_grid(40)).n_evaluations == seen[0] == 40
 

@@ -1,0 +1,247 @@
+"""The pruned scan: a large sample or group function under a strictly
+increasing psi skips the scan cells whose bound lies below the best value,
+and must give the full scan's value, argument and edge evidence bit for bit."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from glspace import (
+    DomainError,
+    EmpiricalModel,
+    GeneratingFunction,
+    GroupFunctionModel,
+    PowerSlowVaryParams,
+    RestrictedSet,
+    cyclic_group,
+    default_p_max,
+    gls_norm,
+    make_power_slowvary,
+    natural_psi,
+    raw_power_slowvary,
+    set_from_spec,
+)
+from glspace import norms
+from glspace.search import _PRUNE_MARGIN, cell_bounds, sup_rows
+
+pytestmark = pytest.mark.filterwarnings("ignore::glspace.models.MomentInstabilityWarning")
+
+# every power_slowvary(r, delta >= 0) of the benchmark's pools: the norm
+# workload's grid, the sandwich and algebra psi_pool, the tail workload
+NORMALIZED = sorted({(r, d) for r in (0.5, 1.0, 2.0, 3.0, 4.0) for d in (0.0, 0.5, 1.0)}
+                    | {(1.5, 0.5), (1.0, 2.0)})
+# the algebra workload's raw (non-normalized) members
+RAW = ((1.0, 0.5), (2.0, 1.0), (1.0, 2.0), (3.0, 0.5), (0.5, 1.0))
+PSIS = [make_power_slowvary(PowerSlowVaryParams(r, d)) for r, d in NORMALIZED] + [
+    raw_power_slowvary(PowerSlowVaryParams(r, d)) for r, d in RAW
+]
+N = norms._PRUNE_MIN_VALUES
+
+
+def _sample(kind: int, n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    scale = float(rng.uniform(0.5, 3.0))
+    if kind == 0:
+        return scale * rng.standard_normal(n)
+    if kind == 1:
+        return scale * rng.exponential(size=n)
+    return scale * rng.uniform(-1.0, 2.0, n)
+
+
+def _full_scan(*args, **kw):
+    """gls_norm with pruning switched off, as every search ran before it."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(norms, "_PRUNE_MIN_VALUES", math.inf)
+        return gls_norm(*args, **kw)
+
+
+def _bits(res):
+    return (res.value, res.arg_p, res.decreasing_at_hi)
+
+
+def _sets(seed: int):
+    rng = np.random.default_rng(seed)
+    a = round(float(rng.uniform(1.25, 8.0)), 2)
+    b = round(a + float(rng.uniform(0.5, 10.0)), 2)
+    return [
+        None,
+        set_from_spec(f"intervals:1-{a:g},{b:g}-inf"),
+        # isolated points too: the pruning also compares against their values
+        RestrictedSet([(1.0, 1.1), (a, a), (b, b), (b + 1.0, math.inf)]),
+    ]
+
+
+@pytest.mark.parametrize("kind", [0, 1, 2], ids=["normal", "exponential", "uniform"])
+@pytest.mark.parametrize("psi", PSIS, ids=lambda psi: psi.description)
+def test_pruned_norm_has_the_full_scan_bits(kind, psi):
+    model = EmpiricalModel(_sample(kind, 4 * N, kind))
+    for p_max in (default_p_max(model), 200.0):
+        for rset in _sets(kind):
+            pruned = gls_norm(model, psi, p_max, rset=rset)
+            full = _full_scan(model, psi, p_max, rset=rset)
+            assert _bits(pruned) == _bits(full)
+            assert pruned.n_evaluations < full.n_evaluations
+
+
+@given(
+    seed=st.integers(0, 2**31),
+    kind=st.integers(0, 2),
+    n=st.integers(N, 3000),
+    psi=st.sampled_from(PSIS),
+    which_set=st.integers(0, 2),
+    group=st.booleans(),
+)
+def test_pruned_norm_has_the_full_scan_bits_for_any_sample(seed, kind, n, psi, which_set, group):
+    values = _sample(kind, n, seed)
+    model = GroupFunctionModel(cyclic_group(n), values) if group else EmpiricalModel(values)
+    rset = _sets(seed)[which_set]
+    pruned = gls_norm(model, psi, default_p_max(model), rset=rset)
+    assert _bits(pruned) == _bits(_full_scan(model, psi, default_p_max(model), rset=rset))
+
+
+def _two_peaks():
+    """A sample whose ratio under p^(1/3) has two interior peaks: near
+    p = 4.6, where the values 1 take over from the bulk at 0.3, and a lower
+    one near p = 22.5, where the single value 1.6 does."""
+    values = np.r_[np.full(1638, 0.3), np.full(409, 1.0), [1.6]]
+    return EmpiricalModel(values), make_power_slowvary(PowerSlowVaryParams(3.0, 0.0))
+
+
+def test_the_lower_peak_of_two_is_pruned():
+    model, psi = _two_peaks()
+    p_max = default_p_max(model)
+    xs = np.geomspace(1.0, p_max, 512)
+    xs[0], xs[-1] = 1.0, p_max
+    ratio = norms._ratio_fn(model, psi)
+    ys = ratio(xs)
+    peaks = [i for i in range(1, 511) if ys[i - 1] < ys[i] > ys[i + 1]]
+    assert len(peaks) == 2 and ys[peaks[1]] < ys[peaks[0]]
+    lower = peaks[1]
+
+    seen = []
+
+    def f(x):
+        seen.append(np.atleast_1d(x))
+        return ratio(x)
+
+    def parts(x):
+        seen.append(x)
+        return ratio.parts(x)
+
+    res = sup_rows(f, xs[None, :], parts=parts)
+    full = sup_rows(ratio, xs[None, :])
+    assert (res.values[0], res.args[0], res.decreasing_at_hi[0]) == (
+        full.values[0], full.args[0], full.decreasing_at_hi[0])
+    asked = np.concatenate(seen)
+    # nothing around the lower peak was evaluated: its cells were dropped
+    assert not np.isin(xs[lower - 1 : lower + 2], asked).any()
+    assert res.pruned > 0
+    # n_evaluations counts the points actually evaluated, no more
+    assert res.n_evaluations == asked.size < full.n_evaluations
+    norm = gls_norm(model, psi, p_max)
+    assert _bits(norm) == _bits(_full_scan(model, psi, p_max))
+
+
+# f = num / den on the scan points 0..64, num and den piecewise linear and
+# nondecreasing, as (num breakpoints, den breakpoints).  Each has a spike of
+# height 3 beside a scan point at one end of a live cell, 32 (left end) and
+# 40 (right end), whose other neighbour cell is pruned against the value 2
+# at the row's end: only the full scan's bracket of that point finds it.
+SPIKES = [
+    (([0, 32, 32.4, 33, 60, 64], [1, 1, 3, 3, 200, 200]), ([0, 32.5, 32.6, 64], [1, 1, 100, 100])),
+    (([0, 39, 39.4, 60, 62, 64], [0.5, 0.5, 3, 3, 200, 200]),
+     ([0, 39.5, 39.6, 40.5, 40.6, 64], [1, 1, 3, 3, 100, 100])),
+]
+
+
+@pytest.mark.parametrize("num_pts, den_pts", SPIKES, ids=["left-end", "right-end"])
+def test_a_peak_at_a_live_cell_end_keeps_its_full_scan_bracket(num_pts, den_pts):
+    xs = np.arange(65.0)[None, :]
+
+    def parts(x):
+        return np.interp(x, *num_pts), np.interp(x, *den_pts)
+
+    def f(x):
+        num, den = parts(x)
+        return num / den
+
+    full = sup_rows(f, xs)
+    res = sup_rows(f, xs, parts=parts)
+    assert full.values[0] > 2.9
+    assert (res.values[0], res.args[0]) == (full.values[0], full.args[0])
+    assert res.pruned > 0 and res.n_evaluations < full.n_evaluations
+
+
+def _bound_violations(bounds) -> int:
+    """Cells where ``bounds`` (widened by the pruning margin) falls below the
+    maximum of the ratio on 33 evenly spaced points of the cell."""
+    fixtures = [
+        (EmpiricalModel(_sample(kind, 2 * N, 7)), psi) for kind in range(3) for psi in PSIS[::4]
+    ] + [_two_peaks(), (GroupFunctionModel(cyclic_group(N), _sample(0, N, 3)), PSIS[0])]
+    count = 0
+    for model, psi in fixtures:
+        ratio = norms._ratio_fn(model, psi)
+        ends = np.geomspace(1.0, 200.0, 257)
+        num, den = ratio.parts(ends)
+        dense = np.linspace(ends[:-1], ends[1:], 33, axis=1)
+        reference = ratio(dense.ravel()).reshape(dense.shape).max(axis=1)
+        count += int(np.count_nonzero(bounds(num, den) * (1.0 + _PRUNE_MARGIN) < reference))
+    return count
+
+
+def test_cell_bound_is_at_least_the_cell_maximum():
+    assert _bound_violations(cell_bounds) == 0
+
+
+def test_the_bound_test_catches_a_right_end_denominator():
+    # the mutation psi(x_{j+1}) in place of psi(x_j) bounds nothing
+    assert _bound_violations(lambda num, den: num[..., 1:] / den[..., 1:]) > 0
+
+
+def _nan_psi(bad):
+    """A psi flagged strictly increasing that is NaN where ``bad(p)``."""
+
+    def evaluator(p):
+        return np.where(bad(p), np.nan, np.sqrt(p))
+
+    return GeneratingFunction(evaluator, True, 1.0, "nan_sqrt")
+
+
+def test_nan_psi_names_the_full_scans_p():
+    model = EmpiricalModel(_sample(0, 4 * N, 11))
+    p_max = default_p_max(model)
+    xs = np.geomspace(1.0, p_max, 512)
+    # NaN from p = 7.5 on: the coarse pass meets it at a later point than
+    # the full scan, whose first NaN is not a coarse point
+    first = int(np.argmax(xs > 7.5))
+    assert first % 8
+    # NaN at one point next to the best coarse value, inside a live cell:
+    # the coarse pass is clean and the fine pass meets it
+    best = int(np.argmax(norms._ratio_fn(model, _nan_psi(lambda q: False))(xs[::8])))
+    lone = xs[8 * best + 3]
+    for bad, p in ((lambda q: q > 7.5, xs[first]), (lambda q: q == lone, lone)):
+        psi = _nan_psi(bad)
+        with pytest.raises(DomainError) as pruned:
+            gls_norm(model, psi, p_max)
+        with pytest.raises(DomainError) as full:
+            _full_scan(model, psi, p_max)
+        assert str(pruned.value) == str(full.value) == f"the searched function is NaN at p={float(p)!r}"
+
+
+def test_only_large_power_means_under_a_strictly_increasing_psi_are_pruned():
+    psi = PSIS[0]
+    big, small = EmpiricalModel(_sample(0, N, 1)), EmpiricalModel(_sample(0, N - 1, 1))
+    assert norms._ratio_fn(big, psi).parts is not None
+    assert norms._ratio_fn(small, psi).parts is None
+    assert norms._ratio_fn(GroupFunctionModel(cyclic_group(N), _sample(1, N, 2)), psi).parts is not None
+    bent = make_power_slowvary(PowerSlowVaryParams(2.0, -0.5))
+    assert not bent.strictly_increasing and norms._ratio_fn(big, bent).parts is None
+    # a natural psi is strictly increasing on a sample, and its parts keep
+    # the one-moment-per-p division
+    nat = natural_psi(big)
+    ratio = norms._ratio_fn(big, nat)
+    num, den = ratio.parts(np.array([1.0, 2.0, 9.5]))
+    np.testing.assert_array_equal(num / den, ratio(np.array([1.0, 2.0, 9.5])))
