@@ -28,6 +28,7 @@ import numpy as np
 
 from .errors import DomainError, NonMonotoneError, TruncationError
 from .generating import GeneratingFunction, psi_eval, psi_validate
+from .models import _check_finite
 from .search import sampled_min
 
 _EXTEND_CAP = 200000
@@ -44,6 +45,7 @@ class GridSequence:
             raise DomainError("a grid needs at least one point")
         if vals[0] != 1.0:
             raise DomainError(f"grids must start at q(1)=1, got {vals[0]}")
+        _check_finite(vals, description)
         if np.any(np.diff(vals) <= 0):
             raise NonMonotoneError("grid values must be strictly increasing")
         self.values = vals
@@ -62,7 +64,17 @@ class GridSequence:
             return float(self.values[m - 1])
         if self.generator is None:
             raise TruncationError(f"grid stores {self.M} points and has no generator for m={m}")
-        return float(self.generator(m))
+        q = self._extended(m)
+        if not math.isfinite(q):
+            raise TruncationError(f"{self.description}: q({m}) overflows a float")
+        return q
+
+    def _extended(self, m: int) -> float:
+        """q(m) from the generator, inf where it overflows a float."""
+        try:
+            return float(self.generator(m))
+        except OverflowError:
+            return math.inf
 
     def truncated(self, M: int) -> "GridSequence":
         if not 1 <= M <= self.M:
@@ -77,18 +89,21 @@ class GridSequence:
             raise TruncationError(
                 f"{self.description} is truncated at q({self.M})={self.values[-1]:g} < {p:g}"
             )
-        # grids diverge, so doubling then bisecting terminates quickly
+        # grids diverge, so doubling then bisecting terminates quickly; an
+        # overflowing q(m) reads as inf, past every p
         lo, hi = self.M, 2 * self.M
-        while self.value_at(hi) < p:
+        while self._extended(hi) < p:
             lo, hi = hi, 2 * hi
             if hi > _EXTEND_CAP:
                 raise TruncationError(f"{self.description} did not reach {p:g} within {_EXTEND_CAP} terms")
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self.value_at(mid) < p:
+            if self._extended(mid) < p:
                 lo = mid
             else:
                 hi = mid
+        if not math.isfinite(self._extended(hi)):
+            raise TruncationError(f"{self.description} overflows a float at q({hi}) before reaching {p:g}")
         return hi
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -102,8 +117,13 @@ def geometric_grid(D: int, M: int) -> GridSequence:
     D = float(int(D))
     if M < 1:
         raise DomainError("M must be positive")
+    description = f"grid:geometric:D={D:g}:M={M}"
+    try:
+        math.pow(D, M)
+    except OverflowError:
+        raise DomainError(f"{description}: q(M) = D^M - D + 1 overflows a float; lower M") from None
     values = D ** np.arange(1, M + 1, dtype=float) - D + 1.0
-    return GridSequence(values, f"grid:geometric:D={D:g}:M={M}", generator=lambda m: D**m - D + 1.0)
+    return GridSequence(values, description, generator=lambda m: D**m - D + 1.0)
 
 
 def integer_grid(M: int) -> GridSequence:
@@ -178,7 +198,7 @@ class RestrictedSet:
         copied in: a query never changes the set."""
         arr = np.asarray(p, dtype=float)
         flat = np.atleast_1d(arr).astype(float)
-        if np.any(flat < 1.0):
+        if not (flat >= 1.0).all():
             raise DomainError("p_plus is defined for p >= 1")
         idx = np.searchsorted(self._hi, flat, side="left")
         out = np.full(flat.shape, math.inf)

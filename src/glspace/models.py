@@ -66,19 +66,25 @@ class SampleBatch:
 
 def _check_p(p, what: str = "moments"):
     """``p`` as a float (a scalar p) or a float array, or DomainError naming
-    it when some p < 1.  A Python float, what the scalar refinement passes,
-    is returned as it is: it never becomes a 0-d array."""
+    it when some p is below 1 or NaN.  A Python float, what the scalar
+    refinement passes, is returned as it is: it never becomes a 0-d array."""
     q = p
     if type(q) is not float:
         q = np.asarray(p, dtype=float)
         if q.ndim:
-            if (q < 1.0).any():
+            if not (q >= 1.0).all():
                 raise DomainError(f"{what} are defined for p >= 1, got {p}")
             return q
         q = float(q)
-    if q < 1.0:
+    if not q >= 1.0:
         raise DomainError(f"{what} are defined for p >= 1, got {p}")
     return q
+
+
+def read_values(path) -> np.ndarray:
+    """The whitespace-separated numbers of a text file, as a float array.
+    NumPy parses each token as float() does: same bits, same ValueError."""
+    return np.array(Path(path).read_text().split(), dtype=float)
 
 
 def _check_finite(values: np.ndarray, label: str) -> np.ndarray:
@@ -329,8 +335,7 @@ class EmpiricalModel(RandomVariableModel):
 
     @classmethod
     def from_file(cls, path) -> "EmpiricalModel":
-        # NumPy parses each token as float() does: same bits, same ValueError
-        return cls(np.array(Path(path).read_text().split(), dtype=float), label=f"empirical:{path}")
+        return cls(read_values(path), label=f"empirical:{path}")
 
     @property
     def power_mean_size(self) -> int:
@@ -342,7 +347,7 @@ class EmpiricalModel(RandomVariableModel):
 
     def lp_norm(self, p):
         out = power_mean(self._moments, p)
-        top = p if type(p) is float else float(np.max(p))
+        top = p if type(p) is float else float(np.max(p, initial=1.0))
         if top > self._stable_p:
             warnings.warn(
                 f"plug-in moment at p={top:g} with n={self.values.size} is dominated by the sample maximum",

@@ -93,75 +93,67 @@ class NormResult:
 
 
 def _ratio_fn(model: RandomVariableModel, psi: GeneratingFunction):
-    """p -> |f|_p / psi(p).  Its ``parts`` attribute gives the numerator
-    and denominator apart, with the same bits, when the pruned search
-    applies, and is None otherwise.
-
-    The cell bound of the pruned search needs |f|_p nondecreasing, which a
-    power mean is exactly (a density moment only to its quadrature noise,
-    1e-8), and psi nondecreasing, which its strictly_increasing flag
-    promises.  On small arrays the full scan is cheaper.  ``ratio`` repeats
-    the operations of ``parts`` instead of calling it: scalar refinement
-    calls it thousands of times per norm.
-    """
+    """p -> (|f|_p, psi(p)), the numerator and denominator of the ratio."""
     if psi.source is model:
         # psi(p) = |f|_p / |f|_1 of this very model: one moment per p serves
         # both, and m / (m / m1) is the division the two-call route makes
         m1 = float(model.lp_norm(1.0))
 
-        def parts(p):
+        def pair(p):
             m = model.lp_norm(p)
             return m, m / m1
 
-        def ratio(p):
-            m = model.lp_norm(p)
-            return m / (m / m1)
-
     else:
 
-        def parts(p):
+        def pair(p):
             return model.lp_norm(p), psi_eval(psi, p)
 
-        def ratio(p):
-            return model.lp_norm(p) / psi_eval(psi, p)
-
-    prunable = model.power_mean_size >= _PRUNE_MIN_VALUES and psi.strictly_increasing
-    ratio.parts = parts if prunable else None
-    return ratio
+    return pair
 
 
-def _sup_norm(ratio, p_max: float, rows: np.ndarray, points: np.ndarray, grid: bool = False) -> NormResult:
-    """sup of ``ratio`` over the scan rows and the exact points.
+def _sup_norm(
+    model: RandomVariableModel,
+    psi: GeneratingFunction,
+    p_max: float,
+    rows: np.ndarray,
+    points: np.ndarray,
+    grid: bool = False,
+) -> NormResult:
+    """sup of |f|_p / psi(p) over the scan rows and the exact points.
 
     Every row of ``rows`` is an increasing scan grid of one interval,
-    refined by sup_rows, which prunes with the ratio's ``parts`` when it
-    has them, against the best exact-point value too; ``points`` are
-    evaluated exactly, all in one array call.  The best value wins, ties
-    going to the smallest p, and n_evaluations counts every point the
-    ratio was asked for, including those of a call that raised.  The edge
-    evidence decreasing_at_hi is the last row's when that row ends at
-    p_max (True when none does); with ``grid`` the points are a grid, the
-    evidence is its last three ratios, and the result carries the 1-based
-    arg_index.
+    refined by sup_rows; ``points`` are evaluated exactly, all in one
+    array call.  The best value wins, ties going to the smallest p, and
+    n_evaluations counts every point the ratio was asked for, including
+    those of a call that raised.  The edge evidence decreasing_at_hi is
+    the last row's when that row ends at p_max (True when none does);
+    with ``grid`` the points are a grid, the evidence is its last three
+    ratios, and the result carries the 1-based arg_index.
+
+    The scan is pruned, against the best exact-point value too, when the
+    moment is a power mean of at least _PRUNE_MIN_VALUES values and psi is
+    flagged strictly_increasing.  The cell bound needs |f|_p nondecreasing,
+    which a power mean is exactly (a density moment only to its quadrature
+    noise, 1e-8), and psi nondecreasing; on small arrays the full scan is
+    cheaper.
     """
+    pair = _ratio_fn(model, psi)
     asked = [0]
 
-    def counted(p):
+    def parts(p):
         # scalar refinement passes floats, on which np.size costs about 2 us a call
         asked[0] += p.size if isinstance(p, np.ndarray) else 1
-        return ratio(p)
+        return pair(p)
 
-    # a wrapped ratio (the benchmark tracer's) has no parts: full scan
-    parts = getattr(ratio, "parts", None)
+    def ratio(p):
+        num, den = parts(p)
+        return num / den
 
-    def counted_parts(p):
-        asked[0] += p.size
-        return parts(p)
-
+    prune = model.power_mean_size >= _PRUNE_MIN_VALUES and psi.strictly_increasing
     try:
-        at_points = _eval_array(counted, points)
+        at_points = _eval_array(ratio, points)
         floor = float(at_points.max()) if at_points.size else -math.inf
-        found = sup_rows(counted, rows, parts=counted_parts if parts else None, floor=floor)
+        found = sup_rows(ratio, rows, parts=parts if prune else None, floor=floor)
     except DivergentMomentError as exc:
         return NormResult(math.inf, float(exc.p), float(p_max), False, asked[0])
     vals = np.concatenate([at_points, found.values])
@@ -205,7 +197,7 @@ def gls_norm(
     span = lo < hi
     rows = np.geomspace(lo[span], hi[span], max(int(n_points), 2), axis=1)
     rows[:, 0], rows[:, -1] = lo[span], hi[span]
-    return _sup_norm(_ratio_fn(model, psi), p_max, rows, lo[~span])
+    return _sup_norm(model, psi, p_max, rows, lo[~span])
 
 
 def restricted_norm(
@@ -217,7 +209,7 @@ def restricted_norm(
 
 def discrete_norm(model: RandomVariableModel, psi: GeneratingFunction, q: GridSequence) -> NormResult:
     """max over the stored grid of |f|_{q(m)} / psi(q(m)); exact enumeration."""
-    return _sup_norm(_ratio_fn(model, psi), q.values[-1], np.empty((0, 2)), q.values, grid=True)
+    return _sup_norm(model, psi, q.values[-1], np.empty((0, 2)), q.values, grid=True)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +312,7 @@ def _cellwise_full_norm(model: RandomVariableModel, psi: GeneratingFunction, gtr
     v = gtr.values
     xs = np.linspace(v[:-1], v[1:], _CELL_POINTS, axis=1)
     xs[:, 0], xs[:, -1] = v[:-1], v[1:]
-    return _sup_norm(_ratio_fn(model, psi), v[-1], xs, np.empty(0))
+    return _sup_norm(model, psi, v[-1], xs, np.empty(0))
 
 
 def sandwich_check_discrete(

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -84,7 +85,6 @@ class SupremumResult:
     value: float
     arg: float
     decreasing_at_hi: bool
-    n_evaluations: int
 
     def __float__(self) -> float:
         return self.value
@@ -92,14 +92,12 @@ class SupremumResult:
 
 class RowSupremum(NamedTuple):
     """Per-row outcome of sup_rows; see SupremumResult for the fields.
-    ``n_evaluations`` counts every point ``f`` saw, over all rows,
-    ``plateaus`` the brackets left unrefined because they were flat, and
-    ``pruned`` the cells a pruned scan dropped unevaluated."""
+    ``plateaus`` counts the brackets left unrefined because they were
+    flat, and ``pruned`` the cells a pruned scan dropped unevaluated."""
 
     values: np.ndarray
     args: np.ndarray
     decreasing_at_hi: np.ndarray
-    n_evaluations: int
     plateaus: int
     pruned: int
 
@@ -152,7 +150,7 @@ def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float):
     ``f_lo`` / ``f_hi`` are the values already known at the bracket ends.
     Each iteration moves every bracket still wider than its stopping
     width and evaluates ``f`` once on the array of new points.  Returns
-    (args, values, number of points evaluated).
+    (args, values).
     """
     best_x, best_v = lo.copy(), f_lo.copy()
     up = f_hi > best_v
@@ -163,7 +161,6 @@ def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float):
     k = lo.size
     f12 = _eval_array(f, np.concatenate([x1, x2]))
     f1, f2 = f12[:k], f12[k:]
-    n_eval = 2 * k
     width_tol = tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     for _ in range(_MAX_ITER):
         act = np.flatnonzero(b - a > width_tol)
@@ -177,12 +174,11 @@ def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float):
         x2[R] = a[R] + INV_PHI * (b[R] - a[R])
         x = np.where(go_left, x1[act], x2[act])
         v = _eval_array(f, x)
-        n_eval += act.size
         f1[L], f2[R] = v[go_left], v[~go_left]
         better = (v > best_v[act]) | ((v == best_v[act]) & (x < best_x[act]))
         won = act[better]
         best_x[won], best_v[won] = x[better], v[better]
-    return best_x, best_v, n_eval
+    return best_x, best_v
 
 
 def sup_rows(
@@ -221,12 +217,11 @@ def sup_rows(
     pruned = 0
     if parts is not None and xs.size:
         try:
-            ys, known, pruned, n_eval = _pruned_scan(f, xs, parts, floor)
+            ys, known, pruned = _pruned_scan(f, xs, parts, floor)
         except (DomainError, DivergentMomentError):
             known = None
     if known is None:
         ys = _eval_array(f, xs.ravel()).reshape(rows, n)
-        n_eval = xs.size
     pad = np.full((rows, 1), -np.inf)
     peak = (ys >= np.hstack([pad, ys[:, :-1]])) & (ys >= np.hstack([ys[:, 1:], pad]))
     if known is not None:
@@ -244,23 +239,14 @@ def sup_rows(
     flat = (cand_v[k] - ys[r[k], il[k]] <= near) & (cand_v[k] - ys[r[k], ih[k]] <= near)
     k = k[~flat]
     if k.size <= SCALAR_BRACKETS:
-        count = [0]
-
-        def refine_f(x: float) -> float:
-            count[0] += 1
-            return _eval_scalar(f, x)
-
         # Python floats in, so the golden-section arithmetic and the ratio
         # take float paths (same IEEE operations as on numpy scalars)
         ends = zip(bl[k].tolist(), bh[k].tolist())
+        refine_f = partial(_eval_scalar, f)
         refined = [golden_section_max(refine_f, a, b, tol=refine_tol) for a, b in ends]
         ref_x, ref_v = np.array(refined, dtype=float).reshape(-1, 2).T
-        n_eval += count[0]
     else:
-        ref_x, ref_v, n_ref = _golden_lockstep(
-            f, bl[k], ys[r[k], il[k]], bh[k], ys[r[k], ih[k]], refine_tol
-        )
-        n_eval += n_ref
+        ref_x, ref_v = _golden_lockstep(f, bl[k], ys[r[k], il[k]], bh[k], ys[r[k], ih[k]], refine_tol)
     keep = ~(cand_v[k] > ref_v)
     cand_x[k[keep]], cand_v[k[keep]] = ref_x[keep], ref_v[keep]
     # per row: largest value, then smallest arg; every row has a peak
@@ -270,9 +256,7 @@ def sup_rows(
         decreasing = (ys[:, -3] > ys[:, -2]) & (ys[:, -2] > ys[:, -1])
     else:
         decreasing = np.zeros(rows, dtype=bool)
-    return RowSupremum(
-        cand_v[first], cand_x[first], decreasing, int(n_eval), int(np.count_nonzero(flat)), pruned
-    )
+    return RowSupremum(cand_v[first], cand_x[first], decreasing, int(np.count_nonzero(flat)), pruned)
 
 
 def cell_bounds(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -286,9 +270,9 @@ def cell_bounds(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 def _pruned_scan(f, xs: np.ndarray, parts, floor: float):
     """The scan of sup_rows, pruned by the cell bounds of ``parts``.
 
-    Returns (ys, known, pruned cells, points evaluated): ``ys`` holds the
-    value of every evaluated point and -inf elsewhere, ``known`` marks the
-    evaluated points.  One call of ``parts``, one array call of ``f``.
+    Returns (ys, known, pruned cells): ``ys`` holds the value of every
+    evaluated point and -inf elsewhere, ``known`` marks the evaluated
+    points.  One call of ``parts``, one array call of ``f``.
     """
     rows, n = xs.shape
     coarse = np.zeros(n, dtype=bool)
@@ -314,7 +298,7 @@ def _pruned_scan(f, xs: np.ndarray, parts, floor: float):
     ys = np.full((rows, n), -np.inf)
     ys[:, c] = yc
     ys[fine] = _eval_array(f, xs[fine])
-    return ys, need | coarse, int(live.size - np.count_nonzero(live)), yc.size + int(np.count_nonzero(fine))
+    return ys, need | coarse, int(live.size - np.count_nonzero(live))
 
 
 def grid_refine_supremum(
@@ -328,13 +312,12 @@ def grid_refine_supremum(
 
     The scan grid is geometrically spaced by default (suited to moment
     ratios that vary on a log scale in p); the search is sup_rows on one
-    row.  ``f`` must accept an array of points (see _eval_array);
-    ``n_evaluations`` counts the scan points and every refinement point.
+    row.  ``f`` must accept an array of points (see _eval_array).
     """
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
-        return SupremumResult(_eval_scalar(f, lo), lo, True, 1)
+        return SupremumResult(_eval_scalar(f, lo), lo, True)
     n_points = max(int(n_points), 2)
     if geometric and lo > 0:
         xs = np.geomspace(lo, hi, n_points)
@@ -342,9 +325,7 @@ def grid_refine_supremum(
         xs = np.linspace(lo, hi, n_points)
     xs[0], xs[-1] = lo, hi
     res = sup_rows(f, xs[None, :])
-    return SupremumResult(
-        float(res.values[0]), float(res.args[0]), bool(res.decreasing_at_hi[0]), res.n_evaluations
-    )
+    return SupremumResult(float(res.values[0]), float(res.args[0]), bool(res.decreasing_at_hi[0]))
 
 
 def sampled_min(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:

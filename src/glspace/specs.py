@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -43,6 +42,7 @@ from .models import (
     exponential_model,
     gaussian_model,
     rademacher_model,
+    read_values,
     uniform01_model,
 )
 
@@ -190,8 +190,7 @@ def load_group_function(path, G: FiniteGroup) -> np.ndarray:
     """Read one value per line, ordered by element index (the order each
     constructor documents)."""
     try:
-        tokens = Path(path).read_text().split()
-        values = _check_finite(np.array([float(t) for t in tokens]), str(path))
+        values = _check_finite(read_values(path), str(path))
     except (OSError, ValueError) as exc:
         raise SpecParseError(f"cannot load group function {path!r}: {exc}") from exc
     if values.size != G.order:

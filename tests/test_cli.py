@@ -95,6 +95,19 @@ def test_non_finite_group_function_exits_2(capsys, tmp_path, bad):
     assert f"value {bad} at index 1" in err
 
 
+def test_overflowing_grid_exits_2_naming_it(capsys, recwarn):
+    code, out, err = run_cli(
+        capsys,
+        "norm",
+        "--model", "gaussian",
+        "--psi", "power_slowvary(r=2)",
+        "--grid", "geometric:D=2:M=2000",
+    )
+    assert code == 2 and out == ""
+    assert "grid:geometric:D=2:M=2000" in err and "overflows" in err
+    assert len(recwarn) == 0
+
+
 def test_norm_requires_a_model(capsys):
     code, _, err = run_cli(capsys, "norm", "--psi", "power_slowvary(r=2)")
     assert code == 2 and "model" in err

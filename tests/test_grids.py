@@ -18,6 +18,7 @@ from glspace import (
     make_power_slowvary,
     natural_psi,
     rademacher_model,
+    sandwich_check_discrete,
     sandwich_check_restricted,
     set_from_spec,
     sqrt_dip_psi,
@@ -87,6 +88,36 @@ def test_invalid_grids_rejected():
         GridSequence([1.0, 1.0, 2.0])
     with pytest.raises(DomainError):
         GridSequence([])
+
+
+@pytest.mark.parametrize("values, i", [([1.0, 2.0, math.inf], 2), ([1.0, math.nan, 3.0], 1), ([1.0, math.inf, math.inf], 1)])
+def test_non_finite_grid_values_are_rejected_naming_the_index(values, i):
+    # inf - inf is NaN, which no strictly-increasing check catches
+    with pytest.raises(DomainError, match=rf"^grid:custom: value {values[i]} at index {i} is not finite$"):
+        GridSequence(values)
+
+
+def test_geometric_grid_rejects_an_overflowing_length():
+    assert geometric_grid(2, 1023).values[-1] == 2.0**1023 - 1.0
+    with pytest.raises(DomainError, match=r"^grid:geometric:D=2:M=1024: q\(M\) = D\^M - D \+ 1 overflows a float"):
+        geometric_grid(2, 1024)
+    with pytest.raises(DomainError, match=r"D=2:M=1100"):
+        geometric_grid(2, 1100)
+
+
+def test_generator_extension_past_the_floats_is_a_truncation():
+    q = geometric_grid(2, 10)
+    # the doubling search overshoots into overflow and still finds q(997)
+    assert q.first_index_at_least(1e300) == 997
+    assert q.first_index_at_least(2.0**1023) == 1023
+    with pytest.raises(TruncationError, match=r"overflows a float at q\(1024\) before reaching 1e\+308"):
+        q.first_index_at_least(1e308)
+    with pytest.raises(TruncationError, match=r"q\(1024\) overflows a float"):
+        q.value_at(1024)
+    with pytest.raises(TruncationError, match=r"D=2:M=10 overflows a float"):
+        RestrictedSet.from_grid(q).p_plus(1e308)
+    with pytest.raises(TruncationError, match=r"D=2:M=10 overflows a float"):
+        sandwich_check_discrete(rademacher_model(), root_psi(), q, p_max=1e308)
 
 
 # ---------------------------------------------------------------------------

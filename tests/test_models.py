@@ -12,18 +12,24 @@ from glspace import (
     DomainError,
     EmpiricalModel,
     EmptyBatchError,
+    GroupFunctionModel,
     MomentInstabilityWarning,
     PowerSlowVaryParams,
+    RestrictedSet,
     UnsupportedBackendError,
     constant_model,
+    cyclic_group,
     empirical_survival,
     exponential_model,
     gaussian_density_model,
     gaussian_model,
     gls_norm,
+    group_lp_norm,
     make_power_slowvary,
+    psi_eval,
     rademacher_model,
     sample,
+    sqrt_dip_psi,
     uniform01_model,
 )
 from glspace.models import (
@@ -60,6 +66,31 @@ def test_moments_reject_p_below_one():
         gaussian_model().lp_norm(0.5)
     with pytest.raises(DomainError):
         uniform01_model().lp_norm(np.array([2.0, 0.3]))
+
+
+def test_nan_p_is_rejected_as_p_below_one_is():
+    nan = math.nan
+    calls = [
+        lambda: gaussian_model().lp_norm(nan),
+        lambda: gaussian_model().lp_norm(np.float64(nan)),
+        lambda: EmpiricalModel([1.0, 2.0]).lp_norm(np.array([2.0, nan])),
+        lambda: gaussian_density_model().lp_norm(nan),
+        lambda: group_lp_norm(cyclic_group(3), np.ones(3), nan),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=r"^moments are defined for p >= 1, got .*nan"):
+            call()
+    with pytest.raises(DomainError, match=r"^generating functions are defined for p >= 1, got nan$"):
+        psi_eval(sqrt_dip_psi(), nan)
+    with pytest.raises(DomainError, match=r"p_plus is defined for p >= 1"):
+        RestrictedSet.full().p_plus(nan)
+
+
+def test_empty_array_of_p_gives_an_empty_array():
+    G = cyclic_group(2)
+    for model in (gaussian_model(), EmpiricalModel([1.0, 2.0]), GroupFunctionModel(G, [1.0, 2.0])):
+        out = model.lp_norm(np.array([]))
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
 
 
 @pytest.mark.parametrize(

@@ -204,7 +204,12 @@ def _per_segment_norm(model, psi, S, p_max=200.0):
     """gls_norm as a loop: grid_refine_supremum on each interval and a
     scalar ratio call on each point, the best value winning and ties
     going to the smallest p."""
-    ratio = _ratio_fn(model, psi)
+    pair = _ratio_fn(model, psi)
+
+    def ratio(p):
+        num, den = pair(p)
+        return num / den
+
     best_val, best_arg, edge = -math.inf, math.inf, True
     for a, b in S.segments:
         a, b = max(a, 1.0), min(b, p_max)

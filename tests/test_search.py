@@ -3,9 +3,18 @@
 import numpy as np
 import pytest
 
-from glspace import constant_model, gaussian_model, integer_grid, natural_psi, psi_eval, sqrt_dip_psi, w_hat_constant
+from glspace import (
+    constant_model,
+    gaussian_model,
+    gls_norm,
+    integer_grid,
+    natural_psi,
+    psi_eval,
+    sqrt_dip_psi,
+    w_hat_constant,
+)
 from glspace.norms import _cellwise_full_norm, _ratio_fn
-from glspace import search
+from glspace import norms, search
 from glspace.search import SCALAR_BRACKETS, _golden_lockstep, golden_section_max, grid_refine_supremum, sup_rows
 
 
@@ -25,18 +34,47 @@ def _multi_peak(x):
     return np.where(x < 10.0, np.floor(6.0 * _tri(x)) / 6.0, _tri(1.7 * x) * (1.0 + 0.01 * x))
 
 
-def test_n_evaluations_counts_every_refinement_call():
+def _counted(f):
+    """``f`` and a one-element list that counts the points it is asked for."""
     seen = [0]
 
     def counted(p):
         seen[0] += np.size(p)
-        return _multi_peak(p)
+        return f(p)
 
+    return counted, seen
+
+
+def _ratio(model, psi):
+    """p -> |f|_p / psi(p), the quotient of the norm's (numerator,
+    denominator) pair."""
+    pair = _ratio_fn(model, psi)
+
+    def ratio(p):
+        num, den = pair(p)
+        return num / den
+
+    return ratio
+
+
+def test_n_evaluations_counts_every_refinement_call(monkeypatch):
+    counted, seen = _counted(_multi_peak)
     res = grid_refine_supremum(counted, 1.0, 200.0)
     # the peaks past p = 10 are refined; the flat steps below it are not
-    assert res.n_evaluations == seen[0]
-    assert res.n_evaluations > 512
+    assert seen[0] > 512
     assert res.value == float(_multi_peak(res.arg)) > 2.0
+    # a norm counts every point of its scan and of its refinement, as a
+    # wrapper around its ratio sees them
+    counts = []
+
+    def counted_ratio_fn(model, psi):
+        counted, seen = _counted(_ratio_fn(model, psi))
+        counts.append(seen)
+        return counted
+
+    monkeypatch.setattr(norms, "_ratio_fn", counted_ratio_fn)
+    res = gls_norm(gaussian_model(), sqrt_dip_psi())
+    assert res.n_evaluations == counts[0][0] > 512
 
 
 def test_lockstep_matches_golden_section_bit_for_bit():
@@ -47,7 +85,8 @@ def test_lockstep_matches_golden_section_bit_for_bit():
     lo[:20], hi[:20] = 2.0 + 0.01 * np.arange(20), 2.1 + 0.01 * np.arange(20)
     lo[20:40], hi[20:40] = 3.5 + 0.01 * np.arange(20), 4.0
     for tol in (1e-10, 1e-12):
-        args, vals, n_eval = _golden_lockstep(_multi_peak, lo, _multi_peak(lo), hi, _multi_peak(hi), tol)
+        lock_f, n_eval = _counted(_multi_peak)
+        args, vals = _golden_lockstep(lock_f, lo, _multi_peak(lo), hi, _multi_peak(hi), tol)
         calls = [0]
 
         def scalar_f(x):
@@ -58,7 +97,7 @@ def test_lockstep_matches_golden_section_bit_for_bit():
             arg, val = golden_section_max(scalar_f, lo[k], hi[k], tol=tol)
             assert (args[k], vals[k]) == (arg, val), k
         # same points, except the bracket ends the lockstep path already knew
-        assert n_eval == calls[0] - 2 * lo.size
+        assert n_eval[0] == calls[0] - 2 * lo.size
     # the cases the brackets were built to hit
     assert np.any(args[:20] == lo[:20]) and np.any(args[20:40] == hi[20:40])
 
@@ -69,18 +108,17 @@ def _cells(q):
 
 def test_cellwise_norm_equals_a_per_cell_search():
     model, psi, q = gaussian_model(), sqrt_dip_psi(), integer_grid(256)
-    ratio = _ratio_fn(model, psi)
-    best_val, best_arg, n_eval = -np.inf, np.inf, 0
+    ratio, n_eval = _counted(_ratio(model, psi))
+    best_val, best_arg = -np.inf, np.inf
     for a, b in _cells(q):
         res = grid_refine_supremum(ratio, a, b, n_points=64, geometric=False)
         if res.value > best_val or (res.value == best_val and res.arg < best_arg):
             best_val, best_arg = res.value, res.arg
-        n_eval += res.n_evaluations
     batched = _cellwise_full_norm(model, psi, q)
     assert (batched.value, batched.arg_p) == (best_val, best_arg)
     assert batched.decreasing_at_hi == res.decreasing_at_hi
     # the same points are searched; the per-cell loop re-evaluates bracket ends
-    assert batched.n_evaluations <= n_eval
+    assert batched.n_evaluations <= n_eval[0]
 
 
 def test_w_hat_equals_a_per_cell_minimum():
@@ -104,7 +142,7 @@ def test_w_hat_equals_a_per_cell_minimum():
 
 def test_flat_ratio_refines_in_few_array_calls():
     model = constant_model(3.0)
-    ratio = _ratio_fn(model, natural_psi(model))
+    ratio = _ratio(model, natural_psi(model))
     calls, points = [0], [0]
 
     def counted(p):
@@ -115,7 +153,7 @@ def test_flat_ratio_refines_in_few_array_calls():
     res = grid_refine_supremum(counted, 1.0, 200.0)
     assert (res.value, res.arg) == (3.0, 1.0)
     # every scan point is a plateau: the scan is the only call
-    assert res.n_evaluations == points[0] == 512
+    assert points[0] == 512
     assert calls[0] == 1
 
 
@@ -172,10 +210,12 @@ def test_plateaus_are_counted_and_not_refined():
     xs = np.geomspace(1.0, 200.0, 64)[None, :]
     # ulp noise on a constant, as a natural psi's ratio shows
     ys = 0.5 + np.spacing(0.5) * np.resize([0.0, 2.0, 1.0], 64)
-    flat = sup_rows(lambda x: np.interp(x, xs[0], ys), xs)
+    f, seen = _counted(lambda x: np.interp(x, xs[0], ys))
+    flat = sup_rows(f, xs)
     # each local maximum (every third point) is a plateau; the scan is all
-    assert (flat.plateaus, flat.n_evaluations) == (np.count_nonzero(ys == ys.max()), 64)
+    assert (flat.plateaus, seen[0]) == (np.count_nonzero(ys == ys.max()), 64)
     assert (flat.values[0], flat.args[0]) == (ys.max(), xs[0, 1])
     peaks, f = _one_peak_per_row(3)
+    f, seen = _counted(f)
     res = sup_rows(f, peaks)
-    assert res.plateaus == 0 and res.n_evaluations > peaks.size
+    assert res.plateaus == 0 and seen[0] > peaks.size

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from glspace import (
+    EmpiricalModel,
     SizeMismatchError,
     SpecParseError,
     cyclic_group,
@@ -83,3 +85,14 @@ def test_group_function_loading(tmp_path):
         load_group_function(path, cyclic_group(4))
     with pytest.raises(SpecParseError):
         load_group_function(tmp_path / "missing.txt", G3)
+
+
+def test_group_function_and_sample_files_parse_alike(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_text("0.1 -2.5e-3\n1_0 .5\n")
+    np.testing.assert_array_equal(load_group_function(path, cyclic_group(4)), EmpiricalModel.from_file(path).values)
+    path.write_text("1.0 abc 2.0\n")
+    with pytest.raises(SpecParseError, match=r"could not convert string to float: 'abc'$"):
+        load_group_function(path, cyclic_group(3))
+    with pytest.raises(ValueError, match=r"^could not convert string to float: 'abc'$"):
+        EmpiricalModel.from_file(path)
