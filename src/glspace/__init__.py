@@ -65,6 +65,7 @@ from .models import (
     DensityModel,
     EmpiricalModel,
     MomentInstabilityWarning,
+    PowerMeanModel,
     RandomVariableModel,
     SampleBatch,
     constant_model,

@@ -20,6 +20,7 @@ the cell [q(m), q(m+1)].
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -83,6 +84,8 @@ class GridSequence:
 
     def first_index_at_least(self, p: float) -> int:
         """Smallest m with q(m) >= p; extends through the generator."""
+        if math.isnan(p):
+            raise DomainError(f"{self.description}: no grid index for p={p}")
         if p <= self.values[-1]:
             return int(np.searchsorted(self.values, p, side="left")) + 1
         if self.generator is None:
@@ -268,6 +271,28 @@ class EquivalenceConstant:
         return self.value
 
 
+def _check_monotone(psi: GeneratingFunction, end: float, advice: str) -> None:
+    """Pass when psi is flagged strictly increasing or sampled nondecreasing
+    on [1, end]; else NonMonotoneError naming the window, then ``advice``."""
+    if not psi.strictly_increasing and not psi_validate(psi, p_max=end).monotone:
+        raise NonMonotoneError(f"{psi.description} is not nondecreasing on [1, {end:g}]; {advice}")
+
+
+def _grid_constant(kind: str, ratios: np.ndarray, args: np.ndarray) -> EquivalenceConstant:
+    """Z, W or W^ from its per-cell ratios and per-cell ``args``: the first
+    maximum and the tail evidence."""
+    idx = int(np.argmax(ratios))
+    tail_increasing = ratios.size >= 3 and ratios[-1] > ratios[-2] > ratios[-3]
+    return EquivalenceConstant(
+        kind=kind,
+        value=float(ratios[idx]),
+        arg=float(args[idx]),
+        tail_ratio=float(ratios[-1]),
+        tail_increasing=bool(tail_increasing),
+        detail="ratios still increasing at truncation" if tail_increasing else "",
+    )
+
+
 def z_constant(S: RestrictedSet, psi: GeneratingFunction) -> EquivalenceConstant:
     """Z = sup_p psi(p+(p))/psi(p), by structural analysis of the gaps.
 
@@ -280,62 +305,34 @@ def z_constant(S: RestrictedSet, psi: GeneratingFunction) -> EquivalenceConstant
     nothing beyond its last point, so p_plus diverges there and Z = +inf
     with an unbounded-gap marker.
     """
-    rset = S
-    gaps = rset.gaps()
-    detail = ""
-    extended = rset.grid is not None and rset.grid.generator is not None
+    gaps = S.gaps()
+    extended = S.grid is not None and S.grid.generator is not None
     if extended:
         # the stored points are a truncation; extend a few gaps past the
         # end so the reported tail ratio reflects the true sequence
-        last = rset.grid.M
-        ext = [rset.grid.value_at(m) for m in range(last, last + _Z_TAIL_TERMS + 1)]
+        last = S.grid.M
+        ext = [S.grid.value_at(m) for m in range(last, last + _Z_TAIL_TERMS + 1)]
         gaps = gaps + [(ext[i], ext[i + 1]) for i in range(_Z_TAIL_TERMS)]
-    # gaps run in increasing order, so the last one ends highest
-    if gaps and not psi.strictly_increasing and not psi_validate(psi, p_max=gaps[-1][1]).monotone:
-        raise NonMonotoneError(
-            f"{psi.description} is not nondecreasing on [1, {gaps[-1][1]:g}]; the gap analysis "
-            "for Z needs monotone psi (use the W^ cell-minimum machinery instead)"
+    if gaps:
+        # gaps run in increasing order, so the last one ends highest
+        _check_monotone(
+            psi, gaps[-1][1], "the gap analysis for Z needs monotone psi (use the W^ cell-minimum machinery instead)"
         )
-    if not extended and math.isfinite(rset.sup_value) and rset.windowed_at is None:
+    if not extended and math.isfinite(S.sup_value) and S.windowed_at is None:
         # nothing beyond the last point: p_plus diverges there, so no
         # finite Z compares the set against the untruncated full norm
         return EquivalenceConstant(
             kind="Z",
             value=math.inf,
-            arg=rset.sup_value,
+            arg=S.sup_value,
             unbounded=True,
-            detail=f"set has no elements beyond {rset.sup_value:g}; p_plus diverges there",
+            detail=f"set has no elements beyond {S.sup_value:g}; p_plus diverges there",
         )
     if not gaps:
         return EquivalenceConstant(kind="Z", value=1.0, arg=1.0, detail="set has no gaps")
-
-    ratios = [psi_eval(psi, hi) / psi_eval(psi, lo) for lo, hi in gaps]
-    idx = int(np.argmax(ratios))
-    tail_increasing = len(ratios) >= 3 and ratios[-1] > ratios[-2] > ratios[-3]
-    if tail_increasing:
-        detail = "gap ratios still increasing at truncation; value may understate Z"
-    return EquivalenceConstant(
-        kind="Z",
-        value=max(1.0, ratios[idx]),
-        arg=gaps[idx][0],
-        tail_ratio=ratios[-1],
-        tail_increasing=tail_increasing,
-        detail=detail,
-    )
-
-
-def _grid_constant(kind: str, ratios: np.ndarray) -> EquivalenceConstant:
-    """W or W^ from its per-cell ratios: the first maximum and the tail evidence."""
-    idx = int(np.argmax(ratios))
-    tail_increasing = ratios.size >= 3 and ratios[-1] > ratios[-2] > ratios[-3]
-    return EquivalenceConstant(
-        kind=kind,
-        value=float(ratios[idx]),
-        arg=float(idx + 1),
-        tail_ratio=float(ratios[-1]),
-        tail_increasing=bool(tail_increasing),
-        detail="ratios still increasing at truncation" if tail_increasing else "",
-    )
+    lo, hi = (np.array(ends) for ends in zip(*gaps))
+    z = _grid_constant("Z", psi_eval(psi, hi) / psi_eval(psi, lo), lo)
+    return dataclasses.replace(z, value=max(1.0, z.value))
 
 
 def w_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConstant:
@@ -343,7 +340,7 @@ def w_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConstant:
     if q.M < 2:
         raise DomainError("W needs at least two grid points")
     vals = psi_eval(psi, q.values)
-    return _grid_constant("W", vals[1:] / vals[:-1])
+    return _grid_constant("W", vals[1:] / vals[:-1], np.arange(1.0, q.M))
 
 
 def w_hat_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConstant:
@@ -359,4 +356,4 @@ def w_hat_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConst
         raise DomainError("W^ needs at least two grid points")
     v = q.values
     mins = sampled_min(lambda p: psi_eval(psi, p), v[:-1], v[1:])
-    return _grid_constant("W_hat", psi_eval(psi, v[1:]) / mins)
+    return _grid_constant("W_hat", psi_eval(psi, v[1:]) / mins, np.arange(1.0, q.M))

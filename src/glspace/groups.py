@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .errors import DomainError, GroupAxiomError, SizeMismatchError, SpecParseError
 from .generating import GeneratingFunction
 from .grids import RestrictedSet
-from .models import PowerMeanState, RandomVariableModel, _check_finite, power_mean
+from .models import PowerMeanModel, _check_finite, power_mean
 from .norms import gls_norm
 
 _EXHAUSTIVE_ASSOC_LIMIT = 128
@@ -174,11 +173,13 @@ def make_group(spec: str) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 # Functions on a group
 
-def _check_values(G: FiniteGroup, f) -> np.ndarray:
+def _check_values(G: FiniteGroup, f, label: Optional[str] = None) -> np.ndarray:
+    """``f`` as a flat float array, or SizeMismatchError when it has not one
+    value per element of G, or DomainError naming its first non-finite one."""
     arr = np.asarray(f, dtype=float).ravel()
     if arr.size != G.order:
         raise SizeMismatchError(f"function has {arr.size} values on a group of order {G.order}")
-    return arr
+    return _check_finite(arr, label or f"function on {G.name}")
 
 
 def unit_function(G: FiniteGroup) -> np.ndarray:
@@ -202,25 +203,19 @@ def group_lp_norm(G: FiniteGroup, f, p) -> float:
     return power_mean(np.abs(_check_values(G, f)), p)
 
 
-class GroupFunctionModel(RandomVariableModel):
+class GroupFunctionModel(PowerMeanModel):
     """A function on a finite group viewed through its moment map.
 
-    The normalized measure is a probability, so all the norm machinery
-    (restricted, discrete, sandwich) applies verbatim.
+    The normalized measure is a probability, so the function is a random
+    variable like a sample (the same power-mean moments, without the
+    sample's plug-in warning) and all the norm machinery (restricted,
+    discrete, sandwich) applies verbatim.
     """
 
     def __init__(self, group: FiniteGroup, values, label: Optional[str] = None):
+        label = label or f"fn-on-{group.name}"
+        super().__init__(_check_values(group, values, label), label)
         self.group = group
-        self.label = label or f"fn-on-{group.name}"
-        self.values = _check_finite(_check_values(group, values), self.label)
-
-    @property
-    def power_mean_size(self) -> int:
-        return self.values.size
-
-    @cached_property
-    def _moments(self) -> PowerMeanState:
-        return PowerMeanState.of(np.abs(self.values))
 
     def lp_norm(self, p):
         return power_mean(self._moments, p)
@@ -313,12 +308,9 @@ def algebra_check(
     domain (it contains 1 by construction).  For normalized psi the
     constant is exactly 1; a non-normalized psi pays its value at 1.
     """
-    fv = _check_values(G, f)
-    gv = _check_values(G, g)
-    cv = convolve(G, fv, gv)
-    fm = GroupFunctionModel(G, fv, label="f")
-    gm = GroupFunctionModel(G, gv, label="g")
-    cm = GroupFunctionModel(G, cv, label="f*g")
+    fm = GroupFunctionModel(G, f, label="f")
+    gm = GroupFunctionModel(G, g, label="g")
+    cm = GroupFunctionModel(G, convolve(G, fm.values, gm.values), label="f*g")
     kw = dict(rset=S) if S is not None else {}
     return AlgebraReport(
         conv_norm=gls_norm(cm, psi, p_max, **kw).value,
@@ -326,9 +318,5 @@ def algebra_check(
         g_norm=gls_norm(gm, psi, p_max, **kw).value,
         constant=psi.value_at_one,
         slack=_ALGEBRA_SLACK,
-        sup_values=(
-            float(np.abs(fv).max()),
-            float(np.abs(gv).max()),
-            float(np.abs(cv).max()),
-        ),
+        sup_values=tuple(float(np.abs(m.values).max()) for m in (fm, gm, cm)),
     )

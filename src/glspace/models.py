@@ -1,8 +1,9 @@
 """Random variables exposed through their L^p moment interface.
 
 Three backends: exact closed-form moment maps for the built-in families,
-density models integrated by adaptive quadrature, and empirical samples
-with plug-in moments.  All moments are taken on a probability space, so
+density models integrated by adaptive quadrature, and stored values with
+power-mean moments (PowerMeanModel: empirical samples here, functions on
+a finite group in groups).  All moments are taken on a probability space, so
 |f|_p is nondecreasing in p; the norm machinery leans on that.
 
 Sampling is deterministic: a (seed, n) pair always regenerates the same
@@ -175,9 +176,6 @@ class RandomVariableModel:
     label: str = "model"
     #: relative tolerance of the moment backend; 0 means exact
     moment_tolerance: float = 0.0
-    #: number of values whose normalized power mean is the moment map, or 0
-    #: when the moments are not power_mean (the norm search prunes by it)
-    power_mean_size: int = 0
 
     def lp_norm(self, p):
         raise NotImplementedError
@@ -235,21 +233,18 @@ class DensityModel(RandomVariableModel):
         self.label = label
         self.density = density
         self.support = (float(support[0]), float(support[1]))
-        self._icdf_table = None
-        self._probe = None
 
-    def _log_probe(self):
+    @cached_property
+    def _probe(self):
         """(x, ln|x|, ln rho(x)) on the probe points |x| = e^t, t in [-30, 30],
         that lie in the support (finite ends included)."""
-        if self._probe is None:
-            a, b = self.support
-            r = np.exp(np.linspace(-30.0, 30.0, 1201))
-            xs = np.concatenate([-r[::-1], r, [x for x in (a, b) if math.isfinite(x) and x != 0.0]])
-            xs = np.unique(xs[(xs >= a) & (xs <= b)])
-            rho = np.array([self.density(float(x)) for x in xs])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                self._probe = (xs, np.log(np.abs(xs)), np.log(rho))
-        return self._probe
+        a, b = self.support
+        r = np.exp(np.linspace(-30.0, 30.0, 1201))
+        xs = np.concatenate([-r[::-1], r, [x for x in (a, b) if math.isfinite(x) and x != 0.0]])
+        xs = np.unique(xs[(xs >= a) & (xs <= b)])
+        rho = np.array([self.density(float(x)) for x in xs])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return xs, np.log(np.abs(xs)), np.log(rho)
 
     def _log_moment(self, p: float) -> float:
         """ln E|f|^p by quadrature of exp(p ln|x| + ln rho(x) - c), then + c.
@@ -259,7 +254,7 @@ class DensityModel(RandomVariableModel):
         the integral is split at that probe point so quad sees the peak.
         """
         a, b = self.support
-        xs, log_x, log_rho = self._log_probe()
+        xs, log_x, log_rho = self._probe
         g = p * log_x + log_rho
         ok = np.flatnonzero(np.isfinite(g))
         if ok.size:
@@ -301,15 +296,15 @@ class DensityModel(RandomVariableModel):
     def supports_sampling(self) -> bool:
         return math.isfinite(self.support[0]) and math.isfinite(self.support[1])
 
-    def _inverse_cdf(self):
-        if self._icdf_table is None:
-            a, b = self.support
-            xs = np.linspace(a, b, 16385)
-            pdf = np.array([self.density(x) for x in xs])
-            cdf = np.concatenate([[0.0], cumulative_trapezoid(pdf, xs)])
-            cdf /= cdf[-1]
-            self._icdf_table = (cdf, xs)
-        return self._icdf_table
+    @cached_property
+    def _icdf_table(self):
+        """(cdf, x) on 16385 even points of the support, for np.interp."""
+        a, b = self.support
+        xs = np.linspace(a, b, 16385)
+        pdf = np.array([self.density(x) for x in xs])
+        cdf = np.concatenate([[0.0], cumulative_trapezoid(pdf, xs)])
+        cdf /= cdf[-1]
+        return cdf, xs
 
     def sample_values(self, n: int, seed: int) -> np.ndarray:
         if not self.supports_sampling:
@@ -317,33 +312,44 @@ class DensityModel(RandomVariableModel):
                 f"{self.label}: inverse-CDF sampling needs a finite support; "
                 "use the matching closed-form family instead"
             )
-        cdf, xs = self._inverse_cdf()
+        cdf, xs = self._icdf_table
         return np.interp(uniform_stream(seed, n), cdf, xs)
 
 
-class EmpiricalModel(RandomVariableModel):
-    """Plug-in moments of a stored sample; sampling bootstraps from it."""
+class PowerMeanModel(RandomVariableModel):
+    """Finitely many stored values of equal weight: a sample under its
+    empirical measure, or a function on a finite group under normalized
+    Haar measure.  |f|_p is their normalized power mean; each subclass
+    defines lp_norm on the cached _moments."""
 
-    def __init__(self, values, label="empirical"):
+    #: what the values are, in the error an empty array raises
+    what = "power-mean model"
+
+    def __init__(self, values, label: str):
         vals = np.asarray(values, dtype=float).ravel()
         if vals.size == 0:
-            raise EmptyBatchError("empirical model needs at least one value")
+            raise EmptyBatchError(f"{self.what} needs at least one value")
         self.values = _check_finite(vals, label)
         self.label = label
-        # beyond this p the plug-in moment is dominated by the sample maximum
-        self._stable_p = 5.0 * math.log(max(vals.size, 2))
-
-    @classmethod
-    def from_file(cls, path) -> "EmpiricalModel":
-        return cls(read_values(path), label=f"empirical:{path}")
-
-    @property
-    def power_mean_size(self) -> int:
-        return self.values.size
 
     @cached_property
     def _moments(self) -> PowerMeanState:
         return PowerMeanState.of(np.abs(self.values))
+
+
+class EmpiricalModel(PowerMeanModel):
+    """Plug-in moments of a stored sample; sampling bootstraps from it."""
+
+    what = "empirical model"
+
+    def __init__(self, values, label="empirical"):
+        super().__init__(values, label)
+        # beyond this p the plug-in moment is dominated by the sample maximum
+        self._stable_p = 5.0 * math.log(max(self.values.size, 2))
+
+    @classmethod
+    def from_file(cls, path) -> "EmpiricalModel":
+        return cls(read_values(path), label=f"empirical:{path}")
 
     def lp_norm(self, p):
         out = power_mean(self._moments, p)

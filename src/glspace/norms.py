@@ -32,17 +32,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DivergentMomentError, DomainError, NonMonotoneError, TruncationError
-from .generating import GeneratingFunction, psi_eval, psi_validate
+from .errors import DivergentMomentError, DomainError, TruncationError
+from .generating import GeneratingFunction, psi_eval
 from .grids import (
     EquivalenceConstant,
     GridSequence,
     RestrictedSet,
+    _check_monotone,
     w_constant,
     w_hat_constant,
     z_constant,
 )
-from .models import EmpiricalModel, RandomVariableModel
+from .models import EmpiricalModel, PowerMeanModel, RandomVariableModel
 from .search import _eval_array, sup_rows
 from .search import grid_refine_supremum  # noqa: F401  unused here; the benchmark tracer patches it
 
@@ -131,8 +132,8 @@ def _sup_norm(
     ratios, and the result carries the 1-based arg_index.
 
     The scan is pruned, against the best exact-point value too, when the
-    moment is a power mean of at least _PRUNE_MIN_VALUES values and psi is
-    flagged strictly_increasing.  The cell bound needs |f|_p nondecreasing,
+    model is a PowerMeanModel of at least _PRUNE_MIN_VALUES values and psi
+    is flagged strictly_increasing.  The cell bound needs |f|_p nondecreasing,
     which a power mean is exactly (a density moment only to its quadrature
     noise, 1e-8), and psi nondecreasing; on small arrays the full scan is
     cheaper.
@@ -149,7 +150,11 @@ def _sup_norm(
         num, den = parts(p)
         return num / den
 
-    prune = model.power_mean_size >= _PRUNE_MIN_VALUES and psi.strictly_increasing
+    prune = (
+        isinstance(model, PowerMeanModel)
+        and model.values.size >= _PRUNE_MIN_VALUES
+        and psi.strictly_increasing
+    )
     try:
         at_points = _eval_array(ratio, points)
         floor = float(at_points.max()) if at_points.size else -math.inf
@@ -341,11 +346,7 @@ def sandwich_check_discrete(
         const = w_hat_constant(gtr, psi)
         full = _cellwise_full_norm(model, psi, gtr)
     else:
-        if not psi.strictly_increasing and not psi_validate(psi, p_max=P).monotone:
-            raise NonMonotoneError(
-                f"{psi.description} is not nondecreasing on [1, {P:g}]; "
-                "the W bound does not apply, pass use_w_hat=True"
-            )
+        _check_monotone(psi, P, "the W bound does not apply, pass use_w_hat=True")
         full = gls_norm(model, psi, P)
         const = w_constant(gtr, psi)
     return _sandwich_report("discrete", model, psi, q.description, P, inner, full, const)

@@ -99,13 +99,9 @@ def psi_from_spec(spec: str) -> GeneratingFunction:
     s = spec.strip()
     m = _PSV_RE.match(s)
     if m:
-        kv = {}
         args = m.group("args").strip()
-        for part in args.split(",") if args else []:
-            key, eq, val = part.partition("=")
-            if not eq:
-                raise SpecParseError(f"expected key=value in {spec!r}, got {part!r}")
-            kv[key.strip()] = _float(val.strip(), f"value for {key.strip()!r}")
+        fields = _kv_fields(args.split(",") if args else [], spec)
+        kv = {key: _float(val, f"value for {key!r}") for key, val in fields.items()}
         unknown = set(kv) - {"r", "delta"}
         if unknown:
             raise SpecParseError(f"unknown parameters {sorted(unknown)} in {spec!r}")

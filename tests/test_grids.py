@@ -13,19 +13,24 @@ from glspace import (
     RestrictedSet,
     TruncationError,
     constant_model,
+    gaussian_model,
     geometric_grid,
     integer_grid,
     make_power_slowvary,
     natural_psi,
+    psi_eval,
     rademacher_model,
     sandwich_check_discrete,
     sandwich_check_restricted,
+    set_fixtures,
     set_from_spec,
     sqrt_dip_psi,
     w_constant,
     w_hat_constant,
     z_constant,
 )
+from glspace.grids import _Z_TAIL_TERMS
+from glspace.suites import psi_pool
 
 
 def root_psi():
@@ -118,6 +123,15 @@ def test_generator_extension_past_the_floats_is_a_truncation():
         RestrictedSet.from_grid(q).p_plus(1e308)
     with pytest.raises(TruncationError, match=r"D=2:M=10 overflows a float"):
         sandwich_check_discrete(rademacher_model(), root_psi(), q, p_max=1e308)
+
+
+@pytest.mark.parametrize("q", [geometric_grid(2, 10), integer_grid(5), GridSequence([1.0, 2.0])], ids=repr)
+def test_nan_has_no_grid_index(q):
+    # NaN compares false with every q(m); that must not read as "past them all"
+    with pytest.raises(DomainError, match=rf"^{q.description}: no grid index for p=nan$"):
+        q.first_index_at_least(math.nan)
+    with pytest.raises(DomainError, match=r"no grid index for p=nan"):
+        sandwich_check_discrete(gaussian_model(), root_psi(), q, p_max=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +229,11 @@ def test_bounded_set_constant_is_unbounded_until_windowed():
 
 def test_gap_analysis_requires_monotone_psi():
     S = RestrictedSet.from_intervals([(1.0, 2.0), (3.0, math.inf)])
-    with pytest.raises(NonMonotoneError):
+    with pytest.raises(NonMonotoneError, match=r"^sqrt_dip is not nondecreasing on \[1, 3\]; the gap analysis for Z"):
         z_constant(S, sqrt_dip_psi())
+    # a grid-backed set is checked up to its last tail gap, q(5 + 8) = 13
+    with pytest.raises(NonMonotoneError, match=r"on \[1, 13\]; the gap analysis for Z"):
+        z_constant(RestrictedSet.from_grid(integer_grid(5)), sqrt_dip_psi())
 
 
 @pytest.mark.parametrize("model", [rademacher_model(), constant_model(3.0)])
@@ -229,6 +246,31 @@ def test_gap_analysis_accepts_nondecreasing_psi(model):
     assert z_constant(S, psi).value == 1.0
     rep = sandwich_check_restricted(model, psi, S, p_max=10.0)
     assert rep.constant.value == 1.0 and rep.ok
+
+
+def _z_reference(S, psi):
+    """Z's value, arg, tail_ratio and tail_increasing, one gap at a time."""
+    gaps = S.gaps()
+    if S.grid is not None:
+        ext = [S.grid.value_at(m) for m in range(S.grid.M, S.grid.M + _Z_TAIL_TERMS + 1)]
+        gaps += list(zip(ext, ext[1:]))
+    if not gaps:
+        return 1.0, 1.0, None, False
+    ratios = [psi_eval(psi, b) / psi_eval(psi, a) for a, b in gaps]
+    k = ratios.index(max(ratios))
+    increasing = len(ratios) >= 3 and ratios[-1] > ratios[-2] > ratios[-3]
+    return max(1.0, ratios[k]), gaps[k][0], ratios[-1], increasing
+
+
+def test_z_equals_the_per_gap_scalar_reference():
+    grid_set = RestrictedSet.from_grid(geometric_grid(2, 12))
+    sets = set_fixtures() + [grid_set, grid_set.windowed(8191.0), set_fixtures()[16].windowed(12.0)]
+    for S in sets:
+        for psi in psi_pool():
+            z = z_constant(S, psi)
+            got = (z.value, z.arg, z.tail_ratio, z.tail_increasing)
+            assert repr(got) == repr(_z_reference(S, psi)), (S.description, psi.description)
+            assert z.kind == "Z" and not z.unbounded
 
 
 def test_grid_set_constant_matches_the_grid_constant():

@@ -128,11 +128,24 @@ def test_group_moments_array_matches_scalar_up_to_inf(G):
     assert got[-1] == fm.lp_norm(math.inf) == np.abs(fm.values).max()
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_group_function_rejects_non_finite_values(bad):
     G = cyclic_group(3)
-    with pytest.raises(DomainError, match=rf"value {bad!r} at index 1"):
-        GroupFunctionModel(G, [1.0, bad, 2.0])
+    f, ones = [1.0, bad, 2.0], np.ones(3)
+    with pytest.raises(DomainError, match=rf"^fn-on-cyclic:3: value {bad!r} at index 1 is not finite$"):
+        GroupFunctionModel(G, f)
+    with pytest.raises(DomainError, match=rf"^f: value {bad!r} at index 1 is not finite$"):
+        algebra_check(G, f, ones, make_power_slowvary(PowerSlowVaryParams(r=2.0)))
+    # a non-finite input has no norm: young_check must not judge nan against nan
+    for call in (
+        lambda: convolve(G, f, ones),
+        lambda: convolve(G, ones, f),
+        lambda: young_check(G, f, ones, YoungTriple(1.0, 1.0, 1.0)),
+        lambda: young_check(G, ones, f, YoungTriple(1.0, 1.0, 1.0)),
+        lambda: group_lp_norm(G, f, 2.0),
+    ):
+        with pytest.raises(DomainError, match=rf"^function on cyclic:3: value {bad!r} at index 1 is not finite$"):
+            call()
 
 
 def test_young_triple_validation():

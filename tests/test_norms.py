@@ -157,7 +157,7 @@ def test_discrete_sandwich_monotone_route():
 
 
 def test_discrete_sandwich_dip_needs_the_cell_route():
-    with pytest.raises(NonMonotoneError):
+    with pytest.raises(NonMonotoneError, match=r"^sqrt_dip is not nondecreasing on \[1, 200\]; the W bound does not apply"):
         sandwich_check_discrete(gaussian_model(), sqrt_dip_psi(), integer_grid(256))
     rep = sandwich_check_discrete(
         gaussian_model(), sqrt_dip_psi(), integer_grid(256), use_w_hat=True
