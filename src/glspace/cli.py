@@ -57,35 +57,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--model", help="gaussian | uniform01 | exponential | rademacher | constant:<c> | empirical:<path>")
-        p.add_argument("--psi", help="power_slowvary(r=..,delta=..) | natural:<model> | sqrt_dip")
-        p.add_argument("--set", dest="set", help="full | intervals:a-b,c-inf | grid:<grid>")
-        p.add_argument("--grid", help="geometric:D=<int>:M=<int> | integers:M=<int>")
-        p.add_argument("--group", help="cyclic:<n> | dihedral:<n> | symmetric:<n> | product:<g>x<g>")
-        p.add_argument("--p-max", dest="p_max", help="truncation point of continuous norm searches")
-        p.add_argument("--M", dest="M", help="grid length when a default grid is built")
-        p.add_argument("--seed", help="RNG seed (default: $GLS_DEFAULT_SEED, then 0)")
-        p.add_argument("--n", help="sample size for Monte Carlo commands")
-        p.add_argument("--out", help="also write the CSV report to this path")
-        p.add_argument("--strict", action="store_true", default=None, help="exit 1 when a printed norm is +inf")
-        p.add_argument("--config", help="key=value file; flags override its entries")
+    # the options every command takes, built once and copied into each
+    # command's parser (argparse's parents), ahead of its own options
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--model", help="gaussian | uniform01 | exponential | rademacher | constant:<c> | empirical:<path>")
+    shared.add_argument("--psi", help="power_slowvary(r=..,delta=..) | natural:<model> | sqrt_dip")
+    shared.add_argument("--set", dest="set", help="full | intervals:a-b,c-inf | grid:<grid>")
+    shared.add_argument("--grid", help="geometric:D=<int>:M=<int> | integers:M=<int>")
+    shared.add_argument("--group", help="cyclic:<n> | dihedral:<n> | symmetric:<n> | product:<g>x<g>")
+    shared.add_argument("--p-max", dest="p_max", help="truncation point of continuous norm searches")
+    shared.add_argument("--M", dest="M", help="grid length when a default grid is built")
+    shared.add_argument("--seed", help="RNG seed (default: $GLS_DEFAULT_SEED, then 0)")
+    shared.add_argument("--n", help="sample size for Monte Carlo commands")
+    shared.add_argument("--out", help="also write the CSV report to this path")
+    shared.add_argument("--strict", action="store_true", default=None, help="exit 1 when a printed norm is +inf")
+    shared.add_argument("--config", help="key=value file; flags override its entries")
 
-    p_norm = sub.add_parser("norm", help="compute norms of a model")
-    common(p_norm)
+    p_norm = sub.add_parser("norm", help="compute norms of a model", parents=[shared])
     p_norm.set_defaults(func=cmd_norm)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
-    common(p_verify)
+    p_verify = sub.add_parser("verify", help="run a verification suite", parents=[shared])
     p_verify.add_argument("--suite", help="sandwich | tails | young | algebra | all")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_tail = sub.add_parser("tail", help="empirical tails against the envelope")
-    common(p_tail)
+    p_tail = sub.add_parser("tail", help="empirical tails against the envelope", parents=[shared])
     p_tail.set_defaults(func=cmd_tail)
 
-    p_conv = sub.add_parser("convolve", help="convolve two function files over a group")
-    common(p_conv)
+    p_conv = sub.add_parser("convolve", help="convolve two function files over a group", parents=[shared])
     p_conv.add_argument("files", nargs=2, metavar="FILE", help="one value per line, ordered by element index")
     p_conv.set_defaults(func=cmd_convolve)
 

@@ -99,15 +99,70 @@ def _check_finite(values: np.ndarray, label: str) -> np.ndarray:
 
 class PowerMeanState(NamedTuple):
     """What power_mean reads of fixed nonnegative values: their maximum,
-    and the values divided by it (None when the maximum is 0)."""
+    the values divided by it (None when the maximum is 0), and zero_p, the
+    p past which power_mean skips the terms that underflow (see _ZERO_EXP;
+    inf for fewer than _ZERO_MIN_VALUES values)."""
 
     mx: float
     scaled: Optional[np.ndarray]
+    zero_p: float
 
     @classmethod
     def of(cls, abs_values: np.ndarray) -> "PowerMeanState":
         mx = float(abs_values.max())
-        return cls(mx, abs_values / mx if mx != 0.0 else None)
+        if mx == 0.0:
+            return cls(mx, None, math.inf)
+        scaled = abs_values / mx
+        if scaled.size < _ZERO_MIN_VALUES:
+            return cls(mx, scaled, math.inf)
+        # zero_p only decides when the skip pays, never a bit of the result,
+        # so the share of values below the cut is read off a strided probe
+        probe = scaled[:: max(1, scaled.size // _ZERO_PROBE)]
+        probe = probe[probe > 0.0]
+        k = probe.size // _ZERO_SHARE
+        low = float(np.partition(probe, k)[k]) if probe.size else 1.0
+        return cls(mx, scaled, _ZERO_EXP / math.log2(low) if low < 1.0 else math.inf)
+
+
+# power_mean drops the terms a^p below 2^_ZERO_EXP: 26 binades under the
+# smallest subnormal, 2^-1074, so they are exactly 0.0 however pow rounds,
+# and a^p evaluated on them takes libm's slow underflow path (about 0.15 us
+# a term against 3-4 ns).  The skip's mask, gather and scatter cost about
+# 3 us a call plus 7 ns a value.  Timed on normal samples (Python 3.11,
+# NumPy 2.4, median of 5-7 rounds), it breaks even when about one value in
+# 14 is below the cut 2^(_ZERO_EXP / p) (2^10 and 2^16 values), costs 3.5x
+# the plain pow when almost none is, and loses at 32 values even when all
+# but one are.  So it runs for p past zero_p, where about 1/_ZERO_SHARE of
+# the positive values are below the cut, on at least _ZERO_MIN_VALUES
+# values, and below _ZERO_P_MAX: past that, the rounding of the cut,
+# amplified p-fold, could eat the 26 binades
+_ZERO_EXP = -1100.0
+_ZERO_SHARE = 8
+_ZERO_PROBE = 4096
+_ZERO_MIN_VALUES = 128
+_ZERO_P_MAX = 2.0**40
+
+
+def _nonzero_powers(scaled: np.ndarray, q: float) -> np.ndarray:
+    """scaled ** q, term by term, with the terms below the cut, which are
+    exactly 0.0, set without a pow call (for zero_p < q < _ZERO_P_MAX)."""
+    terms = np.zeros(scaled.size)
+    keep = scaled >= 2.0 ** (_ZERO_EXP / q)
+    terms[keep] = scaled[keep] ** q
+    return terms
+
+
+def _row_powers(scaled: np.ndarray, qs: np.ndarray, zero_p: float) -> np.ndarray:
+    """scaled ** qs[:, None]; the rows past zero_p go one by one through
+    _nonzero_powers, the same operator the scalar path uses."""
+    skip = (zero_p < qs) & (qs < _ZERO_P_MAX)
+    if not skip.any():
+        return scaled ** qs[:, None]
+    terms = np.empty((qs.size, scaled.size))
+    terms[~skip] = scaled ** qs[~skip, None]
+    for i in np.flatnonzero(skip).tolist():
+        terms[i] = _nonzero_powers(scaled, qs[i])
+    return terms
 
 
 def power_mean(abs_values, p):
@@ -123,14 +178,18 @@ def power_mean(abs_values, p):
     A scalar and an array element give the same bits: the mean is the
     same pairwise sum and division, and the 1/p-th root is libm's pow in
     both (np.float_power; np.power may take a SIMD pow that differs from
-    libm in the last place).
+    libm in the last place).  Terms that underflow to exactly 0.0 (see
+    _ZERO_EXP) are not passed to pow; the others go through the same
+    operator, and the sum runs over the same full-length array, so the
+    skip leaves the bits as they are.
     """
-    mx, scaled = abs_values if isinstance(abs_values, PowerMeanState) else PowerMeanState.of(abs_values)
+    mx, scaled, zero_p = abs_values if isinstance(abs_values, PowerMeanState) else PowerMeanState.of(abs_values)
     q = _check_p(p)
     if type(q) is float:
         if scaled is None:
             return 0.0
-        return mx * float(np.add.reduce(scaled ** q) / scaled.size) ** (1.0 / q)
+        terms = _nonzero_powers(scaled, q) if zero_p < q < _ZERO_P_MAX else scaled ** q
+        return mx * float(np.add.reduce(terms) / scaled.size) ** (1.0 / q)
     if scaled is None:
         return np.zeros(q.shape)
     flat = q.ravel()
@@ -138,7 +197,10 @@ def power_mean(abs_values, p):
     step = max(1, _POWER_MEAN_BLOCK // scaled.size)
     for start in range(0, flat.size, step):
         qs = flat[start : start + step]
-        mean = np.add.reduce(scaled ** qs[:, None], axis=1) / scaled.size
+        # one float comparison when no p can skip (as for fewer values than
+        # _ZERO_MIN_VALUES, whose zero_p is inf)
+        terms = _row_powers(scaled, qs, zero_p) if zero_p < _ZERO_P_MAX else scaled ** qs[:, None]
+        mean = np.add.reduce(terms, axis=1) / scaled.size
         out[start : start + step] = np.float_power(mean, 1.0 / qs)
     return mx * out.reshape(q.shape)
 

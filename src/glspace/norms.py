@@ -136,7 +136,11 @@ def _sup_norm(
     is flagged strictly_increasing.  The cell bound needs |f|_p nondecreasing,
     which a power mean is exactly (a density moment only to its quadrature
     noise, 1e-8), and psi nondecreasing; on small arrays the full scan is
-    cheaper.
+    cheaper.  Pruning runs in levels (every 64th scan point, then every 8th
+    inside the 64-cells kept, then the points of the 8-cells kept), and each
+    power mean skips the terms that underflow to exactly 0.0 at large p
+    (models.power_mean), so a large sample pays for the points and terms
+    that can change the result and no others.
     """
     pair = _ratio_fn(model, psi)
     asked = [0]

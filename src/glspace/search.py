@@ -22,14 +22,19 @@ generating function: on a probability space |f|_p is nondecreasing in p),
 the sup of ``f`` over a cell [a, b] is at most num(b) / den(a).  This is
 the W constant's argument (full <= W * discrete) on the scan grid, used
 as the Lipschitz bound is in the branch and bound of Piyavskii (1972) and
-Shubert (1972).  The pruned scan evaluates every _COARSE_STEP-th point of each row and the row ends first,
-drops every cell whose bound, widened by _PRUNE_MARGIN for rounding, is
-below the best value seen, and evaluates the rest: the points of the live
-cells, the point next to each end of a live cell and the last three points
-of each row.  Every dropped point or bracket is strictly below a value the
-search evaluates, and every local maximum that remains has the same scan
-neighbours as in the full scan, so the overall supremum, its argument and
-the edge evidence keep their bits.
+Shubert (1972).  The pruned scan works in levels, one per entry of
+_COARSE_STEPS (64, then 8).  The first level evaluates every 64th point of
+each row and the row's last point, and drops every cell whose bound,
+widened by _PRUNE_MARGIN for rounding, is below the best value seen.  The
+next level evaluates the step-8 points inside the live 64-cells only, and
+drops step-8 cells by the same rule.  A child cell's bound is at most its
+parent's, and the best step-8 point lies in a live 64-cell, so the live
+step-8 cells are those a one-level step-8 pass would keep.  The fine pass
+then evaluates the points of the live cells, the point next to each end of
+a live cell and the last three points of each row.  Every dropped point or
+bracket is strictly below a value the search evaluates, and every local
+maximum that remains has the same scan neighbours as in the full scan, so
+the overall supremum, its argument and the edge evidence keep their bits.
 """
 
 from __future__ import annotations
@@ -64,11 +69,13 @@ _MIN_TOL = 1e-12
 # a bracket whose scan value and scan neighbours agree within this many
 # ulp of the value is a plateau, and is not refined
 _PLATEAU_ULP = 4
-# the pruned scan's coarse pass takes every _COARSE_STEP-th point of a row
-# and its last one; a cell is dropped when its bound times 1 + _PRUNE_MARGIN
-# is below the best value.  The margin covers the rounding of the moment
-# and of psi (a few ulp, about 1e-14 relative) with room to spare
-_COARSE_STEP = 8
+# the pruned scan's levels: level k takes every _COARSE_STEPS[k]-th point of
+# a row inside the cells the level before kept, and the row's last point.
+# Each step divides the one before it, so every cell lies in one parent.
+# A cell is dropped when its bound times 1 + _PRUNE_MARGIN is below the best
+# value.  The margin covers the rounding of the moment and of psi (a few
+# ulp, about 1e-14 relative) with room to spare
+_COARSE_STEPS = (64, 8)
 _PRUNE_MARGIN = 1e-10
 
 
@@ -107,18 +114,23 @@ def golden_section_max(
     lo: float,
     hi: float,
     tol: float = _REFINE_TOL,
+    *,
+    f_lo: Optional[float] = None,
+    f_hi: Optional[float] = None,
 ) -> tuple[float, float]:
     """Golden-section maximization on [lo, hi].
 
     Returns (arg, value) of the best point actually evaluated, endpoints
     included, so a maximum sitting on the boundary is never lost.  The
     interval shrinks until its width drops below ``tol`` relative to the
-    magnitude of ``lo``/``hi`` (absolute for small arguments).
+    magnitude of ``lo``/``hi`` (absolute for small arguments).  ``f_lo`` /
+    ``f_hi``, when given, are f(lo) / f(hi), known already, and ``f`` is
+    not asked for them again.
     """
     if hi < lo:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
-    best_x, best_v = lo, f(lo)
-    v = f(hi)
+    best_x, best_v = lo, f(lo) if f_lo is None else f_lo
+    v = f(hi) if f_hi is None else f_hi
     if v > best_v:
         best_x, best_v = hi, v
     a, b = lo, hi
@@ -195,10 +207,10 @@ def sup_rows(
     local maximum of a row is then refined inside the cell spanned by
     its scan neighbours, unless the three scan values agree within
     _PLATEAU_ULP ulp: such a plateau (a flat ratio makes every scan point
-    one) keeps its scan value.  Lockstep refinement reuses the scan values
-    at the bracket ends; up to SCALAR_BRACKETS brackets go one by one to
-    golden_section_max, which evaluates them again.  Refinement never
-    loses the scan value it started from.  A NaN value of ``f`` raises
+    one) keeps its scan value.  Up to SCALAR_BRACKETS brackets go one by
+    one to golden_section_max, more to lockstep refinement; both reuse the
+    scan values at the bracket ends.  Refinement never loses the scan value
+    it started from.  A NaN value of ``f`` raises
     DomainError naming the first p where it occurred.
 
     With ``parts`` the scan is pruned (see the module docstring):
@@ -240,10 +252,11 @@ def sup_rows(
     k = k[~flat]
     if k.size <= SCALAR_BRACKETS:
         # Python floats in, so the golden-section arithmetic and the ratio
-        # take float paths (same IEEE operations as on numpy scalars)
-        ends = zip(bl[k].tolist(), bh[k].tolist())
+        # take float paths (same IEEE operations as on numpy scalars); the
+        # scan values at the bracket ends are the bits f gives those floats
+        ends = zip(bl[k].tolist(), bh[k].tolist(), ys[r[k], il[k]].tolist(), ys[r[k], ih[k]].tolist())
         refine_f = partial(_eval_scalar, f)
-        refined = [golden_section_max(refine_f, a, b, tol=refine_tol) for a, b in ends]
+        refined = [golden_section_max(refine_f, a, b, tol=refine_tol, f_lo=fa, f_hi=fb) for a, b, fa, fb in ends]
         ref_x, ref_v = np.array(refined, dtype=float).reshape(-1, 2).T
     else:
         ref_x, ref_v = _golden_lockstep(f, bl[k], ys[r[k], il[k]], bh[k], ys[r[k], ih[k]], refine_tol)
@@ -268,37 +281,52 @@ def cell_bounds(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 
 def _pruned_scan(f, xs: np.ndarray, parts, floor: float):
-    """The scan of sup_rows, pruned by the cell bounds of ``parts``.
+    """The scan of sup_rows, pruned level by level by the cell bounds of
+    ``parts``.
 
     Returns (ys, known, pruned cells): ``ys`` holds the value of every
     evaluated point and -inf elsewhere, ``known`` marks the evaluated
-    points.  One call of ``parts``, one array call of ``f``.
+    points, and the count is of the cells of the last level dropped, those
+    under a dropped parent included.  One call of ``parts`` per level, one
+    array call of ``f``.
     """
     rows, n = xs.shape
-    coarse = np.zeros(n, dtype=bool)
-    coarse[::_COARSE_STEP] = True
-    coarse[-1] = True
-    c = np.flatnonzero(coarse)
-    xc = xs[:, c]
-    num, den = (np.asarray(a, dtype=float).reshape(xc.shape) for a in parts(xc.ravel()))
-    yc = _checked(xc, num / den)
-    best = max(floor, float(yc.max()))
-    # a NaN bound, or a den that is not positive, keeps its cell
-    live = ~(cell_bounds(num, den) * (1.0 + _PRUNE_MARGIN) < best) | ~(den[:, :-1] > 0.0)
-    # a live cell [c_k, c_k+1] needs its points and the scan neighbours of
-    # its ends, c_k - 1 and c_k+1 + 1, so that each of its peaks is judged
-    # and bracketed as in the full scan; cover marks c_k .. c_k+1 - 1
-    cover = np.zeros((rows, n), dtype=bool)
-    cover[:, :-1] = np.repeat(live, np.diff(c), axis=1)
+    ys = np.full((rows, n), -np.inf)
+    num, den = np.full((rows, n), np.nan), np.full((rows, n), np.nan)
+    known = np.zeros((rows, n), dtype=bool)
+    # cover marks the points c_k .. c_k+1 - 1 of every live cell [c_k, c_k+1];
+    # before the first level the whole row is one live cell
+    cover = np.ones((rows, n), dtype=bool)
+    best = floor
+    for step in _COARSE_STEPS:
+        level = np.zeros(n, dtype=bool)
+        level[::step] = True
+        level[-1] = True
+        c = np.flatnonzero(level)
+        new = np.zeros((rows, n), dtype=bool)
+        new[:, c] = cover[:, c] & ~known[:, c]
+        if new.any():
+            xn = xs[new]
+            nu, de = (np.asarray(a, dtype=float).reshape(xn.shape) for a in parts(xn))
+            num[new], den[new], ys[new] = nu, de, _checked(xn, nu / de)
+            known |= new
+            best = max(best, float(ys[new].max()))
+        nc, dc = num[:, c], den[:, c]
+        # a NaN bound, or a den that is not positive, keeps its cell; a cell
+        # under a dropped parent stays dropped (its ends may be unevaluated)
+        live = cover[:, c[:-1]] & (~(cell_bounds(nc, dc) * (1.0 + _PRUNE_MARGIN) < best) | ~(dc[:, :-1] > 0.0))
+        cover = np.zeros((rows, n), dtype=bool)
+        cover[:, :-1] = np.repeat(live, np.diff(c), axis=1)
+    # a live cell needs its points and the scan neighbours of its ends,
+    # c_k - 1 and c_k+1 + 1, so that each of its peaks is judged and
+    # bracketed as in the full scan
     need = cover.copy()
     need[:, :-1] |= cover[:, 1:]
     need[:, 2:] |= cover[:, :-2]
     need[:, -3:] = True  # the decreasing_at_hi evidence
-    fine = need & ~coarse
-    ys = np.full((rows, n), -np.inf)
-    ys[:, c] = yc
+    fine = need & ~known
     ys[fine] = _eval_array(f, xs[fine])
-    return ys, need | coarse, int(live.size - np.count_nonzero(live))
+    return ys, need | known, int(live.size - np.count_nonzero(live))
 
 
 def grid_refine_supremum(

@@ -129,12 +129,16 @@ def natural_psi_from_spec(spec: str, model: Optional[RandomVariableModel] = None
 
 
 def _kv_fields(parts, spec: str) -> dict:
+    """The key=value parts of ``spec`` as a dict; a key may appear once."""
     kv = {}
     for part in parts:
         key, eq, val = part.partition("=")
         if not eq:
             raise SpecParseError(f"expected key=value in {spec!r}, got {part!r}")
-        kv[key.strip()] = val.strip()
+        key = key.strip()
+        if key in kv:
+            raise SpecParseError(f"repeated key {key!r} in {spec!r}")
+        kv[key] = val.strip()
     return kv
 
 

@@ -108,6 +108,16 @@ def test_overflowing_grid_exits_2_naming_it(capsys, recwarn):
     assert len(recwarn) == 0
 
 
+@pytest.mark.parametrize(
+    "flag, spec, key", [("--grid", "geometric:D=2:D=3:M=5", "D"), ("--psi", "power_slowvary(r=abc, r=2)", "r")]
+)
+def test_repeated_spec_key_exits_2_naming_it(capsys, flag, spec, key):
+    argv = {"--model": "gaussian", "--psi": "power_slowvary(r=2, delta=0)", flag: spec}
+    code, out, err = run_cli(capsys, "norm", *[t for kv in argv.items() for t in kv])
+    assert code == 2 and out == ""
+    assert err == f"gls: repeated key {key!r} in {spec!r}\n"
+
+
 def test_norm_requires_a_model(capsys):
     code, _, err = run_cli(capsys, "norm", "--psi", "power_slowvary(r=2)")
     assert code == 2 and "model" in err
@@ -303,3 +313,68 @@ def test_tail_k_hat_row_notes_when_no_probe_was_judged(capsys):
     assert k_row[3] == "unchecked: e*K exceeds the sample maximum"
     code, out, _ = run_cli(capsys, "tail", "--model", "gaussian", "--n", "20000", "--seed", "3")
     assert code == 0 and out.splitlines()[-1].split(",")[3] == ""
+
+
+def _per_command_parser():
+    """The parser as it was built before the shared options moved to one
+    parent parser: the twelve options added to each command in turn."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="gls",
+        description="Norms, equivalence constants and tail envelopes "
+        "for generating-function weighted moment families.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p):
+        p.add_argument("--model", help="gaussian | uniform01 | exponential | rademacher | constant:<c> | empirical:<path>")
+        p.add_argument("--psi", help="power_slowvary(r=..,delta=..) | natural:<model> | sqrt_dip")
+        p.add_argument("--set", dest="set", help="full | intervals:a-b,c-inf | grid:<grid>")
+        p.add_argument("--grid", help="geometric:D=<int>:M=<int> | integers:M=<int>")
+        p.add_argument("--group", help="cyclic:<n> | dihedral:<n> | symmetric:<n> | product:<g>x<g>")
+        p.add_argument("--p-max", dest="p_max", help="truncation point of continuous norm searches")
+        p.add_argument("--M", dest="M", help="grid length when a default grid is built")
+        p.add_argument("--seed", help="RNG seed (default: $GLS_DEFAULT_SEED, then 0)")
+        p.add_argument("--n", help="sample size for Monte Carlo commands")
+        p.add_argument("--out", help="also write the CSV report to this path")
+        p.add_argument("--strict", action="store_true", default=None, help="exit 1 when a printed norm is +inf")
+        p.add_argument("--config", help="key=value file; flags override its entries")
+
+    for name, helptext in (("norm", "compute norms of a model"), ("verify", "run a verification suite"),
+                           ("tail", "empirical tails against the envelope"),
+                           ("convolve", "convolve two function files over a group")):
+        p = sub.add_parser(name, help=helptext)
+        common(p)
+        if name == "verify":
+            p.add_argument("--suite", help="sandwich | tails | young | algebra | all")
+        if name == "convolve":
+            p.add_argument("files", nargs=2, metavar="FILE", help="one value per line, ordered by element index")
+    return parser
+
+
+def _exit_text(parser, argv, capsys):
+    """What parsing ``argv`` prints, stdout and stderr, before it exits."""
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_shared_options_parent_keeps_every_help_text_and_namespace(capsys, monkeypatch):
+    from glspace.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    old, new = _per_command_parser(), build_parser()
+    for argv in (["--help"], ["norm", "--help"], ["verify", "--help"], ["tail", "--help"], ["convolve", "--help"],
+                 [], ["norm", "--bogus"], ["convolve", "f.txt"]):
+        assert _exit_text(new, argv, capsys) == _exit_text(old, argv, capsys)
+    for argv in (
+        ["norm", "--model", "gaussian", "--psi", "sqrt_dip", "--strict", "--p-max", "40"],
+        ["verify", "--suite", "all", "--seed", "3", "--n", "100", "--out", "x.csv"],
+        ["tail", "--model", "exponential", "--grid", "integers:M=5", "--M", "7", "--config", "c.txt"],
+        ["convolve", "--group", "cyclic:3", "--set", "full", "f.txt", "g.txt"],
+    ):
+        got = vars(new.parse_args(argv))
+        assert got.pop("func").__name__ == "cmd_" + argv[0]
+        assert got == vars(old.parse_args(argv))

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from glspace import (
     DensityModel,
@@ -34,6 +36,8 @@ from glspace import (
 )
 from glspace.models import (
     SAMPLE_CHUNK,
+    _ZERO_MIN_VALUES,
+    PowerMeanState,
     exponential_density_model,
     power_mean,
     uniform01_density_model,
@@ -207,6 +211,65 @@ def test_power_mean_array_matches_scalar(n, n_p):
     assert got[-1] == a.max()
     two_d = power_mean(a, ps[:-2].reshape(2, -1))
     np.testing.assert_array_equal(two_d.ravel(), got[:-2])
+
+
+def _plain_power_mean(values, p):
+    """power_mean with every term passed to pow: scalar p and one chunk of
+    array p, as the kernel computed them before it skipped zero terms."""
+    mx = float(values.max())
+    scaled = values / mx
+    if isinstance(p, float):
+        return mx * float(np.add.reduce(scaled**p) / scaled.size) ** (1.0 / p)
+    return mx * np.float_power(np.add.reduce(scaled ** p[:, None], axis=1) / scaled.size, 1.0 / p)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(_ZERO_MIN_VALUES, 600),
+    scale=st.floats(1e-3, 1e3),
+    p=st.floats(1.0, 1e4),
+    ps=st.lists(st.floats(1.0, 1e4), min_size=1, max_size=24),
+)
+def test_skipping_zero_terms_keeps_the_power_mean_bits(seed, n, scale, p, ps):
+    # values 10^e for e uniform in [-300, 0], a tenth of them exact zeros
+    rng = np.random.default_rng(seed)
+    decades = np.where(rng.random(n) < 0.1, -np.inf, rng.uniform(-300.0, 0.0, n))
+    values = scale * np.r_[1.0, 10.0**decades]
+    assert PowerMeanState.of(values).zero_p < 2.0
+    assert power_mean(values, p) == _plain_power_mean(values, p)
+    ps = np.array(ps)
+    np.testing.assert_array_equal(power_mean(values, ps), _plain_power_mean(values, ps))
+
+
+@given(binades=st.lists(st.floats(-1074.0, -550.0), min_size=1, max_size=100), zeros=st.integers(0, 3))
+def test_squares_below_the_cut_are_skipped_with_the_same_bits(binades, zeros):
+    # the smallest value is below 2^-550, so p = 2 is past zero_p; the kept
+    # terms take numpy's square fast path in both routes
+    small = np.resize(2.0 ** np.array(binades), _ZERO_MIN_VALUES)
+    values = np.r_[1.0, np.zeros(zeros), small, 2.0**-549]
+    assert PowerMeanState.of(values).zero_p < 2.0
+    assert power_mean(values, 2.0) == _plain_power_mean(values, 2.0)
+    np.testing.assert_array_equal(power_mean(values, np.array([2.0, 2.0, 3.0])),
+                                  _plain_power_mean(values, np.array([2.0, 2.0, 3.0])))
+
+
+def test_zero_p_is_where_an_eighth_of_the_positive_terms_drop_below_the_cut():
+    # 2^0 .. 2^-127: the 17th smallest of 128 is 2^-111
+    assert PowerMeanState.of(2.0 ** -np.arange(128.0)).zero_p == 1100.0 / 111.0
+    values = np.r_[np.zeros(_ZERO_MIN_VALUES), 2.0**-551, 1.0]
+    assert PowerMeanState.of(values).zero_p == 1100.0 / 551.0
+    assert PowerMeanState.of(np.full(_ZERO_MIN_VALUES, 3.0)).zero_p == math.inf
+    assert PowerMeanState.of(np.zeros(4)) == (0.0, None, math.inf)
+    # fewer values never skip: the mask costs more than the pow it saves
+    assert PowerMeanState.of(values[-_ZERO_MIN_VALUES + 1 :]).zero_p == math.inf
+    # a normal sample of 2^16 values crosses it inside a geometric grid's
+    # range: the grids geometric:D=2:M=12 and D=3:M=8 reach p = 4095, 6559
+    a = np.abs(np.random.default_rng(4).normal(size=1 << 16))
+    state = PowerMeanState.of(a)
+    assert 20.0 < state.zero_p < 1000.0
+    ps = np.array([1.0, 3.0, 7.0, 79.0, 1023.0, 4095.0, 6559.0, math.inf])
+    np.testing.assert_array_equal(power_mean(state, ps), [power_mean(a, float(p)) for p in ps])
+    np.testing.assert_array_equal(power_mean(state, ps[:-1]), _plain_power_mean(a, ps[:-1]))
 
 
 def test_power_mean_chunks_its_temporary():

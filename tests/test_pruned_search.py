@@ -24,7 +24,7 @@ from glspace import (
     raw_power_slowvary,
     set_from_spec,
 )
-from glspace import norms
+from glspace import norms, search
 from glspace.search import _PRUNE_MARGIN, cell_bounds, sup_rows
 
 pytestmark = pytest.mark.filterwarnings("ignore::glspace.models.MomentInstabilityWarning")
@@ -168,6 +168,50 @@ def test_the_lower_peak_of_two_is_pruned():
     assert _bits(norm) == _bits(_full_scan(model, psi, p_max))
 
 
+def _counted_search(ratio, pair, xs):
+    """sup_rows pruned by ``pair``, and the number of points it asked for."""
+    f, seen = _counted(ratio)
+    parts, parts_seen = _counted(pair)
+    res = sup_rows(f, xs, parts=parts)
+    return res, seen[0] + parts_seen[0]
+
+
+def _normal_under_root():
+    return EmpiricalModel(_sample(0, 4 * N, 5)), make_power_slowvary(PowerSlowVaryParams(2.0, 0.5))
+
+
+@pytest.mark.parametrize("fixture", [_two_peaks, _normal_under_root], ids=["two-peaks", "normal"])
+def test_levels_evaluate_no_more_points_than_one_level_with_the_same_bits(fixture):
+    model, psi = fixture()
+    p_max = default_p_max(model)
+    xs = np.geomspace(1.0, p_max, 512)
+    xs[0], xs[-1] = 1.0, p_max
+    pair, ratio = _ratio(model, psi)
+    res, asked = _counted_search(ratio, pair, xs[None, :])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_COARSE_STEPS", (8,))
+        one, one_asked = _counted_search(ratio, pair, xs[None, :])
+    assert (res.values[0], res.args[0], res.decreasing_at_hi[0]) == (
+        one.values[0], one.args[0], one.decreasing_at_hi[0])
+    # the same step-8 cells are dropped, those under a dropped 64-cell too
+    assert res.pruned == one.pruned > 0
+    # a two-peak ratio stays within 0.33-0.53 over the window, so every
+    # 64-cell bound is above its best value and the first level drops
+    # nothing; a normal sample's ratio falls off and the first level pays
+    if fixture is _two_peaks:
+        assert asked == one_asked
+    else:
+        assert asked < one_asked
+    # and a whole norm, intervals and points included, keeps its bits too
+    rset = _sets(3)[2]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_COARSE_STEPS", (8,))
+        one = gls_norm(model, psi, p_max, rset=rset)
+    levels = gls_norm(model, psi, p_max, rset=rset)
+    assert _bits(levels) == _bits(one) == _bits(_full_scan(model, psi, p_max, rset=rset))
+    assert levels.n_evaluations <= one.n_evaluations
+
+
 # f = num / den on the scan points 0..64, num and den piecewise linear and
 # nondecreasing, as (num breakpoints, den breakpoints).  Each has a spike of
 # height 3 beside a scan point at one end of a live cell, 32 (left end) and
@@ -248,7 +292,12 @@ def test_nan_psi_names_the_full_scans_p():
     # the coarse pass is clean and the fine pass meets it
     best = int(np.argmax(_ratio(model, _nan_psi(lambda q: False))[1](xs[::8])))
     lone = xs[8 * best + 3]
-    for bad, p in ((lambda q: q > 7.5, xs[first]), (lambda q: q == lone, lone)):
+    # NaN at one step-64 point only, which the first level meets; and NaN
+    # from a step-8 point on that is not a step-64 point, which the first
+    # level meets at the next step-64 point and the full scan earlier
+    cases = [(lambda q: q > 7.5, xs[first]), (lambda q: q == lone, lone),
+             (lambda q: q == xs[192], xs[192]), (lambda q: q >= xs[200], xs[200])]
+    for bad, p in cases:
         psi = _nan_psi(bad)
         with pytest.raises(DomainError) as pruned:
             gls_norm(model, psi, p_max)

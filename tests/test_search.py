@@ -77,6 +77,16 @@ def test_n_evaluations_counts_every_refinement_call(monkeypatch):
     assert res.n_evaluations == counts[0][0] > 512
 
 
+@pytest.mark.parametrize("lo, hi", [(1.0, 200.0), (3.5, 4.0), (2.0, 2.1), (10.5, 10.5000001)])
+def test_known_bracket_ends_save_two_calls_with_the_same_result(lo, hi):
+    plain, plain_seen = _counted(lambda x: float(_multi_peak(x)))
+    given, given_seen = _counted(lambda x: float(_multi_peak(x)))
+    ref = golden_section_max(plain, lo, hi)
+    got = golden_section_max(given, lo, hi, f_lo=float(_multi_peak(lo)), f_hi=float(_multi_peak(hi)))
+    assert got == ref
+    assert given_seen[0] == plain_seen[0] - 2
+
+
 def test_lockstep_matches_golden_section_bit_for_bit():
     rng = np.random.default_rng(20240611)
     lo = rng.uniform(1.0, 20.0, 240)

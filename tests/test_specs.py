@@ -63,6 +63,21 @@ def test_grid_specs():
             grid_from_spec(bad)
 
 
+@pytest.mark.parametrize(
+    "parse, spec, key",
+    [
+        (grid_from_spec, "geometric:D=2:D=3:M=5", "D"),
+        (grid_from_spec, "integers:M=4:M=4", "M"),
+        (set_from_spec, "grid:geometric:D=2:M=5:M=6", "M"),
+        (psi_from_spec, "power_slowvary(r=abc, r=2)", "r"),
+        (psi_from_spec, "power_slowvary(r=2, delta=0.5, delta=1)", "delta"),
+    ],
+)
+def test_a_repeated_spec_key_is_rejected_by_name(parse, spec, key):
+    with pytest.raises(SpecParseError, match=f"repeated key '{key}' in"):
+        parse(spec)
+
+
 def test_set_specs():
     full = set_from_spec("full")
     assert full.description == "full" and full.gaps() == []

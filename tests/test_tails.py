@@ -310,3 +310,31 @@ def test_membership_plateau_cases_hit_both_orders():
     # an unresolved probe first: the estimate stops there
     with pytest.raises(TruncationError, match="unresolved"):
         membership_K_estimate(batch, q, psi, K_grid=[1.0, 5.0])
+
+
+@pytest.mark.parametrize("n", [200_000, 1 << 20])
+def test_the_documented_false_alarm_level_is_the_exact_binomial_worst_case(n):
+    """tail_check passes a probe when count / n <= env + _binomial_slack(env, n).
+    With the true survival exactly at the envelope, the fail set is
+    {count >= k} between the envelopes where the threshold crosses k - 1
+    and k, and its probability grows with env; so the worst case is the
+    limit binom.sf(k - 1, n, env_k) at a crossing env_k, maximized over k."""
+    from scipy.optimize import brentq
+    from scipy.stats import binom
+
+    from glspace.tails import _binomial_slack
+
+    def crossing(k):
+        return brentq(lambda e: n * (e + _binomial_slack(e, n)) - k, 1e-15, 0.5, xtol=1e-300, rtol=1e-15)
+
+    # the floor of one count and three deviations: count 1 never fails
+    levels = {k: float(binom.sf(k - 1, n, crossing(k))) for k in range(2, 60)}
+    k = max(levels, key=levels.get)
+    worst, expected = levels[k], n * crossing(k)
+    assert k == 3
+    assert f"{worst * 1e3:.1f}e-3" in tail_check.__doc__
+    assert f"expected count of {expected:.3f}" in " ".join(tail_check.__doc__.split())
+    # no envelope value, crossing or not, does worse
+    env = np.geomspace(1e-3 / n, 0.999, 20001)
+    fail = binom.sf(np.floor(n * (env + _binomial_slack(env, n))), n, env)
+    assert fail.max() <= worst
