@@ -10,7 +10,8 @@ convolve  convolve two function files over a finite group
 Configuration comes from flags, optionally backed by a key=value file
 (--config); flags override file entries.  When --seed is absent the
 GLS_DEFAULT_SEED environment variable is consulted, then 0.  Exit codes:
-0 success, 1 violation or runtime failure, 2 parse/usage error.
+0 success, 1 violation or runtime failure, 2 parse/usage error.  Errors
+and warnings print one ``gls: ...`` line each on stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +297,12 @@ def cmd_convolve(cfg: dict) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """A warning as one ``gls: warning:`` line, without the library source
+    line that raised it."""
+    print(f"gls: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -306,7 +314,10 @@ def main(argv=None) -> int:
         print(f"gls: {exc}", file=sys.stderr)
         return 2
     try:
-        return int(args.func(cfg))
+        with warnings.catch_warnings():
+            # the filters are left as they are (-W error, once per message)
+            warnings.showwarning = _show_warning
+            return int(args.func(cfg))
     except (SpecParseError, DomainError) as exc:
         print(f"gls: {exc}", file=sys.stderr)
         return 2

@@ -59,6 +59,8 @@ class PowerSlowVaryParams:
     def __post_init__(self):
         if not self.r > 0:
             raise DomainError(f"power exponent r must be positive, got {self.r}")
+        if not math.isfinite(self.delta):
+            raise DomainError(f"slowly varying exponent delta must be finite, got {self.delta}")
 
 
 def psi_eval(psi: GeneratingFunction, p):
@@ -69,11 +71,30 @@ def psi_eval(psi: GeneratingFunction, p):
     return float(out) if type(q) is float else np.asarray(out, dtype=float)
 
 
+def _ln3_pow(delta: float) -> float:
+    """ln^delta(3) in Python floats: inf where it overflows, 0.0 where it
+    underflows, and no RuntimeWarning either way."""
+    try:
+        return math.log(3.0) ** delta
+    except OverflowError:
+        return math.inf
+
+
 def _power_slowvary(params: PowerSlowVaryParams, scale: float, name: str) -> GeneratingFunction:
     """p^(1/r) * ln^delta(2+p) / scale.  For delta >= 0 both factors
     increase, so the strictly-increasing flag is set; negative delta can
-    bend the product downward and the flag is left unset."""
+    bend the product downward and the flag is left unset.  DomainError
+    when the scale or psi(1) = ln^delta(3) / scale is not finite and
+    positive: a delta that large in magnitude leaves no usable psi."""
     r, delta = params.r, params.delta
+    description = f"{name}(r={r:g}, delta={delta:g})"
+
+    def check(what, value):
+        if not (math.isfinite(value) and value > 0.0):
+            raise DomainError(f"{description}: {what} = {value:g} is not finite and positive")
+
+    check("scale", scale)
+    check("psi(1)", _ln3_pow(delta) / scale)
 
     def evaluator(p):
         return np.power(p, 1.0 / r) * np.log(2.0 + p) ** delta / scale
@@ -82,14 +103,14 @@ def _power_slowvary(params: PowerSlowVaryParams, scale: float, name: str) -> Gen
         evaluator=evaluator,
         strictly_increasing=delta >= 0.0,
         value_at_one=float(evaluator(1.0)),
-        description=f"{name}(r={r:g}, delta={delta:g})",
+        description=description,
     )
 
 
 def make_power_slowvary(params: PowerSlowVaryParams) -> GeneratingFunction:
     """Normalized member of the family p^(1/r) * ln^delta(2+p): divided
     by its value ln^delta(3) at p = 1, so psi(1) = 1 exactly."""
-    return _power_slowvary(params, math.log(3.0) ** params.delta, "power_slowvary")
+    return _power_slowvary(params, _ln3_pow(params.delta), "power_slowvary")
 
 
 def raw_power_slowvary(params: PowerSlowVaryParams) -> GeneratingFunction:

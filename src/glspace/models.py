@@ -6,6 +6,11 @@ power-mean moments (PowerMeanModel: empirical samples here, functions on
 a finite group in groups).  All moments are taken on a probability space, so
 |f|_p is nondecreasing in p; the norm machinery leans on that.
 
+Importing this module loads numpy and scipy.special only.  The density
+models load scipy.integrate on their first moment or sample, so the
+closed-form and stored-value backends (all the CLI reaches) never pay for
+it.
+
 Sampling is deterministic: a (seed, n) pair always regenerates the same
 array.  Generation is defined chunkwise with a fixed chunk size and one
 child RNG stream per chunk index, so chunks may be produced in any order
@@ -22,7 +27,6 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, cumulative_trapezoid, quad
 from scipy.special import gammaln, ndtri
 
 from .errors import (
@@ -287,6 +291,9 @@ class DensityModel(RandomVariableModel):
     only offered on finite supports, where the table is exact enough and
     consumes one uniform per draw (which keeps chunked generation
     deterministic); rejection samplers would not.
+
+    scipy.integrate is imported by the first moment (quad) or sample
+    (cumulative_trapezoid), not with the module.
     """
 
     moment_tolerance = _QUAD_EPSREL
@@ -315,6 +322,8 @@ class DensityModel(RandomVariableModel):
         integrand peaks near 1 and neither |x|^p nor the moment overflows;
         the integral is split at that probe point so quad sees the peak.
         """
+        from scipy.integrate import IntegrationWarning, quad
+
         a, b = self.support
         xs, log_x, log_rho = self._probe
         g = p * log_x + log_rho
@@ -361,6 +370,8 @@ class DensityModel(RandomVariableModel):
     @cached_property
     def _icdf_table(self):
         """(cdf, x) on 16385 even points of the support, for np.interp."""
+        from scipy.integrate import cumulative_trapezoid
+
         a, b = self.support
         xs = np.linspace(a, b, 16385)
         pdf = np.array([self.density(x) for x in xs])

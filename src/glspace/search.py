@@ -247,8 +247,13 @@ def sup_rows(
         # a peak next to an unevaluated point lies in a dropped cell: it
         # keeps its value, which is below the best one
         k = k[known[r[k], il[k]] & known[r[k], ih[k]]]
-    near = _PLATEAU_ULP * np.spacing(np.abs(cand_v[k]))
-    flat = (cand_v[k] - ys[r[k], il[k]] <= near) & (cand_v[k] - ys[r[k], ih[k]] <= near)
+    # a non-finite peak is never flat; only finite ones are compared, so no
+    # inf - inf is formed
+    v = cand_v[k]
+    flat = np.isfinite(v)
+    kf, v = k[flat], v[flat]
+    near = _PLATEAU_ULP * np.spacing(np.abs(v))
+    flat[flat] = (v - ys[r[kf], il[kf]] <= near) & (v - ys[r[kf], ih[kf]] <= near)
     k = k[~flat]
     if k.size <= SCALAR_BRACKETS:
         # Python floats in, so the golden-section arithmetic and the ratio

@@ -2,10 +2,12 @@
 
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
 
+from glspace import MomentInstabilityWarning
 from glspace.cli import main
 
 
@@ -116,6 +118,32 @@ def test_repeated_spec_key_exits_2_naming_it(capsys, flag, spec, key):
     code, out, err = run_cli(capsys, "norm", *[t for kv in argv.items() for t in kv])
     assert code == 2 and out == ""
     assert err == f"gls: repeated key {key!r} in {spec!r}\n"
+
+
+@pytest.mark.parametrize("delta", ["1e300", "inf", "-inf", "-1e300", "nan"])
+def test_delta_without_a_finite_psi_exits_2(capsys, delta):
+    # the suite turns every warning into an error, as python -W error does
+    code, out, err = run_cli(
+        capsys, "norm", "--model", "gaussian", "--psi", f"power_slowvary(r=2,delta={delta})"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("gls: ") and err.count("\n") == 1 and "delta" in err
+
+
+@pytest.mark.filterwarnings("default::glspace.MomentInstabilityWarning")
+def test_warning_prints_as_one_gls_line(capsys, tmp_path):
+    sample_file = tmp_path / "sample.txt"
+    np.savetxt(sample_file, np.random.default_rng(5).standard_normal(256))
+    model = f"empirical:{sample_file}"
+    argv = ("norm", "--model", model, "--psi", f"natural:{model}", "--grid", "geometric:D=2:M=12")
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err.startswith("gls: warning: plug-in moment at p=4095 with n=256 ")
+    assert err.count("\n") == 1 and ".py:" not in err
+    # the report is the one printed with the warning ignored
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MomentInstabilityWarning)
+        assert run_cli(capsys, *argv) == (0, out, "")
 
 
 def test_norm_requires_a_model(capsys):

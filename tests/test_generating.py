@@ -46,6 +46,18 @@ def test_invalid_exponent_rejected():
         PowerSlowVaryParams(r=-1.0)
 
 
+UNUSABLE_DELTAS = [1e300, math.inf, -math.inf, -1e300, math.nan]
+
+
+@pytest.mark.parametrize("delta", UNUSABLE_DELTAS)
+@pytest.mark.parametrize("make", [make_power_slowvary, raw_power_slowvary])
+def test_delta_without_a_finite_psi_is_rejected(make, delta):
+    # ln^delta(3) overflows or underflows (or delta is not a number): a
+    # DomainError, not an OverflowError or a NumPy RuntimeWarning
+    with pytest.raises(DomainError, match="delta"):
+        make(PowerSlowVaryParams(r=2.0, delta=delta))
+
+
 def test_evaluation_rejects_p_below_one():
     psi = make_power_slowvary(PowerSlowVaryParams(r=1.0))
     with pytest.raises(DomainError):

@@ -1,13 +1,17 @@
 """Supremum search: lockstep refinement, batched cells, evaluation accounting."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from glspace import (
+    PowerSlowVaryParams,
     constant_model,
     gaussian_model,
     gls_norm,
     integer_grid,
+    make_power_slowvary,
     natural_psi,
     psi_eval,
     sqrt_dip_psi,
@@ -229,3 +233,13 @@ def test_plateaus_are_counted_and_not_refined():
     f, seen = _counted(f)
     res = sup_rows(f, peaks)
     assert res.plateaus == 0 and seen[0] > peaks.size
+
+
+def test_infinite_scan_values_are_never_flat_and_raise_no_warning():
+    # past p ~ 5e305 the scan meets inf next to inf; the plateau test must
+    # not form inf - inf
+    psi = make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = gls_norm(gaussian_model(), psi, 1e308)
+    assert res.value > 0.0
