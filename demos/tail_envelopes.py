@@ -58,5 +58,5 @@ print("active probes:", report.n_active, "all ok:", report.all_ok)
 batch = sample(g, 200_000, seed=7)
 est = membership_K_estimate(batch, q, natural_psi(g), K_grid=np.geomspace(0.3, 4.0, 24))
 print()
-print("membership estimate: K^ =", round(est.K_hat, 6), "violations:", est.violations)
+print("membership estimate: K^ =", round(est.K_hat, 6))
 print("checked x range:", est.x_range_checked)

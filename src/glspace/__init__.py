@@ -83,7 +83,6 @@ from .norms import (
     default_p_max,
     discrete_norm,
     gls_norm,
-    restricted_norm,
     sandwich_check_discrete,
     sandwich_check_restricted,
 )

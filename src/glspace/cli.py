@@ -30,7 +30,7 @@ from .generating import PowerSlowVaryParams, make_power_slowvary, natural_psi
 from .grids import integer_grid
 from .groups import algebra_check, convolve
 from .models import sample  # noqa: F401  unused here; the benchmark tracer patches it
-from .norms import default_p_max, discrete_norm, gls_norm, restricted_norm
+from .norms import default_p_max, discrete_norm, gls_norm
 from .reporting import render_csv
 from .specs import (
     grid_from_spec,
@@ -41,7 +41,7 @@ from .specs import (
     psi_from_spec,
     set_from_spec,
 )
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, TAILS_HEADER, run_suite
 from .tails import make_tail_envelope  # noqa: F401  unused here; the benchmark tracer patches it
 from .tails import membership_K_estimate, tail_check
 
@@ -200,7 +200,7 @@ def cmd_norm(cfg: dict) -> int:
         rows.append(("full", model.label, psi.description, f"[1, {p_max:g}]",
                      p_max, res.value, res.arg_p, "", res.diagnostics))
     if rset is not None:
-        res = restricted_norm(model, psi, rset, p_max)
+        res = gls_norm(model, psi, p_max, rset=rset)
         rows.append(("restricted", model.label, psi.description, rset.description,
                      p_max, res.value, res.arg_p, "", res.diagnostics))
     if grid is not None:
@@ -268,7 +268,7 @@ def cmd_tail(cfg: dict) -> int:
     note = "" if est.x_range_checked is not None else "unchecked: e*K exceeds the sample maximum"
     rows.append(("K_hat", est.K_hat, est.K_hat / N, note, True))
 
-    _emit(render_csv(("x", "empirical_survival", "envelope", "slack", "pass"), rows), cfg)
+    _emit(render_csv(TAILS_HEADER, rows), cfg)
     return 0 if report.all_ok else 1
 
 

@@ -65,10 +65,24 @@ class PowerSlowVaryParams:
 
 def psi_eval(psi: GeneratingFunction, p):
     """Evaluate psi at p (scalar or array), rejecting p < 1.  A scalar
-    reaches the evaluator as a float, an array as a float array."""
+    reaches the evaluator as a float, an array as a float array.  A value
+    that is not positive or is +inf (psi underflowed or overflowed) is a
+    DomainError naming it and its p, the first such p of an array; a NaN
+    is returned as it is, for the search to name."""
     q = _check_p(p, "generating functions")
     out = psi.evaluator(q)
-    return float(out) if type(q) is float else np.asarray(out, dtype=float)
+    if type(q) is float:
+        v, at = float(out), q
+        if not (v <= 0.0 or v == math.inf):
+            return v
+    else:
+        out = np.asarray(out, dtype=float)
+        bad = (out <= 0.0) | (out == math.inf)
+        if not bad.any():
+            return out
+        i = int(np.argmax(bad))
+        v, at = float(out.flat[i]), float(q.flat[i])
+    raise DomainError(f"{psi.description}: psi(p) = {v:g} at p={at!r}; psi must be finite and positive")
 
 
 def _ln3_pow(delta: float) -> float:
@@ -160,11 +174,8 @@ class ValidationReport:
 
     positive: bool
     monotone: bool
-    strictly_monotone: bool
     value_at_one: float
     normalized_exactly: bool
-    p_max: float
-    grid_points: int
     failures: tuple[str, ...] = field(default=())
 
     @property
@@ -186,28 +197,25 @@ def psi_validate(psi: GeneratingFunction, p_max: float = 100.0) -> ValidationRep
         raise DomainError("p_max must exceed 1")
     ps = np.geomspace(1.0, p_max, _VALIDATE_POINTS)
     ps[0] = 1.0
-    vals = np.asarray(psi(ps), dtype=float)
+    # the evaluator itself, so that a value psi_eval rejects is reported
+    vals = np.asarray(psi.evaluator(ps), dtype=float)
     failures = []
     positive = bool(np.all(vals > 0))
     if not positive:
         failures.append("non-positive value on grid")
     diffs = np.diff(vals)
     monotone = bool(np.all(diffs >= 0))
-    strictly = bool(np.all(diffs > 0))
-    if psi.strictly_increasing and not strictly:
+    if psi.strictly_increasing and not np.all(diffs > 0):
         failures.append("declared strictly increasing but grid shows a non-increase")
-    v1 = float(psi(1.0))
+    v1 = float(psi.evaluator(1.0))
     normalized = v1 == 1.0
     if not normalized:
         failures.append(f"psi(1) = {v1!r} differs from 1 by {abs(v1 - 1.0):.3e}")
     return ValidationReport(
         positive=positive,
         monotone=monotone,
-        strictly_monotone=strictly,
         value_at_one=v1,
         normalized_exactly=normalized,
-        p_max=p_max,
-        grid_points=_VALIDATE_POINTS,
         failures=tuple(failures),
     )
 

@@ -50,15 +50,15 @@ class MomentInstabilityWarning(UserWarning):
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Deterministically regenerable sample: same (seed, size), same bits."""
+    """Deterministically regenerable sample: same (seed, size), same bits.
+    The size is read off the values, never stored beside them."""
 
     values: np.ndarray
     seed: int
-    size: int
 
-    def __post_init__(self):
-        if len(self.values) != self.size:
-            raise ValueError(f"batch of {len(self.values)} values declared size {self.size}")
+    @property
+    def size(self) -> int:
+        return len(self.values)
 
     @cached_property
     def sorted_abs(self) -> np.ndarray:
@@ -217,19 +217,15 @@ def _uniform_chunk(seed: int, chunk_index: int, count: int) -> np.ndarray:
     return (k.astype(np.float64) + 0.5) * 2.0**-53
 
 
-def uniform_stream(seed: int, n: int, chunk_indices=None) -> np.ndarray:
-    """Uniforms for sample generation, chunk by chunk.
-
-    ``chunk_indices`` exists to exercise the out-of-order contract in
-    tests: passing a permutation of the natural chunk order must yield
-    the same array once chunks are placed by index.
-    """
+def uniform_stream(seed: int, n: int) -> np.ndarray:
+    """Uniforms for sample generation, chunk by chunk: chunk i is
+    _uniform_chunk(seed, i, count), which depends on no other chunk, so
+    the chunks may be produced in any order."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     n_chunks = (n + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
     out = np.empty(n, dtype=np.float64)
-    order = range(n_chunks) if chunk_indices is None else chunk_indices
-    for ci in order:
+    for ci in range(n_chunks):
         start = ci * SAMPLE_CHUNK
         count = min(SAMPLE_CHUNK, n - start)
         out[start : start + count] = _uniform_chunk(seed, ci, count)
@@ -248,10 +244,6 @@ class RandomVariableModel:
 
     def sample_values(self, n: int, seed: int) -> np.ndarray:
         raise UnsupportedBackendError(f"{self.label} backend does not support sampling")
-
-    @property
-    def supports_sampling(self) -> bool:
-        return False
 
     def scaled(self, alpha: float) -> "RandomVariableModel":
         return ScaledModel(self, alpha)
@@ -272,10 +264,6 @@ class ClosedFormModel(RandomVariableModel):
         q = _check_p(p)
         out = self._moment_fn(q)
         return float(out) if type(q) is float else np.asarray(out, dtype=float)
-
-    @property
-    def supports_sampling(self) -> bool:
-        return self._transform is not None
 
     def sample_values(self, n: int, seed: int) -> np.ndarray:
         if self._transform is None:
@@ -363,10 +351,6 @@ class DensityModel(RandomVariableModel):
             return math.exp(self._log_moment(q) / q)
         return np.array([math.exp(self._log_moment(float(x)) / float(x)) for x in q.ravel()]).reshape(q.shape)
 
-    @property
-    def supports_sampling(self) -> bool:
-        return math.isfinite(self.support[0]) and math.isfinite(self.support[1])
-
     @cached_property
     def _icdf_table(self):
         """(cdf, x) on 16385 even points of the support, for np.interp."""
@@ -380,7 +364,7 @@ class DensityModel(RandomVariableModel):
         return cdf, xs
 
     def sample_values(self, n: int, seed: int) -> np.ndarray:
-        if not self.supports_sampling:
+        if not (math.isfinite(self.support[0]) and math.isfinite(self.support[1])):
             raise UnsupportedBackendError(
                 f"{self.label}: inverse-CDF sampling needs a finite support; "
                 "use the matching closed-form family instead"
@@ -435,10 +419,6 @@ class EmpiricalModel(PowerMeanModel):
             )
         return out
 
-    @property
-    def supports_sampling(self) -> bool:
-        return True
-
     def sample_values(self, n: int, seed: int) -> np.ndarray:
         u = uniform_stream(seed, n)
         idx = np.minimum((u * self.values.size).astype(np.int64), self.values.size - 1)
@@ -459,10 +439,6 @@ class ScaledModel(RandomVariableModel):
 
     def lp_norm(self, p):
         return abs(self.alpha) * self.base.lp_norm(p)
-
-    @property
-    def supports_sampling(self) -> bool:
-        return self.base.supports_sampling
 
     def sample_values(self, n: int, seed: int) -> np.ndarray:
         return self.alpha * self.base.sample_values(n, seed)
@@ -543,7 +519,7 @@ def sample(model: RandomVariableModel, n: int, seed: int) -> SampleBatch:
     if n < 0:
         raise DomainError("sample size must be nonnegative")
     values = model.sample_values(n, seed) if n > 0 else np.empty(0, dtype=float)
-    return SampleBatch(values=values, seed=int(seed), size=int(n))
+    return SampleBatch(values=values, seed=int(seed))
 
 
 def empirical_survival(batch: SampleBatch, x):

@@ -48,6 +48,8 @@ from .search import _eval_array, sup_rows
 from .search import grid_refine_supremum  # noqa: F401  unused here; the benchmark tracer patches it
 
 DEFAULT_P_MAX = 200.0
+# scan points per interval component in gls_norm
+_SCAN_POINTS = 512
 # scan points per W^ cell in _cellwise_full_norm
 _CELL_POINTS = 64
 # relative tolerance a sandwich allows on top of the moment backend's own
@@ -188,14 +190,14 @@ def gls_norm(
     psi: GeneratingFunction,
     p_max: float = DEFAULT_P_MAX,
     rset: Optional[RestrictedSet] = None,
-    n_points: int = 512,
 ) -> NormResult:
     """sup over S intersected with [1, p_max] of |f|_p / psi(p).
 
-    With rset=None the domain is all of [1, p_max].  Every interval
-    component is a geometric scan row of n_points, all searched at once,
-    and every local maximum is polished by golden section (no unimodality
-    assumed); point components are evaluated exactly.
+    With rset=None the domain is all of [1, p_max]; with a set it is the
+    restricted norm.  Every interval component is a geometric scan row of
+    _SCAN_POINTS points, all searched at once, and every local maximum is
+    polished by golden section (no unimodality assumed); point components
+    are evaluated exactly.
     """
     if not 1.0 <= p_max < math.inf:
         raise DomainError(f"p_max must be finite and at least 1, got {p_max:g}")
@@ -204,16 +206,9 @@ def gls_norm(
     lo, hi = np.maximum(lo, 1.0), np.minimum(hi, p_max)
     lo, hi = lo[lo <= hi], hi[lo <= hi]
     span = lo < hi
-    rows = np.geomspace(lo[span], hi[span], max(int(n_points), 2), axis=1)
+    rows = np.geomspace(lo[span], hi[span], _SCAN_POINTS, axis=1)
     rows[:, 0], rows[:, -1] = lo[span], hi[span]
     return _sup_norm(model, psi, p_max, rows, lo[~span])
-
-
-def restricted_norm(
-    model: RandomVariableModel, psi: GeneratingFunction, S: RestrictedSet, p_max: float = DEFAULT_P_MAX
-) -> NormResult:
-    """Norm over the given set, truncated at p_max."""
-    return gls_norm(model, psi, p_max, rset=S)
 
 
 def discrete_norm(model: RandomVariableModel, psi: GeneratingFunction, q: GridSequence) -> NormResult:

@@ -11,7 +11,7 @@ import csv
 import io
 import math
 
-__all__ = ["fmt", "format_row", "render_csv"]
+__all__ = ["fmt", "render_csv"]
 
 
 def fmt(value) -> str:
@@ -28,14 +28,10 @@ def fmt(value) -> str:
     return str(value)
 
 
-def format_row(row) -> list:
-    return [fmt(v) for v in row]
-
-
 def render_csv(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(header))
     for row in rows:
-        writer.writerow(format_row(row))
+        writer.writerow([fmt(v) for v in row])
     return buf.getvalue()

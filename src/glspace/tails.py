@@ -118,9 +118,6 @@ class TailEnvelope:
     def domain_threshold(self) -> float:
         return math.e * self.norm_value
 
-    def h_at(self, x: float) -> HTransformResult:
-        return h_transform(self.q, self.psi, x / self.norm_value)
-
     def __call__(self, x: float) -> float:
         return tail_envelope(self, x)
 
@@ -148,7 +145,7 @@ def tail_envelope(env: TailEnvelope, x: float) -> float:
         raise DomainError(
             f"envelope holds for x >= e*norm = {env.domain_threshold:g}, got {x:g}"
         )
-    return math.exp(-env.h_at(x).value)
+    return math.exp(-h_transform(env.q, env.psi, x / env.norm_value).value)
 
 
 @dataclass(frozen=True)
@@ -193,25 +190,26 @@ def tail_check(
 ) -> TailReport:
     """Empirical survival against the envelope at each probe point.
 
-    ``x_grid`` defaults to default_probe_points of the envelope.  Probes
-    below the e*norm threshold are reported as out-of-domain, not
-    judged.  The pass condition allows three standard deviations of
-    sampling noise, plus one count, on top of the envelope.  If the true
-    survival sat exactly at the envelope, a probe would fail with
-    probability at most 4.1e-3: the exact binomial worst case over the
-    envelope value, for n = 200,000 and n = 2^20 alike, approached at an
-    expected count of 0.315, where three counts fail.  At larger expected
-    counts it falls slowly toward the normal 1.35e-3 (2.2e-3 at 20, 1.5e-3
-    at 1000).  No level is stated for several probes together.  The report
-    keeps the sample it judged.
+    ``x_grid`` defaults to default_probe_points of the envelope; a NaN or
+    infinite probe is a DomainError.  Probes below the e*norm threshold
+    are reported as out-of-domain, not judged.  The pass condition allows
+    three standard deviations of sampling noise, plus one count, on top
+    of the envelope.  If the true survival sat exactly at the envelope, a
+    probe would fail with probability at most 4.1e-3: the exact binomial
+    worst case over the envelope value, for n = 200,000 and n = 2^20
+    alike, approached at an expected count of 0.315, where three counts
+    fail.  At larger expected counts it falls slowly toward the normal
+    1.35e-3 (2.2e-3 at 20, 1.5e-3 at 1000).  No level is stated for
+    several probes together.  The report keeps the sample it judged.
     """
     env = make_tail_envelope(model, psi, q)
+    xs = default_probe_points(env) if x_grid is None else [float(x) for x in x_grid]
+    for x in xs:
+        if not math.isfinite(x):
+            raise DomainError(f"tail probe points must be finite, got {x}")
     batch = sample(model, n, seed)
-    if x_grid is None:
-        x_grid = default_probe_points(env)
     rows = []
-    for x in x_grid:
-        x = float(x)
+    for x in xs:
         emp = empirical_survival(batch, x)
         if x < env.domain_threshold:
             rows.append(TailRow(x=x, empirical=emp, envelope=math.nan, slack=math.nan, in_domain=False, ok=True))
@@ -228,7 +226,6 @@ class MembershipEstimate:
 
     K_hat: float
     x_range_checked: Optional[Tuple[float, float]]
-    violations: int
     K_grid: Tuple[float, ...]
     n: int
 
@@ -275,9 +272,7 @@ def membership_K_estimate(
     for K in ks:
         lo = math.e * K
         if lo > vmax:
-            return MembershipEstimate(
-                K_hat=K, x_range_checked=None, violations=0, K_grid=tuple(ks), n=batch.size
-            )
+            return MembershipEstimate(K_hat=K, x_range_checked=None, K_grid=tuple(ks), n=batch.size)
         hi = max(lo, min(vmax, K * psi_M * (1.0 - 1e-9)))
         xs = np.geomspace(lo, hi, _MEMBERSHIP_PROBES)
         h, _, resolved = table(xs / K)
@@ -286,7 +281,7 @@ def membership_K_estimate(
         bad = ~resolved | (empirical_survival(batch, xs) > e_val + _binomial_slack(e_val, batch.size))
         if not bad.any():
             return MembershipEstimate(
-                K_hat=K, x_range_checked=(float(lo), float(hi)), violations=0, K_grid=tuple(ks), n=batch.size
+                K_hat=K, x_range_checked=(float(lo), float(hi)), K_grid=tuple(ks), n=batch.size
             )
         first = int(np.argmax(bad))
         if not resolved[first]:

@@ -29,7 +29,6 @@ from glspace import (
     natural_psi,
     psi_eval,
     rademacher_model,
-    restricted_norm,
     sandwich_suite,
     set_fixtures,
     symmetric_group,
@@ -304,14 +303,14 @@ def test_criterion_09_norm_axioms(restricted_cases, discrete_cases):
     for model in (gaussian_model(), uniform01_model()):
         base = (
             gls_norm(model, psi).value,
-            restricted_norm(model, psi, S).value,
+            gls_norm(model, psi, rset=S).value,
             discrete_norm(model, psi, q_grid).value,
         )
         for alpha in (-2.0, 0.5, 3.0):
             scaled = model.scaled(alpha)
             got = (
                 gls_norm(scaled, psi).value,
-                restricted_norm(scaled, psi, S).value,
+                gls_norm(scaled, psi, rset=S).value,
                 discrete_norm(scaled, psi, q_grid).value,
             )
             for have, want in zip(got, base):

@@ -2,13 +2,15 @@
 
 import csv
 import io
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from glspace import MomentInstabilityWarning
+from glspace import MomentInstabilityWarning, SuiteResult, psi_from_spec
 from glspace.cli import main
+from glspace.suites import TAILS_HEADER
 
 
 def run_cli(capsys, *args):
@@ -173,6 +175,18 @@ def test_verify_tails_small_sample(capsys):
     assert "true" in out
 
 
+def test_suite_failures_are_the_rows_with_a_false_pass_flag():
+    # the pass flag is the last column; an out-of-domain tail row passes
+    out_of_domain = (1.0, 0.5, math.nan, math.nan, True)
+    judged_ok = (3.0, 0.001, 0.002, 0.0005, True)
+    judged_bad = (3.5, 0.01, 0.001, 0.0005, np.False_)
+    result = SuiteResult("tails", TAILS_HEADER, (out_of_domain, judged_bad, judged_ok, judged_bad))
+    assert result.n_failures == 2 and not result.ok
+    clean = SuiteResult("tails", TAILS_HEADER, (out_of_domain, judged_ok))
+    assert clean.n_failures == 0 and clean.ok
+    assert SuiteResult("tails", TAILS_HEADER, ()).ok
+
+
 def test_tail_constant_model_has_empty_tail(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -268,6 +282,26 @@ def test_strict_flag_accepts_finite_norms(capsys):
         "--strict",
     )
     assert code == 0
+
+
+@pytest.mark.filterwarnings("default:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("delta, value", [("-700", "0"), ("5000", "inf")])
+def test_psi_out_of_range_exits_2_naming_p(capsys, delta, value):
+    # psi underflows to 0 (overflows to inf) inside [1, 200]: the first
+    # scan point where it does is named, not read as a divergent moment
+    # (or a finite norm).  The overflow also prints NumPy's warning line.
+    psi = f"power_slowvary(r=2, delta={delta})"
+    xs = np.geomspace(1.0, 200.0, 512)
+    with np.errstate(over="ignore"):
+        vals = psi_from_spec(psi).evaluator(xs)
+    p = float(xs[np.argmax((vals == 0.0) | (vals == np.inf))])
+    code, out, err = run_cli(capsys, "norm", "--model", "gaussian", "--psi", psi)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert all(line.startswith("gls: ") for line in lines)
+    assert [line for line in lines if not line.startswith("gls: warning: ")] == [
+        f"gls: {psi}: psi(p) = {value} at p={p!r}; psi must be finite and positive"
+    ]
 
 
 def test_nan_ratio_exits_2(capsys, monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from glspace import (
     DomainError,
     EmpiricalModel,
+    GeneratingFunction,
     PowerSlowVaryParams,
     gaussian_model,
     make_power_slowvary,
@@ -56,6 +57,37 @@ def test_delta_without_a_finite_psi_is_rejected(make, delta):
     # DomainError, not an OverflowError or a NumPy RuntimeWarning
     with pytest.raises(DomainError, match="delta"):
         make(PowerSlowVaryParams(r=2.0, delta=delta))
+
+
+# psi(r=2, delta) underflows to 0 from p = 16.27 on (delta = -700) and
+# overflows to inf from p = 1.17 on (delta = 5000), inside the norm window
+OUT_OF_RANGE = [(-700.0, "0"), (5000.0, "inf")]
+
+
+@pytest.mark.parametrize("delta, value", OUT_OF_RANGE)
+def test_psi_out_of_range_is_a_domain_error_naming_p(delta, value):
+    psi = make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=delta))
+    desc = f"power_slowvary(r=2, delta={delta:g})"
+    with np.errstate(over="ignore"):
+        assert psi_eval(psi, 1.0) == 1.0
+        with pytest.raises(DomainError) as scalar:
+            psi_eval(psi, 100.0)
+        with pytest.raises(DomainError) as array:
+            psi_eval(psi, np.array([1.0, 1.05, 50.0, 100.0]))
+    assert str(scalar.value) == f"{desc}: psi(p) = {value} at p=100.0; psi must be finite and positive"
+    assert str(array.value) == f"{desc}: psi(p) = {value} at p=50.0; psi must be finite and positive"
+
+
+def test_psi_evaluation_rejects_a_negative_value_and_passes_nan_on():
+    negative = GeneratingFunction(lambda p: 2.0 - np.asarray(p), False, 1.0, "two_minus_p")
+    with pytest.raises(DomainError, match=r"^two_minus_p: psi\(p\) = -1 at p=3.0;"):
+        psi_eval(negative, 3.0)
+    with pytest.raises(DomainError, match=r"^two_minus_p: psi\(p\) = 0 at p=2.0;"):
+        psi_eval(negative, np.array([1.0, 2.0, 3.0]))
+    # a NaN is the search's to name, with the p it was searching at
+    nan = GeneratingFunction(lambda p: np.sqrt(p) * np.nan, False, 1.0, "nan")
+    assert math.isnan(psi_eval(nan, 2.0))
+    assert np.isnan(psi_eval(nan, np.array([1.0, 2.0]))).all()
 
 
 def test_evaluation_rejects_p_below_one():

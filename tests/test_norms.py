@@ -26,7 +26,6 @@ from glspace import (
     integer_grid,
     make_power_slowvary,
     natural_psi,
-    restricted_norm,
     sandwich_check_discrete,
     sandwich_check_restricted,
     set_fixtures,
@@ -86,11 +85,27 @@ def test_discrete_norm_gaussian_on_integers():
     assert res.decreasing_at_hi
 
 
+@pytest.mark.parametrize("delta, value", [(-700.0, "0"), (5000.0, "inf")])
+def test_psi_out_of_range_in_the_window_names_the_first_scan_point(delta, value):
+    # psi underflows (overflows) from p = 16.27 (1.17) on, where the moment
+    # is finite: the norm is neither +inf nor the finite sup of a ratio 0
+    psi = make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=delta))
+    xs = np.geomspace(1.0, 200.0, 512)
+    with np.errstate(over="ignore"):
+        vals = psi.evaluator(xs)
+        with pytest.raises(DomainError) as exc:
+            gls_norm(gaussian_model(), psi, 200.0)
+    p = float(xs[np.argmax((vals <= 0.0) | (vals == math.inf))])
+    assert str(exc.value) == (
+        f"power_slowvary(r=2, delta={delta:g}): psi(p) = {value} at p={p!r}; psi must be finite and positive"
+    )
+
+
 def test_divergent_moments_give_infinite_norms():
     pareto = DensityModel(
         "pareto3", lambda x: 2.0 / x ** 3 if x >= 1.0 else 0.0, (1.0, np.inf)
     )
-    res = gls_norm(pareto, root_psi(), p_max=10.0, n_points=32)
+    res = gls_norm(pareto, root_psi(), p_max=10.0)
     assert math.isinf(res.value)
     assert "divergent" in res.diagnostics
     dres = discrete_norm(pareto, root_psi(), integer_grid(5))
@@ -107,8 +122,8 @@ def test_homogeneity_of_all_three_norms():
         assert gls_norm(s, psi).value == pytest.approx(
             abs(alpha) * gls_norm(g, psi).value, rel=1e-12
         )
-        assert restricted_norm(s, psi, S).value == pytest.approx(
-            abs(alpha) * restricted_norm(g, psi, S).value, rel=1e-12
+        assert gls_norm(s, psi, rset=S).value == pytest.approx(
+            abs(alpha) * gls_norm(g, psi, rset=S).value, rel=1e-12
         )
         assert discrete_norm(s, psi, q).value == pytest.approx(
             abs(alpha) * discrete_norm(g, psi, q).value, rel=1e-12
@@ -122,9 +137,9 @@ def test_triangle_inequality_for_plugin_norms(seed, n):
     f = rng.normal(size=n)
     g = rng.normal(size=n)
     psi = root_psi()
-    nf = gls_norm(EmpiricalModel(f), psi, p_max=20.0, n_points=128).value
-    ng = gls_norm(EmpiricalModel(g), psi, p_max=20.0, n_points=128).value
-    nfg = gls_norm(EmpiricalModel(f + g), psi, p_max=20.0, n_points=128).value
+    nf = gls_norm(EmpiricalModel(f), psi, p_max=20.0).value
+    ng = gls_norm(EmpiricalModel(g), psi, p_max=20.0).value
+    nfg = gls_norm(EmpiricalModel(f + g), psi, p_max=20.0).value
     assert nfg <= (nf + ng) * (1.0 + 1e-9)
 
 

@@ -306,6 +306,29 @@ def test_nan_psi_names_the_full_scans_p():
         assert str(pruned.value) == str(full.value) == f"the searched function is NaN at p={float(p)!r}"
 
 
+def test_psi_overflow_names_the_full_scans_p():
+    # a 1024-value sample under a strictly increasing psi whose value
+    # overflows to inf from p = 1.17 on: the first level of the pruned scan
+    # meets it at xs[64], the full scan at an earlier point
+    model = EmpiricalModel(_sample(0, 8 * N, 11))
+    psi = make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=5000.0))
+    p_max = default_p_max(model)
+    xs = np.geomspace(1.0, p_max, 512)
+    pair, ratio = _ratio(model, psi)
+    message = "power_slowvary(r=2, delta=5000): psi(p) = inf at p={!r}; psi must be finite and positive"
+    with np.errstate(over="ignore"):
+        first = int(np.argmax(psi.evaluator(xs) == math.inf))
+        assert first % 64
+        with pytest.raises(DomainError) as coarse:
+            search._pruned_scan(ratio, xs[None, :], pair, -math.inf)
+        with pytest.raises(DomainError) as pruned:
+            gls_norm(model, psi, p_max)
+        with pytest.raises(DomainError) as full:
+            _full_scan(model, psi, p_max)
+    assert str(coarse.value) == message.format(float(xs[64]))
+    assert str(pruned.value) == str(full.value) == message.format(float(xs[first]))
+
+
 def _is_pruned(monkeypatch, model, psi) -> bool:
     """Whether gls_norm hands sup_rows the (numerator, denominator) parts
     that prune its scan."""

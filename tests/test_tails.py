@@ -174,16 +174,24 @@ def test_tail_check_bounded_variable_never_violates():
     assert all(r.empirical == 0.0 for r in report.rows if r.in_domain)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize("psi", [root_psi(), sqrt_dip_psi()], ids=["increasing", "non-monotone"])
+def test_tail_check_rejects_a_non_finite_probe(psi, x):
+    # rejected before sampling, whatever the psi: an infinite probe is not
+    # a truncation the caller could fix by raising M
+    with pytest.raises(DomainError, match=f"probe points must be finite, got {x}"):
+        tail_check(gaussian_model(), psi, integer_grid(50), n=1_000, seed=0, x_grid=(4.0, x))
+
+
 def test_membership_scan_brackets_the_gaussian_norm():
     batch = sample(gaussian_model(), 50_000, seed=3)
     q, psi = integer_grid(60), root_psi()
     K_grid = np.geomspace(0.3, 4.0, 24)
     est = membership_K_estimate(batch, q, psi, K_grid=K_grid)
-    assert est.violations == 0
     assert est.K_hat in set(float(k) for k in K_grid)
     # the true norm is ~0.8; the accepted scale cannot be tiny
     assert est.K_hat > 0.4
-    doubled = SampleBatch(values=2.0 * batch.values, seed=batch.seed, size=batch.size)
+    doubled = SampleBatch(values=2.0 * batch.values, seed=batch.seed)
     est2 = membership_K_estimate(doubled, q, psi, K_grid=K_grid)
     assert est2.K_hat >= est.K_hat
 
@@ -193,7 +201,6 @@ def test_membership_trivial_accept_when_sample_is_small():
     est = membership_K_estimate(batch, integer_grid(60), root_psi(), K_grid=[1.0])
     assert est.K_hat == 1.0
     assert est.x_range_checked is None
-    assert est.violations == 0
 
 
 def test_membership_no_feasible_scale():
