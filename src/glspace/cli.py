@@ -17,6 +17,7 @@ and warnings print one ``gls: ...`` line each on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -51,7 +52,12 @@ _CONFIG_KEYS = (
 )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process.  Parsing leaves it
+    as it was (each call fills a fresh namespace), the help text reads
+    COLUMNS when it is printed, and each command's ``func`` looks its
+    helpers up when it runs, so patches of this module's names still act."""
     parser = argparse.ArgumentParser(
         prog="gls",
         description="Norms, equivalence constants and tail envelopes "
@@ -314,14 +320,17 @@ def main(argv=None) -> int:
         print(f"gls: {exc}", file=sys.stderr)
         return 2
     try:
-        with warnings.catch_warnings():
+        # NumPy's overflow warning is not reported: an overflow that matters
+        # surfaces as an inf, which psi_eval and the searches name with its p
+        with warnings.catch_warnings(), np.errstate(over="ignore"):
             # the filters are left as they are (-W error, once per message)
             warnings.showwarning = _show_warning
             return int(args.func(cfg))
     except (SpecParseError, DomainError) as exc:
         print(f"gls: {exc}", file=sys.stderr)
         return 2
-    except GlsError as exc:
+    except (GlsError, Warning) as exc:
+        # a Warning arrives here raised, as -W error asks
         print(f"gls: {exc}", file=sys.stderr)
         return 1
 

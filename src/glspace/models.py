@@ -209,26 +209,31 @@ def power_mean(abs_values, p):
     return mx * out.reshape(q.shape)
 
 
-def _uniform_chunk(seed: int, chunk_index: int, count: int) -> np.ndarray:
-    """53-bit uniforms in the open interval (0,1) for one chunk."""
+def _uniform_chunk(seed: int, chunk_index: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with one chunk's 53-bit uniforms (k + 1/2) 2^-53, k
+    uniform in [0, 2^53), rounded to a double; returns ``out``.  They lie in
+    (0, 1]: k + 1/2 rounds to even past 2^52, so k = 2^53 - 1 gives 1.0.
+
+    random() takes k as the top 53 bits of each 64-bit draw, as a bounded
+    integers(0, 2^53) draw does, and adding the half-ulp 2^-54 to k 2^-53
+    rounds as k + 0.5 does, so the bits are those of
+    (integers(0, 2**53) + 0.5) * 2**-53 without its temporaries."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(chunk_index),))
-    rng = np.random.default_rng(ss)
-    k = rng.integers(0, 1 << 53, size=count, dtype=np.int64)
-    return (k.astype(np.float64) + 0.5) * 2.0**-53
+    np.random.default_rng(ss).random(out=out)
+    out += 2.0**-54
+    return out
 
 
 def uniform_stream(seed: int, n: int) -> np.ndarray:
     """Uniforms for sample generation, chunk by chunk: chunk i is
-    _uniform_chunk(seed, i, count), which depends on no other chunk, so
-    the chunks may be produced in any order."""
+    _uniform_chunk(seed, i, <its slice>), which depends on no other chunk,
+    so the chunks may be produced in any order.  The array is fresh: the
+    caller owns it and may transform it in place."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    n_chunks = (n + SAMPLE_CHUNK - 1) // SAMPLE_CHUNK
     out = np.empty(n, dtype=np.float64)
-    for ci in range(n_chunks):
-        start = ci * SAMPLE_CHUNK
-        count = min(SAMPLE_CHUNK, n - start)
-        out[start : start + count] = _uniform_chunk(seed, ci, count)
+    for ci, start in enumerate(range(0, n, SAMPLE_CHUNK)):
+        _uniform_chunk(seed, ci, out[start : start + SAMPLE_CHUNK])
     return out
 
 
@@ -253,7 +258,12 @@ class RandomVariableModel:
 
 
 class ClosedFormModel(RandomVariableModel):
-    """Model whose moment map p -> |f|_p is an exact formula."""
+    """Model whose moment map p -> |f|_p is an exact formula.
+
+    ``transform`` maps a fresh array of uniforms to draws.  It owns that
+    array and may overwrite it; the built-in families write their draws
+    into it, so a sample allocates its output and nothing of its size
+    beside it."""
 
     def __init__(self, label, moment_fn, transform=None):
         self.label = label
@@ -370,6 +380,7 @@ class DensityModel(RandomVariableModel):
                 "use the matching closed-form family instead"
             )
         cdf, xs = self._icdf_table
+        # np.interp has no out=, so this sampler allocates beside its uniforms
         return np.interp(uniform_stream(seed, n), cdf, xs)
 
 
@@ -421,8 +432,9 @@ class EmpiricalModel(PowerMeanModel):
 
     def sample_values(self, n: int, seed: int) -> np.ndarray:
         u = uniform_stream(seed, n)
-        idx = np.minimum((u * self.values.size).astype(np.int64), self.values.size - 1)
-        return self.values[idx]
+        u *= self.values.size
+        # mode="clip" maps the index u * size rounds up to, size, to size - 1
+        return np.take(self.values, u.astype(np.int64), out=u, mode="clip")
 
     def scaled(self, alpha: float) -> "EmpiricalModel":
         return EmpiricalModel(self.values * alpha, label=f"{self.label}*{alpha:g}")
@@ -441,7 +453,9 @@ class ScaledModel(RandomVariableModel):
         return abs(self.alpha) * self.base.lp_norm(p)
 
     def sample_values(self, n: int, seed: int) -> np.ndarray:
-        return self.alpha * self.base.sample_values(n, seed)
+        values = self.base.sample_values(n, seed)
+        values *= self.alpha
+        return values
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +468,7 @@ def gaussian_model() -> ClosedFormModel:
         return np.exp(((p / 2.0) * math.log(2.0) + gammaln((np.asarray(p) + 1.0) / 2.0)
                        - 0.5 * math.log(math.pi)) / p)
 
-    return ClosedFormModel("gaussian", moments, transform=lambda u: ndtri(u))
+    return ClosedFormModel("gaussian", moments, transform=lambda u: ndtri(u, out=u))
 
 
 def uniform01_model() -> ClosedFormModel:
@@ -472,7 +486,12 @@ def exponential_model() -> ClosedFormModel:
     def moments(p):
         return np.exp(gammaln(np.asarray(p, dtype=float) + 1.0) / p)
 
-    return ClosedFormModel("exponential", moments, transform=lambda u: -np.log1p(-u))
+    def transform(u):
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        return np.negative(u, out=u)
+
+    return ClosedFormModel("exponential", moments, transform=transform)
 
 
 def constant_model(c: float) -> ClosedFormModel:
@@ -482,7 +501,11 @@ def constant_model(c: float) -> ClosedFormModel:
     def moments(p):
         return np.full_like(np.asarray(p, dtype=float), a) if np.ndim(p) else a
 
-    return ClosedFormModel(f"constant:{c:g}", moments, transform=lambda u: np.full_like(u, float(c)))
+    def transform(u):
+        u.fill(float(c))
+        return u
+
+    return ClosedFormModel(f"constant:{c:g}", moments, transform=transform)
 
 
 def rademacher_model() -> ClosedFormModel:
@@ -491,7 +514,13 @@ def rademacher_model() -> ClosedFormModel:
     def moments(p):
         return np.ones_like(np.asarray(p, dtype=float)) if np.ndim(p) else 1.0
 
-    return ClosedFormModel("rademacher", moments, transform=lambda u: np.where(u < 0.5, -1.0, 1.0))
+    def transform(u):
+        negative = u < 0.5
+        u.fill(1.0)
+        u[negative] = -1.0
+        return u
+
+    return ClosedFormModel("rademacher", moments, transform=transform)
 
 
 def gaussian_density_model() -> DensityModel:

@@ -148,6 +148,18 @@ def test_warning_prints_as_one_gls_line(capsys, tmp_path):
         assert run_cli(capsys, *argv) == (0, out, "")
 
 
+def test_warning_raised_as_an_error_prints_one_gls_line_and_exits_1(capsys, tmp_path):
+    # the suite's filters make the warning an error, as python -W error does
+    sample_file = tmp_path / "sample.txt"
+    np.savetxt(sample_file, np.random.default_rng(5).standard_normal(256))
+    model = f"empirical:{sample_file}"
+    code, out, err = run_cli(
+        capsys, "norm", "--model", model, "--psi", f"natural:{model}", "--grid", "geometric:D=2:M=12"
+    )
+    assert (code, out) == (1, "")
+    assert err == "gls: plug-in moment at p=4095 with n=256 is dominated by the sample maximum\n"
+
+
 def test_norm_requires_a_model(capsys):
     code, _, err = run_cli(capsys, "norm", "--psi", "power_slowvary(r=2)")
     assert code == 2 and "model" in err
@@ -284,12 +296,12 @@ def test_strict_flag_accepts_finite_norms(capsys):
     assert code == 0
 
 
-@pytest.mark.filterwarnings("default:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("delta, value", [("-700", "0"), ("5000", "inf")])
 def test_psi_out_of_range_exits_2_naming_p(capsys, delta, value):
     # psi underflows to 0 (overflows to inf) inside [1, 200]: the first
     # scan point where it does is named, not read as a divergent moment
-    # (or a finite norm).  The overflow also prints NumPy's warning line.
+    # (or a finite norm).  NumPy's overflow warning is not raised, so this
+    # holds under the suite's warnings-as-errors, as under python -W error.
     psi = f"power_slowvary(r=2, delta={delta})"
     xs = np.geomspace(1.0, 200.0, 512)
     with np.errstate(over="ignore"):
@@ -297,11 +309,7 @@ def test_psi_out_of_range_exits_2_naming_p(capsys, delta, value):
     p = float(xs[np.argmax((vals == 0.0) | (vals == np.inf))])
     code, out, err = run_cli(capsys, "norm", "--model", "gaussian", "--psi", psi)
     assert code == 2 and out == ""
-    lines = err.splitlines()
-    assert all(line.startswith("gls: ") for line in lines)
-    assert [line for line in lines if not line.startswith("gls: warning: ")] == [
-        f"gls: {psi}: psi(p) = {value} at p={p!r}; psi must be finite and positive"
-    ]
+    assert err == f"gls: {psi}: psi(p) = {value} at p={p!r}; psi must be finite and positive\n"
 
 
 def test_nan_ratio_exits_2(capsys, monkeypatch):
@@ -440,3 +448,28 @@ def test_shared_options_parent_keeps_every_help_text_and_namespace(capsys, monke
         got = vars(new.parse_args(argv))
         assert got.pop("func").__name__ == "cmd_" + argv[0]
         assert got == vars(old.parse_args(argv))
+
+
+def test_parser_is_built_once_and_keeps_nothing_between_calls(capsys, monkeypatch):
+    from glspace.cli import build_parser
+
+    assert build_parser() is build_parser()
+    tail = ("tail", "--model", "gaussian", "--n", "20000", "--seed", "3", "--strict")
+    norm = ("norm", "--model", "gaussian", "--psi", "power_slowvary(r=2, delta=0)")
+    back_to_back = [run_cli(capsys, *tail), run_cli(capsys, *norm)]
+    separate = []
+    for argv in (tail, norm):
+        build_parser.cache_clear()  # a new parser, as in a new process
+        separate.append(run_cli(capsys, *argv))
+    assert back_to_back == separate
+    assert back_to_back[0][0] == 0 and back_to_back[0][1].splitlines()[-1].startswith("K_hat,")
+    build_parser().parse_args(list(tail))
+    args = vars(build_parser().parse_args(list(norm)))
+    assert {k: args[k] for k in ("seed", "n", "strict")} == {"seed": None, "n": None, "strict": None}
+    # the help wraps at the COLUMNS in force when it is printed
+    helps = {}
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps[columns] = _exit_text(build_parser(), ["norm", "--help"], capsys)
+        assert helps[columns] == _exit_text(build_parser.__wrapped__(), ["norm", "--help"], capsys)
+    assert helps["60"] != helps["120"]

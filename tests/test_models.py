@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import ndtri
+
+import glspace.models
 
 from glspace import (
     DensityModel,
@@ -38,6 +41,7 @@ from glspace.models import (
     SAMPLE_CHUNK,
     _ZERO_MIN_VALUES,
     PowerMeanState,
+    ScaledModel,
     exponential_density_model,
     power_mean,
     _uniform_chunk,
@@ -164,13 +168,84 @@ def test_chunk_order_cannot_change_the_stream():
     for i in (3, 1, 0, 2):
         start = i * SAMPLE_CHUNK
         count = min(SAMPLE_CHUNK, n - start)
-        assert np.array_equal(natural[start : start + count], _uniform_chunk(9, i, count))
+        assert np.array_equal(natural[start : start + count], _uniform_chunk(9, i, np.empty(count)))
 
 
 def test_shorter_stream_is_a_prefix_of_a_longer_one():
     long = uniform_stream(5, SAMPLE_CHUNK + 50)
     short = uniform_stream(5, SAMPLE_CHUNK + 7)
     assert np.array_equal(long[: SAMPLE_CHUNK + 7], short)
+
+
+def _integer_formula_stream(seed, n):
+    """The stream as (integers(0, 2^53) + 0.5) 2^-53, chunk by chunk: the
+    allocating formula the sampler drew with before it filled one array."""
+    out = np.empty(n)
+    for i, start in enumerate(range(0, n, SAMPLE_CHUNK)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        k = rng.integers(0, 1 << 53, size=min(SAMPLE_CHUNK, n - start), dtype=np.int64)
+        out[start : start + k.size] = (k.astype(np.float64) + 0.5) * 2.0**-53
+    return out
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 11, 12345, 2**63 + 5])
+def test_uniform_stream_has_the_bits_of_the_integer_formula(seed):
+    for n in (0, 1, SAMPLE_CHUNK - 1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 3 * SAMPLE_CHUNK + 123, 1 << 20):
+        assert _same_bits(uniform_stream(seed, n), _integer_formula_stream(seed, n)), n
+
+
+_STORED = np.random.default_rng(4).standard_normal(1000)
+
+
+def _bootstrap(u):
+    return _STORED[np.minimum((u * _STORED.size).astype(np.int64), _STORED.size - 1)]
+
+
+# each sampler beside the allocating expression it replaced, applied to the
+# uniforms of the integer formula
+_ALLOCATING_SAMPLERS = [
+    (gaussian_model(), ndtri),
+    (uniform01_model(), lambda u: u),
+    (exponential_model(), lambda u: -np.log1p(-u)),
+    (constant_model(-2.5), lambda u: np.full_like(u, -2.5)),
+    (constant_model(-0.0), lambda u: np.full_like(u, -0.0)),
+    (rademacher_model(), lambda u: np.where(u < 0.5, -1.0, 1.0)),
+    (EmpiricalModel(_STORED), _bootstrap),
+    (ScaledModel(gaussian_model(), -2.0), lambda u: -2.0 * ndtri(u)),
+    (ScaledModel(exponential_model(), 0.3), lambda u: 0.3 * -np.log1p(-u)),
+    (ScaledModel(EmpiricalModel(_STORED), 1.7), lambda u: 1.7 * _bootstrap(u)),
+]
+
+
+@pytest.mark.parametrize("model, allocating", [pytest.param(*pair, id=pair[0].label) for pair in _ALLOCATING_SAMPLERS])
+@pytest.mark.parametrize("seed", [3, 12345])
+def test_in_place_samplers_keep_the_allocating_bits(model, allocating, seed):
+    n = 3 * SAMPLE_CHUNK + 123
+    assert _same_bits(model.sample_values(n, seed), allocating(_integer_formula_stream(seed, n)))
+
+
+def test_bootstrap_index_that_rounds_up_to_the_size_takes_the_last_value(monkeypatch):
+    # (1 - 2^-53) * 3 rounds to 3, one past the last index
+    u = np.array([2.0**-54, 0.5, 1.0 - 2.0**-53, 1.0])
+    monkeypatch.setattr(glspace.models, "uniform_stream", lambda seed, n: u.copy())
+    assert EmpiricalModel([10.0, 20.0, 30.0]).sample_values(4, 0).tolist() == [10.0, 20.0, 30.0, 30.0]
+
+
+@pytest.mark.parametrize("factory", [gaussian_model, exponential_model])
+def test_sample_allocates_its_output_and_at_most_one_chunk_beside_it(factory):
+    model = factory()
+    n = 1 << 20
+    tracemalloc.start()
+    try:
+        sample(model, n, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (n + SAMPLE_CHUNK)
 
 
 def test_empirical_plugin_moments():
