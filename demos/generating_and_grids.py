@@ -29,7 +29,7 @@ psi = make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=0.5))
 ps = np.array([1.0, 2.0, 4.0, 16.0, 100.0])
 print("psi =", psi.description)
 print("  psi(p) at", ps, "->", np.round(psi_eval(psi, ps), 6))
-print("  strictly increasing:", psi.strictly_increasing)
+print("  nondecreasing:", psi.nondecreasing)
 
 # every model induces its own natural psi: p -> |f|_p / |f|_1
 nat = natural_psi(gaussian_model())

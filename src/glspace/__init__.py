@@ -29,7 +29,6 @@ from .generating import (
     make_power_slowvary,
     natural_psi,
     psi_eval,
-    psi_validate,
     raw_power_slowvary,
     sqrt_dip_psi,
 )

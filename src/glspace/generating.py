@@ -11,27 +11,27 @@ each of those requirements.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DegenerateModelError, DomainError
-from .models import MomentInstabilityWarning, RandomVariableModel, _check_p
+from .models import RandomVariableModel, _check_p
 
 
 @dataclass(frozen=True)
 class GeneratingFunction:
-    """Positive evaluator on [1, inf) with declared shape flags.
+    """Positive evaluator on [1, inf) with a declared shape flag.
 
-    strictly_increasing is a promise made by the constructor, verified by
-    sampling (psi_validate), never symbolically.  value_at_one caches
-    psi(1); the function is *normalized* when that value is exactly 1.
+    nondecreasing is a promise made by the constructor that psi is
+    nondecreasing on all of [1, inf); it is trusted, never checked.  The
+    pruned norm scan, the early stop of h and the Z/W gap analysis need
+    no more than that.  value_at_one caches psi(1).
     """
 
     evaluator: Callable[[float | np.ndarray], float | np.ndarray]
-    strictly_increasing: bool
+    nondecreasing: bool
     value_at_one: float
     description: str = ""
     #: the model a natural psi is the moment ratio |f|_p / |f|_1 of
@@ -39,10 +39,6 @@ class GeneratingFunction:
 
     def __call__(self, p):
         return psi_eval(self, p)
-
-    @property
-    def normalized(self) -> bool:
-        return self.value_at_one == 1.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"GeneratingFunction({self.description or 'anonymous'})"
@@ -96,8 +92,8 @@ def _ln3_pow(delta: float) -> float:
 
 def _power_slowvary(params: PowerSlowVaryParams, scale: float, name: str) -> GeneratingFunction:
     """p^(1/r) * ln^delta(2+p) / scale.  For delta >= 0 both factors
-    increase, so the strictly-increasing flag is set; negative delta can
-    bend the product downward and the flag is left unset.  DomainError
+    increase, so the nondecreasing flag is set; negative delta can bend
+    the product downward and the flag is left unset.  DomainError
     when the scale or psi(1) = ln^delta(3) / scale is not finite and
     positive: a delta that large in magnitude leaves no usable psi."""
     r, delta = params.r, params.delta
@@ -115,7 +111,7 @@ def _power_slowvary(params: PowerSlowVaryParams, scale: float, name: str) -> Gen
 
     return GeneratingFunction(
         evaluator=evaluator,
-        strictly_increasing=delta >= 0.0,
+        nondecreasing=delta >= 0.0,
         value_at_one=float(evaluator(1.0)),
         description=description,
     )
@@ -134,17 +130,14 @@ def raw_power_slowvary(params: PowerSlowVaryParams) -> GeneratingFunction:
     return _power_slowvary(params, 1.0, "raw_power_slowvary")
 
 
-_NATURAL_PROBE = (1.0, 1.5, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0, 50.0)
-
-
 def natural_psi(model) -> GeneratingFunction:
     """The moment-ratio generating function psi_f(p) = |f|_p / |f|_1.
 
     By construction psi_f(1) = 1 exactly and the GLS ratio
     |f|_p / psi_f(p) is constant in p, which makes exact norm fixtures.
-    Monotone (nondecreasing) on a probability space; the strict flag is
-    set from a probe grid because a constant model yields psi_f == 1,
-    which is monotone but not strictly so.
+    Every model lives on a probability space, where |f|_p is nondecreasing
+    in p (Lyapunov's inequality), so psi_f is nondecreasing by construction;
+    it may be flat (identically 1 for a constant |f|).
     """
     m1 = float(model.lp_norm(1.0))
     if m1 == 0.0:
@@ -153,70 +146,12 @@ def natural_psi(model) -> GeneratingFunction:
     def evaluator(p):
         return np.asarray(model.lp_norm(p), dtype=float) / m1
 
-    # the probe reaches past a small sample's stable p; the flag only
-    # needs the order of the values, so the plug-in warning is not news
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", MomentInstabilityWarning)
-        probe = [float(evaluator(p)) for p in _NATURAL_PROBE]
-    strict = all(a < b for a, b in zip(probe, probe[1:]))
     return GeneratingFunction(
         evaluator=evaluator,
-        strictly_increasing=strict,
+        nondecreasing=True,
         value_at_one=1.0,
         description=f"natural({getattr(model, 'label', 'model')})",
         source=model,
-    )
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Sampled-grid validation of the generating-function axioms."""
-
-    positive: bool
-    monotone: bool
-    value_at_one: float
-    normalized_exactly: bool
-    failures: tuple[str, ...] = field(default=())
-
-    @property
-    def all_ok(self) -> bool:
-        return self.positive and self.monotone and self.normalized_exactly
-
-
-# geometric sample points of psi_validate on [1, p_max]
-_VALIDATE_POINTS = 1000
-
-
-def psi_validate(psi: GeneratingFunction, p_max: float = 100.0) -> ValidationReport:
-    """Check positivity, monotonicity, and normalization on a dense grid.
-
-    Monotonicity is sampled, not proved, on _VALIDATE_POINTS geometric
-    points.  Normalization passes only at exact equality psi(1) == 1.
-    """
-    if not p_max > 1:
-        raise DomainError("p_max must exceed 1")
-    ps = np.geomspace(1.0, p_max, _VALIDATE_POINTS)
-    ps[0] = 1.0
-    # the evaluator itself, so that a value psi_eval rejects is reported
-    vals = np.asarray(psi.evaluator(ps), dtype=float)
-    failures = []
-    positive = bool(np.all(vals > 0))
-    if not positive:
-        failures.append("non-positive value on grid")
-    diffs = np.diff(vals)
-    monotone = bool(np.all(diffs >= 0))
-    if psi.strictly_increasing and not np.all(diffs > 0):
-        failures.append("declared strictly increasing but grid shows a non-increase")
-    v1 = float(psi.evaluator(1.0))
-    normalized = v1 == 1.0
-    if not normalized:
-        failures.append(f"psi(1) = {v1!r} differs from 1 by {abs(v1 - 1.0):.3e}")
-    return ValidationReport(
-        positive=positive,
-        monotone=monotone,
-        value_at_one=v1,
-        normalized_exactly=normalized,
-        failures=tuple(failures),
     )
 
 
@@ -235,7 +170,7 @@ def sqrt_dip_psi() -> GeneratingFunction:
 
     return GeneratingFunction(
         evaluator=evaluator,
-        strictly_increasing=False,
+        nondecreasing=False,
         value_at_one=float(evaluator(1.0)),
         description="sqrt_dip",
     )

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NonMonotoneError, TruncationError
-from .generating import GeneratingFunction, psi_eval, psi_validate
+from .generating import GeneratingFunction, psi_eval
 from .models import _check_finite
 from .search import sampled_min
 
@@ -265,16 +265,29 @@ class EquivalenceConstant:
     unbounded: bool = False
     tail_ratio: Optional[float] = None
     tail_increasing: bool = False
-    detail: str = ""
 
     def __float__(self) -> float:
         return self.value
 
 
+# geometric sample points of _check_monotone's test on [1, end]
+_MONOTONE_POINTS = 1000
+
+
 def _check_monotone(psi: GeneratingFunction, end: float, advice: str) -> None:
-    """Pass when psi is flagged strictly increasing or sampled nondecreasing
-    on [1, end]; else NonMonotoneError naming the window, then ``advice``."""
-    if not psi.strictly_increasing and not psi_validate(psi, p_max=end).monotone:
+    """Pass when psi is flagged nondecreasing, or else is nondecreasing on
+    _MONOTONE_POINTS geometric samples of [1, end]: the Z and W constants
+    judge a finite window, so a sampled test serves them.  Otherwise a
+    NonMonotoneError naming the window, then ``advice``; a window of one
+    point, end <= 1, is a DomainError."""
+    if psi.nondecreasing:
+        return
+    if not end > 1.0:
+        raise DomainError(f"{psi.description}: the monotone test needs a window [1, end] with end > 1, got {end:g}")
+    ps = np.geomspace(1.0, end, _MONOTONE_POINTS)
+    ps[0] = 1.0
+    # the evaluator, not psi_eval: a value psi_eval rejects (0, inf) is compared, not raised
+    if not (np.diff(np.asarray(psi.evaluator(ps), dtype=float)) >= 0).all():
         raise NonMonotoneError(f"{psi.description} is not nondecreasing on [1, {end:g}]; {advice}")
 
 
@@ -289,7 +302,6 @@ def _grid_constant(kind: str, ratios: np.ndarray, args: np.ndarray) -> Equivalen
         arg=float(args[idx]),
         tail_ratio=float(ratios[-1]),
         tail_increasing=bool(tail_increasing),
-        detail="ratios still increasing at truncation" if tail_increasing else "",
     )
 
 
@@ -299,8 +311,8 @@ def z_constant(S: RestrictedSet, psi: GeneratingFunction) -> EquivalenceConstant
     Inside a segment p+(p) = p, so only the gaps contribute.  Over a gap
     (b, a) the supremum of psi(a)/psi(p) is the limit value psi(a)/psi(b)
     as p drops to b (psi continuous and nondecreasing); the closed-form
-    gap analysis therefore requires psi to be flagged strictly increasing
-    or sampled nondecreasing up to the last gap end, and rejects anything
+    gap analysis therefore requires psi to be flagged nondecreasing or
+    sampled nondecreasing up to the last gap end, and rejects anything
     else (the W^ machinery covers non-monotone psi).  A bounded set has
     nothing beyond its last point, so p_plus diverges there and Z = +inf
     with an unbounded-gap marker.
@@ -326,10 +338,9 @@ def z_constant(S: RestrictedSet, psi: GeneratingFunction) -> EquivalenceConstant
             value=math.inf,
             arg=S.sup_value,
             unbounded=True,
-            detail=f"set has no elements beyond {S.sup_value:g}; p_plus diverges there",
         )
     if not gaps:
-        return EquivalenceConstant(kind="Z", value=1.0, arg=1.0, detail="set has no gaps")
+        return EquivalenceConstant(kind="Z", value=1.0, arg=1.0)
     lo, hi = (np.array(ends) for ends in zip(*gaps))
     z = _grid_constant("Z", psi_eval(psi, hi) / psi_eval(psi, lo), lo)
     return dataclasses.replace(z, value=max(1.0, z.value))

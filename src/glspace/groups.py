@@ -258,10 +258,6 @@ class YoungReport:
     def ok(self) -> bool:
         return self.lhs <= self.rhs * (1.0 + self.slack) + 1e-300
 
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0.0 else (0.0 if self.lhs == 0.0 else math.inf)
-
 
 def young_check(G: FiniteGroup, f, g, triple: YoungTriple) -> YoungReport:
     """|f*g|_r <= |f|_p |g|_q with constant 1 under normalized measure."""

@@ -461,12 +461,37 @@ class ScaledModel(RandomVariableModel):
 # ---------------------------------------------------------------------------
 # Built-in closed-form families
 
+def _lgamma_over_p(x, p):
+    """ln Gamma(x) / p by Stirling's series with each term divided by p,
+    (x - 1/2) / p * ln x - x / p + ln(2 pi) / (2p): finite where ln Gamma(x)
+    overflows (x past about 2.5e305), and there the first dropped term,
+    1 / (12 x p), lies far below an ulp."""
+    return (x - 0.5) / p * np.log(x) - x / p + 0.5 * math.log(2.0 * math.pi) / p
+
+
+def _log_norm(log_moment, p, past_overflow):
+    """ln |f|_p = log_moment / p.  Where the log-moment overflowed to +inf
+    (p past about 5e305), although |f|_p is finite, past_overflow(p) gives
+    the quotient with the division by p taken first; every finite quotient
+    keeps its bits."""
+    r = log_moment / p
+    if type(p) is float:
+        return past_overflow(p) if r == math.inf else r
+    over = r == math.inf
+    if over.any():
+        r[over] = past_overflow(p[over])
+    return r
+
+
 def gaussian_model() -> ClosedFormModel:
     """Standard Gaussian: |f|_p = [2^(p/2) Gamma((p+1)/2) / sqrt(pi)]^(1/p)."""
 
+    def past_overflow(p):
+        return 0.5 * math.log(2.0) + _lgamma_over_p((p + 1.0) / 2.0, p) - 0.5 * math.log(math.pi) / p
+
     def moments(p):
-        return np.exp(((p / 2.0) * math.log(2.0) + gammaln((np.asarray(p) + 1.0) / 2.0)
-                       - 0.5 * math.log(math.pi)) / p)
+        log_moment = (p / 2.0) * math.log(2.0) + gammaln((np.asarray(p) + 1.0) / 2.0) - 0.5 * math.log(math.pi)
+        return np.exp(_log_norm(log_moment, p, past_overflow))
 
     return ClosedFormModel("gaussian", moments, transform=lambda u: ndtri(u, out=u))
 
@@ -484,7 +509,7 @@ def exponential_model() -> ClosedFormModel:
     """Exponential(1): |f|_p = Gamma(p+1)^(1/p)."""
 
     def moments(p):
-        return np.exp(gammaln(np.asarray(p, dtype=float) + 1.0) / p)
+        return np.exp(_log_norm(gammaln(np.asarray(p, dtype=float) + 1.0), p, lambda p: _lgamma_over_p(p + 1.0, p)))
 
     def transform(u):
         np.negative(u, out=u)

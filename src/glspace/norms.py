@@ -6,7 +6,7 @@ subset, the discrete norm over a grid (exact enumeration, no
 refinement).  All three are one search, _sup_norm: intervals and grid
 cells are rows of one scan grid, refined together, and isolated points
 and grid values are evaluated exactly in one array call.  For a large
-sample or group function under a strictly increasing psi the scan is
+sample or group function under a nondecreasing psi the scan is
 pruned: a cell whose bound |f|(right end) / psi(left end) lies below the
 best value is not evaluated (see search), which leaves the result's bits
 as they are.  Sandwich checks verify the two-sided equivalence
@@ -135,7 +135,7 @@ def _sup_norm(
 
     The scan is pruned, against the best exact-point value too, when the
     model is a PowerMeanModel of at least _PRUNE_MIN_VALUES values and psi
-    is flagged strictly_increasing.  The cell bound needs |f|_p nondecreasing,
+    is flagged nondecreasing.  The cell bound needs |f|_p nondecreasing,
     which a power mean is exactly (a density moment only to its quadrature
     noise, 1e-8), and psi nondecreasing; on small arrays the full scan is
     cheaper.  Pruning runs in levels (every 64th scan point, then every 8th
@@ -159,7 +159,7 @@ def _sup_norm(
     prune = (
         isinstance(model, PowerMeanModel)
         and model.values.size >= _PRUNE_MIN_VALUES
-        and psi.strictly_increasing
+        and psi.nondecreasing
     )
     try:
         at_points = _eval_array(ratio, points)

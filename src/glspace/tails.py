@@ -14,11 +14,11 @@ once: one table of psi(q(m)) and ln psi(q(m)) per call, one array of
 terms, the first maximum of each row.  The logarithms are taken with
 math.log, one value at a time, so every term has the bits of scalar
 arithmetic.  A supremum the stored points cannot settle is a truncation
-error telling the caller to raise M.  For strictly increasing psi that
-is the case when psi(q(M)) < x: only once psi crosses x are all later
-terms negative and falling.  Without monotonicity nothing orders the
-terms, so the supremum is unresolved when it sits at one of the last two
-indices or the terms are still rising at the end.
+error telling the caller to raise M.  For psi flagged nondecreasing that
+is the case when psi(q(M)) < x: once psi reaches x no later term exceeds
+the last stored one (see _HTable).  Without monotonicity nothing orders
+the terms, so the supremum is unresolved when it sits at one of the last
+two indices or the terms are still rising at the end.
 """
 
 from __future__ import annotations
@@ -51,11 +51,18 @@ class HTransformResult:
 
 
 class _HTable:
-    """psi(q(m)) and ln psi(q(m)) on the stored grid, and h at many x."""
+    """psi(q(m)) and ln psi(q(m)) on the stored grid, and h at many x.
+
+    For psi flagged nondecreasing, h(x) is resolved once psi(q(M)) >= x,
+    and the stop is exact.  Write t(m) = ln x - ln psi(q(m)).  For m > M,
+    psi(q(m)) >= psi(q(M)) >= x, so t(m) <= t(M) <= 0.  With
+    q(m) > q(M) > 0 that gives q(m) t(m) <= q(m) t(M) <= q(M) t(M): no
+    unstored term exceeds the stored term at M.
+    """
 
     def __init__(self, q: GridSequence, psi: GeneratingFunction):
         self.q = q
-        self.strict = psi.strictly_increasing
+        self.nondecreasing = psi.nondecreasing
         self.psi_values = psi_eval(psi, q.values)
         # math.log, not np.log: NumPy's SIMD log differs from libm in the last place
         self.log_psi = np.array([math.log(v) for v in self.psi_values.tolist()])
@@ -66,8 +73,8 @@ class _HTable:
         terms = self.q.values * (log_x[:, None] - self.log_psi)
         k = np.argmax(terms, axis=1)
         values = terms[np.arange(xs.size), k]
-        if self.strict:
-            resolved = self.psi_values.max() >= xs
+        if self.nondecreasing:
+            resolved = self.psi_values[-1] >= xs
         else:
             # with one stored point the rising test compares the term with itself
             rising = terms[:, -1] > terms[:, max(self.q.M - 2, 0)]
@@ -75,7 +82,7 @@ class _HTable:
         return values, k + 1, resolved
 
     def truncation_error(self, x: float) -> TruncationError:
-        if self.strict:
+        if self.nondecreasing:
             return TruncationError(
                 f"psi(q(M)) = {self.psi_values[-1]:g} < x = {x:g} at the materialized truncation "
                 f"M = {self.q.M}; raise M so the supremum is provably bracketed"

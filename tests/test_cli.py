@@ -36,6 +36,18 @@ def test_norm_full_gaussian(capsys):
     assert lines[1].startswith("full,gaussian,")
 
 
+def test_gaussian_norm_up_to_the_largest_p_is_the_default_window_value(capsys):
+    # the Gaussian has every moment: no "divergent moment" out to p = 1e308
+    rows = {}
+    for p_max in ("200", "1e308"):
+        argv = ("norm", "--model", "gaussian", "--psi", "power_slowvary(r=2, delta=0.5)", "--p-max", p_max)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        (rows[p_max],) = parse_rows(out)
+    assert rows["1e308"]["value"] == rows["200"]["value"] != "inf"
+    assert "divergent" not in rows["1e308"]["note"]
+
+
 def test_norm_discrete_constant(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -29,7 +29,7 @@ from glspace import (
     w_hat_constant,
     z_constant,
 )
-from glspace.grids import _Z_TAIL_TERMS
+from glspace.grids import _Z_TAIL_TERMS, _check_monotone
 from glspace.suites import psi_pool
 
 
@@ -238,14 +238,31 @@ def test_gap_analysis_requires_monotone_psi():
 
 @pytest.mark.parametrize("model", [rademacher_model(), constant_model(3.0)])
 def test_gap_analysis_accepts_nondecreasing_psi(model):
-    # the natural psi of these models is identically 1: nondecreasing,
-    # not strictly increasing
+    # the natural psi of these models is identically 1: flagged
+    # nondecreasing, as every natural psi is, though not strictly increasing
     psi = natural_psi(model)
-    assert not psi.strictly_increasing
+    assert psi.nondecreasing
     S = set_from_spec("intervals:1-2,4-inf")
     assert z_constant(S, psi).value == 1.0
     rep = sandwich_check_restricted(model, psi, S, p_max=10.0)
     assert rep.constant.value == 1.0 and rep.ok
+
+
+def test_sampled_gate_judges_an_unflagged_psi_on_its_window():
+    # power_slowvary with delta < 0 is unflagged, yet nondecreasing on [1, 50]
+    bent = make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=-0.5))
+    assert not bent.nondecreasing
+    _check_monotone(bent, 50.0, "advice")
+    with pytest.raises(NonMonotoneError, match=r"^sqrt_dip is not nondecreasing on \[1, 20\]; advice$"):
+        _check_monotone(sqrt_dip_psi(), 20.0, "advice")
+    # a flagged psi is trusted, whatever the window
+    _check_monotone(make_power_slowvary(PowerSlowVaryParams(r=2.0)), 1.0, "advice")
+    # an unflagged psi on a one-point window: the gate and the W route
+    for psi in (bent, sqrt_dip_psi()):
+        with pytest.raises(DomainError):
+            _check_monotone(psi, 1.0, "advice")
+        with pytest.raises(DomainError):
+            sandwich_check_discrete(gaussian_model(), psi, integer_grid(5), p_max=1.0)
 
 
 def _z_reference(S, psi):

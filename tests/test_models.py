@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import gammaln, ndtri
 
 import glspace.models
 
@@ -62,6 +62,39 @@ def test_uniform_and_exponential_moments():
     assert uniform01_model().lp_norm(3.0) == pytest.approx(4.0 ** (-1.0 / 3.0), rel=1e-12)
     assert exponential_model().lp_norm(1.0) == pytest.approx(1.0, rel=1e-12)
     assert exponential_model().lp_norm(2.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
+
+
+def _old_gaussian(p):
+    return np.exp(((p / 2.0) * math.log(2.0) + gammaln((np.asarray(p) + 1.0) / 2.0) - 0.5 * math.log(math.pi)) / p)
+
+
+def _old_exponential(p):
+    return np.exp(gammaln(np.asarray(p, dtype=float) + 1.0) / p)
+
+
+@pytest.mark.parametrize(
+    "model, old, asymptote",
+    [
+        (gaussian_model(), _old_gaussian, lambda p: np.sqrt(p / math.e)),
+        (exponential_model(), _old_exponential, lambda p: p / math.e),
+    ],
+)
+def test_closed_form_moments_stay_finite_up_to_the_largest_float(model, old, asymptote):
+    # past p ~ 5e305 the log-moment overflows before its division by p,
+    # although |f|_p is about sqrt(p / e) (Gaussian) or p / e (exponential)
+    ps = np.append(np.geomspace(1e300, 1.7e308, 200), np.finfo(float).max)
+    got = model.lp_norm(ps)
+    assert np.isfinite(got).all() and (np.diff(got) > 0).all()
+    np.testing.assert_allclose(got, asymptote(ps), rtol=1e-12)
+    assert [model.lp_norm(p) for p in ps.tolist()] == got.tolist()
+    # every moment the old expression kept finite keeps its bits
+    with np.errstate(over="ignore"):
+        before = old(ps)
+    assert np.isinf(before[-1]) and np.isfinite(before[0])
+    finite = np.isfinite(before)
+    assert got[finite].tolist() == before[finite].tolist()
+    ps = np.array([1.0, 1.5, 2.0, 17.25, 200.0, 1e6, 1e300])
+    assert model.lp_norm(ps).tolist() == old(ps).tolist()
 
 
 def test_flat_families():

@@ -1,5 +1,5 @@
-"""The pruned scan: a large sample or group function under a strictly
-increasing psi skips the scan cells whose bound lies below the best value,
+"""The pruned scan: a large sample or group function under a psi flagged
+nondecreasing skips the scan cells whose bound lies below the best value,
 and must give the full scan's value, argument and edge evidence bit for bit."""
 
 import math
@@ -272,7 +272,7 @@ def test_the_bound_test_catches_a_right_end_denominator():
 
 
 def _nan_psi(bad):
-    """A psi flagged strictly increasing that is NaN where ``bad(p)``."""
+    """A psi flagged nondecreasing that is NaN where ``bad(p)``."""
 
     def evaluator(p):
         return np.where(bad(p), np.nan, np.sqrt(p))
@@ -307,7 +307,7 @@ def test_nan_psi_names_the_full_scans_p():
 
 
 def test_psi_overflow_names_the_full_scans_p():
-    # a 1024-value sample under a strictly increasing psi whose value
+    # a 1024-value sample under a flagged (nondecreasing) psi whose value
     # overflows to inf from p = 1.17 on: the first level of the pruned scan
     # meets it at xs[64], the full scan at an earlier point
     model = EmpiricalModel(_sample(0, 8 * N, 11))
@@ -343,22 +343,33 @@ def _is_pruned(monkeypatch, model, psi) -> bool:
     return got == [True]
 
 
-def test_only_large_power_means_under_a_strictly_increasing_psi_are_pruned(monkeypatch):
+def test_only_large_power_means_under_a_nondecreasing_psi_are_pruned(monkeypatch):
     psi = PSIS[0]
     big, small = EmpiricalModel(_sample(0, N, 1)), EmpiricalModel(_sample(0, N - 1, 1))
     assert _is_pruned(monkeypatch, big, psi)
     assert not _is_pruned(monkeypatch, small, psi)
     assert _is_pruned(monkeypatch, GroupFunctionModel(cyclic_group(N), _sample(1, N, 2)), psi)
     bent = make_power_slowvary(PowerSlowVaryParams(2.0, -0.5))
-    assert not bent.strictly_increasing and not _is_pruned(monkeypatch, big, bent)
-    # a natural psi is strictly increasing on a sample, and its pair keeps
-    # the one-moment-per-p division
+    assert not bent.nondecreasing and not _is_pruned(monkeypatch, big, bent)
+    # a natural psi is nondecreasing on a sample, and its pair keeps the
+    # one-moment-per-p division
     nat = natural_psi(big)
     assert _is_pruned(monkeypatch, big, nat)
     ps = np.array([1.0, 2.0, 9.5])
     num, den = norms._ratio_fn(big, nat)(ps)
     m = big.lp_norm(ps)
     np.testing.assert_array_equal(num / den, m / (m / big.lp_norm(1.0)))
+
+
+def test_a_flat_natural_ratio_is_pruned_with_the_full_scan_bits(monkeypatch):
+    # |f| = c on every value: the natural psi is identically 1, flagged
+    # nondecreasing though not strictly increasing, and the ratio is flat
+    signs = np.where(np.random.default_rng(3).random(512) < 0.5, -1.0, 1.0)
+    model = EmpiricalModel(2.5 * signs)
+    psi = natural_psi(model)
+    assert psi.nondecreasing and _is_pruned(monkeypatch, model, psi)
+    p_max = default_p_max(model)
+    assert repr(_bits(gls_norm(model, psi, p_max))) == repr(_bits(_full_scan(model, psi, p_max)))
 
 
 def test_a_wrapped_ratio_is_pruned_too(monkeypatch):

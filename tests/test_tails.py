@@ -238,16 +238,46 @@ def test_h_past_the_stored_grid_ends_at_M():
         assert res.n_terms == q.M
 
 
-def plateau_psi():
-    # non-strict: sqrt(p) up to 9, flat at 3 to p = 29, 10 from p = 30 on;
-    # on integer_grid(30) h(x) from about x = 3.3 on peaks at m = 29,
-    # where it is unresolved
+def plateau_psi(nondecreasing=False):
+    # sqrt(p) up to 9, flat at 3 to p = 29, 10 from p = 30 on; left
+    # unflagged, h(x) on integer_grid(30) from about x = 3.3 on peaks at
+    # m = 29, where it is unresolved
     return GeneratingFunction(
         evaluator=lambda p: np.where(p < 29.5, np.sqrt(np.minimum(p, 9.0)), 10.0),
-        strictly_increasing=False,
+        nondecreasing=nondecreasing,
         value_at_one=1.0,
         description="plateau",
     )
+
+
+def stairs_psi():
+    # flat on [2k - 1, 2k], rising by 1 on [2k, 2k + 1]: psi(2k - 1) = psi(2k) = k
+    def evaluator(p):
+        k = np.floor(np.asarray(p) / 2.0)
+        return k + np.minimum(p - 2.0 * k, 1.0)
+
+    return GeneratingFunction(evaluator=evaluator, nondecreasing=True, value_at_one=1.0, description="stairs")
+
+
+@pytest.mark.parametrize(
+    "psi, q, longer",
+    [
+        (stairs_psi(), integer_grid(30), integer_grid(120)),
+        (stairs_psi(), geometric_grid(2, 12), geometric_grid(2, 48)),
+        (plateau_psi(nondecreasing=True), integer_grid(30), integer_grid(120)),
+    ],
+)
+def test_h_early_stop_is_exact_for_a_flagged_psi_with_flat_stretches(psi, q, longer):
+    # resolved up to x = psi(q(M)) (on integer_grid(30) the stairs' last
+    # flat stretch ties the last two terms at 0 there); the 4x longer grid
+    # finds no larger term, and past psi(q(M)) the stored grid cannot settle h
+    psi_M = float(psi_eval(psi, q.values[-1]))
+    xs = np.concatenate([np.geomspace(1.0, psi_M, 41), psi_eval(psi, q.values)])
+    for x in xs.tolist():
+        res = h_transform(q, psi, x)
+        assert (res.value, res.arg_index) == naive_h(longer, psi, x)
+    with pytest.raises(TruncationError, match="materialized truncation"):
+        h_transform(q, psi, math.nextafter(psi_M, math.inf))
 
 
 def reference_membership(batch, q, psi, K_grid, probes=64):
