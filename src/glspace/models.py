@@ -37,6 +37,8 @@ from .errors import (
 )
 
 SAMPLE_CHUNK = 65536
+#: draws per block of the bootstrap's gather (its int64 indices: 64 KiB)
+_GATHER_BLOCK = SAMPLE_CHUNK // 8
 #: largest chunk x n temporary power_mean builds for an array of p
 _POWER_MEAN_BLOCK = 1 << 18
 # absolute and relative error targets of DensityModel's quadrature
@@ -412,8 +414,9 @@ class EmpiricalModel(PowerMeanModel):
 
     def __init__(self, values, label="empirical"):
         super().__init__(values, label)
-        # beyond this p the plug-in moment is dominated by the sample maximum
-        self._stable_p = 5.0 * math.log(max(self.values.size, 2))
+        #: beyond this p the plug-in moment is dominated by the sample
+        #: maximum, and lp_norm warns
+        self.stable_p = 5.0 * math.log(max(self.values.size, 2))
 
     @classmethod
     def from_file(cls, path) -> "EmpiricalModel":
@@ -422,7 +425,7 @@ class EmpiricalModel(PowerMeanModel):
     def lp_norm(self, p):
         out = power_mean(self._moments, p)
         top = p if type(p) is float else float(np.max(p, initial=1.0))
-        if top > self._stable_p:
+        if top > self.stable_p:
             warnings.warn(
                 f"plug-in moment at p={top:g} with n={self.values.size} is dominated by the sample maximum",
                 MomentInstabilityWarning,
@@ -433,8 +436,13 @@ class EmpiricalModel(PowerMeanModel):
     def sample_values(self, n: int, seed: int) -> np.ndarray:
         u = uniform_stream(seed, n)
         u *= self.values.size
-        # mode="clip" maps the index u * size rounds up to, size, to size - 1
-        return np.take(self.values, u.astype(np.int64), out=u, mode="clip")
+        # gathered block by block into u, so the int64 indices take an
+        # eighth of a chunk beside it; mode="clip" maps the index u * size
+        # rounds up to, size, to size - 1
+        for start in range(0, n, _GATHER_BLOCK):
+            block = u[start : start + _GATHER_BLOCK]
+            np.take(self.values, block.astype(np.int64), out=block, mode="clip")
+        return u
 
     def scaled(self, alpha: float) -> "EmpiricalModel":
         return EmpiricalModel(self.values * alpha, label=f"{self.label}*{alpha:g}")

@@ -27,6 +27,7 @@ the offending p recorded as the witness.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,7 +44,7 @@ from .grids import (
     w_hat_constant,
     z_constant,
 )
-from .models import EmpiricalModel, PowerMeanModel, RandomVariableModel
+from .models import DensityModel, EmpiricalModel, MomentInstabilityWarning, PowerMeanModel, RandomVariableModel
 from .search import _eval_array, sup_rows
 from .search import grid_refine_supremum  # noqa: F401  unused here; the benchmark tracer patches it
 
@@ -114,6 +115,43 @@ def _ratio_fn(model: RandomVariableModel, psi: GeneratingFunction):
     return pair
 
 
+def _costs_per_point(model) -> bool:
+    """Whether a moment of ``model`` costs in proportion to the points it is
+    asked for more than to the calls: a power mean of at least
+    _PRUNE_MIN_VALUES values, or quadrature.  A search over such a ratio
+    refines one point at a time, because speculative points would cost more
+    than the calls they save.  On a 2^16-value exponential sample with an
+    interior peak, speculation took 148 ms against 84 ms (272 evaluations
+    against 195)."""
+    return isinstance(model, DensityModel) or (
+        isinstance(model, PowerMeanModel) and model.values.size >= _PRUNE_MIN_VALUES
+    )
+
+
+def _one_plugin_warning(pair, stable_p: float):
+    """``pair``, quiet about plug-in moments on a call whose p all lie at or
+    below the largest p an earlier call reached.  A plug-in warning names
+    the largest p of its call, and the scan's first call reaches the
+    largest p of its rows, so the refinement and the later pruning levels
+    only repeat it.  A call whose p all lie at or below ``stable_p``, where
+    no plug-in moment warns, runs as it is."""
+    reached = -math.inf
+
+    def quiet_after_the_first(p):
+        nonlocal reached
+        top = p if type(p) is float else float(np.max(p))
+        if top > reached:
+            reached = top
+            return pair(p)
+        if top <= stable_p:
+            return pair(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", MomentInstabilityWarning)
+            return pair(p)
+
+    return quiet_after_the_first
+
+
 def _sup_norm(
     model: RandomVariableModel,
     psi: GeneratingFunction,
@@ -145,6 +183,9 @@ def _sup_norm(
     that can change the result and no others.
     """
     pair = _ratio_fn(model, psi)
+    stable = [m.stable_p for m in (model, psi.source) if isinstance(m, EmpiricalModel)]
+    if stable:
+        pair = _one_plugin_warning(pair, min(stable))
     asked = [0]
 
     def parts(p):
@@ -164,7 +205,13 @@ def _sup_norm(
     try:
         at_points = _eval_array(ratio, points)
         floor = float(at_points.max()) if at_points.size else -math.inf
-        found = sup_rows(ratio, rows, parts=parts if prune else None, floor=floor)
+        found = sup_rows(
+            ratio,
+            rows,
+            parts=parts if prune else None,
+            floor=floor,
+            speculate=not (_costs_per_point(model) or _costs_per_point(psi.source)),
+        )
     except DivergentMomentError as exc:
         return NormResult(math.inf, float(exc.p), float(p_max), False, asked[0])
     vals = np.concatenate([at_points, found.values])

@@ -4,17 +4,36 @@ Nothing here assumes unimodality.  A search covers one or more rows
 (segments or cells), each sampled on its own increasing grid, and ``f``
 is evaluated on every row in one array call.  Every local maximum of a
 row (endpoints included) is bracketed by its scan neighbours and refined
-by golden section, unless it is a plateau: a scan value whose neighbours
-agree with it to a few ulp keeps that value.  Several brackets refine in
-lockstep, one array call of ``f`` per iteration (Kiefer, "Sequential
-minimax search for a maximum", Proc. AMS 1953); a search with only a few
-brackets refines each one with the scalar golden_section_max, which is
-cheaper than numpy bookkeeping on a few-element array.  Both use the same
+by golden section (Kiefer, "Sequential minimax search for a maximum",
+Proc. AMS 1953), unless it is a plateau: a scan value whose neighbours
+agree with it to a few ulp keeps that value.  The best value of a row
+wins, with ties broken toward the smallest argument so results are
+deterministic.
+
+Refinement takes one of three routes, all with golden_section_max's
 update rule, stopping width and tie-break, so they give bit-identical
-results as long as ``f`` gives the same bits for a float and for the same
-point in an array, which the moment backends and psi do.  The best value
-of a row wins, with ties broken toward the smallest argument so results
-are deterministic.
+results as long as ``f`` gives the same bits for a float and for the
+same point in an array, which the moment backends and psi do.
+- Many brackets refine in lockstep, one array call of ``f`` per
+  iteration.
+- A few brackets speculate in rounds.  Golden section's next point
+  depends only on its left/right decisions, never on the values of f, so
+  the points along a guessed decision path can be laid out before any is
+  evaluated.  Each round guesses every bracket's coming decisions (a
+  peak at a row end goes all one way; an interior peak goes toward the
+  vertex of a parabola through the best points known), evaluates the
+  points of all the paths in one array call, and replays the update rule
+  over their values up to the first wrong guess.  The replay takes the
+  exact steps of the one-point search, so its result has the same bits;
+  a wrong guess only costs the points evaluated past it.  The first
+  round asks for each whole path, later ones for _LOOKAHEAD steps.  A
+  round that raises (a NaN, a domain error, a divergent moment), perhaps
+  at a point off the true path, hands each bracket to the one-point
+  search at its last confirmed step, so an error names the p it names
+  there.
+- A few brackets of an ``f`` whose cost grows with the points it is
+  asked for (a large power mean, quadrature) go one point at a time, as
+  speculative points would cost more than the calls they save.
 
 A search may be pruned.  When ``f = num / den`` with ``num`` and ``den``
 nondecreasing and ``den`` positive (a moment over a nondecreasing
@@ -42,6 +61,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -50,19 +70,26 @@ from .errors import DivergentMomentError, DomainError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Searches with at most this many brackets refine them one by one with the
-# scalar golden_section_max; more go lockstep.  Timed on 64-point rows with
-# one bracket each (Python 3.11, NumPy 2.4, CPU time, median of 25 rounds,
-# the two paths alternating), lockstep becomes the cheaper path at 9
-# brackets for a Gaussian ratio, a ratio of moments on a group of order 12
-# and a 4096-value sample, all under power_slowvary(r=2, delta=0.5).
-SCALAR_BRACKETS = 8
+# Searches with at most this many brackets refine them in speculative
+# rounds (_speculate), or one point at a time when the ratio costs by the
+# point; more go lockstep.  Timed on k rows of 64 points with one bracket
+# each (Python 3.11, NumPy 2.4, a 2-core x86-64 VM, CPU time, median of 9
+# rounds, the two routes alternating): with an interior peak in every row,
+# lockstep becomes the cheaper route at 13-16 brackets for a ratio of
+# moments on a group of order 12 (power_slowvary(r=3, delta=-1)) and at
+# 17-24 for a Gaussian ratio (sqrt_dip); with peaks at row ends, whose paths
+# are guessed right, only past 32.  A 4096-value sample, refined one point
+# at a time, costs within 6% of lockstep from 4 to 48 brackets.
+SCALAR_BRACKETS = 12
 
 # refinement stops once a bracket is narrower than this, relative to the
 # magnitude of its ends; _MAX_ITER only stops a runaway loop, since 200
 # golden steps shrink a bracket by a factor of about 1e-42
 _REFINE_TOL = 1e-10
 _MAX_ITER = 200
+# a speculative round after the first asks for this many steps past the
+# last confirmed one of each bracket
+_LOOKAHEAD = 8
 # sampled_min: samples per interval, and its (tighter) refinement tolerance
 _MIN_SAMPLES = 256
 _MIN_TOL = 1e-12
@@ -125,35 +152,178 @@ def golden_section_max(
     interval shrinks until its width drops below ``tol`` relative to the
     magnitude of ``lo``/``hi`` (absolute for small arguments).  ``f_lo`` /
     ``f_hi``, when given, are f(lo) / f(hi), known already, and ``f`` is
-    not asked for them again.
+    not asked for them again.  This is _Golden with a lookahead of one
+    point: every decision is taken on known values.
     """
     if hi < lo:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
-    best_x, best_v = lo, f(lo) if f_lo is None else f_lo
-    v = f(hi) if f_hi is None else f_hi
-    if v > best_v:
-        best_x, best_v = hi, v
-    a, b = lo, hi
-    x1 = b - INV_PHI * (b - a)
+    f_lo = f(lo) if f_lo is None else f_lo
+    f_hi = f(hi) if f_hi is None else f_hi
+    return _Golden(lo, hi, f_lo, f_hi, tol).finish(f)
+
+
+def _advance(a, b, x1, x2, left: bool):
+    """One golden-section step: keep [a, x2] (``left``) or [x1, b].
+    Returns the new (a, b, x1, x2) and the one new point, x1 or x2."""
+    if left:
+        b, x2 = x2, x1
+        x1 = b - INV_PHI * (b - a)
+        return a, b, x1, x2, x1
+    a, x1 = x1, x2
     x2 = a + INV_PHI * (b - a)
-    f1, f2 = f(x1), f(x2)
-    width_tol = tol * max(1.0, abs(lo), abs(hi))
-    for _ in range(_MAX_ITER):
-        if (b - a) <= width_tol:
-            break
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - INV_PHI * (b - a)
+    return a, b, x1, x2, x2
+
+
+def _guess_left(x1: float, x2: float, target: float) -> bool:
+    """The predicted decision f(x1) >= f(x2) for a peak at ``target``:
+    left when the peak lies at or below the midpoint, which is the exact
+    decision for a parabola (ties go left, as the update rule's do)."""
+    return target <= 0.5 * (x1 + x2)
+
+
+def _vertex(x0, y0, x1, y1, x2, y2) -> float:
+    """Abscissa of the vertex of the parabola through three points whose
+    middle one is the highest; ``x1`` when that is undefined (collinear
+    points, an infinite value)."""
+    p, q = (x1 - x0) * (y1 - y2), (x1 - x2) * (y1 - y0)
+    d = p - q
+    if d == 0.0 or not math.isfinite(d):
+        return x1
+    v = x1 - 0.5 * ((x1 - x0) * p - (x1 - x2) * q) / d
+    return v if math.isfinite(v) else x1
+
+
+class _Golden:
+    """golden_section_max on one bracket, as a state that can advance by
+    several points at a time.
+
+    The bracket [a, b] holds the inner points x1 < x2 with values f1, f2
+    (None until evaluated); fa and fb, the values at a and b, are read only
+    by the predictor.  The points golden section asks for depend only on
+    its decisions, f1 >= f2 (keep [a, x2]) or not, never on the values
+    themselves.  So plan() lays out the points of a path whose decisions
+    past the known values are guessed, and walk() runs the update rule,
+    the best-point tie-break and the stopping width over their values up
+    to the first guess the values contradict.  Every step walk() confirms
+    is the step of the one-point-at-a-time search, on the same floats.
+    """
+
+    __slots__ = ("a", "b", "x1", "x2", "fa", "fb", "f1", "f2", "best_x", "best_v", "width_tol", "steps", "lefts")
+
+    def __init__(self, lo, hi, f_lo, f_hi, tol: float):
+        self.best_x, self.best_v = lo, f_lo
+        if f_hi > f_lo:
+            self.best_x, self.best_v = hi, f_hi
+        self.a, self.b, self.fa, self.fb = lo, hi, f_lo, f_hi
+        self.x1 = hi - INV_PHI * (hi - lo)
+        self.x2 = lo + INV_PHI * (hi - lo)
+        self.f1 = self.f2 = None
+        self.width_tol = tol * max(1.0, abs(lo), abs(hi))
+        self.steps = 0
+        self.lefts = []
+
+    @property
+    def done(self) -> bool:
+        return self.f2 is not None and (self.b - self.a <= self.width_tol or self.steps >= _MAX_ITER)
+
+    def plan(self, n: int, target: float) -> list:
+        """The next points golden section asks for: x1 and x2 while
+        unevaluated, then the points of (at most) ``n`` steps, ``self.lefts``,
+        whose decisions are taken from the values where these are known and
+        guessed toward ``target`` past them."""
+        pts = [x for x, v in ((self.x1, self.f1), (self.x2, self.f2)) if v is None]
+        left = None if pts else self.f1 >= self.f2
+        a, b, x1, x2, tol = self.a, self.b, self.x1, self.x2, self.width_tol
+        lefts = self.lefts = []
+        room = min(n, _MAX_ITER - self.steps)
+        while room > 0 and b - a > tol:
+            if left is None:
+                left = _guess_left(x1, x2, target)
+            a, b, x1, x2, x = _advance(a, b, x1, x2, left)
+            lefts.append(left)
+            pts.append(x)
+            room -= 1
+            left = None
+        return pts
+
+    def walk(self, f, lefts) -> None:
+        """Golden section's update rule from the current state.  ``f(x)``
+        is the value of each point it asks for, x1 and x2 first while
+        unevaluated.  ``lefts`` holds a planned decision per step (None
+        where the values decide): the walk stops at the first planned one
+        the values contradict, when they run out, or at the stopping width."""
+        a, b, x1, x2, fa, fb, f1, f2 = self.a, self.b, self.x1, self.x2, self.fa, self.fb, self.f1, self.f2
+        if f1 is None:
             f1 = f(x1)
-            x, v = x1, f1
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + INV_PHI * (b - a)
+        if f2 is None:
             f2 = f(x2)
-            x, v = x2, f2
-        if v > best_v or (v == best_v and x < best_x):
-            best_x, best_v = x, v
-    return best_x, best_v
+        best_x, best_v, steps, tol = self.best_x, self.best_v, self.steps, self.width_tol
+        for planned in lefts:
+            left = f1 >= f2
+            if b - a <= tol or steps >= _MAX_ITER or (planned is not None and planned != left):
+                break
+            a, b, x1, x2, x = _advance(a, b, x1, x2, left)
+            v = f(x)
+            if left:
+                fb, f2, f1 = f2, f1, v
+            else:
+                fa, f1, f2 = f1, f2, v
+            steps += 1
+            if v > best_v or (v == best_v and x < best_x):
+                best_x, best_v = x, v
+        self.a, self.b, self.x1, self.x2, self.fa, self.fb, self.f1, self.f2 = a, b, x1, x2, fa, fb, f1, f2
+        self.best_x, self.best_v, self.steps = best_x, best_v, steps
+
+    def replay(self, values: list) -> None:
+        """walk() over the values of the points plan() returned."""
+        it = iter(values)
+        self.walk(lambda x: next(it), self.lefts)
+
+    def target(self) -> float:
+        """Where the peak is predicted: the vertex of the parabola through
+        the better inner point and its two neighbours among a, x1, x2, b."""
+        if self.f1 >= self.f2:
+            return _vertex(self.a, self.fa, self.x1, self.f1, self.x2, self.f2)
+        return _vertex(self.x1, self.f1, self.x2, self.f2, self.b, self.fb)
+
+    def finish(self, f) -> tuple:
+        """walk() to the end, one point at a time, ``f`` taking a float:
+        the lookahead-1 case, whose every decision the values take.
+        Returns the best (arg, value)."""
+        self.walk(f, repeat(None))
+        return self.best_x, self.best_v
+
+
+def _speculate(f, brackets: list, targets: list) -> list:
+    """Refine the _Golden ``brackets`` in rounds of one array call of ``f``.
+
+    Each round asks for every unfinished bracket's planned points, guessed
+    toward its target: the first round for the whole path, later ones for
+    _LOOKAHEAD steps past the last confirmed one, with the target moved
+    to the vertex of the parabola through the confirmed points.  ``f``
+    gives a point in an array the bits it gives the point alone, so the
+    replay confirms what the one-point search would compute.  When a round
+    raises (a NaN, a domain error, a divergent moment), possibly at a point
+    of a wrong guess only, each bracket goes on one point at a time from
+    its last confirmed state, so an error the search meets is the one the
+    one-point search meets, naming the same p.  Returns (arg, value) per
+    bracket.
+    """
+    live, n = brackets, _MAX_ITER
+    while live:
+        plans = [g.plan(n, t) for g, t in zip(live, targets)]
+        try:
+            values = _eval_array(f, np.array([x for plan in plans for x in plan])).tolist()
+        except (DomainError, DivergentMomentError):
+            break
+        at = 0
+        for g, plan in zip(live, plans):
+            g.replay(values[at : at + len(plan)])
+            at += len(plan)
+        live = [g for g in live if not g.done]
+        targets, n = [g.target() for g in live], _LOOKAHEAD
+    refine_f = partial(_eval_scalar, f)
+    return [g.finish(refine_f) for g in brackets]
 
 
 def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float):
@@ -199,6 +369,7 @@ def sup_rows(
     refine_tol: float = _REFINE_TOL,
     parts: Optional[Callable[[np.ndarray], tuple]] = None,
     floor: float = -math.inf,
+    speculate: bool = True,
 ) -> RowSupremum:
     """Supremum of ``f`` over each row of the scan grid ``xs``.
 
@@ -207,11 +378,14 @@ def sup_rows(
     local maximum of a row is then refined inside the cell spanned by
     its scan neighbours, unless the three scan values agree within
     _PLATEAU_ULP ulp: such a plateau (a flat ratio makes every scan point
-    one) keeps its scan value.  Up to SCALAR_BRACKETS brackets go one by
-    one to golden_section_max, more to lockstep refinement; both reuse the
-    scan values at the bracket ends.  Refinement never loses the scan value
-    it started from.  A NaN value of ``f`` raises
-    DomainError naming the first p where it occurred.
+    one) keeps its scan value.  Up to SCALAR_BRACKETS brackets refine in
+    speculative rounds (see the module docstring), more in lockstep; all
+    routes reuse the scan values at the bracket ends and give the bits of
+    golden_section_max.  ``speculate=False`` is for an ``f`` whose cost
+    grows with the points it is asked for more than with its calls: the
+    few brackets then go one point at a time to golden_section_max.
+    Refinement never loses the scan value it started from.  A NaN value of
+    ``f`` raises DomainError naming the first p where it occurred.
 
     With ``parts`` the scan is pruned (see the module docstring):
     ``parts(x)`` returns arrays (num, den) with num / den giving the bits
@@ -260,8 +434,12 @@ def sup_rows(
         # take float paths (same IEEE operations as on numpy scalars); the
         # scan values at the bracket ends are the bits f gives those floats
         ends = zip(bl[k].tolist(), bh[k].tolist(), ys[r[k], il[k]].tolist(), ys[r[k], ih[k]].tolist())
-        refine_f = partial(_eval_scalar, f)
-        refined = [golden_section_max(refine_f, a, b, tol=refine_tol, f_lo=fa, f_hi=fb) for a, b, fa, fb in ends]
+        if speculate:
+            brackets = [_Golden(a, b, fa, fb, refine_tol) for a, b, fa, fb in ends]
+            refined = _speculate(f, brackets, _scan_targets(xs, ys, r[k], i[k]))
+        else:
+            refine_f = partial(_eval_scalar, f)
+            refined = [golden_section_max(refine_f, a, b, tol=refine_tol, f_lo=fa, f_hi=fb) for a, b, fa, fb in ends]
         ref_x, ref_v = np.array(refined, dtype=float).reshape(-1, 2).T
     else:
         ref_x, ref_v = _golden_lockstep(f, bl[k], ys[r[k], il[k]], bh[k], ys[r[k], ih[k]], refine_tol)
@@ -275,6 +453,18 @@ def sup_rows(
     else:
         decreasing = np.zeros(rows, dtype=bool)
     return RowSupremum(cand_v[first], cand_x[first], decreasing, int(np.count_nonzero(flat)), pruned)
+
+
+def _scan_targets(xs: np.ndarray, ys: np.ndarray, r: np.ndarray, i: np.ndarray) -> list:
+    """The predicted peak of each bracket around the scan peak (r, i): a
+    row end for a peak at a row end, else the vertex of the parabola
+    through the peak and its two scan neighbours."""
+    n = xs.shape[1]
+    return [
+        float(xs[rj, ij]) if ij in (0, n - 1)
+        else _vertex(*(float(a[rj, ij + d]) for d in (-1, 0, 1) for a in (xs, ys)))
+        for rj, ij in zip(r.tolist(), i.tolist())
+    ]
 
 
 def cell_bounds(num: np.ndarray, den: np.ndarray) -> np.ndarray:

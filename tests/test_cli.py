@@ -160,6 +160,18 @@ def test_warning_prints_as_one_gls_line(capsys, tmp_path):
         assert run_cli(capsys, *argv) == (0, out, "")
 
 
+@pytest.mark.filterwarnings("default::glspace.MomentInstabilityWarning")
+def test_a_norm_search_prints_one_plugin_warning(capsys, tmp_path):
+    sample_file = tmp_path / "sample.txt"
+    np.savetxt(sample_file, np.random.default_rng(1).standard_normal(60))
+    code, _, err = run_cli(
+        capsys, "norm", "--model", f"empirical:{sample_file}", "--psi", "power_slowvary(r=8, delta=0)", "--p-max", "100"
+    )
+    assert code == 0
+    # the scan reaches p = 100; the refinement's points all lie below it
+    assert err == "gls: warning: plug-in moment at p=100 with n=60 is dominated by the sample maximum\n"
+
+
 def test_warning_raised_as_an_error_prints_one_gls_line_and_exits_1(capsys, tmp_path):
     # the suite's filters make the warning an error, as python -W error does
     sample_file = tmp_path / "sample.txt"

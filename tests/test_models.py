@@ -268,8 +268,11 @@ def test_bootstrap_index_that_rounds_up_to_the_size_takes_the_last_value(monkeyp
     assert EmpiricalModel([10.0, 20.0, 30.0]).sample_values(4, 0).tolist() == [10.0, 20.0, 30.0, 30.0]
 
 
-@pytest.mark.parametrize("factory", [gaussian_model, exponential_model])
+@pytest.mark.parametrize(
+    "factory", [gaussian_model, exponential_model, pytest.param(lambda: EmpiricalModel(_STORED), id="bootstrap")]
+)
 def test_sample_allocates_its_output_and_at_most_one_chunk_beside_it(factory):
+    # the bootstrap gathers block by block, so its int64 indices stay small
     model = factory()
     n = 1 << 20
     tracemalloc.start()

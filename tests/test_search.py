@@ -1,23 +1,41 @@
-"""Supremum search: lockstep refinement, batched cells, evaluation accounting."""
+"""Supremum search: speculative and lockstep refinement, batched cells,
+evaluation accounting."""
 
+import functools
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from glspace import (
+    DivergentMomentError,
+    DomainError,
+    EmpiricalModel,
+    GroupFunctionModel,
+    MomentInstabilityWarning,
     PowerSlowVaryParams,
     constant_model,
+    cyclic_group,
+    dihedral_group,
+    exponential_model,
     gaussian_model,
     gls_norm,
     integer_grid,
     make_power_slowvary,
     natural_psi,
     psi_eval,
+    rademacher_model,
+    raw_power_slowvary,
     sqrt_dip_psi,
+    symmetric_group,
+    uniform01_model,
     w_hat_constant,
 )
-from glspace.norms import _cellwise_full_norm, _ratio_fn
+from glspace.models import uniform01_density_model
+from glspace.norms import _PRUNE_MIN_VALUES, _cellwise_full_norm, _ratio_fn
+from glspace.suites import psi_pool
 from glspace import norms, search
 from glspace.search import SCALAR_BRACKETS, _golden_lockstep, golden_section_max, grid_refine_supremum, sup_rows
 
@@ -196,28 +214,235 @@ def _routed(monkeypatch, k):
     return sup_rows(counted_f, xs), array_calls[0], golden_calls[0]
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, SCALAR_BRACKETS])
+@pytest.mark.parametrize("k", [2, 3, 4, 8, SCALAR_BRACKETS])
 def test_few_brackets_refine_one_by_one(monkeypatch, k):
+    # each bracket keeps its own golden-section state; they all speculate
+    # together, one array call of f per round
     assert k <= SCALAR_BRACKETS
     res, array_calls, golden_calls = _routed(monkeypatch, k)
-    # the scan is the only array call; each bracket goes to golden_section_max
-    assert (array_calls, golden_calls) == (1, k)
+    # a parabolic peak is guessed right: the scan and one round
+    assert (array_calls, golden_calls) == (2, 0)
     np.testing.assert_allclose(res.args, np.arange(1, k + 1) + 0.3, atol=1e-6)
     # the lockstep path gives the same bits
     monkeypatch.setattr(search, "SCALAR_BRACKETS", 0)
     lock, array_calls, golden_calls = _routed(monkeypatch, k)
-    assert golden_calls == 0 and array_calls > 1
+    assert golden_calls == 0 and array_calls > 10
     np.testing.assert_array_equal(lock.values, res.values)
     np.testing.assert_array_equal(lock.args, res.args)
+    # and so does golden_section_max, one bracket and one point at a time
+    xs, f = _one_peak_per_row(k)
+    seq = sup_rows(f, xs, speculate=False)
+    np.testing.assert_array_equal(seq.values, res.values)
+    np.testing.assert_array_equal(seq.args, res.args)
 
 
-@pytest.mark.parametrize("k", [SCALAR_BRACKETS + 1, 12])
+@pytest.mark.parametrize("k", [SCALAR_BRACKETS + 1, 2 * SCALAR_BRACKETS])
 def test_many_brackets_go_lockstep(monkeypatch, k):
     res, array_calls, golden_calls = _routed(monkeypatch, k)
     assert golden_calls == 0
     # the scan plus one call per lockstep iteration
     assert 10 < array_calls < 100
     np.testing.assert_allclose(res.args, np.arange(1, k + 1) + 0.3, atol=1e-6)
+    # speculation gives the same bits
+    monkeypatch.setattr(search, "SCALAR_BRACKETS", k)
+    spec, array_calls, golden_calls = _routed(monkeypatch, k)
+    assert (array_calls, golden_calls) == (2, 0)
+    np.testing.assert_array_equal(spec.values, res.values)
+    np.testing.assert_array_equal(spec.args, res.args)
+
+
+# every psi the suites draw (the normalized pool and the algebra suite's raw
+# members) and sqrt_dip, whose dips make interior peaks
+_SPEC_PSIS = [
+    *psi_pool(),
+    *(raw_power_slowvary(PowerSlowVaryParams(r, d)) for r, d in [(1.0, 0.5), (2.0, 1.0), (1.0, 2.0), (3.0, 0.5), (0.5, 1.0)]),
+    sqrt_dip_psi(),
+]
+_SPEC_MODELS = [
+    gaussian_model(),
+    uniform01_model(),
+    exponential_model(),
+    rademacher_model(),
+    constant_model(2.5),
+    *(GroupFunctionModel(G, np.random.default_rng(G.order).normal(size=G.order))
+      for G in (cyclic_group(5), dihedral_group(4), symmetric_group(3))),
+]
+_DENSE = np.geomspace(1.0, 200.0, 4097)
+
+
+@functools.cache
+def _dense_ratio(m: int, k: int):
+    """The ratio of _SPEC_MODELS[m] over _SPEC_PSIS[k], and the indices of
+    _DENSE where it has a strict interior maximum, or is strictly monotone
+    over the two neighbours on either side."""
+    f = _ratio(_SPEC_MODELS[m], _SPEC_PSIS[k])
+    ys = f(_DENSE)
+    d = np.sign(np.diff(ys))
+    peaks = np.flatnonzero((d[:-1] > 0) & (d[1:] < 0)) + 1
+    steady = np.flatnonzero((d[:-3] == d[1:-2]) & (d[1:-2] == d[2:-1]) & (d[2:-1] == d[3:]) & (d[1:-2] != 0)) + 2
+    return f, peaks, steady
+
+
+@st.composite
+def _spec_search(draw):
+    """A ratio of a closed-form or group model over a psi, one scan row
+    around an interior maximum or on a monotone stretch (a row-end peak),
+    and which of the two."""
+    kind = draw(st.sampled_from(["interior", "end"]))
+    m = draw(st.integers(0, len(_SPEC_MODELS) - 1))
+    k = draw(st.integers(0, len(_SPEC_PSIS) - 1))
+    f, peaks, steady = _dense_ratio(m, k)
+    at = peaks if kind == "interior" else steady
+    assume(at.size)
+    j = draw(st.sampled_from(at.tolist()))
+    xs = np.geomspace(_DENSE[j - 1], _DENSE[j + 1], draw(st.sampled_from([5, 9, 17, 33])))
+    xs[0], xs[-1] = _DENSE[j - 1], _DENSE[j + 1]
+    return f, xs[None, :], kind
+
+
+def _peak_kinds(f, xs):
+    """The kinds, 'end' or 'interior', of the scan peaks of the row."""
+    ys = f(xs[0])
+    n = ys.size
+    return {
+        "end" if i in (0, n - 1) else "interior"
+        for i in range(n)
+        if (i == 0 or ys[i] >= ys[i - 1]) and (i == n - 1 or ys[i] >= ys[i + 1])
+    }
+
+
+@given(search_case=_spec_search())
+def test_speculation_has_the_bits_of_the_one_point_search(search_case):
+    f, xs, kind = search_case
+    assert kind in _peak_kinds(f, xs)
+    spec = sup_rows(f, xs)
+    seq = sup_rows(f, xs, speculate=False)
+    assert (spec.values[0].hex(), spec.args[0].hex()) == (seq.values[0].hex(), seq.args[0].hex())
+
+
+def _always_wrong(monkeypatch, f):
+    """Make every guessed decision the wrong one for the scalar ``f``."""
+    monkeypatch.setattr(search, "_guess_left", lambda x1, x2, target: not (f(x1) >= f(x2)))
+
+
+def _multi_peak_case():
+    """Rows over the peaks of _multi_peak past p = 10, and its scalar twin."""
+    xs = np.linspace(np.array([10.3, 11.5, 13.0]), np.array([11.0, 12.6, 13.9]), 17, axis=1)
+    return xs, lambda x: float(_multi_peak(x))
+
+
+def test_an_always_wrong_guess_keeps_the_bits(monkeypatch):
+    xs, scalar = _multi_peak_case()
+    seq = sup_rows(_multi_peak, xs, speculate=False)
+    _always_wrong(monkeypatch, scalar)
+    f, calls = _counted(_multi_peak)
+    spec = sup_rows(f, xs)
+    np.testing.assert_array_equal(spec.values, seq.values)
+    np.testing.assert_array_equal(spec.args, seq.args)
+    assert calls[0] > xs.size + 3 * 40
+
+
+def _true_path(xs):
+    """The points the one-point search evaluates: the scan and every
+    golden_section_max call's."""
+    seen = set(xs.ravel().tolist())
+
+    def recorded(x):
+        if np.ndim(x) == 0:
+            seen.add(float(x))
+        return _multi_peak(x)
+
+    sup_rows(recorded, xs, speculate=False)
+    return seen
+
+
+def _nan_or_raise(how, bad):
+    """_multi_peak, NaN at or raising on the points where ``bad`` holds."""
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        hit = np.vectorize(bad, otypes=[bool])(x)
+        if hit.any() and how != "nan":
+            p = float(x[hit][0]) if x.ndim else float(x)
+            raise DivergentMomentError(p) if how == "divergent" else DomainError(f"no value at p={p!r}")
+        return np.where(hit, np.nan, _multi_peak(x))
+
+    return f
+
+
+@pytest.mark.parametrize("how", ["nan", "divergent", "domain"])
+def test_an_error_only_off_the_true_path_gives_the_one_point_result(monkeypatch, how):
+    xs, scalar = _multi_peak_case()
+    seq = sup_rows(_multi_peak, xs, speculate=False)
+    true_path = _true_path(xs)
+    _always_wrong(monkeypatch, scalar)
+    spec = sup_rows(_nan_or_raise(how, lambda x: x not in true_path), xs)
+    np.testing.assert_array_equal(spec.values, seq.values)
+    np.testing.assert_array_equal(spec.args, seq.args)
+
+
+@pytest.mark.parametrize("how", ["nan", "divergent", "domain"])
+def test_an_error_on_the_true_path_is_the_one_point_error(monkeypatch, how):
+    xs, scalar = _multi_peak_case()
+    true_path = _true_path(xs)
+    # the 10th point the refinement of the last bracket asks for, and every
+    # point off the true path, which the first rounds meet first
+    refined = sorted(true_path - set(xs.ravel().tolist()))
+    bad = [x for x in refined if 13.0 < x < 13.9][9]
+    f = _nan_or_raise(how, lambda x: x == bad or x not in true_path)
+    error = DivergentMomentError if how == "divergent" else DomainError
+    with pytest.raises(error) as seq:
+        sup_rows(f, xs, speculate=False)
+    _always_wrong(monkeypatch, scalar)
+    with pytest.raises(error) as spec:
+        sup_rows(f, xs)
+    assert str(spec.value) == str(seq.value)
+    assert spec.value.p == bad if how == "divergent" else repr(bad) in str(spec.value)
+
+
+def test_n_evaluations_counts_speculated_points(monkeypatch):
+    # an interior peak near p = 9, refined in one bracket
+    model = GroupFunctionModel(dihedral_group(6), np.random.default_rng(6).normal(size=12))
+    psi = make_power_slowvary(PowerSlowVaryParams(r=4.0, delta=0.0))
+    counts = []
+
+    def counted_ratio_fn(model, psi):
+        counted, seen = _counted(_ratio_fn(model, psi))
+        counts.append(seen)
+        return counted
+
+    monkeypatch.setattr(norms, "_ratio_fn", counted_ratio_fn)
+    monkeypatch.setattr(norms, "_costs_per_point", lambda model: True)
+    seq = gls_norm(model, psi, p_max=30.0)
+    monkeypatch.setattr(norms, "_costs_per_point", lambda model: False)
+    _always_wrong(monkeypatch, _ratio(model, psi))
+    spec = gls_norm(model, psi, p_max=30.0)
+    assert (spec.value, spec.arg_p) == (seq.value, seq.arg_p)
+    assert (seq.n_evaluations, spec.n_evaluations) == (counts[0][0], counts[1][0])
+    # every wrong guess costs a point the one-point search never asks for
+    assert spec.n_evaluations > seq.n_evaluations
+
+
+@pytest.mark.parametrize("model, per_point", [
+    (EmpiricalModel(np.random.default_rng(3).normal(size=_PRUNE_MIN_VALUES - 1)), False),
+    (EmpiricalModel(np.random.default_rng(3).normal(size=_PRUNE_MIN_VALUES)), True),
+    (GroupFunctionModel(cyclic_group(5), [1.0, -2.0, 0.5, 0.0, 3.0]), False),
+    (gaussian_model(), False),
+    (uniform01_density_model(), True),
+], ids=["sample-127", "sample-128", "group", "gaussian", "density"])
+def test_only_a_ratio_that_costs_by_the_point_refines_one_point_at_a_time(monkeypatch, model, per_point):
+    golden_calls = [0]
+
+    def counted_golden(*args, **kw):
+        golden_calls[0] += 1
+        return golden_section_max(*args, **kw)
+
+    monkeypatch.setattr(search, "golden_section_max", counted_golden)
+    psi = make_power_slowvary(PowerSlowVaryParams(r=4.0, delta=0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", MomentInstabilityWarning)
+        gls_norm(model, psi, p_max=30.0)
+    assert (golden_calls[0] > 0) == per_point
 
 
 def test_plateaus_are_counted_and_not_refined():
