@@ -60,19 +60,21 @@ class PowerSlowVaryParams:
 
 
 def psi_eval(psi: GeneratingFunction, p):
-    """Evaluate psi at p (scalar or array), rejecting p < 1.  A scalar
-    reaches the evaluator as a float, an array as a float array.  A value
-    that is not positive or is +inf (psi underflowed or overflowed) is a
+    """Evaluate psi at p (scalar or array), rejecting p < 1.  An array
+    reaches the evaluator as a float array, and a scalar as a one-element
+    float array, so a scalar p gets the bits the same p gets inside an
+    array (NumPy may take a SIMD pow on arrays, whose last place can differ
+    from libm's on a float); it is returned as a float.  A value that is
+    not positive or is +inf (psi underflowed or overflowed) is a
     DomainError naming it and its p, the first such p of an array; a NaN
     is returned as it is, for the search to name."""
     q = _check_p(p, "generating functions")
-    out = psi.evaluator(q)
     if type(q) is float:
-        v, at = float(out), q
+        v, at = float(np.asarray(psi.evaluator(np.array([q]))).item(0)), q
         if not (v <= 0.0 or v == math.inf):
             return v
     else:
-        out = np.asarray(out, dtype=float)
+        out = np.asarray(psi.evaluator(q), dtype=float)
         bad = (out <= 0.0) | (out == math.inf)
         if not bad.any():
             return out

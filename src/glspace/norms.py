@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -153,14 +153,15 @@ def _one_plugin_warning(pair, stable_p: float):
 
 
 def _sup_norm(
-    model: RandomVariableModel,
+    models: Sequence[RandomVariableModel],
     psi: GeneratingFunction,
     p_max: float,
     rows: np.ndarray,
     points: np.ndarray,
     grid: bool = False,
-) -> NormResult:
-    """sup of |f|_p / psi(p) over the scan rows and the exact points.
+) -> list:
+    """sup of |f|_p / psi(p) over the scan rows and the exact points, for
+    every model of ``models``; one NormResult per model.
 
     Every row of ``rows`` is an increasing scan grid of one interval,
     refined by sup_rows; ``points`` are evaluated exactly, all in one
@@ -171,7 +172,23 @@ def _sup_norm(
     with ``grid`` the points are a grid, the evidence is its last three
     ratios, and the result carries the 1-based arg_index.
 
-    The scan is pruned, against the best exact-point value too, when the
+    The models share one search: the scan grid holds ``rows`` once per
+    model, and every array call of the search (the scan, each pruning
+    level, each speculative or lockstep round) serves them all, each
+    model's points going to its own _ratio_fn pair.  The search decides
+    its route, its pruning and whether it speculates once, from all its
+    brackets and models; each model keeps its own pruning floor and best
+    value, evaluation count, edge evidence and plug-in warning wrapper.
+    Every result has the bits of the model's own search.  Its count is
+    that search's too, unless a shared decision differs from the model's
+    own: more than SCALAR_BRACKETS brackets in all send them lockstep,
+    which asks for no point off golden section's path.  A batched search
+    whose ratio raises, or meets a NaN, even where the search recovers
+    from it, is given up, and each model runs its own search in order, so
+    every error and every +inf of a divergent moment is the one-model
+    search's.
+
+    The scan is pruned, against the best exact-point value too, when every
     model is a PowerMeanModel of at least _PRUNE_MIN_VALUES values and psi
     is flagged nondecreasing.  The cell bound needs |f|_p nondecreasing,
     which a power mean is exactly (a density moment only to its quadrature
@@ -182,54 +199,125 @@ def _sup_norm(
     (models.power_mean), so a large sample pays for the points and terms
     that can change the result and no others.
     """
-    pair = _ratio_fn(model, psi)
-    stable = [m.stable_p for m in (model, psi.source) if isinstance(m, EmpiricalModel)]
-    if stable:
-        pair = _one_plugin_warning(pair, min(stable))
-    asked = [0]
+    pairs = []
+    for model in models:
+        pair = _ratio_fn(model, psi)
+        stable = [m.stable_p for m in (model, psi.source) if isinstance(m, EmpiricalModel)]
+        pairs.append(_one_plugin_warning(pair, min(stable)) if stable else pair)
+    n_models, n_rows = len(models), rows.shape[0]
+    asked = [0] * n_models
+    batched = n_models > 1
+    trouble = [False]
 
-    def parts(p):
-        # scalar refinement passes floats, on which np.size costs about 2 us a call
-        asked[0] += p.size if isinstance(p, np.ndarray) else 1
-        return pair(p)
+    def parts_of(p, m):
+        """(num, den) at the points ``p`` of the models ``m``: an int for a
+        float p, else a nondecreasing array of p's shape."""
+        if type(p) is float:
+            asked[m] += 1
+            return pairs[m](p)
+        if not batched:
+            asked[0] += p.size
+            return pairs[0](p)
+        at = np.searchsorted(m, np.arange(n_models + 1)).tolist()
+        num, den = [], []
+        for k, (lo, hi) in enumerate(zip(at, at[1:])):
+            if hi > lo:
+                asked[k] += hi - lo
+                nu, de = pairs[k](p[lo:hi])
+                num.append(nu)
+                den.append(de)
+        return np.concatenate(num), np.concatenate(den)
 
-    def ratio(p):
-        num, den = parts(p)
-        return num / den
+    def ratio_of(p, m):
+        # a batched search that meets an error or a NaN is run again model
+        # by model, even where it recovers: its counts would not be theirs
+        try:
+            num, den = parts_of(p, m)
+        except Exception:
+            trouble[0] = True
+            raise
+        r = num / den
+        if batched and np.isnan(r).any():
+            trouble[0] = True
+        return r
 
-    prune = (
-        isinstance(model, PowerMeanModel)
-        and model.values.size >= _PRUNE_MIN_VALUES
-        and psi.nondecreasing
+    # sup_rows lists the points of an array call row by row, and the rows
+    # of model k are rows k * n_rows to (k + 1) * n_rows - 1
+    def parts(p, row):
+        return parts_of(p, row // n_rows if batched else 0)
+
+    def ratio(p, row):
+        return ratio_of(p, row // n_rows if batched else 0)
+
+    prune = psi.nondecreasing and all(
+        isinstance(model, PowerMeanModel) and model.values.size >= _PRUNE_MIN_VALUES for model in models
     )
+    speculate = not any(_costs_per_point(m) for m in (*models, psi.source))
+    found = None
     try:
-        at_points = _eval_array(ratio, points)
-        floor = float(at_points.max()) if at_points.size else -math.inf
+        if points.size:
+            every = np.concatenate([points] * n_models)
+            at_points = _eval_array(ratio_of, every, np.arange(n_models).repeat(points.size))
+            at_points = at_points.reshape(n_models, points.size)
+            floor = at_points.max(axis=1)
+        else:
+            at_points, floor = [points] * n_models, [-math.inf] * n_models
         found = sup_rows(
             ratio,
-            rows,
+            rows if n_models == 1 else np.concatenate([rows] * n_models),
             parts=parts if prune else None,
             floor=floor,
-            speculate=not (_costs_per_point(model) or _costs_per_point(psi.source)),
+            speculate=speculate,
         )
-    except DivergentMomentError as exc:
-        return NormResult(math.inf, float(exc.p), float(p_max), False, asked[0])
-    vals = np.concatenate([at_points, found.values])
-    args = np.concatenate([points, found.args])
-    ties = np.flatnonzero(vals == vals.max())
-    k = ties[np.argmin(args[ties])]
-    if grid:
-        decreasing = vals.size >= 3 and vals[-3] > vals[-2] > vals[-1]
-    else:
-        decreasing = rows.size == 0 or rows[-1, -1] != p_max or found.decreasing_at_hi[-1]
-    return NormResult(
-        value=float(vals[k]),
-        arg_p=float(args[k]),
-        truncation_p_max=float(p_max),
-        decreasing_at_hi=bool(decreasing),
-        n_evaluations=asked[0],
-        arg_index=int(k) + 1 if grid else None,
-    )
+    except Exception as exc:
+        if not batched:
+            if isinstance(exc, DivergentMomentError):
+                return [NormResult(math.inf, float(exc.p), float(p_max), False, asked[0])]
+            raise
+    if batched and (found is None or trouble[0]):
+        return [_sup_norm([model], psi, p_max, rows, points, grid)[0] for model in models]
+    out = []
+    for k in range(n_models):
+        vals = np.concatenate([at_points[k], found.values[k * n_rows : (k + 1) * n_rows]])
+        args = np.concatenate([points, found.args[k * n_rows : (k + 1) * n_rows]])
+        ties = np.flatnonzero(vals == vals.max())
+        i = ties[np.argmin(args[ties])]
+        if grid:
+            decreasing = vals.size >= 3 and vals[-3] > vals[-2] > vals[-1]
+        else:
+            decreasing = n_rows == 0 or rows[-1, -1] != p_max or found.decreasing_at_hi[(k + 1) * n_rows - 1]
+        out.append(NormResult(
+            value=float(vals[i]),
+            arg_p=float(args[i]),
+            truncation_p_max=float(p_max),
+            decreasing_at_hi=bool(decreasing),
+            n_evaluations=asked[k],
+            arg_index=int(i) + 1 if grid else None,
+        ))
+    return out
+
+
+def gls_norms(
+    models: Sequence[RandomVariableModel],
+    psi: GeneratingFunction,
+    p_max: float = DEFAULT_P_MAX,
+    rset: Optional[RestrictedSet] = None,
+) -> list:
+    """gls_norm of every model of ``models`` under one psi, domain and
+    p_max, in one search (see _sup_norm): one NormResult per model, each
+    with the bits gls_norm gives that model alone.  Models of one kind and
+    size, as the three of an algebra check, are pruned and speculate as
+    they would alone; only the route counts the brackets of all of them."""
+    if not 1.0 <= p_max < math.inf:
+        raise DomainError(f"p_max must be finite and at least 1, got {p_max:g}")
+    segments = [(1.0, p_max)] if rset is None else rset.segments
+    lo, hi = np.array(segments, dtype=float).T
+    lo, hi = np.maximum(lo, 1.0), np.minimum(hi, p_max)
+    lo, hi = lo[lo <= hi], hi[lo <= hi]
+    span = lo < hi
+    rows = np.geomspace(lo[span], hi[span], _SCAN_POINTS, axis=1)
+    rows[:, 0], rows[:, -1] = lo[span], hi[span]
+    return _sup_norm(models, psi, p_max, rows, lo[~span])
 
 
 def gls_norm(
@@ -246,21 +334,12 @@ def gls_norm(
     polished by golden section (no unimodality assumed); point components
     are evaluated exactly.
     """
-    if not 1.0 <= p_max < math.inf:
-        raise DomainError(f"p_max must be finite and at least 1, got {p_max:g}")
-    segments = [(1.0, p_max)] if rset is None else rset.segments
-    lo, hi = np.array(segments, dtype=float).T
-    lo, hi = np.maximum(lo, 1.0), np.minimum(hi, p_max)
-    lo, hi = lo[lo <= hi], hi[lo <= hi]
-    span = lo < hi
-    rows = np.geomspace(lo[span], hi[span], _SCAN_POINTS, axis=1)
-    rows[:, 0], rows[:, -1] = lo[span], hi[span]
-    return _sup_norm(model, psi, p_max, rows, lo[~span])
+    return gls_norms([model], psi, p_max, rset)[0]
 
 
 def discrete_norm(model: RandomVariableModel, psi: GeneratingFunction, q: GridSequence) -> NormResult:
     """max over the stored grid of |f|_{q(m)} / psi(q(m)); exact enumeration."""
-    return _sup_norm(model, psi, q.values[-1], np.empty((0, 2)), q.values, grid=True)
+    return _sup_norm([model], psi, q.values[-1], np.empty((0, 2)), q.values, grid=True)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +442,7 @@ def _cellwise_full_norm(model: RandomVariableModel, psi: GeneratingFunction, gtr
     v = gtr.values
     xs = np.linspace(v[:-1], v[1:], _CELL_POINTS, axis=1)
     xs[:, 0], xs[:, -1] = v[:-1], v[1:]
-    return _sup_norm(model, psi, v[-1], xs, np.empty(0))
+    return _sup_norm([model], psi, v[-1], xs, np.empty(0))[0]
 
 
 def sandwich_check_discrete(

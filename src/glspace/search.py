@@ -2,7 +2,11 @@
 
 Nothing here assumes unimodality.  A search covers one or more rows
 (segments or cells), each sampled on its own increasing grid, and ``f``
-is evaluated on every row in one array call.  Every local maximum of a
+is evaluated on every row in one array call.  ``f`` is told the row of
+each point it is asked for, so the rows may belong to several functions
+(the norms of several models under one psi, as for an algebra check), and
+every array call of the search, scan and refinement alike, serves them
+all.  Every local maximum of a
 row (endpoints included) is bracketed by its scan neighbours and refined
 by golden section (Kiefer, "Sequential minimax search for a maximum",
 Proc. AMS 1953), unless it is a plateau: a scan value whose neighbours
@@ -10,10 +14,13 @@ agree with it to a few ulp keeps that value.  The best value of a row
 wins, with ties broken toward the smallest argument so results are
 deterministic.
 
-Refinement takes one of three routes, all with golden_section_max's
-update rule, stopping width and tie-break, so they give bit-identical
-results as long as ``f`` gives the same bits for a float and for the
-same point in an array, which the moment backends and psi do.
+Refinement takes one of three routes, chosen once for the whole search,
+all with golden_section_max's update rule, stopping width and tie-break,
+so they give bit-identical results as long as ``f`` gives the same bits
+for a float and for the same point in an array.  The moment backends do;
+psi_eval does by evaluating a float through a one-element array, since
+NumPy may take a SIMD pow on arrays, whose last place can differ from
+libm's on a float.
 - Many brackets refine in lockstep, one array call of ``f`` per
   iteration.
 - A few brackets speculate in rounds.  Golden section's next point
@@ -72,9 +79,13 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Searches with at most this many brackets refine them in speculative
 # rounds (_speculate), or one point at a time when the ratio costs by the
-# point; more go lockstep.  Timed on k rows of 64 points with one bracket
-# each (Python 3.11, NumPy 2.4, a 2-core x86-64 VM, CPU time, median of 9
-# rounds, the two routes alternating): with an interior peak in every row,
+# point; more go lockstep.  The count is of the whole search: when one
+# search serves several functions (the three norms of an algebra check),
+# their brackets are counted together and all take one route (at seed 7,
+# 1 algebra benchmark op in 504 has more than 12).  Timed on k rows of 64
+# points with one bracket each (Python 3.11, NumPy 2.4, a 2-core x86-64
+# VM, CPU time, median of 9 rounds, the two routes alternating): with an
+# interior peak in every row,
 # lockstep becomes the cheaper route at 13-16 brackets for a ratio of
 # moments on a group of order 12 (power_slowvary(r=3, delta=-1)) and at
 # 17-24 for a Gaussian ratio (sqrt_dip); with peaks at row ends, whose paths
@@ -294,8 +305,9 @@ class _Golden:
         return self.best_x, self.best_v
 
 
-def _speculate(f, brackets: list, targets: list) -> list:
-    """Refine the _Golden ``brackets`` in rounds of one array call of ``f``.
+def _speculate(f, brackets: list, targets: list, rows: list) -> list:
+    """Refine the _Golden ``brackets``, of the scan rows ``rows``, in rounds
+    of one array call of ``f``.
 
     Each round asks for every unfinished bracket's planned points, guessed
     toward its target: the first round for the whole path, later ones for
@@ -309,25 +321,28 @@ def _speculate(f, brackets: list, targets: list) -> list:
     one-point search meets, naming the same p.  Returns (arg, value) per
     bracket.
     """
-    live, n = brackets, _MAX_ITER
+    live, live_rows, n = brackets, rows, _MAX_ITER
     while live:
         plans = [g.plan(n, t) for g, t in zip(live, targets)]
+        counts = [len(plan) for plan in plans]
         try:
-            values = _eval_array(f, np.array([x for plan in plans for x in plan])).tolist()
+            xs = np.array([x for plan in plans for x in plan])
+            values = _eval_array(f, xs, np.array(live_rows).repeat(counts)).tolist()
         except (DomainError, DivergentMomentError):
             break
         at = 0
-        for g, plan in zip(live, plans):
-            g.replay(values[at : at + len(plan)])
-            at += len(plan)
+        for g, count in zip(live, counts):
+            g.replay(values[at : at + count])
+            at += count
+        live_rows = [row for g, row in zip(live, live_rows) if not g.done]
         live = [g for g in live if not g.done]
         targets, n = [g.target() for g in live], _LOOKAHEAD
-    refine_f = partial(_eval_scalar, f)
-    return [g.finish(refine_f) for g in brackets]
+    return [g.finish(partial(_eval_scalar, f, row=row)) for g, row in zip(brackets, rows)]
 
 
-def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float):
-    """golden_section_max on every bracket [lo[k], hi[k]] at once.
+def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray):
+    """golden_section_max on every bracket [lo[k], hi[k]], of the scan row
+    rows[k], at once.
 
     ``f_lo`` / ``f_hi`` are the values already known at the bracket ends.
     Each iteration moves every bracket still wider than its stopping
@@ -340,14 +355,19 @@ def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float):
     a, b = lo.copy(), hi.copy()
     x1 = b - INV_PHI * (b - a)
     x2 = a + INV_PHI * (b - a)
-    k = lo.size
-    f12 = _eval_array(f, np.concatenate([x1, x2]))
-    f1, f2 = f12[:k], f12[k:]
+    # x1 and x2 of each bracket side by side, so the points come row by row
+    f12 = _eval_array(f, np.stack([x1, x2], axis=1).ravel(), rows.repeat(2)).reshape(-1, 2)
+    f1, f2 = f12[:, 0].copy(), f12[:, 1].copy()
     width_tol = tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    act_rows = rows
     for _ in range(_MAX_ITER):
         act = np.flatnonzero(b - a > width_tol)
         if act.size == 0:
             break
+        # a bracket that has stopped never moves again, so the active set
+        # only shrinks, and one of the same size is the same set
+        if act.size != act_rows.size:
+            act_rows = rows[act]
         go_left = f1[act] >= f2[act]
         L, R = act[go_left], act[~go_left]
         b[L], x2[L], f2[L] = x2[L], x1[L], f1[L]
@@ -355,7 +375,7 @@ def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float):
         a[R], x1[R], f1[R] = x1[R], x2[R], f2[R]
         x2[R] = a[R] + INV_PHI * (b[R] - a[R])
         x = np.where(go_left, x1[act], x2[act])
-        v = _eval_array(f, x)
+        v = _eval_array(f, x, act_rows)
         f1[L], f2[R] = v[go_left], v[~go_left]
         better = (v > best_v[act]) | ((v == best_v[act]) & (x < best_x[act]))
         won = act[better]
@@ -364,50 +384,62 @@ def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float):
 
 
 def sup_rows(
-    f: Callable[[np.ndarray], np.ndarray],
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
     xs: np.ndarray,
     refine_tol: float = _REFINE_TOL,
-    parts: Optional[Callable[[np.ndarray], tuple]] = None,
-    floor: float = -math.inf,
+    parts: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None,
+    floor=-math.inf,
     speculate: bool = True,
 ) -> RowSupremum:
     """Supremum of ``f`` over each row of the scan grid ``xs``.
 
     Each row is an increasing grid whose first and last points are the
-    ends of its interval.  ``f`` sees all rows in one array call; every
-    local maximum of a row is then refined inside the cell spanned by
-    its scan neighbours, unless the three scan values agree within
+    ends of its interval.  ``f(x, row)`` takes an array of points and the
+    array of their row indices in ``xs`` (a float and an int on the
+    one-point route), so one search can serve rows of different
+    functions; every array call lists its points row by row, their row
+    indices nondecreasing.  ``f`` sees all rows in one array call; every
+    local maximum of a row is then refined inside the cell spanned by its
+    scan neighbours, unless the three scan values agree within
     _PLATEAU_ULP ulp: such a plateau (a flat ratio makes every scan point
-    one) keeps its scan value.  Up to SCALAR_BRACKETS brackets refine in
-    speculative rounds (see the module docstring), more in lockstep; all
-    routes reuse the scan values at the bracket ends and give the bits of
-    golden_section_max.  ``speculate=False`` is for an ``f`` whose cost
-    grows with the points it is asked for more than with its calls: the
-    few brackets then go one point at a time to golden_section_max.
-    Refinement never loses the scan value it started from.  A NaN value of
-    ``f`` raises DomainError naming the first p where it occurred.
+    one) keeps its scan value.  Up to SCALAR_BRACKETS brackets, counted over all
+    rows, refine in speculative rounds (see the module docstring), more in
+    lockstep; all routes reuse the scan values at the bracket ends and
+    give the bits of golden_section_max.  ``speculate=False`` is for an
+    ``f`` whose cost grows with the points it is asked for more than with
+    its calls: the few brackets then go one point at a time to
+    golden_section_max.  Refinement never loses the scan value it started
+    from.  A NaN value of ``f`` raises DomainError naming the first p
+    where it occurred.
 
     With ``parts`` the scan is pruned (see the module docstring):
-    ``parts(x)`` returns arrays (num, den) with num / den giving the bits
-    of ``f(x)``, both nondecreasing and den positive.  ``floor`` is a value
-    known from elsewhere (the exact points of a norm) that the pruning
-    also compares against.  The largest of the row values and ``floor``
-    and its argument are then those of the full scan, bit for bit, as is
-    ``decreasing_at_hi``; a row that cannot hold that supremum may report
-    a lower value.  When a NaN value or a divergent moment stops the
-    pruned scan, the full scan runs instead, so the error and the p it
-    names are the full scan's.
+    ``parts(x, row)`` returns arrays (num, den) with num / den giving the
+    bits of ``f(x, row)``, both nondecreasing and den positive.  ``floor``
+    is a value known from elsewhere (the exact points of a norm) that the
+    pruning also compares against.  It may hold one value per search: the
+    rows then split into len(floor) consecutive blocks of equal size, and
+    each block is pruned against its own floor and its own best value, so
+    a cell of one search is never dropped against another's.  The largest
+    of a block's row values and its floor and its argument are then those
+    of the full scan, bit for bit, as is ``decreasing_at_hi``; a row that
+    cannot hold that supremum may report a lower value.  When a NaN value
+    or a divergent moment stops the pruned scan, the full scan runs
+    instead, so the error and the p it names are the full scan's.
     """
     rows, n = xs.shape
     known = None
     pruned = 0
     if parts is not None and xs.size:
         try:
-            ys, known, pruned = _pruned_scan(f, xs, parts, floor)
+            ys, known, pruned = _pruned_scan(f, xs, parts, np.atleast_1d(np.asarray(floor, dtype=float)))
         except (DomainError, DivergentMomentError):
             known = None
     if known is None:
-        ys = _eval_array(f, xs.ravel()).reshape(rows, n)
+        # each scan point's row, in the smallest integer type that holds it:
+        # as int64, the 51200 indices of W^'s cell minima took about 4% more
+        # time there (the allocation, not the arithmetic)
+        scan_rows = np.arange(rows, dtype=np.min_scalar_type(rows)).repeat(n)
+        ys = _eval_array(f, xs.ravel(), scan_rows).reshape(rows, n)
     pad = np.full((rows, 1), -np.inf)
     peak = (ys >= np.hstack([pad, ys[:, :-1]])) & (ys >= np.hstack([ys[:, 1:], pad]))
     if known is not None:
@@ -430,19 +462,21 @@ def sup_rows(
     flat[flat] = (v - ys[r[kf], il[kf]] <= near) & (v - ys[r[kf], ih[kf]] <= near)
     k = k[~flat]
     if k.size <= SCALAR_BRACKETS:
-        # Python floats in, so the golden-section arithmetic and the ratio
-        # take float paths (same IEEE operations as on numpy scalars); the
-        # scan values at the bracket ends are the bits f gives those floats
+        # Python floats in, so the golden-section arithmetic takes float
+        # paths (same IEEE operations as on numpy scalars); the scan values
+        # at the bracket ends are the bits f gives those floats
         ends = zip(bl[k].tolist(), bh[k].tolist(), ys[r[k], il[k]].tolist(), ys[r[k], ih[k]].tolist())
         if speculate:
             brackets = [_Golden(a, b, fa, fb, refine_tol) for a, b, fa, fb in ends]
-            refined = _speculate(f, brackets, _scan_targets(xs, ys, r[k], i[k]))
+            refined = _speculate(f, brackets, _scan_targets(xs, ys, r[k], i[k]), r[k].tolist())
         else:
-            refine_f = partial(_eval_scalar, f)
-            refined = [golden_section_max(refine_f, a, b, tol=refine_tol, f_lo=fa, f_hi=fb) for a, b, fa, fb in ends]
+            refined = [
+                golden_section_max(partial(_eval_scalar, f, row=row), a, b, tol=refine_tol, f_lo=fa, f_hi=fb)
+                for (a, b, fa, fb), row in zip(ends, r[k].tolist())
+            ]
         ref_x, ref_v = np.array(refined, dtype=float).reshape(-1, 2).T
     else:
-        ref_x, ref_v = _golden_lockstep(f, bl[k], ys[r[k], il[k]], bh[k], ys[r[k], ih[k]], refine_tol)
+        ref_x, ref_v = _golden_lockstep(f, bl[k], ys[r[k], il[k]], bh[k], ys[r[k], ih[k]], refine_tol, r[k])
     keep = ~(cand_v[k] > ref_v)
     cand_x[k[keep]], cand_v[k[keep]] = ref_x[keep], ref_v[keep]
     # per row: largest value, then smallest arg; every row has a peak
@@ -475,10 +509,13 @@ def cell_bounds(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         return num[..., 1:] / den[..., :-1]
 
 
-def _pruned_scan(f, xs: np.ndarray, parts, floor: float):
+def _pruned_scan(f, xs: np.ndarray, parts, floor: np.ndarray):
     """The scan of sup_rows, pruned level by level by the cell bounds of
     ``parts``.
 
+    ``floor`` holds one value per search, whose rows are a block of
+    len(xs) / len(floor) consecutive rows; each search's cells are judged
+    against the best of its own floor and its own evaluated points.
     Returns (ys, known, pruned cells): ``ys`` holds the value of every
     evaluated point and -inf elsewhere, ``known`` marks the evaluated
     points, and the count is of the cells of the last level dropped, those
@@ -501,15 +538,17 @@ def _pruned_scan(f, xs: np.ndarray, parts, floor: float):
         new = np.zeros((rows, n), dtype=bool)
         new[:, c] = cover[:, c] & ~known[:, c]
         if new.any():
-            xn = xs[new]
-            nu, de = (np.asarray(a, dtype=float).reshape(xn.shape) for a in parts(xn))
-            num[new], den[new], ys[new] = nu, de, _checked(xn, nu / de)
+            rn, cn = np.nonzero(new)
+            xn = xs[rn, cn]
+            nu, de = (np.asarray(a, dtype=float).reshape(xn.shape) for a in parts(xn, rn))
+            num[rn, cn], den[rn, cn], ys[rn, cn] = nu, de, _checked(xn, nu / de)
             known |= new
-            best = max(best, float(ys[new].max()))
+            best = np.maximum(best, ys.max(axis=1).reshape(best.size, -1).max(axis=1))
         nc, dc = num[:, c], den[:, c]
         # a NaN bound, or a den that is not positive, keeps its cell; a cell
         # under a dropped parent stays dropped (its ends may be unevaluated)
-        live = cover[:, c[:-1]] & (~(cell_bounds(nc, dc) * (1.0 + _PRUNE_MARGIN) < best) | ~(dc[:, :-1] > 0.0))
+        row_best = np.repeat(best, rows // best.size)[:, None]
+        live = cover[:, c[:-1]] & (~(cell_bounds(nc, dc) * (1.0 + _PRUNE_MARGIN) < row_best) | ~(dc[:, :-1] > 0.0))
         cover = np.zeros((rows, n), dtype=bool)
         cover[:, :-1] = np.repeat(live, np.diff(c), axis=1)
     # a live cell needs its points and the scan neighbours of its ends,
@@ -520,7 +559,8 @@ def _pruned_scan(f, xs: np.ndarray, parts, floor: float):
     need[:, 2:] |= cover[:, :-2]
     need[:, -3:] = True  # the decreasing_at_hi evidence
     fine = need & ~known
-    ys[fine] = _eval_array(f, xs[fine])
+    rf, cf = np.nonzero(fine)
+    ys[rf, cf] = _eval_array(f, xs[rf, cf], rf)
     return ys, need | known, int(live.size - np.count_nonzero(live))
 
 
@@ -540,14 +580,14 @@ def grid_refine_supremum(
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
-        return SupremumResult(_eval_scalar(f, lo), lo, True)
+        return SupremumResult(_eval_scalar(lambda x, row: f(x), lo, 0), lo, True)
     n_points = max(int(n_points), 2)
     if geometric and lo > 0:
         xs = np.geomspace(lo, hi, n_points)
     else:
         xs = np.linspace(lo, hi, n_points)
     xs[0], xs[-1] = lo, hi
-    res = sup_rows(f, xs[None, :])
+    res = sup_rows(lambda x, row: f(x), xs[None, :])
     return SupremumResult(float(res.values[0]), float(res.args[0]), bool(res.decreasing_at_hi[0]))
 
 
@@ -563,7 +603,7 @@ def sampled_min(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
     if np.any(hi < lo):
         raise ValueError("sampled_min needs lo <= hi for every interval")
     xs = np.linspace(lo, hi, _MIN_SAMPLES, axis=-1)
-    res = sup_rows(lambda x: -f(x), xs.reshape(lo.size, -1), _MIN_TOL)
+    res = sup_rows(lambda x, row: -f(x), xs.reshape(lo.size, -1), _MIN_TOL)
     return -res.values.reshape(lo.shape)
 
 
@@ -571,15 +611,16 @@ def _nan_error(x) -> DomainError:
     return DomainError(f"the searched function is NaN at p={float(x)!r}")
 
 
-def _eval_scalar(f, x: float) -> float:
-    v = float(f(float(x)))
+def _eval_scalar(f, x: float, row: int) -> float:
+    v = float(f(float(x), row))
     if v != v:
         raise _nan_error(x)
     return v
 
 
-def _eval_array(f, xs: np.ndarray) -> np.ndarray:
-    """``f`` on every point of ``xs`` in one call.
+def _eval_array(f, xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``f(xs, rows)`` on every point of ``xs`` in one call; ``rows`` holds
+    the scan row of each point.
 
     ``f`` must accept an array and return one value per point; a
     function that only takes scalars is a caller error, not something to
@@ -589,7 +630,7 @@ def _eval_array(f, xs: np.ndarray) -> np.ndarray:
     """
     if xs.size == 0:
         return np.empty(xs.shape)
-    return _checked(xs, f(xs))
+    return _checked(xs, f(xs, rows))
 
 
 def _checked(xs: np.ndarray, ys) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Norm computations and the two-sided sandwich checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,16 +9,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glspace import (
+    ClosedFormModel,
     DensityModel,
+    DivergentMomentError,
     DomainError,
     EmpiricalModel,
     GeneratingFunction,
+    GroupFunctionModel,
     NonMonotoneError,
     PowerSlowVaryParams,
     RestrictedSet,
     TruncationError,
+    algebra_check,
     constant_model,
+    convolve,
+    cyclic_group,
     default_p_max,
+    dihedral_group,
     discrete_norm,
     exponential_model,
     gaussian_model,
@@ -26,15 +34,19 @@ from glspace import (
     integer_grid,
     make_power_slowvary,
     natural_psi,
+    raw_power_slowvary,
     sandwich_check_discrete,
     sandwich_check_restricted,
     set_fixtures,
     set_from_spec,
     sqrt_dip_psi,
+    symmetric_group,
     uniform01_model,
 )
-from glspace.norms import _cellwise_full_norm, _ratio_fn
-from glspace.search import grid_refine_supremum
+from glspace import norms, search
+from glspace.norms import NormResult, _cellwise_full_norm, _ratio_fn, gls_norms
+from glspace.search import grid_refine_supremum, sup_rows
+from glspace.suites import psi_pool
 
 
 def root_psi():
@@ -322,3 +334,200 @@ def test_ties_go_to_the_smallest_p():
         assert (res.value, res.arg_p) == (3.0, 1.0)
     assert discrete_norm(model, psi, integer_grid(10)).arg_index == 1
     assert _cellwise_full_norm(model, psi, integer_grid(10)).arg_p == 1.0
+
+
+# ---------------------------------------------------------------------------
+# Several models in one search: gls_norms, as algebra_check calls it
+
+# small groups, and one of 128 elements, whose norms take the pruned scan
+# (under a nondecreasing psi) and the one-point refinement
+_BATCH_GROUPS = [cyclic_group(2), cyclic_group(7), dihedral_group(4), symmetric_group(3), cyclic_group(16),
+                 cyclic_group(128)]
+# the suites' normalized pool, the algebra suite's raw members and sqrt_dip
+_BATCH_PSIS = [
+    *psi_pool(),
+    *(raw_power_slowvary(PowerSlowVaryParams(r, d))
+      for r, d in [(1.0, 0.5), (2.0, 1.0), (1.0, 2.0), (3.0, 0.5), (0.5, 1.0)]),
+    sqrt_dip_psi(),
+]
+
+
+def _group_values(rng, order: int, shape: str) -> np.ndarray:
+    if shape == "zero":
+        return np.zeros(order)
+    if shape == "normal":
+        return rng.standard_normal(order)
+    if shape == "uniform":
+        return rng.uniform(-1.0, 2.0, order)
+    vals = rng.standard_normal(order)
+    vals[rng.random(order) < 0.5] = 0.0
+    return vals
+
+
+def _algebra_models(G, f, g):
+    """The models of f*g, f and g, in algebra_check's order."""
+    return [GroupFunctionModel(G, convolve(G, f, g)), GroupFunctionModel(G, f), GroupFunctionModel(G, g)]
+
+
+def _fields(res: NormResult) -> tuple:
+    """Every field of a NormResult, its floats as their bits."""
+    return tuple(v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(res))
+
+
+@st.composite
+def _algebra_case(draw):
+    G = draw(st.sampled_from(_BATCH_GROUPS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = st.sampled_from(["normal", "uniform", "sparse", "zero"])
+    f, g = _group_values(rng, G.order, draw(shapes)), _group_values(rng, G.order, draw(shapes))
+    S = draw(st.one_of(st.none(), st.sampled_from(set_fixtures())))
+    return G, f, g, draw(st.sampled_from(_BATCH_PSIS)), S
+
+
+def _searched(call):
+    """call()'s result, and whether its search refined in lockstep."""
+    lockstep = []
+    real = search._golden_lockstep
+
+    def spy(*args, **kw):
+        lockstep.append(True)
+        return real(*args, **kw)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_golden_lockstep", spy)
+        return call(), bool(lockstep)
+
+
+def _same_but_the_route(shared: NormResult, shared_lockstep: bool, alone: NormResult, own_lockstep: bool):
+    """``shared`` has every field of ``alone``.  Where the shared search
+    went lockstep and the model's own search speculated (more than
+    SCALAR_BRACKETS brackets in all, at most that many of the model's), the
+    count may be lower: lockstep asks for no point off golden section's
+    path, speculation for the points of its wrong guesses too."""
+    if shared_lockstep and not own_lockstep:
+        assert shared.n_evaluations <= alone.n_evaluations
+        shared = dataclasses.replace(shared, n_evaluations=alone.n_evaluations)
+    assert _fields(shared) == _fields(alone)
+
+
+@given(case=_algebra_case())
+def test_one_search_gives_every_model_its_one_model_result(case):
+    G, f, g, psi, S = case
+    models = _algebra_models(G, f, g)
+    batched, lockstep = _searched(lambda: gls_norms(models, psi, 200.0, S))
+    for res, model in zip(batched, models):
+        _same_but_the_route(res, lockstep, *_searched(lambda: gls_norm(model, psi, 200.0, S)))
+
+
+def test_the_route_counts_the_brackets_of_every_model(monkeypatch):
+    # with room for 2 speculating brackets, the three models' brackets go
+    # lockstep together while each model alone speculates; the bits stay
+    monkeypatch.setattr(search, "SCALAR_BRACKETS", 2)
+    G = dihedral_group(6)
+    rng = np.random.default_rng(6)
+    models = _algebra_models(G, rng.standard_normal(12), rng.standard_normal(12))
+    psi = make_power_slowvary(PowerSlowVaryParams(r=4.0, delta=0.0))
+    batched, lockstep = _searched(lambda: gls_norms(models, psi, 30.0))
+    alone = [_searched(lambda: gls_norm(m, psi, 30.0)) for m in models]
+    assert lockstep and not any(own_lockstep for _, own_lockstep in alone)
+    for res, own in zip(batched, alone):
+        _same_but_the_route(res, lockstep, *own)
+    assert sum(r.n_evaluations for r in batched) < sum(r.n_evaluations for r, _ in alone)
+
+
+def _diverging_from(p0: float) -> ClosedFormModel:
+    """|f|_p = sqrt(p) below p0; a DivergentMomentError naming the first p
+    at or past p0 of a call."""
+
+    def moments(p):
+        past = np.atleast_1d(p) >= p0
+        if past.any():
+            raise DivergentMomentError(float(np.atleast_1d(p)[past][0]))
+        return np.sqrt(p)
+
+    return ClosedFormModel(f"diverging-from-{p0:g}", moments)
+
+
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_an_infinite_norm_in_one_search_is_the_one_model_result(at):
+    models = [gaussian_model(), uniform01_model(), exponential_model()]
+    models[at] = _diverging_from(3.0)
+    for S in (None, MIXED_SET):
+        batched = gls_norms(models, root_psi(), 200.0, S)
+        assert math.isinf(batched[at].value)
+        assert [_fields(r) for r in batched] == [_fields(gls_norm(m, root_psi(), 200.0, S)) for m in models]
+
+
+@pytest.mark.parametrize(
+    "psi", [nan_above_50_psi(), make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=-700.0))], ids=["nan", "underflow"]
+)
+def test_an_error_in_one_search_is_the_first_models_error(psi):
+    G = dihedral_group(4)
+    rng = np.random.default_rng(4)
+    models = [gaussian_model(), *_algebra_models(G, rng.standard_normal(8), rng.standard_normal(8))]
+    with pytest.raises(DomainError) as alone:
+        gls_norm(models[0], psi)
+    with pytest.raises(DomainError) as batched:
+        gls_norms(models, psi)
+    assert str(batched.value) == str(alone.value)
+    # a model whose own search gets through still gets the error of the
+    # first model that does not
+    models[0] = _diverging_from(3.0)
+    with pytest.raises(DomainError) as alone:
+        gls_norm(models[1], psi)
+    with pytest.raises(DomainError) as batched:
+        gls_norms(models, psi)
+    assert str(batched.value) == str(alone.value)
+
+
+def test_a_search_that_recovers_from_an_error_counts_as_the_one_model_searches(monkeypatch):
+    # g's ratio raises on its second array call, the first speculative
+    # round: its own search goes on one point at a time and gets through.
+    # The shared search would send the brackets of f*g and f that way too
+    # and count other points for them, so it is given up for the three
+    # one-model searches
+    G = dihedral_group(6)
+    rng = np.random.default_rng(6)
+    models = _algebra_models(G, rng.standard_normal(12), rng.standard_normal(12))
+    psi = make_power_slowvary(PowerSlowVaryParams(r=4.0, delta=0.0))
+    clean = [gls_norm(m, psi, 30.0) for m in models]
+    real = norms._ratio_fn
+
+    def failing_once(model, psi):
+        pair = real(model, psi)
+        if model is not models[2]:
+            return pair
+        arrays = [0]
+
+        def second_array_call_raises(p):
+            if isinstance(p, np.ndarray):
+                arrays[0] += 1
+                if arrays[0] == 2:
+                    raise DomainError("no value in the first round")
+            return pair(p)
+
+        return second_array_call_raises
+
+    monkeypatch.setattr(norms, "_ratio_fn", failing_once)
+    alone = [gls_norm(m, psi, 30.0) for m in models]
+    assert (alone[2].value, alone[2].arg_p) == (clean[2].value, clean[2].arg_p)
+    assert alone[2].n_evaluations != clean[2].n_evaluations
+    assert [_fields(r) for r in gls_norms(models, psi, 30.0)] == [_fields(r) for r in alone]
+
+
+def test_algebra_check_searches_its_three_norms_at_once(monkeypatch):
+    G = cyclic_group(12)
+    rng = np.random.default_rng(12)
+    f, g = rng.standard_normal(12), rng.standard_normal(12)
+    psi = make_power_slowvary(PowerSlowVaryParams(r=3.0, delta=-1.0))
+    alone = [gls_norm(m, psi) for m in _algebra_models(G, f, g)]
+    searches = []
+
+    def spy(f, xs, *args, **kw):
+        searches.append(xs.shape[0])
+        return sup_rows(f, xs, *args, **kw)
+
+    monkeypatch.setattr(norms, "sup_rows", spy)
+    rep = algebra_check(G, f, g, psi)
+    assert searches == [3]
+    assert (rep.conv_norm, rep.f_norm, rep.g_norm) == tuple(r.value for r in alone)

@@ -51,6 +51,11 @@ def _sample(kind: int, n: int, seed: int) -> np.ndarray:
     return scale * rng.uniform(-1.0, 2.0, n)
 
 
+def _rowless(f):
+    """``f`` as sup_rows calls it, with the scan-row index, which it ignores."""
+    return lambda x, row: f(x)
+
+
 def _full_scan(*args, **kw):
     """gls_norm with pruning switched off, as every search ran before it."""
     with pytest.MonkeyPatch.context() as m:
@@ -153,9 +158,9 @@ def test_the_lower_peak_of_two_is_pruned():
         seen.append(x)
         return pair(x)
 
-    res = sup_rows(f, xs[None, :], parts=parts)
+    res = sup_rows(_rowless(f), xs[None, :], parts=_rowless(parts))
     counted, full_seen = _counted(ratio)
-    full = sup_rows(counted, xs[None, :])
+    full = sup_rows(_rowless(counted), xs[None, :])
     assert (res.values[0], res.args[0], res.decreasing_at_hi[0]) == (
         full.values[0], full.args[0], full.decreasing_at_hi[0])
     asked = np.concatenate(seen)
@@ -172,7 +177,7 @@ def _counted_search(ratio, pair, xs):
     """sup_rows pruned by ``pair``, and the number of points it asked for."""
     f, seen = _counted(ratio)
     parts, parts_seen = _counted(pair)
-    res = sup_rows(f, xs, parts=parts)
+    res = sup_rows(_rowless(f), xs, parts=_rowless(parts))
     return res, seen[0] + parts_seen[0]
 
 
@@ -236,10 +241,10 @@ def test_a_peak_at_a_live_cell_end_keeps_its_full_scan_bracket(num_pts, den_pts)
         return num / den
 
     counted, full_seen = _counted(f)
-    full = sup_rows(counted, xs)
+    full = sup_rows(_rowless(counted), xs)
     counted, seen = _counted(f)
     counted_parts, parts_seen = _counted(parts)
-    res = sup_rows(counted, xs, parts=counted_parts)
+    res = sup_rows(_rowless(counted), xs, parts=_rowless(counted_parts))
     assert full.values[0] > 2.9
     assert (res.values[0], res.args[0]) == (full.values[0], full.args[0])
     assert res.pruned > 0 and seen[0] + parts_seen[0] < full_seen[0]
@@ -320,7 +325,7 @@ def test_psi_overflow_names_the_full_scans_p():
         first = int(np.argmax(psi.evaluator(xs) == math.inf))
         assert first % 64
         with pytest.raises(DomainError) as coarse:
-            search._pruned_scan(ratio, xs[None, :], pair, -math.inf)
+            search._pruned_scan(_rowless(ratio), xs[None, :], _rowless(pair), np.array([-math.inf]))
         with pytest.raises(DomainError) as pruned:
             gls_norm(model, psi, p_max)
         with pytest.raises(DomainError) as full:

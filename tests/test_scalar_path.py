@@ -89,6 +89,18 @@ def test_psi_float_path_has_the_array_bits(name, ps):
     _assert_one_path(lambda q: psi_eval(psi, q), ps)
 
 
+@pytest.mark.parametrize("r, delta", [(1.0, -0.5), (2.0, 0.5), (1.0, 2.5)])
+def test_psi_float_path_has_the_bits_of_a_long_array(r, delta):
+    # NumPy may take a SIMD pow on an array and libm's on a float, and the
+    # two differ in the last place for delta not in {0, 1}: for (r=1,
+    # delta=-0.5) about one p in 20 did while a float reached the evaluator
+    # as a float
+    psi = make_power_slowvary(PowerSlowVaryParams(r=r, delta=delta))
+    ps = np.random.default_rng(0).uniform(1.0, 200.0, 2000)
+    in_array = psi_eval(psi, ps)
+    assert [_bits(psi_eval(psi, p)) for p in ps.tolist()] == [_bits(v) for v in in_array]
+
+
 @pytest.mark.parametrize("name", MODELS)
 def test_float_moment_below_one_is_rejected_naming_p(name):
     with pytest.raises(DomainError, match=r"moments are defined for p >= 1, got 0\.75"):

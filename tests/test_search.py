@@ -67,6 +67,11 @@ def _counted(f):
     return counted, seen
 
 
+def _rowless(f):
+    """``f`` as sup_rows calls it, with the scan-row index, which it ignores."""
+    return lambda x, row: f(x)
+
+
 def _ratio(model, psi):
     """p -> |f|_p / psi(p), the quotient of the norm's (numerator,
     denominator) pair."""
@@ -118,7 +123,8 @@ def test_lockstep_matches_golden_section_bit_for_bit():
     lo[20:40], hi[20:40] = 3.5 + 0.01 * np.arange(20), 4.0
     for tol in (1e-10, 1e-12):
         lock_f, n_eval = _counted(_multi_peak)
-        args, vals = _golden_lockstep(lock_f, lo, _multi_peak(lo), hi, _multi_peak(hi), tol)
+        rows = np.arange(lo.size)
+        args, vals = _golden_lockstep(_rowless(lock_f), lo, _multi_peak(lo), hi, _multi_peak(hi), tol, rows)
         calls = [0]
 
         def scalar_f(x):
@@ -211,7 +217,7 @@ def _routed(monkeypatch, k):
         return golden_section_max(*args, **kw)
 
     monkeypatch.setattr(search, "golden_section_max", counted_golden)
-    return sup_rows(counted_f, xs), array_calls[0], golden_calls[0]
+    return sup_rows(_rowless(counted_f), xs), array_calls[0], golden_calls[0]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 8, SCALAR_BRACKETS])
@@ -231,7 +237,7 @@ def test_few_brackets_refine_one_by_one(monkeypatch, k):
     np.testing.assert_array_equal(lock.args, res.args)
     # and so does golden_section_max, one bracket and one point at a time
     xs, f = _one_peak_per_row(k)
-    seq = sup_rows(f, xs, speculate=False)
+    seq = sup_rows(_rowless(f), xs, speculate=False)
     np.testing.assert_array_equal(seq.values, res.values)
     np.testing.assert_array_equal(seq.args, res.args)
 
@@ -315,8 +321,8 @@ def _peak_kinds(f, xs):
 def test_speculation_has_the_bits_of_the_one_point_search(search_case):
     f, xs, kind = search_case
     assert kind in _peak_kinds(f, xs)
-    spec = sup_rows(f, xs)
-    seq = sup_rows(f, xs, speculate=False)
+    spec = sup_rows(_rowless(f), xs)
+    seq = sup_rows(_rowless(f), xs, speculate=False)
     assert (spec.values[0].hex(), spec.args[0].hex()) == (seq.values[0].hex(), seq.args[0].hex())
 
 
@@ -333,10 +339,10 @@ def _multi_peak_case():
 
 def test_an_always_wrong_guess_keeps_the_bits(monkeypatch):
     xs, scalar = _multi_peak_case()
-    seq = sup_rows(_multi_peak, xs, speculate=False)
+    seq = sup_rows(_rowless(_multi_peak), xs, speculate=False)
     _always_wrong(monkeypatch, scalar)
     f, calls = _counted(_multi_peak)
-    spec = sup_rows(f, xs)
+    spec = sup_rows(_rowless(f), xs)
     np.testing.assert_array_equal(spec.values, seq.values)
     np.testing.assert_array_equal(spec.args, seq.args)
     assert calls[0] > xs.size + 3 * 40
@@ -352,7 +358,7 @@ def _true_path(xs):
             seen.add(float(x))
         return _multi_peak(x)
 
-    sup_rows(recorded, xs, speculate=False)
+    sup_rows(_rowless(recorded), xs, speculate=False)
     return seen
 
 
@@ -373,10 +379,10 @@ def _nan_or_raise(how, bad):
 @pytest.mark.parametrize("how", ["nan", "divergent", "domain"])
 def test_an_error_only_off_the_true_path_gives_the_one_point_result(monkeypatch, how):
     xs, scalar = _multi_peak_case()
-    seq = sup_rows(_multi_peak, xs, speculate=False)
+    seq = sup_rows(_rowless(_multi_peak), xs, speculate=False)
     true_path = _true_path(xs)
     _always_wrong(monkeypatch, scalar)
-    spec = sup_rows(_nan_or_raise(how, lambda x: x not in true_path), xs)
+    spec = sup_rows(_rowless(_nan_or_raise(how, lambda x: x not in true_path)), xs)
     np.testing.assert_array_equal(spec.values, seq.values)
     np.testing.assert_array_equal(spec.args, seq.args)
 
@@ -392,10 +398,10 @@ def test_an_error_on_the_true_path_is_the_one_point_error(monkeypatch, how):
     f = _nan_or_raise(how, lambda x: x == bad or x not in true_path)
     error = DivergentMomentError if how == "divergent" else DomainError
     with pytest.raises(error) as seq:
-        sup_rows(f, xs, speculate=False)
+        sup_rows(_rowless(f), xs, speculate=False)
     _always_wrong(monkeypatch, scalar)
     with pytest.raises(error) as spec:
-        sup_rows(f, xs)
+        sup_rows(_rowless(f), xs)
     assert str(spec.value) == str(seq.value)
     assert spec.value.p == bad if how == "divergent" else repr(bad) in str(spec.value)
 
@@ -445,18 +451,38 @@ def test_only_a_ratio_that_costs_by_the_point_refines_one_point_at_a_time(monkey
     assert (golden_calls[0] > 0) == per_point
 
 
+def test_the_one_point_route_gives_the_speculative_routes_norm(monkeypatch):
+    # 256-value sparse functions refine one point at a time; the same search
+    # speculating must print the same norms, so a float's psi must have the
+    # bits it has in an array (20 to 29 of 120 such draws differed under
+    # power_slowvary(r=1, delta=-0.5) while it did not)
+    G = cyclic_group(256)
+    psi = make_power_slowvary(PowerSlowVaryParams(r=1.0, delta=-0.5))
+    rng = np.random.default_rng(0)
+    models = []
+    for _ in range(60):
+        values = rng.standard_normal(G.order)
+        values[rng.random(G.order) < 0.5] = 0.0
+        models.append(GroupFunctionModel(G, values))
+    one_point = [gls_norm(m, psi) for m in models]
+    monkeypatch.setattr(norms, "_costs_per_point", lambda model: False)
+    speculated = [gls_norm(m, psi) for m in models]
+    bits = [(r.value.hex(), r.arg_p.hex()) for r in one_point]
+    assert [(r.value.hex(), r.arg_p.hex()) for r in speculated] == bits
+
+
 def test_plateaus_are_counted_and_not_refined():
     xs = np.geomspace(1.0, 200.0, 64)[None, :]
     # ulp noise on a constant, as a natural psi's ratio shows
     ys = 0.5 + np.spacing(0.5) * np.resize([0.0, 2.0, 1.0], 64)
     f, seen = _counted(lambda x: np.interp(x, xs[0], ys))
-    flat = sup_rows(f, xs)
+    flat = sup_rows(_rowless(f), xs)
     # each local maximum (every third point) is a plateau; the scan is all
     assert (flat.plateaus, seen[0]) == (np.count_nonzero(ys == ys.max()), 64)
     assert (flat.values[0], flat.args[0]) == (ys.max(), xs[0, 1])
     peaks, f = _one_peak_per_row(3)
     f, seen = _counted(f)
-    res = sup_rows(f, peaks)
+    res = sup_rows(_rowless(f), peaks)
     assert res.plateaus == 0 and seen[0] > peaks.size
 
 
