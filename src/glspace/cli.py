@@ -31,7 +31,7 @@ from .generating import PowerSlowVaryParams, make_power_slowvary, natural_psi
 from .grids import integer_grid
 from .groups import algebra_check, convolve
 from .models import sample  # noqa: F401  unused here; the benchmark tracer patches it
-from .norms import default_p_max, discrete_norm, gls_norm
+from .norms import default_p_max, discrete_norm, domain_search, gls_norm, grid_search, sup_norms
 from .reporting import render_csv
 from .specs import (
     grid_from_spec,
@@ -205,15 +205,19 @@ def cmd_norm(cfg: dict) -> int:
         res = gls_norm(model, psi, p_max)
         rows.append(("full", model.label, psi.description, f"[1, {p_max:g}]",
                      p_max, res.value, res.arg_p, "", res.diagnostics))
-    if rset is not None:
-        res = gls_norm(model, psi, p_max, rset=rset)
+    if rset is not None and grid is not None:
+        # both norms in one search
+        on_set, on_grid = sup_norms(psi, [domain_search(model, p_max, rset), grid_search(model, grid)])
+    else:
+        on_set = None if rset is None else gls_norm(model, psi, p_max, rset=rset)
+        on_grid = None if grid is None else discrete_norm(model, psi, grid)
+    if on_set is not None:
         rows.append(("restricted", model.label, psi.description, rset.description,
-                     p_max, res.value, res.arg_p, "", res.diagnostics))
-    if grid is not None:
-        res = discrete_norm(model, psi, grid)
+                     p_max, on_set.value, on_set.arg_p, "", on_set.diagnostics))
+    if on_grid is not None:
         rows.append(("discrete", model.label, psi.description, grid.description,
-                     res.truncation_p_max, res.value, res.arg_p,
-                     res.arg_index if res.arg_index is not None else "", res.diagnostics))
+                     on_grid.truncation_p_max, on_grid.value, on_grid.arg_p,
+                     on_grid.arg_index if on_grid.arg_index is not None else "", on_grid.diagnostics))
     _emit(render_csv(_NORM_HEADER, rows), cfg)
     if strict and any(math.isinf(r[5]) for r in rows):
         return 1

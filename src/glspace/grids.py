@@ -366,5 +366,10 @@ def w_hat_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConst
     if q.M < 2:
         raise DomainError("W^ needs at least two grid points")
     v = q.values
-    mins = sampled_min(lambda p: psi_eval(psi, p), v[:-1], v[1:])
-    return _grid_constant("W_hat", psi_eval(psi, v[1:]) / mins, np.arange(1.0, q.M))
+    return w_hat_of_minima(q, psi, sampled_min(lambda p: psi_eval(psi, p), v[:-1], v[1:]))
+
+
+def w_hat_of_minima(q: GridSequence, psi: GeneratingFunction, mins: np.ndarray) -> EquivalenceConstant:
+    """W^ of the grid ``q`` from the minima of psi over its cells, as
+    sampled_min finds them (a W^ sandwich finds them in its norm search)."""
+    return _grid_constant("W_hat", psi_eval(psi, q.values[1:]) / mins, np.arange(1.0, q.M))

@@ -3,13 +3,19 @@
 The central quantity is sup over admissible p of |f|_p / psi(p).  The
 full norm ranges over [1, p_max], the restricted norm over a Borel
 subset, the discrete norm over a grid (exact enumeration, no
-refinement).  All three are one search, _sup_norm: intervals and grid
-cells are rows of one scan grid, refined together, and isolated points
-and grid values are evaluated exactly in one array call.  For a large
-sample or group function under a nondecreasing psi the scan is
-pruned: a cell whose bound |f|(right end) / psi(left end) lies below the
-best value is not evaluated (see search), which leaves the result's bits
-as they are.  Sandwich checks verify the two-sided equivalence
+refinement).  Each is a NormSearch (scan rows and exact points) and all
+go through one path, _search: intervals and grid cells are rows of one
+scan grid, refined together, and isolated points and grid values are
+evaluated exactly in one array call.  Several searches under one psi
+share that path's every array call: the three norms of an algebra
+check, the two of ``gls norm --set ... --grid ...``, and the two sides
+of a sandwich check, whose W^ route adds the cell minima of psi, so
+each check is one scan and one refinement.  Every norm keeps the bits
+of its search alone.  For a large sample or group function under a
+nondecreasing psi the scan is pruned: a cell whose bound
+|f|(right end) / psi(left end) lies below the best value is not
+evaluated (see search), which leaves the result's bits as they are.
+Sandwich checks verify the two-sided equivalence
 
     inner <= full <= constant * inner
 
@@ -26,10 +32,13 @@ the offending p recorded as the witness.
 
 from __future__ import annotations
 
+import bisect
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from functools import partial
+from itertools import accumulate
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -42,10 +51,11 @@ from .grids import (
     _check_monotone,
     w_constant,
     w_hat_constant,
+    w_hat_of_minima,
     z_constant,
 )
 from .models import DensityModel, EmpiricalModel, MomentInstabilityWarning, PowerMeanModel, RandomVariableModel
-from .search import _eval_array, sup_rows
+from .search import _MIN_TOL, _REFINE_TOL, _cat, _eval_array, min_rows, sup_rows
 from .search import grid_refine_supremum  # noqa: F401  unused here; the benchmark tracer patches it
 
 DEFAULT_P_MAX = 200.0
@@ -115,6 +125,17 @@ def _ratio_fn(model: RandomVariableModel, psi: GeneratingFunction):
     return pair
 
 
+def _quotient(pair, p):
+    """The ratio num / den of the (num, den) that ``pair`` gives at p."""
+    num, den = pair(p)
+    return num / den
+
+
+def _negated_psi(psi: GeneratingFunction, p):
+    """-psi(p): sup_rows of it gives the minima of psi."""
+    return -psi_eval(psi, p)
+
+
 def _costs_per_point(model) -> bool:
     """Whether a moment of ``model`` costs in proportion to the points it is
     asked for more than to the calls: a power mean of at least
@@ -152,41 +173,101 @@ def _one_plugin_warning(pair, stable_p: float):
     return quiet_after_the_first
 
 
-def _sup_norm(
-    models: Sequence[RandomVariableModel],
-    psi: GeneratingFunction,
-    p_max: float,
-    rows: np.ndarray,
-    points: np.ndarray,
-    grid: bool = False,
-) -> list:
-    """sup of |f|_p / psi(p) over the scan rows and the exact points, for
-    every model of ``models``; one NormResult per model.
+class NormSearch(NamedTuple):
+    """One norm of a search: the sup of |f|_p / psi(p) for ``model`` over
+    the scan ``rows`` (each an increasing grid of one interval, refined by
+    sup_rows) and the exact ``points``.  With ``grid`` the points are a
+    grid and the result carries its arg_index.  See _search."""
 
-    Every row of ``rows`` is an increasing scan grid of one interval,
-    refined by sup_rows; ``points`` are evaluated exactly, all in one
-    array call.  The best value wins, ties going to the smallest p, and
-    n_evaluations counts every point the ratio was asked for, including
-    those of a call that raised.  The edge evidence decreasing_at_hi is
-    the last row's when that row ends at p_max (True when none does);
-    with ``grid`` the points are a grid, the evidence is its last three
-    ratios, and the result carries the 1-based arg_index.
+    model: RandomVariableModel
+    p_max: float
+    rows: np.ndarray
+    points: np.ndarray
+    grid: bool = False
 
-    The models share one search: the scan grid holds ``rows`` once per
-    model, and every array call of the search (the scan, each pruning
-    level, each speculative or lockstep round) serves them all, each
-    model's points going to its own _ratio_fn pair.  The search decides
-    its route, its pruning and whether it speculates once, from all its
-    brackets and models; each model keeps its own pruning floor and best
-    value, evaluation count, edge evidence and plug-in warning wrapper.
-    Every result has the bits of the model's own search.  Its count is
-    that search's too, unless a shared decision differs from the model's
-    own: more than SCALAR_BRACKETS brackets in all send them lockstep,
-    which asks for no point off golden section's path.  A batched search
-    whose ratio raises, or meets a NaN, even where the search recovers
-    from it, is given up, and each model runs its own search in order, so
-    every error and every +inf of a divergent moment is the one-model
-    search's.
+
+_NO_ROWS = np.empty((0, 2))
+_NO_POINTS = np.empty(0)
+
+
+def domain_search(model: RandomVariableModel, p_max: float, rset: Optional[RestrictedSet] = None) -> NormSearch:
+    """The search of gls_norm: every interval component of ``rset``
+    (all of [1, p_max] when None) within [1, p_max] a geometric scan row of
+    _SCAN_POINTS points, every point component an exact point."""
+    if not 1.0 <= p_max < math.inf:
+        raise DomainError(f"p_max must be finite and at least 1, got {p_max:g}")
+    segments = [(1.0, p_max)] if rset is None else rset.segments
+    lo, hi = np.array(segments, dtype=float).T
+    lo, hi = np.maximum(lo, 1.0), np.minimum(hi, p_max)
+    lo, hi = lo[lo <= hi], hi[lo <= hi]
+    span = lo < hi
+    rows = np.geomspace(lo[span], hi[span], _SCAN_POINTS, axis=1)
+    rows[:, 0], rows[:, -1] = lo[span], hi[span]
+    return NormSearch(model, p_max, rows, lo[~span])
+
+
+def grid_search(model: RandomVariableModel, q: GridSequence) -> NormSearch:
+    """The search of discrete_norm: the stored grid values as exact points."""
+    return NormSearch(model, q.values[-1], _NO_ROWS, q.values, grid=True)
+
+
+def _cell_search(model: RandomVariableModel, gtr: GridSequence) -> NormSearch:
+    """The search of _cellwise_full_norm: every cell of the grid a scan row
+    of _CELL_POINTS evenly spaced points."""
+    v = gtr.values
+    xs = np.linspace(v[:-1], v[1:], _CELL_POINTS, axis=1)
+    xs[:, 0], xs[:, -1] = v[:-1], v[1:]
+    return NormSearch(model, v[-1], xs, _NO_POINTS)
+
+
+def sup_norms(psi: GeneratingFunction, searches: Sequence[NormSearch]) -> list:
+    """One NormResult per search of ``searches``, all under ``psi``, in one
+    search where they can share it (see _search), each with the bits its
+    search gives alone."""
+    found = _search(psi, searches)
+    if found is None:
+        return [_search(psi, [s])[0][0] for s in searches]
+    return found[0]
+
+
+def _search(psi: GeneratingFunction, searches: Sequence[NormSearch], cells: Optional[np.ndarray] = None):
+    """The norms of ``searches`` under ``psi`` in one search, and with
+    ``cells`` the minima of psi over those rows (search.min_rows), as W^
+    takes them: (one NormResult per search, the minima or None).
+
+    Every array call of the search (the exact points, the scan, each
+    pruning level, each speculative or lockstep round) serves every search:
+    sup_rows takes each search's rows as a block of its own, refined to
+    search._REFINE_TOL, and the cells as a block refined to
+    search._MIN_TOL, and each call hands each model's points to its
+    _ratio_fn pair at once (consecutive searches of one model share it),
+    the cells' points to -psi.  A norm's value is its best value over its
+    rows and its points, ties going to the smallest p, and n_evaluations
+    counts every point its ratio was asked for, including those of a call
+    that raised.  The edge evidence decreasing_at_hi is the last row's
+    when that row ends at p_max (True when none does); with ``grid`` the
+    points are a grid, the evidence is its last three ratios, and the
+    result carries the 1-based arg_index.
+
+    Decided once for the search: the route (up to SCALAR_BRACKETS
+    brackets, and half as many more per function past the first,
+    speculate; more go lockstep), the prune
+    gate and whether refinement goes one point at a time
+    (_costs_per_point).  Kept per search: the pruning floor and best
+    value, the count, the edge evidence.  Every result has the bits of
+    its search alone; its count is that search's too, unless more brackets
+    in all than its own send it lockstep, which asks for no point off
+    golden section's path.
+
+    A search alone raises what it meets, except that a divergent moment
+    gives the norm +inf with that p as its witness.  A shared search that
+    raises, or meets a NaN even where it recovers (a wrong speculative
+    guess), is given up: _search returns None, and the caller runs each
+    part alone in its own order, so every error, every +inf and every
+    count is that of the searches alone.  A shared search is not tried
+    (None at once) where a plug-in moment may warn, since interleaved calls
+    would reorder and merge the warning lines of the searches, or where the
+    scan is pruned and the cells, which no cell bound covers, join it.
 
     The scan is pruned, against the best exact-point value too, when every
     model is a PowerMeanModel of at least _PRUNE_MIN_VALUES values and psi
@@ -199,102 +280,138 @@ def _sup_norm(
     (models.power_mean), so a large sample pays for the points and terms
     that can change the result and no others.
     """
-    pairs = []
-    for model in models:
-        pair = _ratio_fn(model, psi)
-        stable = [m.stable_p for m in (model, psi.source) if isinstance(m, EmpiricalModel)]
-        pairs.append(_one_plugin_warning(pair, min(stable)) if stable else pair)
-    n_models, n_rows = len(models), rows.shape[0]
-    asked = [0] * n_models
-    batched = n_models > 1
-    trouble = [False]
+    models = [s.model for s in searches]
+    shared = len(searches) + (cells is not None) > 1
+    stable = [m.stable_p for m in (*models, psi.source) if isinstance(m, EmpiricalModel)]
+    prune = psi.nondecreasing and all(
+        isinstance(m, PowerMeanModel) and m.values.size >= _PRUNE_MIN_VALUES for m in models
+    )
+    if shared and (stable or (prune and cells is not None)):
+        return None
+    speculate = not any(_costs_per_point(m) for m in (*models, psi.source))
+    # the functions of the search and the first part each serves:
+    # consecutive searches of one model share its _ratio_fn pair
+    pairs, first = [], []
+    for k, model in enumerate(models):
+        if not k or model is not models[k - 1]:
+            pair = _ratio_fn(model, psi)
+            pairs.append(_one_plugin_warning(pair, min(stable)) if stable else pair)
+            first.append(k)
+    funcs = [partial(_quotient, pair) for pair in pairs]
+    blocks, tols = [s.rows for s in searches], [_REFINE_TOL] * len(searches)
+    if cells is not None:
+        funcs.append(partial(_negated_psi, psi))
+        first.append(len(searches))
+        blocks.append(cells)
+        tols.append(_MIN_TOL)
+    # the scan arrays of sup_rows: consecutive rows of one length and one
+    # stopping width are one
+    scans, scan_tols = [], []
+    for rows, tol in zip(blocks, tols):
+        if rows.shape[0] and scans and scans[-1][-1].shape[1] == rows.shape[1] and scan_tols[-1] == tol:
+            scans[-1].append(rows)
+        elif rows.shape[0]:
+            scans.append([rows])
+            scan_tols.append(tol)
+    scans = [_cat(rows) for rows in scans]
+    n_parts, n_funcs = len(blocks), len(funcs)
+    first.append(n_parts)
+    fid = [j for j in range(n_funcs) for _ in range(first[j], first[j + 1])]
+    # the first row of each part, then the number of rows
+    starts = [0, *accumulate(b.shape[0] for b in blocks)]
+    row0 = np.array(starts)
+    asked = [0] * n_parts
+    trouble = []
 
-    def parts_of(p, m):
-        """(num, den) at the points ``p`` of the models ``m``: an int for a
-        float p, else a nondecreasing array of p's shape."""
+    def called(fns, p, at):
+        """fns[j] on the points of the parts function j serves, part k's
+        being p[at[k]:at[k + 1]], or p itself for a float p of part ``at``;
+        every point is counted to its part."""
         if type(p) is float:
-            asked[m] += 1
-            return pairs[m](p)
-        if not batched:
+            asked[at] += 1
+            return [fns[fid[at]](p)]
+        if n_parts == 1:
             asked[0] += p.size
-            return pairs[0](p)
-        at = np.searchsorted(m, np.arange(n_models + 1)).tolist()
-        num, den = [], []
-        for k, (lo, hi) in enumerate(zip(at, at[1:])):
-            if hi > lo:
-                asked[k] += hi - lo
-                nu, de = pairs[k](p[lo:hi])
-                num.append(nu)
-                den.append(de)
-        return np.concatenate(num), np.concatenate(den)
+            return [fns[0](p)]
+        for k in range(n_parts):
+            asked[k] += at[k + 1] - at[k]
+        return [fns[j](p[at[first[j]] : at[first[j + 1]]]) for j in range(n_funcs) if at[first[j + 1]] > at[first[j]]]
 
-    def ratio_of(p, m):
-        # a batched search that meets an error or a NaN is run again model
-        # by model, even where it recovers: its counts would not be theirs
+    def evaluate(p, at):
         try:
-            num, den = parts_of(p, m)
+            got = called(funcs, p, at)
         except Exception:
-            trouble[0] = True
+            trouble.append(True)
             raise
-        r = num / den
-        if batched and np.isnan(r).any():
-            trouble[0] = True
+        r = got[0] if len(got) == 1 else np.concatenate(got)
+        # a shared search that meets a NaN is given up even where it
+        # recovers: its counts would not be the searches' own
+        if shared and np.isnan(r).any():
+            trouble.append(True)
         return r
 
-    # sup_rows lists the points of an array call row by row, and the rows
-    # of model k are rows k * n_rows to (k + 1) * n_rows - 1
-    def parts(p, row):
-        return parts_of(p, row // n_rows if batched else 0)
+    def parts_of(row):
+        """The part of the row ``row`` (an int), or where each part's points
+        start in an array call on the rows ``row``, then their end."""
+        if type(row) is int:
+            return bisect.bisect_right(starts, row) - 1
+        return None if n_parts == 1 else np.searchsorted(row, row0.astype(row.dtype, copy=False)).tolist()
 
     def ratio(p, row):
-        return ratio_of(p, row // n_rows if batched else 0)
+        return evaluate(p, parts_of(row))
 
-    prune = psi.nondecreasing and all(
-        isinstance(model, PowerMeanModel) and model.values.size >= _PRUNE_MIN_VALUES for model in models
-    )
-    speculate = not any(_costs_per_point(m) for m in (*models, psi.source))
-    found = None
+    def parts(p, row):
+        # a pruned search has no cells: every function is a pair
+        got = called(pairs, p, parts_of(row))
+        return got[0] if len(got) == 1 else tuple(np.concatenate(a) for a in zip(*got))
+
+    # where each part's exact points start in their array call, then their
+    # end; the cells have none
+    at = [0, *accumulate(s.points.size for s in searches)]
+    at += at[-1:] * (n_parts - len(searches))
     try:
-        if points.size:
-            every = np.concatenate([points] * n_models)
-            at_points = _eval_array(ratio_of, every, np.arange(n_models).repeat(points.size))
-            at_points = at_points.reshape(n_models, points.size)
-            floor = at_points.max(axis=1)
-        else:
-            at_points, floor = [points] * n_models, [-math.inf] * n_models
+        points = _eval_array(lambda p, _: evaluate(p, at), _cat([s.points for s in searches]), None)
+        at_points = [points[lo:hi] for lo, hi in zip(at, at[1:])]
+        floor = [v.max(initial=-math.inf) for v in at_points] if prune else -math.inf
         found = sup_rows(
             ratio,
-            rows if n_models == 1 else np.concatenate([rows] * n_models),
+            scans[0] if len(scans) == 1 else scans,
+            scan_tols,
             parts=parts if prune else None,
             floor=floor,
             speculate=speculate,
+            functions=n_funcs,
+            search=np.arange(n_parts).repeat(np.diff(row0)) if prune else None,
         )
     except Exception as exc:
-        if not batched:
-            if isinstance(exc, DivergentMomentError):
-                return [NormResult(math.inf, float(exc.p), float(p_max), False, asked[0])]
-            raise
-    if batched and (found is None or trouble[0]):
-        return [_sup_norm([model], psi, p_max, rows, points, grid)[0] for model in models]
+        if shared:
+            return None
+        if isinstance(exc, DivergentMomentError):
+            s = searches[0]
+            return [NormResult(math.inf, float(exc.p), float(s.p_max), False, asked[0])], None
+        raise
+    if shared and trouble:
+        return None
     out = []
-    for k in range(n_models):
-        vals = np.concatenate([at_points[k], found.values[k * n_rows : (k + 1) * n_rows]])
-        args = np.concatenate([points, found.args[k * n_rows : (k + 1) * n_rows]])
+    for k, s in enumerate(searches):
+        lo, hi = starts[k], starts[k + 1]
+        vals = np.concatenate([at_points[k], found.values[lo:hi]])
+        args = np.concatenate([s.points, found.args[lo:hi]])
         ties = np.flatnonzero(vals == vals.max())
         i = ties[np.argmin(args[ties])]
-        if grid:
+        if s.grid:
             decreasing = vals.size >= 3 and vals[-3] > vals[-2] > vals[-1]
         else:
-            decreasing = n_rows == 0 or rows[-1, -1] != p_max or found.decreasing_at_hi[(k + 1) * n_rows - 1]
+            decreasing = hi == lo or s.rows[-1, -1] != s.p_max or found.decreasing_at_hi[hi - 1]
         out.append(NormResult(
             value=float(vals[i]),
             arg_p=float(args[i]),
-            truncation_p_max=float(p_max),
+            truncation_p_max=float(s.p_max),
             decreasing_at_hi=bool(decreasing),
             n_evaluations=asked[k],
-            arg_index=int(i) + 1 if grid else None,
+            arg_index=int(i) + 1 if s.grid else None,
         ))
-    return out
+    return out, None if cells is None else -found.values[starts[-2] :]
 
 
 def gls_norms(
@@ -304,20 +421,10 @@ def gls_norms(
     rset: Optional[RestrictedSet] = None,
 ) -> list:
     """gls_norm of every model of ``models`` under one psi, domain and
-    p_max, in one search (see _sup_norm): one NormResult per model, each
-    with the bits gls_norm gives that model alone.  Models of one kind and
-    size, as the three of an algebra check, are pruned and speculate as
-    they would alone; only the route counts the brackets of all of them."""
-    if not 1.0 <= p_max < math.inf:
-        raise DomainError(f"p_max must be finite and at least 1, got {p_max:g}")
-    segments = [(1.0, p_max)] if rset is None else rset.segments
-    lo, hi = np.array(segments, dtype=float).T
-    lo, hi = np.maximum(lo, 1.0), np.minimum(hi, p_max)
-    lo, hi = lo[lo <= hi], hi[lo <= hi]
-    span = lo < hi
-    rows = np.geomspace(lo[span], hi[span], _SCAN_POINTS, axis=1)
-    rows[:, 0], rows[:, -1] = lo[span], hi[span]
-    return _sup_norm(models, psi, p_max, rows, lo[~span])
+    p_max, in one search (see _search): one NormResult per model, each
+    with the bits gls_norm gives that model alone."""
+    search = domain_search(models[0], p_max, rset)
+    return sup_norms(psi, [search._replace(model=m) for m in models])
 
 
 def gls_norm(
@@ -334,12 +441,12 @@ def gls_norm(
     polished by golden section (no unimodality assumed); point components
     are evaluated exactly.
     """
-    return gls_norms([model], psi, p_max, rset)[0]
+    return sup_norms(psi, [domain_search(model, p_max, rset)])[0]
 
 
 def discrete_norm(model: RandomVariableModel, psi: GeneratingFunction, q: GridSequence) -> NormResult:
     """max over the stored grid of |f|_{q(m)} / psi(q(m)); exact enumeration."""
-    return _sup_norm([model], psi, q.values[-1], np.empty((0, 2)), q.values, grid=True)[0]
+    return sup_norms(psi, [grid_search(model, q)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +468,20 @@ class SandwichReport:
     psi_description: str
     domain_description: str
     window_p: float
-    full_value: float
-    inner_value: float
+    full: NormResult
+    inner: NormResult
     constant: EquivalenceConstant
     left_ok: bool
     right_ok: bool
     slack: float
+
+    @property
+    def full_value(self) -> float:
+        return self.full.value
+
+    @property
+    def inner_value(self) -> float:
+        return self.inner.value
 
     @property
     def bound(self) -> float:
@@ -401,8 +516,8 @@ def _sandwich_report(
         psi_description=psi.description,
         domain_description=domain_description,
         window_p=P,
-        full_value=full.value,
-        inner_value=inner.value,
+        full=full,
+        inner=inner,
         constant=const,
         left_ok=bool(left_ok),
         right_ok=bool(right_ok),
@@ -420,12 +535,14 @@ def sandwich_check_restricted(
 
     Z is computed over the windowed set: its gaps are exactly the gaps
     a p in the window can fall into, so the bound is valid and finite
-    even when the untruncated set continues with larger gaps.
+    even when the untruncated set continues with larger gaps.  The inner
+    norm (the windowed set's rows and isolated points) and the full norm
+    (the row [1, P]) are one search (sup_norms), each with the bits of
+    gls_norm.
     """
     P = S.window_point(p_max)
     windowed = S.windowed(P)
-    inner = gls_norm(model, psi, P, rset=windowed)
-    full = gls_norm(model, psi, P)
+    inner, full = sup_norms(psi, [domain_search(model, P, windowed), domain_search(model, P)])
     return _sandwich_report("restricted", model, psi, S.description, P, inner, full, z_constant(windowed, psi))
 
 
@@ -439,10 +556,7 @@ def _cellwise_full_norm(model: RandomVariableModel, psi: GeneratingFunction, gtr
     looking at different functions.  Each cell is a scan row of
     _CELL_POINTS evenly spaced points.
     """
-    v = gtr.values
-    xs = np.linspace(v[:-1], v[1:], _CELL_POINTS, axis=1)
-    xs[:, 0], xs[:, -1] = v[:-1], v[1:]
-    return _sup_norm([model], psi, v[-1], xs, np.empty(0))[0]
+    return sup_norms(psi, [_cell_search(model, gtr)])[0]
 
 
 def sandwich_check_discrete(
@@ -458,6 +572,14 @@ def sandwich_check_discrete(
     generating function must go through W^, whose cell minima assume
     nothing.  The two routes stay separate on purpose: W^ collapsing to
     W on monotone inputs is itself a tested property, not a shortcut.
+
+    Each route is one search (_search).  W: the grid values as exact
+    points and the row [1, P]; a psi that fails the monotone test is a
+    NonMonotoneError once the inner norm is found clean.  W^: the grid
+    values, the cell rows of _cellwise_full_norm and the cell minima of
+    psi that w_hat_constant takes, in one pool of brackets.  Where the
+    search is given up, the parts run alone in the order inner, constant,
+    full, so errors are theirs.
     """
     idx = q.first_index_at_least(p_max)
     if idx > q.M:
@@ -466,12 +588,23 @@ def sandwich_check_discrete(
         )
     gtr = q.truncated(idx)
     P = float(gtr.values[-1])
-    inner = discrete_norm(model, psi, gtr)
     if use_w_hat:
-        const = w_hat_constant(gtr, psi)
-        full = _cellwise_full_norm(model, psi, gtr)
+        v = gtr.values
+        found = _search(psi, [grid_search(model, gtr), _cell_search(model, gtr)], min_rows(v[:-1], v[1:])) \
+            if gtr.M > 1 else None
+        if found is None:
+            inner = discrete_norm(model, psi, gtr)
+            const = w_hat_constant(gtr, psi)
+            full = _cellwise_full_norm(model, psi, gtr)
+        else:
+            (inner, full), mins = found
+            const = w_hat_of_minima(gtr, psi, mins)
     else:
-        _check_monotone(psi, P, "the W bound does not apply, pass use_w_hat=True")
-        full = gls_norm(model, psi, P)
+        try:
+            _check_monotone(psi, P, "the W bound does not apply, pass use_w_hat=True")
+        except Exception:
+            discrete_norm(model, psi, gtr)  # an error of the inner norm comes first
+            raise
+        inner, full = sup_norms(psi, [grid_search(model, gtr), domain_search(model, P)])
         const = w_constant(gtr, psi)
     return _sandwich_report("discrete", model, psi, q.description, P, inner, full, const)

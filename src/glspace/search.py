@@ -2,11 +2,13 @@
 
 Nothing here assumes unimodality.  A search covers one or more rows
 (segments or cells), each sampled on its own increasing grid, and ``f``
-is evaluated on every row in one array call.  ``f`` is told the row of
-each point it is asked for, so the rows may belong to several functions
-(the norms of several models under one psi, as for an algebra check), and
-every array call of the search, scan and refinement alike, serves them
-all.  Every local maximum of a
+is evaluated on every row in one array call.  The rows may come in blocks
+of different lengths and stopping widths.  ``f`` is told the row of each
+point it is asked for, so the rows may belong to several functions (the
+norms of several models under one psi, as for an algebra check; the two
+norms of a sandwich check and, on its W^ route, the cell minima of psi),
+and every array call of the search, scan and refinement alike, serves
+them all.  Every local maximum of a
 row (endpoints included) is bracketed by its scan neighbours and refined
 by golden section (Kiefer, "Sequential minimax search for a maximum",
 Proc. AMS 1953), unless it is a plateau: a scan value whose neighbours
@@ -68,7 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import accumulate, repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -81,8 +83,9 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # rounds (_speculate), or one point at a time when the ratio costs by the
 # point; more go lockstep.  The count is of the whole search: when one
 # search serves several functions (the three norms of an algebra check),
-# their brackets are counted together and all take one route (at seed 7,
-# 1 algebra benchmark op in 504 has more than 12).  Timed on k rows of 64
+# their brackets are counted together and all take one route.  Each
+# function past the first allows SCALAR_BRACKETS / 2 more (sup_rows), as
+# a lockstep iteration calls every function once.  Timed on k rows of 64
 # points with one bracket each (Python 3.11, NumPy 2.4, a 2-core x86-64
 # VM, CPU time, median of 9 rounds, the two routes alternating): with an
 # interior peak in every row,
@@ -90,7 +93,12 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # moments on a group of order 12 (power_slowvary(r=3, delta=-1)) and at
 # 17-24 for a Gaussian ratio (sqrt_dip); with peaks at row ends, whose paths
 # are guessed right, only past 32.  A 4096-value sample, refined one point
-# at a time, costs within 6% of lockstep from 4 to 48 brackets.
+# at a time, costs within 6% of lockstep from 4 to 48 brackets.  Re-timed
+# with the lockstep that keeps only its moving brackets: one function
+# (a Gaussian under sqrt_dip) breaks even at 12 brackets, and three (three
+# group functions of order 14, or three closed forms, under sqrt_dip) at
+# 24; three group functions under power_slowvary(r=3, delta=-1) speculate
+# more cheaply up to 48.
 SCALAR_BRACKETS = 12
 
 # refinement stops once a bracket is narrower than this, relative to the
@@ -340,70 +348,83 @@ def _speculate(f, brackets: list, targets: list, rows: list) -> list:
     return [g.finish(partial(_eval_scalar, f, row=row)) for g, row in zip(brackets, rows)]
 
 
-def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray):
+def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol, rows: np.ndarray):
     """golden_section_max on every bracket [lo[k], hi[k]], of the scan row
     rows[k], at once.
 
-    ``f_lo`` / ``f_hi`` are the values already known at the bracket ends.
+    ``f_lo`` / ``f_hi`` are the values already known at the bracket ends,
+    and ``tol`` is the stopping width, one for all or one per bracket.
     Each iteration moves every bracket still wider than its stopping
-    width and evaluates ``f`` once on the array of new points.  Returns
-    (args, values).
+    width and evaluates ``f`` once on the array of new points.  The state
+    is kept for the moving brackets only, so an iteration is a few whole
+    array operations; a bracket that stops leaves it.  Returns (args,
+    values).
     """
     best_x, best_v = lo.copy(), f_lo.copy()
     up = f_hi > best_v
     best_x[up], best_v[up] = hi[up], f_hi[up]
-    a, b = lo.copy(), hi.copy()
+    a, b = lo, hi
     x1 = b - INV_PHI * (b - a)
     x2 = a + INV_PHI * (b - a)
     # x1 and x2 of each bracket side by side, so the points come row by row
     f12 = _eval_array(f, np.stack([x1, x2], axis=1).ravel(), rows.repeat(2)).reshape(-1, 2)
-    f1, f2 = f12[:, 0].copy(), f12[:, 1].copy()
+    f1, f2 = f12[:, 0], f12[:, 1]
     width_tol = tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    act_rows = rows
+    # the moving brackets: their indices, then their state
+    at, bx, bv = np.arange(lo.size), best_x, best_v
     for _ in range(_MAX_ITER):
-        act = np.flatnonzero(b - a > width_tol)
-        if act.size == 0:
-            break
-        # a bracket that has stopped never moves again, so the active set
-        # only shrinks, and one of the same size is the same set
-        if act.size != act_rows.size:
-            act_rows = rows[act]
-        go_left = f1[act] >= f2[act]
-        L, R = act[go_left], act[~go_left]
-        b[L], x2[L], f2[L] = x2[L], x1[L], f1[L]
-        x1[L] = b[L] - INV_PHI * (b[L] - a[L])
-        a[R], x1[R], f1[R] = x1[R], x2[R], f2[R]
-        x2[R] = a[R] + INV_PHI * (b[R] - a[R])
-        x = np.where(go_left, x1[act], x2[act])
-        v = _eval_array(f, x, act_rows)
-        f1[L], f2[R] = v[go_left], v[~go_left]
-        better = (v > best_v[act]) | ((v == best_v[act]) & (x < best_x[act]))
-        won = act[better]
-        best_x[won], best_v[won] = x[better], v[better]
+        live = b - a > width_tol
+        if not (live.size and live.all()):
+            best_x[at], best_v[at] = bx, bv
+            if not live.any():
+                return best_x, best_v
+            at, a, b, x1, x2, f1, f2, bx, bv, width_tol, rows = (
+                state[live] for state in (at, a, b, x1, x2, f1, f2, bx, bv, width_tol, rows)
+            )
+        left = f1 >= f2
+        # keep [a, x2] (left) or [x1, b]; the new point is x1 or x2 of the
+        # new bracket, the other inner point the old x1 or x2
+        a, b = np.where(left, a, x1), np.where(left, x2, b)
+        d = INV_PHI * (b - a)
+        x = np.where(left, b - d, a + d)
+        x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
+        v = _eval_array(f, x, rows)
+        f1, f2 = np.where(left, v, f2), np.where(left, f1, v)
+        better = (v > bv) | ((v == bv) & (x < bx))
+        bx, bv = np.where(better, x, bx), np.where(better, v, bv)
+    best_x[at], best_v[at] = bx, bv
     return best_x, best_v
 
 
 def sup_rows(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    xs: np.ndarray,
-    refine_tol: float = _REFINE_TOL,
+    xs,
+    refine_tol=_REFINE_TOL,
     parts: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None,
     floor=-math.inf,
     speculate: bool = True,
+    functions: int = 1,
+    search: Optional[np.ndarray] = None,
 ) -> RowSupremum:
     """Supremum of ``f`` over each row of the scan grid ``xs``.
 
-    Each row is an increasing grid whose first and last points are the
-    ends of its interval.  ``f(x, row)`` takes an array of points and the
-    array of their row indices in ``xs`` (a float and an int on the
+    ``xs`` is a 2-D array, one scan row per interval, or a list of such
+    blocks whose row lengths differ, scanned together; ``refine_tol`` may
+    hold one stopping width per block.  Each row is an increasing grid
+    whose first and last points are the ends of its interval.
+    ``f(x, row)`` takes an array of points and the array of their row
+    indices, counted over the blocks in order (a float and an int on the
     one-point route), so one search can serve rows of different
     functions; every array call lists its points row by row, their row
     indices nondecreasing.  ``f`` sees all rows in one array call; every
     local maximum of a row is then refined inside the cell spanned by its
-    scan neighbours, unless the three scan values agree within
-    _PLATEAU_ULP ulp: such a plateau (a flat ratio makes every scan point
-    one) keeps its scan value.  Up to SCALAR_BRACKETS brackets, counted over all
-    rows, refine in speculative rounds (see the module docstring), more in
+    scan neighbours, to its block's stopping width, unless the three scan
+    values agree within _PLATEAU_ULP ulp: such a plateau (a flat ratio
+    makes every scan point one) keeps its scan value.  The brackets of all
+    blocks are one pool.  Up to SCALAR_BRACKETS brackets, and
+    SCALAR_BRACKETS / 2 more for each function past the first that ``f``
+    calls separately (``functions``; a lockstep iteration pays for each),
+    refine in speculative rounds (see the module docstring), more in
     lockstep; all routes reuse the scan values at the bracket ends and
     give the bits of golden_section_max.  ``speculate=False`` is for an
     ``f`` whose cost grows with the points it is asked for more than with
@@ -412,81 +433,138 @@ def sup_rows(
     from.  A NaN value of ``f`` raises DomainError naming the first p
     where it occurred.
 
-    With ``parts`` the scan is pruned (see the module docstring):
-    ``parts(x, row)`` returns arrays (num, den) with num / den giving the
-    bits of ``f(x, row)``, both nondecreasing and den positive.  ``floor``
-    is a value known from elsewhere (the exact points of a norm) that the
-    pruning also compares against.  It may hold one value per search: the
-    rows then split into len(floor) consecutive blocks of equal size, and
-    each block is pruned against its own floor and its own best value, so
-    a cell of one search is never dropped against another's.  The largest
-    of a block's row values and its floor and its argument are then those
-    of the full scan, bit for bit, as is ``decreasing_at_hi``; a row that
+    With ``parts`` the scan of one block is pruned (see the module
+    docstring): ``parts(x, row)`` returns arrays (num, den) with num / den
+    giving the bits of ``f(x, row)``, both nondecreasing and den positive.
+    ``floor`` is a value known from elsewhere (the exact points of a norm)
+    that the pruning also compares against.  It may hold one value per
+    search, ``search`` then giving the search of each row, and each search
+    is pruned against its own floor and its own best value, so a cell of
+    one search is never dropped against another's.  The largest of a
+    search's row values and its floor and its argument are then those of
+    the full scan, bit for bit, as is ``decreasing_at_hi``; a row that
     cannot hold that supremum may report a lower value.  When a NaN value
     or a divergent moment stops the pruned scan, the full scan runs
     instead, so the error and the p it names are the full scan's.
     """
-    rows, n = xs.shape
-    known = None
+    scans = [xs] if isinstance(xs, np.ndarray) else list(xs)
+    sizes = [x.shape[0] for x in scans]
+    rows = sum(sizes)
+    if not rows:
+        return RowSupremum(np.empty(0), np.empty(0), np.zeros(0, dtype=bool), 0, 0)
+    tols = list(refine_tol) if np.ndim(refine_tol) else [refine_tol] * len(scans)
+    known = [None] * len(scans)
     pruned = 0
-    if parts is not None and xs.size:
+    if parts is not None:
+        if len(scans) > 1:
+            raise ValueError("a pruned search needs one block of scan rows")
         try:
-            ys, known, pruned = _pruned_scan(f, xs, parts, np.atleast_1d(np.asarray(floor, dtype=float)))
+            floors = np.atleast_1d(np.asarray(floor, dtype=float))
+            ys, known[0], pruned = _pruned_scan(f, scans[0], parts, floors, search)
+            ys = [ys]
         except (DomainError, DivergentMomentError):
-            known = None
-    if known is None:
+            known[0] = None
+    if known[0] is None:
         # each scan point's row, in the smallest integer type that holds it:
         # as int64, the 51200 indices of W^'s cell minima took about 4% more
         # time there (the allocation, not the arithmetic)
-        scan_rows = np.arange(rows, dtype=np.min_scalar_type(rows)).repeat(n)
-        ys = _eval_array(f, xs.ravel(), scan_rows).reshape(rows, n)
-    pad = np.full((rows, 1), -np.inf)
-    peak = (ys >= np.hstack([pad, ys[:, :-1]])) & (ys >= np.hstack([ys[:, 1:], pad]))
-    if known is not None:
-        peak &= known
-    r, i = np.nonzero(peak)
-    il, ih = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
-    bl, bh = xs[r, il], xs[r, ih]
-    cand_x, cand_v = xs[r, i], ys[r, i]
-    k = np.flatnonzero(bh > bl)
-    if known is not None:
-        # a peak next to an unevaluated point lies in a dropped cell: it
-        # keeps its value, which is below the best one
-        k = k[known[r[k], il[k]] & known[r[k], ih[k]]]
-    # a non-finite peak is never flat; only finite ones are compared, so no
-    # inf - inf is formed
-    v = cand_v[k]
-    flat = np.isfinite(v)
-    kf, v = k[flat], v[flat]
-    near = _PLATEAU_ULP * np.spacing(np.abs(v))
-    flat[flat] = (v - ys[r[kf], il[kf]] <= near) & (v - ys[r[kf], ih[kf]] <= near)
-    k = k[~flat]
-    if k.size <= SCALAR_BRACKETS:
+        scan_rows = np.arange(rows, dtype=np.min_scalar_type(rows))
+        if len(scans) == 1:
+            ys = [_eval_array(f, scans[0].ravel(), scan_rows.repeat(scans[0].shape[1])).reshape(scans[0].shape)]
+        else:
+            flat = _eval_array(f, np.concatenate([x.ravel() for x in scans]),
+                               scan_rows.repeat(np.repeat([x.shape[1] for x in scans], sizes)))
+            ends = list(accumulate(x.size for x in scans))
+            ys = [flat[end - x.size : end].reshape(x.shape) for x, end in zip(scans, ends)]
+    r, cand_x, cand_v, k, bl, bh, fl, fh, peaks, tol = [], [], [], [], [], [], [], [], [], []
+    row0, cand0, n_flat = 0, 0, 0
+    for x, y, kn, t in zip(scans, ys, known, tols):
+        rs, i, il, ih, ks, flat_count = _brackets(x, y, kn)
+        r.append(rs + row0)
+        cand_x.append(x[rs, i])
+        cand_v.append(y[rs, i])
+        k.append(ks + cand0)
+        rs, i, il, ih = rs[ks], i[ks], il[ks], ih[ks]
+        bl.append(x[rs, il])
+        bh.append(x[rs, ih])
+        fl.append(y[rs, il])
+        fh.append(y[rs, ih])
+        peaks.append((x, y, rs, i))
+        tol.append(np.full(ks.size, t))
+        row0, cand0, n_flat = row0 + x.shape[0], cand0 + cand_v[-1].size, n_flat + flat_count
+    r, cand_x, cand_v, k = _cat(r), _cat(cand_x), _cat(cand_v), _cat(k)
+    bl, bh, fl, fh = _cat(bl), _cat(bh), _cat(fl), _cat(fh)
+    # each bracket's stopping width: its block's
+    rk, tol = r[k], _cat(tol)
+    if k.size <= SCALAR_BRACKETS * (functions + 1) // 2:
         # Python floats in, so the golden-section arithmetic takes float
         # paths (same IEEE operations as on numpy scalars); the scan values
         # at the bracket ends are the bits f gives those floats
-        ends = zip(bl[k].tolist(), bh[k].tolist(), ys[r[k], il[k]].tolist(), ys[r[k], ih[k]].tolist())
+        ends = zip(bl.tolist(), bh.tolist(), fl.tolist(), fh.tolist(), tol.tolist())
         if speculate:
-            brackets = [_Golden(a, b, fa, fb, refine_tol) for a, b, fa, fb in ends]
-            refined = _speculate(f, brackets, _scan_targets(xs, ys, r[k], i[k]), r[k].tolist())
+            brackets = [_Golden(a, b, fa, fb, t) for a, b, fa, fb, t in ends]
+            targets = [t for peak in peaks for t in _scan_targets(*peak)]
+            refined = _speculate(f, brackets, targets, rk.tolist())
         else:
             refined = [
-                golden_section_max(partial(_eval_scalar, f, row=row), a, b, tol=refine_tol, f_lo=fa, f_hi=fb)
-                for (a, b, fa, fb), row in zip(ends, r[k].tolist())
+                golden_section_max(partial(_eval_scalar, f, row=row), a, b, tol=t, f_lo=fa, f_hi=fb)
+                for (a, b, fa, fb, t), row in zip(ends, rk.tolist())
             ]
         ref_x, ref_v = np.array(refined, dtype=float).reshape(-1, 2).T
     else:
-        ref_x, ref_v = _golden_lockstep(f, bl[k], ys[r[k], il[k]], bh[k], ys[r[k], ih[k]], refine_tol, r[k])
+        ref_x, ref_v = _golden_lockstep(f, bl, fl, bh, fh, tol, rk)
     keep = ~(cand_v[k] > ref_v)
     cand_x[k[keep]], cand_v[k[keep]] = ref_x[keep], ref_v[keep]
     # per row: largest value, then smallest arg; every row has a peak
     order = np.lexsort((cand_x, -cand_v, r))
-    first = order[np.diff(r[order], prepend=-1) != 0]
-    if n >= 3:
-        decreasing = (ys[:, -3] > ys[:, -2]) & (ys[:, -2] > ys[:, -1])
-    else:
-        decreasing = np.zeros(rows, dtype=bool)
-    return RowSupremum(cand_v[first], cand_x[first], decreasing, int(np.count_nonzero(flat)), pruned)
+    ro = r[order]
+    new_row = np.ones(ro.size, dtype=bool)
+    np.not_equal(ro[1:], ro[:-1], out=new_row[1:])
+    first = order[new_row]
+    decreasing = [(y[:, -3] > y[:, -2]) & (y[:, -2] > y[:, -1]) if y.shape[1] >= 3
+                  else np.zeros(y.shape[0], dtype=bool) for y in ys]
+    return RowSupremum(cand_v[first], cand_x[first], _cat(decreasing), n_flat, pruned)
+
+
+def _cat(arrays: list) -> np.ndarray:
+    """np.concatenate, without a copy for one array, float for none."""
+    if len(arrays) == 1:
+        return arrays[0]
+    return np.concatenate(arrays) if arrays else np.empty(0)
+
+
+def _brackets(xs: np.ndarray, ys: np.ndarray, known: Optional[np.ndarray]):
+    """The scan peaks of one scan array, as (row, column, left and right
+    neighbour column) arrays, then the indices into them of the peaks to
+    refine and the count of plateaus.
+
+    A peak is a point at least as high as its scan neighbours; with
+    ``known`` (a pruned scan) only an evaluated one, and it is refined only
+    when both neighbours were evaluated too: a peak next to an unevaluated
+    point lies in a dropped cell and keeps its value, which is below the
+    best one.  A peak whose scan neighbours agree with it within
+    _PLATEAU_ULP ulp is a plateau and keeps its value too."""
+    n = xs.shape[1]
+    # at least as high as the left and the right neighbour; a row end has
+    # none on its outer side
+    peak = np.ones(ys.shape, dtype=bool)
+    np.greater_equal(ys[:, 1:], ys[:, :-1], out=peak[:, 1:])
+    peak[:, :-1] &= ys[:, :-1] >= ys[:, 1:]
+    if known is not None:
+        peak &= known
+    r, i = np.nonzero(peak)
+    il, ih = np.maximum(i - 1, 0), np.minimum(i + 1, n - 1)
+    k = np.flatnonzero(xs[r, ih] > xs[r, il])
+    if known is not None:
+        k = k[known[r[k], il[k]] & known[r[k], ih[k]]]
+    # a non-finite peak is never flat; only finite ones are compared, so no
+    # inf - inf is formed
+    v = ys[r[k], i[k]]
+    flat = np.isfinite(v)
+    kf, v = k[flat], v[flat]
+    near = _PLATEAU_ULP * np.spacing(np.abs(v))
+    flat[flat] = (v - ys[r[kf], il[kf]] <= near) & (v - ys[r[kf], ih[kf]] <= near)
+    return r, i, il, ih, k[~flat], int(np.count_nonzero(flat))
 
 
 def _scan_targets(xs: np.ndarray, ys: np.ndarray, r: np.ndarray, i: np.ndarray) -> list:
@@ -509,18 +587,17 @@ def cell_bounds(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         return num[..., 1:] / den[..., :-1]
 
 
-def _pruned_scan(f, xs: np.ndarray, parts, floor: np.ndarray):
+def _pruned_scan(f, xs: np.ndarray, parts, floor: np.ndarray, search: Optional[np.ndarray] = None):
     """The scan of sup_rows, pruned level by level by the cell bounds of
     ``parts``.
 
-    ``floor`` holds one value per search, whose rows are a block of
-    len(xs) / len(floor) consecutive rows; each search's cells are judged
-    against the best of its own floor and its own evaluated points.
-    Returns (ys, known, pruned cells): ``ys`` holds the value of every
-    evaluated point and -inf elsewhere, ``known`` marks the evaluated
-    points, and the count is of the cells of the last level dropped, those
-    under a dropped parent included.  One call of ``parts`` per level, one
-    array call of ``f``.
+    ``floor`` holds one value per search and ``search`` the search of each
+    row (the first when None); each search's cells are judged against the
+    best of its own floor and its own evaluated points.  Returns (ys,
+    known, pruned cells): ``ys`` holds the value of every evaluated point
+    and -inf elsewhere, ``known`` marks the evaluated points, and the count
+    is of the cells of the last level dropped, those under a dropped parent
+    included.  One call of ``parts`` per level, one array call of ``f``.
     """
     rows, n = xs.shape
     ys = np.full((rows, n), -np.inf)
@@ -529,7 +606,8 @@ def _pruned_scan(f, xs: np.ndarray, parts, floor: np.ndarray):
     # cover marks the points c_k .. c_k+1 - 1 of every live cell [c_k, c_k+1];
     # before the first level the whole row is one live cell
     cover = np.ones((rows, n), dtype=bool)
-    best = floor
+    search = np.zeros(rows, dtype=np.intp) if search is None else search
+    best = np.array(floor, dtype=float)
     for step in _COARSE_STEPS:
         level = np.zeros(n, dtype=bool)
         level[::step] = True
@@ -543,11 +621,11 @@ def _pruned_scan(f, xs: np.ndarray, parts, floor: np.ndarray):
             nu, de = (np.asarray(a, dtype=float).reshape(xn.shape) for a in parts(xn, rn))
             num[rn, cn], den[rn, cn], ys[rn, cn] = nu, de, _checked(xn, nu / de)
             known |= new
-            best = np.maximum(best, ys.max(axis=1).reshape(best.size, -1).max(axis=1))
+            np.maximum.at(best, search, ys.max(axis=1))
         nc, dc = num[:, c], den[:, c]
         # a NaN bound, or a den that is not positive, keeps its cell; a cell
         # under a dropped parent stays dropped (its ends may be unevaluated)
-        row_best = np.repeat(best, rows // best.size)[:, None]
+        row_best = best[search][:, None]
         live = cover[:, c[:-1]] & (~(cell_bounds(nc, dc) * (1.0 + _PRUNE_MARGIN) < row_best) | ~(dc[:, :-1] > 0.0))
         cover = np.zeros((rows, n), dtype=bool)
         cover[:, :-1] = np.repeat(live, np.diff(c), axis=1)
@@ -591,20 +669,27 @@ def grid_refine_supremum(
     return SupremumResult(float(res.values[0]), float(res.args[0]), bool(res.decreasing_at_hi[0]))
 
 
+def min_rows(lo, hi) -> np.ndarray:
+    """The sample rows of sampled_min: _MIN_SAMPLES evenly spaced points of
+    each interval [lo[k], hi[k]], one row per interval, to be refined to
+    _MIN_TOL."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if np.any(hi < lo):
+        raise ValueError("sampled_min needs lo <= hi for every interval")
+    return np.linspace(lo, hi, _MIN_SAMPLES, axis=-1).reshape(lo.size, -1)
+
+
 def sampled_min(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
     """Minimum of ``f`` over each interval [lo[k], hi[k]].
 
     ``lo`` and ``hi`` are arrays of interval bounds; the minima come back
-    in their shape.  Each interval is sampled at _MIN_SAMPLES evenly spaced
-    points and the minimum is sup_rows of ``-f``, so every local minimum
-    of every sample is refined and no unimodality is assumed.
+    in their shape.  Each interval is a row of min_rows, and the minimum is
+    sup_rows of ``-f``, so every local minimum of every sample is refined
+    and no unimodality is assumed.  A norm search can take these rows as a
+    block of its own (see norms._search), with the same bits.
     """
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if np.any(hi < lo):
-        raise ValueError("sampled_min needs lo <= hi for every interval")
-    xs = np.linspace(lo, hi, _MIN_SAMPLES, axis=-1)
-    res = sup_rows(lambda x, row: -f(x), xs.reshape(lo.size, -1), _MIN_TOL)
-    return -res.values.reshape(lo.shape)
+    res = sup_rows(lambda x, row: -f(x), min_rows(lo, hi), _MIN_TOL)
+    return -res.values.reshape(np.shape(lo))
 
 
 def _nan_error(x) -> DomainError:

@@ -400,8 +400,9 @@ def _searched(call):
 
 def _same_but_the_route(shared: NormResult, shared_lockstep: bool, alone: NormResult, own_lockstep: bool):
     """``shared`` has every field of ``alone``.  Where the shared search
-    went lockstep and the model's own search speculated (more than
-    SCALAR_BRACKETS brackets in all, at most that many of the model's), the
+    went lockstep and the model's own search speculated (more brackets in
+    all than its functions may speculate, at most SCALAR_BRACKETS of the
+    model's), the
     count may be lower: lockstep asks for no point off golden section's
     path, speculation for the points of its wrong guesses too."""
     if shared_lockstep and not own_lockstep:
@@ -420,11 +421,13 @@ def test_one_search_gives_every_model_its_one_model_result(case):
 
 
 def test_the_route_counts_the_brackets_of_every_model(monkeypatch):
-    # with room for 2 speculating brackets, the three models' brackets go
-    # lockstep together while each model alone speculates; the bits stay
+    # with room for 2 speculating brackets per search of one function, and
+    # 2 * (3 + 1) // 2 = 4 for three, the 1 + 2 + 2 brackets of the three
+    # models go lockstep together while each model alone speculates; the
+    # bits stay
     monkeypatch.setattr(search, "SCALAR_BRACKETS", 2)
     G = dihedral_group(6)
-    rng = np.random.default_rng(6)
+    rng = np.random.default_rng(8)
     models = _algebra_models(G, rng.standard_normal(12), rng.standard_normal(12))
     psi = make_power_slowvary(PowerSlowVaryParams(r=4.0, delta=0.0))
     batched, lockstep = _searched(lambda: gls_norms(models, psi, 30.0))
@@ -433,6 +436,19 @@ def test_the_route_counts_the_brackets_of_every_model(monkeypatch):
     for res, own in zip(batched, alone):
         _same_but_the_route(res, lockstep, *own)
     assert sum(r.n_evaluations for r in batched) < sum(r.n_evaluations for r, _ in alone)
+
+
+def test_three_functions_speculate_more_brackets_than_one(monkeypatch):
+    # the 1 + 2 + 1 brackets of these three models exceed the 2 one
+    # function may speculate, not the 2 * (3 + 1) // 2 = 4 of three
+    monkeypatch.setattr(search, "SCALAR_BRACKETS", 2)
+    G = dihedral_group(6)
+    rng = np.random.default_rng(6)
+    models = _algebra_models(G, rng.standard_normal(12), rng.standard_normal(12))
+    psi = make_power_slowvary(PowerSlowVaryParams(r=4.0, delta=0.0))
+    batched, lockstep = _searched(lambda: gls_norms(models, psi, 30.0))
+    assert not lockstep
+    assert [_fields(r) for r in batched] == [_fields(gls_norm(m, psi, 30.0)) for m in models]
 
 
 def _diverging_from(p0: float) -> ClosedFormModel:

@@ -1,0 +1,373 @@
+"""A sandwich check as one search: its inner norm, its full norm and, on
+the W^ route, the cell minima of psi share one scan and one refinement,
+with the results of the searches run one by one."""
+
+import csv
+import dataclasses
+import io
+import math
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import glspace
+import glspace.cli
+from glspace import (
+    ClosedFormModel,
+    DivergentMomentError,
+    DomainError,
+    EmpiricalModel,
+    GeneratingFunction,
+    GroupFunctionModel,
+    NonMonotoneError,
+    PowerSlowVaryParams,
+    constant_model,
+    cyclic_group,
+    discrete_norm,
+    gaussian_model,
+    gls_norm,
+    integer_grid,
+    make_power_slowvary,
+    sandwich_check_discrete,
+    sandwich_check_restricted,
+    set_fixtures,
+    set_from_spec,
+    sqrt_dip_psi,
+    uniform01_model,
+    w_constant,
+    w_hat_constant,
+    z_constant,
+)
+from glspace import norms, search
+from glspace.cli import main
+from glspace.grids import _check_monotone
+from glspace.norms import _cellwise_full_norm, _sandwich_report
+from glspace.suites import _closed_form_pool, grid_pool, psi_pool
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _alone(kind, model, psi, domain, p_max=200.0):
+    """The report of sandwich_check_* assembled from one-search calls, in
+    the order inner, constant, full."""
+    if kind == "Z":
+        P = domain.window_point(p_max)
+        windowed = domain.windowed(P)
+        inner = gls_norm(model, psi, P, rset=windowed)
+        full = gls_norm(model, psi, P)
+        return _sandwich_report("restricted", model, psi, domain.description, P, inner, full,
+                                z_constant(windowed, psi))
+    gtr = domain.truncated(domain.first_index_at_least(p_max))
+    P = float(gtr.values[-1])
+    inner = discrete_norm(model, psi, gtr)
+    if kind == "W_hat":
+        const = w_hat_constant(gtr, psi)
+        full = _cellwise_full_norm(model, psi, gtr)
+    else:
+        _check_monotone(psi, P, "the W bound does not apply, pass use_w_hat=True")
+        full = gls_norm(model, psi, P)
+        const = w_constant(gtr, psi)
+    return _sandwich_report("discrete", model, psi, domain.description, P, inner, full, const)
+
+
+def _shared(kind, model, psi, domain, p_max=200.0):
+    if kind == "Z":
+        return sandwich_check_restricted(model, psi, domain, p_max)
+    return sandwich_check_discrete(model, psi, domain, p_max, use_w_hat=kind == "W_hat")
+
+
+def _outcome(call):
+    """call()'s result, or the type and text of what it raised, and whether
+    a search of it refined in lockstep."""
+    lockstep = []
+    real = search._golden_lockstep
+
+    def spy(*args, **kw):
+        lockstep.append(True)
+        return real(*args, **kw)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_golden_lockstep", spy)
+        try:
+            return call(), bool(lockstep)
+        except Exception as exc:
+            return (type(exc), str(exc)), bool(lockstep)
+
+
+def _bits(value):
+    """A report or result with its floats as their bits, recursively."""
+    if dataclasses.is_dataclass(value):
+        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+    return value.hex() if isinstance(value, float) else value
+
+
+def _same_report(shared, shared_lockstep, alone, alone_lockstep):
+    """Every field of the two reports, both NormResults and the constant
+    included, is the same.  Where the shared search went lockstep and the
+    one-search calls did not, a norm's count may be lower: lockstep asks for
+    no point off golden section's path, speculation also for the points of
+    its wrong guesses."""
+    if isinstance(alone, tuple):
+        assert shared == alone
+        return
+    if shared_lockstep and not alone_lockstep:
+        fix = {}
+        for name in ("inner", "full"):
+            mine, theirs = getattr(shared, name), getattr(alone, name)
+            assert mine.n_evaluations <= theirs.n_evaluations
+            fix[name] = dataclasses.replace(mine, n_evaluations=theirs.n_evaluations)
+        shared = dataclasses.replace(shared, **fix)
+    assert _bits(shared) == _bits(alone)
+
+
+def _big_group_model(seed):
+    # a power mean of 128 values: the Z and W searches are pruned, the
+    # inner norm's rows and the full norm's row being blocks of unequal size
+    return GroupFunctionModel(cyclic_group(128), np.random.default_rng(seed).standard_normal(128))
+
+
+_MODELS = _closed_form_pool(np.random.default_rng(3))
+_SAMPLE = EmpiricalModel(np.random.default_rng(5).standard_normal(256))
+
+
+@st.composite
+def _sandwich_case(draw):
+    kind = draw(st.sampled_from(["Z", "W", "W_hat"]))
+    model = draw(st.one_of(
+        st.sampled_from(_MODELS),
+        st.integers(0, 2**32 - 1).map(_big_group_model),
+        st.just(_SAMPLE),
+    ))
+    if kind == "W_hat":
+        return kind, model, sqrt_dip_psi(), integer_grid(256), 200.0
+    psi = draw(st.sampled_from(psi_pool()))
+    domain = draw(st.sampled_from(set_fixtures() if kind == "Z" else grid_pool()))
+    return kind, model, psi, domain, draw(st.sampled_from([200.0, 37.5]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_sandwich_case())
+def test_a_sandwich_report_is_the_report_of_its_searches_alone(case):
+    shared = _outcome(lambda: _shared(*case))
+    alone_calls = _outcome(lambda: _alone(*case))
+    _same_report(*shared, *alone_calls)
+
+
+@pytest.mark.parametrize("seed, psi, S", [(1, 3, 16), (2, 3, 7), (3, 4, 13)])
+def test_a_pruned_search_judges_each_norm_against_its_own_best(seed, psi, S):
+    # the full norm's supremum lies in a gap of the set: pruned against the
+    # full norm's best, the inner norm would lose cells it needs
+    case = ("Z", _big_group_model(seed), psi_pool()[psi], set_fixtures()[S])
+    shared, alone = _shared(*case), _alone(*case)
+    assert shared.inner.value < shared.full.value
+    assert _bits(shared) == _bits(alone)
+
+
+def test_each_route_runs_one_search(monkeypatch):
+    calls = []
+    real = norms.sup_rows
+
+    def spy(f, xs, *args, **kw):
+        calls.append(xs.shape[0] if isinstance(xs, np.ndarray) else [x.shape[0] for x in xs])
+        return real(f, xs, *args, **kw)
+
+    monkeypatch.setattr(norms, "sup_rows", spy)
+    model, psi = gaussian_model(), psi_pool()[2]
+    sandwich_check_restricted(model, psi, set_fixtures()[3])
+    sandwich_check_discrete(model, psi, grid_pool()[1])
+    sandwich_check_discrete(model, sqrt_dip_psi(), integer_grid(256), use_w_hat=True)
+    # the windowed set's two rows and [1, P]; [1, P]; the 199 cells of the
+    # window [1, 200], once for the norm and once for psi's minima
+    assert calls == [3, 1, [199, 199]]
+
+
+def test_a_w_hat_sandwich_refines_in_one_lockstep():
+    arrays = []
+    real = search._eval_array
+
+    def counted(f, xs, rows):
+        arrays.append(xs.size)
+        return real(f, xs, rows)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_eval_array", counted)
+        rep = sandwich_check_discrete(gaussian_model(), sqrt_dip_psi(), integer_grid(256), use_w_hat=True)
+        shared = list(arrays)
+        arrays.clear()
+        alone = _alone("W_hat", gaussian_model(), sqrt_dip_psi(), integer_grid(256))
+    assert _bits(rep) == _bits(alone)
+    # the scan, then one lockstep over the brackets of the norm and of the
+    # cell minima: its first call (x1 and x2) and one call per iteration,
+    # where the two searches alone scan twice and refine in 89 calls
+    scan, *lockstep = shared
+    assert scan == 199 * (64 + 256)
+    assert len(lockstep) <= 49 and len(arrays) - 2 >= 85
+
+
+def test_a_grid_only_search_makes_one_array_call(monkeypatch):
+    arrays = []
+    real = search._eval_array
+    monkeypatch.setattr(search, "_eval_array", lambda f, xs, rows: arrays.append(xs.size) or real(f, xs, rows))
+    monkeypatch.setattr(norms, "_eval_array", search._eval_array)
+    res = discrete_norm(gaussian_model(), psi_pool()[2], integer_grid(40))
+    assert arrays == [40] and res.n_evaluations == 40
+
+
+# ---------------------------------------------------------------------------
+# Errors: those of the searches run alone, in the order inner, constant, full
+
+
+def _nan_between(lo, hi, flagged=True):
+    """sqrt(p), but NaN on (lo, hi)."""
+
+    def evaluator(p):
+        p = np.asarray(p, dtype=float)
+        out = np.sqrt(p)
+        return np.where((p > lo) & (p < hi), np.nan, out)
+
+    return GeneratingFunction(evaluator, flagged, 1.0, f"nan-on-({lo:g},{hi:g})")
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("kind, domain", [
+    ("Z", set_from_spec("intervals:1-3,40-inf")),
+    ("W", integer_grid(60)),
+    ("W_hat", integer_grid(60)),
+])
+def test_a_psi_nan_only_in_the_full_window_is_the_searches_error(kind, domain):
+    # NaN on (20.2, 20.8): between the set's segments and the grid points
+    psi = _nan_between(20.2, 20.8)
+    shared = _raised(lambda: _shared(kind, uniform01_model(), psi, domain, 50.0))
+    assert shared == _raised(lambda: _alone(kind, uniform01_model(), psi, domain, 50.0))
+    assert shared[0] is DomainError and "NaN" in shared[1]
+    # the inner norm alone is clean
+    if kind == "Z":
+        gls_norm(uniform01_model(), psi, 50.0, set_from_spec("intervals:1-3,40-50"))
+    else:
+        discrete_norm(uniform01_model(), psi, domain.truncated(50))
+
+
+def _diverging_from(p0: float) -> ClosedFormModel:
+    def moments(p):
+        past = np.atleast_1d(p) >= p0
+        if past.any():
+            raise DivergentMomentError(float(np.atleast_1d(p)[past][0]))
+        return np.sqrt(p)
+
+    return ClosedFormModel(f"diverging-from-{p0:g}", moments)
+
+
+@pytest.mark.parametrize("p0", [2.5, 45.0, 150.0])
+@pytest.mark.parametrize("kind, domain", [
+    ("Z", set_from_spec("intervals:1-3,40-inf")),
+    ("W", integer_grid(250)),
+    ("W_hat", integer_grid(250)),
+])
+def test_a_divergent_moment_in_one_search_is_the_report_of_the_searches_alone(kind, domain, p0):
+    psi = sqrt_dip_psi() if kind == "W_hat" else psi_pool()[2]
+    shared, alone = _shared(kind, _diverging_from(p0), psi, domain), _alone(kind, _diverging_from(p0), psi, domain)
+    assert _bits(shared) == _bits(alone)
+    assert math.isinf(shared.full.value)
+
+
+def test_a_non_monotone_psi_on_the_w_route_is_raised_after_a_clean_inner_norm():
+    dip, q = sqrt_dip_psi(), integer_grid(256)
+    # the inner norm is clean: the monotone test decides
+    with pytest.raises(NonMonotoneError):
+        sandwich_check_discrete(gaussian_model(), dip, q)
+    # the inner norm meets a NaN: its error comes first
+    nan_dip = GeneratingFunction(lambda p: np.where(np.asarray(p) == 7.0, np.nan, dip.evaluator(p)), False, 1.0)
+    shared = _raised(lambda: sandwich_check_discrete(gaussian_model(), nan_dip, q))
+    assert shared[0] is DomainError and "p=7.0" in shared[1]
+    # the inner norm is clean and only the full one meets a NaN: the
+    # monotone test still comes first
+    nan_full = GeneratingFunction(lambda p: np.where(np.asarray(p) == 7.5, np.nan, dip.evaluator(p)), False, 1.0)
+    with pytest.raises(NonMonotoneError):
+        sandwich_check_discrete(gaussian_model(), nan_full, q)
+
+
+# ---------------------------------------------------------------------------
+# Plug-in warnings, the CLI, the tracer
+
+
+def _warnings_of(call):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call()
+    return [str(w.message) for w in caught]
+
+
+def test_the_plugin_warnings_of_a_small_sample_are_the_searches_alone():
+    model = EmpiricalModel(np.random.default_rng(60).standard_normal(60))
+    psi = make_power_slowvary(PowerSlowVaryParams(r=8.0, delta=0.0))
+    for kind, domain in (("Z", set_from_spec("intervals:1-3,25-25,30-inf")), ("W", integer_grid(120)),
+                         ("W_hat", integer_grid(120))):
+        case = (kind, model, sqrt_dip_psi() if kind == "W_hat" else psi, domain, 100.0)
+        shared = _warnings_of(lambda: _shared(*case))
+        assert shared and shared == _warnings_of(lambda: _alone(*case))
+
+
+@pytest.mark.filterwarnings("default::glspace.MomentInstabilityWarning")
+def test_norm_on_a_set_and_a_grid_prints_the_warnings_it_printed(capsys, tmp_path):
+    path = tmp_path / "s60.txt"
+    np.savetxt(path, np.random.default_rng(60).standard_normal(60))
+    code = main(["norm", "--model", f"empirical:{path}", "--psi", "power_slowvary(r=8, delta=0)",
+                 "--set", "intervals:1-3,25-25,30-inf", "--grid", "integers:M=40", "--p-max", "100"])
+    err = capsys.readouterr().err
+    assert code == 0
+    assert err.splitlines() == [
+        f"gls: warning: plug-in moment at p={p} with n=60 is dominated by the sample maximum" for p in (25, 100, 40)
+    ]
+
+
+def test_norm_on_a_set_and_a_grid_is_one_search(capsys, monkeypatch):
+    argv = ["norm", "--model", "gaussian", "--psi", "power_slowvary(r=2, delta=0.5)",
+            "--set", "intervals:1-3,9-inf", "--grid", "geometric:D=2:M=8"]
+    code, out = main(argv), capsys.readouterr().out
+    calls = []
+    real = norms.sup_rows
+    monkeypatch.setattr(norms, "sup_rows", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    assert (main(argv), capsys.readouterr().out) == (code, out)
+    assert calls == [1]
+    psi = make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=0.5))
+    restricted = gls_norm(gaussian_model(), psi, 200.0, set_from_spec("intervals:1-3,9-inf"))
+    discrete = discrete_norm(gaussian_model(), psi, glspace.cli.grid_from_spec("geometric:D=2:M=8"))
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [float(row["value"]) for row in rows] == [restricted.value, discrete.value]
+
+
+def test_every_name_the_benchmark_tracer_patches_resolves():
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from tracing import Tracer
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    for owner, names in (
+        (norms, ("gls_norm", "discrete_norm", "_cellwise_full_norm", "_ratio_fn", "z_constant", "w_constant",
+                 "w_hat_constant", "grid_refine_supremum")),
+        (glspace.grids, ("sampled_min",)),
+        (search, ("golden_section_max",)),
+    ):
+        for name in names:
+            assert name in owner.__dict__, f"{owner.__name__}.{name}"
+    # a one-argument pair, as the tracer's counting wrapper calls it
+    num, den = norms._ratio_fn(gaussian_model(), psi_pool()[0])(np.array([1.0, 2.0]))
+    assert num.shape == den.shape == (2,)
+    before = {name: norms.__dict__[name] for name in ("gls_norm", "_ratio_fn", "sandwich_check_discrete")}
+    Tracer().install(glspace).restore()
+    assert before == {name: norms.__dict__[name] for name in before}
+
+
+def test_a_constant_model_sandwich_is_exact():
+    rep = sandwich_check_restricted(constant_model(2.0), psi_pool()[0], set_fixtures()[0])
+    assert rep.inner_value == rep.full_value == rep.inner.value == rep.full.value

@@ -494,3 +494,32 @@ def test_infinite_scan_values_are_never_flat_and_raise_no_warning():
         warnings.simplefilter("error")
         res = gls_norm(gaussian_model(), psi, 1e308)
     assert res.value > 0.0
+
+
+@pytest.mark.parametrize("scalar_brackets", [0, 1000], ids=["lockstep", "speculative"])
+def test_blocks_of_different_lengths_and_widths_are_one_pool_with_each_blocks_bits(monkeypatch, scalar_brackets):
+    # rows of 17 and of 40 points, refined to 1e-10 and to 1e-12: one scan
+    # call and one refinement give each block the rows it gets alone
+    monkeypatch.setattr(search, "SCALAR_BRACKETS", scalar_brackets)
+    short = np.linspace(np.array([10.3, 11.5, 13.0]), np.array([11.0, 12.6, 13.9]), 17, axis=1)
+    long = np.linspace(np.array([14.1, 15.2]), np.array([15.0, 16.4]), 40, axis=1)
+    calls, rows_seen = [0], []
+
+    def f(x, row):
+        calls[0] += 1
+        rows_seen.append(np.asarray(row))
+        return _multi_peak(x)
+
+    both = sup_rows(f, [short, long], [1e-10, 1e-12])
+    shared_calls = calls[0]
+    alone = [sup_rows(_rowless(_multi_peak), xs, tol) for xs, tol in ((short, 1e-10), (long, 1e-12))]
+    for field in ("values", "args", "decreasing_at_hi"):
+        np.testing.assert_array_equal(getattr(both, field), np.concatenate([getattr(r, field) for r in alone]))
+    assert both.plateaus == sum(r.plateaus for r in alone)
+    # every call lists its points row by row, the rows counted over the blocks
+    assert all((np.diff(r) >= 0).all() for r in rows_seen if r.ndim)
+    assert rows_seen[0].max() == 4
+    calls[0] = 0
+    for xs, tol in ((short, 1e-10), (long, 1e-12)):
+        sup_rows(f, xs, tol)
+    assert shared_calls < calls[0]
