@@ -21,6 +21,7 @@ the cell [q(m), q(m+1)].
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -362,14 +363,33 @@ def w_hat_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConst
     increasing psi this reproduces W exactly (the minimum sits at the
     left endpoint, which is a sample).  Valid for non-monotone
     generating functions, where W is not.
+
+    W^ depends on psi and the grid values only, never on a model, and
+    its minima search costs more than a W^ sandwich's norm search, so it
+    is computed once per (psi, cell ends) per process: the result is
+    memoized on psi and the bytes of the grid values (_w_hat_memo), which
+    keeps the 32 most recent psi alive (and the model of a natural psi).
+    Two psi share an entry only when they compare equal (the same
+    evaluator object, flag, psi(1) and description).  An error is not
+    memoized, and a psi that cannot be hashed (an unhashable evaluator) is
+    computed every time.
     """
     if q.M < 2:
         raise DomainError("W^ needs at least two grid points")
-    v = q.values
-    return w_hat_of_minima(q, psi, sampled_min(lambda p: psi_eval(psi, p), v[:-1], v[1:]))
+    try:
+        hash(psi)
+    except TypeError:
+        return _w_hat(psi, q.values)
+    return _w_hat_memo(psi, q.values.tobytes())
 
 
-def w_hat_of_minima(q: GridSequence, psi: GeneratingFunction, mins: np.ndarray) -> EquivalenceConstant:
-    """W^ of the grid ``q`` from the minima of psi over its cells, as
-    sampled_min finds them (a W^ sandwich finds them in its norm search)."""
-    return _grid_constant("W_hat", psi_eval(psi, q.values[1:]) / mins, np.arange(1.0, q.M))
+def _w_hat(psi: GeneratingFunction, v: np.ndarray) -> EquivalenceConstant:
+    """W^ of psi over the cells between consecutive values of ``v``."""
+    mins = sampled_min(lambda p: psi_eval(psi, p), v[:-1], v[1:])
+    return _grid_constant("W_hat", psi_eval(psi, v[1:]) / mins, np.arange(1.0, v.size))
+
+
+@functools.lru_cache(maxsize=32)
+def _w_hat_memo(psi: GeneratingFunction, ends: bytes) -> EquivalenceConstant:
+    """_w_hat of the grid values whose bytes are ``ends``."""
+    return _w_hat(psi, np.frombuffer(ends))

@@ -9,12 +9,14 @@ scan grid, refined together, and isolated points and grid values are
 evaluated exactly in one array call.  Several searches under one psi
 share that path's every array call: the three norms of an algebra
 check, the two of ``gls norm --set ... --grid ...``, and the two sides
-of a sandwich check, whose W^ route adds the cell minima of psi, so
-each check is one scan and one refinement.  Every norm keeps the bits
-of its search alone.  For a large sample or group function under a
-nondecreasing psi the scan is pruned: a cell whose bound
-|f|(right end) / psi(left end) lies below the best value is not
-evaluated (see search), which leaves the result's bits as they are.
+of a sandwich check, so each check's norms are one scan and one
+refinement.  Every norm keeps the bits of its search alone.  The W^
+constant depends on psi and the grid only, so a W^ check takes it from
+grids.w_hat_constant, computed once per (psi, cell ends) per process.
+For a large sample or group function under a nondecreasing psi the scan
+is pruned: a cell whose bound |f|(right end) / psi(left end) lies below
+the best value is not evaluated (see search), which leaves the result's
+bits as they are.
 Sandwich checks verify the two-sided equivalence
 
     inner <= full <= constant * inner
@@ -51,11 +53,10 @@ from .grids import (
     _check_monotone,
     w_constant,
     w_hat_constant,
-    w_hat_of_minima,
     z_constant,
 )
 from .models import DensityModel, EmpiricalModel, MomentInstabilityWarning, PowerMeanModel, RandomVariableModel
-from .search import _MIN_TOL, _REFINE_TOL, _cat, _eval_array, min_rows, sup_rows
+from .search import _eval_array, sup_rows
 from .search import grid_refine_supremum  # noqa: F401  unused here; the benchmark tracer patches it
 
 DEFAULT_P_MAX = 200.0
@@ -131,11 +132,6 @@ def _quotient(pair, p):
     return num / den
 
 
-def _negated_psi(psi: GeneratingFunction, p):
-    """-psi(p): sup_rows of it gives the minima of psi."""
-    return -psi_eval(psi, p)
-
-
 def _costs_per_point(model) -> bool:
     """Whether a moment of ``model`` costs in proportion to the points it is
     asked for more than to the calls: a power mean of at least
@@ -190,6 +186,13 @@ _NO_ROWS = np.empty((0, 2))
 _NO_POINTS = np.empty(0)
 
 
+def _cat(arrays: list) -> np.ndarray:
+    """np.concatenate, without a copy for one array, float for none."""
+    if len(arrays) == 1:
+        return arrays[0]
+    return np.concatenate(arrays) if arrays else np.empty(0)
+
+
 def domain_search(model: RandomVariableModel, p_max: float, rset: Optional[RestrictedSet] = None) -> NormSearch:
     """The search of gls_norm: every interval component of ``rset``
     (all of [1, p_max] when None) within [1, p_max] a geometric scan row of
@@ -226,28 +229,25 @@ def sup_norms(psi: GeneratingFunction, searches: Sequence[NormSearch]) -> list:
     search gives alone."""
     found = _search(psi, searches)
     if found is None:
-        return [_search(psi, [s])[0][0] for s in searches]
-    return found[0]
+        return [_search(psi, [s])[0] for s in searches]
+    return found
 
 
-def _search(psi: GeneratingFunction, searches: Sequence[NormSearch], cells: Optional[np.ndarray] = None):
-    """The norms of ``searches`` under ``psi`` in one search, and with
-    ``cells`` the minima of psi over those rows (search.min_rows), as W^
-    takes them: (one NormResult per search, the minima or None).
+def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
+    """The norms of ``searches`` under ``psi`` in one search: one
+    NormResult per search, or None where a shared search is given up.
 
     Every array call of the search (the exact points, the scan, each
     pruning level, each speculative or lockstep round) serves every search:
-    sup_rows takes each search's rows as a block of its own, refined to
-    search._REFINE_TOL, and the cells as a block refined to
-    search._MIN_TOL, and each call hands each model's points to its
-    _ratio_fn pair at once (consecutive searches of one model share it),
-    the cells' points to -psi.  A norm's value is its best value over its
-    rows and its points, ties going to the smallest p, and n_evaluations
-    counts every point its ratio was asked for, including those of a call
-    that raised.  The edge evidence decreasing_at_hi is the last row's
-    when that row ends at p_max (True when none does); with ``grid`` the
-    points are a grid, the evidence is its last three ratios, and the
-    result carries the 1-based arg_index.
+    the rows of all searches are one scan array of sup_rows, and each call
+    hands each model's points to its _ratio_fn pair at once (consecutive
+    searches of one model share it).  A norm's value is its best value over
+    its rows and its points, ties going to the smallest p, and
+    n_evaluations counts every point its ratio was asked for, including
+    those of a call that raised.  The edge evidence decreasing_at_hi is the
+    last row's when that row ends at p_max (True when none does); with
+    ``grid`` the points are a grid, the evidence is its last three ratios,
+    and the result carries the 1-based arg_index.
 
     Decided once for the search: the route (up to SCALAR_BRACKETS
     brackets, and half as many more per function past the first,
@@ -266,8 +266,9 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch], cells: Opti
     part alone in its own order, so every error, every +inf and every
     count is that of the searches alone.  A shared search is not tried
     (None at once) where a plug-in moment may warn, since interleaved calls
-    would reorder and merge the warning lines of the searches, or where the
-    scan is pruned and the cells, which no cell bound covers, join it.
+    would reorder and merge the warning lines of the searches, or where
+    the searches' rows differ in length, since one scan array holds rows
+    of one length.
 
     The scan is pruned, against the best exact-point value too, when every
     model is a PowerMeanModel of at least _PRUNE_MIN_VALUES values and psi
@@ -281,15 +282,16 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch], cells: Opti
     that can change the result and no others.
     """
     models = [s.model for s in searches]
-    shared = len(searches) + (cells is not None) > 1
+    shared = len(searches) > 1
     stable = [m.stable_p for m in (*models, psi.source) if isinstance(m, EmpiricalModel)]
     prune = psi.nondecreasing and all(
         isinstance(m, PowerMeanModel) and m.values.size >= _PRUNE_MIN_VALUES for m in models
     )
-    if shared and (stable or (prune and cells is not None)):
+    blocks = [s.rows for s in searches if s.rows.shape[0]]
+    if shared and (stable or len({rows.shape[1] for rows in blocks}) > 1):
         return None
     speculate = not any(_costs_per_point(m) for m in (*models, psi.source))
-    # the functions of the search and the first part each serves:
+    # the functions of the search and the first search each serves:
     # consecutive searches of one model share its _ratio_fn pair
     pairs, first = [], []
     for k, model in enumerate(models):
@@ -298,35 +300,19 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch], cells: Opti
             pairs.append(_one_plugin_warning(pair, min(stable)) if stable else pair)
             first.append(k)
     funcs = [partial(_quotient, pair) for pair in pairs]
-    blocks, tols = [s.rows for s in searches], [_REFINE_TOL] * len(searches)
-    if cells is not None:
-        funcs.append(partial(_negated_psi, psi))
-        first.append(len(searches))
-        blocks.append(cells)
-        tols.append(_MIN_TOL)
-    # the scan arrays of sup_rows: consecutive rows of one length and one
-    # stopping width are one
-    scans, scan_tols = [], []
-    for rows, tol in zip(blocks, tols):
-        if rows.shape[0] and scans and scans[-1][-1].shape[1] == rows.shape[1] and scan_tols[-1] == tol:
-            scans[-1].append(rows)
-        elif rows.shape[0]:
-            scans.append([rows])
-            scan_tols.append(tol)
-    scans = [_cat(rows) for rows in scans]
-    n_parts, n_funcs = len(blocks), len(funcs)
+    n_parts, n_funcs = len(searches), len(funcs)
     first.append(n_parts)
     fid = [j for j in range(n_funcs) for _ in range(first[j], first[j + 1])]
-    # the first row of each part, then the number of rows
-    starts = [0, *accumulate(b.shape[0] for b in blocks)]
+    # the first row of each search, then the number of rows
+    starts = [0, *accumulate(s.rows.shape[0] for s in searches)]
     row0 = np.array(starts)
     asked = [0] * n_parts
     trouble = []
 
     def called(fns, p, at):
-        """fns[j] on the points of the parts function j serves, part k's
-        being p[at[k]:at[k + 1]], or p itself for a float p of part ``at``;
-        every point is counted to its part."""
+        """fns[j] on the points of the searches function j serves, search
+        k's being p[at[k]:at[k + 1]], or p itself for a float p of search
+        ``at``; every point is counted to its search."""
         if type(p) is float:
             asked[at] += 1
             return [fns[fid[at]](p)]
@@ -351,8 +337,8 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch], cells: Opti
         return r
 
     def parts_of(row):
-        """The part of the row ``row`` (an int), or where each part's points
-        start in an array call on the rows ``row``, then their end."""
+        """The search of the row ``row`` (an int), or where each search's
+        points start in an array call on the rows ``row``, then their end."""
         if type(row) is int:
             return bisect.bisect_right(starts, row) - 1
         return None if n_parts == 1 else np.searchsorted(row, row0.astype(row.dtype, copy=False)).tolist()
@@ -361,22 +347,19 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch], cells: Opti
         return evaluate(p, parts_of(row))
 
     def parts(p, row):
-        # a pruned search has no cells: every function is a pair
         got = called(pairs, p, parts_of(row))
         return got[0] if len(got) == 1 else tuple(np.concatenate(a) for a in zip(*got))
 
-    # where each part's exact points start in their array call, then their
-    # end; the cells have none
+    # where each search's exact points start in their array call, then
+    # their end
     at = [0, *accumulate(s.points.size for s in searches)]
-    at += at[-1:] * (n_parts - len(searches))
     try:
         points = _eval_array(lambda p, _: evaluate(p, at), _cat([s.points for s in searches]), None)
         at_points = [points[lo:hi] for lo, hi in zip(at, at[1:])]
         floor = [v.max(initial=-math.inf) for v in at_points] if prune else -math.inf
         found = sup_rows(
             ratio,
-            scans[0] if len(scans) == 1 else scans,
-            scan_tols,
+            _cat(blocks) if blocks else _NO_ROWS,
             parts=parts if prune else None,
             floor=floor,
             speculate=speculate,
@@ -388,7 +371,7 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch], cells: Opti
             return None
         if isinstance(exc, DivergentMomentError):
             s = searches[0]
-            return [NormResult(math.inf, float(exc.p), float(s.p_max), False, asked[0])], None
+            return [NormResult(math.inf, float(exc.p), float(s.p_max), False, asked[0])]
         raise
     if shared and trouble:
         return None
@@ -411,7 +394,7 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch], cells: Opti
             n_evaluations=asked[k],
             arg_index=int(i) + 1 if s.grid else None,
         ))
-    return out, None if cells is None else -found.values[starts[-2] :]
+    return out
 
 
 def gls_norms(
@@ -573,11 +556,12 @@ def sandwich_check_discrete(
     nothing.  The two routes stay separate on purpose: W^ collapsing to
     W on monotone inputs is itself a tested property, not a shortcut.
 
-    Each route is one search (_search).  W: the grid values as exact
-    points and the row [1, P]; a psi that fails the monotone test is a
-    NonMonotoneError once the inner norm is found clean.  W^: the grid
-    values, the cell rows of _cellwise_full_norm and the cell minima of
-    psi that w_hat_constant takes, in one pool of brackets.  Where the
+    The two norms of each route are one search (_search).  W: the grid
+    values as exact points and the row [1, P]; a psi that fails the
+    monotone test is a NonMonotoneError once the inner norm is found
+    clean.  W^: the grid values and the cell rows of _cellwise_full_norm;
+    the constant is w_hat_constant's, which depends on psi and the grid
+    only and is computed once per (psi, cell ends) per process.  Where the
     search is given up, the parts run alone in the order inner, constant,
     full, so errors are theirs.
     """
@@ -589,16 +573,14 @@ def sandwich_check_discrete(
     gtr = q.truncated(idx)
     P = float(gtr.values[-1])
     if use_w_hat:
-        v = gtr.values
-        found = _search(psi, [grid_search(model, gtr), _cell_search(model, gtr)], min_rows(v[:-1], v[1:])) \
-            if gtr.M > 1 else None
+        found = _search(psi, [grid_search(model, gtr), _cell_search(model, gtr)]) if gtr.M > 1 else None
         if found is None:
             inner = discrete_norm(model, psi, gtr)
             const = w_hat_constant(gtr, psi)
             full = _cellwise_full_norm(model, psi, gtr)
         else:
-            (inner, full), mins = found
-            const = w_hat_of_minima(gtr, psi, mins)
+            inner, full = found
+            const = w_hat_constant(gtr, psi)
     else:
         try:
             _check_monotone(psi, P, "the W bound does not apply, pass use_w_hat=True")

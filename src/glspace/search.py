@@ -2,13 +2,11 @@
 
 Nothing here assumes unimodality.  A search covers one or more rows
 (segments or cells), each sampled on its own increasing grid, and ``f``
-is evaluated on every row in one array call.  The rows may come in blocks
-of different lengths and stopping widths.  ``f`` is told the row of each
-point it is asked for, so the rows may belong to several functions (the
-norms of several models under one psi, as for an algebra check; the two
-norms of a sandwich check and, on its W^ route, the cell minima of psi),
-and every array call of the search, scan and refinement alike, serves
-them all.  Every local maximum of a
+is evaluated on every row in one array call.  ``f`` is told the row of
+each point it is asked for, so the rows may belong to several functions
+(the norms of several models under one psi, as for an algebra check; the
+two norms of a sandwich check), and every array call of the search, scan
+and refinement alike, serves them all.  Every local maximum of a
 row (endpoints included) is bracketed by its scan neighbours and refined
 by golden section (Kiefer, "Sequential minimax search for a maximum",
 Proc. AMS 1953), unless it is a plateau: a scan value whose neighbours
@@ -70,7 +68,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, repeat
+from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -348,12 +346,11 @@ def _speculate(f, brackets: list, targets: list, rows: list) -> list:
     return [g.finish(partial(_eval_scalar, f, row=row)) for g, row in zip(brackets, rows)]
 
 
-def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol, rows: np.ndarray):
+def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray):
     """golden_section_max on every bracket [lo[k], hi[k]], of the scan row
     rows[k], at once.
 
-    ``f_lo`` / ``f_hi`` are the values already known at the bracket ends,
-    and ``tol`` is the stopping width, one for all or one per bracket.
+    ``f_lo`` / ``f_hi`` are the values already known at the bracket ends.
     Each iteration moves every bracket still wider than its stopping
     width and evaluates ``f`` once on the array of new points.  The state
     is kept for the moving brackets only, so an iteration is a few whole
@@ -398,8 +395,8 @@ def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol, rows: np.ndarray):
 
 def sup_rows(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    xs,
-    refine_tol=_REFINE_TOL,
+    xs: np.ndarray,
+    refine_tol: float = _REFINE_TOL,
     parts: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None,
     floor=-math.inf,
     speculate: bool = True,
@@ -408,111 +405,78 @@ def sup_rows(
 ) -> RowSupremum:
     """Supremum of ``f`` over each row of the scan grid ``xs``.
 
-    ``xs`` is a 2-D array, one scan row per interval, or a list of such
-    blocks whose row lengths differ, scanned together; ``refine_tol`` may
-    hold one stopping width per block.  Each row is an increasing grid
-    whose first and last points are the ends of its interval.
-    ``f(x, row)`` takes an array of points and the array of their row
-    indices, counted over the blocks in order (a float and an int on the
+    Each row is an increasing grid whose first and last points are the
+    ends of its interval.  ``f(x, row)`` takes an array of points and the
+    array of their row indices in ``xs`` (a float and an int on the
     one-point route), so one search can serve rows of different
     functions; every array call lists its points row by row, their row
     indices nondecreasing.  ``f`` sees all rows in one array call; every
     local maximum of a row is then refined inside the cell spanned by its
-    scan neighbours, to its block's stopping width, unless the three scan
-    values agree within _PLATEAU_ULP ulp: such a plateau (a flat ratio
-    makes every scan point one) keeps its scan value.  The brackets of all
-    blocks are one pool.  Up to SCALAR_BRACKETS brackets, and
-    SCALAR_BRACKETS / 2 more for each function past the first that ``f``
-    calls separately (``functions``; a lockstep iteration pays for each),
-    refine in speculative rounds (see the module docstring), more in
-    lockstep; all routes reuse the scan values at the bracket ends and
-    give the bits of golden_section_max.  ``speculate=False`` is for an
-    ``f`` whose cost grows with the points it is asked for more than with
-    its calls: the few brackets then go one point at a time to
-    golden_section_max.  Refinement never loses the scan value it started
-    from.  A NaN value of ``f`` raises DomainError naming the first p
-    where it occurred.
+    scan neighbours, to the stopping width ``refine_tol``, unless the three
+    scan values agree within _PLATEAU_ULP ulp: such a plateau (a flat ratio
+    makes every scan point one) keeps its scan value.  Up to SCALAR_BRACKETS
+    brackets, counted over all rows, and SCALAR_BRACKETS / 2 more for each
+    function past the first that ``f`` calls separately (``functions``; a
+    lockstep iteration pays for each), refine in speculative rounds (see
+    the module docstring), more in lockstep; all routes reuse the scan
+    values at the bracket ends and give the bits of golden_section_max.
+    ``speculate=False`` is for an ``f`` whose cost grows with the points it
+    is asked for more than with its calls: the few brackets then go one
+    point at a time to golden_section_max.  Refinement never loses the scan
+    value it started from.  A NaN value of ``f`` raises DomainError naming
+    the first p where it occurred.
 
-    With ``parts`` the scan of one block is pruned (see the module
-    docstring): ``parts(x, row)`` returns arrays (num, den) with num / den
-    giving the bits of ``f(x, row)``, both nondecreasing and den positive.
-    ``floor`` is a value known from elsewhere (the exact points of a norm)
-    that the pruning also compares against.  It may hold one value per
-    search, ``search`` then giving the search of each row, and each search
-    is pruned against its own floor and its own best value, so a cell of
-    one search is never dropped against another's.  The largest of a
-    search's row values and its floor and its argument are then those of
-    the full scan, bit for bit, as is ``decreasing_at_hi``; a row that
-    cannot hold that supremum may report a lower value.  When a NaN value
-    or a divergent moment stops the pruned scan, the full scan runs
-    instead, so the error and the p it names are the full scan's.
+    With ``parts`` the scan is pruned (see the module docstring):
+    ``parts(x, row)`` returns arrays (num, den) with num / den giving the
+    bits of ``f(x, row)``, both nondecreasing and den positive.  ``floor``
+    is a value known from elsewhere (the exact points of a norm) that the
+    pruning also compares against.  It may hold one value per search,
+    ``search`` then giving the search of each row, and each search is
+    pruned against its own floor and its own best value, so a cell of one
+    search is never dropped against another's.  The largest of a search's
+    row values and its floor and its argument are then those of the full
+    scan, bit for bit, as is ``decreasing_at_hi``; a row that cannot hold
+    that supremum may report a lower value.  When a NaN value or a
+    divergent moment stops the pruned scan, the full scan runs instead, so
+    the error and the p it names are the full scan's.
     """
-    scans = [xs] if isinstance(xs, np.ndarray) else list(xs)
-    sizes = [x.shape[0] for x in scans]
-    rows = sum(sizes)
+    rows, n = xs.shape
     if not rows:
         return RowSupremum(np.empty(0), np.empty(0), np.zeros(0, dtype=bool), 0, 0)
-    tols = list(refine_tol) if np.ndim(refine_tol) else [refine_tol] * len(scans)
-    known = [None] * len(scans)
+    known = None
     pruned = 0
     if parts is not None:
-        if len(scans) > 1:
-            raise ValueError("a pruned search needs one block of scan rows")
         try:
             floors = np.atleast_1d(np.asarray(floor, dtype=float))
-            ys, known[0], pruned = _pruned_scan(f, scans[0], parts, floors, search)
-            ys = [ys]
+            ys, known, pruned = _pruned_scan(f, xs, parts, floors, search)
         except (DomainError, DivergentMomentError):
-            known[0] = None
-    if known[0] is None:
+            known = None
+    if known is None:
         # each scan point's row, in the smallest integer type that holds it:
         # as int64, the 51200 indices of W^'s cell minima took about 4% more
         # time there (the allocation, not the arithmetic)
-        scan_rows = np.arange(rows, dtype=np.min_scalar_type(rows))
-        if len(scans) == 1:
-            ys = [_eval_array(f, scans[0].ravel(), scan_rows.repeat(scans[0].shape[1])).reshape(scans[0].shape)]
-        else:
-            flat = _eval_array(f, np.concatenate([x.ravel() for x in scans]),
-                               scan_rows.repeat(np.repeat([x.shape[1] for x in scans], sizes)))
-            ends = list(accumulate(x.size for x in scans))
-            ys = [flat[end - x.size : end].reshape(x.shape) for x, end in zip(scans, ends)]
-    r, cand_x, cand_v, k, bl, bh, fl, fh, peaks, tol = [], [], [], [], [], [], [], [], [], []
-    row0, cand0, n_flat = 0, 0, 0
-    for x, y, kn, t in zip(scans, ys, known, tols):
-        rs, i, il, ih, ks, flat_count = _brackets(x, y, kn)
-        r.append(rs + row0)
-        cand_x.append(x[rs, i])
-        cand_v.append(y[rs, i])
-        k.append(ks + cand0)
-        rs, i, il, ih = rs[ks], i[ks], il[ks], ih[ks]
-        bl.append(x[rs, il])
-        bh.append(x[rs, ih])
-        fl.append(y[rs, il])
-        fh.append(y[rs, ih])
-        peaks.append((x, y, rs, i))
-        tol.append(np.full(ks.size, t))
-        row0, cand0, n_flat = row0 + x.shape[0], cand0 + cand_v[-1].size, n_flat + flat_count
-    r, cand_x, cand_v, k = _cat(r), _cat(cand_x), _cat(cand_v), _cat(k)
-    bl, bh, fl, fh = _cat(bl), _cat(bh), _cat(fl), _cat(fh)
-    # each bracket's stopping width: its block's
-    rk, tol = r[k], _cat(tol)
+        scan_rows = np.arange(rows, dtype=np.min_scalar_type(rows)).repeat(n)
+        ys = _eval_array(f, xs.ravel(), scan_rows).reshape(rows, n)
+    r, i, il, ih, k, n_flat = _brackets(xs, ys, known)
+    cand_x, cand_v = xs[r, i], ys[r, i]
+    rk, il, ih = r[k], il[k], ih[k]
+    bl, bh, fl, fh = xs[rk, il], xs[rk, ih], ys[rk, il], ys[rk, ih]
     if k.size <= SCALAR_BRACKETS * (functions + 1) // 2:
         # Python floats in, so the golden-section arithmetic takes float
         # paths (same IEEE operations as on numpy scalars); the scan values
         # at the bracket ends are the bits f gives those floats
-        ends = zip(bl.tolist(), bh.tolist(), fl.tolist(), fh.tolist(), tol.tolist())
+        ends = zip(bl.tolist(), bh.tolist(), fl.tolist(), fh.tolist())
         if speculate:
-            brackets = [_Golden(a, b, fa, fb, t) for a, b, fa, fb, t in ends]
-            targets = [t for peak in peaks for t in _scan_targets(*peak)]
-            refined = _speculate(f, brackets, targets, rk.tolist())
+            brackets = [_Golden(a, b, fa, fb, refine_tol) for a, b, fa, fb in ends]
+            refined = _speculate(f, brackets, _scan_targets(xs, ys, rk, i[k]), rk.tolist())
         else:
             refined = [
-                golden_section_max(partial(_eval_scalar, f, row=row), a, b, tol=t, f_lo=fa, f_hi=fb)
-                for (a, b, fa, fb, t), row in zip(ends, rk.tolist())
+                golden_section_max(partial(_eval_scalar, f, row=row), a, b, tol=refine_tol, f_lo=fa, f_hi=fb)
+                for (a, b, fa, fb), row in zip(ends, rk.tolist())
             ]
         ref_x, ref_v = np.array(refined, dtype=float).reshape(-1, 2).T
     else:
-        ref_x, ref_v = _golden_lockstep(f, bl, fl, bh, fh, tol, rk)
+        ref_x, ref_v = _golden_lockstep(f, bl, fl, bh, fh, refine_tol, rk)
     keep = ~(cand_v[k] > ref_v)
     cand_x[k[keep]], cand_v[k[keep]] = ref_x[keep], ref_v[keep]
     # per row: largest value, then smallest arg; every row has a peak
@@ -521,16 +485,11 @@ def sup_rows(
     new_row = np.ones(ro.size, dtype=bool)
     np.not_equal(ro[1:], ro[:-1], out=new_row[1:])
     first = order[new_row]
-    decreasing = [(y[:, -3] > y[:, -2]) & (y[:, -2] > y[:, -1]) if y.shape[1] >= 3
-                  else np.zeros(y.shape[0], dtype=bool) for y in ys]
-    return RowSupremum(cand_v[first], cand_x[first], _cat(decreasing), n_flat, pruned)
-
-
-def _cat(arrays: list) -> np.ndarray:
-    """np.concatenate, without a copy for one array, float for none."""
-    if len(arrays) == 1:
-        return arrays[0]
-    return np.concatenate(arrays) if arrays else np.empty(0)
+    if n >= 3:
+        decreasing = (ys[:, -3] > ys[:, -2]) & (ys[:, -2] > ys[:, -1])
+    else:
+        decreasing = np.zeros(rows, dtype=bool)
+    return RowSupremum(cand_v[first], cand_x[first], decreasing, n_flat, pruned)
 
 
 def _brackets(xs: np.ndarray, ys: np.ndarray, known: Optional[np.ndarray]):
@@ -669,26 +628,20 @@ def grid_refine_supremum(
     return SupremumResult(float(res.values[0]), float(res.args[0]), bool(res.decreasing_at_hi[0]))
 
 
-def min_rows(lo, hi) -> np.ndarray:
-    """The sample rows of sampled_min: _MIN_SAMPLES evenly spaced points of
-    each interval [lo[k], hi[k]], one row per interval, to be refined to
-    _MIN_TOL."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    if np.any(hi < lo):
-        raise ValueError("sampled_min needs lo <= hi for every interval")
-    return np.linspace(lo, hi, _MIN_SAMPLES, axis=-1).reshape(lo.size, -1)
-
-
 def sampled_min(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
     """Minimum of ``f`` over each interval [lo[k], hi[k]].
 
     ``lo`` and ``hi`` are arrays of interval bounds; the minima come back
-    in their shape.  Each interval is a row of min_rows, and the minimum is
-    sup_rows of ``-f``, so every local minimum of every sample is refined
-    and no unimodality is assumed.  A norm search can take these rows as a
-    block of its own (see norms._search), with the same bits.
+    in their shape.  Each interval is a row of _MIN_SAMPLES evenly spaced
+    points, and the minimum is sup_rows of ``-f``, refined to _MIN_TOL, so
+    every local minimum of every sample is refined and no unimodality is
+    assumed.
     """
-    res = sup_rows(lambda x, row: -f(x), min_rows(lo, hi), _MIN_TOL)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    if np.any(hi < lo):
+        raise ValueError("sampled_min needs lo <= hi for every interval")
+    xs = np.linspace(lo, hi, _MIN_SAMPLES, axis=-1).reshape(lo.size, -1)
+    res = sup_rows(lambda x, row: -f(x), xs, _MIN_TOL)
     return -res.values.reshape(np.shape(lo))
 
 

@@ -1,6 +1,6 @@
-"""A sandwich check as one search: its inner norm, its full norm and, on
-the W^ route, the cell minima of psi share one scan and one refinement,
-with the results of the searches run one by one."""
+"""A sandwich check as one search: its inner norm and its full norm share
+one scan and one refinement, with the results of the searches run one by
+one; the W^ constant is computed once per (psi, cell ends)."""
 
 import csv
 import dataclasses
@@ -169,21 +169,30 @@ def test_a_pruned_search_judges_each_norm_against_its_own_best(seed, psi, S):
 
 
 def test_each_route_runs_one_search(monkeypatch):
-    calls = []
-    real = norms.sup_rows
+    calls, mins = [], []
+    real, real_min = norms.sup_rows, search.sup_rows
 
     def spy(f, xs, *args, **kw):
-        calls.append(xs.shape[0] if isinstance(xs, np.ndarray) else [x.shape[0] for x in xs])
+        calls.append(xs.shape[0])
         return real(f, xs, *args, **kw)
 
+    def min_spy(f, xs, *args, **kw):
+        mins.append(xs.shape)
+        return real_min(f, xs, *args, **kw)
+
     monkeypatch.setattr(norms, "sup_rows", spy)
-    model, psi = gaussian_model(), psi_pool()[2]
+    monkeypatch.setattr(search, "sup_rows", min_spy)
+    model, psi, dip = gaussian_model(), psi_pool()[2], sqrt_dip_psi()
     sandwich_check_restricted(model, psi, set_fixtures()[3])
     sandwich_check_discrete(model, psi, grid_pool()[1])
-    sandwich_check_discrete(model, sqrt_dip_psi(), integer_grid(256), use_w_hat=True)
+    sandwich_check_discrete(model, dip, integer_grid(256), use_w_hat=True)
     # the windowed set's two rows and [1, P]; [1, P]; the 199 cells of the
-    # window [1, 200], once for the norm and once for psi's minima
-    assert calls == [3, 1, [199, 199]]
+    # window [1, 200]
+    assert calls == [3, 1, 199]
+    # psi's cell minima, on the first W^ check of this psi and grid only
+    assert mins == [(199, 256)]
+    sandwich_check_discrete(uniform01_model(), dip, integer_grid(256), use_w_hat=True)
+    assert calls == [3, 1, 199, 199] and mins == [(199, 256)]
 
 
 def test_a_w_hat_sandwich_refines_in_one_lockstep():
@@ -194,19 +203,25 @@ def test_a_w_hat_sandwich_refines_in_one_lockstep():
         arrays.append(xs.size)
         return real(f, xs, rows)
 
+    dip, q = sqrt_dip_psi(), integer_grid(256)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "_eval_array", counted)
-        rep = sandwich_check_discrete(gaussian_model(), sqrt_dip_psi(), integer_grid(256), use_w_hat=True)
-        shared = list(arrays)
+        rep = sandwich_check_discrete(gaussian_model(), dip, q, use_w_hat=True)
+        miss = list(arrays)
         arrays.clear()
-        alone = _alone("W_hat", gaussian_model(), sqrt_dip_psi(), integer_grid(256))
-    assert _bits(rep) == _bits(alone)
-    # the scan, then one lockstep over the brackets of the norm and of the
-    # cell minima: its first call (x1 and x2) and one call per iteration,
-    # where the two searches alone scan twice and refine in 89 calls
-    scan, *lockstep = shared
-    assert scan == 199 * (64 + 256)
-    assert len(lockstep) <= 49 and len(arrays) - 2 >= 85
+        again = sandwich_check_discrete(gaussian_model(), dip, q, use_w_hat=True)
+        hit = list(arrays)
+    assert _bits(rep) == _bits(again) == _bits(_alone("W_hat", gaussian_model(), dip, q))
+    # a miss: the norm search's scan of 199 cells of 64 points and one
+    # lockstep over its brackets (its first call, x1 and x2, and one call
+    # per iteration), then the minima's scan of 199 cells of 256 points and
+    # their lockstep
+    minima = miss.index(199 * 256)
+    norm, (min_scan, *min_lockstep) = miss[:minima], miss[minima:]
+    assert norm[0] == 199 * 64 and len(norm) <= 42
+    assert min_scan == 199 * 256 and len(min_lockstep) <= 48
+    # a hit: the norm search alone, call for call
+    assert hit == norm
 
 
 def test_a_grid_only_search_makes_one_array_call(monkeypatch):
@@ -216,6 +231,104 @@ def test_a_grid_only_search_makes_one_array_call(monkeypatch):
     monkeypatch.setattr(norms, "_eval_array", search._eval_array)
     res = discrete_norm(gaussian_model(), psi_pool()[2], integer_grid(40))
     assert arrays == [40] and res.n_evaluations == 40
+
+
+# ---------------------------------------------------------------------------
+# The W^ constant: computed once per (psi, cell ends), the same on a hit
+
+
+def _w_hat_uncached(psi, q, p_max=200.0):
+    """W^ of the window of ``q`` at ``p_max``, computed without the memo."""
+    return glspace.grids._w_hat(psi, q.truncated(q.first_index_at_least(p_max)).values)
+
+
+@pytest.mark.filterwarnings("ignore::glspace.MomentInstabilityWarning")  # the sample's plug-in moments
+@pytest.mark.parametrize("clear", [False, True], ids=["hit", "after-cache-clear"])
+def test_a_w_hat_check_on_a_memoized_constant_is_the_report_of_its_searches_alone(clear):
+    memo = glspace.grids._w_hat_memo
+    dip, q = sqrt_dip_psi(), integer_grid(256)
+    sandwich_check_discrete(_MODELS[0], dip, q, use_w_hat=True)
+    for model in (*_MODELS, _SAMPLE):
+        if clear:
+            memo.cache_clear()
+        before = memo.cache_info()
+        shared = _outcome(lambda: _shared("W_hat", model, dip, q))
+        after = memo.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == ((0, 1) if clear else (1, 0))
+        _same_report(*shared, *_outcome(lambda: _alone("W_hat", model, dip, q)))
+        assert _bits(shared[0].constant) == _bits(_w_hat_uncached(dip, q))
+
+
+def test_a_memo_hit_asks_psi_only_for_the_points_of_the_norm_search():
+    dip, asked = sqrt_dip_psi(), []
+
+    def evaluator(p):
+        asked.append(np.size(p))
+        return dip.evaluator(p)
+
+    psi = GeneratingFunction(evaluator, False, dip.value_at_one, "counted sqrt_dip")
+    model, q = gaussian_model(), integer_grid(256)
+    first = sandwich_check_discrete(model, psi, q, use_w_hat=True)
+    # a miss also searches psi's 199 cells of 256 points for their minima
+    assert 199 * 256 in asked
+    assert sum(asked) > first.inner.n_evaluations + first.full.n_evaluations + 199 * 256
+    asked.clear()
+    rep = sandwich_check_discrete(model, psi, q, use_w_hat=True)
+    assert _bits(rep) == _bits(first)
+    # a hit: psi is asked for the points of the two norms' ratios only
+    assert 199 * 256 not in asked
+    assert sum(asked) == rep.inner.n_evaluations + rep.full.n_evaluations
+
+
+def test_a_psi_nan_in_one_cell_raises_its_error_on_every_check():
+    psi, q = _nan_between(20.2, 20.8, flagged=False), integer_grid(60)
+    memo = glspace.grids._w_hat_memo
+    size = memo.cache_info().currsize
+    check = _raised(lambda: sandwich_check_discrete(uniform01_model(), psi, q, 50.0, use_w_hat=True))
+    assert check[0] is DomainError and "NaN" in check[1]
+    assert _raised(lambda: sandwich_check_discrete(uniform01_model(), psi, q, 50.0, use_w_hat=True)) == check
+    const = _raised(lambda: w_hat_constant(q, psi))
+    assert const[0] is DomainError and "NaN" in const[1]
+    assert _raised(lambda: w_hat_constant(q, psi)) == const
+    assert memo.cache_info().currsize == size
+
+
+def test_two_grids_or_two_psi_never_share_a_memo_entry():
+    memo = glspace.grids._w_hat_memo
+    memo.cache_clear()
+    # one description, two evaluators with different W^
+    root = GeneratingFunction(np.sqrt, True, 1.0, "same")
+    ripple = GeneratingFunction(sqrt_dip_psi().evaluator, False, 1.0, "same")
+    grids = [integer_grid(40), glspace.geometric_grid(2, 6)]
+    got = {(i, j): w_hat_constant(q, psi) for i, psi in enumerate((root, ripple)) for j, q in enumerate(grids)}
+    assert memo.cache_info()[:2] == (0, 4)
+    for (i, j), const in got.items():
+        assert _bits(const) == _bits(glspace.grids._w_hat((root, ripple)[i], grids[j].values))
+    assert len({const.value for const in got.values()}) == 4
+    # equal grid values in another grid object, and an equal psi, are one entry
+    assert w_hat_constant(integer_grid(40), dataclasses.replace(root)) is got[0, 0]
+    assert memo.cache_info()[:2] == (1, 4)
+
+
+class _UnhashableEvaluator:
+    """sqrt_dip's evaluator as a callable whose objects cannot be hashed."""
+
+    __hash__ = None
+
+    def __call__(self, p):
+        return sqrt_dip_psi().evaluator(p)
+
+
+def test_a_psi_with_an_unhashable_evaluator_still_gets_its_w_hat_constant():
+    dip = sqrt_dip_psi()
+    psi = GeneratingFunction(_UnhashableEvaluator(), False, dip.value_at_one, "unhashable sqrt_dip")
+    with pytest.raises(TypeError):
+        hash(psi)
+    q = integer_grid(256)
+    assert _bits(w_hat_constant(q, psi)) == _bits(w_hat_constant(q, dip))
+    rep = sandwich_check_discrete(gaussian_model(), psi, q, use_w_hat=True)
+    assert _bits(rep.constant) == _bits(_w_hat_uncached(dip, q))
+    assert rep.ok
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,11 @@ from glspace import (
     DivergentMomentError,
     DomainError,
     EmpiricalModel,
+    GeneratingFunction,
     GroupFunctionModel,
     MomentInstabilityWarning,
     PowerSlowVaryParams,
+    RestrictedSet,
     constant_model,
     cyclic_group,
     dihedral_group,
@@ -496,30 +498,26 @@ def test_infinite_scan_values_are_never_flat_and_raise_no_warning():
     assert res.value > 0.0
 
 
-@pytest.mark.parametrize("scalar_brackets", [0, 1000], ids=["lockstep", "speculative"])
-def test_blocks_of_different_lengths_and_widths_are_one_pool_with_each_blocks_bits(monkeypatch, scalar_brackets):
-    # rows of 17 and of 40 points, refined to 1e-10 and to 1e-12: one scan
-    # call and one refinement give each block the rows it gets alone
-    monkeypatch.setattr(search, "SCALAR_BRACKETS", scalar_brackets)
-    short = np.linspace(np.array([10.3, 11.5, 13.0]), np.array([11.0, 12.6, 13.9]), 17, axis=1)
-    long = np.linspace(np.array([14.1, 15.2]), np.array([15.0, 16.4]), 40, axis=1)
-    calls, rows_seen = [0], []
+def test_searches_whose_rows_differ_in_length_each_keep_the_bits_of_their_search_alone(monkeypatch):
+    # two 512-point rows and a point, and 199 cells of 64 points: one scan
+    # array holds rows of one length, so each search runs alone, and no
+    # point is evaluated for a shared search first
+    model, dip, asked = gaussian_model(), sqrt_dip_psi(), []
+    psi = GeneratingFunction(lambda p: asked.append(np.size(p)) or dip.evaluator(p), False, 1.0, "counted")
+    rset = RestrictedSet.from_intervals([(1.0, 3.0), (25.0, 25.0), (30.0, 200.0)])
+    searches = [norms.domain_search(model, 200.0, rset), norms._cell_search(model, integer_grid(200))]
+    shapes = []
+    real = norms.sup_rows
 
-    def f(x, row):
-        calls[0] += 1
-        rows_seen.append(np.asarray(row))
-        return _multi_peak(x)
+    def spy(f, xs, *args, **kw):
+        shapes.append(xs.shape)
+        return real(f, xs, *args, **kw)
 
-    both = sup_rows(f, [short, long], [1e-10, 1e-12])
-    shared_calls = calls[0]
-    alone = [sup_rows(_rowless(_multi_peak), xs, tol) for xs, tol in ((short, 1e-10), (long, 1e-12))]
-    for field in ("values", "args", "decreasing_at_hi"):
-        np.testing.assert_array_equal(getattr(both, field), np.concatenate([getattr(r, field) for r in alone]))
-    assert both.plateaus == sum(r.plateaus for r in alone)
-    # every call lists its points row by row, the rows counted over the blocks
-    assert all((np.diff(r) >= 0).all() for r in rows_seen if r.ndim)
-    assert rows_seen[0].max() == 4
-    calls[0] = 0
-    for xs, tol in ((short, 1e-10), (long, 1e-12)):
-        sup_rows(f, xs, tol)
-    assert shared_calls < calls[0]
+    monkeypatch.setattr(norms, "sup_rows", spy)
+    both = norms.sup_norms(psi, searches)
+    assert shapes == [(2, 512), (199, 64)]
+    assert sum(asked) == sum(r.n_evaluations for r in both)
+    alone = [norms.sup_norms(psi, [s])[0] for s in searches]
+    for mine, theirs in zip(both, alone):
+        assert mine.value.hex() == theirs.value.hex() and mine.arg_p.hex() == theirs.arg_p.hex()
+        assert mine == theirs
