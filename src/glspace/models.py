@@ -39,7 +39,7 @@ from .errors import (
 SAMPLE_CHUNK = 65536
 #: draws per block of the bootstrap's gather (its int64 indices: 64 KiB)
 _GATHER_BLOCK = SAMPLE_CHUNK // 8
-#: largest chunk x n temporary power_mean builds for an array of p
+#: largest chunk x n temporary power_means builds for an array of p
 _POWER_MEAN_BLOCK = 1 << 18
 # absolute and relative error targets of DensityModel's quadrature
 _QUAD_EPSABS = 1e-10
@@ -179,36 +179,58 @@ def power_mean(abs_values, p):
     at least 1/n and its 0th power is 1).  ``abs_values`` is the array of
     values or its PowerMeanState, which a model computes once instead of
     on every call.  ``p`` is a scalar (returns a float) or an array
-    (returns an array of its shape); an array is evaluated in chunks of p
-    so the chunk x n temporary stays within _POWER_MEAN_BLOCK elements.
-    A scalar and an array element give the same bits: the mean is the
-    same pairwise sum and division, and the 1/p-th root is libm's pow in
-    both (np.float_power; np.power may take a SIMD pow that differs from
-    libm in the last place).  Terms that underflow to exactly 0.0 (see
+    (returns an array of its shape; see power_means).  A scalar and an
+    array element give the same bits: the mean is the same pairwise sum
+    and division, and the 1/p-th root is libm's pow in both
+    (np.float_power; np.power may take a SIMD pow that differs from libm
+    in the last place).  Terms that underflow to exactly 0.0 (see
     _ZERO_EXP) are not passed to pow; the others go through the same
     operator, and the sum runs over the same full-length array, so the
     skip leaves the bits as they are.
     """
-    mx, scaled, zero_p = abs_values if isinstance(abs_values, PowerMeanState) else PowerMeanState.of(abs_values)
+    state = abs_values if isinstance(abs_values, PowerMeanState) else PowerMeanState.of(abs_values)
     q = _check_p(p)
     if type(q) is float:
+        mx, scaled, zero_p = state
         if scaled is None:
             return 0.0
         terms = _nonzero_powers(scaled, q) if zero_p < q < _ZERO_P_MAX else scaled ** q
         return mx * float(np.add.reduce(terms) / scaled.size) ** (1.0 / q)
-    if scaled is None:
-        return np.zeros(q.shape)
     flat = q.ravel()
-    out = np.empty(flat.size)
+    return power_means([state], flat, (0, flat.size)).reshape(q.shape)
+
+
+def power_means(states, qs: np.ndarray, at) -> np.ndarray:
+    """power_mean(states[k], qs[at[k]:at[k + 1]]) for every k, concatenated,
+    each value with its bits: the mean of the powers state by state
+    (_power_means_of), one 1/q-th root over all of ``qs``, then the scaling
+    by each state's maximum.  The p of ``qs`` are checked already; values
+    that are all zero give 0.0."""
+    means = np.empty(qs.size)
+    for state, lo, hi in zip(states, at, at[1:]):
+        _power_means_of(state, qs[lo:hi], means[lo:hi])
+    out = np.float_power(means, 1.0 / qs)
+    for state, lo, hi in zip(states, at, at[1:]):
+        out[lo:hi] *= state.mx
+    return out
+
+
+def _power_means_of(state: PowerMeanState, qs: np.ndarray, out: np.ndarray) -> None:
+    """out[i] = the pairwise np.add.reduce of scaled ** qs[i] over the
+    count of values (0.0 when they are all zero), in chunks of p whose
+    chunk x n temporary stays within _POWER_MEAN_BLOCK elements."""
+    mx, scaled, zero_p = state
+    if scaled is None:
+        out[:] = 0.0
+        return
     step = max(1, _POWER_MEAN_BLOCK // scaled.size)
-    for start in range(0, flat.size, step):
-        qs = flat[start : start + step]
+    for start in range(0, qs.size, step):
+        chunk = qs[start : start + step]
         # one float comparison when no p can skip (as for fewer values than
         # _ZERO_MIN_VALUES, whose zero_p is inf)
-        terms = _row_powers(scaled, qs, zero_p) if zero_p < _ZERO_P_MAX else scaled ** qs[:, None]
-        mean = np.add.reduce(terms, axis=1) / scaled.size
-        out[start : start + step] = np.float_power(mean, 1.0 / qs)
-    return mx * out.reshape(q.shape)
+        terms = _row_powers(scaled, chunk, zero_p) if zero_p < _ZERO_P_MAX else scaled ** chunk[:, None]
+        np.add.reduce(terms, axis=1, out=out[start : start + step])
+    out /= scaled.size
 
 
 def _uniform_chunk(seed: int, chunk_index: int, out: np.ndarray) -> np.ndarray:
@@ -389,8 +411,10 @@ class DensityModel(RandomVariableModel):
 class PowerMeanModel(RandomVariableModel):
     """Finitely many stored values of equal weight: a sample under its
     empirical measure, or a function on a finite group under normalized
-    Haar measure.  |f|_p is their normalized power mean; each subclass
-    defines lp_norm on the cached _moments."""
+    Haar measure.  |f|_p is their normalized power mean: each subclass's
+    lp_norm is power_mean(self._moments, p), EmpiricalModel's with a
+    warning.  A norm search of several models takes the moments of those
+    without one for all of them at once (power_means; see norms._stacks)."""
 
     #: what the values are, in the error an empty array raises
     what = "power-mean model"

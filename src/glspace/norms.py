@@ -10,7 +10,10 @@ evaluated exactly in one array call.  Several searches under one psi
 share that path's every array call: the three norms of an algebra
 check, the two of ``gls norm --set ... --grid ...``, and the two sides
 of a sandwich check, so each check's norms are one scan and one
-refinement.  Every norm keeps the bits of its search alone.  The W^
+refinement.  The norms of several group functions share one ratio
+kernel per array call (_stacked_ratio: psi once, the power means of all
+models in one call), and equal domains share their scan rows
+(_scan_rows).  Every norm keeps the bits of its search alone.  The W^
 constant depends on psi and the grid only, so a W^ check takes it from
 grids.w_hat_constant, computed once per (psi, cell ends) per process.
 For a large sample or group function under a nondecreasing psi the scan
@@ -38,7 +41,7 @@ import bisect
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache
 from itertools import accumulate
 from typing import NamedTuple, Optional, Sequence
 
@@ -55,7 +58,14 @@ from .grids import (
     w_hat_constant,
     z_constant,
 )
-from .models import DensityModel, EmpiricalModel, MomentInstabilityWarning, PowerMeanModel, RandomVariableModel
+from .models import (
+    DensityModel,
+    EmpiricalModel,
+    MomentInstabilityWarning,
+    PowerMeanModel,
+    RandomVariableModel,
+    power_means,
+)
 from .search import _eval_array, sup_rows
 from .search import grid_refine_supremum  # noqa: F401  unused here; the benchmark tracer patches it
 
@@ -126,10 +136,35 @@ def _ratio_fn(model: RandomVariableModel, psi: GeneratingFunction):
     return pair
 
 
-def _quotient(pair, p):
-    """The ratio num / den of the (num, den) that ``pair`` gives at p."""
-    num, den = pair(p)
-    return num / den
+def _stacks(model: RandomVariableModel, psi: GeneratingFunction) -> bool:
+    """Whether the moment of ``model`` is the plain power mean of its
+    values, which power_means may take for several models at once: a
+    PowerMeanModel whose moment does not warn, and not the model of psi."""
+    return isinstance(model, PowerMeanModel) and not isinstance(model, EmpiricalModel) and model is not psi.source
+
+
+def _stacked_ratio(psi: GeneratingFunction, models: Sequence[PowerMeanModel]):
+    """The (num, den) of consecutive searches of the _stacks ``models``, one
+    model per search, in one function: ``f(p, at)`` at an array p whose
+    points p[at[k]:at[k + 1]] are search k's, or at a float p of search
+    ``at``.  An array call evaluates psi once over its points, and only
+    once over points that every search of the call repeats (a scan row
+    that gls_norms' searches share), and takes the moments of all models
+    in one power_means.  Every value has the bits of the model's own
+    _ratio_fn pair: psi and the power means act point by point."""
+    states = [m._moments for m in models]
+    n_parts = len(models)
+
+    def pair(p, at):
+        if type(p) is float:
+            return models[at].lp_norm(p), psi_eval(psi, p)
+        num = power_means(states, p, at)
+        size = at[1]
+        if size and at == list(range(0, n_parts * size + 1, size)) and (p.reshape(n_parts, size) == p[:size]).all():
+            return num, np.concatenate((psi_eval(psi, p[:size]),) * n_parts)
+        return num, psi_eval(psi, p)
+
+    return pair
 
 
 def _costs_per_point(model) -> bool:
@@ -196,7 +231,8 @@ def _cat(arrays: list) -> np.ndarray:
 def domain_search(model: RandomVariableModel, p_max: float, rset: Optional[RestrictedSet] = None) -> NormSearch:
     """The search of gls_norm: every interval component of ``rset``
     (all of [1, p_max] when None) within [1, p_max] a geometric scan row of
-    _SCAN_POINTS points, every point component an exact point."""
+    _SCAN_POINTS points (_scan_rows), every point component an exact
+    point."""
     if not 1.0 <= p_max < math.inf:
         raise DomainError(f"p_max must be finite and at least 1, got {p_max:g}")
     segments = [(1.0, p_max)] if rset is None else rset.segments
@@ -204,9 +240,18 @@ def domain_search(model: RandomVariableModel, p_max: float, rset: Optional[Restr
     lo, hi = np.maximum(lo, 1.0), np.minimum(hi, p_max)
     lo, hi = lo[lo <= hi], hi[lo <= hi]
     span = lo < hi
-    rows = np.geomspace(lo[span], hi[span], _SCAN_POINTS, axis=1)
-    rows[:, 0], rows[:, -1] = lo[span], hi[span]
-    return NormSearch(model, p_max, rows, lo[~span])
+    return NormSearch(model, p_max, _scan_rows(tuple(lo[span].tolist()), tuple(hi[span].tolist())), lo[~span])
+
+
+@lru_cache(maxsize=32)
+def _scan_rows(lo: tuple, hi: tuple) -> np.ndarray:
+    """The geometric scan rows of _SCAN_POINTS points from lo[k] to hi[k],
+    their ends exact.  Every norm over one domain scans the same rows, so
+    the last 32 domains' rows are kept, read-only."""
+    rows = np.geomspace(lo, hi, _SCAN_POINTS, axis=1)
+    rows[:, 0], rows[:, -1] = lo, hi
+    rows.flags.writeable = False
+    return rows
 
 
 def grid_search(model: RandomVariableModel, q: GridSequence) -> NormSearch:
@@ -240,8 +285,12 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     Every array call of the search (the exact points, the scan, each
     pruning level, each speculative or lockstep round) serves every search:
     the rows of all searches are one scan array of sup_rows, and each call
-    hands each model's points to its _ratio_fn pair at once (consecutive
-    searches of one model share it).  A norm's value is its best value over
+    evaluates the ratios of all searches at once.  Consecutive searches of
+    one model share its _ratio_fn pair; consecutive searches of plain power
+    means of several models (_stacks: the three of an algebra check) share
+    one _stacked_ratio, which evaluates psi once over their points and
+    their moments in one power_means; any other model keeps its own pair.
+    A norm's value is its best value over
     its rows and its points, ties going to the smallest p, and
     n_evaluations counts every point its ratio was asked for, including
     those of a call that raised.  The edge evidence decreasing_at_hi is the
@@ -250,8 +299,8 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     and the result carries the 1-based arg_index.
 
     Decided once for the search: the route (up to SCALAR_BRACKETS
-    brackets, and half as many more per function past the first,
-    speculate; more go lockstep), the prune
+    brackets, and half as many more per model past the first, speculate;
+    more go lockstep), the prune
     gate and whether refinement goes one point at a time
     (_costs_per_point).  Kept per search: the pruning floor and best
     value, the count, the edge evidence.  Every result has the bits of
@@ -291,45 +340,59 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     if shared and (stable or len({rows.shape[1] for rows in blocks}) > 1):
         return None
     speculate = not any(_costs_per_point(m) for m in (*models, psi.source))
-    # the functions of the search and the first search each serves:
-    # consecutive searches of one model share its _ratio_fn pair
-    pairs, first = [], []
-    for k, model in enumerate(models):
-        if not k or model is not models[k - 1]:
-            pair = _ratio_fn(model, psi)
-            pairs.append(_one_plugin_warning(pair, min(stable)) if stable else pair)
-            first.append(k)
-    funcs = [partial(_quotient, pair) for pair in pairs]
-    n_parts, n_funcs = len(searches), len(funcs)
-    first.append(n_parts)
-    fid = [j for j in range(n_funcs) for _ in range(first[j], first[j + 1])]
+    n_parts = len(searches)
+    # consecutive searches share one (num, den) function f(p, at): those of
+    # one model its _ratio_fn pair, those of plain power means of several
+    # models _stacked_ratio.  units holds (first search, end, f)
+    units, k = [], 0
+    while k < n_parts:
+        stacks = _stacks(models[k], psi)
+        end = k + 1
+        while end < n_parts and (models[end] is models[k] or stacks and _stacks(models[end], psi)):
+            end += 1
+        if any(m is not models[k] for m in models[k:end]):
+            units.append((k, end, _stacked_ratio(psi, models[k:end])))
+        else:
+            pair = _ratio_fn(models[k], psi)
+            pair = _one_plugin_warning(pair, min(stable)) if stable else pair
+            units.append((k, end, lambda p, at, pair=pair: pair(p)))
+        k = end
+    unit_of = [u for u, (k0, k1, _) in enumerate(units) for _ in range(k0, k1)]
+    # the route counts the models, consecutive searches of one model as one
+    n_models = sum(1 for k, m in enumerate(models) if not k or m is not models[k - 1])
     # the first row of each search, then the number of rows
     starts = [0, *accumulate(s.rows.shape[0] for s in searches)]
     row0 = np.array(starts)
     asked = [0] * n_parts
     trouble = []
 
-    def called(fns, p, at):
-        """fns[j] on the points of the searches function j serves, search
-        k's being p[at[k]:at[k + 1]], or p itself for a float p of search
-        ``at``; every point is counted to its search."""
+    def parts(p, at):
+        """(num, den) at the points of an array call, search k's being
+        p[at[k]:at[k + 1]] (all of p for one search, ``at`` None), or at a
+        float p of search ``at``; every point is counted to its search."""
         if type(p) is float:
             asked[at] += 1
-            return [fns[fid[at]](p)]
+            k0, _, f = units[unit_of[at]]
+            return f(p, at - k0)
         if n_parts == 1:
             asked[0] += p.size
-            return [fns[0](p)]
+            return units[0][2](p, None)
         for k in range(n_parts):
             asked[k] += at[k + 1] - at[k]
-        return [fns[j](p[at[first[j]] : at[first[j + 1]]]) for j in range(n_funcs) if at[first[j + 1]] > at[first[j]]]
+        got = [
+            f(p[at[k0] : at[k1]], [a - at[k0] for a in at[k0 : k1 + 1]])
+            for k0, k1, f in units
+            if at[k1] > at[k0]
+        ]
+        return got[0] if len(got) == 1 else tuple(np.concatenate(a) for a in zip(*got))
 
     def evaluate(p, at):
         try:
-            got = called(funcs, p, at)
+            num, den = parts(p, at)
         except Exception:
             trouble.append(True)
             raise
-        r = got[0] if len(got) == 1 else np.concatenate(got)
+        r = num / den
         # a shared search that meets a NaN is given up even where it
         # recovers: its counts would not be the searches' own
         if shared and np.isnan(r).any():
@@ -346,9 +409,8 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     def ratio(p, row):
         return evaluate(p, parts_of(row))
 
-    def parts(p, row):
-        got = called(pairs, p, parts_of(row))
-        return got[0] if len(got) == 1 else tuple(np.concatenate(a) for a in zip(*got))
+    def num_den(p, row):
+        return parts(p, parts_of(row))
 
     # where each search's exact points start in their array call, then
     # their end
@@ -360,10 +422,10 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
         found = sup_rows(
             ratio,
             _cat(blocks) if blocks else _NO_ROWS,
-            parts=parts if prune else None,
+            parts=num_den if prune else None,
             floor=floor,
             speculate=speculate,
-            functions=n_funcs,
+            functions=n_models,
             search=np.arange(n_parts).repeat(np.diff(row0)) if prune else None,
         )
     except Exception as exc:

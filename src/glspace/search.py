@@ -83,8 +83,10 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # search serves several functions (the three norms of an algebra check),
 # their brackets are counted together and all take one route.  Each
 # function past the first allows SCALAR_BRACKETS / 2 more (sup_rows), as
-# a lockstep iteration calls every function once.  Timed on k rows of 64
-# points with one bracket each (Python 3.11, NumPy 2.4, a 2-core x86-64
+# a lockstep iteration called every function once when this was timed.
+# norms evaluates the three algebra ratios in one call, and still counts
+# them as three, so that every route and count stays.  Timed on k rows of
+# 64 points with one bracket each (Python 3.11, NumPy 2.4, a 2-core x86-64
 # VM, CPU time, median of 9 rounds, the two routes alternating): with an
 # interior peak in every row,
 # lockstep becomes the cheaper route at 13-16 brackets for a ratio of
@@ -416,8 +418,8 @@ def sup_rows(
     scan values agree within _PLATEAU_ULP ulp: such a plateau (a flat ratio
     makes every scan point one) keeps its scan value.  Up to SCALAR_BRACKETS
     brackets, counted over all rows, and SCALAR_BRACKETS / 2 more for each
-    function past the first that ``f`` calls separately (``functions``; a
-    lockstep iteration pays for each), refine in speculative rounds (see
+    function past the first that ``f`` serves (``functions``; see
+    SCALAR_BRACKETS), refine in speculative rounds (see
     the module docstring), more in lockstep; all routes reuse the scan
     values at the bracket ends and give the bits of golden_section_max.
     ``speculate=False`` is for an ``f`` whose cost grows with the points it

@@ -162,3 +162,23 @@ def test_natural_psi_of_a_small_sample_builds_without_warnings():
         warnings.simplefilter("error")
         psi = natural_psi(EmpiricalModel(values))
     assert psi.nondecreasing
+
+
+@given(
+    r=st.floats(0.25, 8.0),
+    delta=st.floats(-1.0, 2.0),
+    raw=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(0, 70), min_size=1, max_size=5),
+)
+def test_psi_over_concatenated_points_gives_each_slice_its_bits(r, delta, raw, seed, sizes):
+    # a search evaluates psi once over the points of several norms; each
+    # norm's points keep the bits they get alone, whatever their length
+    # and offset (SIMD loops take the tail of an array by a mask)
+    make = raw_power_slowvary if raw else make_power_slowvary
+    rng = np.random.default_rng(seed)
+    slices = [1.0 + 199.0 * rng.random(n) for n in sizes]
+    for psi in (make(PowerSlowVaryParams(r=r, delta=delta)), sqrt_dip_psi()):
+        whole = psi_eval(psi, np.concatenate(slices))
+        alone = np.concatenate([psi_eval(psi, p) for p in slices])
+        assert whole.tobytes() == alone.tobytes()

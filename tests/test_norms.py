@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from glspace import (
     GroupFunctionModel,
     NonMonotoneError,
     PowerSlowVaryParams,
+    RandomVariableModel,
     RestrictedSet,
     TruncationError,
     algebra_check,
@@ -339,10 +341,11 @@ def test_ties_go_to_the_smallest_p():
 # ---------------------------------------------------------------------------
 # Several models in one search: gls_norms, as algebra_check calls it
 
-# small groups, and one of 128 elements, whose norms take the pruned scan
-# (under a nondecreasing psi) and the one-point refinement
-_BATCH_GROUPS = [cyclic_group(2), cyclic_group(7), dihedral_group(4), symmetric_group(3), cyclic_group(16),
-                 cyclic_group(128)]
+# every group order from 1 to 24, non-abelian groups among them, and one
+# of 128 elements, whose norms take the pruned scan (under a nondecreasing
+# psi) and the one-point refinement
+_BATCH_GROUPS = [*(cyclic_group(n) for n in range(1, 25)), dihedral_group(4), symmetric_group(3), dihedral_group(6),
+                 symmetric_group(4), cyclic_group(128)]
 # the suites' normalized pool, the algebra suite's raw members and sqrt_dip
 _BATCH_PSIS = [
     *psi_pool(),
@@ -411,11 +414,34 @@ def _same_but_the_route(shared: NormResult, shared_lockstep: bool, alone: NormRe
     assert _fields(shared) == _fields(alone)
 
 
+def _per_model_ratios(call):
+    """call() with every model's ratio its own _ratio_fn pair: no model
+    stacks."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(norms, "_stacks", lambda model, psi: False)
+        return call()
+
+
+@settings(max_examples=60)
 @given(case=_algebra_case())
 def test_one_search_gives_every_model_its_one_model_result(case):
     G, f, g, psi, S = case
     models = _algebra_models(G, f, g)
-    batched, lockstep = _searched(lambda: gls_norms(models, psi, 200.0, S))
+    stacked = []
+    real = norms._stacked_ratio
+
+    def spy(psi, models):
+        stacked.append(len(models))
+        return real(psi, models)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(norms, "_stacked_ratio", spy)
+        batched, lockstep = _searched(lambda: gls_norms(models, psi, 200.0, S))
+    # the three ratios are one _stacked_ratio, and every field, the count
+    # included, is the one the per-model ratios give
+    assert stacked == [3]
+    per_model = _per_model_ratios(lambda: gls_norms(models, psi, 200.0, S))
+    assert [_fields(r) for r in batched] == [_fields(r) for r in per_model]
     for res, model in zip(batched, models):
         _same_but_the_route(res, lockstep, *_searched(lambda: gls_norm(model, psi, 200.0, S)))
 
@@ -496,15 +522,29 @@ def test_an_error_in_one_search_is_the_first_models_error(psi):
     assert str(batched.value) == str(alone.value)
 
 
+class _OwnRatio(RandomVariableModel):
+    """The moments of ``model`` through a model that is not a power mean, so
+    that its ratio keeps its own _ratio_fn pair in a shared search (plain
+    power means of several models share one _stacked_ratio)."""
+
+    def __init__(self, model):
+        self.model, self.label = model, model.label
+
+    def lp_norm(self, p):
+        return self.model.lp_norm(p)
+
+
 def test_a_search_that_recovers_from_an_error_counts_as_the_one_model_searches(monkeypatch):
     # g's ratio raises on its second array call, the first speculative
     # round: its own search goes on one point at a time and gets through.
     # The shared search would send the brackets of f*g and f that way too
     # and count other points for them, so it is given up for the three
-    # one-model searches
+    # one-model searches.  g's moments reach it through _OwnRatio: a power
+    # mean's ratio is evaluated with the others' and never raises alone
     G = dihedral_group(6)
     rng = np.random.default_rng(6)
     models = _algebra_models(G, rng.standard_normal(12), rng.standard_normal(12))
+    models[2] = _OwnRatio(models[2])
     psi = make_power_slowvary(PowerSlowVaryParams(r=4.0, delta=0.0))
     clean = [gls_norm(m, psi, 30.0) for m in models]
     real = norms._ratio_fn
@@ -547,3 +587,88 @@ def test_algebra_check_searches_its_three_norms_at_once(monkeypatch):
     rep = algebra_check(G, f, g, psi)
     assert searches == [3]
     assert (rep.conv_norm, rep.f_norm, rep.g_norm) == tuple(r.value for r in alone)
+
+
+# ---------------------------------------------------------------------------
+# The stacked ratio: power means of several models and one psi per array call
+
+
+def _counted_psi(psi):
+    """``psi`` with an evaluator that counts its calls."""
+    calls = [0]
+
+    def evaluator(p):
+        calls[0] += 1
+        return psi.evaluator(p)
+
+    return dataclasses.replace(psi, evaluator=evaluator), calls
+
+
+@pytest.mark.parametrize("S", [None, set_fixtures()[11], MIXED_SET], ids=["full", "with-a-point", "mixed"])
+def test_a_shared_algebra_search_asks_psi_once_per_array_call(monkeypatch, S):
+    G = cyclic_group(12)
+    rng = np.random.default_rng(12)
+    f, g = rng.standard_normal(12), rng.standard_normal(12)
+    psi, calls = _counted_psi(make_power_slowvary(PowerSlowVaryParams(r=3.0, delta=-1.0)))
+    arrays = [0]
+    for owner in (norms, search):
+        real = owner._eval_array
+
+        def counted(f, xs, rows, real=real):
+            arrays[0] += xs.size > 0
+            return real(f, xs, rows)
+
+        monkeypatch.setattr(owner, "_eval_array", counted)
+    rep = algebra_check(G, f, g, psi, S)
+    assert calls[0] == arrays[0] > 1
+    # each model alone asks psi once per array call of its own search
+    calls[0] = arrays[0] = 0
+    alone = [gls_norm(m, psi, 200.0, S) for m in _algebra_models(G, f, g)]
+    assert calls[0] == arrays[0]
+    assert (rep.conv_norm, rep.f_norm, rep.g_norm) == tuple(r.value for r in alone)
+
+
+def test_equal_domains_share_read_only_scan_rows():
+    norms._scan_rows.cache_clear()
+    model = gaussian_model()
+    for S in (None, MIXED_SET, set_fixtures()[4]):
+        rows = norms.domain_search(model, 200.0, S).rows
+        assert norms.domain_search(uniform01_model(), 200.0, S).rows is rows
+        assert norms.domain_search(model, 200.0, RestrictedSet(list(S.segments)) if S else None).rows is rows
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0, 1] = 2.0
+        assert rows[0, 0] == 1.0 and np.all(np.diff(rows, axis=1) > 0.0)
+    # one row per interval, the ends exact, the bits of one geomspace per
+    # domain
+    rows = norms.domain_search(model, 30.0, MIXED_SET).rows
+    lo, hi = np.array([(1.0, 1.5), (3.0, 4.5), (9.0, 30.0)]).T
+    expect = np.geomspace(lo, hi, norms._SCAN_POINTS, axis=1)
+    expect[:, 0], expect[:, -1] = lo, hi
+    assert rows.tobytes() == expect.tobytes()
+    # a different p_max is a different domain; the memo stays bounded
+    for p_max in np.linspace(2.0, 200.0, 100):
+        norms.domain_search(model, float(p_max), S)
+    info = norms._scan_rows.cache_info()
+    assert info.currsize == info.maxsize <= 64
+
+
+@pytest.mark.parametrize("G", [cyclic_group(24), symmetric_group(4), cyclic_group(512)], ids=lambda G: G.name)
+def test_an_algebra_check_peaks_no_higher_than_with_per_model_ratios(G):
+    rng = np.random.default_rng(G.order)
+    f, g = rng.standard_normal(G.order), rng.standard_normal(G.order)
+    psi = make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=0.5))
+    models = _algebra_models(G, f, g)
+
+    def peak(call):
+        call()  # the scan row's memo entry and the models' states are made outside
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the search alone, and the whole check, whose convolution dominates
+    # on a large group
+    for call in (lambda: gls_norms(models, psi), lambda: algebra_check(G, f, g, psi)):
+        assert peak(call) <= _per_model_ratios(lambda: peak(call))
