@@ -6,10 +6,13 @@ power-mean moments (PowerMeanModel: empirical samples here, functions on
 a finite group in groups).  All moments are taken on a probability space, so
 |f|_p is nondecreasing in p; the norm machinery leans on that.
 
-Importing this module loads numpy and scipy.special only.  The density
-models load scipy.integrate on their first moment or sample, so the
-closed-form and stored-value backends (all the CLI reaches) never pay for
-it.
+Importing this module loads numpy and no SciPy.  gaussian_model and
+exponential_model load scipy.special (gammaln, ndtri) when they build a
+model, so a process pays for it once and only if it needs one of them;
+the other closed-form families and the stored-value backends run on numpy
+alone.  The density models load scipy.integrate on their first moment or
+sample, so the closed-form and stored-value backends (all the CLI reaches)
+never pay for it.
 
 Sampling is deterministic: a (seed, n) pair always regenerates the same
 array.  Generation is defined chunkwise with a fixed chunk size and one
@@ -27,7 +30,6 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.special import gammaln, ndtri
 
 from .errors import (
     DivergentMomentError,
@@ -517,6 +519,7 @@ def _log_norm(log_moment, p, past_overflow):
 
 def gaussian_model() -> ClosedFormModel:
     """Standard Gaussian: |f|_p = [2^(p/2) Gamma((p+1)/2) / sqrt(pi)]^(1/p)."""
+    from scipy.special import gammaln, ndtri
 
     def past_overflow(p):
         return 0.5 * math.log(2.0) + _lgamma_over_p((p + 1.0) / 2.0, p) - 0.5 * math.log(math.pi) / p
@@ -539,6 +542,7 @@ def uniform01_model() -> ClosedFormModel:
 
 def exponential_model() -> ClosedFormModel:
     """Exponential(1): |f|_p = Gamma(p+1)^(1/p)."""
+    from scipy.special import gammaln
 
     def moments(p):
         return np.exp(_log_norm(gammaln(np.asarray(p, dtype=float) + 1.0), p, lambda p: _lgamma_over_p(p + 1.0, p)))
@@ -552,8 +556,11 @@ def exponential_model() -> ClosedFormModel:
 
 
 def constant_model(c: float) -> ClosedFormModel:
-    """Constant |c|: every moment equals |c|."""
+    """Constant |c|: every moment equals |c|.  A non-finite c is a
+    DomainError naming it, as a non-finite sample value is."""
     a = abs(float(c))
+    if not math.isfinite(a):
+        raise DomainError(f"constant model: value {float(c)} is not finite")
 
     def moments(p):
         return np.full_like(np.asarray(p, dtype=float), a) if np.ndim(p) else a

@@ -104,11 +104,16 @@ class NormResult:
     decreasing_at_hi: bool
     n_evaluations: int
     arg_index: Optional[int] = None
+    #: psi is the model's own natural psi, so the ratio is |f|_1 at every p
+    #: and the value is exact whatever the edge evidence says
+    constant_ratio: bool = False
 
     @property
     def diagnostics(self) -> str:
         if math.isinf(self.value):
             return f"divergent moment at p={self.arg_p:g}; norm is +inf"
+        if self.constant_ratio:
+            return "ratio constant under the model's own natural psi"
         if self.decreasing_at_hi:
             return "ratio decreasing at the truncation point"
         return "ratio not decreasing at the truncation point; supremum may exceed the truncated value"
@@ -455,6 +460,7 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
             decreasing_at_hi=bool(decreasing),
             n_evaluations=asked[k],
             arg_index=int(i) + 1 if s.grid else None,
+            constant_ratio=psi.source is s.model,
         ))
     return out
 

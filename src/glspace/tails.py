@@ -208,7 +208,10 @@ def tail_check(
     fail.  At larger expected counts it falls slowly toward the normal
     1.35e-3 (2.2e-3 at 20, 1.5e-3 at 1000).  No level is stated for
     several probes together.  The report keeps the sample it judged.
+    An ``n`` below 1 is a DomainError naming it.
     """
+    if n < 1:
+        raise DomainError(f"tail check needs a sample size n of at least 1, got n={n}")
     env = make_tail_envelope(model, psi, q)
     xs = default_probe_points(env) if x_grid is None else [float(x) for x in x_grid]
     for x in xs:

@@ -63,6 +63,20 @@ def test_norm_discrete_constant(capsys):
     assert fields["arg_p"] == "1" and fields["arg_index"] == "1"
 
 
+@pytest.mark.parametrize("model", ["rademacher", "uniform01", "sample"])
+def test_every_row_under_the_models_own_natural_psi_notes_a_constant_ratio(capsys, tmp_path, model):
+    if model == "sample":
+        np.savetxt(tmp_path / "s.txt", np.random.default_rng(3).standard_normal(40))
+        model = f"empirical:{tmp_path / 's.txt'}"
+    for domains in ((), ("--set", "intervals:1-3,9-inf", "--grid", "integers:M=10")):
+        code, out, err = run_cli(capsys, "norm", "--model", model, "--psi", f"natural:{model}", *domains)
+        assert (code, err) == (0, "")
+        rows = parse_rows(out)
+        assert [r["kind"] for r in rows] == (["restricted", "discrete"] if domains else ["full"])
+        for row in rows:
+            assert row["note"] == "ratio constant under the model's own natural psi"
+
+
 def test_norm_restricted_set(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -109,6 +123,22 @@ def test_non_finite_group_function_exits_2(capsys, tmp_path, bad):
     code, out, err = run_cli(capsys, "convolve", "--group", "cyclic:4", str(f), str(g))
     assert code == 2 and out == ""
     assert f"value {bad} at index 1" in err
+
+
+@pytest.mark.parametrize("spec, named", [("inf", "inf"), ("-inf", "-inf"), ("1e309", "inf"), ("nan", "nan")])
+def test_non_finite_constant_model_exits_2_naming_it(capsys, spec, named):
+    code, out, err = run_cli(capsys, "norm", "--model", f"constant:{spec}", "--psi", "power_slowvary(r=2, delta=0)")
+    assert code == 2 and out == ""
+    assert f"constant model: value {named} is not finite" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_tail_sample_size_below_one_exits_2_naming_it(capsys, n):
+    code, out, err = run_cli(capsys, "tail", "--model", "uniform01", "--n", n)
+    assert code == 2 and out == ""
+    assert f"got n={n}" in err
+    assert "Traceback" not in err
 
 
 def test_overflowing_grid_exits_2_naming_it(capsys, recwarn):

@@ -103,6 +103,13 @@ def test_flat_families():
     assert constant_model(-3.0).label == "constant:-3"
 
 
+@pytest.mark.parametrize("c, named", [(math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")])
+def test_a_non_finite_constant_is_rejected_naming_it(c, named):
+    # as a non-finite empirical value is: no model whose moments are all inf
+    with pytest.raises(DomainError, match=f"constant model: value {named} is not finite"):
+        constant_model(c)
+
+
 def test_moments_reject_p_below_one():
     with pytest.raises(DomainError):
         gaussian_model().lp_norm(0.5)

@@ -36,6 +36,7 @@ from glspace import (
     integer_grid,
     make_power_slowvary,
     natural_psi,
+    rademacher_model,
     raw_power_slowvary,
     sandwich_check_discrete,
     sandwich_check_restricted,
@@ -77,6 +78,28 @@ def test_natural_psi_norm_is_the_first_moment():
     res = gls_norm(g, natural_psi(g))
     # the ratio is identically |f|_1 by construction
     assert res.value == pytest.approx(g.lp_norm(1.0), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [rademacher_model, uniform01_model, lambda: EmpiricalModel(np.random.default_rng(3).standard_normal(40))],
+    ids=["rademacher", "uniform01", "sample"],
+)
+def test_the_models_own_natural_psi_notes_a_constant_ratio_and_keeps_every_other_field(make):
+    # the same psi on a twin of the model is not the model's own: the ratio
+    # is taken by two calls, with the same bits, and the edge evidence speaks
+    model = make()
+    own, twin = natural_psi(model), natural_psi(make())
+    p_max = default_p_max(model)
+    for norm in (
+        lambda psi: gls_norm(model, psi, p_max),
+        lambda psi: gls_norm(model, psi, p_max, rset=MIXED_SET),
+        lambda psi: discrete_norm(model, psi, integer_grid(10)),
+    ):
+        res, res_twin = norm(own), norm(twin)
+        assert res.constant_ratio and not res_twin.constant_ratio
+        assert res.diagnostics == "ratio constant under the model's own natural psi"
+        assert _fields(dataclasses.replace(res, constant_ratio=False)) == _fields(res_twin)
 
 
 def test_p_max_must_be_at_least_one():

@@ -183,6 +183,13 @@ def test_tail_check_rejects_a_non_finite_probe(psi, x):
         tail_check(gaussian_model(), psi, integer_grid(50), n=1_000, seed=0, x_grid=(4.0, x))
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_tail_check_rejects_a_sample_size_below_one_naming_it(n):
+    # before any envelope or sample: an empty batch has no survival to judge
+    with pytest.raises(DomainError, match=f"got n={n}$"):
+        tail_check(gaussian_model(), root_psi(), integer_grid(50), n=n, seed=0)
+
+
 def test_membership_scan_brackets_the_gaussian_norm():
     batch = sample(gaussian_model(), 50_000, seed=3)
     q, psi = integer_grid(60), root_psi()
