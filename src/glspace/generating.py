@@ -22,12 +22,17 @@ from .models import RandomVariableModel, _check_p
 
 @dataclass(frozen=True)
 class GeneratingFunction:
-    """Positive evaluator on [1, inf) with a declared shape flag.
+    """Positive evaluator on [1, inf) with declared shape flags.
 
     nondecreasing is a promise made by the constructor that psi is
     nondecreasing on all of [1, inf); it is trusted, never checked.  The
     pruned norm scan, the early stop of h and the Z/W gap analysis need
-    no more than that.  value_at_one caches psi(1).
+    no more than that.  log_concave, keyword-only, is a second such
+    promise: ln psi is concave in p on [1, inf), so on a scan cell ln psi
+    lies above its chord, and the pruned norm scan's cell bound takes
+    that chord in place of psi at the cell's left end (see search).  Only
+    a constructor that knows its formula sets it, and it takes no part
+    in equality or hashing.  value_at_one caches psi(1).
     """
 
     evaluator: Callable[[float | np.ndarray], float | np.ndarray]
@@ -36,6 +41,8 @@ class GeneratingFunction:
     description: str = ""
     #: the model a natural psi is the moment ratio |f|_p / |f|_1 of
     source: Optional[RandomVariableModel] = field(default=None, compare=False, repr=False)
+    #: ln psi is concave in p on [1, inf); trusted, never checked
+    log_concave: bool = field(default=False, compare=False, kw_only=True)
 
     def __call__(self, p):
         return psi_eval(self, p)
@@ -95,7 +102,11 @@ def _ln3_pow(delta: float) -> float:
 def _power_slowvary(params: PowerSlowVaryParams, scale: float, name: str) -> GeneratingFunction:
     """p^(1/r) * ln^delta(2+p) / scale.  For delta >= 0 both factors
     increase, so the nondecreasing flag is set; negative delta can bend
-    the product downward and the flag is left unset.  DomainError
+    the product downward and the flag is left unset.  For delta >= 0,
+    ln psi = (1/r) ln p + delta ln ln(2+p) - ln scale is a sum of concave
+    terms (ln ln(2+p) is concave: its second derivative is
+    -(1 + ln(2+p)) / ((2+p) ln(2+p))^2), so log_concave is set too; for
+    delta < 0 the middle term is convex and it is not.  DomainError
     when the scale or psi(1) = ln^delta(3) / scale is not finite and
     positive: a delta that large in magnitude leaves no usable psi."""
     r, delta = params.r, params.delta
@@ -116,6 +127,7 @@ def _power_slowvary(params: PowerSlowVaryParams, scale: float, name: str) -> Gen
         nondecreasing=delta >= 0.0,
         value_at_one=float(evaluator(1.0)),
         description=description,
+        log_concave=delta >= 0.0,
     )
 
 

@@ -17,9 +17,10 @@ models in one call), and equal domains share their scan rows
 constant depends on psi and the grid only, so a W^ check takes it from
 grids.w_hat_constant, computed once per (psi, cell ends) per process.
 For a large sample or group function under a nondecreasing psi the scan
-is pruned: a cell whose bound |f|(right end) / psi(left end) lies below
-the best value is not evaluated (see search), which leaves the result's
-bits as they are.
+is pruned: a cell whose bound lies below the best value is not evaluated
+(see search), which leaves the result's bits as they are.  The bound
+takes the chord of ln E|f|^p, convex in p, and, where psi promises a
+concave ln psi (GeneratingFunction.log_concave), the chord of ln psi.
 Sandwich checks verify the two-sided equivalence
 
     inner <= full <= constant * inner
@@ -107,6 +108,8 @@ class NormResult:
     #: psi is the model's own natural psi, so the ratio is |f|_1 at every p
     #: and the value is exact whatever the edge evidence says
     constant_ratio: bool = False
+    #: |f|_1 = 0, so f = 0 almost surely and the norm is exactly 0
+    zero_model: bool = False
 
     @property
     def diagnostics(self) -> str:
@@ -114,6 +117,8 @@ class NormResult:
             return f"divergent moment at p={self.arg_p:g}; norm is +inf"
         if self.constant_ratio:
             return "ratio constant under the model's own natural psi"
+        if self.zero_model:
+            return "f = 0 almost surely (|f|_1 = 0); norm is exactly 0"
         if self.decreasing_at_hi:
             return "ratio decreasing at the truncation point"
         return "ratio not decreasing at the truncation point; supremum may exceed the truncated value"
@@ -326,11 +331,13 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
 
     The scan is pruned, against the best exact-point value too, when every
     model is a PowerMeanModel of at least _PRUNE_MIN_VALUES values and psi
-    is flagged nondecreasing.  The cell bound needs |f|_p nondecreasing,
-    which a power mean is exactly (a density moment only to its quadrature
-    noise, 1e-8), and psi nondecreasing; on small arrays the full scan is
-    cheaper.  Pruning runs in levels (every 64th scan point, then every 8th
-    inside the 64-cells kept, then the points of the 8-cells kept), and each
+    is flagged nondecreasing.  The cell bound needs |f|_p nondecreasing
+    and p ln |f|_p convex, which a power mean is exactly (a density moment
+    only to its quadrature noise, 1e-8), and psi nondecreasing; it takes
+    the chord of ln psi too when psi is flagged log_concave.  On small
+    arrays the full scan is cheaper.  Pruning runs in levels (every 64th
+    scan point, then every 16th inside the 64-cells kept, then every 4th
+    inside the 16-cells kept, then the points of the 4-cells kept), and each
     power mean skips the terms that underflow to exactly 0.0 at large p
     (models.power_mean), so a large sample pays for the points and terms
     that can change the result and no others.
@@ -432,6 +439,7 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
             speculate=speculate,
             functions=n_models,
             search=np.arange(n_parts).repeat(np.diff(row0)) if prune else None,
+            log_concave=psi.log_concave,
         )
     except Exception as exc:
         if shared:
@@ -461,6 +469,9 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
             n_evaluations=asked[k],
             arg_index=int(i) + 1 if s.grid else None,
             constant_ratio=psi.source is s.model,
+            # a zero model has the value 0.0, which a tiny nonzero one may
+            # also underflow to; only |f|_1 tells them apart
+            zero_model=bool(vals[i] == 0.0) and float(s.model.lp_norm(1.0)) == 0.0,
         ))
     return out
 

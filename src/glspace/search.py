@@ -42,25 +42,42 @@ libm's on a float.
   asked for (a large power mean, quadrature) go one point at a time, as
   speculative points would cost more than the calls they save.
 
-A search may be pruned.  When ``f = num / den`` with ``num`` and ``den``
-nondecreasing and ``den`` positive (a moment over a nondecreasing
-generating function: on a probability space |f|_p is nondecreasing in p),
-the sup of ``f`` over a cell [a, b] is at most num(b) / den(a).  This is
-the W constant's argument (full <= W * discrete) on the scan grid, used
-as the Lipschitz bound is in the branch and bound of Piyavskii (1972) and
-Shubert (1972).  The pruned scan works in levels, one per entry of
-_COARSE_STEPS (64, then 8).  The first level evaluates every 64th point of
-each row and the row's last point, and drops every cell whose bound,
-widened by _PRUNE_MARGIN for rounding, is below the best value seen.  The
-next level evaluates the step-8 points inside the live 64-cells only, and
-drops step-8 cells by the same rule.  A child cell's bound is at most its
-parent's, and the best step-8 point lies in a live 64-cell, so the live
-step-8 cells are those a one-level step-8 pass would keep.  The fine pass
-then evaluates the points of the live cells, the point next to each end of
-a live cell and the last three points of each row.  Every dropped point or
-bracket is strictly below a value the search evaluates, and every local
-maximum that remains has the same scan neighbours as in the full scan, so
-the overall supremum, its argument and the edge evidence keep their bits.
+A search may be pruned.  When ``f = num / den`` with ``num`` = |g|_p, a
+p-norm on a probability space, and ``den`` positive and nondecreasing (a
+moment over a nondecreasing generating function), a scan cell [a, b]
+whose ends are evaluated has a bound on ``f``.  phi(p) = p ln num(p) =
+ln E|g|^p is convex in p (Lyapunov), so it lies below its chord on the
+cell, and ln num(p) <= (phi(a) + (p - a) s) / p with s the chord's
+slope.  When ln den is concave in p as well (the log_concave promise of
+a generating function), ln den(p) lies above its own chord, of slope t;
+otherwise ln den(p) >= ln den(a), and t = 0.  So on the cell
+
+    ln f(p) <= U(p) = (phi(a) + (p - a) s) / p - (ln den(a) + (p - a) t),
+
+and U(p) = alpha / p + s - ln den(a) - (p - a) t, alpha = phi(a) - a s,
+has one stationary point, p* = sqrt(-alpha / t), so its largest value
+on the cell is at a, b or p* (clipped to the cell).  The cell's bound is
+exp of that value.  With t = 0 it is max(num(a), num(b)) / den(a) =
+num(b) / den(a), the W constant's argument (full <= W * discrete) on the
+scan grid; the chord of ln den makes the bound second-order in the cell
+width, so near a flat peak far fewer cells survive.  The bound is used
+as the Lipschitz bound is in the branch and bound of Piyavskii (1972)
+and Shubert (1972).  The pruned scan works in levels, one per entry of
+_COARSE_STEPS (64, 16, then 4).  The first level evaluates every 64th
+point of each row and the row's last point, and drops every cell whose
+bound, widened by _PRUNE_MARGIN for rounding, is below the best value
+seen.  Each next level evaluates its points inside the live cells of
+the level before only, and drops its cells by the same rule.  In exact
+arithmetic a child cell's bound is at most its parent's (the child's
+chord of phi lies below the parent's, its chord of ln den above), and
+the best point of a level lies in a live cell of the level before, so
+the live cells of the last level are those a one-level pass at its step
+would keep.  The fine pass then evaluates the points of the live cells,
+the point next to each end of a live cell and the last three points of
+each row.  Every dropped point or bracket is strictly below a value the
+search evaluates, and every local maximum that remains has the same
+scan neighbours as in the full scan, so the overall supremum, its
+argument and the edge evidence keep their bits.
 """
 
 from __future__ import annotations
@@ -119,9 +136,17 @@ _PLATEAU_ULP = 4
 # a row inside the cells the level before kept, and the row's last point.
 # Each step divides the one before it, so every cell lies in one parent.
 # A cell is dropped when its bound times 1 + _PRUNE_MARGIN is below the best
-# value.  The margin covers the rounding of the moment and of psi (a few
-# ulp, about 1e-14 relative) with room to spare
-_COARSE_STEPS = (64, 8)
+# value.  The margin covers rounding with room to spare: the moment and psi
+# carry a few ulp (about 1e-14 relative), an absolute error of that size in
+# their logs; each chord weighs its ends' errors by weights in [0, 1] that
+# sum to 1 (for phi, whose errors scale with a and b, after the division by
+# p); the logs and the chord arithmetic add a few ulp of |ln num| and
+# |ln den|, below 1e-12 in the double range; and an error dp in p*
+# costs t dp^2 / p, second order.  On 2^14..2^16-value samples under the
+# norm workload's psi, plain and on a set, (64, 16, 4) evaluated 29 scan
+# points an op against 35 for (64, 8) and 32 for (64, 8, 2); (128, 32, 8)
+# took 28, and their CPU times were within noise of each other
+_COARSE_STEPS = (64, 16, 4)
 _PRUNE_MARGIN = 1e-10
 
 
@@ -404,6 +429,7 @@ def sup_rows(
     speculate: bool = True,
     functions: int = 1,
     search: Optional[np.ndarray] = None,
+    log_concave: bool = False,
 ) -> RowSupremum:
     """Supremum of ``f`` over each row of the scan grid ``xs``.
 
@@ -430,7 +456,10 @@ def sup_rows(
 
     With ``parts`` the scan is pruned (see the module docstring):
     ``parts(x, row)`` returns arrays (num, den) with num / den giving the
-    bits of ``f(x, row)``, both nondecreasing and den positive.  ``floor``
+    bits of ``f(x, row)``, both nondecreasing and den positive.  With
+    ``log_concave`` ln den is concave in p and p ln num convex (num a
+    p-norm on a probability space, den a generating function with that
+    promise), and the cell bound takes both chords.  ``floor``
     is a value known from elsewhere (the exact points of a norm) that the
     pruning also compares against.  It may hold one value per search,
     ``search`` then giving the search of each row, and each search is
@@ -450,7 +479,7 @@ def sup_rows(
     if parts is not None:
         try:
             floors = np.atleast_1d(np.asarray(floor, dtype=float))
-            ys, known, pruned = _pruned_scan(f, xs, parts, floors, search)
+            ys, known, pruned = _pruned_scan(f, xs, parts, floors, search, log_concave)
         except (DomainError, DivergentMomentError):
             known = None
     if known is None:
@@ -540,15 +569,31 @@ def _scan_targets(xs: np.ndarray, ys: np.ndarray, r: np.ndarray, i: np.ndarray) 
     ]
 
 
-def cell_bounds(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Upper bound num(b) / den(a) of num / den on each cell [a, b]
-    between consecutive points (last axis) of a row, for nondecreasing
-    num and den."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return num[..., 1:] / den[..., :-1]
+def cell_bounds(p: np.ndarray, num: np.ndarray, den: np.ndarray, log_concave: bool) -> np.ndarray:
+    """Upper bound of num / den on each cell [a, b] between consecutive
+    points p (last axis) of a row, from num and den at the points: exp of
+    the largest U on the cell (see the module docstring), with the chord
+    of ln den when ``log_concave`` and t = 0 otherwise.  Where U is not
+    finite (a zero num, a den that is not positive, an unevaluated end)
+    the bound is inf, which keeps the cell."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        phi, ell = p * np.log(num), np.log(den)
+        a, b, phi_a, ell_a = p[..., :-1], p[..., 1:], phi[..., :-1], ell[..., :-1]
+        s = (phi[..., 1:] - phi_a) / (b - a)
+        t = (ell[..., 1:] - ell_a) / (b - a) if log_concave else np.zeros_like(s)
+        # fmax and fmin take a for a NaN -alpha / t (alpha = t = 0)
+        top = np.fmin(np.fmax(np.sqrt((a * s - phi_a) / t), a), b)
+
+        def u(q):
+            return (phi_a + (q - a) * s) / q - (ell_a + (q - a) * t)
+
+        high = np.maximum(np.maximum(u(a), u(b)), u(top))
+        return np.exp(np.where(np.isfinite(high), high, np.inf))
 
 
-def _pruned_scan(f, xs: np.ndarray, parts, floor: np.ndarray, search: Optional[np.ndarray] = None):
+def _pruned_scan(
+    f, xs: np.ndarray, parts, floor: np.ndarray, search: Optional[np.ndarray] = None, log_concave: bool = False
+):
     """The scan of sup_rows, pruned level by level by the cell bounds of
     ``parts``.
 
@@ -583,11 +628,10 @@ def _pruned_scan(f, xs: np.ndarray, parts, floor: np.ndarray, search: Optional[n
             num[rn, cn], den[rn, cn], ys[rn, cn] = nu, de, _checked(xn, nu / de)
             known |= new
             np.maximum.at(best, search, ys.max(axis=1))
-        nc, dc = num[:, c], den[:, c]
-        # a NaN bound, or a den that is not positive, keeps its cell; a cell
-        # under a dropped parent stays dropped (its ends may be unevaluated)
-        row_best = best[search][:, None]
-        live = cover[:, c[:-1]] & (~(cell_bounds(nc, dc) * (1.0 + _PRUNE_MARGIN) < row_best) | ~(dc[:, :-1] > 0.0))
+        # a cell under a dropped parent stays dropped (its ends may be
+        # unevaluated)
+        bound = cell_bounds(xs[:, c], num[:, c], den[:, c], log_concave)
+        live = cover[:, c[:-1]] & ~(bound * (1.0 + _PRUNE_MARGIN) < best[search][:, None])
         cover = np.zeros((rows, n), dtype=bool)
         cover[:, :-1] = np.repeat(live, np.diff(c), axis=1)
     # a live cell needs its points and the scan neighbours of its ends,

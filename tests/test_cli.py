@@ -77,6 +77,26 @@ def test_every_row_under_the_models_own_natural_psi_notes_a_constant_ratio(capsy
             assert row["note"] == "ratio constant under the model's own natural psi"
 
 
+ZERO_NOTE = "f = 0 almost surely (|f|_1 = 0); norm is exactly 0"
+
+
+@pytest.mark.parametrize("model", ["constant:0", "zeros-40", "zeros-300"])
+def test_a_zero_model_notes_an_exact_zero(capsys, tmp_path, model):
+    # |f|_1 = 0: the norm is exactly 0 on every domain, and no row may say
+    # the supremum could exceed it.  300 zeros take the pruned scan
+    if model.startswith("zeros"):
+        np.savetxt(tmp_path / "z.txt", np.zeros(int(model.split("-")[1])))
+        model = f"empirical:{tmp_path / 'z.txt'}"
+    psi = "power_slowvary(r=2, delta=0)"
+    for domains in ((), ("--set", "intervals:1-3,9-inf"), ("--grid", "integers:M=5"),
+                    ("--set", "intervals:1-3,9-inf", "--grid", "integers:M=5")):
+        code, out, err = run_cli(capsys, "norm", "--model", model, "--psi", psi, *domains)
+        assert (code, err) == (0, "")
+        for row in parse_rows(out):
+            assert (row["value"], row["arg_p"], row["note"]) == ("0", "1", ZERO_NOTE)
+            assert row["arg_index"] == ("1" if row["kind"] == "discrete" else "")
+
+
 def test_norm_restricted_set(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -695,3 +695,15 @@ def test_an_algebra_check_peaks_no_higher_than_with_per_model_ratios(G):
     # on a large group
     for call in (lambda: gls_norms(models, psi), lambda: algebra_check(G, f, g, psi)):
         assert peak(call) <= _per_model_ratios(lambda: peak(call))
+
+
+def test_only_a_zero_model_is_noted_as_an_exact_zero():
+    psi = make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=0.0))
+    zero = gls_norm(constant_model(0.0), psi)
+    assert (zero.value, zero.zero_model) == (0.0, True)
+    assert zero.diagnostics == "f = 0 almost surely (|f|_1 = 0); norm is exactly 0"
+    # a nonzero model whose ratio underflows to 0.0 everywhere: psi(1) =
+    # ln^700(3), about 4e28, under |f| = 1e-300 (and no overflow up to 3)
+    tiny = gls_norm(constant_model(1e-300), raw_power_slowvary(PowerSlowVaryParams(r=2.0, delta=700.0)), 3.0)
+    assert (tiny.value, tiny.zero_model) == (0.0, False)
+    assert "exactly 0" not in tiny.diagnostics

@@ -2,6 +2,8 @@
 nondecreasing skips the scan cells whose bound lies below the best value,
 and must give the full scan's value, argument and edge evidence bit for bit."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -23,6 +25,7 @@ from glspace import (
     natural_psi,
     raw_power_slowvary,
     set_from_spec,
+    sqrt_dip_psi,
 )
 from glspace import norms, search
 from glspace.search import _PRUNE_MARGIN, cell_bounds, sup_rows
@@ -173,11 +176,11 @@ def test_the_lower_peak_of_two_is_pruned():
     assert _bits(norm) == _bits(_full_scan(model, psi, p_max))
 
 
-def _counted_search(ratio, pair, xs):
+def _counted_search(ratio, pair, xs, log_concave=False):
     """sup_rows pruned by ``pair``, and the number of points it asked for."""
     f, seen = _counted(ratio)
     parts, parts_seen = _counted(pair)
-    res = sup_rows(_rowless(f), xs, parts=_rowless(parts))
+    res = sup_rows(_rowless(f), xs, parts=_rowless(parts), log_concave=log_concave)
     return res, seen[0] + parts_seen[0]
 
 
@@ -185,32 +188,33 @@ def _normal_under_root():
     return EmpiricalModel(_sample(0, 4 * N, 5)), make_power_slowvary(PowerSlowVaryParams(2.0, 0.5))
 
 
+@pytest.mark.parametrize("promise", [False, True], ids=["flat-den", "den-chord"])
 @pytest.mark.parametrize("fixture", [_two_peaks, _normal_under_root], ids=["two-peaks", "normal"])
-def test_levels_evaluate_no_more_points_than_one_level_with_the_same_bits(fixture):
+def test_levels_evaluate_no_more_points_than_one_level_with_the_same_bits(fixture, promise):
     model, psi = fixture()
     p_max = default_p_max(model)
     xs = np.geomspace(1.0, p_max, 512)
     xs[0], xs[-1] = 1.0, p_max
     pair, ratio = _ratio(model, psi)
-    res, asked = _counted_search(ratio, pair, xs[None, :])
+    # one level at the last step of the levels
+    last = search._COARSE_STEPS[-1:]
+    res, asked = _counted_search(ratio, pair, xs[None, :], promise)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(search, "_COARSE_STEPS", (8,))
-        one, one_asked = _counted_search(ratio, pair, xs[None, :])
+        m.setattr(search, "_COARSE_STEPS", last)
+        one, one_asked = _counted_search(ratio, pair, xs[None, :], promise)
     assert (res.values[0], res.args[0], res.decreasing_at_hi[0]) == (
         one.values[0], one.args[0], one.decreasing_at_hi[0])
-    # the same step-8 cells are dropped, those under a dropped 64-cell too
+    # the same last-step cells are dropped, those under a dropped coarser
+    # cell too
     assert res.pruned == one.pruned > 0
-    # a two-peak ratio stays within 0.33-0.53 over the window, so every
-    # 64-cell bound is above its best value and the first level drops
-    # nothing; a normal sample's ratio falls off and the first level pays
-    if fixture is _two_peaks:
-        assert asked == one_asked
-    else:
-        assert asked < one_asked
+    # both ratios fall off somewhere in the window (the two-peak one stays
+    # within 0.33-0.53, but a step-16 cell's bound is tight enough), so the
+    # coarse levels drop cells and pay
+    assert asked < one_asked
     # and a whole norm, intervals and points included, keeps its bits too
     rset = _sets(3)[2]
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(search, "_COARSE_STEPS", (8,))
+        m.setattr(search, "_COARSE_STEPS", last)
         one = gls_norm(model, psi, p_max, rset=rset)
     levels = gls_norm(model, psi, p_max, rset=rset)
     assert _bits(levels) == _bits(one) == _bits(_full_scan(model, psi, p_max, rset=rset))
@@ -250,30 +254,71 @@ def test_a_peak_at_a_live_cell_end_keeps_its_full_scan_bracket(num_pts, den_pts)
     assert res.pruned > 0 and seen[0] + parts_seen[0] < full_seen[0]
 
 
-def _bound_violations(bounds) -> int:
-    """Cells where ``bounds`` (widened by the pruning margin) falls below the
-    maximum of the ratio on 33 evenly spaced points of the cell."""
-    fixtures = [
-        (EmpiricalModel(_sample(kind, 2 * N, 7)), psi) for kind in range(3) for psi in PSIS[::4]
-    ] + [_two_peaks(), (GroupFunctionModel(cyclic_group(N), _sample(0, N, 3)), PSIS[0])]
+@functools.cache
+def _bound_cells():
+    """The cells the bound test reads, as (cell ends, num there, dense
+    points, num there) per model and step: the cells of 4, 16 and 64 steps
+    of the 512-point scan of [1, 200], 257 evenly spaced points in each,
+    for samples of the three kinds, the two-peak sample and a group
+    function."""
+    xs = np.geomspace(1.0, 200.0, 512)
+    xs[0], xs[-1] = 1.0, 200.0
+    models = [EmpiricalModel(_sample(kind, 2 * N, 7)) for kind in range(3)] + [
+        _two_peaks()[0], GroupFunctionModel(cyclic_group(N), _sample(0, N, 3))]
+    cells = []
+    for model in models:
+        for step in (4, 16, 64):
+            ends = np.r_[xs[:-1:step], xs[-1]]
+            dense = np.linspace(ends[:-1], ends[1:], 257, axis=1)
+            cells.append((ends, model.lp_norm(ends), dense, model.lp_norm(dense)))
+    return cells
+
+
+def _with_and_without_promise(psis):
+    return [(psi, flag) for psi in psis for flag in sorted({False, psi.log_concave})]
+
+
+def _bound_violations(bounds, psis) -> int:
+    """Cells of _bound_cells where ``bounds(p, num, den, log_concave)``
+    (widened by the pruning margin) falls below the maximum of the ratio
+    on the cell's dense points, under every (psi, log_concave) of
+    ``psis``."""
     count = 0
-    for model, psi in fixtures:
-        pair, ratio = _ratio(model, psi)
-        ends = np.geomspace(1.0, 200.0, 257)
-        num, den = pair(ends)
-        dense = np.linspace(ends[:-1], ends[1:], 33, axis=1)
-        reference = ratio(dense.ravel()).reshape(dense.shape).max(axis=1)
-        count += int(np.count_nonzero(bounds(num, den) * (1.0 + _PRUNE_MARGIN) < reference))
+    for ends, num, dense, num_dense in _bound_cells():
+        for psi, log_concave in psis:
+            reference = (num_dense / psi(dense)).max(axis=1)
+            bound = bounds(ends, num, psi(ends), log_concave)
+            count += int(np.count_nonzero(bound * (1.0 + _PRUNE_MARGIN) < reference))
     return count
 
 
 def test_cell_bound_is_at_least_the_cell_maximum():
-    assert _bound_violations(cell_bounds) == 0
+    assert _bound_violations(cell_bounds, _with_and_without_promise(PSIS)) == 0
 
 
 def test_the_bound_test_catches_a_right_end_denominator():
     # the mutation psi(x_{j+1}) in place of psi(x_j) bounds nothing
-    assert _bound_violations(lambda num, den: num[..., 1:] / den[..., 1:]) > 0
+    def right_end(p, num, den, log_concave):
+        return num[..., 1:] / den[..., 1:]
+
+    assert _bound_violations(right_end, _with_and_without_promise(PSIS[:1])) > 0
+
+
+def test_the_bound_test_catches_a_chord_of_ln_num():
+    # the mutation that takes the chord of ln num, not of p ln num: a num of
+    # num^(1/p) makes cell_bounds' p ln num read ln num
+    def ln_num_chord(p, num, den, log_concave):
+        return cell_bounds(p, num ** (1.0 / p), den, log_concave)
+
+    assert _bound_violations(ln_num_chord, _with_and_without_promise(PSIS[:1])) > 0
+
+
+def test_the_bound_test_catches_a_den_chord_on_a_log_convex_psi():
+    # exp(p^2 / 5000) is nondecreasing but its log is strictly convex: the
+    # chord of ln psi lies above ln psi, and the promise bounds nothing
+    convex = GeneratingFunction(lambda p: np.exp(np.square(p) / 5000.0), True, math.exp(1.0 / 5000.0), "convex")
+    assert _bound_violations(cell_bounds, [(convex, False)]) == 0
+    assert _bound_violations(cell_bounds, [(convex, True)]) > 0
 
 
 def _nan_psi(bad):
@@ -289,17 +334,17 @@ def test_nan_psi_names_the_full_scans_p():
     model = EmpiricalModel(_sample(0, 4 * N, 11))
     p_max = default_p_max(model)
     xs = np.geomspace(1.0, p_max, 512)
-    # NaN from p = 7.5 on: the coarse pass meets it at a later point than
-    # the full scan, whose first NaN is not a coarse point
+    # NaN from p = 7.5 on: the first levels meet it at a later point than
+    # the full scan, whose first NaN is not a step-16 point
     first = int(np.argmax(xs > 7.5))
-    assert first % 8
-    # NaN at one point next to the best coarse value, inside a live cell:
-    # the coarse pass is clean and the fine pass meets it
-    best = int(np.argmax(_ratio(model, _nan_psi(lambda q: False))[1](xs[::8])))
-    lone = xs[8 * best + 3]
+    assert first % 16
+    # NaN at one point next to the best step-4 value, inside a live cell:
+    # the levels are clean and the fine pass meets it
+    best = int(np.argmax(_ratio(model, _nan_psi(lambda q: False))[1](xs[::4])))
+    lone = xs[4 * best + 3]
     # NaN at one step-64 point only, which the first level meets; and NaN
-    # from a step-8 point on that is not a step-64 point, which the first
-    # level meets at the next step-64 point and the full scan earlier
+    # from a point on that is not a step-16 point, which the first level
+    # meets at the next step-64 point and the full scan earlier
     cases = [(lambda q: q > 7.5, xs[first]), (lambda q: q == lone, lone),
              (lambda q: q == xs[192], xs[192]), (lambda q: q >= xs[200], xs[200])]
     for bad, p in cases:
@@ -375,6 +420,63 @@ def test_a_flat_natural_ratio_is_pruned_with_the_full_scan_bits(monkeypatch):
     assert psi.nondecreasing and _is_pruned(monkeypatch, model, psi)
     p_max = default_p_max(model)
     assert repr(_bits(gls_norm(model, psi, p_max))) == repr(_bits(_full_scan(model, psi, p_max)))
+
+
+@pytest.mark.parametrize("psi", PSIS, ids=lambda psi: psi.description)
+def test_the_log_concave_promise_holds(psi):
+    # second divided differences of ln psi on a dense geometric grid over
+    # [1, 1e6] are at most the rounding of ln psi (a few ulp of |ln psi|
+    # plus psi's own few ulp) over the steps
+    assert psi.log_concave
+    p = np.geomspace(1.0, 1e6, 4001)
+    ell = np.log(psi(p))
+    h = np.diff(p)
+    rounding = 8.0 * np.spacing(np.abs(ell).max() + 1.0)
+    assert (np.diff(np.diff(ell) / h) <= 4.0 * rounding / h[:-1]).all()
+
+
+def test_only_the_power_family_with_nonnegative_delta_makes_the_promise():
+    assert not natural_psi(EmpiricalModel(_sample(0, N, 1))).log_concave
+    assert not sqrt_dip_psi().log_concave
+    for make in (make_power_slowvary, raw_power_slowvary):
+        for r, d in ((1.0, -0.5), (3.0, -1.0), (2.0, -0.25)):
+            assert not make(PowerSlowVaryParams(r, d)).log_concave
+    # a psi built by hand makes no promise, and the promise is no part of
+    # equality
+    plain = GeneratingFunction(np.sqrt, True, 1.0, "sqrt")
+    assert not plain.log_concave
+    assert dataclasses.replace(plain, log_concave=True) == plain
+
+
+def test_a_psi_with_a_wrapped_evaluator_keeps_its_promise(monkeypatch):
+    # the benchmark tracer counts psi through dataclasses.replace(psi,
+    # evaluator=...): the copy keeps the promise, so a traced norm prunes as
+    # the plain one does, point for point
+    model, psi = _normal_under_root()
+    wrapped = dataclasses.replace(psi, evaluator=lambda p: psi.evaluator(p))
+    assert wrapped.log_concave and wrapped.nondecreasing
+    p_max = default_p_max(model)
+    ref, res = gls_norm(model, psi, p_max), gls_norm(model, wrapped, p_max)
+    assert (res.value, res.arg_p, res.n_evaluations) == (ref.value, ref.arg_p, ref.n_evaluations)
+    assert _is_pruned(monkeypatch, model, wrapped)
+
+
+@pytest.mark.parametrize("which_set", [0, 1], ids=["plain", "set"])
+def test_the_chord_of_ln_psi_halves_the_points(which_set):
+    # a 2^12-value normal sample under p^(1/3), whose ratio peaks inside the
+    # window (near p = 22): the chord of ln psi keeps the bits and asks for
+    # at most half the ratio points of the bound without it.  (Under
+    # power_slowvary(r=2, delta=0.5) the ratio of a normal sample peaks at
+    # p = 1, and the bound without the chord drops nearly every cell too.)
+    model = EmpiricalModel(np.random.default_rng(0).standard_normal(1 << 12))
+    psi = make_power_slowvary(PowerSlowVaryParams(3.0, 0.0))
+    off = dataclasses.replace(psi, log_concave=False)
+    rset = set_from_spec("intervals:1-3,9-inf") if which_set else None
+    p_max = default_p_max(model)
+    chord, flat = gls_norm(model, psi, p_max, rset=rset), gls_norm(model, off, p_max, rset=rset)
+    assert 3.0 < chord.arg_p < p_max
+    assert _bits(chord) == _bits(flat) == _bits(_full_scan(model, psi, p_max, rset=rset))
+    assert 2 * chord.n_evaluations <= flat.n_evaluations
 
 
 def test_a_wrapped_ratio_is_pruned_too(monkeypatch):
