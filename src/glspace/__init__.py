@@ -61,7 +61,6 @@ from .groups import (
 )
 from .models import (
     ClosedFormModel,
-    DensityModel,
     EmpiricalModel,
     MomentInstabilityWarning,
     PowerMeanModel,
@@ -70,7 +69,6 @@ from .models import (
     constant_model,
     empirical_survival,
     exponential_model,
-    gaussian_density_model,
     gaussian_model,
     rademacher_model,
     sample,

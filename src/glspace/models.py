@@ -1,18 +1,17 @@
 """Random variables exposed through their L^p moment interface.
 
-Three backends: exact closed-form moment maps for the built-in families,
-density models integrated by adaptive quadrature, and stored values with
-power-mean moments (PowerMeanModel: empirical samples here, functions on
-a finite group in groups).  All moments are taken on a probability space, so
-|f|_p is nondecreasing in p; the norm machinery leans on that.
+Two backends: exact closed-form moment maps for the built-in families, and
+stored values with power-mean moments (PowerMeanModel: empirical samples
+here, functions on a finite group in groups).  All moments are taken on a
+probability space, so |f|_p is nondecreasing in p; the norm machinery
+leans on that.
 
 Importing this module loads numpy and no SciPy.  gaussian_model and
 exponential_model load scipy.special (gammaln, ndtri) when they build a
 model, so a process pays for it once and only if it needs one of them;
-the other closed-form families and the stored-value backends run on numpy
-alone.  The density models load scipy.integrate on their first moment or
-sample, so the closed-form and stored-value backends (all the CLI reaches)
-never pay for it.
+the other closed-form families and the power means run on numpy alone.
+No moment is computed by quadrature, so the package never imports SciPy's
+integration routines.
 
 Sampling is deterministic: a (seed, n) pair always regenerates the same
 array.  Generation is defined chunkwise with a fixed chunk size and one
@@ -32,7 +31,6 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import (
-    DivergentMomentError,
     DomainError,
     EmptyBatchError,
     UnsupportedBackendError,
@@ -43,9 +41,6 @@ SAMPLE_CHUNK = 65536
 _GATHER_BLOCK = SAMPLE_CHUNK // 8
 #: largest chunk x n temporary power_means builds for an array of p
 _POWER_MEAN_BLOCK = 1 << 18
-# absolute and relative error targets of DensityModel's quadrature
-_QUAD_EPSABS = 1e-10
-_QUAD_EPSREL = 1e-8
 
 
 class MomentInstabilityWarning(UserWarning):
@@ -94,6 +89,12 @@ def read_values(path) -> np.ndarray:
     """The whitespace-separated numbers of a text file, as a float array.
     NumPy parses each token as float() does: same bits, same ValueError."""
     return np.array(Path(path).read_text().split(), dtype=float)
+
+
+def _check_seed(seed: int) -> None:
+    """DomainError naming a negative seed, which no numpy Generator takes."""
+    if seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed}")
 
 
 def _check_finite(values: np.ndarray, label: str) -> np.ndarray:
@@ -254,9 +255,11 @@ def uniform_stream(seed: int, n: int) -> np.ndarray:
     """Uniforms for sample generation, chunk by chunk: chunk i is
     _uniform_chunk(seed, i, <its slice>), which depends on no other chunk,
     so the chunks may be produced in any order.  The array is fresh: the
-    caller owns it and may transform it in place."""
+    caller owns it and may transform it in place.  A negative seed is a
+    DomainError naming it."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    _check_seed(seed)
     out = np.empty(n, dtype=np.float64)
     for ci, start in enumerate(range(0, n, SAMPLE_CHUNK)):
         _uniform_chunk(seed, ci, out[start : start + SAMPLE_CHUNK])
@@ -264,20 +267,15 @@ def uniform_stream(seed: int, n: int) -> np.ndarray:
 
 
 class RandomVariableModel:
-    """Common interface: lp_norm, optional sampling, scaling."""
+    """Common interface: lp_norm and optional sampling."""
 
     label: str = "model"
-    #: relative tolerance of the moment backend; 0 means exact
-    moment_tolerance: float = 0.0
 
     def lp_norm(self, p):
         raise NotImplementedError
 
     def sample_values(self, n: int, seed: int) -> np.ndarray:
         raise UnsupportedBackendError(f"{self.label} backend does not support sampling")
-
-    def scaled(self, alpha: float) -> "RandomVariableModel":
-        return ScaledModel(self, alpha)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}({self.label})"
@@ -305,109 +303,6 @@ class ClosedFormModel(RandomVariableModel):
         if self._transform is None:
             raise UnsupportedBackendError(f"{self.label} has no sampler")
         return self._transform(uniform_stream(seed, n))
-
-
-class DensityModel(RandomVariableModel):
-    """Model given by a density; moments by adaptive quadrature.
-
-    Infinite supports are integrated through quad's internal substitution
-    to a finite interval.  Sampling uses a tabulated inverse CDF and is
-    only offered on finite supports, where the table is exact enough and
-    consumes one uniform per draw (which keeps chunked generation
-    deterministic); rejection samplers would not.
-
-    scipy.integrate is imported by the first moment (quad) or sample
-    (cumulative_trapezoid), not with the module.
-    """
-
-    moment_tolerance = _QUAD_EPSREL
-
-    def __init__(self, label, density, support):
-        self.label = label
-        self.density = density
-        self.support = (float(support[0]), float(support[1]))
-
-    @cached_property
-    def _probe(self):
-        """(x, ln|x|, ln rho(x)) on the probe points |x| = e^t, t in [-30, 30],
-        that lie in the support (finite ends included)."""
-        a, b = self.support
-        r = np.exp(np.linspace(-30.0, 30.0, 1201))
-        xs = np.concatenate([-r[::-1], r, [x for x in (a, b) if math.isfinite(x) and x != 0.0]])
-        xs = np.unique(xs[(xs >= a) & (xs <= b)])
-        rho = np.array([self.density(float(x)) for x in xs])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return xs, np.log(np.abs(xs)), np.log(rho)
-
-    def _log_moment(self, p: float) -> float:
-        """ln E|f|^p by quadrature of exp(p ln|x| + ln rho(x) - c), then + c.
-
-        c is the largest log-integrand on the probe points, so the scaled
-        integrand peaks near 1 and neither |x|^p nor the moment overflows;
-        the integral is split at that probe point so quad sees the peak.
-        """
-        from scipy.integrate import IntegrationWarning, quad
-
-        a, b = self.support
-        xs, log_x, log_rho = self._probe
-        g = p * log_x + log_rho
-        ok = np.flatnonzero(np.isfinite(g))
-        if ok.size:
-            k = ok[np.argmax(g[ok])]
-            c, peak = float(g[k]), float(xs[k])
-        else:
-            c, peak = 0.0, a
-
-        def integrand(x):
-            rho = self.density(x)
-            if rho <= 0.0 or x == 0.0:
-                return 0.0
-            return math.exp(p * math.log(abs(x)) + math.log(rho) - c)
-
-        pieces = [(a, peak), (peak, b)] if a < peak < b else [(a, b)]
-        total = 0.0
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", IntegrationWarning)
-            try:
-                for lo, hi in pieces:
-                    total += quad(integrand, lo, hi, epsabs=_QUAD_EPSABS, epsrel=_QUAD_EPSREL, limit=200)[0]
-            except IntegrationWarning as exc:
-                raise DivergentMomentError(p, f"quadrature did not converge at p={p}: {exc}") from exc
-            except OverflowError as exc:
-                raise DivergentMomentError(
-                    p, f"{self.label}: moment integrand at p={p} peaks outside the probe range"
-                ) from exc
-        if not math.isfinite(total):
-            raise DivergentMomentError(p)
-        return math.log(total) + c if total > 0.0 else -math.inf
-
-    def lp_norm(self, p):
-        q = _check_p(p)
-        if type(q) is float:
-            return math.exp(self._log_moment(q) / q)
-        return np.array([math.exp(self._log_moment(float(x)) / float(x)) for x in q.ravel()]).reshape(q.shape)
-
-    @cached_property
-    def _icdf_table(self):
-        """(cdf, x) on 16385 even points of the support, for np.interp."""
-        from scipy.integrate import cumulative_trapezoid
-
-        a, b = self.support
-        xs = np.linspace(a, b, 16385)
-        pdf = np.array([self.density(x) for x in xs])
-        cdf = np.concatenate([[0.0], cumulative_trapezoid(pdf, xs)])
-        cdf /= cdf[-1]
-        return cdf, xs
-
-    def sample_values(self, n: int, seed: int) -> np.ndarray:
-        if not (math.isfinite(self.support[0]) and math.isfinite(self.support[1])):
-            raise UnsupportedBackendError(
-                f"{self.label}: inverse-CDF sampling needs a finite support; "
-                "use the matching closed-form family instead"
-            )
-        cdf, xs = self._icdf_table
-        # np.interp has no out=, so this sampler allocates beside its uniforms
-        return np.interp(uniform_stream(seed, n), cdf, xs)
 
 
 class PowerMeanModel(RandomVariableModel):
@@ -469,27 +364,6 @@ class EmpiricalModel(PowerMeanModel):
             block = u[start : start + _GATHER_BLOCK]
             np.take(self.values, block.astype(np.int64), out=block, mode="clip")
         return u
-
-    def scaled(self, alpha: float) -> "EmpiricalModel":
-        return EmpiricalModel(self.values * alpha, label=f"{self.label}*{alpha:g}")
-
-
-class ScaledModel(RandomVariableModel):
-    """|alpha * f|_p = |alpha| * |f|_p, for homogeneity checks."""
-
-    def __init__(self, base: RandomVariableModel, alpha: float):
-        self.base = base
-        self.alpha = float(alpha)
-        self.label = f"{base.label}*{alpha:g}"
-        self.moment_tolerance = base.moment_tolerance
-
-    def lp_norm(self, p):
-        return abs(self.alpha) * self.base.lp_norm(p)
-
-    def sample_values(self, n: int, seed: int) -> np.ndarray:
-        values = self.base.sample_values(n, seed)
-        values *= self.alpha
-        return values
 
 
 # ---------------------------------------------------------------------------
@@ -585,23 +459,6 @@ def rademacher_model() -> ClosedFormModel:
         return u
 
     return ClosedFormModel("rademacher", moments, transform=transform)
-
-
-def gaussian_density_model() -> DensityModel:
-    """Quadrature twin of gaussian_model, for backend cross-checks."""
-    return DensityModel(
-        "gaussian-density",
-        lambda x: math.exp(-x * x / 2.0) / math.sqrt(2.0 * math.pi),
-        (-np.inf, np.inf),
-    )
-
-
-def uniform01_density_model() -> DensityModel:
-    return DensityModel("uniform01-density", lambda x: 1.0, (0.0, 1.0))
-
-
-def exponential_density_model() -> DensityModel:
-    return DensityModel("exponential-density", lambda x: math.exp(-x) if x >= 0 else 0.0, (0.0, np.inf))
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,6 @@ from .grids import (
     z_constant,
 )
 from .models import (
-    DensityModel,
     EmpiricalModel,
     MomentInstabilityWarning,
     PowerMeanModel,
@@ -75,10 +74,11 @@ DEFAULT_P_MAX = 200.0
 _SCAN_POINTS = 512
 # scan points per W^ cell in _cellwise_full_norm
 _CELL_POINTS = 64
-# relative tolerance a sandwich allows on top of the moment backend's own
+# relative tolerance of a sandwich's two comparisons
 _RTOL = 1e-9
-# the norm search is pruned only when the moment is a power mean of at
-# least this many values.  Timed on full and two-interval norms of normal
+# a power mean of at least this many values costs by the point
+# (_costs_per_point): a norm search over such moments is pruned and
+# refined one point at a time.  Timed on full and two-interval norms of normal
 # samples and on cyclic-group functions under power_slowvary(r=2,
 # delta=0.5) (Python 3.11, NumPy 2.4, CPU time, median of 21 rounds, the
 # two paths alternating): the pruned scan breaks even at 48-64 values and
@@ -180,14 +180,14 @@ def _stacked_ratio(psi: GeneratingFunction, models: Sequence[PowerMeanModel]):
 def _costs_per_point(model) -> bool:
     """Whether a moment of ``model`` costs in proportion to the points it is
     asked for more than to the calls: a power mean of at least
-    _PRUNE_MIN_VALUES values, or quadrature.  A search over such a ratio
-    refines one point at a time, because speculative points would cost more
-    than the calls they save.  On a 2^16-value exponential sample with an
-    interior peak, speculation took 148 ms against 84 ms (272 evaluations
-    against 195)."""
-    return isinstance(model, DensityModel) or (
-        isinstance(model, PowerMeanModel) and model.values.size >= _PRUNE_MIN_VALUES
-    )
+    _PRUNE_MIN_VALUES values.  _search reads this one rule twice.  The scan
+    is pruned when every model costs by the point (and psi is
+    nondecreasing).  Refinement goes one point at a time when any model, or
+    the model of psi, costs by the point, because speculative points would
+    cost more than the calls they save: on a 2^16-value exponential sample
+    with an interior peak, speculation took 148 ms against 84 ms (272
+    evaluations against 195)."""
+    return isinstance(model, PowerMeanModel) and model.values.size >= _PRUNE_MIN_VALUES
 
 
 def _one_plugin_warning(pair, stable_p: float):
@@ -330,10 +330,10 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     of one length.
 
     The scan is pruned, against the best exact-point value too, when every
-    model is a PowerMeanModel of at least _PRUNE_MIN_VALUES values and psi
-    is flagged nondecreasing.  The cell bound needs |f|_p nondecreasing
-    and p ln |f|_p convex, which a power mean is exactly (a density moment
-    only to its quadrature noise, 1e-8), and psi nondecreasing; it takes
+    model is a PowerMeanModel of at least _PRUNE_MIN_VALUES values
+    (_costs_per_point) and psi is flagged nondecreasing.  The cell bound
+    needs |f|_p nondecreasing and p ln |f|_p convex, which a power mean is
+    exactly, and psi nondecreasing; it takes
     the chord of ln psi too when psi is flagged log_concave.  On small
     arrays the full scan is cheaper.  Pruning runs in levels (every 64th
     scan point, then every 16th inside the 64-cells kept, then every 4th
@@ -345,9 +345,7 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     models = [s.model for s in searches]
     shared = len(searches) > 1
     stable = [m.stable_p for m in (*models, psi.source) if isinstance(m, EmpiricalModel)]
-    prune = psi.nondecreasing and all(
-        isinstance(m, PowerMeanModel) and m.values.size >= _PRUNE_MIN_VALUES for m in models
-    )
+    prune = psi.nondecreasing and all(_costs_per_point(m) for m in models)
     blocks = [s.rows for s in searches if s.rows.shape[0]]
     if shared and (stable or len({rows.shape[1] for rows in blocks}) > 1):
         return None
@@ -520,9 +518,10 @@ class SandwichReport:
 
     left  :  inner <= full        (a sup over a subset cannot exceed it)
     right :  full <= constant * inner
-    ``slack`` is the relative tolerance applied (1e-9 plus twice the
-    moment backend's own).  When the constant or a norm is infinite the
-    right side is not applicable and only the left side is judged.
+    ``slack`` is the relative tolerance applied, 1e-9: both moment
+    backends, closed form and power mean, are exact up to rounding.  When
+    the constant or a norm is infinite the right side is not applicable
+    and only the left side is judged.
     """
 
     kind: str
@@ -564,12 +563,10 @@ def _sandwich_report(
     full: NormResult,
     const: EquivalenceConstant,
 ) -> SandwichReport:
-    """Judge inner <= full <= constant * inner with the combined slack."""
-    # two moment evaluations enter each compared ratio
-    slack = _RTOL + 2.0 * model.moment_tolerance
-    left_ok = inner.value <= full.value * (1.0 + slack)
+    """Judge inner <= full <= constant * inner with the slack _RTOL."""
+    left_ok = inner.value <= full.value * (1.0 + _RTOL)
     if math.isfinite(const.value) and math.isfinite(full.value) and math.isfinite(inner.value):
-        right_ok = full.value <= const.value * inner.value * (1.0 + slack)
+        right_ok = full.value <= const.value * inner.value * (1.0 + _RTOL)
     else:
         right_ok = True  # right side not applicable, never asserted false
     return SandwichReport(
@@ -583,7 +580,7 @@ def _sandwich_report(
         constant=const,
         left_ok=bool(left_ok),
         right_ok=bool(right_ok),
-        slack=slack,
+        slack=_RTOL,
     )
 
 

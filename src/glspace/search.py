@@ -39,7 +39,7 @@ libm's on a float.
   search at its last confirmed step, so an error names the p it names
   there.
 - A few brackets of an ``f`` whose cost grows with the points it is
-  asked for (a large power mean, quadrature) go one point at a time, as
+  asked for (a power mean of many values) go one point at a time, as
   speculative points would cost more than the calls they save.
 
 A search may be pruned.  When ``f = num / den`` with ``num`` = |g|_p, a
@@ -101,8 +101,13 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # their brackets are counted together and all take one route.  Each
 # function past the first allows SCALAR_BRACKETS / 2 more (sup_rows), as
 # a lockstep iteration called every function once when this was timed.
-# norms evaluates the three algebra ratios in one call, and still counts
-# them as three, so that every route and count stays.  Timed on k rows of
+# norms now evaluates the three algebra ratios in one stacked call, whose
+# cost still grows with each model it serves, so it still counts them as
+# three and speculation stays the cheaper route there.  Counted as one
+# function instead, four seed-7 algebra benchmark blocks (504 shared
+# searches, same VM) sent one search, cyclic:14 with 13 brackets,
+# lockstep, and its op took 8.1-8.7 ms against 3.0-5.6 ms speculating
+# (median of 31, two rounds), with the same outcomes.  Timed on k rows of
 # 64 points with one bracket each (Python 3.11, NumPy 2.4, a 2-core x86-64
 # VM, CPU time, median of 9 rounds, the two routes alternating): with an
 # interior peak in every row,

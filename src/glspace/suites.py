@@ -32,6 +32,7 @@ from .groups import (
     young_check,
 )
 from .models import (
+    _check_seed,
     constant_model,
     exponential_model,
     gaussian_model,
@@ -320,7 +321,9 @@ def _draw_triple(rng: np.random.Generator) -> YoungTriple:
 
 
 def run_suite(name: str, seed: int, n: int = 200_000) -> SuiteResult:
-    """Dispatch by suite name; ``n`` only matters for the tails suite."""
+    """Dispatch by suite name; ``n`` only matters for the tails suite.  A
+    negative seed is a DomainError naming it (_check_seed)."""
+    _check_seed(seed)
     if name == "sandwich":
         return sandwich_suite(seed)
     if name == "tails":

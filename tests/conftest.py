@@ -1,8 +1,9 @@
 """Shared test configuration.
 
 Property tests run derandomized so the suite is reproducible run to run;
-deadlines are off because several properties evaluate quadrature-backed
-moments that are slow on the first call only.
+deadlines are off because several properties run whole norm searches,
+whose time varies with the examples drawn.  The quadrature and scaled
+models that only tests use live in quadrature_models.py, beside this file.
 """
 
 from hypothesis import HealthCheck, settings

@@ -42,6 +42,7 @@ from glspace import (
 from glspace.cli import main as cli_main
 from glspace.generating import PowerSlowVaryParams
 from glspace.suites import psi_pool
+from quadrature_models import ScaledModel
 
 SEED = 1729
 
@@ -307,7 +308,7 @@ def test_criterion_09_norm_axioms(restricted_cases, discrete_cases):
             discrete_norm(model, psi, q_grid).value,
         )
         for alpha in (-2.0, 0.5, 3.0):
-            scaled = model.scaled(alpha)
+            scaled = ScaledModel(model, alpha)
             got = (
                 gls_norm(scaled, psi).value,
                 gls_norm(scaled, psi, rset=S).value,

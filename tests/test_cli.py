@@ -3,14 +3,20 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from glspace import MomentInstabilityWarning, SuiteResult, psi_from_spec
+from glspace import DomainError, MomentInstabilityWarning, SuiteResult, psi_from_spec, run_suite
 from glspace.cli import main
 from glspace.suites import TAILS_HEADER
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *args):
@@ -301,6 +307,27 @@ def test_default_seed_comes_from_the_environment(capsys, monkeypatch):
     assert code1 == code2 == code3 == 0
     assert out1 == out2
     assert out1 != out3
+
+
+@pytest.mark.parametrize("argv, env_seed, seed", [
+    (("tail", "--model", "gaussian", "--seed", "-1", "--n", "100"), None, -1),
+    (("verify", "--suite", "sandwich", "--seed", "-3"), None, -3),
+    (("tail", "--model", "gaussian", "--n", "10"), "-2", -2),
+], ids=["tail", "verify", "env-tail"])
+def test_a_negative_seed_exits_2_with_one_line(argv, env_seed, seed):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("GLS_DEFAULT_SEED", None)
+    if env_seed is not None:
+        env["GLS_DEFAULT_SEED"] = env_seed
+    proc = subprocess.run([sys.executable, "-m", "glspace", *argv], env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [f"gls: seed must be a nonnegative integer, got {seed}"]
+    assert "Traceback" not in proc.stderr
+
+
+def test_the_suites_reject_a_negative_seed():
+    with pytest.raises(DomainError, match=r"^seed must be a nonnegative integer, got -1$"):
+        run_suite("young", -1)
 
 
 def test_config_file_with_flag_override(capsys, tmp_path):

@@ -1,0 +1,55 @@
+"""Power means against a 40-digit ``decimal`` reference.
+
+The reference is ((1/n) sum a^p)^(1/p) evaluated in ``decimal`` from the
+exact values of the doubles a and p; models.power_mean must stay within
+a few units in the last place of it, for a scalar p and for an array of
+p, on the sample that takes the plain pow and on the one whose large p
+skip the terms that underflow (models._row_powers)."""
+
+import math
+from decimal import Context, Decimal, localcontext
+
+import numpy as np
+import pytest
+
+from glspace.models import PowerMeanState, power_mean
+
+# the largest error allowed, in units in the last place of the reference
+MAX_ULP = 4.0
+P_SET = np.concatenate((np.geomspace(1.0, 200.0, 24), [1.5, 2.0, 3.0, 1e3, 5e3]))
+
+
+def _abs_sample(n: int, seed: int) -> np.ndarray:
+    """|normal| values with every 7th one set to 0.0."""
+    values = np.abs(np.random.default_rng(seed).standard_normal(n))
+    values[::7] = 0.0
+    return values
+
+
+def _reference(values: np.ndarray, p: float) -> Decimal:
+    with localcontext(Context(prec=40)):
+        q = Decimal(float(p))
+        total = sum(Decimal(float(a)) ** q for a in values if a > 0.0)
+        return (total / len(values)) ** (1 / q)
+
+
+def _ulp_error(got: float, want: Decimal) -> float:
+    with localcontext(Context(prec=40)):
+        return float(abs(Decimal(got) - want) / Decimal(math.ulp(float(want))))
+
+
+@pytest.mark.parametrize("n, seed", [(60, 1), (200, 2)])
+def test_power_mean_is_within_a_few_ulp_of_the_decimal_reference(n, seed):
+    values = _abs_sample(n, seed)
+    state = PowerMeanState.of(values)
+    if n >= 128:
+        # the two largest p lie past zero_p: their terms below the cut skip pow
+        assert state.zero_p < 1e3
+    array = power_mean(state, P_SET)
+    worst = 0.0
+    for p, from_array in zip(P_SET.tolist(), array.tolist()):
+        want = _reference(values, p)
+        scalar = power_mean(state, p)
+        assert scalar == from_array, p
+        worst = max(worst, _ulp_error(scalar, want))
+    assert worst <= MAX_ULP

@@ -1,4 +1,5 @@
-"""Moment backends: closed forms, quadrature twins, plug-in samples."""
+"""Moment backends: closed forms and plug-in samples, cross-checked
+against the quadrature twins of the test helper."""
 
 import math
 import tracemalloc
@@ -12,7 +13,6 @@ from scipy.special import gammaln, ndtri
 import glspace.models
 
 from glspace import (
-    DensityModel,
     DivergentMomentError,
     DomainError,
     EmpiricalModel,
@@ -26,7 +26,6 @@ from glspace import (
     cyclic_group,
     empirical_survival,
     exponential_model,
-    gaussian_density_model,
     gaussian_model,
     gls_norm,
     group_lp_norm,
@@ -41,12 +40,16 @@ from glspace.models import (
     SAMPLE_CHUNK,
     _ZERO_MIN_VALUES,
     PowerMeanState,
-    ScaledModel,
-    exponential_density_model,
     power_mean,
     _uniform_chunk,
-    uniform01_density_model,
     uniform_stream,
+)
+from quadrature_models import (
+    DensityModel,
+    ScaledModel,
+    exponential_density_model,
+    gaussian_density_model,
+    uniform01_density_model,
 )
 
 
@@ -448,7 +451,7 @@ def test_from_file_keeps_floats_error_text(tmp_path):
 
 def test_scaling_is_exact_homogeneity():
     g = gaussian_model()
-    s = g.scaled(-2.0)
+    s = ScaledModel(g, -2.0)
     assert s.lp_norm(3.0) == 2.0 * g.lp_norm(3.0)
     assert np.array_equal(s.sample_values(100, 7), -2.0 * g.sample_values(100, 7))
     assert s.label == "gaussian*-2"
@@ -478,3 +481,10 @@ def test_empty_batch_has_no_survival():
 def test_negative_sample_size_rejected():
     with pytest.raises(DomainError):
         sample(gaussian_model(), -1, seed=0)
+
+
+@pytest.mark.parametrize("model", [gaussian_model(), EmpiricalModel([1.0, -2.0, 3.0]), constant_model(2.0)],
+                         ids=lambda m: m.label)
+def test_negative_seed_rejected(model):
+    with pytest.raises(DomainError, match=r"^seed must be a nonnegative integer, got -1$"):
+        sample(model, 10, -1)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from glspace import (
     ClosedFormModel,
-    DensityModel,
     DivergentMomentError,
     DomainError,
     EmpiricalModel,
@@ -50,6 +49,7 @@ from glspace import norms, search
 from glspace.norms import NormResult, _cellwise_full_norm, _ratio_fn, gls_norms
 from glspace.search import grid_refine_supremum, sup_rows
 from glspace.suites import psi_pool
+from quadrature_models import DensityModel, ScaledModel
 
 
 def root_psi():
@@ -155,7 +155,7 @@ def test_homogeneity_of_all_three_norms():
     S = RestrictedSet.from_intervals([(1.0, 2.0), (3.0, math.inf)])
     q = geometric_grid(2, 10)
     for alpha in (-2.0, 0.5, 3.0):
-        s = g.scaled(alpha)
+        s = ScaledModel(g, alpha)
         assert gls_norm(s, psi).value == pytest.approx(
             abs(alpha) * gls_norm(g, psi).value, rel=1e-12
         )

@@ -35,7 +35,6 @@ from glspace import (
     uniform01_model,
     w_hat_constant,
 )
-from glspace.models import uniform01_density_model
 from glspace.norms import _PRUNE_MIN_VALUES, _cellwise_full_norm, _ratio_fn
 from glspace.suites import psi_pool
 from glspace import norms, search
@@ -436,8 +435,7 @@ def test_n_evaluations_counts_speculated_points(monkeypatch):
     (EmpiricalModel(np.random.default_rng(3).normal(size=_PRUNE_MIN_VALUES)), True),
     (GroupFunctionModel(cyclic_group(5), [1.0, -2.0, 0.5, 0.0, 3.0]), False),
     (gaussian_model(), False),
-    (uniform01_density_model(), True),
-], ids=["sample-127", "sample-128", "group", "gaussian", "density"])
+], ids=["sample-127", "sample-128", "group", "gaussian"])
 def test_only_a_ratio_that_costs_by_the_point_refines_one_point_at_a_time(monkeypatch, model, per_point):
     golden_calls = [0]
 
