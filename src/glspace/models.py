@@ -465,9 +465,11 @@ def rademacher_model() -> ClosedFormModel:
 # Module-level operations
 
 def sample(model: RandomVariableModel, n: int, seed: int) -> SampleBatch:
-    """Deterministic sample of size n; chunk order cannot change the bits."""
+    """Deterministic sample of size n; chunk order cannot change the bits.
+    A negative seed is a DomainError naming it, whatever n is."""
     if n < 0:
         raise DomainError("sample size must be nonnegative")
+    _check_seed(seed)
     values = model.sample_values(n, seed) if n > 0 else np.empty(0, dtype=float)
     return SampleBatch(values=values, seed=int(seed))
 

@@ -21,7 +21,9 @@ is pruned: a cell whose bound lies below the best value is not evaluated
 (see search), which leaves the result's bits as they are.  The bound
 takes the chord of ln E|f|^p, convex in p, and, where psi promises a
 concave ln psi (GeneratingFunction.log_concave), the chord of ln psi.
-Sandwich checks verify the two-sided equivalence
+Under such a psi the same chords spare the refinement of a row-end peak
+that golden section cannot beat, for power means of any size (see
+search).  Sandwich checks verify the two-sided equivalence
 
     inner <= full <= constant * inner
 
@@ -340,12 +342,17 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     inside the 16-cells kept, then the points of the 4-cells kept), and each
     power mean skips the terms that underflow to exactly 0.0 at large p
     (models.power_mean), so a large sample pays for the points and terms
-    that can change the result and no others.
+    that can change the result and no others.  When psi is flagged
+    log_concave and every model is a PowerMeanModel, of any size, the scan
+    goes through the (num, den) parts, pruned or not, so that sup_rows can
+    leave unrefined the peaks at a row end that golden section cannot beat
+    (search's end certificate).
     """
     models = [s.model for s in searches]
     shared = len(searches) > 1
     stable = [m.stable_p for m in (*models, psi.source) if isinstance(m, EmpiricalModel)]
     prune = psi.nondecreasing and all(_costs_per_point(m) for m in models)
+    certify = psi.log_concave and all(isinstance(m, PowerMeanModel) for m in models)
     blocks = [s.rows for s in searches if s.rows.shape[0]]
     if shared and (stable or len({rows.shape[1] for rows in blocks}) > 1):
         return None
@@ -396,18 +403,21 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
         ]
         return got[0] if len(got) == 1 else tuple(np.concatenate(a) for a in zip(*got))
 
-    def evaluate(p, at):
+    def checked(p, at):
         try:
             num, den = parts(p, at)
         except Exception:
             trouble.append(True)
             raise
-        r = num / den
         # a shared search that meets a NaN is given up even where it
         # recovers: its counts would not be the searches' own
-        if shared and np.isnan(r).any():
+        if shared and np.isnan(num / den).any():
             trouble.append(True)
-        return r
+        return num, den
+
+    def evaluate(p, at):
+        num, den = checked(p, at)
+        return num / den
 
     def parts_of(row):
         """The search of the row ``row`` (an int), or where each search's
@@ -420,7 +430,7 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
         return evaluate(p, parts_of(row))
 
     def num_den(p, row):
-        return parts(p, parts_of(row))
+        return checked(p, parts_of(row))
 
     # where each search's exact points start in their array call, then
     # their end
@@ -432,12 +442,13 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
         found = sup_rows(
             ratio,
             _cat(blocks) if blocks else _NO_ROWS,
-            parts=num_den if prune else None,
+            parts=num_den if prune or certify else None,
             floor=floor,
             speculate=speculate,
             functions=n_models,
             search=np.arange(n_parts).repeat(np.diff(row0)) if prune else None,
             log_concave=psi.log_concave,
+            prune=prune,
         )
     except Exception as exc:
         if shared:

@@ -78,6 +78,32 @@ each row.  Every dropped point or bracket is strictly below a value the
 search evaluates, and every local maximum that remains has the same
 scan neighbours as in the full scan, so the overall supremum, its
 argument and the edge evidence keep their bits.
+
+The same chords certify a peak at a row end, where a ratio that falls
+(or rises) through its row peaks most often.  Golden section on the cell
+[a, b] of a peak at a asks only for points at least (1 - INV_PHI) *
+INV_PHI * min(b - a, its stopping width), about 0.236 of that, from a:
+its first two points lie 0.382 (b - a) from the ends, and each later one
+0.382 of a bracket that is 0.618 of one still wider than the stopping
+width.  With both chords U(a) = ln f(a) and U(b) = ln f(b), and relative
+to the peak the bound reads
+
+    U(q) - U(a) = (q - a) / (b - a) * ((b / q) dL - dl),
+    U(q) - U(b) = (b - q) / (b - a) * (dl - (a / q) dL),
+
+dL = ln(num(b) / num(a)) and dl = ln(den(b) / den(a)); each has the form
+c - dl q / (b - a) - a b dL / ((b - a) q), whose largest value on an
+interval is at its ends or at q* = sqrt(a b dL / dl).  When its largest
+value over the part of the cell golden section can reach (all of it but
+the _REACH * min(b - a, stopping width) next to the peak) is below
+-_CERTIFY_MARGIN, every point golden section would evaluate is below the
+peak, and golden_section_max would return the peak itself: a tie never
+moves its best point to a larger p, and a peak at b is certified only
+where f(b) > f(a), so that b is its best point from the start.  Such a
+bracket is not refined, and only the count of evaluations changes.  The
+form never takes ln num or ln den themselves, only the logs of ratios of
+neighbouring values near 1, so its rounding does not grow with the scale
+of f (see _CERTIFY_MARGIN).
 """
 
 from __future__ import annotations
@@ -153,6 +179,27 @@ _PLATEAU_ULP = 4
 # took 28, and their CPU times were within noise of each other
 _COARSE_STEPS = (64, 16, 4)
 _PRUNE_MARGIN = 1e-10
+# a bracket of a peak at a row end is left unrefined when the chord bound
+# over the points golden section can reach lies below the peak by more than
+# _CERTIFY_MARGIN, in ln f (see the module docstring).  Golden section comes
+# no nearer the peak than 0.236 of min(width, stopping width), 2.4e-11 p on
+# a norm's scan; _REACH leaves room for the rounding of its points, a few
+# ulp of p.  The margin covers rounding in units of 2^-52, each an absolute
+# error of that size in a log.  The ratio at the peak and at a golden point:
+# each within 4 ulp for the power mean and 6 for the power family psi (both
+# against a 40-digit reference in tests/test_decimal_reference.py), 0.5 for
+# the division, 21 in all.  The chord's dL and dl, from num and den at the
+# cell ends: 2 * 4 and 2 * 6, weighed by factors in [0, 1], and 1.5 for each
+# quotient and its log, 23.  And a few ulp of the gain itself, which is of
+# the order of dL, far below 1 ulp in a log.  About 45 ulp, 1e-14, is a
+# hundredth of the margin; the rest covers a power mean of more values than
+# the reference test's, whose pairwise sum rounds up to log2 n times.  With
+# a reach of 2e-11 p a peak certifies where ln f falls off it by more than
+# about 0.05 per unit of ln p.  On two seed-7 blocks of the benchmark, 1e-12
+# certifies 63 of the 64 end brackets of the norm workload and 823 of 858 of
+# algebra; 1e-13 64 and 851; 1e-11 24 and 530; the pruning's 1e-10 none
+_REACH = 0.2
+_CERTIFY_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -176,13 +223,16 @@ class SupremumResult:
 class RowSupremum(NamedTuple):
     """Per-row outcome of sup_rows; see SupremumResult for the fields.
     ``plateaus`` counts the brackets left unrefined because they were
-    flat, and ``pruned`` the cells a pruned scan dropped unevaluated."""
+    flat, ``pruned`` the cells a pruned scan dropped unevaluated, and
+    ``certified`` the brackets of row-end peaks left unrefined because
+    golden section could not beat them."""
 
     values: np.ndarray
     args: np.ndarray
     decreasing_at_hi: np.ndarray
     plateaus: int
     pruned: int
+    certified: int
 
 
 def golden_section_max(
@@ -435,6 +485,7 @@ def sup_rows(
     functions: int = 1,
     search: Optional[np.ndarray] = None,
     log_concave: bool = False,
+    prune: bool = True,
 ) -> RowSupremum:
     """Supremum of ``f`` over each row of the scan grid ``xs``.
 
@@ -459,12 +510,15 @@ def sup_rows(
     value it started from.  A NaN value of ``f`` raises DomainError naming
     the first p where it occurred.
 
-    With ``parts`` the scan is pruned (see the module docstring):
-    ``parts(x, row)`` returns arrays (num, den) with num / den giving the
-    bits of ``f(x, row)``, both nondecreasing and den positive.  With
-    ``log_concave`` ln den is concave in p and p ln num convex (num a
-    p-norm on a probability space, den a generating function with that
-    promise), and the cell bound takes both chords.  ``floor``
+    With ``parts`` every scan value is num / den of ``parts(x, row)``,
+    arrays (num, den) whose quotient has the bits of ``f(x, row)``, both
+    nondecreasing and den positive, and the scan is pruned (see the module
+    docstring) unless ``prune`` is False.  With ``log_concave`` ln den is
+    concave in p and p ln num convex (num a p-norm on a probability space,
+    den a generating function with that promise): the cell bound takes both
+    chords, and a peak at a row end whose chord bound proves that golden
+    section cannot beat it is not refined (the module docstring), which
+    changes no result and only the points ``f`` is asked for.  ``floor``
     is a value known from elsewhere (the exact points of a norm) that the
     pruning also compares against.  It may hold one value per search,
     ``search`` then giving the search of each row, and each search is
@@ -478,13 +532,13 @@ def sup_rows(
     """
     rows, n = xs.shape
     if not rows:
-        return RowSupremum(np.empty(0), np.empty(0), np.zeros(0, dtype=bool), 0, 0)
+        return RowSupremum(np.empty(0), np.empty(0), np.zeros(0, dtype=bool), 0, 0, 0)
     known = None
     pruned = 0
-    if parts is not None:
+    if parts is not None and prune:
         try:
             floors = np.atleast_1d(np.asarray(floor, dtype=float))
-            ys, known, pruned = _pruned_scan(f, xs, parts, floors, search, log_concave)
+            ys, known, pruned, num, den = _pruned_scan(xs, parts, floors, search, log_concave)
         except (DomainError, DivergentMomentError):
             known = None
     if known is None:
@@ -492,8 +546,16 @@ def sup_rows(
         # as int64, the 51200 indices of W^'s cell minima took about 4% more
         # time there (the allocation, not the arithmetic)
         scan_rows = np.arange(rows, dtype=np.min_scalar_type(rows)).repeat(n)
-        ys = _eval_array(f, xs.ravel(), scan_rows).reshape(rows, n)
+        if parts is None:
+            ys = _eval_array(f, xs.ravel(), scan_rows).reshape(rows, n)
+        else:
+            num, den, ys = (a.reshape(rows, n) for a in _eval_parts(parts, xs.ravel(), scan_rows))
     r, i, il, ih, k, n_flat = _brackets(xs, ys, known)
+    certified = 0
+    if parts is not None and log_concave:
+        sure = _certified(xs, ys, num, den, r[k], i[k], refine_tol)
+        certified = int(np.count_nonzero(sure))
+        k = k[~sure]
     cand_x, cand_v = xs[r, i], ys[r, i]
     rk, il, ih = r[k], il[k], ih[k]
     bl, bh, fl, fh = xs[rk, il], xs[rk, ih], ys[rk, il], ys[rk, ih]
@@ -525,7 +587,7 @@ def sup_rows(
         decreasing = (ys[:, -3] > ys[:, -2]) & (ys[:, -2] > ys[:, -1])
     else:
         decreasing = np.zeros(rows, dtype=bool)
-    return RowSupremum(cand_v[first], cand_x[first], decreasing, n_flat, pruned)
+    return RowSupremum(cand_v[first], cand_x[first], decreasing, n_flat, pruned, certified)
 
 
 def _brackets(xs: np.ndarray, ys: np.ndarray, known: Optional[np.ndarray]):
@@ -596,8 +658,49 @@ def cell_bounds(p: np.ndarray, num: np.ndarray, den: np.ndarray, log_concave: bo
         return np.exp(np.where(np.isfinite(high), high, np.inf))
 
 
+def _certified(xs, ys, num, den, r: np.ndarray, i: np.ndarray, tol: float) -> np.ndarray:
+    """Which of the scan peaks (r, i) golden section cannot beat: a peak
+    at a row end whose chord bound (log_concave chords), over the points
+    golden section to ``tol`` reaches on its cell, lies below it by more
+    than _CERTIFY_MARGIN (see the module docstring).  A peak at the last
+    point needs a value above its neighbour's too.  ``num`` and ``den`` are
+    the scan's parts; an interior peak is never certified."""
+    n = xs.shape[1]
+    e = np.flatnonzero((i == 0) | (i == n - 1))
+    sure = np.zeros(i.size, dtype=bool)
+    if not e.size:
+        return sure
+    row, left = r[e], i[e] == 0
+    c = np.where(left, 0, n - 2)
+    a, b = xs[row, c], xs[row, c + 1]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d_num, d_den = np.log(num[row, c + 1] / num[row, c]), np.log(den[row, c + 1] / den[row, c])
+        reach = _REACH * np.minimum(b - a, tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
+        lo, hi = np.where(left, a + reach, a), np.where(left, b, b - reach)
+        # fmax and fmin take lo for a NaN root (dL / dl not positive)
+        top = np.fmin(np.fmax(np.sqrt(a * b * d_num / d_den), lo), hi)
+
+        def gain(q):
+            """U(q) - ln f at the peak (the module docstring)."""
+            return np.where(left, (q - a) * (b / q * d_num - d_den), (b - q) * (d_den - a / q * d_num)) / (b - a)
+
+        high = np.maximum(np.maximum(gain(lo), gain(hi)), gain(top))
+        sure[e] = (high < -_CERTIFY_MARGIN) & (left | (ys[row, c + 1] > ys[row, c]))
+    return sure
+
+
+def _eval_parts(parts, xs: np.ndarray, rows: np.ndarray) -> tuple:
+    """(num, den, num / den) of ``parts(xs, rows)`` as float arrays of the
+    shape of ``xs``; DomainError naming the first point whose quotient is
+    NaN.  An empty ``xs`` is not passed to ``parts``."""
+    if xs.size == 0:
+        return np.empty(xs.shape), np.empty(xs.shape), np.empty(xs.shape)
+    num, den = (np.asarray(a, dtype=float).reshape(xs.shape) for a in parts(xs, rows))
+    return num, den, _checked(xs, num / den)
+
+
 def _pruned_scan(
-    f, xs: np.ndarray, parts, floor: np.ndarray, search: Optional[np.ndarray] = None, log_concave: bool = False
+    xs: np.ndarray, parts, floor: np.ndarray, search: Optional[np.ndarray] = None, log_concave: bool = False
 ):
     """The scan of sup_rows, pruned level by level by the cell bounds of
     ``parts``.
@@ -605,10 +708,12 @@ def _pruned_scan(
     ``floor`` holds one value per search and ``search`` the search of each
     row (the first when None); each search's cells are judged against the
     best of its own floor and its own evaluated points.  Returns (ys,
-    known, pruned cells): ``ys`` holds the value of every evaluated point
-    and -inf elsewhere, ``known`` marks the evaluated points, and the count
-    is of the cells of the last level dropped, those under a dropped parent
-    included.  One call of ``parts`` per level, one array call of ``f``.
+    known, pruned cells, num, den): ``ys`` holds the value of every
+    evaluated point and -inf elsewhere, ``known`` marks the evaluated
+    points, the count is of the cells of the last level dropped, those
+    under a dropped parent included, and ``num`` and ``den`` hold the parts
+    of the evaluated points.  One call of ``parts`` per level, and one for
+    the points of the cells kept.
     """
     rows, n = xs.shape
     ys = np.full((rows, n), -np.inf)
@@ -628,9 +733,7 @@ def _pruned_scan(
         new[:, c] = cover[:, c] & ~known[:, c]
         if new.any():
             rn, cn = np.nonzero(new)
-            xn = xs[rn, cn]
-            nu, de = (np.asarray(a, dtype=float).reshape(xn.shape) for a in parts(xn, rn))
-            num[rn, cn], den[rn, cn], ys[rn, cn] = nu, de, _checked(xn, nu / de)
+            num[rn, cn], den[rn, cn], ys[rn, cn] = _eval_parts(parts, xs[rn, cn], rn)
             known |= new
             np.maximum.at(best, search, ys.max(axis=1))
         # a cell under a dropped parent stays dropped (its ends may be
@@ -648,8 +751,8 @@ def _pruned_scan(
     need[:, -3:] = True  # the decreasing_at_hi evidence
     fine = need & ~known
     rf, cf = np.nonzero(fine)
-    ys[rf, cf] = _eval_array(f, xs[rf, cf], rf)
-    return ys, need | known, int(live.size - np.count_nonzero(live))
+    num[rf, cf], den[rf, cf], ys[rf, cf] = _eval_parts(parts, xs[rf, cf], rf)
+    return ys, need | known, int(live.size - np.count_nonzero(live)), num, den
 
 
 def grid_refine_supremum(

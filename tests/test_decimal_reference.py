@@ -1,10 +1,14 @@
-"""Power means against a 40-digit ``decimal`` reference.
+"""Power means and the power family psi against a 40-digit ``decimal``
+reference.
 
-The reference is ((1/n) sum a^p)^(1/p) evaluated in ``decimal`` from the
-exact values of the doubles a and p; models.power_mean must stay within
-a few units in the last place of it, for a scalar p and for an array of
-p, on the sample that takes the plain pow and on the one whose large p
-skip the terms that underflow (models._row_powers)."""
+The power mean's reference is ((1/n) sum a^p)^(1/p) evaluated in
+``decimal`` from the exact values of the doubles a and p; models.power_mean
+must stay within a few units in the last place of it, for a scalar p and
+for an array of p, on the sample that takes the plain pow and on the one
+whose large p skip the terms that underflow (models._row_powers).  The
+psi reference is p^(1/r) ln^delta(2 + p), divided by ln^delta(3) for the
+normalized member, by Decimal.ln and exp.  search._CERTIFY_MARGIN's error
+budget takes both bounds."""
 
 import math
 from decimal import Context, Decimal, localcontext
@@ -12,6 +16,7 @@ from decimal import Context, Decimal, localcontext
 import numpy as np
 import pytest
 
+from glspace import PowerSlowVaryParams, make_power_slowvary, raw_power_slowvary
 from glspace.models import PowerMeanState, power_mean
 
 # the largest error allowed, in units in the last place of the reference
@@ -53,3 +58,33 @@ def test_power_mean_is_within_a_few_ulp_of_the_decimal_reference(n, seed):
         assert scalar == from_array, p
         worst = max(worst, _ulp_error(scalar, want))
     assert worst <= MAX_ULP
+
+
+# the largest error of the power family psi, in ulp of the reference; the
+# largest seen on 800 p in [1, 1e3] under the parameters below was 4.4
+PSI_MAX_ULP = 6.0
+PSI_P = np.concatenate((np.geomspace(1.0, 1e3, 61), np.random.default_rng(5).uniform(1.0, 1e3, 60)))
+
+
+def _psi_reference(p: float, r: float, delta: float, normalized: bool) -> Decimal:
+    with localcontext(Context(prec=40)):
+        q = Decimal(p)
+        value = (q.ln() / Decimal(r)).exp()
+        if delta:
+            d = Decimal(delta)
+            value *= (d * (2 + q).ln().ln()).exp()
+            if normalized:
+                value /= (d * Decimal(3).ln().ln()).exp()
+        return value
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("r", [0.5, 1.0, 2.0, 4.0, 8.0])
+def test_power_family_psi_is_within_a_few_ulp_of_the_decimal_reference(r, delta):
+    worst = 0.0
+    for make, normalized in ((make_power_slowvary, True), (raw_power_slowvary, False)):
+        psi = make(PowerSlowVaryParams(r, delta))
+        for p, from_array in zip(PSI_P.tolist(), psi(PSI_P).tolist()):
+            want = _psi_reference(p, r, delta, normalized)
+            worst = max(worst, _ulp_error(from_array, want), _ulp_error(psi(p), want))
+    assert worst <= PSI_MAX_ULP

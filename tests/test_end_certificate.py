@@ -1,0 +1,124 @@
+"""The end certificate: a scan peak at a row end is not refined where the
+chord bound proves that golden section cannot beat it, and the search
+keeps every bit but the count of evaluations."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from glspace import (
+    EmpiricalModel,
+    GroupFunctionModel,
+    PowerSlowVaryParams,
+    cyclic_group,
+    default_p_max,
+    gls_norm,
+    make_power_slowvary,
+    raw_power_slowvary,
+    set_from_spec,
+)
+from glspace import norms, search
+from glspace.search import golden_section_max, sup_rows
+
+pytestmark = pytest.mark.filterwarnings("ignore::glspace.models.MomentInstabilityWarning")
+
+# normalized and raw members of the power family with delta >= 0, the psi
+# that promise a concave ln psi
+PSIS = [make(PowerSlowVaryParams(r, d)) for make in (make_power_slowvary, raw_power_slowvary)
+        for r in (0.5, 1.0, 2.0, 4.0, 8.0) for d in (0.0, 0.5, 2.0)]
+
+
+def _searched(monkeypatch, call):
+    """call()'s result and the RowSupremum of each sup_rows it made."""
+    found = []
+
+    def spy(*args, **kw):
+        found.append(sup_rows(*args, **kw))
+        return found[-1]
+
+    monkeypatch.setattr(norms, "sup_rows", spy)
+    return call(), found
+
+
+@pytest.mark.parametrize("seed, scale, r, delta, p_max, spec, certified, evaluations", [
+    # a normal sample under p^(1/2) ln^(1/2)(2 + p): the ratio peaks at
+    # p = 1, and golden section on [x_0, x_1] would spend 41 points to
+    # return it
+    (0, 1.0, 2.0, 0.5, 200.0, None, 1, (21, 62)),
+    # under p^(1/8) both rows of the set peak at their last point, 3 and
+    # the sample's default p_max
+    (11, 1.7, 8.0, 0.0, 5.0 * math.log(4096), "intervals:1-3,9-inf", 2, (29, 105)),
+], ids=["first-point", "last-points"])
+def test_a_sample_that_peaks_at_row_ends_is_certified_with_the_same_bits(
+        monkeypatch, seed, scale, r, delta, p_max, spec, certified, evaluations):
+    model = EmpiricalModel(scale * np.random.default_rng(seed).standard_normal(4096))
+    psi = make_power_slowvary(PowerSlowVaryParams(r, delta))
+    rset = spec and set_from_spec(spec)
+    ends = norms.domain_search(model, p_max, rset).rows[:, [0, -1]]
+    res, found = _searched(monkeypatch, lambda: gls_norm(model, psi, p_max, rset=rset))
+    monkeypatch.setattr(search, "_CERTIFY_MARGIN", math.inf)  # a certificate that never fires
+    off, found_off = _searched(monkeypatch, lambda: gls_norm(model, psi, p_max, rset=rset))
+    assert (res.value, res.arg_p, res.decreasing_at_hi) == (off.value, off.arg_p, off.decreasing_at_hi)
+    assert found[0].args.tolist() == found_off[0].args.tolist() and np.isin(found[0].args, ends).all()
+    assert [f.certified for f in found] == [certified] and [f.certified for f in found_off] == [0]
+    assert (res.n_evaluations, off.n_evaluations) == evaluations
+
+
+def _zeros_and_ones(n: int) -> np.ndarray:
+    """n values, half of them 0 and half 1: |f|_p = 2^(-1/p), whose ratio
+    to p^(1/r) is log-concave and peaks at p = r ln 2."""
+    return np.r_[np.zeros(n // 2), np.ones(n - n // 2)]
+
+
+@pytest.mark.parametrize("model", [EmpiricalModel(_zeros_and_ones(256)),
+                                   GroupFunctionModel(cyclic_group(16), _zeros_and_ones(16))],
+                         ids=["pruned-sample", "group-function"])
+def test_a_peak_inside_the_first_cell_is_still_refined(monkeypatch, model):
+    # the ratio peaks at p = 1.003, inside the first scan cell [1, 1.0104],
+    # nearer its left end: the scan peaks at p = 1 and only refinement finds
+    # the higher value
+    psi = make_power_slowvary(PowerSlowVaryParams(r=1.003 / math.log(2.0), delta=0.0))
+    pair = norms._ratio_fn(model, psi)
+    xs = norms.domain_search(model, 200.0).rows[0]
+    num, den = pair(xs)
+    ys = num / den
+    assert ys.argmax() == 0 and 1.0 < 1.003 < xs[1]
+    res = gls_norm(model, psi, 200.0)
+    assert 1.0 < res.arg_p < xs[1] and res.value > ys[0]
+    # a certificate that always fires returns the scan value
+    monkeypatch.setattr(search, "_CERTIFY_MARGIN", -math.inf)
+    always = gls_norm(model, psi, 200.0)
+    assert (always.value, always.arg_p) == (ys[0], 1.0)
+
+
+@settings(max_examples=200)
+@given(
+    seed=st.integers(0, 2**31),
+    kind=st.integers(0, 2),
+    n=st.integers(128, 20000),
+    order=st.integers(2, 512),
+    group=st.booleans(),
+    scale=st.integers(-250, 250),
+    psi=st.sampled_from(PSIS),
+    with_set=st.booleans(),
+)
+def test_every_certified_bracket_is_one_golden_section_cannot_beat(seed, kind, n, order, group, scale, psi, with_set):
+    rng = np.random.default_rng(seed)
+    draw = (rng.standard_normal, rng.exponential, lambda size: rng.uniform(-1.0, 2.0, size))[kind]
+    values = draw(size=order if group else n) * 10.0**scale
+    model = GroupFunctionModel(cyclic_group(order), values) if group else EmpiricalModel(values)
+    rset = set_from_spec("intervals:1-3,9-inf") if with_set else None
+    xs = norms.domain_search(model, default_p_max(model), rset).rows
+    pair = norms._ratio_fn(model, psi)
+    num, den = pair(xs)
+    ys = num / den
+    r, i, il, ih, k, _ = search._brackets(xs, ys, None)
+    sure = search._certified(xs, ys, num, den, r[k], i[k], search._REFINE_TOL)
+    for j in k[sure].tolist():
+        row, lo, hi = r[j], il[j], ih[j]
+        found = golden_section_max(lambda p: float(np.divide(*pair(p))), float(xs[row, lo]), float(xs[row, hi]),
+                                   f_lo=float(ys[row, lo]), f_hi=float(ys[row, hi]))
+        assert found == (xs[row, i[j]], ys[row, i[j]])

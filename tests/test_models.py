@@ -488,3 +488,10 @@ def test_negative_sample_size_rejected():
 def test_negative_seed_rejected(model):
     with pytest.raises(DomainError, match=r"^seed must be a nonnegative integer, got -1$"):
         sample(model, 10, -1)
+
+
+def test_negative_seed_rejected_for_an_empty_sample():
+    # n = 0 draws nothing, but the seed is checked as for n = 10
+    with pytest.raises(DomainError, match=r"^seed must be a nonnegative integer, got -1$"):
+        sample(gaussian_model(), 0, -1)
+    assert sample(gaussian_model(), 0, 0).size == 0

@@ -364,13 +364,13 @@ def test_psi_overflow_names_the_full_scans_p():
     psi = make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=5000.0))
     p_max = default_p_max(model)
     xs = np.geomspace(1.0, p_max, 512)
-    pair, ratio = _ratio(model, psi)
+    pair = norms._ratio_fn(model, psi)
     message = "power_slowvary(r=2, delta=5000): psi(p) = inf at p={!r}; psi must be finite and positive"
     with np.errstate(over="ignore"):
         first = int(np.argmax(psi.evaluator(xs) == math.inf))
         assert first % 64
         with pytest.raises(DomainError) as coarse:
-            search._pruned_scan(_rowless(ratio), xs[None, :], _rowless(pair), np.array([-math.inf]))
+            search._pruned_scan(xs[None, :], _rowless(pair), np.array([-math.inf]))
         with pytest.raises(DomainError) as pruned:
             gls_norm(model, psi, p_max)
         with pytest.raises(DomainError) as full:
@@ -381,12 +381,12 @@ def test_psi_overflow_names_the_full_scans_p():
 
 def _is_pruned(monkeypatch, model, psi) -> bool:
     """Whether gls_norm hands sup_rows the (numerator, denominator) parts
-    that prune its scan."""
+    and asks it to prune its scan with them."""
     got = []
 
-    def spy(f, xs, *args, parts=None, **kw):
-        got.append(parts is not None)
-        return sup_rows(f, xs, *args, parts=parts, **kw)
+    def spy(f, xs, *args, parts=None, prune=True, **kw):
+        got.append(parts is not None and prune)
+        return sup_rows(f, xs, *args, parts=parts, prune=prune, **kw)
 
     monkeypatch.setattr(norms, "sup_rows", spy)
     gls_norm(model, psi, default_p_max(model))
