@@ -22,8 +22,10 @@ is pruned: a cell whose bound lies below the best value is not evaluated
 takes the chord of ln E|f|^p, convex in p, and, where psi promises a
 concave ln psi (GeneratingFunction.log_concave), the chord of ln psi.
 Under such a psi the same chords spare the refinement of a row-end peak
-that golden section cannot beat, for power means of any size (see
-search).  Sandwich checks verify the two-sided equivalence
+that golden section cannot beat, for the exact moments: power means of
+any size and the closed forms (Gaussian, exponential, uniform01,
+constant, Rademacher), the models of the sandwich suite (see search).
+Sandwich checks verify the two-sided equivalence
 
     inner <= full <= constant * inner
 
@@ -62,6 +64,7 @@ from .grids import (
     z_constant,
 )
 from .models import (
+    ClosedFormModel,
     EmpiricalModel,
     MomentInstabilityWarning,
     PowerMeanModel,
@@ -343,16 +346,19 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     power mean skips the terms that underflow to exactly 0.0 at large p
     (models.power_mean), so a large sample pays for the points and terms
     that can change the result and no others.  When psi is flagged
-    log_concave and every model is a PowerMeanModel, of any size, the scan
-    goes through the (num, den) parts, pruned or not, so that sup_rows can
-    leave unrefined the peaks at a row end that golden section cannot beat
-    (search's end certificate).
+    log_concave and every model's moments are exact, a PowerMeanModel of
+    any size or a ClosedFormModel (the Gaussian, exponential, uniform01,
+    constant and Rademacher families), the scan goes through the (num, den)
+    parts, pruned or not, so that sup_rows can leave unrefined the peaks at
+    a row end that golden section cannot beat (search's end certificate).
+    Any other model, such as a moment by quadrature, whose error exceeds
+    the certificate's margin, is not certified.
     """
     models = [s.model for s in searches]
     shared = len(searches) > 1
     stable = [m.stable_p for m in (*models, psi.source) if isinstance(m, EmpiricalModel)]
     prune = psi.nondecreasing and all(_costs_per_point(m) for m in models)
-    certify = psi.log_concave and all(isinstance(m, PowerMeanModel) for m in models)
+    certify = psi.log_concave and all(isinstance(m, (PowerMeanModel, ClosedFormModel)) for m in models)
     blocks = [s.rows for s in searches if s.rows.shape[0]]
     if shared and (stable or len({rows.shape[1] for rows in blocks}) > 1):
         return None

@@ -103,7 +103,11 @@ where f(b) > f(a), so that b is its best point from the start.  Such a
 bracket is not refined, and only the count of evaluations changes.  The
 form never takes ln num or ln den themselves, only the logs of ratios of
 neighbouring values near 1, so its rounding does not grow with the scale
-of f (see _CERTIFY_MARGIN).
+of f (see _CERTIFY_MARGIN).  The norms ask for it on both exact moment
+backends: the power means of samples and group functions, and the closed
+forms, whose Gaussian, exponential and uniform01 moments are p-norms on a
+probability space like any other and whose constant and Rademacher
+moments give dL = 0 exactly.
 """
 
 from __future__ import annotations
@@ -186,18 +190,25 @@ _PRUNE_MARGIN = 1e-10
 # a norm's scan; _REACH leaves room for the rounding of its points, a few
 # ulp of p.  The margin covers rounding in units of 2^-52, each an absolute
 # error of that size in a log.  The ratio at the peak and at a golden point:
-# each within 4 ulp for the power mean and 6 for the power family psi (both
-# against a 40-digit reference in tests/test_decimal_reference.py), 0.5 for
-# the division, 21 in all.  The chord's dL and dl, from num and den at the
-# cell ends: 2 * 4 and 2 * 6, weighed by factors in [0, 1], and 1.5 for each
-# quotient and its log, 23.  And a few ulp of the gain itself, which is of
-# the order of dL, far below 1 ulp in a log.  About 45 ulp, 1e-14, is a
-# hundredth of the margin; the rest covers a power mean of more values than
-# the reference test's, whose pairwise sum rounds up to log2 n times.  With
+# each within 4 ulp for the power mean, 20 for the Gaussian, exponential and
+# uniform01 moments (exact for a constant and the Rademacher signs) and 6
+# for the power family psi (all against a 40-digit reference in
+# tests/test_decimal_reference.py), 0.5 for the division, 53 in all at the
+# closed forms.  The chord's dL and dl, from num and den at the cell ends:
+# 2 * 20 and 2 * 6, weighed by factors in [0, 1], and 1.5 for each quotient
+# and its log, 55.  And a few ulp of the gain itself, which is of the order
+# of dL, far below 1 ulp in a log.  About 110 ulp, 2.4e-14, is a fortieth
+# of the margin (45 ulp, a hundredth, for the power means); the rest covers
+# a power mean of more values than the reference test's, whose pairwise sum
+# rounds up to log2 n times, and closed-form moments at p between the
+# reference's integer and half-integer arguments of Gamma.  With
 # a reach of 2e-11 p a peak certifies where ln f falls off it by more than
 # about 0.05 per unit of ln p.  On two seed-7 blocks of the benchmark, 1e-12
-# certifies 63 of the 64 end brackets of the norm workload and 823 of 858 of
-# algebra; 1e-13 64 and 851; 1e-11 24 and 530; the pruning's 1e-10 none
+# certified 63 of the 64 end brackets of the norm workload and 823 of 858 of
+# algebra when only power means took the certificate; 1e-13 64 and 851;
+# 1e-11 24 and 530; the pruning's 1e-10 none.  With the closed forms, 1e-12
+# certifies 259 of the 268 end brackets of the sandwich workload and 474 of
+# 487 of norm
 _REACH = 0.2
 _CERTIFY_MARGIN = 1e-12
 
@@ -664,28 +675,43 @@ def _certified(xs, ys, num, den, r: np.ndarray, i: np.ndarray, tol: float) -> np
     golden section to ``tol`` reaches on its cell, lies below it by more
     than _CERTIFY_MARGIN (see the module docstring).  A peak at the last
     point needs a value above its neighbour's too.  ``num`` and ``den`` are
-    the scan's parts; an interior peak is never certified."""
-    n = xs.shape[1]
-    e = np.flatnonzero((i == 0) | (i == n - 1))
+    the scan's parts; an interior peak is never certified, nor is one whose
+    cell has a NaN, zero or infinite part or ratio of parts.  A search
+    holds a few end peaks (2-4 on average on the sandwich and algebra
+    benchmarks), so each is judged in Python floats: 23-30 us a search on
+    two seed-7 blocks of either, where the same formulas on arrays, about
+    45 small NumPy calls, took 131 us on algebra (Python 3.11, NumPy 2.4, a
+    2-core x86-64 VM)."""
     sure = np.zeros(i.size, dtype=bool)
-    if not e.size:
-        return sure
-    row, left = r[e], i[e] == 0
-    c = np.where(left, 0, n - 2)
-    a, b = xs[row, c], xs[row, c + 1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d_num, d_den = np.log(num[row, c + 1] / num[row, c]), np.log(den[row, c + 1] / den[row, c])
-        reach = _REACH * np.minimum(b - a, tol * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
-        lo, hi = np.where(left, a + reach, a), np.where(left, b, b - reach)
-        # fmax and fmin take lo for a NaN root (dL / dl not positive)
-        top = np.fmin(np.fmax(np.sqrt(a * b * d_num / d_den), lo), hi)
-
-        def gain(q):
-            """U(q) - ln f at the peak (the module docstring)."""
-            return np.where(left, (q - a) * (b / q * d_num - d_den), (b - q) * (d_den - a / q * d_num)) / (b - a)
-
-        high = np.maximum(np.maximum(gain(lo), gain(hi)), gain(top))
-        sure[e] = (high < -_CERTIFY_MARGIN) & (left | (ys[row, c + 1] > ys[row, c]))
+    last = xs.shape[1] - 1
+    for j, (row, col) in enumerate(zip(r.tolist(), i.tolist())):
+        if col != 0 and col != last:
+            continue
+        left = col == 0
+        c = 0 if left else last - 1
+        if not (left or ys.item(row, c + 1) > ys.item(row, c)):
+            continue
+        n0, d0 = num.item(row, c), den.item(row, c)
+        if not (0.0 < n0 < math.inf and 0.0 < d0 < math.inf):
+            continue
+        q_num, q_den = num.item(row, c + 1) / n0, den.item(row, c + 1) / d0
+        if not (0.0 < q_num < math.inf and 0.0 < q_den < math.inf):
+            continue
+        d_num, d_den = math.log(q_num), math.log(q_den)
+        a, b = xs.item(row, c), xs.item(row, c + 1)
+        reach = _REACH * min(b - a, tol * max(1.0, abs(a), abs(b)))
+        lo, hi = (a + reach, b) if left else (a, b - reach)
+        # U(q) - ln f at the peak (the module docstring) is concave in q,
+        # with its top at sqrt(a b dL / dl), where dL and dl are both
+        # positive; otherwise its largest value on [lo, hi] is at an end.
+        # It is taken at lo, hi and that top clipped to them; a NaN fails
+        # the comparison
+        top = min(max(math.sqrt(a * b * d_num / d_den), lo), hi) if d_num > 0.0 and d_den > 0.0 else lo
+        if left:
+            gains = [(q - a) * (b / q * d_num - d_den) / (b - a) for q in (lo, hi, top)]
+        else:
+            gains = [(b - q) * (d_den - a / q * d_num) / (b - a) for q in (lo, hi, top)]
+        sure[j] = all(g < -_CERTIFY_MARGIN for g in gains)
     return sure
 
 

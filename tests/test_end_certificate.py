@@ -1,6 +1,7 @@
 """The end certificate: a scan peak at a row end is not refined where the
 chord bound proves that golden section cannot beat it, and the search
-keeps every bit but the count of evaluations."""
+keeps every bit but the count of evaluations.  It serves both exact
+moment backends, power means and closed forms."""
 
 import math
 
@@ -13,12 +14,18 @@ from glspace import (
     EmpiricalModel,
     GroupFunctionModel,
     PowerSlowVaryParams,
+    constant_model,
     cyclic_group,
     default_p_max,
+    exponential_model,
+    gaussian_model,
     gls_norm,
     make_power_slowvary,
+    rademacher_model,
     raw_power_slowvary,
+    sandwich_check_restricted,
     set_from_spec,
+    uniform01_model,
 )
 from glspace import norms, search
 from glspace.search import golden_section_max, sup_rows
@@ -94,6 +101,22 @@ def test_a_peak_inside_the_first_cell_is_still_refined(monkeypatch, model):
     assert (always.value, always.arg_p) == (ys[0], 1.0)
 
 
+def _assert_certified_brackets_are_unbeatable(model, psi, rset):
+    """golden_section_max on every bracket _certified leaves unrefined, on
+    the scan rows of gls_norm, returns the scan peak's own (arg, value)."""
+    xs = norms.domain_search(model, default_p_max(model), rset).rows
+    pair = norms._ratio_fn(model, psi)
+    num, den = pair(xs)
+    ys = num / den
+    r, i, il, ih, k, _ = search._brackets(xs, ys, None)
+    sure = search._certified(xs, ys, num, den, r[k], i[k], search._REFINE_TOL)
+    for j in k[sure].tolist():
+        row, lo, hi = r[j], il[j], ih[j]
+        found = golden_section_max(lambda p: float(np.divide(*pair(p))), float(xs[row, lo]), float(xs[row, hi]),
+                                   f_lo=float(ys[row, lo]), f_hi=float(ys[row, hi]))
+        assert found == (xs[row, i[j]], ys[row, i[j]])
+
+
 @settings(max_examples=200)
 @given(
     seed=st.integers(0, 2**31),
@@ -111,14 +134,61 @@ def test_every_certified_bracket_is_one_golden_section_cannot_beat(seed, kind, n
     values = draw(size=order if group else n) * 10.0**scale
     model = GroupFunctionModel(cyclic_group(order), values) if group else EmpiricalModel(values)
     rset = set_from_spec("intervals:1-3,9-inf") if with_set else None
-    xs = norms.domain_search(model, default_p_max(model), rset).rows
-    pair = norms._ratio_fn(model, psi)
-    num, den = pair(xs)
-    ys = num / den
-    r, i, il, ih, k, _ = search._brackets(xs, ys, None)
-    sure = search._certified(xs, ys, num, den, r[k], i[k], search._REFINE_TOL)
-    for j in k[sure].tolist():
-        row, lo, hi = r[j], il[j], ih[j]
-        found = golden_section_max(lambda p: float(np.divide(*pair(p))), float(xs[row, lo]), float(xs[row, hi]),
-                                   f_lo=float(ys[row, lo]), f_hi=float(ys[row, hi]))
-        assert found == (xs[row, i[j]], ys[row, i[j]])
+    _assert_certified_brackets_are_unbeatable(model, psi, rset)
+
+
+CLOSED_FORMS = {"gaussian": gaussian_model, "exponential": exponential_model, "uniform01": uniform01_model,
+                "rademacher": rademacher_model}
+
+
+@settings(max_examples=200)
+@given(
+    family=st.sampled_from([*CLOSED_FORMS, "constant"]),
+    mantissa=st.floats(1.0, 10.0),
+    scale=st.integers(-320, 307),
+    psi=st.sampled_from(PSIS),
+    with_set=st.booleans(),
+)
+def test_every_certified_closed_form_bracket_is_one_golden_section_cannot_beat(family, mantissa, scale, psi, with_set):
+    # a constant from subnormal to near the largest double
+    model = constant_model(mantissa * 10.0**scale) if family == "constant" else CLOSED_FORMS[family]()
+    rset = set_from_spec("intervals:1-3,9-inf") if with_set else None
+    _assert_certified_brackets_are_unbeatable(model, psi, rset)
+
+
+@pytest.mark.parametrize("make, r, delta, arg_p", [
+    # the ratio falls from p = 1 on every row
+    (gaussian_model, 2.0, 0.5, 1.0),
+    # p^(1/8) grows more slowly than the exponential's moments: every row
+    # peaks at its last point
+    (exponential_model, 8.0, 0.0, 200.0),
+], ids=["gaussian-first-points", "exponential-last-points"])
+def test_a_closed_form_z_check_is_certified_with_the_same_bits(monkeypatch, make, r, delta, arg_p):
+    model, psi = make(), make_power_slowvary(PowerSlowVaryParams(r, delta))
+    S = set_from_spec("intervals:1-3,9-inf")
+    rep, found = _searched(monkeypatch, lambda: sandwich_check_restricted(model, psi, S))
+    monkeypatch.setattr(search, "_CERTIFY_MARGIN", math.inf)  # a certificate that never fires
+    off, found_off = _searched(monkeypatch, lambda: sandwich_check_restricted(model, psi, S))
+    for on_side, off_side in ((rep.inner, off.inner), (rep.full, off.full)):
+        assert (on_side.value, on_side.arg_p, on_side.decreasing_at_hi) == (
+            off_side.value, off_side.arg_p, off_side.decreasing_at_hi)
+        assert on_side.arg_p == arg_p
+    assert (rep.ok, rep.constant.value) == (off.ok, off.constant.value)
+    # one shared search of the inner rows [1, 3] and [9, 200] and the full row
+    assert [f.certified for f in found] == [3] and [f.certified for f in found_off] == [0]
+    assert (rep.inner.n_evaluations, rep.full.n_evaluations) == (1024, 512)
+    assert (off.inner.n_evaluations, off.full.n_evaluations) == (1102, 553)
+
+
+def test_a_zero_constant_is_not_certified_and_keeps_its_note(monkeypatch):
+    model, psi = constant_model(0.0), make_power_slowvary(PowerSlowVaryParams(2.0, 0.5))
+    res, found = _searched(monkeypatch, lambda: gls_norm(model, psi))
+    assert [f.certified for f in found] == [0]
+    assert (res.value, res.arg_p, res.zero_model) == (0.0, 1.0, True)
+    assert res.diagnostics == "f = 0 almost surely (|f|_1 = 0); norm is exactly 0"
+    # the scan is a plateau; asked all the same, the certificate refuses
+    # the first point, whose parts are 0
+    xs = norms.domain_search(model, 200.0).rows
+    num, den = norms._ratio_fn(model, psi)(xs)
+    one = np.zeros(1, dtype=np.intp)
+    assert not search._certified(xs, num / den, num, den, one, one, search._REFINE_TOL).any()
