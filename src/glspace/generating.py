@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DegenerateModelError, DomainError
-from .models import RandomVariableModel, _check_p
+from .models import RandomVariableModel, _check_p, _shaped
 
 
 @dataclass(frozen=True)
@@ -67,27 +67,22 @@ class PowerSlowVaryParams:
 
 
 def psi_eval(psi: GeneratingFunction, p):
-    """Evaluate psi at p (scalar or array), rejecting p < 1.  An array
-    reaches the evaluator as a float array, and a scalar as a one-element
-    float array, so a scalar p gets the bits the same p gets inside an
-    array (NumPy may take a SIMD pow on arrays, whose last place can differ
-    from libm's on a float); it is returned as a float.  A value that is
-    not positive or is +inf (psi underflowed or overflowed) is a
-    DomainError naming it and its p, the first such p of an array; a NaN
-    is returned as it is, for the search to name."""
+    """Evaluate psi at p (scalar or array), rejecting p < 1.  The evaluator
+    always gets a float array, a scalar p as a one-element one (see
+    models._shaped), so a scalar p gets the bits the same p gets inside an
+    array; it is returned as a float.  A value that is not positive or is
+    +inf (psi underflowed or overflowed) is a DomainError naming it and its
+    p, the first such p of an array; a NaN is returned as it is, for the
+    search to name."""
     q = _check_p(p, "generating functions")
-    if type(q) is float:
-        v, at = float(np.asarray(psi.evaluator(np.array([q]))).item(0)), q
-        if not (v <= 0.0 or v == math.inf):
-            return v
-    else:
-        out = np.asarray(psi.evaluator(q), dtype=float)
-        bad = (out <= 0.0) | (out == math.inf)
-        if not bad.any():
-            return out
-        i = int(np.argmax(bad))
-        v, at = float(out.flat[i]), float(q.flat[i])
-    raise DomainError(f"{psi.description}: psi(p) = {v:g} at p={at!r}; psi must be finite and positive")
+    out = np.asarray(psi.evaluator(np.atleast_1d(q)), dtype=float)
+    bad = (out <= 0.0) | (out == math.inf)
+    if not bad.any():
+        return _shaped(out, q)
+    i = int(np.argmax(bad))
+    raise DomainError(
+        f"{psi.description}: psi(p) = {float(out.flat[i]):g} at p={float(q.flat[i])!r}; psi must be finite and positive"
+    )
 
 
 def _ln3_pow(delta: float) -> float:

@@ -68,21 +68,27 @@ class SampleBatch:
         return absv
 
 
-def _check_p(p, what: str = "moments"):
-    """``p`` as a float (a scalar p) or a float array, or DomainError naming
-    it when some p is below 1 or NaN.  A Python float, what the scalar
-    refinement passes, is returned as it is: it never becomes a 0-d array."""
-    q = p
-    if type(q) is not float:
-        q = np.asarray(p, dtype=float)
-        if q.ndim:
-            if not (q >= 1.0).all():
-                raise DomainError(f"{what} are defined for p >= 1, got {p}")
-            return q
-        q = float(q)
-    if not q >= 1.0:
-        raise DomainError(f"{what} are defined for p >= 1, got {p}")
+def _check_p(p, what: str = "moments") -> np.ndarray:
+    """``p`` as a float array, 0-d for a scalar p, or DomainError naming the
+    first p below 1 or NaN and, in an array, its index."""
+    q = np.asarray(p, dtype=float)
+    ok = q >= 1.0
+    if not ok.all():
+        if not q.ndim:
+            raise DomainError(f"{what} are defined for p >= 1, got {p}")
+        i = int(np.argmin(ok))
+        at = i if q.ndim == 1 else tuple(map(int, np.unravel_index(i, q.shape)))
+        raise DomainError(f"{what} are defined for p >= 1, got p={float(q.flat[i])!r} at index {at}")
     return q
+
+
+def _shaped(out, q: np.ndarray):
+    """``out``, the values at the checked p ``q``, as a float array, or as a
+    float for a scalar p (``q`` 0-d, ``out`` of one value).  A scalar p
+    reaches a moment or psi as a one-element array, never as a float, whose
+    scalar math may round differently (libm's pow against a SIMD pow)."""
+    out = np.asarray(out, dtype=float)
+    return out.item(0) if not q.ndim else out
 
 
 def read_values(path) -> np.ndarray:
@@ -152,25 +158,18 @@ _ZERO_MIN_VALUES = 128
 _ZERO_P_MAX = 2.0**40
 
 
-def _nonzero_powers(scaled: np.ndarray, q: float) -> np.ndarray:
-    """scaled ** q, term by term, with the terms below the cut, which are
-    exactly 0.0, set without a pow call (for zero_p < q < _ZERO_P_MAX)."""
-    terms = np.zeros(scaled.size)
-    keep = scaled >= 2.0 ** (_ZERO_EXP / q)
-    terms[keep] = scaled[keep] ** q
-    return terms
-
-
 def _row_powers(scaled: np.ndarray, qs: np.ndarray, zero_p: float) -> np.ndarray:
-    """scaled ** qs[:, None]; the rows past zero_p go one by one through
-    _nonzero_powers, the same operator the scalar path uses."""
+    """scaled ** qs[:, None]; in the rows past zero_p (and below
+    _ZERO_P_MAX) the terms below the cut, which are exactly 0.0, are set
+    without a pow call, and the others go through the same operator."""
     skip = (zero_p < qs) & (qs < _ZERO_P_MAX)
     if not skip.any():
         return scaled ** qs[:, None]
-    terms = np.empty((qs.size, scaled.size))
+    terms = np.zeros((qs.size, scaled.size))
     terms[~skip] = scaled ** qs[~skip, None]
     for i in np.flatnonzero(skip).tolist():
-        terms[i] = _nonzero_powers(scaled, qs[i])
+        keep = scaled >= 2.0 ** (_ZERO_EXP / qs[i])
+        terms[i, keep] = scaled[keep] ** qs[i]
     return terms
 
 
@@ -182,9 +181,8 @@ def power_mean(abs_values, p):
     at least 1/n and its 0th power is 1).  ``abs_values`` is the array of
     values or its PowerMeanState, which a model computes once instead of
     on every call.  ``p`` is a scalar (returns a float) or an array
-    (returns an array of its shape; see power_means).  A scalar and an
-    array element give the same bits: the mean is the same pairwise sum
-    and division, and the 1/p-th root is libm's pow in both
+    (returns an array of its shape); either goes through power_means, a
+    scalar as a one-element array.  The 1/p-th root is libm's pow
     (np.float_power; np.power may take a SIMD pow that differs from libm
     in the last place).  Terms that underflow to exactly 0.0 (see
     _ZERO_EXP) are not passed to pow; the others go through the same
@@ -193,14 +191,8 @@ def power_mean(abs_values, p):
     """
     state = abs_values if isinstance(abs_values, PowerMeanState) else PowerMeanState.of(abs_values)
     q = _check_p(p)
-    if type(q) is float:
-        mx, scaled, zero_p = state
-        if scaled is None:
-            return 0.0
-        terms = _nonzero_powers(scaled, q) if zero_p < q < _ZERO_P_MAX else scaled ** q
-        return mx * float(np.add.reduce(terms) / scaled.size) ** (1.0 / q)
     flat = q.ravel()
-    return power_means([state], flat, (0, flat.size)).reshape(q.shape)
+    return _shaped(power_means([state], flat, (0, flat.size)).reshape(q.shape), q)
 
 
 def power_means(states, qs: np.ndarray, at) -> np.ndarray:
@@ -230,8 +222,12 @@ def _power_means_of(state: PowerMeanState, qs: np.ndarray, out: np.ndarray) -> N
     for start in range(0, qs.size, step):
         chunk = qs[start : start + step]
         # one float comparison when no p can skip (as for fewer values than
-        # _ZERO_MIN_VALUES, whose zero_p is inf)
-        terms = _row_powers(scaled, chunk, zero_p) if zero_p < _ZERO_P_MAX else scaled ** chunk[:, None]
+        # _ZERO_MIN_VALUES, whose zero_p is inf), and one reduction when no p
+        # of the chunk does
+        if zero_p < _ZERO_P_MAX and zero_p < chunk.max():
+            terms = _row_powers(scaled, chunk, zero_p)
+        else:
+            terms = scaled ** chunk[:, None]
         np.add.reduce(terms, axis=1, out=out[start : start + step])
     out /= scaled.size
 
@@ -284,9 +280,10 @@ class RandomVariableModel:
 class ClosedFormModel(RandomVariableModel):
     """Model whose moment map p -> |f|_p is an exact formula.
 
-    ``transform`` maps a fresh array of uniforms to draws.  It owns that
-    array and may overwrite it; the built-in families write their draws
-    into it, so a sample allocates its output and nothing of its size
+    ``moment_fn`` maps a float array of checked p, at least 1-d, to |f|_p
+    at each.  ``transform`` maps a fresh array of uniforms to draws.  It
+    owns that array and may overwrite it; the built-in families write their
+    draws into it, so a sample allocates its output and nothing of its size
     beside it."""
 
     def __init__(self, label, moment_fn, transform=None):
@@ -296,8 +293,7 @@ class ClosedFormModel(RandomVariableModel):
 
     def lp_norm(self, p):
         q = _check_p(p)
-        out = self._moment_fn(q)
-        return float(out) if type(q) is float else np.asarray(out, dtype=float)
+        return _shaped(self._moment_fn(np.atleast_1d(q)), q)
 
     def sample_values(self, n: int, seed: int) -> np.ndarray:
         if self._transform is None:
@@ -345,7 +341,7 @@ class EmpiricalModel(PowerMeanModel):
 
     def lp_norm(self, p):
         out = power_mean(self._moments, p)
-        top = p if type(p) is float else float(np.max(p, initial=1.0))
+        top = float(np.asarray(p).max(initial=1.0))
         if top > self.stable_p:
             warnings.warn(
                 f"plug-in moment at p={top:g} with n={self.values.size} is dominated by the sample maximum",
@@ -383,8 +379,6 @@ def _log_norm(log_moment, p, past_overflow):
     the quotient with the division by p taken first; every finite quotient
     keeps its bits."""
     r = log_moment / p
-    if type(p) is float:
-        return past_overflow(p) if r == math.inf else r
     over = r == math.inf
     if over.any():
         r[over] = past_overflow(p[over])
@@ -399,7 +393,7 @@ def gaussian_model() -> ClosedFormModel:
         return 0.5 * math.log(2.0) + _lgamma_over_p((p + 1.0) / 2.0, p) - 0.5 * math.log(math.pi) / p
 
     def moments(p):
-        log_moment = (p / 2.0) * math.log(2.0) + gammaln((np.asarray(p) + 1.0) / 2.0) - 0.5 * math.log(math.pi)
+        log_moment = (p / 2.0) * math.log(2.0) + gammaln((p + 1.0) / 2.0) - 0.5 * math.log(math.pi)
         return np.exp(_log_norm(log_moment, p, past_overflow))
 
     return ClosedFormModel("gaussian", moments, transform=lambda u: ndtri(u, out=u))
@@ -409,7 +403,7 @@ def uniform01_model() -> ClosedFormModel:
     """Uniform on [0,1]: |f|_p = (p+1)^(-1/p)."""
 
     def moments(p):
-        return np.exp(-np.log(np.asarray(p, dtype=float) + 1.0) / p)
+        return np.exp(-np.log(p + 1.0) / p)
 
     return ClosedFormModel("uniform01", moments, transform=lambda u: u)
 
@@ -419,7 +413,7 @@ def exponential_model() -> ClosedFormModel:
     from scipy.special import gammaln
 
     def moments(p):
-        return np.exp(_log_norm(gammaln(np.asarray(p, dtype=float) + 1.0), p, lambda p: _lgamma_over_p(p + 1.0, p)))
+        return np.exp(_log_norm(gammaln(p + 1.0), p, lambda p: _lgamma_over_p(p + 1.0, p)))
 
     def transform(u):
         np.negative(u, out=u)
@@ -437,7 +431,7 @@ def constant_model(c: float) -> ClosedFormModel:
         raise DomainError(f"constant model: value {float(c)} is not finite")
 
     def moments(p):
-        return np.full_like(np.asarray(p, dtype=float), a) if np.ndim(p) else a
+        return np.full_like(p, a)
 
     def transform(u):
         u.fill(float(c))
@@ -450,7 +444,7 @@ def rademacher_model() -> ClosedFormModel:
     """Symmetric signs: |f|_p = 1 for every p."""
 
     def moments(p):
-        return np.ones_like(np.asarray(p, dtype=float)) if np.ndim(p) else 1.0
+        return np.ones_like(p)
 
     def transform(u):
         negative = u < 0.5

@@ -42,7 +42,6 @@ the offending p recorded as the witness.
 
 from __future__ import annotations
 
-import bisect
 import math
 import warnings
 from dataclasses import dataclass
@@ -83,8 +82,8 @@ _CELL_POINTS = 64
 _RTOL = 1e-9
 # a power mean of at least this many values costs by the point
 # (_costs_per_point): a norm search over such moments is pruned and
-# refined one point at a time.  Timed on full and two-interval norms of normal
-# samples and on cyclic-group functions under power_slowvary(r=2,
+# refined without guessed points.  Timed on full and two-interval norms of
+# normal samples and on cyclic-group functions under power_slowvary(r=2,
 # delta=0.5) (Python 3.11, NumPy 2.4, CPU time, median of 21 rounds, the
 # two paths alternating): the pruned scan breaks even at 48-64 values and
 # takes 0.56-0.85 of the full scan's time at 128.  A flat ratio (a sample
@@ -161,18 +160,16 @@ def _stacks(model: RandomVariableModel, psi: GeneratingFunction) -> bool:
 def _stacked_ratio(psi: GeneratingFunction, models: Sequence[PowerMeanModel]):
     """The (num, den) of consecutive searches of the _stacks ``models``, one
     model per search, in one function: ``f(p, at)`` at an array p whose
-    points p[at[k]:at[k + 1]] are search k's, or at a float p of search
-    ``at``.  An array call evaluates psi once over its points, and only
-    once over points that every search of the call repeats (a scan row
-    that gls_norms' searches share), and takes the moments of all models
-    in one power_means.  Every value has the bits of the model's own
-    _ratio_fn pair: psi and the power means act point by point."""
+    points p[at[k]:at[k + 1]] are search k's.  A call evaluates psi once
+    over its points, and only once over points that every search of the
+    call repeats (a scan row that gls_norms' searches share), and takes the
+    moments of all models in one power_means.  Every value has the bits of
+    the model's own _ratio_fn pair: psi and the power means act point by
+    point."""
     states = [m._moments for m in models]
     n_parts = len(models)
 
     def pair(p, at):
-        if type(p) is float:
-            return models[at].lp_norm(p), psi_eval(psi, p)
         num = power_means(states, p, at)
         size = at[1]
         if size and at == list(range(0, n_parts * size + 1, size)) and (p.reshape(n_parts, size) == p[:size]).all():
@@ -187,11 +184,12 @@ def _costs_per_point(model) -> bool:
     asked for more than to the calls: a power mean of at least
     _PRUNE_MIN_VALUES values.  _search reads this one rule twice.  The scan
     is pruned when every model costs by the point (and psi is
-    nondecreasing).  Refinement goes one point at a time when any model, or
-    the model of psi, costs by the point, because speculative points would
-    cost more than the calls they save: on a 2^16-value exponential sample
-    with an interior peak, speculation took 148 ms against 84 ms (272
-    evaluations against 195)."""
+    nondecreasing).  Refinement rounds plan confirmed points only, golden
+    section's own path (sup_rows with speculate=False), when any model, or
+    the model of psi, costs by the point, because guessed points would cost
+    more than the calls they save: on a 2^16-value exponential sample with
+    an interior peak, guessing took 148 ms against 84 ms one point at a
+    time (272 evaluations against 195)."""
     return isinstance(model, PowerMeanModel) and model.values.size >= _PRUNE_MIN_VALUES
 
 
@@ -206,7 +204,7 @@ def _one_plugin_warning(pair, stable_p: float):
 
     def quiet_after_the_first(p):
         nonlocal reached
-        top = p if type(p) is float else float(np.max(p))
+        top = float(p.max())
         if top > reached:
             reached = top
             return pair(p)
@@ -298,7 +296,7 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     NormResult per search, or None where a shared search is given up.
 
     Every array call of the search (the exact points, the scan, each
-    pruning level, each speculative or lockstep round) serves every search:
+    pruning level, each refinement round) serves every search:
     the rows of all searches are one scan array of sup_rows, and each call
     evaluates the ratios of all searches at once.  Consecutive searches of
     one model share its _ratio_fn pair; consecutive searches of plain power
@@ -314,9 +312,9 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     and the result carries the 1-based arg_index.
 
     Decided once for the search: the route (up to SCALAR_BRACKETS
-    brackets, and half as many more per model past the first, speculate;
-    more go lockstep), the prune
-    gate and whether refinement goes one point at a time
+    brackets, and half as many more per model past the first, refine in
+    rounds; more go lockstep), the prune gate and whether the rounds guess
+    golden section's paths or plan confirmed points only
     (_costs_per_point).  Kept per search: the pruning floor and best
     value, the count, the edge evidence.  Every result has the bits of
     its search alone; its count is that search's too, unless more brackets
@@ -380,7 +378,6 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
             pair = _one_plugin_warning(pair, min(stable)) if stable else pair
             units.append((k, end, lambda p, at, pair=pair: pair(p)))
         k = end
-    unit_of = [u for u, (k0, k1, _) in enumerate(units) for _ in range(k0, k1)]
     # the route counts the models, consecutive searches of one model as one
     n_models = sum(1 for k, m in enumerate(models) if not k or m is not models[k - 1])
     # the first row of each search, then the number of rows
@@ -391,12 +388,8 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
 
     def parts(p, at):
         """(num, den) at the points of an array call, search k's being
-        p[at[k]:at[k + 1]] (all of p for one search, ``at`` None), or at a
-        float p of search ``at``; every point is counted to its search."""
-        if type(p) is float:
-            asked[at] += 1
-            k0, _, f = units[unit_of[at]]
-            return f(p, at - k0)
+        p[at[k]:at[k + 1]] (all of p for one search, ``at`` None); every
+        point is counted to its search."""
         if n_parts == 1:
             asked[0] += p.size
             return units[0][2](p, None)
@@ -426,10 +419,8 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
         return num / den
 
     def parts_of(row):
-        """The search of the row ``row`` (an int), or where each search's
-        points start in an array call on the rows ``row``, then their end."""
-        if type(row) is int:
-            return bisect.bisect_right(starts, row) - 1
+        """Where each search's points start in an array call on the rows
+        ``row``, then their end (None for one search)."""
         return None if n_parts == 1 else np.searchsorted(row, row0.astype(row.dtype, copy=False)).tolist()
 
     def ratio(p, row):

@@ -14,33 +14,30 @@ agree with it to a few ulp keeps that value.  The best value of a row
 wins, with ties broken toward the smallest argument so results are
 deterministic.
 
-Refinement takes one of three routes, chosen once for the whole search,
-all with golden_section_max's update rule, stopping width and tie-break,
-so they give bit-identical results as long as ``f`` gives the same bits
-for a float and for the same point in an array.  The moment backends do;
-psi_eval does by evaluating a float through a one-element array, since
-NumPy may take a SIMD pow on arrays, whose last place can differ from
-libm's on a float.
+Refinement takes one of two routes, chosen once for the whole search.
+Both take golden_section_max's update rule, stopping width and tie-break
+and ask ``f`` for arrays of points only, so they give its bits as long
+as ``f`` gives a point the same bits in any array, as the moment backends
+and psi_eval do (a scalar p reaches them as a one-element array).
 - Many brackets refine in lockstep, one array call of ``f`` per
   iteration.
-- A few brackets speculate in rounds.  Golden section's next point
-  depends only on its left/right decisions, never on the values of f, so
-  the points along a guessed decision path can be laid out before any is
-  evaluated.  Each round guesses every bracket's coming decisions (a
+- A few refine in rounds, one array call for all of them per round.
+  Golden section's next point depends only on its left/right decisions,
+  never on the values of f, so a round lays out the points of a decision
+  path before any is evaluated, then replays the update rule over their
+  values.  Speculative rounds guess every bracket's coming decisions (a
   peak at a row end goes all one way; an interior peak goes toward the
-  vertex of a parabola through the best points known), evaluates the
-  points of all the paths in one array call, and replays the update rule
-  over their values up to the first wrong guess.  The replay takes the
-  exact steps of the one-point search, so its result has the same bits;
-  a wrong guess only costs the points evaluated past it.  The first
-  round asks for each whole path, later ones for _LOOKAHEAD steps.  A
-  round that raises (a NaN, a domain error, a divergent moment), perhaps
-  at a point off the true path, hands each bracket to the one-point
-  search at its last confirmed step, so an error names the p it names
-  there.
-- A few brackets of an ``f`` whose cost grows with the points it is
-  asked for (a power mean of many values) go one point at a time, as
-  speculative points would cost more than the calls they save.
+  vertex of a parabola through the best points known), the first round
+  for the whole path, later ones for _LOOKAHEAD steps, and the replay
+  stops at the first wrong guess, which only costs the points evaluated
+  past it.  For an ``f`` whose cost grows with the points it is asked
+  for (a power mean of many values) the rounds plan confirmed points
+  only: x1 and x2 of every bracket, then each bracket's one next point a
+  round, golden_section_max's points and no other.  A round that raises
+  (a NaN, a domain error, a divergent moment), perhaps at a point off the
+  true path, hands each bracket to golden_section_max at its last
+  confirmed step, one one-element array call per point, so an error names
+  the p it names there.
 
 A search may be pruned.  When ``f = num / den`` with ``num`` = |g|_p, a
 p-norm on a probability space, and ``den`` positive and nondecreasing (a
@@ -124,9 +121,9 @@ from .errors import DivergentMomentError, DomainError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Searches with at most this many brackets refine them in speculative
-# rounds (_speculate), or one point at a time when the ratio costs by the
-# point; more go lockstep.  The count is of the whole search: when one
+# Searches with at most this many brackets refine them in rounds
+# (_speculate), guessed or, when the ratio costs by the point, confirmed
+# only; more go lockstep.  The count is of the whole search: when one
 # search serves several functions (the three norms of an algebra check),
 # their brackets are counted together and all take one route.  Each
 # function past the first allows SCALAR_BRACKETS / 2 more (sup_rows), as
@@ -145,7 +142,8 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # moments on a group of order 12 (power_slowvary(r=3, delta=-1)) and at
 # 17-24 for a Gaussian ratio (sqrt_dip); with peaks at row ends, whose paths
 # are guessed right, only past 32.  A 4096-value sample, refined one point
-# at a time, costs within 6% of lockstep from 4 to 48 brackets.  Re-timed
+# at a time (the route confirmed-only rounds replaced), cost within 6% of
+# lockstep from 4 to 48 brackets.  Re-timed
 # with the lockstep that keeps only its moving brackets: one function
 # (a Gaussian under sqrt_dip) breaks even at 12 brackets, and three (three
 # group functions of order 14, or three closed forms, under sqrt_dip) at
@@ -232,7 +230,12 @@ class SupremumResult:
 
 
 class RowSupremum(NamedTuple):
-    """Per-row outcome of sup_rows; see SupremumResult for the fields.
+    """Per-row outcome of sup_rows.
+
+    ``values`` and ``args`` hold each row's best value and where it was
+    found, ties going to the smallest argument; ``decreasing_at_hi`` says
+    whether the row's last three scan values strictly decrease, the
+    evidence that ending the row there was harmless.  Over all rows,
     ``plateaus`` counts the brackets left unrefined because they were
     flat, ``pruned`` the cells a pruned scan dropped unevaluated, and
     ``certified`` the brackets of row-end peaks left unrefined because
@@ -315,7 +318,7 @@ class _Golden:
     past the known values are guessed, and walk() runs the update rule,
     the best-point tie-break and the stopping width over their values up
     to the first guess the values contradict.  Every step walk() confirms
-    is the step of the one-point-at-a-time search, on the same floats.
+    is the step of golden_section_max, on the same floats.
     """
 
     __slots__ = ("a", "b", "x1", "x2", "fa", "fb", "f1", "f2", "best_x", "best_v", "width_tol", "steps", "lefts")
@@ -404,25 +407,26 @@ class _Golden:
         return self.best_x, self.best_v
 
 
-def _speculate(f, brackets: list, targets: list, rows: list) -> list:
+def _speculate(f, brackets: list, rows: list, targets: Optional[list] = None) -> list:
     """Refine the _Golden ``brackets``, of the scan rows ``rows``, in rounds
     of one array call of ``f``.
 
-    Each round asks for every unfinished bracket's planned points, guessed
-    toward its target: the first round for the whole path, later ones for
-    _LOOKAHEAD steps past the last confirmed one, with the target moved
-    to the vertex of the parabola through the confirmed points.  ``f``
-    gives a point in an array the bits it gives the point alone, so the
-    replay confirms what the one-point search would compute.  When a round
+    With ``targets`` each round asks for every unfinished bracket's planned
+    points, guessed toward its target: the first round for the whole path,
+    later ones for _LOOKAHEAD steps past the last confirmed one, with the
+    target moved to the vertex of the parabola through the confirmed
+    points.  Without, no decision is guessed: the first round asks for each
+    bracket's x1 and x2, each later one for its next point.  When a round
     raises (a NaN, a domain error, a divergent moment), possibly at a point
-    of a wrong guess only, each bracket goes on one point at a time from
-    its last confirmed state, so an error the search meets is the one the
-    one-point search meets, naming the same p.  Returns (arg, value) per
-    bracket.
+    of a wrong guess only, each bracket goes on alone from its last
+    confirmed state, one point per call, so an error the search meets is
+    the one golden_section_max meets, naming the same p.  Returns (arg,
+    value) per bracket.
     """
-    live, live_rows, n = brackets, rows, _MAX_ITER
+    live, live_rows = brackets, rows
+    n, then = (_MAX_ITER, _LOOKAHEAD) if targets is not None else (0, 1)
     while live:
-        plans = [g.plan(n, t) for g, t in zip(live, targets)]
+        plans = [g.plan(n, t) for g, t in zip(live, targets or repeat(None))]
         counts = [len(plan) for plan in plans]
         try:
             xs = np.array([x for plan in plans for x in plan])
@@ -435,8 +439,10 @@ def _speculate(f, brackets: list, targets: list, rows: list) -> list:
             at += count
         live_rows = [row for g, row in zip(live, live_rows) if not g.done]
         live = [g for g in live if not g.done]
-        targets, n = [g.target() for g in live], _LOOKAHEAD
-    return [g.finish(partial(_eval_scalar, f, row=row)) for g, row in zip(brackets, rows)]
+        n = then
+        if targets is not None:
+            targets = [g.target() for g in live]
+    return [g.finish(partial(_eval_point, f, rows=np.array([row]))) for g, row in zip(brackets, rows)]
 
 
 def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray):
@@ -502,24 +508,24 @@ def sup_rows(
 
     Each row is an increasing grid whose first and last points are the
     ends of its interval.  ``f(x, row)`` takes an array of points and the
-    array of their row indices in ``xs`` (a float and an int on the
-    one-point route), so one search can serve rows of different
-    functions; every array call lists its points row by row, their row
-    indices nondecreasing.  ``f`` sees all rows in one array call; every
+    array of their row indices in ``xs``, never a scalar, so one search can
+    serve rows of different functions; every array call lists its points
+    row by row, their row indices nondecreasing.  ``f`` sees all rows in one array call; every
     local maximum of a row is then refined inside the cell spanned by its
     scan neighbours, to the stopping width ``refine_tol``, unless the three
     scan values agree within _PLATEAU_ULP ulp: such a plateau (a flat ratio
     makes every scan point one) keeps its scan value.  Up to SCALAR_BRACKETS
     brackets, counted over all rows, and SCALAR_BRACKETS / 2 more for each
     function past the first that ``f`` serves (``functions``; see
-    SCALAR_BRACKETS), refine in speculative rounds (see
-    the module docstring), more in lockstep; all routes reuse the scan
-    values at the bracket ends and give the bits of golden_section_max.
-    ``speculate=False`` is for an ``f`` whose cost grows with the points it
-    is asked for more than with its calls: the few brackets then go one
-    point at a time to golden_section_max.  Refinement never loses the scan
-    value it started from.  A NaN value of ``f`` raises DomainError naming
-    the first p where it occurred.
+    SCALAR_BRACKETS), refine in rounds (see the module docstring), more in
+    lockstep; all routes reuse the scan values at the bracket ends and give
+    the bits of golden_section_max.  ``speculate`` says whether the rounds
+    guess golden section's paths.  False is for an ``f`` whose cost grows
+    with the points it is asked for more than with its calls: each round
+    then asks every bracket for the one point its values decide next, so
+    no point off golden section's path is evaluated.  Refinement never
+    loses the scan value it started from.  A NaN value of ``f`` raises
+    DomainError naming the first p where it occurred.
 
     With ``parts`` every scan value is num / den of ``parts(x, row)``,
     arrays (num, den) whose quotient has the bits of ``f(x, row)``, both
@@ -572,18 +578,11 @@ def sup_rows(
     bl, bh, fl, fh = xs[rk, il], xs[rk, ih], ys[rk, il], ys[rk, ih]
     if k.size <= SCALAR_BRACKETS * (functions + 1) // 2:
         # Python floats in, so the golden-section arithmetic takes float
-        # paths (same IEEE operations as on numpy scalars); the scan values
-        # at the bracket ends are the bits f gives those floats
+        # paths (same IEEE operations as on numpy scalars)
         ends = zip(bl.tolist(), bh.tolist(), fl.tolist(), fh.tolist())
-        if speculate:
-            brackets = [_Golden(a, b, fa, fb, refine_tol) for a, b, fa, fb in ends]
-            refined = _speculate(f, brackets, _scan_targets(xs, ys, rk, i[k]), rk.tolist())
-        else:
-            refined = [
-                golden_section_max(partial(_eval_scalar, f, row=row), a, b, tol=refine_tol, f_lo=fa, f_hi=fb)
-                for (a, b, fa, fb), row in zip(ends, rk.tolist())
-            ]
-        ref_x, ref_v = np.array(refined, dtype=float).reshape(-1, 2).T
+        brackets = [_Golden(a, b, fa, fb, refine_tol) for a, b, fa, fb in ends]
+        targets = _scan_targets(xs, ys, rk, i[k]) if speculate else None
+        ref_x, ref_v = np.array(_speculate(f, brackets, rk.tolist(), targets), dtype=float).reshape(-1, 2).T
     else:
         ref_x, ref_v = _golden_lockstep(f, bl, fl, bh, fh, refine_tol, rk)
     keep = ~(cand_v[k] > ref_v)
@@ -797,7 +796,7 @@ def grid_refine_supremum(
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
-        return SupremumResult(_eval_scalar(lambda x, row: f(x), lo, 0), lo, True)
+        return SupremumResult(_eval_point(lambda x, row: f(x), lo, None), lo, True)
     n_points = max(int(n_points), 2)
     if geometric and lo > 0:
         xs = np.geomspace(lo, hi, n_points)
@@ -829,11 +828,10 @@ def _nan_error(x) -> DomainError:
     return DomainError(f"the searched function is NaN at p={float(x)!r}")
 
 
-def _eval_scalar(f, x: float, row: int) -> float:
-    v = float(f(float(x), row))
-    if v != v:
-        raise _nan_error(x)
-    return v
+def _eval_point(f, x: float, rows: np.ndarray) -> float:
+    """``f`` at the one point ``x``, of the row rows[0], as a one-element
+    array call."""
+    return _eval_array(f, np.array([x], dtype=float), rows).item(0)
 
 
 def _eval_array(f, xs: np.ndarray, rows: np.ndarray) -> np.ndarray:

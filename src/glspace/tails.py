@@ -255,7 +255,8 @@ def membership_K_estimate(
     decides: a violation moves on to the next K, an h the stored grid
     cannot resolve is a TruncationError.  An empty probe range means the
     sample never reaches the envelope's domain, so the bound holds
-    trivially (survival is 0 there) and K is accepted.  The default
+    trivially (survival is 0 there) and K is accepted.  A candidate that
+    is not finite and positive is a DomainError naming it.  The default
     candidate grid spans the batch's own scale; callers with a
     computable discrete norm should pass a grid bracketing it.
     """
@@ -266,7 +267,11 @@ def membership_K_estimate(
             raise DomainError("all-zero batch has no intrinsic scale; pass an explicit K_grid")
         vmin = float(absv[np.searchsorted(absv, 0.0, side="right")])
         K_grid = np.geomspace(max(vmin, vmax * 1e-6), vmax, 32)
-    ks = sorted(float(k) for k in K_grid)
+    ks = [float(k) for k in K_grid]
+    for k in ks:
+        if not math.isfinite(k):
+            raise DomainError(f"candidate K values must be finite, got {k}")
+    ks.sort()
     if not ks or ks[0] <= 0.0:
         raise DomainError("candidate K values must be positive")
     # largest x/K whose h supremum the stored grid provably brackets;

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, cumulative_trapezoid, quad
 
 from glspace.errors import DivergentMomentError, UnsupportedBackendError
-from glspace.models import RandomVariableModel, _check_p, uniform_stream
+from glspace.models import RandomVariableModel, _check_p, _shaped, uniform_stream
 
 # absolute and relative error targets of DensityModel's quadrature
 _QUAD_EPSABS = 1e-10
@@ -95,9 +95,7 @@ class DensityModel(RandomVariableModel):
 
     def lp_norm(self, p):
         q = _check_p(p)
-        if type(q) is float:
-            return math.exp(self._log_moment(q) / q)
-        return np.array([math.exp(self._log_moment(float(x)) / float(x)) for x in q.ravel()]).reshape(q.shape)
+        return _shaped(np.array([math.exp(self._log_moment(x) / x) for x in q.ravel().tolist()]).reshape(q.shape), q)
 
     @cached_property
     def _icdf_table(self):

@@ -101,7 +101,7 @@ def test_evaluation_rejects_p_below_one():
     "p", [0.5, np.float64(0.5), np.array(0.5), 0], ids=["float", "numpy_float", "0d_array", "int"]
 )
 def test_scalar_evaluation_rejects_p_below_one(p):
-    # scalars take a float comparison instead of np.any; the check must hold
+    # a scalar p is checked as a 0-d array; the check must hold
     psi = make_power_slowvary(PowerSlowVaryParams(r=2.0))
     with pytest.raises(DomainError, match="p >= 1"):
         psi_eval(psi, p)

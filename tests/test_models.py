@@ -120,6 +120,21 @@ def test_moments_reject_p_below_one():
         uniform01_model().lp_norm(np.array([2.0, 0.3]))
 
 
+@pytest.mark.parametrize("evaluate, what", [
+    (gaussian_model().lp_norm, "moments"),
+    (lambda p: psi_eval(sqrt_dip_psi(), p), "generating functions"),
+], ids=["moment", "psi"])
+def test_a_bad_p_in_a_large_array_is_named_with_its_index(evaluate, what):
+    # the whole array in the message was summarized by NumPy, the bad p
+    # hidden in its "..."
+    p = np.linspace(2.0, 3.0, 3001)
+    p[1500] = 0.5
+    with pytest.raises(DomainError, match=rf"^{what} are defined for p >= 1, got p=0\.5 at index 1500$"):
+        evaluate(p)
+    with pytest.raises(DomainError, match=rf"^{what} are defined for p >= 1, got p=nan at index \(1, 0\)$"):
+        evaluate(np.array([[2.0, 3.0], [math.nan, 0.5]]))
+
+
 def test_nan_p_is_rejected_as_p_below_one_is():
     nan = math.nan
     calls = [

@@ -366,7 +366,7 @@ def test_ties_go_to_the_smallest_p():
 
 # every group order from 1 to 24, non-abelian groups among them, and one
 # of 128 elements, whose norms take the pruned scan (under a nondecreasing
-# psi) and the one-point refinement
+# psi) and the confirmed-only refinement rounds
 _BATCH_GROUPS = [*(cyclic_group(n) for n in range(1, 25)), dihedral_group(4), symmetric_group(3), dihedral_group(6),
                  symmetric_group(4), cyclic_group(128)]
 # the suites' normalized pool, the algebra suite's raw members and sqrt_dip
@@ -561,7 +561,7 @@ class _OwnRatio(RandomVariableModel):
 
 def test_a_search_that_recovers_from_an_error_counts_as_the_one_model_searches(monkeypatch):
     # g's ratio raises on its second array call, the first speculative
-    # round: its own search goes on one point at a time and gets through.
+    # round: its own search goes on one bracket at a time and gets through.
     # The shared search would send the brackets of f*g and f that way too
     # and count other points for them, so it is given up for the three
     # one-model searches.  g's moments reach it through _OwnRatio: a power

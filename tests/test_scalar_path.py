@@ -1,5 +1,6 @@
-"""A scalar p takes a float path through the moments and psi; it must give
-the bits of the array path, and a natural psi must cost one moment per p."""
+"""A scalar p reaches the moments and psi as a one-element array and comes
+back as a float; it must give the bits of the same p in any array, and a
+natural psi must cost one moment per p."""
 
 import csv
 import dataclasses

@@ -16,6 +16,7 @@ from glspace import (
     GeneratingFunction,
     GroupFunctionModel,
     MomentInstabilityWarning,
+    PowerMeanModel,
     PowerSlowVaryParams,
     RestrictedSet,
     constant_model,
@@ -36,6 +37,7 @@ from glspace import (
     w_hat_constant,
 )
 from glspace.norms import _PRUNE_MIN_VALUES, _cellwise_full_norm, _ratio_fn
+from glspace.models import power_mean
 from glspace.suites import psi_pool
 from glspace import norms, search
 from glspace.search import SCALAR_BRACKETS, _golden_lockstep, golden_section_max, grid_refine_supremum, sup_rows
@@ -350,13 +352,12 @@ def test_an_always_wrong_guess_keeps_the_bits(monkeypatch):
 
 
 def _true_path(xs):
-    """The points the one-point search evaluates: the scan and every
-    golden_section_max call's."""
-    seen = set(xs.ravel().tolist())
+    """The points golden_section_max evaluates: every point of the search
+    that guesses no decision (speculate=False), the scan's included."""
+    seen = set()
 
     def recorded(x):
-        if np.ndim(x) == 0:
-            seen.add(float(x))
+        seen.update(np.ravel(x).tolist())
         return _multi_peak(x)
 
     sup_rows(_rowless(recorded), xs, speculate=False)
@@ -407,6 +408,98 @@ def test_an_error_on_the_true_path_is_the_one_point_error(monkeypatch, how):
     assert spec.value.p == bad if how == "divergent" else repr(bad) in str(spec.value)
 
 
+def _golden_paths(f, xs):
+    """The points golden_section_max asks for on each bracket of the scan
+    rows ``xs`` of ``f``, the bracket ends known."""
+    ys = f(xs)
+    r, _, il, ih, k, _ = search._brackets(xs, ys, None)
+    paths = []
+    for row, lo, hi in zip(r[k].tolist(), il[k].tolist(), ih[k].tolist()):
+        path = []
+
+        def on_path(x):
+            path.append(x)
+            return float(f(np.array([x]))[0])
+
+        golden_section_max(on_path, xs[row, lo], xs[row, hi], f_lo=ys[row, lo], f_hi=ys[row, hi])
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("case", ["one-peak-per-row", "multi-peak"])
+def test_confirmed_only_rounds_ask_for_golden_sections_points_alone(case):
+    xs, f = _one_peak_per_row(8) if case == "one-peak-per-row" else (_multi_peak_case()[0], _multi_peak)
+    paths = _golden_paths(f, xs)
+    assert len(paths) > 1
+    calls = []
+
+    def recorded(x, row):
+        calls.append(x.tolist())
+        return f(x)
+
+    res = sup_rows(recorded, xs, speculate=False)
+    # the scan, then one round of x1 and x2 and one round per golden step of
+    # the longest path: every bracket's points, and no other
+    assert calls[0] == xs.ravel().tolist()
+    assert sorted(x for call in calls[1:] for x in call) == sorted(x for path in paths for x in path)
+    assert len(calls) - 1 == max(len(path) for path in paths) - 1
+    ref = sup_rows(_rowless(f), xs)
+    np.testing.assert_array_equal(res.values, ref.values)
+    np.testing.assert_array_equal(res.args, ref.args)
+
+
+def _tripwire(f):
+    """``f`` as sup_rows calls it, raising TypeError on any argument that is
+    not an array: a float or an int reaching it means a scalar route."""
+
+    def arrays_only(x, row):
+        for arg in (x, row):
+            if not isinstance(arg, np.ndarray):
+                raise TypeError(f"f was given {type(arg).__name__} {arg!r}, not an array")
+        return f(x)
+
+    return arrays_only
+
+
+@pytest.mark.parametrize("route", ["guessed", "confirmed", "lockstep", "after-a-raise"])
+def test_every_route_gives_f_arrays_only(monkeypatch, route):
+    xs, scalar = _multi_peak_case()
+    f = _multi_peak
+    if route == "lockstep":
+        monkeypatch.setattr(search, "SCALAR_BRACKETS", 0)
+    if route == "after-a-raise":
+        # every guess is wrong and every point off the true path raises, so
+        # the first round raises and each bracket goes on alone
+        true_path = _true_path(xs)
+        _always_wrong(monkeypatch, scalar)
+        f = _nan_or_raise("domain", lambda x: x not in true_path)
+    res = sup_rows(_tripwire(f), xs, speculate=route != "confirmed")
+    ref = sup_rows(_rowless(_multi_peak), xs)
+    np.testing.assert_array_equal(res.values, ref.values)
+    np.testing.assert_array_equal(res.args, ref.args)
+
+
+class _ArraysOnly(PowerMeanModel):
+    """A power-mean model whose moment raises TypeError unless p is an
+    array."""
+
+    def lp_norm(self, p):
+        if not isinstance(p, np.ndarray):
+            raise TypeError(f"lp_norm was given {type(p).__name__} {p!r}, not an array")
+        return power_mean(self._moments, p)
+
+
+def test_a_sample_norm_asks_its_moments_for_arrays_only():
+    # 256 values cost by the point: a pruned scan and confirmed-only rounds,
+    # which refine an interior peak near p = 18
+    values = np.random.default_rng(4).normal(size=256)
+    psi = make_power_slowvary(PowerSlowVaryParams(r=4.0, delta=0.0))
+    res = gls_norm(_ArraysOnly(values, "tripwire"), psi, p_max=60.0)
+    ref = gls_norm(GroupFunctionModel(cyclic_group(256), values), psi, p_max=60.0)
+    assert (res.value, res.arg_p, res.n_evaluations) == (ref.value, ref.arg_p, ref.n_evaluations)
+    assert 10.0 < res.arg_p < 30.0
+
+
 def test_n_evaluations_counts_speculated_points(monkeypatch):
     # an interior peak near p = 9, refined in one bracket
     model = GroupFunctionModel(dihedral_group(6), np.random.default_rng(6).normal(size=12))
@@ -436,26 +529,52 @@ def test_n_evaluations_counts_speculated_points(monkeypatch):
     (GroupFunctionModel(cyclic_group(5), [1.0, -2.0, 0.5, 0.0, 3.0]), False),
     (gaussian_model(), False),
 ], ids=["sample-127", "sample-128", "group", "gaussian"])
-def test_only_a_ratio_that_costs_by_the_point_refines_one_point_at_a_time(monkeypatch, model, per_point):
-    golden_calls = [0]
+def test_only_a_ratio_that_costs_by_the_point_plans_no_guesses(monkeypatch, model, per_point):
+    # each refinement in rounds records whether it guessed, its brackets'
+    # starting states, the points it asked for and its results
+    real, refinements = search._speculate, []
 
-    def counted_golden(*args, **kw):
-        golden_calls[0] += 1
-        return golden_section_max(*args, **kw)
+    def spy(f, brackets, rows, targets=None):
+        starts = [(g.a, g.b, g.fa, g.fb) for g in brackets]
+        asked = []
 
-    monkeypatch.setattr(search, "golden_section_max", counted_golden)
+        def recorded(x, row):
+            asked.extend(x.tolist())
+            return f(x, row)
+
+        out = real(recorded, brackets, rows, targets)
+        refinements.append((targets is None, starts, asked, out))
+        return out
+
+    monkeypatch.setattr(search, "_speculate", spy)
     psi = make_power_slowvary(PowerSlowVaryParams(r=4.0, delta=0.0))
+    ratio = _ratio(model, psi)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MomentInstabilityWarning)
         gls_norm(model, psi, p_max=30.0)
-    assert (golden_calls[0] > 0) == per_point
+        assert refinements and all(guessless == per_point for guessless, *_ in refinements)
+        if per_point:
+            # no point lies off golden section's path: the search asks for
+            # golden_section_max's points of every bracket, and no other
+            path = []
+
+            def on_path(x):
+                path.append(x)
+                return float(ratio(np.array([x]))[0])
+
+            for _, starts, asked, out in refinements:
+                assert starts
+                path.clear()
+                for (a, b, fa, fb), found in zip(starts, out):
+                    assert golden_section_max(on_path, a, b, f_lo=fa, f_hi=fb) == found
+                assert sorted(asked) == sorted(path)
 
 
-def test_the_one_point_route_gives_the_speculative_routes_norm(monkeypatch):
-    # 256-value sparse functions refine one point at a time; the same search
-    # speculating must print the same norms, so a float's psi must have the
-    # bits it has in an array (20 to 29 of 120 such draws differed under
-    # power_slowvary(r=1, delta=-0.5) while it did not)
+def test_confirmed_only_rounds_give_the_guessed_rounds_norm(monkeypatch):
+    # 256-value sparse functions refine in confirmed-only rounds; the same
+    # search guessing must print the same norms, so a point's psi must have
+    # the bits it has in any array (20 to 29 of 120 such draws differed under
+    # power_slowvary(r=1, delta=-0.5) while a float reached psi as a float)
     G = cyclic_group(256)
     psi = make_power_slowvary(PowerSlowVaryParams(r=1.0, delta=-0.5))
     rng = np.random.default_rng(0)

@@ -226,6 +226,15 @@ def test_membership_zero_batch_needs_an_explicit_grid():
     assert est.K_hat == 0.5 and est.x_range_checked is None
 
 
+@pytest.mark.parametrize("K_grid, bad", [([math.inf], "inf"), ([math.nan, 1.0], "nan"), ([1.0, -math.inf], "-inf")])
+def test_membership_rejects_a_candidate_that_is_not_finite_naming_it(K_grid, bad):
+    # inf was accepted as K_hat, and nan reached the probes and asked to
+    # raise M
+    batch = sample(gaussian_model(), 1_000, seed=0)
+    with pytest.raises(DomainError, match=rf"^candidate K values must be finite, got {bad}$"):
+        membership_K_estimate(batch, integer_grid(60), root_psi(), K_grid=K_grid)
+
+
 def test_membership_needs_a_grid_reaching_e():
     # sqrt(5) < e, so no probe point is ever inside the envelope domain
     batch = sample(gaussian_model(), 1_000, seed=0)
