@@ -8,7 +8,8 @@ tail      compare empirical tails against the envelope, estimate K
 convolve  convolve two function files over a finite group
 
 Configuration comes from flags, optionally backed by a key=value file
-(--config); flags override file entries.  When --seed is absent the
+(--config) of the same keys, plus xs (the probe points of ``gls tail``,
+comma-separated), which no flag sets; flags override file entries.  When --seed is absent the
 GLS_DEFAULT_SEED environment variable is consulted, then 0.  Exit codes:
 0 success, 1 violation or runtime failure, 2 parse/usage error.  Errors
 and warnings print one ``gls: ...`` line each on stderr.
@@ -79,7 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--n", help="sample size for Monte Carlo commands")
     shared.add_argument("--out", help="also write the CSV report to this path")
     shared.add_argument("--strict", action="store_true", default=None, help="exit 1 when a printed norm is +inf")
-    shared.add_argument("--config", help="key=value file; flags override its entries")
+    shared.add_argument(
+        "--config", help="key=value file of the flags' keys, and xs=<x,...> (tail probe points); flags override it"
+    )
 
     p_norm = sub.add_parser("norm", help="compute norms of a model", parents=[shared])
     p_norm.set_defaults(func=cmd_norm)

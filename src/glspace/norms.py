@@ -70,7 +70,7 @@ from .models import (
     RandomVariableModel,
     power_means,
 )
-from .search import _eval_array, sup_rows
+from .search import SCALAR_BRACKETS, _eval_array, sup_rows
 from .search import grid_refine_supremum  # noqa: F401  unused here; the benchmark tracer patches it
 
 DEFAULT_P_MAX = 200.0
@@ -82,12 +82,13 @@ _CELL_POINTS = 64
 _RTOL = 1e-9
 # a power mean of at least this many values costs by the point
 # (_costs_per_point): a norm search over such moments is pruned and
-# refined without guessed points.  Timed on full and two-interval norms of
-# normal samples and on cyclic-group functions under power_slowvary(r=2,
-# delta=0.5) (Python 3.11, NumPy 2.4, CPU time, median of 21 rounds, the
-# two paths alternating): the pruned scan breaks even at 48-64 values and
-# takes 0.56-0.85 of the full scan's time at 128.  A flat ratio (a sample
-# under its own natural psi) drops no cell and pays 12-20% more there.
+# refined in lockstep, without guessed points.  Timed on full and
+# two-interval norms of normal samples and on cyclic-group functions under
+# power_slowvary(r=2, delta=0.5) (Python 3.11, NumPy 2.4, CPU time, median
+# of 21 rounds, the two paths alternating): the pruned scan breaks even at
+# 48-64 values and takes 0.56-0.85 of the full scan's time at 128.  A flat
+# ratio (a sample under its own natural psi) drops no cell and pays 12-20%
+# more there.
 _PRUNE_MIN_VALUES = 128
 
 
@@ -184,12 +185,12 @@ def _costs_per_point(model) -> bool:
     asked for more than to the calls: a power mean of at least
     _PRUNE_MIN_VALUES values.  _search reads this one rule twice.  The scan
     is pruned when every model costs by the point (and psi is
-    nondecreasing).  Refinement rounds plan confirmed points only, golden
-    section's own path (sup_rows with speculate=False), when any model, or
+    nondecreasing).  Every bracket refines in lockstep, golden section's
+    own points and no other (sup_rows with guessed=0), when any model, or
     the model of psi, costs by the point, because guessed points would cost
     more than the calls they save: on a 2^16-value exponential sample with
-    an interior peak, guessing took 148 ms against 84 ms one point at a
-    time (272 evaluations against 195)."""
+    an interior peak, guessing took 148 ms against 84 ms on golden
+    section's points alone (272 evaluations against 195)."""
     return isinstance(model, PowerMeanModel) and model.values.size >= _PRUNE_MIN_VALUES
 
 
@@ -311,15 +312,15 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     ``grid`` the points are a grid, the evidence is its last three ratios,
     and the result carries the 1-based arg_index.
 
-    Decided once for the search: the route (up to SCALAR_BRACKETS
-    brackets, and half as many more per model past the first, refine in
-    rounds; more go lockstep), the prune gate and whether the rounds guess
-    golden section's paths or plan confirmed points only
-    (_costs_per_point).  Kept per search: the pruning floor and best
-    value, the count, the edge evidence.  Every result has the bits of
-    its search alone; its count is that search's too, unless more brackets
-    in all than its own send it lockstep, which asks for no point off
-    golden section's path.
+    Decided once for the search: the prune gate and the route.  Up to
+    SCALAR_BRACKETS brackets, and half as many more per model past the
+    first, refine in guessed rounds, more in lockstep; when any model, or
+    the model of psi, costs by the point (_costs_per_point), every bracket
+    goes lockstep (sup_rows' ``guessed`` is 0).  Kept per search: the
+    pruning floor and best value, the count, the edge evidence.  Every
+    result has the bits of its search alone; its count is that search's
+    too, unless more brackets in all than its own send it lockstep, which
+    asks for no point off golden section's path.
 
     A search alone raises what it meets, except that a divergent moment
     gives the norm +inf with that p as its witness.  A shared search that
@@ -360,7 +361,6 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     blocks = [s.rows for s in searches if s.rows.shape[0]]
     if shared and (stable or len({rows.shape[1] for rows in blocks}) > 1):
         return None
-    speculate = not any(_costs_per_point(m) for m in (*models, psi.source))
     n_parts = len(searches)
     # consecutive searches share one (num, den) function f(p, at): those of
     # one model its _ratio_fn pair, those of plain power means of several
@@ -378,8 +378,10 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
             pair = _one_plugin_warning(pair, min(stable)) if stable else pair
             units.append((k, end, lambda p, at, pair=pair: pair(p)))
         k = end
-    # the route counts the models, consecutive searches of one model as one
+    # the route counts the models, consecutive searches of one model as one,
+    # and refines a ratio that costs by the point in lockstep
     n_models = sum(1 for k, m in enumerate(models) if not k or m is not models[k - 1])
+    guessed = 0 if any(map(_costs_per_point, (*models, psi.source))) else SCALAR_BRACKETS * (n_models + 1) // 2
     # the first row of each search, then the number of rows
     starts = [0, *accumulate(s.rows.shape[0] for s in searches)]
     row0 = np.array(starts)
@@ -441,8 +443,7 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
             _cat(blocks) if blocks else _NO_ROWS,
             parts=num_den if prune or certify else None,
             floor=floor,
-            speculate=speculate,
-            functions=n_models,
+            guessed=guessed,
             search=np.arange(n_parts).repeat(np.diff(row0)) if prune else None,
             log_concave=psi.log_concave,
             prune=prune,

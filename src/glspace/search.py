@@ -19,25 +19,28 @@ Both take golden_section_max's update rule, stopping width and tie-break
 and ask ``f`` for arrays of points only, so they give its bits as long
 as ``f`` gives a point the same bits in any array, as the moment backends
 and psi_eval do (a scalar p reaches them as a one-element array).
-- Many brackets refine in lockstep, one array call of ``f`` per
-  iteration.
-- A few refine in rounds, one array call for all of them per round.
-  Golden section's next point depends only on its left/right decisions,
-  never on the values of f, so a round lays out the points of a decision
-  path before any is evaluated, then replays the update rule over their
-  values.  Speculative rounds guess every bracket's coming decisions (a
-  peak at a row end goes all one way; an interior peak goes toward the
-  vertex of a parabola through the best points known), the first round
-  for the whole path, later ones for _LOOKAHEAD steps, and the replay
-  stops at the first wrong guess, which only costs the points evaluated
-  past it.  For an ``f`` whose cost grows with the points it is asked
-  for (a power mean of many values) the rounds plan confirmed points
-  only: x1 and x2 of every bracket, then each bracket's one next point a
-  round, golden_section_max's points and no other.  A round that raises
-  (a NaN, a domain error, a divergent moment), perhaps at a point off the
-  true path, hands each bracket to golden_section_max at its last
-  confirmed step, one one-element array call per point, so an error names
-  the p it names there.
+- Lockstep: every bracket takes one golden step per array call, so ``f``
+  is asked for golden_section_max's points and no other.  A search takes
+  it when it holds more brackets than it may guess (``guessed``), and
+  always when ``f`` costs by the points it is asked for (a power mean of
+  many values), where a guessed point would cost more than the call it
+  saves.
+- Guessed rounds: a few brackets refine in rounds, one array call for all
+  of them per round.  Golden section's next point depends only on its
+  left/right decisions, never on the values of f, so a round lays out the
+  points of a decision path before any is evaluated, then replays the
+  update rule over their values.  Each round guesses every bracket's
+  coming decisions (a peak at a row end goes all one way; an interior
+  peak goes toward the vertex of a parabola through the best points
+  known), the first round for the whole path, later ones for _LOOKAHEAD
+  steps, and the replay stops at the first wrong guess, which only costs
+  the points evaluated past it.
+When refinement raises (a NaN, a domain error, a divergent moment),
+perhaps at a point off golden section's path in a guessed round, or on a
+later bracket's path that lockstep reaches first, each bracket reruns
+alone from its ends, in row order, as a one-bracket lockstep.  So the
+error is the one golden_section_max meets on the first bracket that
+meets one, naming the same p.
 
 A search may be pruned.  When ``f = num / den`` with ``num`` = |g|_p, a
 p-norm on a probability space, and ``den`` positive and nondecreasing (a
@@ -111,7 +114,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional
 
@@ -121,13 +123,15 @@ from .errors import DivergentMomentError, DomainError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# Searches with at most this many brackets refine them in rounds
-# (_speculate), guessed or, when the ratio costs by the point, confirmed
-# only; more go lockstep.  The count is of the whole search: when one
+# The most brackets a search of one function refines in guessed rounds
+# (_speculate, sup_rows' default ``guessed``); a search with more goes
+# lockstep, and so does every search whose ratio costs by the point, for
+# which norms passes guessed=0.  The count is of the whole search: when one
 # search serves several functions (the three norms of an algebra check),
-# their brackets are counted together and all take one route.  Each
-# function past the first allows SCALAR_BRACKETS / 2 more (sup_rows), as
-# a lockstep iteration called every function once when this was timed.
+# their brackets are counted together and all take one route, and norms
+# allows SCALAR_BRACKETS / 2 more for each function past the first
+# (guessed = SCALAR_BRACKETS * (functions + 1) // 2), as a lockstep
+# iteration called every function once when this was timed.
 # norms now evaluates the three algebra ratios in one stacked call, whose
 # cost still grows with each model it serves, so it still counts them as
 # three and speculation stays the cheaper route there.  Counted as one
@@ -141,14 +145,16 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # lockstep becomes the cheaper route at 13-16 brackets for a ratio of
 # moments on a group of order 12 (power_slowvary(r=3, delta=-1)) and at
 # 17-24 for a Gaussian ratio (sqrt_dip); with peaks at row ends, whose paths
-# are guessed right, only past 32.  A 4096-value sample, refined one point
-# at a time (the route confirmed-only rounds replaced), cost within 6% of
-# lockstep from 4 to 48 brackets.  Re-timed
+# are guessed right, only past 32.  Re-timed
 # with the lockstep that keeps only its moving brackets: one function
 # (a Gaussian under sqrt_dip) breaks even at 12 brackets, and three (three
 # group functions of order 14, or three closed forms, under sqrt_dip) at
 # 24; three group functions under power_slowvary(r=3, delta=-1) speculate
-# more cheaply up to 48.
+# more cheaply up to 48.  On one seed-7 run of each benchmark workload,
+# norm sends 111 searches (29 brackets in all) lockstep because their
+# ratios cost by the point; sandwich refines 49 searches (10,093 brackets)
+# lockstep and 432 in guessed rounds, algebra 504 in guessed rounds, and
+# tail refines none.
 SCALAR_BRACKETS = 12
 
 # refinement stops once a bracket is narrower than this, relative to the
@@ -407,42 +413,37 @@ class _Golden:
         return self.best_x, self.best_v
 
 
-def _speculate(f, brackets: list, rows: list, targets: Optional[list] = None) -> list:
-    """Refine the _Golden ``brackets``, of the scan rows ``rows``, in rounds
-    of one array call of ``f``.
+def _speculate(f, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray, targets: list):
+    """golden_section_max on every bracket [lo[k], hi[k]], of the scan row
+    rows[k], in guessed rounds of one array call of ``f`` each.
 
-    With ``targets`` each round asks for every unfinished bracket's planned
-    points, guessed toward its target: the first round for the whole path,
-    later ones for _LOOKAHEAD steps past the last confirmed one, with the
-    target moved to the vertex of the parabola through the confirmed
-    points.  Without, no decision is guessed: the first round asks for each
-    bracket's x1 and x2, each later one for its next point.  When a round
-    raises (a NaN, a domain error, a divergent moment), possibly at a point
-    of a wrong guess only, each bracket goes on alone from its last
-    confirmed state, one point per call, so an error the search meets is
-    the one golden_section_max meets, naming the same p.  Returns (arg,
-    value) per bracket.
+    Each round asks for every unfinished bracket's planned points, guessed
+    toward its target (targets[k] at first): the first round for the whole
+    path, later ones for _LOOKAHEAD steps past the last confirmed one, with
+    the target moved to the vertex of the parabola through the confirmed
+    points.  An error of ``f`` propagates, whether or not it lies on golden
+    section's path (sup_rows then reruns the brackets one by one).  Returns
+    (args, values).
     """
-    live, live_rows = brackets, rows
-    n, then = (_MAX_ITER, _LOOKAHEAD) if targets is not None else (0, 1)
+    # Python floats in, so the golden-section arithmetic takes float paths
+    # (same IEEE operations as on numpy scalars)
+    ends = zip(lo.tolist(), hi.tolist(), f_lo.tolist(), f_hi.tolist())
+    brackets = [_Golden(a, b, fa, fb, tol) for a, b, fa, fb in ends]
+    live, live_rows, n = brackets, rows.tolist(), _MAX_ITER
     while live:
-        plans = [g.plan(n, t) for g, t in zip(live, targets or repeat(None))]
+        plans = [g.plan(n, t) for g, t in zip(live, targets)]
         counts = [len(plan) for plan in plans]
-        try:
-            xs = np.array([x for plan in plans for x in plan])
-            values = _eval_array(f, xs, np.array(live_rows).repeat(counts)).tolist()
-        except (DomainError, DivergentMomentError):
-            break
+        xs = np.array([x for plan in plans for x in plan])
+        values = _eval_array(f, xs, np.array(live_rows).repeat(counts)).tolist()
         at = 0
         for g, count in zip(live, counts):
             g.replay(values[at : at + count])
             at += count
         live_rows = [row for g, row in zip(live, live_rows) if not g.done]
         live = [g for g in live if not g.done]
-        n = then
-        if targets is not None:
-            targets = [g.target() for g in live]
-    return [g.finish(partial(_eval_point, f, rows=np.array([row]))) for g, row in zip(brackets, rows)]
+        targets = [g.target() for g in live]
+        n = _LOOKAHEAD
+    return np.array([(g.best_x, g.best_v) for g in brackets], dtype=float).reshape(-1, 2).T
 
 
 def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray):
@@ -498,8 +499,7 @@ def sup_rows(
     refine_tol: float = _REFINE_TOL,
     parts: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None,
     floor=-math.inf,
-    speculate: bool = True,
-    functions: int = 1,
+    guessed: int = SCALAR_BRACKETS,
     search: Optional[np.ndarray] = None,
     log_concave: bool = False,
     prune: bool = True,
@@ -514,18 +514,17 @@ def sup_rows(
     local maximum of a row is then refined inside the cell spanned by its
     scan neighbours, to the stopping width ``refine_tol``, unless the three
     scan values agree within _PLATEAU_ULP ulp: such a plateau (a flat ratio
-    makes every scan point one) keeps its scan value.  Up to SCALAR_BRACKETS
-    brackets, counted over all rows, and SCALAR_BRACKETS / 2 more for each
-    function past the first that ``f`` serves (``functions``; see
-    SCALAR_BRACKETS), refine in rounds (see the module docstring), more in
-    lockstep; all routes reuse the scan values at the bracket ends and give
-    the bits of golden_section_max.  ``speculate`` says whether the rounds
-    guess golden section's paths.  False is for an ``f`` whose cost grows
-    with the points it is asked for more than with its calls: each round
-    then asks every bracket for the one point its values decide next, so
-    no point off golden section's path is evaluated.  Refinement never
-    loses the scan value it started from.  A NaN value of ``f`` raises
-    DomainError naming the first p where it occurred.
+    makes every scan point one) keeps its scan value.  Up to ``guessed``
+    brackets, counted over all rows, refine in guessed rounds, more in
+    lockstep (see the module docstring and SCALAR_BRACKETS); guessed=0
+    sends every bracket lockstep, for an ``f`` whose cost grows with the
+    points it is asked for more than with its calls, so that no point off
+    golden section's path is evaluated.  Both routes reuse the scan values
+    at the bracket ends and give the bits of golden_section_max, and when
+    either raises, each bracket reruns alone in row order, so an error
+    names the p golden_section_max names on the first bracket that meets
+    one.  Refinement never loses the scan value it started from.  A NaN
+    value of ``f`` raises DomainError naming the first p where it occurred.
 
     With ``parts`` every scan value is num / den of ``parts(x, row)``,
     arrays (num, den) whose quotient has the bits of ``f(x, row)``, both
@@ -575,16 +574,17 @@ def sup_rows(
         k = k[~sure]
     cand_x, cand_v = xs[r, i], ys[r, i]
     rk, il, ih = r[k], il[k], ih[k]
-    bl, bh, fl, fh = xs[rk, il], xs[rk, ih], ys[rk, il], ys[rk, ih]
-    if k.size <= SCALAR_BRACKETS * (functions + 1) // 2:
-        # Python floats in, so the golden-section arithmetic takes float
-        # paths (same IEEE operations as on numpy scalars)
-        ends = zip(bl.tolist(), bh.tolist(), fl.tolist(), fh.tolist())
-        brackets = [_Golden(a, b, fa, fb, refine_tol) for a, b, fa, fb in ends]
-        targets = _scan_targets(xs, ys, rk, i[k]) if speculate else None
-        ref_x, ref_v = np.array(_speculate(f, brackets, rk.tolist(), targets), dtype=float).reshape(-1, 2).T
-    else:
-        ref_x, ref_v = _golden_lockstep(f, bl, fl, bh, fh, refine_tol, rk)
+    ends = xs[rk, il], ys[rk, il], xs[rk, ih], ys[rk, ih]
+    try:
+        if k.size <= guessed:
+            ref_x, ref_v = _speculate(f, *ends, refine_tol, rk, _scan_targets(xs, ys, rk, i[k]))
+        else:
+            ref_x, ref_v = _golden_lockstep(f, *ends, refine_tol, rk)
+    except (DomainError, DivergentMomentError):
+        # each bracket alone, in row order: an error is then the one
+        # golden_section_max meets on the first bracket that meets one
+        alone = [_golden_lockstep(f, *(e[j : j + 1] for e in ends), refine_tol, rk[j : j + 1]) for j in range(k.size)]
+        ref_x, ref_v = (np.concatenate(a) for a in zip(*alone))
     keep = ~(cand_v[k] > ref_v)
     cand_x[k[keep]], cand_v[k[keep]] = ref_x[keep], ref_v[keep]
     # per row: largest value, then smallest arg; every row has a peak
@@ -796,7 +796,7 @@ def grid_refine_supremum(
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
-        return SupremumResult(_eval_point(lambda x, row: f(x), lo, None), lo, True)
+        return SupremumResult(_eval_array(lambda x, row: f(x), np.array([lo], dtype=float), None).item(0), lo, True)
     n_points = max(int(n_points), 2)
     if geometric and lo > 0:
         xs = np.geomspace(lo, hi, n_points)
@@ -826,12 +826,6 @@ def sampled_min(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
 
 def _nan_error(x) -> DomainError:
     return DomainError(f"the searched function is NaN at p={float(x)!r}")
-
-
-def _eval_point(f, x: float, rows: np.ndarray) -> float:
-    """``f`` at the one point ``x``, of the row rows[0], as a one-element
-    array call."""
-    return _eval_array(f, np.array([x], dtype=float), rows).item(0)
 
 
 def _eval_array(f, xs: np.ndarray, rows: np.ndarray) -> np.ndarray:

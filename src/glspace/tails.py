@@ -255,8 +255,9 @@ def membership_K_estimate(
     decides: a violation moves on to the next K, an h the stored grid
     cannot resolve is a TruncationError.  An empty probe range means the
     sample never reaches the envelope's domain, so the bound holds
-    trivially (survival is 0 there) and K is accepted.  A candidate that
-    is not finite and positive is a DomainError naming it.  The default
+    trivially (survival is 0 there) and K is accepted.  An empty
+    ``K_grid``, or a candidate that is not finite and positive, is a
+    DomainError, which names the first such candidate.  The default
     candidate grid spans the batch's own scale; callers with a
     computable discrete norm should pass a grid bracketing it.
     """
@@ -268,12 +269,14 @@ def membership_K_estimate(
         vmin = float(absv[np.searchsorted(absv, 0.0, side="right")])
         K_grid = np.geomspace(max(vmin, vmax * 1e-6), vmax, 32)
     ks = [float(k) for k in K_grid]
+    if not ks:
+        raise DomainError("K_grid is empty; at least one candidate K is needed")
     for k in ks:
         if not math.isfinite(k):
             raise DomainError(f"candidate K values must be finite, got {k}")
+        if k <= 0.0:
+            raise DomainError(f"candidate K values must be positive, got {k}")
     ks.sort()
-    if not ks or ks[0] <= 0.0:
-        raise DomainError("candidate K values must be positive")
     # largest x/K whose h supremum the stored grid provably brackets;
     # probes are capped there so a small candidate K is judged on the
     # part of the tail its envelope can actually be evaluated on

@@ -513,7 +513,9 @@ def _per_command_parser():
         p.add_argument("--n", help="sample size for Monte Carlo commands")
         p.add_argument("--out", help="also write the CSV report to this path")
         p.add_argument("--strict", action="store_true", default=None, help="exit 1 when a printed norm is +inf")
-        p.add_argument("--config", help="key=value file; flags override its entries")
+        p.add_argument(
+            "--config", help="key=value file of the flags' keys, and xs=<x,...> (tail probe points); flags override it"
+        )
 
     for name, helptext in (("norm", "compute norms of a model"), ("verify", "run a verification suite"),
                            ("tail", "empirical tails against the envelope"),

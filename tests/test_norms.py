@@ -366,7 +366,7 @@ def test_ties_go_to_the_smallest_p():
 
 # every group order from 1 to 24, non-abelian groups among them, and one
 # of 128 elements, whose norms take the pruned scan (under a nondecreasing
-# psi) and the confirmed-only refinement rounds
+# psi) and lockstep refinement
 _BATCH_GROUPS = [*(cyclic_group(n) for n in range(1, 25)), dihedral_group(4), symmetric_group(3), dihedral_group(6),
                  symmetric_group(4), cyclic_group(128)]
 # the suites' normalized pool, the algebra suite's raw members and sqrt_dip
@@ -475,7 +475,7 @@ def test_the_route_counts_the_brackets_of_every_model(monkeypatch):
     # models go lockstep together while each model alone speculates; the
     # bits stay.  The psi makes no log_concave promise, so no bracket at a
     # row end is certified away
-    monkeypatch.setattr(search, "SCALAR_BRACKETS", 2)
+    monkeypatch.setattr(norms, "SCALAR_BRACKETS", 2)
     G = dihedral_group(6)
     rng = np.random.default_rng(8)
     models = _algebra_models(G, rng.standard_normal(12), rng.standard_normal(12))
@@ -492,7 +492,7 @@ def test_the_route_counts_the_brackets_of_every_model(monkeypatch):
 def test_three_functions_speculate_more_brackets_than_one(monkeypatch):
     # the 1 + 2 + 1 brackets of these three models exceed the 2 one
     # function may speculate, not the 2 * (3 + 1) // 2 = 4 of three
-    monkeypatch.setattr(search, "SCALAR_BRACKETS", 2)
+    monkeypatch.setattr(norms, "SCALAR_BRACKETS", 2)
     G = dihedral_group(6)
     rng = np.random.default_rng(6)
     models = _algebra_models(G, rng.standard_normal(12), rng.standard_normal(12))

@@ -10,6 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from glspace import (
+    ClosedFormModel,
     DivergentMomentError,
     DomainError,
     EmpiricalModel,
@@ -205,9 +206,9 @@ def _one_peak_per_row(k):
     return xs, lambda x: -((np.mod(x, 1.0) - 0.3) ** 2)
 
 
-def _routed(monkeypatch, k):
-    """sup_rows on k brackets; returns (result, array calls of f, calls of
-    golden_section_max)."""
+def _routed(monkeypatch, k, **kw):
+    """sup_rows on k brackets, with the keywords ``kw``; returns (result,
+    array calls of f, calls of golden_section_max)."""
     xs, f = _one_peak_per_row(k)
     array_calls, golden_calls = [0], [0]
 
@@ -220,29 +221,29 @@ def _routed(monkeypatch, k):
         return golden_section_max(*args, **kw)
 
     monkeypatch.setattr(search, "golden_section_max", counted_golden)
-    return sup_rows(_rowless(counted_f), xs), array_calls[0], golden_calls[0]
+    return sup_rows(_rowless(counted_f), xs, **kw), array_calls[0], golden_calls[0]
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 8, SCALAR_BRACKETS])
 def test_few_brackets_refine_one_by_one(monkeypatch, k):
-    # each bracket keeps its own golden-section state; they all speculate
-    # together, one array call of f per round
+    # each bracket keeps its own golden-section state; they all refine in
+    # guessed rounds together, one array call of f per round
     assert k <= SCALAR_BRACKETS
     res, array_calls, golden_calls = _routed(monkeypatch, k)
     # a parabolic peak is guessed right: the scan and one round
     assert (array_calls, golden_calls) == (2, 0)
     np.testing.assert_allclose(res.args, np.arange(1, k + 1) + 0.3, atol=1e-6)
     # the lockstep path gives the same bits
-    monkeypatch.setattr(search, "SCALAR_BRACKETS", 0)
-    lock, array_calls, golden_calls = _routed(monkeypatch, k)
+    lock, array_calls, golden_calls = _routed(monkeypatch, k, guessed=0)
     assert golden_calls == 0 and array_calls > 10
     np.testing.assert_array_equal(lock.values, res.values)
     np.testing.assert_array_equal(lock.args, res.args)
-    # and so does golden_section_max, one bracket and one point at a time
+    # and so does golden_section_max, one bracket and one point at a time:
+    # each row's one bracket beats its scan peak
     xs, f = _one_peak_per_row(k)
-    seq = sup_rows(_rowless(f), xs, speculate=False)
-    np.testing.assert_array_equal(seq.values, res.values)
-    np.testing.assert_array_equal(seq.args, res.args)
+    seq = np.array([found for _, found in _golden_brackets(f, xs)]).T
+    np.testing.assert_array_equal(seq[1], res.values)
+    np.testing.assert_array_equal(seq[0], res.args)
 
 
 @pytest.mark.parametrize("k", [SCALAR_BRACKETS + 1, 2 * SCALAR_BRACKETS])
@@ -253,8 +254,7 @@ def test_many_brackets_go_lockstep(monkeypatch, k):
     assert 10 < array_calls < 100
     np.testing.assert_allclose(res.args, np.arange(1, k + 1) + 0.3, atol=1e-6)
     # speculation gives the same bits
-    monkeypatch.setattr(search, "SCALAR_BRACKETS", k)
-    spec, array_calls, golden_calls = _routed(monkeypatch, k)
+    spec, array_calls, golden_calls = _routed(monkeypatch, k, guessed=k)
     assert (array_calls, golden_calls) == (2, 0)
     np.testing.assert_array_equal(spec.values, res.values)
     np.testing.assert_array_equal(spec.args, res.args)
@@ -321,11 +321,11 @@ def _peak_kinds(f, xs):
 
 
 @given(search_case=_spec_search())
-def test_speculation_has_the_bits_of_the_one_point_search(search_case):
+def test_speculation_has_the_bits_of_lockstep(search_case):
     f, xs, kind = search_case
     assert kind in _peak_kinds(f, xs)
     spec = sup_rows(_rowless(f), xs)
-    seq = sup_rows(_rowless(f), xs, speculate=False)
+    seq = sup_rows(_rowless(f), xs, guessed=0)
     assert (spec.values[0].hex(), spec.args[0].hex()) == (seq.values[0].hex(), seq.args[0].hex())
 
 
@@ -342,7 +342,7 @@ def _multi_peak_case():
 
 def test_an_always_wrong_guess_keeps_the_bits(monkeypatch):
     xs, scalar = _multi_peak_case()
-    seq = sup_rows(_rowless(_multi_peak), xs, speculate=False)
+    seq = sup_rows(_rowless(_multi_peak), xs, guessed=0)
     _always_wrong(monkeypatch, scalar)
     f, calls = _counted(_multi_peak)
     spec = sup_rows(_rowless(f), xs)
@@ -352,20 +352,20 @@ def test_an_always_wrong_guess_keeps_the_bits(monkeypatch):
 
 
 def _true_path(xs):
-    """The points golden_section_max evaluates: every point of the search
-    that guesses no decision (speculate=False), the scan's included."""
+    """The points golden_section_max evaluates: every point of the lockstep
+    search (guessed=0), the scan's included."""
     seen = set()
 
     def recorded(x):
         seen.update(np.ravel(x).tolist())
         return _multi_peak(x)
 
-    sup_rows(_rowless(recorded), xs, speculate=False)
+    sup_rows(_rowless(recorded), xs, guessed=0)
     return seen
 
 
-def _nan_or_raise(how, bad):
-    """_multi_peak, NaN at or raising on the points where ``bad`` holds."""
+def _nan_or_raise(how, bad, g=_multi_peak):
+    """``g``, NaN at or raising on the points where ``bad`` holds."""
 
     def f(x):
         x = np.asarray(x, dtype=float)
@@ -373,15 +373,15 @@ def _nan_or_raise(how, bad):
         if hit.any() and how != "nan":
             p = float(x[hit][0]) if x.ndim else float(x)
             raise DivergentMomentError(p) if how == "divergent" else DomainError(f"no value at p={p!r}")
-        return np.where(hit, np.nan, _multi_peak(x))
+        return np.where(hit, np.nan, g(x))
 
     return f
 
 
 @pytest.mark.parametrize("how", ["nan", "divergent", "domain"])
-def test_an_error_only_off_the_true_path_gives_the_one_point_result(monkeypatch, how):
+def test_an_error_only_off_the_true_path_gives_the_lockstep_result(monkeypatch, how):
     xs, scalar = _multi_peak_case()
-    seq = sup_rows(_rowless(_multi_peak), xs, speculate=False)
+    seq = sup_rows(_rowless(_multi_peak), xs, guessed=0)
     true_path = _true_path(xs)
     _always_wrong(monkeypatch, scalar)
     spec = sup_rows(_rowless(_nan_or_raise(how, lambda x: x not in true_path)), xs)
@@ -390,7 +390,7 @@ def test_an_error_only_off_the_true_path_gives_the_one_point_result(monkeypatch,
 
 
 @pytest.mark.parametrize("how", ["nan", "divergent", "domain"])
-def test_an_error_on_the_true_path_is_the_one_point_error(monkeypatch, how):
+def test_an_error_on_the_true_path_is_the_lockstep_error(monkeypatch, how):
     xs, scalar = _multi_peak_case()
     true_path = _true_path(xs)
     # the 10th point the refinement of the last bracket asks for, and every
@@ -400,7 +400,7 @@ def test_an_error_on_the_true_path_is_the_one_point_error(monkeypatch, how):
     f = _nan_or_raise(how, lambda x: x == bad or x not in true_path)
     error = DivergentMomentError if how == "divergent" else DomainError
     with pytest.raises(error) as seq:
-        sup_rows(_rowless(f), xs, speculate=False)
+        sup_rows(_rowless(f), xs, guessed=0)
     _always_wrong(monkeypatch, scalar)
     with pytest.raises(error) as spec:
         sup_rows(_rowless(f), xs)
@@ -408,28 +408,30 @@ def test_an_error_on_the_true_path_is_the_one_point_error(monkeypatch, how):
     assert spec.value.p == bad if how == "divergent" else repr(bad) in str(spec.value)
 
 
-def _golden_paths(f, xs):
-    """The points golden_section_max asks for on each bracket of the scan
-    rows ``xs`` of ``f``, the bracket ends known."""
+def _golden_brackets(f, xs):
+    """golden_section_max on each bracket of the scan rows ``xs`` of ``f``,
+    in row order, the bracket ends known: the points it asks for and its
+    (arg, value), per bracket.  ``f`` is checked as sup_rows checks it, so
+    a NaN raises DomainError."""
     ys = f(xs)
     r, _, il, ih, k, _ = search._brackets(xs, ys, None)
-    paths = []
+    out = []
     for row, lo, hi in zip(r[k].tolist(), il[k].tolist(), ih[k].tolist()):
         path = []
 
         def on_path(x):
             path.append(x)
-            return float(f(np.array([x]))[0])
+            return search._eval_array(_rowless(f), np.array([x]), None).item(0)
 
-        golden_section_max(on_path, xs[row, lo], xs[row, hi], f_lo=ys[row, lo], f_hi=ys[row, hi])
-        paths.append(path)
-    return paths
+        found = golden_section_max(on_path, xs[row, lo], xs[row, hi], f_lo=ys[row, lo], f_hi=ys[row, hi])
+        out.append((path, found))
+    return out
 
 
 @pytest.mark.parametrize("case", ["one-peak-per-row", "multi-peak"])
-def test_confirmed_only_rounds_ask_for_golden_sections_points_alone(case):
+def test_lockstep_asks_for_golden_sections_points_alone(case):
     xs, f = _one_peak_per_row(8) if case == "one-peak-per-row" else (_multi_peak_case()[0], _multi_peak)
-    paths = _golden_paths(f, xs)
+    paths = [path for path, _ in _golden_brackets(f, xs)]
     assert len(paths) > 1
     calls = []
 
@@ -437,8 +439,8 @@ def test_confirmed_only_rounds_ask_for_golden_sections_points_alone(case):
         calls.append(x.tolist())
         return f(x)
 
-    res = sup_rows(recorded, xs, speculate=False)
-    # the scan, then one round of x1 and x2 and one round per golden step of
+    res = sup_rows(recorded, xs, guessed=0)
+    # the scan, then one call of x1 and x2 and one call per golden step of
     # the longest path: every bracket's points, and no other
     assert calls[0] == xs.ravel().tolist()
     assert sorted(x for call in calls[1:] for x in call) == sorted(x for path in paths for x in path)
@@ -446,6 +448,60 @@ def test_confirmed_only_rounds_ask_for_golden_sections_points_alone(case):
     ref = sup_rows(_rowless(f), xs)
     np.testing.assert_array_equal(res.values, ref.values)
     np.testing.assert_array_equal(res.args, ref.args)
+
+
+@pytest.mark.parametrize("how", ["nan", "divergent", "domain"])
+def test_a_lockstep_error_is_golden_sections_error_on_the_first_bracket_that_meets_one(how):
+    # more brackets than may be guessed, and errors at the 12th point golden
+    # section asks for on the first bracket and at the 3rd on the last,
+    # which a lockstep iteration of all brackets meets first
+    xs, f = _one_peak_per_row(20)
+    brackets = _golden_brackets(f, xs)
+    assert len(brackets) > SCALAR_BRACKETS
+    first, last = float(brackets[0][0][11]), float(brackets[-1][0][2])
+    g = _nan_or_raise(how, lambda x: x in (first, last), f)
+    error = DivergentMomentError if how == "divergent" else DomainError
+    with pytest.raises(error) as alone:
+        _golden_brackets(g, xs)
+    with pytest.raises(error) as lockstep:
+        sup_rows(_rowless(g), xs)
+    assert str(lockstep.value) == str(alone.value)
+    assert lockstep.value.p == first if how == "divergent" else repr(first) in str(lockstep.value)
+
+
+def test_a_divergent_moment_in_lockstep_is_witnessed_at_the_first_brackets_p(monkeypatch):
+    # a Gaussian under sqrt_dip to p = 30 refines 30 brackets in lockstep;
+    # the model diverges at the 12th point golden section asks for on the
+    # first and at the 3rd on the last, and nowhere else
+    model, psi = gaussian_model(), sqrt_dip_psi()
+    starts, real = [], search._golden_lockstep
+
+    def spy(f, lo, f_lo, hi, f_hi, *args):
+        starts.append(list(zip(lo.tolist(), hi.tolist(), f_lo.tolist(), f_hi.tolist())))
+        return real(f, lo, f_lo, hi, f_hi, *args)
+
+    monkeypatch.setattr(search, "_golden_lockstep", spy)
+    gls_norm(model, psi, 30.0)
+    brackets = starts[0]
+    assert len(starts) == 1 and len(brackets) > SCALAR_BRACKETS
+    ratio, paths = _ratio(model, psi), []
+    for a, b, fa, fb in (brackets[0], brackets[-1]):
+        path = []
+        golden_section_max(lambda x: path.append(x) or float(ratio(np.array([x]))[0]), a, b, f_lo=fa, f_hi=fb)
+        paths.append(path)
+    bad = np.array([paths[0][11], paths[1][2]])
+
+    def moments(p):
+        hit = np.isin(p, bad)
+        if hit.any():
+            raise DivergentMomentError(float(p[hit][0]))
+        return model.lp_norm(p)
+
+    diverging = ClosedFormModel("diverging-at-two-points", moments)
+    with pytest.raises(DivergentMomentError) as alone:
+        golden_section_max(_ratio(diverging, psi), *brackets[0][:2], f_lo=brackets[0][2], f_hi=brackets[0][3])
+    res = gls_norm(diverging, psi, 30.0)
+    assert (res.value, res.arg_p) == (np.inf, alone.value.p) == (np.inf, paths[0][11])
 
 
 def _tripwire(f):
@@ -461,19 +517,19 @@ def _tripwire(f):
     return arrays_only
 
 
-@pytest.mark.parametrize("route", ["guessed", "confirmed", "lockstep", "after-a-raise"])
+@pytest.mark.parametrize("route", ["guessed", "guessed=0", "lockstep", "after-a-raise"])
 def test_every_route_gives_f_arrays_only(monkeypatch, route):
     xs, scalar = _multi_peak_case()
     f = _multi_peak
-    if route == "lockstep":
-        monkeypatch.setattr(search, "SCALAR_BRACKETS", 0)
+    # lockstep: more brackets than may be guessed
+    guessed = {"guessed=0": 0, "lockstep": 1}.get(route, SCALAR_BRACKETS)
     if route == "after-a-raise":
         # every guess is wrong and every point off the true path raises, so
-        # the first round raises and each bracket goes on alone
+        # the first round raises and each bracket reruns alone, in lockstep
         true_path = _true_path(xs)
         _always_wrong(monkeypatch, scalar)
         f = _nan_or_raise("domain", lambda x: x not in true_path)
-    res = sup_rows(_tripwire(f), xs, speculate=route != "confirmed")
+    res = sup_rows(_tripwire(f), xs, guessed=guessed)
     ref = sup_rows(_rowless(_multi_peak), xs)
     np.testing.assert_array_equal(res.values, ref.values)
     np.testing.assert_array_equal(res.args, ref.args)
@@ -490,8 +546,8 @@ class _ArraysOnly(PowerMeanModel):
 
 
 def test_a_sample_norm_asks_its_moments_for_arrays_only():
-    # 256 values cost by the point: a pruned scan and confirmed-only rounds,
-    # which refine an interior peak near p = 18
+    # 256 values cost by the point: a pruned scan and lockstep, which
+    # refines an interior peak near p = 18
     values = np.random.default_rng(4).normal(size=256)
     psi = make_power_slowvary(PowerSlowVaryParams(r=4.0, delta=0.0))
     res = gls_norm(_ArraysOnly(values, "tripwire"), psi, p_max=60.0)
@@ -519,7 +575,7 @@ def test_n_evaluations_counts_speculated_points(monkeypatch):
     spec = gls_norm(model, psi, p_max=30.0)
     assert (spec.value, spec.arg_p) == (seq.value, seq.arg_p)
     assert (seq.n_evaluations, spec.n_evaluations) == (counts[0][0], counts[1][0])
-    # every wrong guess costs a point the one-point search never asks for
+    # every wrong guess costs a point the lockstep search never asks for
     assert spec.n_evaluations > seq.n_evaluations
 
 
@@ -530,29 +586,34 @@ def test_n_evaluations_counts_speculated_points(monkeypatch):
     (gaussian_model(), False),
 ], ids=["sample-127", "sample-128", "group", "gaussian"])
 def test_only_a_ratio_that_costs_by_the_point_plans_no_guesses(monkeypatch, model, per_point):
-    # each refinement in rounds records whether it guessed, its brackets'
-    # starting states, the points it asked for and its results
-    real, refinements = search._speculate, []
+    # each refinement records whether it went lockstep, its brackets'
+    # starting states, the points it asked for and its results, per bracket
+    refinements = []
 
-    def spy(f, brackets, rows, targets=None):
-        starts = [(g.a, g.b, g.fa, g.fb) for g in brackets]
-        asked = []
+    def spied(lockstep, real):
+        def spy(f, lo, f_lo, hi, f_hi, *args):
+            asked = []
 
-        def recorded(x, row):
-            asked.extend(x.tolist())
-            return f(x, row)
+            def recorded(x, row):
+                asked.extend(x.tolist())
+                return f(x, row)
 
-        out = real(recorded, brackets, rows, targets)
-        refinements.append((targets is None, starts, asked, out))
-        return out
+            out = real(recorded, lo, f_lo, hi, f_hi, *args)
+            starts = list(zip(lo.tolist(), hi.tolist(), f_lo.tolist(), f_hi.tolist()))
+            refinements.append((lockstep, starts, asked, list(zip(*out))))
+            return out
 
-    monkeypatch.setattr(search, "_speculate", spy)
+        return spy
+
+    monkeypatch.setattr(search, "_speculate", spied(False, search._speculate))
+    monkeypatch.setattr(search, "_golden_lockstep", spied(True, search._golden_lockstep))
     psi = make_power_slowvary(PowerSlowVaryParams(r=4.0, delta=0.0))
     ratio = _ratio(model, psi)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", MomentInstabilityWarning)
         gls_norm(model, psi, p_max=30.0)
-        assert refinements and all(guessless == per_point for guessless, *_ in refinements)
+        # a few brackets: only a ratio that costs by the point goes lockstep
+        assert refinements and all(lockstep == per_point for lockstep, *_ in refinements)
         if per_point:
             # no point lies off golden section's path: the search asks for
             # golden_section_max's points of every bracket, and no other
@@ -570,11 +631,12 @@ def test_only_a_ratio_that_costs_by_the_point_plans_no_guesses(monkeypatch, mode
                 assert sorted(asked) == sorted(path)
 
 
-def test_confirmed_only_rounds_give_the_guessed_rounds_norm(monkeypatch):
-    # 256-value sparse functions refine in confirmed-only rounds; the same
-    # search guessing must print the same norms, so a point's psi must have
-    # the bits it has in any array (20 to 29 of 120 such draws differed under
-    # power_slowvary(r=1, delta=-0.5) while a float reached psi as a float)
+def test_lockstep_by_the_point_gives_the_guessed_rounds_norm(monkeypatch):
+    # 256-value sparse functions cost by the point and refine in lockstep;
+    # the same search guessing must print the same norms, so a point's psi
+    # must have the bits it has in any array (20 to 29 of 120 such draws
+    # differed under power_slowvary(r=1, delta=-0.5) while a float reached
+    # psi as a float)
     G = cyclic_group(256)
     psi = make_power_slowvary(PowerSlowVaryParams(r=1.0, delta=-0.5))
     rng = np.random.default_rng(0)
@@ -583,10 +645,10 @@ def test_confirmed_only_rounds_give_the_guessed_rounds_norm(monkeypatch):
         values = rng.standard_normal(G.order)
         values[rng.random(G.order) < 0.5] = 0.0
         models.append(GroupFunctionModel(G, values))
-    one_point = [gls_norm(m, psi) for m in models]
+    lockstep = [gls_norm(m, psi) for m in models]
     monkeypatch.setattr(norms, "_costs_per_point", lambda model: False)
     speculated = [gls_norm(m, psi) for m in models]
-    bits = [(r.value.hex(), r.arg_p.hex()) for r in one_point]
+    bits = [(r.value.hex(), r.arg_p.hex()) for r in lockstep]
     assert [(r.value.hex(), r.arg_p.hex()) for r in speculated] == bits
 
 

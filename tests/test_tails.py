@@ -235,6 +235,20 @@ def test_membership_rejects_a_candidate_that_is_not_finite_naming_it(K_grid, bad
         membership_K_estimate(batch, integer_grid(60), root_psi(), K_grid=K_grid)
 
 
+def test_membership_needs_at_least_one_candidate():
+    # an empty grid was told its candidates must be positive
+    batch = sample(gaussian_model(), 1_000, seed=0)
+    with pytest.raises(DomainError, match=r"^K_grid is empty; at least one candidate K is needed$"):
+        membership_K_estimate(batch, integer_grid(60), root_psi(), K_grid=[])
+
+
+@pytest.mark.parametrize("K_grid, bad", [([-1.0, 2.0], "-1.0"), ([0.0], "0.0"), ([2.0, -3.0], "-3.0")])
+def test_membership_rejects_a_candidate_that_is_not_positive_naming_it(K_grid, bad):
+    batch = sample(gaussian_model(), 1_000, seed=0)
+    with pytest.raises(DomainError, match=rf"^candidate K values must be positive, got {bad}$"):
+        membership_K_estimate(batch, integer_grid(60), root_psi(), K_grid=K_grid)
+
+
 def test_membership_needs_a_grid_reaching_e():
     # sqrt(5) < e, so no probe point is ever inside the envelope domain
     batch = sample(gaussian_model(), 1_000, seed=0)
