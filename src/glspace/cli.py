@@ -178,7 +178,10 @@ def _require(cfg: dict, key: str, command: str) -> str:
 def _emit(text: str, cfg: dict) -> None:
     sys.stdout.write(text)
     if cfg.get("out"):
-        Path(str(cfg["out"])).write_text(text)
+        try:
+            Path(str(cfg["out"])).write_text(text)
+        except OSError as exc:
+            raise SpecParseError(f"cannot write --out {cfg['out']}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------

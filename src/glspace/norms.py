@@ -70,7 +70,7 @@ from .models import (
     RandomVariableModel,
     power_means,
 )
-from .search import SCALAR_BRACKETS, _eval_array, sup_rows
+from .search import SCALAR_BRACKETS, _eval_parts, sup_rows
 from .search import grid_refine_supremum  # noqa: F401  unused here; the benchmark tracer patches it
 
 DEFAULT_P_MAX = 200.0
@@ -222,13 +222,16 @@ class NormSearch(NamedTuple):
     """One norm of a search: the sup of |f|_p / psi(p) for ``model`` over
     the scan ``rows`` (each an increasing grid of one interval, refined by
     sup_rows) and the exact ``points``.  With ``grid`` the points are a
-    grid and the result carries its arg_index.  See _search."""
+    grid and the result carries its arg_index.  ``truncated`` says that the
+    domain goes on past p_max, so that the edge evidence is needed.  See
+    _search."""
 
     model: RandomVariableModel
     p_max: float
     rows: np.ndarray
     points: np.ndarray
     grid: bool = False
+    truncated: bool = True
 
 
 _NO_ROWS = np.empty((0, 2))
@@ -246,7 +249,7 @@ def domain_search(model: RandomVariableModel, p_max: float, rset: Optional[Restr
     """The search of gls_norm: every interval component of ``rset``
     (all of [1, p_max] when None) within [1, p_max] a geometric scan row of
     _SCAN_POINTS points (_scan_rows), every point component an exact
-    point."""
+    point.  The domain is truncated when it goes on past p_max."""
     if not 1.0 <= p_max < math.inf:
         raise DomainError(f"p_max must be finite and at least 1, got {p_max:g}")
     segments = [(1.0, p_max)] if rset is None else rset.segments
@@ -254,7 +257,8 @@ def domain_search(model: RandomVariableModel, p_max: float, rset: Optional[Restr
     lo, hi = np.maximum(lo, 1.0), np.minimum(hi, p_max)
     lo, hi = lo[lo <= hi], hi[lo <= hi]
     span = lo < hi
-    return NormSearch(model, p_max, _scan_rows(tuple(lo[span].tolist()), tuple(hi[span].tolist())), lo[~span])
+    rows = _scan_rows(tuple(lo[span].tolist()), tuple(hi[span].tolist()))
+    return NormSearch(model, p_max, rows, lo[~span], truncated=rset is None or rset.sup_value > p_max)
 
 
 @lru_cache(maxsize=32)
@@ -297,20 +301,22 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     NormResult per search, or None where a shared search is given up.
 
     Every array call of the search (the exact points, the scan, each
-    pruning level, each refinement round) serves every search:
-    the rows of all searches are one scan array of sup_rows, and each call
-    evaluates the ratios of all searches at once.  Consecutive searches of
-    one model share its _ratio_fn pair; consecutive searches of plain power
-    means of several models (_stacks: the three of an algebra check) share
-    one _stacked_ratio, which evaluates psi once over their points and
-    their moments in one power_means; any other model keeps its own pair.
-    A norm's value is its best value over
-    its rows and its points, ties going to the smallest p, and
-    n_evaluations counts every point its ratio was asked for, including
-    those of a call that raised.  The edge evidence decreasing_at_hi is the
-    last row's when that row ends at p_max (True when none does); with
-    ``grid`` the points are a grid, the evidence is its last three ratios,
-    and the result carries the 1-based arg_index.
+    pruning level, each refinement round) serves every search: the rows
+    of all searches are one scan array of sup_rows, and one (num, den)
+    function gives the ratios of all searches at once, sup_rows dividing.
+    Consecutive searches of one model share its _ratio_fn pair;
+    consecutive searches of plain power means of several models (_stacks:
+    the three of an algebra check) share one _stacked_ratio, which
+    evaluates psi once over their points and their moments in one
+    power_means; any other model keeps its own pair.  A norm's value is
+    its best value over its rows and its points, ties going to the
+    smallest p, and n_evaluations counts every point its ratio was asked
+    for, including those of a call that raised.  The edge evidence
+    decreasing_at_hi is True where the domain goes no further than p_max
+    (not ``truncated``), and otherwise the last row's when that row ends
+    at p_max (False when none does); with ``grid`` the points are a grid,
+    the evidence is its last three ratios, and the result carries the
+    1-based arg_index.
 
     Decided once for the search: the prune gate and the route.  Up to
     SCALAR_BRACKETS brackets, and half as many more per model past the
@@ -324,34 +330,36 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
 
     A search alone raises what it meets, except that a divergent moment
     gives the norm +inf with that p as its witness.  A shared search that
-    raises, or meets a NaN even where it recovers (a wrong speculative
-    guess), is given up: _search returns None, and the caller runs each
-    part alone in its own order, so every error, every +inf and every
-    count is that of the searches alone.  A shared search is not tried
-    (None at once) where a plug-in moment may warn, since interleaved calls
-    would reorder and merge the warning lines of the searches, or where
-    the searches' rows differ in length, since one scan array holds rows
-    of one length.
+    raises, or whose refinement met an error and reran its brackets one
+    by one (RowSupremum.reran: a NaN ratio or a domain error at a point
+    off golden section's path), is given up: _search returns None, and the
+    caller runs each part alone in its own order, so every error, every
+    +inf and every count is that of the searches alone.  A shared search
+    is not tried (None at once) where a plug-in moment may warn, since
+    interleaved calls would reorder and merge the warning lines of the
+    searches, or where the searches' rows differ in length, since one scan
+    array holds rows of one length.
 
     The scan is pruned, against the best exact-point value too, when every
     model is a PowerMeanModel of at least _PRUNE_MIN_VALUES values
     (_costs_per_point) and psi is flagged nondecreasing.  The cell bound
     needs |f|_p nondecreasing and p ln |f|_p convex, which a power mean is
-    exactly, and psi nondecreasing; it takes
-    the chord of ln psi too when psi is flagged log_concave.  On small
-    arrays the full scan is cheaper.  Pruning runs in levels (every 64th
-    scan point, then every 16th inside the 64-cells kept, then every 4th
-    inside the 16-cells kept, then the points of the 4-cells kept), and each
-    power mean skips the terms that underflow to exactly 0.0 at large p
-    (models.power_mean), so a large sample pays for the points and terms
-    that can change the result and no others.  When psi is flagged
-    log_concave and every model's moments are exact, a PowerMeanModel of
-    any size or a ClosedFormModel (the Gaussian, exponential, uniform01,
-    constant and Rademacher families), the scan goes through the (num, den)
-    parts, pruned or not, so that sup_rows can leave unrefined the peaks at
-    a row end that golden section cannot beat (search's end certificate).
-    Any other model, such as a moment by quadrature, whose error exceeds
-    the certificate's margin, is not certified.
+    exactly, and psi nondecreasing; it takes the chord of ln psi too when
+    psi is flagged log_concave.  On small arrays the full scan is cheaper.
+    Pruning runs in levels (every 64th scan point, then every 16th inside
+    the 64-cells kept, then every 4th inside the 16-cells kept, then the
+    points of the 4-cells kept), and each power mean skips the terms that
+    underflow to exactly 0.0 at large p (models.power_mean), so a large
+    sample pays for the points and terms that can change the result and
+    no others.  When psi is flagged log_concave and every model's moments
+    are exact, a PowerMeanModel of any size or a ClosedFormModel (the
+    Gaussian, exponential, uniform01, constant and Rademacher families),
+    sup_rows gets log_concave and leaves unrefined the peaks at a row end
+    that golden section cannot beat (search's end certificate); pruning
+    implies that every model is a PowerMeanModel, so its bound takes the
+    chord of ln psi exactly when psi promises it.  Any other model, such
+    as a moment by quadrature, whose error exceeds the certificate's
+    margin, is not certified.
     """
     models = [s.model for s in searches]
     shared = len(searches) > 1
@@ -386,7 +394,6 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     starts = [0, *accumulate(s.rows.shape[0] for s in searches)]
     row0 = np.array(starts)
     asked = [0] * n_parts
-    trouble = []
 
     def parts(p, at):
         """(num, den) at the points of an array call, search k's being
@@ -404,49 +411,23 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
         ]
         return got[0] if len(got) == 1 else tuple(np.concatenate(a) for a in zip(*got))
 
-    def checked(p, at):
-        try:
-            num, den = parts(p, at)
-        except Exception:
-            trouble.append(True)
-            raise
-        # a shared search that meets a NaN is given up even where it
-        # recovers: its counts would not be the searches' own
-        if shared and np.isnan(num / den).any():
-            trouble.append(True)
-        return num, den
-
-    def evaluate(p, at):
-        num, den = checked(p, at)
-        return num / den
-
-    def parts_of(row):
-        """Where each search's points start in an array call on the rows
-        ``row``, then their end (None for one search)."""
-        return None if n_parts == 1 else np.searchsorted(row, row0.astype(row.dtype, copy=False)).tolist()
-
-    def ratio(p, row):
-        return evaluate(p, parts_of(row))
-
     def num_den(p, row):
-        return checked(p, parts_of(row))
+        # each search's points start where its first row does
+        return parts(p, None if n_parts == 1 else np.searchsorted(row, row0.astype(row.dtype, copy=False)).tolist())
 
     # where each search's exact points start in their array call, then
     # their end
     at = [0, *accumulate(s.points.size for s in searches)]
     try:
-        points = _eval_array(lambda p, _: evaluate(p, at), _cat([s.points for s in searches]), None)
+        points = _eval_parts(lambda p, _: parts(p, at), _cat([s.points for s in searches]), None)[2]
         at_points = [points[lo:hi] for lo, hi in zip(at, at[1:])]
-        floor = [v.max(initial=-math.inf) for v in at_points] if prune else -math.inf
         found = sup_rows(
-            ratio,
+            num_den,
             _cat(blocks) if blocks else _NO_ROWS,
-            parts=num_den if prune or certify else None,
-            floor=floor,
+            floor=[v.max(initial=-math.inf) for v in at_points] if prune else None,
             guessed=guessed,
             search=np.arange(n_parts).repeat(np.diff(row0)) if prune else None,
-            log_concave=psi.log_concave,
-            prune=prune,
+            log_concave=certify,
         )
     except Exception as exc:
         if shared:
@@ -455,7 +436,7 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
             s = searches[0]
             return [NormResult(math.inf, float(exc.p), float(s.p_max), False, asked[0])]
         raise
-    if shared and trouble:
+    if shared and found.reran:
         return None
     out = []
     for k, s in enumerate(searches):
@@ -467,7 +448,8 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
         if s.grid:
             decreasing = vals.size >= 3 and vals[-3] > vals[-2] > vals[-1]
         else:
-            decreasing = hi == lo or s.rows[-1, -1] != s.p_max or found.decreasing_at_hi[hi - 1]
+            at_p_max = hi > lo and s.rows[-1, -1] == s.p_max
+            decreasing = not s.truncated or at_p_max and found.decreasing_at_hi[hi - 1]
         out.append(NormResult(
             value=float(vals[i]),
             arg_p=float(args[i]),

@@ -1,9 +1,13 @@
 """Supremum search: one batched scan plus golden-section refinement.
 
+Every searched value is a ratio num / den, and one function
+``parts(x, row) -> (num, den)`` serves the whole search: the scan, every
+pruning level, both refinement routes and the rerun after an error.  A
+plain function f is searched as the ratio (f, 1), whose division is exact.
 Nothing here assumes unimodality.  A search covers one or more rows
-(segments or cells), each sampled on its own increasing grid, and ``f``
-is evaluated on every row in one array call.  ``f`` is told the row of
-each point it is asked for, so the rows may belong to several functions
+(segments or cells), each sampled on its own increasing grid, and
+``parts`` is evaluated on every row in one array call.  It is told the row
+of each point it is asked for, so the rows may belong to several functions
 (the norms of several models under one psi, as for an algebra check; the
 two norms of a sandwich check), and every array call of the search, scan
 and refinement alike, serves them all.  Every local maximum of a
@@ -16,18 +20,18 @@ deterministic.
 
 Refinement takes one of two routes, chosen once for the whole search.
 Both take golden_section_max's update rule, stopping width and tie-break
-and ask ``f`` for arrays of points only, so they give its bits as long
-as ``f`` gives a point the same bits in any array, as the moment backends
-and psi_eval do (a scalar p reaches them as a one-element array).
-- Lockstep: every bracket takes one golden step per array call, so ``f``
-  is asked for golden_section_max's points and no other.  A search takes
-  it when it holds more brackets than it may guess (``guessed``), and
-  always when ``f`` costs by the points it is asked for (a power mean of
-  many values), where a guessed point would cost more than the call it
-  saves.
+and ask ``parts`` for arrays of points only, so they give its bits as
+long as ``parts`` gives a point the same bits in any array, as the moment
+backends and psi_eval do (a scalar p reaches them as a one-element array).
+- Lockstep: every bracket takes one golden step per array call, so
+  ``parts`` is asked for golden_section_max's points and no other.  A
+  search takes it when it holds more brackets than it may guess
+  (``guessed``), and always when ``parts`` costs by the points it is asked
+  for (a power mean of many values), where a guessed point would cost more
+  than the call it saves.
 - Guessed rounds: a few brackets refine in rounds, one array call for all
   of them per round.  Golden section's next point depends only on its
-  left/right decisions, never on the values of f, so a round lays out the
+  left/right decisions, never on the values, so a round lays out the
   points of a decision path before any is evaluated, then replays the
   update rule over their values.  Each round guesses every bracket's
   coming decisions (a peak at a row end goes all one way; an interior
@@ -35,17 +39,18 @@ and psi_eval do (a scalar p reaches them as a one-element array).
   known), the first round for the whole path, later ones for _LOOKAHEAD
   steps, and the replay stops at the first wrong guess, which only costs
   the points evaluated past it.
-When refinement raises (a NaN, a domain error, a divergent moment),
+When refinement raises (a NaN ratio, a domain error, a divergent moment),
 perhaps at a point off golden section's path in a guessed round, or on a
 later bracket's path that lockstep reaches first, each bracket reruns
 alone from its ends, in row order, as a one-bracket lockstep.  So the
 error is the one golden_section_max meets on the first bracket that
-meets one, naming the same p.
+meets one, naming the same p; where no bracket meets one alone, the
+search returns, and RowSupremum.reran counts the brackets it reran.
 
-A search may be pruned.  When ``f = num / den`` with ``num`` = |g|_p, a
-p-norm on a probability space, and ``den`` positive and nondecreasing (a
-moment over a nondecreasing generating function), a scan cell [a, b]
-whose ends are evaluated has a bound on ``f``.  phi(p) = p ln num(p) =
+A search may be pruned.  When ``num`` = |g|_p is a p-norm on a
+probability space and ``den`` is positive and nondecreasing (a moment
+over a nondecreasing generating function), a scan cell [a, b] whose ends
+are evaluated has a bound on f = num / den.  phi(p) = p ln num(p) =
 ln E|g|^p is convex in p (Lyapunov), so it lies below its chord on the
 cell, and ln num(p) <= (phi(a) + (p - a) s) / p with s the chord's
 slope.  When ln den is concave in p as well (the log_concave promise of
@@ -123,38 +128,22 @@ from .errors import DivergentMomentError, DomainError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# The most brackets a search of one function refines in guessed rounds
-# (_speculate, sup_rows' default ``guessed``); a search with more goes
-# lockstep, and so does every search whose ratio costs by the point, for
-# which norms passes guessed=0.  The count is of the whole search: when one
-# search serves several functions (the three norms of an algebra check),
-# their brackets are counted together and all take one route, and norms
-# allows SCALAR_BRACKETS / 2 more for each function past the first
-# (guessed = SCALAR_BRACKETS * (functions + 1) // 2), as a lockstep
-# iteration called every function once when this was timed.
-# norms now evaluates the three algebra ratios in one stacked call, whose
-# cost still grows with each model it serves, so it still counts them as
-# three and speculation stays the cheaper route there.  Counted as one
-# function instead, four seed-7 algebra benchmark blocks (504 shared
-# searches, same VM) sent one search, cyclic:14 with 13 brackets,
-# lockstep, and its op took 8.1-8.7 ms against 3.0-5.6 ms speculating
-# (median of 31, two rounds), with the same outcomes.  Timed on k rows of
-# 64 points with one bracket each (Python 3.11, NumPy 2.4, a 2-core x86-64
-# VM, CPU time, median of 9 rounds, the two routes alternating): with an
-# interior peak in every row,
-# lockstep becomes the cheaper route at 13-16 brackets for a ratio of
-# moments on a group of order 12 (power_slowvary(r=3, delta=-1)) and at
-# 17-24 for a Gaussian ratio (sqrt_dip); with peaks at row ends, whose paths
-# are guessed right, only past 32.  Re-timed
-# with the lockstep that keeps only its moving brackets: one function
-# (a Gaussian under sqrt_dip) breaks even at 12 brackets, and three (three
-# group functions of order 14, or three closed forms, under sqrt_dip) at
-# 24; three group functions under power_slowvary(r=3, delta=-1) speculate
-# more cheaply up to 48.  On one seed-7 run of each benchmark workload,
-# norm sends 111 searches (29 brackets in all) lockstep because their
-# ratios cost by the point; sandwich refines 49 searches (10,093 brackets)
-# lockstep and 432 in guessed rounds, algebra 504 in guessed rounds, and
-# tail refines none.
+# The most brackets a search refines in guessed rounds (_speculate,
+# sup_rows' default ``guessed``); a search with more refines in lockstep,
+# and so does every search whose ratio costs by the point, for which norms
+# passes guessed=0.  When one search serves several functions, their
+# brackets are counted together and norms allows half as many more for each
+# function past the first: guessed = SCALAR_BRACKETS * (functions + 1) // 2
+# (the three algebra ratios are one stacked call, whose cost still grows
+# with each model, so they count as three).  Timed on k rows of 64 points
+# with one interior peak each (Python 3.11, NumPy 2.4, a 2-core x86-64 VM,
+# CPU time, median of 9 rounds, the two routes alternating), lockstep breaks
+# even at 12 brackets for one function (a Gaussian under sqrt_dip) and at 24
+# for three (three group functions of order 14, or three closed forms,
+# under sqrt_dip).  On one seed-7 run of each benchmark workload, norm sends
+# 111 searches (29 brackets in all) lockstep because their ratios cost by
+# the point; sandwich refines 49 searches (10,093 brackets) lockstep and 432
+# in guessed rounds, algebra 504 in guessed rounds, and tail refines none.
 SCALAR_BRACKETS = 12
 
 # refinement stops once a bracket is narrower than this, relative to the
@@ -245,7 +234,8 @@ class RowSupremum(NamedTuple):
     ``plateaus`` counts the brackets left unrefined because they were
     flat, ``pruned`` the cells a pruned scan dropped unevaluated, and
     ``certified`` the brackets of row-end peaks left unrefined because
-    golden section could not beat them."""
+    golden section could not beat them, and ``reran`` the brackets rerun
+    alone after an error in refinement that none of them met alone."""
 
     values: np.ndarray
     args: np.ndarray
@@ -253,6 +243,7 @@ class RowSupremum(NamedTuple):
     plateaus: int
     pruned: int
     certified: int
+    reran: int
 
 
 def golden_section_max(
@@ -413,17 +404,17 @@ class _Golden:
         return self.best_x, self.best_v
 
 
-def _speculate(f, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray, targets: list):
+def _speculate(parts, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray, targets: list):
     """golden_section_max on every bracket [lo[k], hi[k]], of the scan row
-    rows[k], in guessed rounds of one array call of ``f`` each.
+    rows[k], in guessed rounds of one array call of ``parts`` each.
 
     Each round asks for every unfinished bracket's planned points, guessed
     toward its target (targets[k] at first): the first round for the whole
     path, later ones for _LOOKAHEAD steps past the last confirmed one, with
     the target moved to the vertex of the parabola through the confirmed
-    points.  An error of ``f`` propagates, whether or not it lies on golden
-    section's path (sup_rows then reruns the brackets one by one).  Returns
-    (args, values).
+    points.  An error of ``parts`` propagates, whether or not it lies on
+    golden section's path (sup_rows then reruns the brackets one by one).
+    Returns (args, values).
     """
     # Python floats in, so the golden-section arithmetic takes float paths
     # (same IEEE operations as on numpy scalars)
@@ -434,7 +425,7 @@ def _speculate(f, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray, targets: lis
         plans = [g.plan(n, t) for g, t in zip(live, targets)]
         counts = [len(plan) for plan in plans]
         xs = np.array([x for plan in plans for x in plan])
-        values = _eval_array(f, xs, np.array(live_rows).repeat(counts)).tolist()
+        values = _eval_parts(parts, xs, np.array(live_rows).repeat(counts))[2].tolist()
         at = 0
         for g, count in zip(live, counts):
             g.replay(values[at : at + count])
@@ -446,13 +437,13 @@ def _speculate(f, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray, targets: lis
     return np.array([(g.best_x, g.best_v) for g in brackets], dtype=float).reshape(-1, 2).T
 
 
-def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray):
+def _golden_lockstep(parts, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray):
     """golden_section_max on every bracket [lo[k], hi[k]], of the scan row
     rows[k], at once.
 
     ``f_lo`` / ``f_hi`` are the values already known at the bracket ends.
     Each iteration moves every bracket still wider than its stopping
-    width and evaluates ``f`` once on the array of new points.  The state
+    width and evaluates ``parts`` once on the array of new points.  The state
     is kept for the moving brackets only, so an iteration is a few whole
     array operations; a bracket that stops leaves it.  Returns (args,
     values).
@@ -464,7 +455,7 @@ def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray):
     x1 = b - INV_PHI * (b - a)
     x2 = a + INV_PHI * (b - a)
     # x1 and x2 of each bracket side by side, so the points come row by row
-    f12 = _eval_array(f, np.stack([x1, x2], axis=1).ravel(), rows.repeat(2)).reshape(-1, 2)
+    f12 = _eval_parts(parts, np.stack([x1, x2], axis=1).ravel(), rows.repeat(2))[2].reshape(-1, 2)
     f1, f2 = f12[:, 0], f12[:, 1]
     width_tol = tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     # the moving brackets: their indices, then their state
@@ -485,7 +476,7 @@ def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray):
         d = INV_PHI * (b - a)
         x = np.where(left, b - d, a + d)
         x1, x2 = np.where(left, x, x2), np.where(left, x1, x)
-        v = _eval_array(f, x, rows)
+        v = _eval_parts(parts, x, rows)[2]
         f1, f2 = np.where(left, v, f2), np.where(left, f1, v)
         better = (v > bv) | ((v == bv) & (x < bx))
         bx, bv = np.where(better, x, bx), np.where(better, v, bv)
@@ -494,67 +485,66 @@ def _golden_lockstep(f, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray):
 
 
 def sup_rows(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    parts: Callable[[np.ndarray, np.ndarray], tuple],
     xs: np.ndarray,
     refine_tol: float = _REFINE_TOL,
-    parts: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None,
-    floor=-math.inf,
+    floor=None,
     guessed: int = SCALAR_BRACKETS,
     search: Optional[np.ndarray] = None,
     log_concave: bool = False,
-    prune: bool = True,
 ) -> RowSupremum:
-    """Supremum of ``f`` over each row of the scan grid ``xs``.
+    """Supremum of the ratio num / den over each row of the scan grid ``xs``.
 
     Each row is an increasing grid whose first and last points are the
-    ends of its interval.  ``f(x, row)`` takes an array of points and the
-    array of their row indices in ``xs``, never a scalar, so one search can
+    ends of its interval.  ``parts(x, row)`` takes an array of points and
+    the array of their row indices in ``xs``, never a scalar, and returns
+    the arrays (num, den) of the ratio at those points, so one search can
     serve rows of different functions; every array call lists its points
-    row by row, their row indices nondecreasing.  ``f`` sees all rows in one array call; every
-    local maximum of a row is then refined inside the cell spanned by its
-    scan neighbours, to the stopping width ``refine_tol``, unless the three
-    scan values agree within _PLATEAU_ULP ulp: such a plateau (a flat ratio
-    makes every scan point one) keeps its scan value.  Up to ``guessed``
-    brackets, counted over all rows, refine in guessed rounds, more in
-    lockstep (see the module docstring and SCALAR_BRACKETS); guessed=0
-    sends every bracket lockstep, for an ``f`` whose cost grows with the
-    points it is asked for more than with its calls, so that no point off
-    golden section's path is evaluated.  Both routes reuse the scan values
-    at the bracket ends and give the bits of golden_section_max, and when
-    either raises, each bracket reruns alone in row order, so an error
-    names the p golden_section_max names on the first bracket that meets
-    one.  Refinement never loses the scan value it started from.  A NaN
-    value of ``f`` raises DomainError naming the first p where it occurred.
+    row by row, their row indices nondecreasing.  A NaN ratio raises
+    DomainError naming the first p where it occurred.  The scan asks for
+    all rows in one array call; every local maximum of a row is then
+    refined inside the cell spanned by its scan neighbours, to the
+    stopping width ``refine_tol``, unless the three scan values agree within
+    _PLATEAU_ULP ulp: such a plateau (a flat ratio makes every scan point
+    one) keeps its scan value.  Up to ``guessed`` brackets, counted over all
+    rows, refine in guessed rounds, more in lockstep (see the module
+    docstring and SCALAR_BRACKETS); guessed=0 sends every bracket lockstep,
+    for ``parts`` whose cost grows with the points it is asked for more
+    than with its calls, so that no point off golden section's path is
+    evaluated.  Both routes reuse the scan values at the bracket ends and
+    give the bits of golden_section_max, and when either raises, each
+    bracket reruns alone in row order, so an error names the p
+    golden_section_max names on the first bracket that meets one; where
+    none does, ``reran`` counts the brackets rerun.  Refinement never loses
+    the scan value it started from.
 
-    With ``parts`` every scan value is num / den of ``parts(x, row)``,
-    arrays (num, den) whose quotient has the bits of ``f(x, row)``, both
-    nondecreasing and den positive, and the scan is pruned (see the module
-    docstring) unless ``prune`` is False.  With ``log_concave`` ln den is
-    concave in p and p ln num convex (num a p-norm on a probability space,
-    den a generating function with that promise): the cell bound takes both
-    chords, and a peak at a row end whose chord bound proves that golden
-    section cannot beat it is not refined (the module docstring), which
-    changes no result and only the points ``f`` is asked for.  ``floor``
-    is a value known from elsewhere (the exact points of a norm) that the
-    pruning also compares against.  It may hold one value per search,
-    ``search`` then giving the search of each row, and each search is
-    pruned against its own floor and its own best value, so a cell of one
-    search is never dropped against another's.  The largest of a search's
-    row values and its floor and its argument are then those of the full
-    scan, bit for bit, as is ``decreasing_at_hi``; a row that cannot hold
-    that supremum may report a lower value.  When a NaN value or a
-    divergent moment stops the pruned scan, the full scan runs instead, so
-    the error and the p it names are the full scan's.
+    With ``floor`` the scan is pruned (see the module docstring): num must
+    then be a p-norm on a probability space and den positive and
+    nondecreasing.  ``floor`` holds a value known from elsewhere (the exact
+    points of a norm) that the pruning also compares against, one per
+    search, ``search`` giving the search of each row (all the first when
+    None); each search is pruned against its own floor and its own best
+    value, so a cell of one search is never dropped against another's.
+    The largest of a search's row values and its floor and its argument
+    are then those of the full scan, bit for bit, as is
+    ``decreasing_at_hi``; a row that cannot hold that supremum may report
+    a lower value.  When a NaN ratio or a divergent moment stops the pruned
+    scan, the full scan runs instead, so the error and the p it names are
+    the full scan's.  ``log_concave`` promises that num is a p-norm on a
+    probability space and ln den is concave in p; it gates both chords:
+    the pruning bound takes the chord of ln den too, and a peak at a row
+    end whose chord bound proves that golden section cannot beat it is not
+    refined (the module docstring), which changes no result and only the
+    points ``parts`` is asked for.
     """
     rows, n = xs.shape
     if not rows:
-        return RowSupremum(np.empty(0), np.empty(0), np.zeros(0, dtype=bool), 0, 0, 0)
+        return RowSupremum(np.empty(0), np.empty(0), np.zeros(0, dtype=bool), 0, 0, 0, 0)
     known = None
     pruned = 0
-    if parts is not None and prune:
+    if floor is not None:
         try:
-            floors = np.atleast_1d(np.asarray(floor, dtype=float))
-            ys, known, pruned, num, den = _pruned_scan(xs, parts, floors, search, log_concave)
+            ys, known, pruned, num, den = _pruned_scan(xs, parts, floor, search, log_concave)
         except (DomainError, DivergentMomentError):
             known = None
     if known is None:
@@ -562,29 +552,28 @@ def sup_rows(
         # as int64, the 51200 indices of W^'s cell minima took about 4% more
         # time there (the allocation, not the arithmetic)
         scan_rows = np.arange(rows, dtype=np.min_scalar_type(rows)).repeat(n)
-        if parts is None:
-            ys = _eval_array(f, xs.ravel(), scan_rows).reshape(rows, n)
-        else:
-            num, den, ys = (a.reshape(rows, n) for a in _eval_parts(parts, xs.ravel(), scan_rows))
+        num, den, ys = (a.reshape(rows, n) for a in _eval_parts(parts, xs.ravel(), scan_rows))
     r, i, il, ih, k, n_flat = _brackets(xs, ys, known)
     certified = 0
-    if parts is not None and log_concave:
+    if log_concave:
         sure = _certified(xs, ys, num, den, r[k], i[k], refine_tol)
         certified = int(np.count_nonzero(sure))
         k = k[~sure]
     cand_x, cand_v = xs[r, i], ys[r, i]
     rk, il, ih = r[k], il[k], ih[k]
     ends = xs[rk, il], ys[rk, il], xs[rk, ih], ys[rk, ih]
+    reran = 0
     try:
         if k.size <= guessed:
-            ref_x, ref_v = _speculate(f, *ends, refine_tol, rk, _scan_targets(xs, ys, rk, i[k]))
+            ref_x, ref_v = _speculate(parts, *ends, refine_tol, rk, _scan_targets(xs, ys, rk, i[k]))
         else:
-            ref_x, ref_v = _golden_lockstep(f, *ends, refine_tol, rk)
+            ref_x, ref_v = _golden_lockstep(parts, *ends, refine_tol, rk)
     except (DomainError, DivergentMomentError):
         # each bracket alone, in row order: an error is then the one
         # golden_section_max meets on the first bracket that meets one
-        alone = [_golden_lockstep(f, *(e[j : j + 1] for e in ends), refine_tol, rk[j : j + 1]) for j in range(k.size)]
+        alone = [_golden_lockstep(parts, *(e[j : j + 1] for e in ends), refine_tol, rk[j : j + 1]) for j in range(k.size)]
         ref_x, ref_v = (np.concatenate(a) for a in zip(*alone))
+        reran = k.size
     keep = ~(cand_v[k] > ref_v)
     cand_x[k[keep]], cand_v[k[keep]] = ref_x[keep], ref_v[keep]
     # per row: largest value, then smallest arg; every row has a peak
@@ -597,7 +586,7 @@ def sup_rows(
         decreasing = (ys[:, -3] > ys[:, -2]) & (ys[:, -2] > ys[:, -1])
     else:
         decreasing = np.zeros(rows, dtype=bool)
-    return RowSupremum(cand_v[first], cand_x[first], decreasing, n_flat, pruned, certified)
+    return RowSupremum(cand_v[first], cand_x[first], decreasing, n_flat, pruned, certified, reran)
 
 
 def _brackets(xs: np.ndarray, ys: np.ndarray, known: Optional[np.ndarray]):
@@ -715,13 +704,36 @@ def _certified(xs, ys, num, den, r: np.ndarray, i: np.ndarray, tol: float) -> np
 
 
 def _eval_parts(parts, xs: np.ndarray, rows: np.ndarray) -> tuple:
-    """(num, den, num / den) of ``parts(xs, rows)`` as float arrays of the
-    shape of ``xs``; DomainError naming the first point whose quotient is
-    NaN.  An empty ``xs`` is not passed to ``parts``."""
+    """(num, den, num / den) of ``parts(xs, rows)``, float arrays of the
+    shape of ``xs``, in one call; ``rows`` holds the scan row of each
+    point.  ``parts`` must accept an array and return one num and one den
+    per point: a function that only takes scalars is a caller error, not
+    something to fall back from point by point.  A NaN quotient raises
+    DomainError naming the first point where it occurred.  An empty ``xs``
+    is not passed to ``parts``."""
     if xs.size == 0:
         return np.empty(xs.shape), np.empty(xs.shape), np.empty(xs.shape)
-    num, den = (np.asarray(a, dtype=float).reshape(xs.shape) for a in parts(xs, rows))
-    return num, den, _checked(xs, num / den)
+    num, den = (_per_point(xs, a) for a in parts(xs, rows))
+    ys = num / den
+    nan = np.isnan(ys)
+    if nan.any():
+        raise DomainError(f"the searched function is NaN at p={float(xs.flat[np.argmax(nan)])!r}")
+    return num, den, ys
+
+
+def _per_point(xs: np.ndarray, values) -> np.ndarray:
+    """``values``, one per point of ``xs``, as a float array; ValueError
+    when their shape is not that of ``xs``."""
+    values = np.asarray(values, dtype=float)
+    if values.shape != xs.shape:
+        raise ValueError(f"parts returned shape {values.shape} for {xs.shape} points; it must accept arrays")
+    return values
+
+
+def _unit(f):
+    """``f`` as the ratio (f, 1) that sup_rows searches; dividing by 1
+    keeps its bits."""
+    return lambda x, row: (f(x), np.ones_like(x))
 
 
 def _pruned_scan(
@@ -748,7 +760,7 @@ def _pruned_scan(
     # before the first level the whole row is one live cell
     cover = np.ones((rows, n), dtype=bool)
     search = np.zeros(rows, dtype=np.intp) if search is None else search
-    best = np.array(floor, dtype=float)
+    best = np.atleast_1d(np.array(floor, dtype=float))
     for step in _COARSE_STEPS:
         level = np.zeros(n, dtype=bool)
         level[::step] = True
@@ -791,19 +803,19 @@ def grid_refine_supremum(
 
     The scan grid is geometrically spaced by default (suited to moment
     ratios that vary on a log scale in p); the search is sup_rows on one
-    row.  ``f`` must accept an array of points (see _eval_array).
+    row.  ``f`` must accept an array of points (see _eval_parts).
     """
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
-        return SupremumResult(_eval_array(lambda x, row: f(x), np.array([lo], dtype=float), None).item(0), lo, True)
+        return SupremumResult(_eval_parts(_unit(f), np.array([lo], dtype=float), None)[2].item(0), lo, True)
     n_points = max(int(n_points), 2)
     if geometric and lo > 0:
         xs = np.geomspace(lo, hi, n_points)
     else:
         xs = np.linspace(lo, hi, n_points)
     xs[0], xs[-1] = lo, hi
-    res = sup_rows(lambda x, row: f(x), xs[None, :])
+    res = sup_rows(_unit(f), xs[None, :])
     return SupremumResult(float(res.values[0]), float(res.args[0]), bool(res.decreasing_at_hi[0]))
 
 
@@ -820,36 +832,6 @@ def sampled_min(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
     if np.any(hi < lo):
         raise ValueError("sampled_min needs lo <= hi for every interval")
     xs = np.linspace(lo, hi, _MIN_SAMPLES, axis=-1).reshape(lo.size, -1)
-    res = sup_rows(lambda x, row: -f(x), xs, _MIN_TOL)
+    res = sup_rows(_unit(lambda x: -f(x)), xs, _MIN_TOL)
     return -res.values.reshape(np.shape(lo))
 
-
-def _nan_error(x) -> DomainError:
-    return DomainError(f"the searched function is NaN at p={float(x)!r}")
-
-
-def _eval_array(f, xs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``f(xs, rows)`` on every point of ``xs`` in one call; ``rows`` holds
-    the scan row of each point.
-
-    ``f`` must accept an array and return one value per point; a
-    function that only takes scalars is a caller error, not something to
-    fall back from point by point.  A NaN value raises DomainError
-    naming the first point where it occurred.  An empty ``xs`` is not
-    passed to ``f``.
-    """
-    if xs.size == 0:
-        return np.empty(xs.shape)
-    return _checked(xs, f(xs, rows))
-
-
-def _checked(xs: np.ndarray, ys) -> np.ndarray:
-    """``ys``, the values at the points ``xs``, as a float array of their
-    shape; DomainError naming the first point whose value is NaN."""
-    ys = np.asarray(ys, dtype=float)
-    if ys.shape != xs.shape:
-        raise ValueError(f"f returned shape {ys.shape} for {xs.shape} points; it must accept arrays")
-    nan = np.isnan(ys)
-    if nan.any():
-        raise _nan_error(xs.flat[np.argmax(nan)])
-    return ys

@@ -197,9 +197,9 @@ def tail_check(
 ) -> TailReport:
     """Empirical survival against the envelope at each probe point.
 
-    ``x_grid`` defaults to default_probe_points of the envelope; a NaN or
-    infinite probe is a DomainError.  Probes below the e*norm threshold
-    are reported as out-of-domain, not judged.  The pass condition allows
+    ``x_grid`` defaults to default_probe_points of the envelope; an empty
+    list, or a NaN or infinite probe, is a DomainError.  Probes below the
+    e*norm threshold are reported as out-of-domain, not judged.  The pass condition allows
     three standard deviations of sampling noise, plus one count, on top
     of the envelope.  If the true survival sat exactly at the envelope, a
     probe would fail with probability at most 4.1e-3: the exact binomial
@@ -214,6 +214,8 @@ def tail_check(
         raise DomainError(f"tail check needs a sample size n of at least 1, got n={n}")
     env = make_tail_envelope(model, psi, q)
     xs = default_probe_points(env) if x_grid is None else [float(x) for x in x_grid]
+    if not xs:
+        raise DomainError("tail check needs at least one probe point; x_grid (xs in a config file) is empty")
     for x in xs:
         if not math.isfinite(x):
             raise DomainError(f"tail probe points must be finite, got {x}")

@@ -365,6 +365,21 @@ def test_out_flag_mirrors_stdout(capsys, tmp_path):
     assert dest.read_text() == out
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+def test_an_out_path_that_cannot_be_written_exits_2_with_one_line(capsys, tmp_path, where):
+    dest = tmp_path / "missing" / "report.csv" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(
+        capsys,
+        "norm",
+        "--model", "gaussian",
+        "--psi", "power_slowvary(r=2, delta=0)",
+        "--out", str(dest),
+    )
+    # the report is printed before the file is tried
+    assert code == 2 and out.startswith("kind,model,")
+    assert err.startswith(f"gls: cannot write --out {dest}: ") and err.count("\n") == 1
+
+
 def test_convolve_round_trip(capsys, tmp_path):
     f = tmp_path / "f.txt"
     g = tmp_path / "g.txt"
@@ -447,6 +462,34 @@ def test_non_finite_tail_probe_exits_2(capsys, tmp_path):
     assert code == 2 and out == ""
     assert "xs entries must be finite, got nan" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("xs", ["", " , "], ids=["empty", "commas"])
+def test_an_empty_tail_probe_list_exits_2(capsys, tmp_path, xs):
+    cfg = tmp_path / "tail.cfg"
+    cfg.write_text(f"model=gaussian\nxs={xs}\nn=1000\n")
+    code, out, err = run_cli(capsys, "tail", "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert "at least one probe point" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, note", [
+    # the set goes on past p_max, and no scan row ends there: the ratio
+    # rises at p = 2, its largest p in the window
+    (("--set", "intervals:1-2,300-inf"), "ratio not decreasing"),
+    # the window is the one point p = 1 of a domain that goes on
+    (("--p-max", "1"), "ratio not decreasing"),
+    # a grid set goes on past its stored points, which are exact points
+    (("--set", "grid:integers:M=10"), "ratio not decreasing"),
+    # a set that ends at p_max: nothing was truncated, though the ratio
+    # rises at p = 30
+    (("--set", "intervals:1-2,5-30", "--p-max", "30"), "ratio decreasing at"),
+], ids=["set-past-p-max", "p-max-1", "grid-set", "set-ending-at-p-max"])
+def test_the_edge_note_needs_a_last_row_at_p_max_or_a_domain_that_ends(capsys, argv, note):
+    code, out, err = run_cli(capsys, "norm", "--model", "gaussian", "--psi", "power_slowvary(r=4)", *argv)
+    assert (code, err) == (0, "")
+    (row,) = parse_rows(out)
+    assert row["note"].startswith(note)
 
 
 def test_tail_samples_once_and_builds_one_envelope(capsys, monkeypatch):

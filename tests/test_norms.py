@@ -255,14 +255,15 @@ def test_nan_ratio_raises_naming_p():
 def _per_segment_norm(model, psi, S, p_max=200.0):
     """gls_norm as a loop: grid_refine_supremum on each interval and a
     scalar ratio call on each point, the best value winning and ties
-    going to the smallest p."""
+    going to the smallest p.  The edge evidence is True where the set goes
+    no further than p_max, else that of an interval ending at p_max."""
     pair = _ratio_fn(model, psi)
 
     def ratio(p):
         num, den = pair(p)
         return num / den
 
-    best_val, best_arg, edge = -math.inf, math.inf, True
+    best_val, best_arg, edge = -math.inf, math.inf, S.sup_value <= p_max
     for a, b in S.segments:
         a, b = max(a, 1.0), min(b, p_max)
         if a > b:
@@ -273,7 +274,7 @@ def _per_segment_norm(model, psi, S, p_max=200.0):
             res = grid_refine_supremum(ratio, a, b)
             val, arg = res.value, res.arg
             if b == p_max:
-                edge = res.decreasing_at_hi
+                edge = edge or res.decreasing_at_hi
         if val > best_val or (val == best_val and arg < best_arg):
             best_val, best_arg = val, arg
     return best_val, best_arg, edge
@@ -637,13 +638,13 @@ def test_a_shared_algebra_search_asks_psi_once_per_array_call(monkeypatch, S):
     psi, calls = _counted_psi(make_power_slowvary(PowerSlowVaryParams(r=3.0, delta=-1.0)))
     arrays = [0]
     for owner in (norms, search):
-        real = owner._eval_array
+        real = owner._eval_parts
 
-        def counted(f, xs, rows, real=real):
+        def counted(parts, xs, rows, real=real):
             arrays[0] += xs.size > 0
-            return real(f, xs, rows)
+            return real(parts, xs, rows)
 
-        monkeypatch.setattr(owner, "_eval_array", counted)
+        monkeypatch.setattr(owner, "_eval_parts", counted)
     rep = algebra_check(G, f, g, psi, S)
     assert calls[0] == arrays[0] > 1
     # each model alone asks psi once per array call of its own search

@@ -55,7 +55,8 @@ def _sample(kind: int, n: int, seed: int) -> np.ndarray:
 
 
 def _rowless(f):
-    """``f`` as sup_rows calls it, with the scan-row index, which it ignores."""
+    """The (num, den) function ``f`` as sup_rows calls it, with the scan-row
+    index, which it ignores."""
     return lambda x, row: f(x)
 
 
@@ -153,16 +154,12 @@ def test_the_lower_peak_of_two_is_pruned():
 
     seen = []
 
-    def f(x):
-        seen.append(np.atleast_1d(x))
-        return ratio(x)
-
     def parts(x):
         seen.append(x)
         return pair(x)
 
-    res = sup_rows(_rowless(f), xs[None, :], parts=_rowless(parts))
-    counted, full_seen = _counted(ratio)
+    res = sup_rows(_rowless(parts), xs[None, :], floor=-math.inf)
+    counted, full_seen = _counted(pair)
     full = sup_rows(_rowless(counted), xs[None, :])
     assert (res.values[0], res.args[0], res.decreasing_at_hi[0]) == (
         full.values[0], full.args[0], full.decreasing_at_hi[0])
@@ -176,12 +173,11 @@ def test_the_lower_peak_of_two_is_pruned():
     assert _bits(norm) == _bits(_full_scan(model, psi, p_max))
 
 
-def _counted_search(ratio, pair, xs, log_concave=False):
-    """sup_rows pruned by ``pair``, and the number of points it asked for."""
-    f, seen = _counted(ratio)
-    parts, parts_seen = _counted(pair)
-    res = sup_rows(_rowless(f), xs, parts=_rowless(parts), log_concave=log_concave)
-    return res, seen[0] + parts_seen[0]
+def _counted_search(pair, xs, log_concave=False):
+    """sup_rows of ``pair``, pruned, and the number of points it asked for."""
+    parts, seen = _counted(pair)
+    res = sup_rows(_rowless(parts), xs, floor=-math.inf, log_concave=log_concave)
+    return res, seen[0]
 
 
 def _normal_under_root():
@@ -195,13 +191,13 @@ def test_levels_evaluate_no_more_points_than_one_level_with_the_same_bits(fixtur
     p_max = default_p_max(model)
     xs = np.geomspace(1.0, p_max, 512)
     xs[0], xs[-1] = 1.0, p_max
-    pair, ratio = _ratio(model, psi)
+    pair = norms._ratio_fn(model, psi)
     # one level at the last step of the levels
     last = search._COARSE_STEPS[-1:]
-    res, asked = _counted_search(ratio, pair, xs[None, :], promise)
+    res, asked = _counted_search(pair, xs[None, :], promise)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(search, "_COARSE_STEPS", last)
-        one, one_asked = _counted_search(ratio, pair, xs[None, :], promise)
+        one, one_asked = _counted_search(pair, xs[None, :], promise)
     assert (res.values[0], res.args[0], res.decreasing_at_hi[0]) == (
         one.values[0], one.args[0], one.decreasing_at_hi[0])
     # the same last-step cells are dropped, those under a dropped coarser
@@ -240,18 +236,13 @@ def test_a_peak_at_a_live_cell_end_keeps_its_full_scan_bracket(num_pts, den_pts)
     def parts(x):
         return np.interp(x, *num_pts), np.interp(x, *den_pts)
 
-    def f(x):
-        num, den = parts(x)
-        return num / den
-
-    counted, full_seen = _counted(f)
+    counted, full_seen = _counted(parts)
     full = sup_rows(_rowless(counted), xs)
-    counted, seen = _counted(f)
-    counted_parts, parts_seen = _counted(parts)
-    res = sup_rows(_rowless(counted), xs, parts=_rowless(counted_parts))
+    counted, seen = _counted(parts)
+    res = sup_rows(_rowless(counted), xs, floor=-math.inf)
     assert full.values[0] > 2.9
     assert (res.values[0], res.args[0]) == (full.values[0], full.args[0])
-    assert res.pruned > 0 and seen[0] + parts_seen[0] < full_seen[0]
+    assert res.pruned > 0 and seen[0] < full_seen[0]
 
 
 @functools.cache
@@ -380,13 +371,12 @@ def test_psi_overflow_names_the_full_scans_p():
 
 
 def _is_pruned(monkeypatch, model, psi) -> bool:
-    """Whether gls_norm hands sup_rows the (numerator, denominator) parts
-    and asks it to prune its scan with them."""
+    """Whether gls_norm asks sup_rows to prune its scan: gives it a floor."""
     got = []
 
-    def spy(f, xs, *args, parts=None, prune=True, **kw):
-        got.append(parts is not None and prune)
-        return sup_rows(f, xs, *args, parts=parts, prune=prune, **kw)
+    def spy(parts, xs, *args, floor=None, **kw):
+        got.append(floor is not None)
+        return sup_rows(parts, xs, *args, floor=floor, **kw)
 
     monkeypatch.setattr(norms, "sup_rows", spy)
     gls_norm(model, psi, default_p_max(model))

@@ -197,15 +197,15 @@ def test_each_route_runs_one_search(monkeypatch):
 
 def test_a_w_hat_sandwich_refines_in_one_lockstep():
     arrays = []
-    real = search._eval_array
+    real = search._eval_parts
 
-    def counted(f, xs, rows):
+    def counted(parts, xs, rows):
         arrays.append(xs.size)
-        return real(f, xs, rows)
+        return real(parts, xs, rows)
 
     dip, q = sqrt_dip_psi(), integer_grid(256)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(search, "_eval_array", counted)
+        m.setattr(search, "_eval_parts", counted)
         rep = sandwich_check_discrete(gaussian_model(), dip, q, use_w_hat=True)
         miss = list(arrays)
         arrays.clear()
@@ -226,9 +226,9 @@ def test_a_w_hat_sandwich_refines_in_one_lockstep():
 
 def test_a_grid_only_search_makes_one_array_call(monkeypatch):
     arrays = []
-    real = search._eval_array
-    monkeypatch.setattr(search, "_eval_array", lambda f, xs, rows: arrays.append(xs.size) or real(f, xs, rows))
-    monkeypatch.setattr(norms, "_eval_array", search._eval_array)
+    real = search._eval_parts
+    monkeypatch.setattr(search, "_eval_parts", lambda parts, xs, rows: arrays.append(xs.size) or real(parts, xs, rows))
+    monkeypatch.setattr(norms, "_eval_parts", search._eval_parts)
     res = discrete_norm(gaussian_model(), psi_pool()[2], integer_grid(40))
     assert arrays == [40] and res.n_evaluations == 40
 

@@ -2,6 +2,7 @@
 evaluation accounting."""
 
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -72,8 +73,9 @@ def _counted(f):
 
 
 def _rowless(f):
-    """``f`` as sup_rows calls it, with the scan-row index, which it ignores."""
-    return lambda x, row: f(x)
+    """``f`` as sup_rows calls it: the ratio (f, 1), with the scan-row
+    index, which it ignores."""
+    return lambda x, row: (f(x), np.ones_like(x))
 
 
 def _ratio(model, psi):
@@ -390,6 +392,68 @@ def test_an_error_only_off_the_true_path_gives_the_lockstep_result(monkeypatch, 
 
 
 @pytest.mark.parametrize("how", ["nan", "divergent", "domain"])
+def test_reran_counts_the_brackets_rerun_after_an_error_off_the_true_path(monkeypatch, how):
+    xs, scalar = _multi_peak_case()
+    brackets = len(_golden_brackets(_multi_peak, xs))
+    assert 1 < brackets <= SCALAR_BRACKETS
+    # a clean search reruns nothing, on either route and whatever it guesses
+    for guessed in (SCALAR_BRACKETS, 0):
+        assert sup_rows(_rowless(_multi_peak), xs, guessed=guessed).reran == 0
+    true_path = _true_path(xs)
+    _always_wrong(monkeypatch, scalar)
+    assert sup_rows(_rowless(_multi_peak), xs).reran == 0
+    # the first guessed round meets an error off golden section's path, and
+    # every bracket reruns alone, meeting none
+    spec = sup_rows(_rowless(_nan_or_raise(how, lambda x: x not in true_path)), xs)
+    assert spec.reran == brackets
+
+
+def test_a_shared_search_that_reran_gives_each_norm_its_alone_bits(monkeypatch):
+    # a Gaussian on a set and on all of [1, 30] under a psi that makes no
+    # log_concave promise: one shared search of three brackets, at row-end
+    # peaks, refined in guessed rounds.  psi is NaN off the points of the
+    # searches alone in lockstep, so every wrong guess meets an error and
+    # the shared search reruns its brackets
+    model, dip = gaussian_model(), make_power_slowvary(PowerSlowVaryParams(r=3.0, delta=-1.0))
+    searches = [
+        norms.domain_search(model, 30.0, RestrictedSet.from_intervals([(1.0, 3.0), (9.0, math.inf)])),
+        norms.domain_search(model, 30.0),
+    ]
+    path = set()
+
+    def recorded(p):
+        path.update(np.ravel(p).tolist())
+        return dip.evaluator(p)
+
+    with monkeypatch.context() as m:
+        m.setattr(norms, "_costs_per_point", lambda model: True)
+        for s in searches:
+            norms.sup_norms(GeneratingFunction(recorded, False, dip.value_at_one, "recorded"), [s])
+
+    def off_path_nan(p):
+        return np.where(np.isin(p, list(path)), dip.evaluator(p), np.nan)
+
+    psi = GeneratingFunction(off_path_nan, False, dip.value_at_one, "nan off the path")
+    _always_wrong(monkeypatch, _ratio(model, dip))
+    found, real = [], norms.sup_rows
+
+    def spy(*args, **kw):
+        found.append(real(*args, **kw))
+        return found[-1]
+
+    monkeypatch.setattr(norms, "sup_rows", spy)
+    shared = norms.sup_norms(psi, searches)
+    # the shared search reran its brackets and was given up: each norm ran
+    # alone, and reran its own
+    assert len(found) == 3 and all(f.reran > 0 for f in found)
+    assert found[0].reran == found[1].reran + found[2].reran <= SCALAR_BRACKETS
+    alone = [norms.sup_norms(psi, [s])[0] for s in searches]
+    assert shared == alone
+    clean = [norms.sup_norms(dip, [s])[0] for s in searches]
+    assert [(r.value.hex(), r.arg_p.hex()) for r in shared] == [(r.value.hex(), r.arg_p.hex()) for r in clean]
+
+
+@pytest.mark.parametrize("how", ["nan", "divergent", "domain"])
 def test_an_error_on_the_true_path_is_the_lockstep_error(monkeypatch, how):
     xs, scalar = _multi_peak_case()
     true_path = _true_path(xs)
@@ -421,7 +485,7 @@ def _golden_brackets(f, xs):
 
         def on_path(x):
             path.append(x)
-            return search._eval_array(_rowless(f), np.array([x]), None).item(0)
+            return search._eval_parts(_rowless(f), np.array([x]), None)[2].item(0)
 
         found = golden_section_max(on_path, xs[row, lo], xs[row, hi], f_lo=ys[row, lo], f_hi=ys[row, hi])
         out.append((path, found))
@@ -437,7 +501,7 @@ def test_lockstep_asks_for_golden_sections_points_alone(case):
 
     def recorded(x, row):
         calls.append(x.tolist())
-        return f(x)
+        return f(x), np.ones_like(x)
 
     res = sup_rows(recorded, xs, guessed=0)
     # the scan, then one call of x1 and x2 and one call per golden step of
@@ -512,7 +576,7 @@ def _tripwire(f):
         for arg in (x, row):
             if not isinstance(arg, np.ndarray):
                 raise TypeError(f"f was given {type(arg).__name__} {arg!r}, not an array")
-        return f(x)
+        return f(x), np.ones_like(x)
 
     return arrays_only
 

@@ -183,6 +183,13 @@ def test_tail_check_rejects_a_non_finite_probe(psi, x):
         tail_check(gaussian_model(), psi, integer_grid(50), n=1_000, seed=0, x_grid=(4.0, x))
 
 
+@pytest.mark.parametrize("x_grid", [[], (), np.empty(0)], ids=["list", "tuple", "array"])
+def test_tail_check_rejects_an_empty_probe_list(x_grid):
+    # no probe judged is no evidence, not a pass
+    with pytest.raises(DomainError, match="at least one probe point"):
+        tail_check(gaussian_model(), root_psi(), integer_grid(50), n=1_000, seed=0, x_grid=x_grid)
+
+
 @pytest.mark.parametrize("n", [0, -5])
 def test_tail_check_rejects_a_sample_size_below_one_naming_it(n):
     # before any envelope or sample: an empty batch has no survival to judge
