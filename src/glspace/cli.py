@@ -7,10 +7,11 @@ verify    run a randomized verification suite, emit a CSV report
 tail      compare empirical tails against the envelope, estimate K
 convolve  convolve two function files over a finite group
 
-Configuration comes from flags, optionally backed by a key=value file
-(--config) of the same keys, plus xs (the probe points of ``gls tail``,
-comma-separated), which no flag sets; flags override file entries.  When --seed is absent the
-GLS_DEFAULT_SEED environment variable is consulted, then 0.  Exit codes:
+Each command takes only the flags it reads (_COMMANDS), and --config: a
+key=value file that may hold every command's keys, of which each command
+reads its own, plus xs (the probe points of ``gls tail``, comma-separated),
+which no flag sets; flags override file entries.  When the seed is absent
+the GLS_DEFAULT_SEED environment variable is consulted, then 0.  Exit codes:
 0 success, 1 violation or runtime failure, 2 parse/usage error.  Errors
 and warnings print one ``gls: ...`` line each on stderr.
 """
@@ -47,57 +48,59 @@ from .suites import SUITE_NAMES, TAILS_HEADER, run_suite
 from .tails import make_tail_envelope  # noqa: F401  unused here; the benchmark tracer patches it
 from .tails import membership_K_estimate, tail_check
 
-_CONFIG_KEYS = (
-    "model", "psi", "set", "grid", "group", "p_max", "M",
-    "seed", "n", "out", "strict", "suite", "xs",
-)
+# every flag's key (its destination; the flag is --key, "_" written "-")
+# and help text
+_FLAGS = {
+    "model": "gaussian | uniform01 | exponential | rademacher | constant:<c> | empirical:<path>",
+    "psi": "power_slowvary(r=..,delta=..) | natural:<model> | sqrt_dip",
+    "set": "full | intervals:a-b,c-inf | grid:<grid>",
+    "grid": "geometric:D=<int>:M=<int> | integers:M=<int>",
+    "group": "cyclic:<n> | dihedral:<n> | symmetric:<n> | product:<g>x<g>",
+    "p_max": "truncation point of continuous norm searches",
+    "M": "grid length when a default grid is built",
+    "seed": "RNG seed (default: $GLS_DEFAULT_SEED, then 0)",
+    "n": "sample size for Monte Carlo commands",
+    "suite": "sandwich | tails | young | algebra | all",
+    "strict": "exit 1 when a printed norm is +inf",
+    "out": "also write the CSV report to this path",
+    "config": "key=value file of any command's flag keys, and xs=<x,...> (tail probe points); flags override it",
+}
+# each command's help text and the flags its cmd_* function reads, each
+# command taking --config too
+_COMMANDS = {
+    "norm": ("compute norms of a model", ("model", "psi", "set", "grid", "p_max", "strict", "out")),
+    "verify": ("run a verification suite", ("suite", "seed", "n", "out")),
+    "tail": ("empirical tails against the envelope", ("model", "psi", "grid", "M", "seed", "n", "out")),
+    "convolve": ("convolve two function files over a group", ("group", "psi", "p_max", "out")),
+}
+# the keys of a --config file: every command's, whichever command reads it,
+# and xs (the probe points of gls tail, comma-separated), which no flag sets
+_CONFIG_KEYS = (*(key for key in _FLAGS if key != "config"), "xs")
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process.  Parsing leaves it
-    as it was (each call fills a fresh namespace), the help text reads
-    COLUMNS when it is printed, and each command's ``func`` looks its
-    helpers up when it runs, so patches of this module's names still act."""
+    """The command-line parser, built once per process.  Each command takes
+    only its own flags (_COMMANDS), so any other is a usage error.  Parsing
+    leaves the parser as it was (each call fills a fresh namespace), the
+    help text reads COLUMNS when it is printed, and each command's ``func``
+    looks its helpers up when it runs, so patches of this module's names
+    still act."""
     parser = argparse.ArgumentParser(
         prog="gls",
         description="Norms, equivalence constants and tail envelopes "
         "for generating-function weighted moment families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # the options every command takes, built once and copied into each
-    # command's parser (argparse's parents), ahead of its own options
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--model", help="gaussian | uniform01 | exponential | rademacher | constant:<c> | empirical:<path>")
-    shared.add_argument("--psi", help="power_slowvary(r=..,delta=..) | natural:<model> | sqrt_dip")
-    shared.add_argument("--set", dest="set", help="full | intervals:a-b,c-inf | grid:<grid>")
-    shared.add_argument("--grid", help="geometric:D=<int>:M=<int> | integers:M=<int>")
-    shared.add_argument("--group", help="cyclic:<n> | dihedral:<n> | symmetric:<n> | product:<g>x<g>")
-    shared.add_argument("--p-max", dest="p_max", help="truncation point of continuous norm searches")
-    shared.add_argument("--M", dest="M", help="grid length when a default grid is built")
-    shared.add_argument("--seed", help="RNG seed (default: $GLS_DEFAULT_SEED, then 0)")
-    shared.add_argument("--n", help="sample size for Monte Carlo commands")
-    shared.add_argument("--out", help="also write the CSV report to this path")
-    shared.add_argument("--strict", action="store_true", default=None, help="exit 1 when a printed norm is +inf")
-    shared.add_argument(
-        "--config", help="key=value file of the flags' keys, and xs=<x,...> (tail probe points); flags override it"
+    for name, (helptext, keys) in _COMMANDS.items():
+        p = sub.add_parser(name, help=helptext)
+        for key in (*keys, "config"):
+            flag = {"action": "store_true", "default": None} if key == "strict" else {}
+            p.add_argument("--" + key.replace("_", "-"), dest=key, help=_FLAGS[key], **flag)
+        p.set_defaults(func=globals()["cmd_" + name])
+    sub.choices["convolve"].add_argument(
+        "files", nargs=2, metavar="FILE", help="one value per line, ordered by element index"
     )
-
-    p_norm = sub.add_parser("norm", help="compute norms of a model", parents=[shared])
-    p_norm.set_defaults(func=cmd_norm)
-
-    p_verify = sub.add_parser("verify", help="run a verification suite", parents=[shared])
-    p_verify.add_argument("--suite", help="sandwich | tails | young | algebra | all")
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_tail = sub.add_parser("tail", help="empirical tails against the envelope", parents=[shared])
-    p_tail.set_defaults(func=cmd_tail)
-
-    p_conv = sub.add_parser("convolve", help="convolve two function files over a group", parents=[shared])
-    p_conv.add_argument("files", nargs=2, metavar="FILE", help="one value per line, ordered by element index")
-    p_conv.set_defaults(func=cmd_convolve)
-
     return parser
 
 
@@ -124,11 +127,12 @@ def _parse_config_file(path: str) -> dict:
 
 def merge_config(args: argparse.Namespace) -> dict:
     """File values, overridden by flags, with the seed falling back to
-    GLS_DEFAULT_SEED and then 0."""
+    GLS_DEFAULT_SEED and then 0; convolve's FILEs, which no file sets, are
+    ``files``."""
     cfg = {}
     if getattr(args, "config", None):
         cfg.update(_parse_config_file(args.config))
-    for key in _CONFIG_KEYS:
+    for key in (*_CONFIG_KEYS, "files"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -324,8 +328,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = merge_config(args)
-        if args.command == "convolve":
-            cfg["files"] = args.files
     except SpecParseError as exc:
         print(f"gls: {exc}", file=sys.stderr)
         return 2

@@ -229,11 +229,17 @@ class RestrictedSet:
         """
         if not self.contains(P):
             raise DomainError(f"window point {P:g} is not an element of {self.description}")
+        return RestrictedSet(self.segments_to(P), f"{self.description}|p<={P:g}", windowed_at=float(P))
+
+    def segments_to(self, P: float) -> list:
+        """The segments that meet [1, P], cut at P.  A grid-backed set is
+        read on through its grid's generator, past its stored points, up to
+        P (a TruncationError where the grid cannot reach P)."""
         segs = [(a, min(b, P)) for a, b in self.segments if a <= P]
-        if P > self._hi[-1]:  # a grid-backed set, read on to P
+        if P > self._hi[-1] and self.grid is not None and self.grid.generator is not None:
             tail = range(self.grid.M + 1, self.grid.first_index_at_least(P) + 1)
-            segs += [(v, v) for v in map(self.grid.value_at, tail)]
-        return RestrictedSet(segs, f"{self.description}|p<={P:g}", windowed_at=float(P))
+            segs += [(v, v) for v in map(self.grid.value_at, tail) if v <= P]
+        return segs
 
     def gaps(self):
         """Open gaps (hi_k, lo_{k+1}) between consecutive segments."""

@@ -10,12 +10,14 @@ evaluated exactly in one array call.  Several searches under one psi
 share that path's every array call: the three norms of an algebra
 check, the two of ``gls norm --set ... --grid ...``, and the two sides
 of a sandwich check, so each check's norms are one scan and one
-refinement.  The norms of several group functions share one ratio
-kernel per array call (_stacked_ratio: psi once, the power means of all
-models in one call), and equal domains share their scan rows
-(_scan_rows).  Every norm keeps the bits of its search alone.  The W^
-constant depends on psi and the grid only, so a W^ check takes it from
-grids.w_hat_constant, computed once per (psi, cell ends) per process.
+refinement.  A shared search has one ratio kernel: the norms of one
+model share its moment and psi call, and the norms of several group
+functions share _stacked_ratio (psi once, the power means of all models
+in one call); searches of any other mix of models run alone.  Equal
+domains share their scan rows (_scan_rows).  Every norm keeps the bits
+of its search alone.  The W^ constant depends on psi and the grid only,
+so a W^ check takes it from grids.w_hat_constant, computed once per
+(psi, cell ends) per process.
 For a large sample or group function under a nondecreasing psi the scan
 is pruned: a cell whose bound lies below the best value is not evaluated
 (see search), which leaves the result's bits as they are.  The bound
@@ -115,6 +117,8 @@ class NormResult:
     constant_ratio: bool = False
     #: |f|_1 = 0, so f = 0 almost surely and the norm is exactly 0
     zero_model: bool = False
+    #: the domain goes on past truncation_p_max (NormSearch.truncated)
+    truncated: bool = True
 
     @property
     def diagnostics(self) -> str:
@@ -124,6 +128,8 @@ class NormResult:
             return "ratio constant under the model's own natural psi"
         if self.zero_model:
             return "f = 0 almost surely (|f|_1 = 0); norm is exactly 0"
+        if not self.truncated:
+            return "domain ends within the window; nothing was truncated"
         if self.decreasing_at_hi:
             return "ratio decreasing at the truncation point"
         return "ratio not decreasing at the truncation point; supremum may exceed the truncated value"
@@ -249,13 +255,13 @@ def domain_search(model: RandomVariableModel, p_max: float, rset: Optional[Restr
     """The search of gls_norm: every interval component of ``rset``
     (all of [1, p_max] when None) within [1, p_max] a geometric scan row of
     _SCAN_POINTS points (_scan_rows), every point component an exact
-    point.  The domain is truncated when it goes on past p_max."""
+    point, a grid-backed set's read through its grid up to p_max
+    (RestrictedSet.segments_to).  The domain is truncated when it goes on
+    past p_max."""
     if not 1.0 <= p_max < math.inf:
         raise DomainError(f"p_max must be finite and at least 1, got {p_max:g}")
-    segments = [(1.0, p_max)] if rset is None else rset.segments
+    segments = [(1.0, p_max)] if rset is None else rset.segments_to(p_max)
     lo, hi = np.array(segments, dtype=float).T
-    lo, hi = np.maximum(lo, 1.0), np.minimum(hi, p_max)
-    lo, hi = lo[lo <= hi], hi[lo <= hi]
     span = lo < hi
     rows = _scan_rows(tuple(lo[span].tolist()), tuple(hi[span].tolist()))
     return NormSearch(model, p_max, rows, lo[~span], truncated=rset is None or rset.sup_value > p_max)
@@ -303,12 +309,11 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     Every array call of the search (the exact points, the scan, each
     pruning level, each refinement round) serves every search: the rows
     of all searches are one scan array of sup_rows, and one (num, den)
-    function gives the ratios of all searches at once, sup_rows dividing.
-    Consecutive searches of one model share its _ratio_fn pair;
-    consecutive searches of plain power means of several models (_stacks:
-    the three of an algebra check) share one _stacked_ratio, which
-    evaluates psi once over their points and their moments in one
-    power_means; any other model keeps its own pair.  A norm's value is
+    function gives the ratios of all searches at once, sup_rows dividing:
+    the _ratio_fn pair of their one model, or, where every model is a
+    plain power mean (_stacks: the three of an algebra check), one
+    _stacked_ratio, which evaluates psi once over their points and their
+    moments in one power_means.  A norm's value is
     its best value over its rows and its points, ties going to the
     smallest p, and n_evaluations counts every point its ratio was asked
     for, including those of a call that raised.  The edge evidence
@@ -337,8 +342,9 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     +inf and every count is that of the searches alone.  A shared search
     is not tried (None at once) where a plug-in moment may warn, since
     interleaved calls would reorder and merge the warning lines of the
-    searches, or where the searches' rows differ in length, since one scan
-    array holds rows of one length.
+    searches, where the searches' rows differ in length, since one scan
+    array holds rows of one length, or where their models are neither one
+    model nor all plain power means, since one function serves them.
 
     The scan is pruned, against the best exact-point value too, when every
     model is a PowerMeanModel of at least _PRUNE_MIN_VALUES values
@@ -363,29 +369,20 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     """
     models = [s.model for s in searches]
     shared = len(searches) > 1
+    one_model = all(m is models[0] for m in models)
     stable = [m.stable_p for m in (*models, psi.source) if isinstance(m, EmpiricalModel)]
     prune = psi.nondecreasing and all(_costs_per_point(m) for m in models)
     certify = psi.log_concave and all(isinstance(m, (PowerMeanModel, ClosedFormModel)) for m in models)
     blocks = [s.rows for s in searches if s.rows.shape[0]]
-    if shared and (stable or len({rows.shape[1] for rows in blocks}) > 1):
+    mixed = not (one_model or all(_stacks(m, psi) for m in models))
+    if shared and (stable or mixed or len({rows.shape[1] for rows in blocks}) > 1):
         return None
     n_parts = len(searches)
-    # consecutive searches share one (num, den) function f(p, at): those of
-    # one model its _ratio_fn pair, those of plain power means of several
-    # models _stacked_ratio.  units holds (first search, end, f)
-    units, k = [], 0
-    while k < n_parts:
-        stacks = _stacks(models[k], psi)
-        end = k + 1
-        while end < n_parts and (models[end] is models[k] or stacks and _stacks(models[end], psi)):
-            end += 1
-        if any(m is not models[k] for m in models[k:end]):
-            units.append((k, end, _stacked_ratio(psi, models[k:end])))
-        else:
-            pair = _ratio_fn(models[k], psi)
-            pair = _one_plugin_warning(pair, min(stable)) if stable else pair
-            units.append((k, end, lambda p, at, pair=pair: pair(p)))
-        k = end
+    if one_model:
+        pair = _ratio_fn(models[0], psi)
+        pair = _one_plugin_warning(pair, min(stable)) if stable else pair
+    else:
+        stacked = _stacked_ratio(psi, models)
     # the route counts the models, consecutive searches of one model as one,
     # and refines a ratio that costs by the point in lockstep
     n_models = sum(1 for k, m in enumerate(models) if not k or m is not models[k - 1])
@@ -401,15 +398,10 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
         point is counted to its search."""
         if n_parts == 1:
             asked[0] += p.size
-            return units[0][2](p, None)
-        for k in range(n_parts):
-            asked[k] += at[k + 1] - at[k]
-        got = [
-            f(p[at[k0] : at[k1]], [a - at[k0] for a in at[k0 : k1 + 1]])
-            for k0, k1, f in units
-            if at[k1] > at[k0]
-        ]
-        return got[0] if len(got) == 1 else tuple(np.concatenate(a) for a in zip(*got))
+        else:
+            for k in range(n_parts):
+                asked[k] += at[k + 1] - at[k]
+        return pair(p) if one_model else stacked(p, at)
 
     def num_den(p, row):
         # each search's points start where its first row does
@@ -461,6 +453,7 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
             # a zero model has the value 0.0, which a tiny nonzero one may
             # also underflow to; only |f|_1 tells them apart
             zero_model=bool(vals[i] == 0.0) and float(s.model.lp_norm(1.0)) == 0.0,
+            truncated=s.truncated,
         ))
     return out
 

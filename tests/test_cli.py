@@ -481,10 +481,11 @@ def test_an_empty_tail_probe_list_exits_2(capsys, tmp_path, xs):
     (("--p-max", "1"), "ratio not decreasing"),
     # a grid set goes on past its stored points, which are exact points
     (("--set", "grid:integers:M=10"), "ratio not decreasing"),
-    # a set that ends at p_max: nothing was truncated, though the ratio
-    # rises at p = 30
-    (("--set", "intervals:1-2,5-30", "--p-max", "30"), "ratio decreasing at"),
-], ids=["set-past-p-max", "p-max-1", "grid-set", "set-ending-at-p-max"])
+    # a set that ends at p_max, or inside the window: nothing was
+    # truncated, though the ratio rises at p = 30
+    (("--set", "intervals:1-2,5-30", "--p-max", "30"), "domain ends within the window"),
+    (("--set", "intervals:1-2,5-30", "--p-max", "50"), "domain ends within the window"),
+], ids=["set-past-p-max", "p-max-1", "grid-set", "set-ending-at-p-max", "set-ending-inside"])
 def test_the_edge_note_needs_a_last_row_at_p_max_or_a_domain_that_ends(capsys, argv, note):
     code, out, err = run_cli(capsys, "norm", "--model", "gaussian", "--psi", "power_slowvary(r=4)", *argv)
     assert (code, err) == (0, "")
@@ -532,9 +533,34 @@ def test_tail_k_hat_row_notes_when_no_probe_was_judged(capsys):
     assert code == 0 and out.splitlines()[-1].split(",")[3] == ""
 
 
+# every flag's help text, and each command's own flags; every command
+# also takes --config
+_HELP = {
+    "--model": "gaussian | uniform01 | exponential | rademacher | constant:<c> | empirical:<path>",
+    "--psi": "power_slowvary(r=..,delta=..) | natural:<model> | sqrt_dip",
+    "--set": "full | intervals:a-b,c-inf | grid:<grid>",
+    "--grid": "geometric:D=<int>:M=<int> | integers:M=<int>",
+    "--group": "cyclic:<n> | dihedral:<n> | symmetric:<n> | product:<g>x<g>",
+    "--p-max": "truncation point of continuous norm searches",
+    "--M": "grid length when a default grid is built",
+    "--seed": "RNG seed (default: $GLS_DEFAULT_SEED, then 0)",
+    "--n": "sample size for Monte Carlo commands",
+    "--suite": "sandwich | tails | young | algebra | all",
+    "--strict": "exit 1 when a printed norm is +inf",
+    "--out": "also write the CSV report to this path",
+    "--config": "key=value file of any command's flag keys, and xs=<x,...> (tail probe points); flags override it",
+}
+_OWN_FLAGS = {
+    "norm": ("--model", "--psi", "--set", "--grid", "--p-max", "--strict", "--out"),
+    "verify": ("--suite", "--seed", "--n", "--out"),
+    "tail": ("--model", "--psi", "--grid", "--M", "--seed", "--n", "--out"),
+    "convolve": ("--group", "--psi", "--p-max", "--out"),
+}
+
+
 def _per_command_parser():
-    """The parser as it was built before the shared options moved to one
-    parent parser: the twelve options added to each command in turn."""
+    """The parser written out command by command: each command's own
+    flags, then --config."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -543,30 +569,13 @@ def _per_command_parser():
         "for generating-function weighted moment families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--model", help="gaussian | uniform01 | exponential | rademacher | constant:<c> | empirical:<path>")
-        p.add_argument("--psi", help="power_slowvary(r=..,delta=..) | natural:<model> | sqrt_dip")
-        p.add_argument("--set", dest="set", help="full | intervals:a-b,c-inf | grid:<grid>")
-        p.add_argument("--grid", help="geometric:D=<int>:M=<int> | integers:M=<int>")
-        p.add_argument("--group", help="cyclic:<n> | dihedral:<n> | symmetric:<n> | product:<g>x<g>")
-        p.add_argument("--p-max", dest="p_max", help="truncation point of continuous norm searches")
-        p.add_argument("--M", dest="M", help="grid length when a default grid is built")
-        p.add_argument("--seed", help="RNG seed (default: $GLS_DEFAULT_SEED, then 0)")
-        p.add_argument("--n", help="sample size for Monte Carlo commands")
-        p.add_argument("--out", help="also write the CSV report to this path")
-        p.add_argument("--strict", action="store_true", default=None, help="exit 1 when a printed norm is +inf")
-        p.add_argument(
-            "--config", help="key=value file of the flags' keys, and xs=<x,...> (tail probe points); flags override it"
-        )
-
     for name, helptext in (("norm", "compute norms of a model"), ("verify", "run a verification suite"),
                            ("tail", "empirical tails against the envelope"),
                            ("convolve", "convolve two function files over a group")):
         p = sub.add_parser(name, help=helptext)
-        common(p)
-        if name == "verify":
-            p.add_argument("--suite", help="sandwich | tails | young | algebra | all")
+        for flag in (*_OWN_FLAGS[name], "--config"):
+            kw = {"action": "store_true", "default": None} if flag == "--strict" else {}
+            p.add_argument(flag, dest=flag[2:].replace("-", "_"), help=_HELP[flag], **kw)
         if name == "convolve":
             p.add_argument("files", nargs=2, metavar="FILE", help="one value per line, ordered by element index")
     return parser
@@ -580,30 +589,39 @@ def _exit_text(parser, argv, capsys):
     return exc.value.code, captured.out, captured.err
 
 
-def test_shared_options_parent_keeps_every_help_text_and_namespace(capsys, monkeypatch):
+def test_each_command_takes_its_own_flags_with_their_help_and_namespace(capsys, monkeypatch):
     from glspace.cli import build_parser
 
     monkeypatch.setenv("COLUMNS", "80")
     old, new = _per_command_parser(), build_parser()
     for argv in (["--help"], ["norm", "--help"], ["verify", "--help"], ["tail", "--help"], ["convolve", "--help"],
-                 [], ["norm", "--bogus"], ["convolve", "f.txt"]):
+                 [], ["norm", "--bogus"], ["convolve", "f.txt"], ["verify", "--suite", "young", "--seed", "1", "--p-max", "5"]):
         assert _exit_text(new, argv, capsys) == _exit_text(old, argv, capsys)
     for argv in (
         ["norm", "--model", "gaussian", "--psi", "sqrt_dip", "--strict", "--p-max", "40"],
         ["verify", "--suite", "all", "--seed", "3", "--n", "100", "--out", "x.csv"],
         ["tail", "--model", "exponential", "--grid", "integers:M=5", "--M", "7", "--config", "c.txt"],
-        ["convolve", "--group", "cyclic:3", "--set", "full", "f.txt", "g.txt"],
+        ["convolve", "--group", "cyclic:3", "--psi", "sqrt_dip", "--p-max", "9", "f.txt", "g.txt"],
     ):
         got = vars(new.parse_args(argv))
         assert got.pop("func").__name__ == "cmd_" + argv[0]
         assert got == vars(old.parse_args(argv))
+    # 26 (command, flag) pairs, --config included; any other flag is a
+    # usage error
+    assert sum(len(flags) + 1 for flags in _OWN_FLAGS.values()) == 26
+    for name, flags in _OWN_FLAGS.items():
+        files = ["f.txt", "g.txt"] if name == "convolve" else []
+        for flag in set(_HELP) - {*flags, "--config"}:
+            value = [] if flag == "--strict" else ["1"]
+            code, out, err = _exit_text(new, [name, flag, *value, *files], capsys)
+            assert (code, out) == (2, "") and f"unrecognized arguments: {flag}" in err, (name, flag)
 
 
 def test_parser_is_built_once_and_keeps_nothing_between_calls(capsys, monkeypatch):
     from glspace.cli import build_parser
 
     assert build_parser() is build_parser()
-    tail = ("tail", "--model", "gaussian", "--n", "20000", "--seed", "3", "--strict")
+    tail = ("tail", "--model", "gaussian", "--n", "20000", "--seed", "3")
     norm = ("norm", "--model", "gaussian", "--psi", "power_slowvary(r=2, delta=0)")
     back_to_back = [run_cli(capsys, *tail), run_cli(capsys, *norm)]
     separate = []
@@ -614,7 +632,10 @@ def test_parser_is_built_once_and_keeps_nothing_between_calls(capsys, monkeypatc
     assert back_to_back[0][0] == 0 and back_to_back[0][1].splitlines()[-1].startswith("K_hat,")
     build_parser().parse_args(list(tail))
     args = vars(build_parser().parse_args(list(norm)))
-    assert {k: args[k] for k in ("seed", "n", "strict")} == {"seed": None, "n": None, "strict": None}
+    # norm's own keys, none of tail's: its n and seed are not there
+    unset = ("set", "grid", "p_max", "strict", "out", "config")
+    assert set(args) == {"command", "func", "model", "psi", *unset}
+    assert {k: args[k] for k in unset} == dict.fromkeys(unset)
     # the help wraps at the COLUMNS in force when it is printed
     helps = {}
     for columns in ("60", "120"):
@@ -693,3 +714,97 @@ def test_no_norm_spec_gives_a_traceback(sample_path, data):
         except SystemExit as exc:  # argparse's usage error
             code = exc.code
     assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+
+
+# fragments of the gls tail, convolve and verify properties, each drawn
+# well-formed about nine times in ten, as those of gls norm.  Over 400 argv
+# of each command, about a third hold a flag of another command; of the
+# rest, tail exits 0 in 35%, convolve in 32% and verify in 75%
+_PSIS = (["power_slowvary(r=2, delta=0)", "power_slowvary(r=1)", "natural", "sqrt_dip"], ["power_slowvary(r=2", "junk", ""])
+_GROUPS = (["cyclic:4", "dihedral:3", "symmetric:3", "product:cyclic:2xcyclic:2"], ["cyclic:0", "symmetric:9", "junk", ""])
+_SEEDS = (["0", "1", "7"], ["-1", "x", ""])
+_SIZES = (["50", "200", "1000"], ["0", "-2", "x", "1e6"])
+_SUITES = (["young", "tails"], ["junk", ""])
+_KEYS = {flag[2:].replace("-", "_") for flag in _HELP} - {"config"} | {"xs"}
+
+
+def _value(draw, key, paths) -> str:
+    """A value of the flag or config key ``key``."""
+    if key in ("model", "psi"):
+        psi = "model" if key == "model" else _pick(draw, _PSIS)
+        if psi in ("model", "natural"):
+            return ("natural:" if psi == "natural" else "") + _model_spec(draw, paths["sample"])
+        return psi
+    if key == "grid":
+        return _pick(draw, (["integers:M={}", "geometric:D=2:M={}"], ["junk"])).format(_pick(draw, _COUNTS))
+    if key in ("out", "files"):
+        return str(paths[_pick(draw, ([key], ["missing"]))])
+    fragments = {
+        "set": (["full", "intervals:1-3,9-inf"], ["junk"]),
+        "group": _GROUPS,
+        "p_max": (["200", "3", "50"], _NUMBERS[1]),
+        "M": _COUNTS,
+        "seed": _SEEDS,
+        "n": _SIZES,
+        "suite": _SUITES,
+        "strict": (["1", "false"], ["maybe"]),
+        "xs": (["2.5,3", "4"], ["nan", "", "x"]),
+    }
+    return _pick(draw, fragments[key])
+
+
+@st.composite
+def _argv(draw, command, paths):
+    """An argv of ``command``: some of its own flags, perhaps a --config
+    file of any command's keys, perhaps a flag of another command; and
+    whether that foreign flag was drawn."""
+    own = [flag[2:].replace("-", "_") for flag in _OWN_FLAGS[command]]
+    foreign = sorted(_KEYS - {"xs", *own})
+    keys = draw(st.lists(st.sampled_from(own), unique=True))
+    if draw(st.integers(0, 9)) < 9:  # the key the command needs
+        keys.append({"tail": "model", "convolve": "group", "verify": "suite"}[command])
+    refused = draw(st.integers(0, 3)) == 0
+    if refused:
+        keys.append(draw(st.sampled_from(foreign)))
+    argv = [command]
+    for key in dict.fromkeys(draw(st.permutations(keys))):
+        argv += ["--strict"] if key == "strict" else ["--" + key.replace("_", "-"), _value(draw, key, paths)]
+    if draw(st.booleans()):
+        lines = [f"{key}={_value(draw, key, paths)}" for key in draw(st.lists(st.sampled_from(sorted(_KEYS)), max_size=3))]
+        if draw(st.integers(0, 9)) == 9:
+            lines.append(draw(st.sampled_from(["junk=1", "no value", "config=x"])))
+        paths["config"].write_text("\n".join(lines) + "\n")
+        argv += ["--config", str(paths[_pick(draw, (["config"], ["missing"]))])]
+    if command == "convolve":
+        argv += [_value(draw, "files", paths), _value(draw, "files", paths)]
+    return argv, refused
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory, sample_path):
+    """The files an argv names: the sample, a 4-value group function (the
+    order of most drawn groups), the config file, the --out target, and a
+    path in a missing directory."""
+    root = tmp_path_factory.mktemp("argv")
+    files = root / "f.txt"
+    np.savetxt(files, np.random.default_rng(5).standard_normal(4))
+    return {"sample": sample_path, "files": files, "config": root / "gls.cfg", "out": root / "out.csv",
+            "missing": root / "missing" / "x"}
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+@pytest.mark.parametrize("command", ["tail", "convolve", "verify"])
+def test_no_argv_gives_a_traceback_and_a_foreign_flag_exits_2(argv_paths, command, data):
+    # every drawn argv exits 0, 1 or 2 with its message on stderr, and 2
+    # whenever it holds a flag of another command; a --config file may hold
+    # every command's keys
+    argv, refused = data.draw(_argv(command, argv_paths), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage error
+            code = exc.code
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    assert code == 2 or not refused

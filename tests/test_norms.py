@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+from itertools import count, takewhile
 
 import numpy as np
 import pytest
@@ -254,7 +255,8 @@ def test_nan_ratio_raises_naming_p():
 
 def _per_segment_norm(model, psi, S, p_max=200.0):
     """gls_norm as a loop: grid_refine_supremum on each interval and a
-    scalar ratio call on each point, the best value winning and ties
+    scalar ratio call on each point (a grid-backed set's grid values up to
+    p_max, stored or not), the best value winning and ties
     going to the smallest p.  The edge evidence is True where the set goes
     no further than p_max, else that of an interval ending at p_max."""
     pair = _ratio_fn(model, psi)
@@ -264,7 +266,10 @@ def _per_segment_norm(model, psi, S, p_max=200.0):
         return num / den
 
     best_val, best_arg, edge = -math.inf, math.inf, S.sup_value <= p_max
-    for a, b in S.segments:
+    segments = S.segments
+    if S.grid is not None:  # a grid-backed set goes on through its grid
+        segments = [(q, q) for q in takewhile(lambda q: q <= p_max, map(S.grid.value_at, count(1)))]
+    for a, b in segments:
         a, b = max(a, 1.0), min(b, p_max)
         if a > b:
             continue
@@ -343,13 +348,31 @@ def test_restricted_norm_ignores_earlier_set_queries():
     assert G.contains(100.0)
     after = gls_norm(exponential_model(), root_psi(), 200.0, rset=G)
     assert before == after
-    assert before.n_evaluations == 5
-    assert before.value == pytest.approx(1.165067927680028, rel=1e-12)
+    # the norm reads the grid on to p_max = 200, and the set keeps its 5
+    # stored points
+    assert before.n_evaluations == 200 and len(G.segments) == 5
+    assert before.value == pytest.approx(5.296261809217376, rel=1e-12)
     S = set_from_spec("grid:integers:M=5")
     rep = sandwich_check_restricted(exponential_model(), root_psi(), S)
     assert rep.window_p == 200.0
     assert rep.inner_value == pytest.approx(5.296261809217376, rel=1e-12)
     assert len(S.segments) == 5
+
+
+@pytest.mark.parametrize("short, long, p_max, arg_p", [
+    ("grid:geometric:D=2:M=3", "grid:geometric:D=2:M=8", 50.0, 31.0),
+    ("grid:integers:M=10", "grid:integers:M=60", 50.0, 50.0),
+])
+def test_a_grid_set_is_read_past_its_stored_points(short, long, p_max, arg_p):
+    # both sets are the grid's values up to p_max, so both norms are one
+    # search; at M=3 the ratio rises past the stored q(3) = 7
+    psi = make_power_slowvary(PowerSlowVaryParams(r=4.0))
+    res = gls_norm(gaussian_model(), psi, p_max, rset=set_from_spec(short))
+    assert res == gls_norm(gaussian_model(), psi, p_max, rset=set_from_spec(long))
+    assert res.arg_p == arg_p
+    # a grid that cannot reach p_max within its extension cap
+    with pytest.raises(TruncationError, match="did not reach"):
+        gls_norm(gaussian_model(), psi, 1e6, rset=set_from_spec("grid:integers:M=3"))
 
 
 def test_ties_go_to_the_smallest_p():
@@ -438,11 +461,23 @@ def _same_but_the_route(shared: NormResult, shared_lockstep: bool, alone: NormRe
     assert _fields(shared) == _fields(alone)
 
 
+def _per_model_kernel(psi, models):
+    """A stand-in for norms._stacked_ratio: each search's (num, den) from
+    its model's own _ratio_fn pair, one call per search."""
+    pairs = [_ratio_fn(model, psi) for model in models]
+
+    def pair(p, at):
+        got = [f(p[lo:hi]) for f, lo, hi in zip(pairs, at, at[1:]) if hi > lo]
+        return tuple(np.concatenate(a) for a in zip(*got))
+
+    return pair
+
+
 def _per_model_ratios(call):
-    """call() with every model's ratio its own _ratio_fn pair: no model
-    stacks."""
+    """call() with every model's ratio its own _ratio_fn pair, in the same
+    shared search."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(norms, "_stacks", lambda model, psi: False)
+        m.setattr(norms, "_stacked_ratio", _per_model_kernel)
         return call()
 
 
