@@ -85,29 +85,37 @@ class GridSequence:
 
     def first_index_at_least(self, p: float) -> int:
         """Smallest m with q(m) >= p; extends through the generator."""
+        m = self._first_index(p, lambda q: q < p)
+        if m > self.M and not math.isfinite(self._extended(m)):
+            raise TruncationError(f"{self.description} overflows a float at q({m}) before reaching {p:g}")
+        return m
+
+    def last_index_at_most(self, p: float) -> int:
+        """Largest m with q(m) <= p, 0 for p < 1; extends through the
+        generator, and stops below the first q(m) that overflows a float."""
+        return self._first_index(p, lambda q: (q <= p) & (q < math.inf)) - 1
+
+    def _first_index(self, p: float, before) -> int:
+        """Smallest m where ``before(q(m))`` fails, for a ``before`` that
+        holds on the grid's first points and no later ones; an overflowing
+        q(m) reads as inf.  ``before`` takes a float or the stored array."""
         if math.isnan(p):
             raise DomainError(f"{self.description}: no grid index for p={p}")
-        if p <= self.values[-1]:
-            return int(np.searchsorted(self.values, p, side="left")) + 1
+        if not before(self.values[-1]):
+            return int(np.count_nonzero(before(self.values))) + 1
         if self.generator is None:
             raise TruncationError(
                 f"{self.description} is truncated at q({self.M})={self.values[-1]:g} < {p:g}"
             )
-        # grids diverge, so doubling then bisecting terminates quickly; an
-        # overflowing q(m) reads as inf, past every p
+        # grids diverge, so doubling then bisecting terminates quickly
         lo, hi = self.M, 2 * self.M
-        while self._extended(hi) < p:
+        while before(self._extended(hi)):
             lo, hi = hi, 2 * hi
             if hi > _EXTEND_CAP:
                 raise TruncationError(f"{self.description} did not reach {p:g} within {_EXTEND_CAP} terms")
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if self._extended(mid) < p:
-                lo = mid
-            else:
-                hi = mid
-        if not math.isfinite(self._extended(hi)):
-            raise TruncationError(f"{self.description} overflows a float at q({hi}) before reaching {p:g}")
+            lo, hi = (mid, hi) if before(self._extended(mid)) else (lo, mid)
         return hi
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -186,7 +194,7 @@ class RestrictedSet:
 
     @property
     def sup_value(self) -> float:
-        return math.inf if self.grid is not None else float(self._hi[-1])
+        return math.inf if self.grid is not None and self.grid.generator is not None else float(self._hi[-1])
 
     def contains(self, p):
         arr = np.asarray(p, dtype=float)
@@ -233,12 +241,13 @@ class RestrictedSet:
 
     def segments_to(self, P: float) -> list:
         """The segments that meet [1, P], cut at P.  A grid-backed set is
-        read on through its grid's generator, past its stored points, up to
-        P (a TruncationError where the grid cannot reach P)."""
+        read on through its grid's generator, past its stored points, to
+        its last point at or below P (a TruncationError where the grid
+        neither passes P nor overflows within _EXTEND_CAP terms)."""
         segs = [(a, min(b, P)) for a, b in self.segments if a <= P]
         if P > self._hi[-1] and self.grid is not None and self.grid.generator is not None:
-            tail = range(self.grid.M + 1, self.grid.first_index_at_least(P) + 1)
-            segs += [(v, v) for v in map(self.grid.value_at, tail) if v <= P]
+            tail = range(self.grid.M + 1, self.grid.last_index_at_most(P) + 1)
+            segs += [(v, v) for v in map(self.grid.value_at, tail)]
         return segs
 
     def gaps(self):

@@ -324,14 +324,14 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     1-based arg_index.
 
     Decided once for the search: the prune gate and the route.  Up to
-    SCALAR_BRACKETS brackets, and half as many more per model past the
-    first, refine in guessed rounds, more in lockstep; when any model, or
-    the model of psi, costs by the point (_costs_per_point), every bracket
-    goes lockstep (sup_rows' ``guessed`` is 0).  Kept per search: the
-    pruning floor and best value, the count, the edge evidence.  Every
-    result has the bits of its search alone; its count is that search's
-    too, unless more brackets in all than its own send it lockstep, which
-    asks for no point off golden section's path.
+    SCALAR_BRACKETS brackets, counted over every search, refine in guessed
+    rounds, more in lockstep; when any model, or the model of psi, costs by
+    the point (_costs_per_point), every bracket goes lockstep (sup_rows'
+    ``guessed`` is 0).  Kept per search: the pruning floor and best value,
+    the count, the edge evidence.  Every result has the bits of its search
+    alone; its count is that search's too, unless more brackets in all than
+    its own send it lockstep, which asks for no point off golden section's
+    path.
 
     A search alone raises what it meets, except that a divergent moment
     gives the norm +inf with that p as its witness.  A shared search that
@@ -383,10 +383,7 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
         pair = _one_plugin_warning(pair, min(stable)) if stable else pair
     else:
         stacked = _stacked_ratio(psi, models)
-    # the route counts the models, consecutive searches of one model as one,
-    # and refines a ratio that costs by the point in lockstep
-    n_models = sum(1 for k, m in enumerate(models) if not k or m is not models[k - 1])
-    guessed = 0 if any(map(_costs_per_point, (*models, psi.source))) else SCALAR_BRACKETS * (n_models + 1) // 2
+    guessed = 0 if any(map(_costs_per_point, (*models, psi.source))) else SCALAR_BRACKETS
     # the first row of each search, then the number of rows
     starts = [0, *accumulate(s.rows.shape[0] for s in searches)]
     row0 = np.array(starts)

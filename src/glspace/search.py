@@ -34,11 +34,11 @@ backends and psi_eval do (a scalar p reaches them as a one-element array).
   left/right decisions, never on the values, so a round lays out the
   points of a decision path before any is evaluated, then replays the
   update rule over their values.  Each round guesses every bracket's
-  coming decisions (a peak at a row end goes all one way; an interior
-  peak goes toward the vertex of a parabola through the best points
-  known), the first round for the whole path, later ones for _LOOKAHEAD
-  steps, and the replay stops at the first wrong guess, which only costs
-  the points evaluated past it.
+  decisions to the end of its path, toward a predicted peak: in the first
+  round a row end for a peak there, else the vertex of the parabola
+  through the scan peak and its neighbours; in every later round the
+  bracket's best point so far.  The replay stops at the first wrong
+  guess, which only costs the points evaluated past it.
 When refinement raises (a NaN ratio, a domain error, a divergent moment),
 perhaps at a point off golden section's path in a guessed round, or on a
 later bracket's path that lockstep reaches first, each bracket reruns
@@ -129,21 +129,17 @@ from .errors import DivergentMomentError, DomainError
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # The most brackets a search refines in guessed rounds (_speculate,
-# sup_rows' default ``guessed``); a search with more refines in lockstep,
-# and so does every search whose ratio costs by the point, for which norms
-# passes guessed=0.  When one search serves several functions, their
-# brackets are counted together and norms allows half as many more for each
-# function past the first: guessed = SCALAR_BRACKETS * (functions + 1) // 2
-# (the three algebra ratios are one stacked call, whose cost still grows
-# with each model, so they count as three).  Timed on k rows of 64 points
-# with one interior peak each (Python 3.11, NumPy 2.4, a 2-core x86-64 VM,
-# CPU time, median of 9 rounds, the two routes alternating), lockstep breaks
-# even at 12 brackets for one function (a Gaussian under sqrt_dip) and at 24
-# for three (three group functions of order 14, or three closed forms,
-# under sqrt_dip).  On one seed-7 run of each benchmark workload, norm sends
-# 111 searches (29 brackets in all) lockstep because their ratios cost by
-# the point; sandwich refines 49 searches (10,093 brackets) lockstep and 432
-# in guessed rounds, algebra 504 in guessed rounds, and tail refines none.
+# sup_rows' default ``guessed``), counted over all its rows, whatever
+# functions they belong to; a search with more refines in lockstep, and so
+# does every search whose ratio costs by the point, for which norms passes
+# guessed=0.  Timed on k rows of 64 points with one interior peak each
+# (Python 3.11, NumPy 2.4, a 2-core x86-64 VM, CPU time, median of 9
+# rounds, the two routes alternating), lockstep breaks even at 12 brackets
+# for one function (a Gaussian under sqrt_dip).  On one seed-7 run of each
+# benchmark workload, norm sends 111 searches (29 brackets in all) lockstep
+# because their ratios cost by the point; sandwich refines 49 searches
+# (10,093 brackets) lockstep and 432 in guessed rounds, algebra 504 in
+# guessed rounds, and tail refines none.
 SCALAR_BRACKETS = 12
 
 # refinement stops once a bracket is narrower than this, relative to the
@@ -151,9 +147,6 @@ SCALAR_BRACKETS = 12
 # golden steps shrink a bracket by a factor of about 1e-42
 _REFINE_TOL = 1e-10
 _MAX_ITER = 200
-# a speculative round after the first asks for this many steps past the
-# last confirmed one of each bracket
-_LOOKAHEAD = 8
 # sampled_min: samples per interval, and its (tighter) refinement tolerance
 _MIN_SAMPLES = 256
 _MIN_TOL = 1e-12
@@ -262,26 +255,16 @@ def golden_section_max(
     interval shrinks until its width drops below ``tol`` relative to the
     magnitude of ``lo``/``hi`` (absolute for small arguments).  ``f_lo`` /
     ``f_hi``, when given, are f(lo) / f(hi), known already, and ``f`` is
-    not asked for them again.  This is _Golden with a lookahead of one
-    point: every decision is taken on known values.
+    not asked for them again.  This is _Golden walked one point at a time,
+    every decision taken on known values.
     """
     if hi < lo:
         raise ValueError(f"empty bracket [{lo}, {hi}]")
     f_lo = f(lo) if f_lo is None else f_lo
     f_hi = f(hi) if f_hi is None else f_hi
-    return _Golden(lo, hi, f_lo, f_hi, tol).finish(f)
-
-
-def _advance(a, b, x1, x2, left: bool):
-    """One golden-section step: keep [a, x2] (``left``) or [x1, b].
-    Returns the new (a, b, x1, x2) and the one new point, x1 or x2."""
-    if left:
-        b, x2 = x2, x1
-        x1 = b - INV_PHI * (b - a)
-        return a, b, x1, x2, x1
-    a, x1 = x1, x2
-    x2 = a + INV_PHI * (b - a)
-    return a, b, x1, x2, x2
+    g = _Golden(lo, hi, f_lo, f_hi, tol)
+    g.walk(f, repeat(None))
+    return g.best_x, g.best_v
 
 
 def _guess_left(x1: float, x2: float, target: float) -> bool:
@@ -308,53 +291,59 @@ class _Golden:
     several points at a time.
 
     The bracket [a, b] holds the inner points x1 < x2 with values f1, f2
-    (None until evaluated); fa and fb, the values at a and b, are read only
-    by the predictor.  The points golden section asks for depend only on
-    its decisions, f1 >= f2 (keep [a, x2]) or not, never on the values
-    themselves.  So plan() lays out the points of a path whose decisions
-    past the known values are guessed, and walk() runs the update rule,
-    the best-point tie-break and the stopping width over their values up
-    to the first guess the values contradict.  Every step walk() confirms
-    is the step of golden_section_max, on the same floats.
+    (None until evaluated).  The points golden section asks for depend only
+    on its decisions, f1 >= f2 (keep [a, x2]) or not, never on the values
+    themselves.  So plan() lays out the points of the whole path, its
+    decisions past the known values guessed, and walk() runs the update
+    rule, the best-point tie-break and the stopping width over their values
+    up to the first guess the values contradict.  Every step walk()
+    confirms is the step of golden_section_max, on the same floats.
     """
 
-    __slots__ = ("a", "b", "x1", "x2", "fa", "fb", "f1", "f2", "best_x", "best_v", "width_tol", "steps", "lefts")
+    __slots__ = ("a", "b", "x1", "x2", "f1", "f2", "best_x", "best_v", "width_tol", "steps")
 
     def __init__(self, lo, hi, f_lo, f_hi, tol: float):
         self.best_x, self.best_v = lo, f_lo
         if f_hi > f_lo:
             self.best_x, self.best_v = hi, f_hi
-        self.a, self.b, self.fa, self.fb = lo, hi, f_lo, f_hi
+        self.a, self.b = lo, hi
         self.x1 = hi - INV_PHI * (hi - lo)
         self.x2 = lo + INV_PHI * (hi - lo)
         self.f1 = self.f2 = None
         self.width_tol = tol * max(1.0, abs(lo), abs(hi))
         self.steps = 0
-        self.lefts = []
 
     @property
     def done(self) -> bool:
         return self.f2 is not None and (self.b - self.a <= self.width_tol or self.steps >= _MAX_ITER)
 
-    def plan(self, n: int, target: float) -> list:
-        """The next points golden section asks for: x1 and x2 while
-        unevaluated, then the points of (at most) ``n`` steps, ``self.lefts``,
-        whose decisions are taken from the values where these are known and
-        guessed toward ``target`` past them."""
+    def plan(self, target: float) -> tuple:
+        """The points golden section asks for to the end of its path, x1
+        and x2 first while unevaluated, and the decision of each step: taken
+        from the values where these are known, guessed toward ``target``
+        past them.  Returns (points, decisions)."""
         pts = [x for x, v in ((self.x1, self.f1), (self.x2, self.f2)) if v is None]
         left = None if pts else self.f1 >= self.f2
         a, b, x1, x2, tol = self.a, self.b, self.x1, self.x2, self.width_tol
-        lefts = self.lefts = []
-        room = min(n, _MAX_ITER - self.steps)
-        while room > 0 and b - a > tol:
+        lefts = []
+        for _ in range(_MAX_ITER - self.steps):
+            if b - a <= tol:
+                break
             if left is None:
                 left = _guess_left(x1, x2, target)
-            a, b, x1, x2, x = _advance(a, b, x1, x2, left)
+            # walk()'s golden step, written out as there: plan lays out
+            # every point of a path, and a call per step took a third of
+            # its time
+            if left:
+                b, x2 = x2, x1
+                x1 = x = b - INV_PHI * (b - a)
+            else:
+                a, x1 = x1, x2
+                x2 = x = a + INV_PHI * (b - a)
             lefts.append(left)
             pts.append(x)
-            room -= 1
             left = None
-        return pts
+        return pts, lefts
 
     def walk(self, f, lefts) -> None:
         """Golden section's update rule from the current state.  ``f(x)``
@@ -362,7 +351,7 @@ class _Golden:
         unevaluated.  ``lefts`` holds a planned decision per step (None
         where the values decide): the walk stops at the first planned one
         the values contradict, when they run out, or at the stopping width."""
-        a, b, x1, x2, fa, fb, f1, f2 = self.a, self.b, self.x1, self.x2, self.fa, self.fb, self.f1, self.f2
+        a, b, x1, x2, f1, f2 = self.a, self.b, self.x1, self.x2, self.f1, self.f2
         if f1 is None:
             f1 = f(x1)
         if f2 is None:
@@ -372,68 +361,52 @@ class _Golden:
             left = f1 >= f2
             if b - a <= tol or steps >= _MAX_ITER or (planned is not None and planned != left):
                 break
-            a, b, x1, x2, x = _advance(a, b, x1, x2, left)
-            v = f(x)
+            # keep [a, x2] (left) or [x1, b]; the new point is x1 or x2 of
+            # the new bracket, the other inner point the old x1 or x2
             if left:
-                fb, f2, f1 = f2, f1, v
+                b, x2, f2 = x2, x1, f1
+                x1 = x = b - INV_PHI * (b - a)
+                f1 = v = f(x)
             else:
-                fa, f1, f2 = f1, f2, v
+                a, x1, f1 = x1, x2, f2
+                x2 = x = a + INV_PHI * (b - a)
+                f2 = v = f(x)
             steps += 1
             if v > best_v or (v == best_v and x < best_x):
                 best_x, best_v = x, v
-        self.a, self.b, self.x1, self.x2, self.fa, self.fb, self.f1, self.f2 = a, b, x1, x2, fa, fb, f1, f2
+        self.a, self.b, self.x1, self.x2, self.f1, self.f2 = a, b, x1, x2, f1, f2
         self.best_x, self.best_v, self.steps = best_x, best_v, steps
-
-    def replay(self, values: list) -> None:
-        """walk() over the values of the points plan() returned."""
-        it = iter(values)
-        self.walk(lambda x: next(it), self.lefts)
-
-    def target(self) -> float:
-        """Where the peak is predicted: the vertex of the parabola through
-        the better inner point and its two neighbours among a, x1, x2, b."""
-        if self.f1 >= self.f2:
-            return _vertex(self.a, self.fa, self.x1, self.f1, self.x2, self.f2)
-        return _vertex(self.x1, self.f1, self.x2, self.f2, self.b, self.fb)
-
-    def finish(self, f) -> tuple:
-        """walk() to the end, one point at a time, ``f`` taking a float:
-        the lookahead-1 case, whose every decision the values take.
-        Returns the best (arg, value)."""
-        self.walk(f, repeat(None))
-        return self.best_x, self.best_v
 
 
 def _speculate(parts, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray, targets: list):
     """golden_section_max on every bracket [lo[k], hi[k]], of the scan row
     rows[k], in guessed rounds of one array call of ``parts`` each.
 
-    Each round asks for every unfinished bracket's planned points, guessed
-    toward its target (targets[k] at first): the first round for the whole
-    path, later ones for _LOOKAHEAD steps past the last confirmed one, with
-    the target moved to the vertex of the parabola through the confirmed
-    points.  An error of ``parts`` propagates, whether or not it lies on
-    golden section's path (sup_rows then reruns the brackets one by one).
+    Each round asks for the points of every unfinished bracket's whole
+    remaining path, its decisions guessed toward a target: targets[k] in
+    the first round, the bracket's best point so far in every later one.
+    An error of ``parts`` propagates, whether or not it lies on golden
+    section's path (sup_rows then reruns the brackets one by one).
     Returns (args, values).
     """
     # Python floats in, so the golden-section arithmetic takes float paths
     # (same IEEE operations as on numpy scalars)
     ends = zip(lo.tolist(), hi.tolist(), f_lo.tolist(), f_hi.tolist())
     brackets = [_Golden(a, b, fa, fb, tol) for a, b, fa, fb in ends]
-    live, live_rows, n = brackets, rows.tolist(), _MAX_ITER
+    live, live_rows = brackets, rows.tolist()
     while live:
-        plans = [g.plan(n, t) for g, t in zip(live, targets)]
-        counts = [len(plan) for plan in plans]
-        xs = np.array([x for plan in plans for x in plan])
+        plans = [g.plan(t) for g, t in zip(live, targets)]
+        counts = [len(pts) for pts, _ in plans]
+        xs = np.array([x for pts, _ in plans for x in pts])
         values = _eval_parts(parts, xs, np.array(live_rows).repeat(counts))[2].tolist()
         at = 0
-        for g, count in zip(live, counts):
-            g.replay(values[at : at + count])
+        for g, (_, lefts), count in zip(live, plans, counts):
+            it = iter(values[at : at + count])
+            g.walk(lambda x: next(it), lefts)
             at += count
         live_rows = [row for g, row in zip(live, live_rows) if not g.done]
         live = [g for g in live if not g.done]
-        targets = [g.target() for g in live]
-        n = _LOOKAHEAD
+        targets = [g.best_x for g in live]
     return np.array([(g.best_x, g.best_v) for g in brackets], dtype=float).reshape(-1, 2).T
 
 
@@ -500,14 +473,15 @@ def sup_rows(
     the array of their row indices in ``xs``, never a scalar, and returns
     the arrays (num, den) of the ratio at those points, so one search can
     serve rows of different functions; every array call lists its points
-    row by row, their row indices nondecreasing.  A NaN ratio raises
-    DomainError naming the first p where it occurred.  The scan asks for
-    all rows in one array call; every local maximum of a row is then
-    refined inside the cell spanned by its scan neighbours, to the
-    stopping width ``refine_tol``, unless the three scan values agree within
-    _PLATEAU_ULP ulp: such a plateau (a flat ratio makes every scan point
-    one) keeps its scan value.  Up to ``guessed`` brackets, counted over all
-    rows, refine in guessed rounds, more in lockstep (see the module
+    row by row, their row indices nondecreasing.  A NaN ratio, or an
+    infinite one of a finite num, raises DomainError naming the first p
+    where it occurred.  The scan asks for all rows in one array call;
+    every local maximum of a row is then refined inside the cell spanned
+    by its scan neighbours, to the stopping width ``refine_tol``, unless
+    the three scan values agree within _PLATEAU_ULP ulp: such a plateau (a
+    flat ratio makes every scan point one) keeps its scan value.  Up to
+    ``guessed`` brackets, counted over all rows, refine in guessed rounds,
+    more in lockstep (see the module
     docstring and SCALAR_BRACKETS); guessed=0 sends every bracket lockstep,
     for ``parts`` whose cost grows with the points it is asked for more
     than with its calls, so that no point off golden section's path is
@@ -708,16 +682,22 @@ def _eval_parts(parts, xs: np.ndarray, rows: np.ndarray) -> tuple:
     shape of ``xs``, in one call; ``rows`` holds the scan row of each
     point.  ``parts`` must accept an array and return one num and one den
     per point: a function that only takes scalars is a caller error, not
-    something to fall back from point by point.  A NaN quotient raises
-    DomainError naming the first point where it occurred.  An empty ``xs``
-    is not passed to ``parts``."""
+    something to fall back from point by point.  A NaN quotient, or an
+    infinite one of a finite num (an overflow), raises DomainError naming
+    the first point where it occurred; the quotient of an infinite num is a
+    value, +inf.  An empty ``xs`` is not passed to ``parts``."""
     if xs.size == 0:
         return np.empty(xs.shape), np.empty(xs.shape), np.empty(xs.shape)
     num, den = (_per_point(xs, a) for a in parts(xs, rows))
-    ys = num / den
-    nan = np.isnan(ys)
-    if nan.any():
-        raise DomainError(f"the searched function is NaN at p={float(xs.flat[np.argmax(nan)])!r}")
+    # an infinite quotient of a finite num raises below, not a RuntimeWarning
+    with np.errstate(divide="ignore", over="ignore"):
+        ys = num / den
+    if not np.isfinite(ys).all():
+        bad = np.isnan(ys) | np.isinf(ys) & np.isfinite(num)
+        if bad.any():
+            i = np.argmax(bad)
+            what = "is NaN" if np.isnan(ys.flat[i]) else "overflows a float"
+            raise DomainError(f"the searched function {what} at p={float(xs.flat[i])!r}")
     return num, den, ys
 
 

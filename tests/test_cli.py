@@ -328,6 +328,27 @@ def test_a_negative_seed_exits_2_with_one_line(argv, env_seed, seed):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv, p", [
+    ((), "1.6793828198893002"),
+    (("--grid", "integers:M=5"), "2.0"),
+], ids=["plain", "grid"])
+def test_an_overflowing_ratio_exits_2_with_one_line(argv, p):
+    # every moment of the constant 1e308 is finite; only num / den overflows
+    argv = ("norm", "--model", "constant:1e308", "--psi", "power_slowvary(r=2, delta=-5)", *argv)
+    proc = subprocess.run([sys.executable, "-m", "glspace", *argv], env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [f"gls: the searched function overflows a float at p={p}"]
+
+
+def test_a_grid_set_under_the_largest_p_max_exits_0(capsys):
+    code, out, err = run_cli(capsys, "norm", "--model", "gaussian", "--psi", "power_slowvary(r=4)",
+                             "--set", "grid:geometric:D=2:M=3", "--p-max", "1e308")
+    assert (code, err) == (0, "")
+    (row,) = parse_rows(out)
+    assert row["value"] != "inf" and float(row["arg_p"]) <= 2.0**1023
+
+
 def test_the_suites_reject_a_negative_seed():
     with pytest.raises(DomainError, match=r"^seed must be a nonnegative integer, got -1$"):
         run_suite("young", -1)

@@ -190,6 +190,27 @@ def test_grid_backed_sets_pull_points_on_demand():
     assert G.sup_value == math.inf
 
 
+def test_a_grid_set_without_a_generator_ends_at_its_last_point():
+    S = RestrictedSet.from_grid(GridSequence([1.0, 2.0, 3.0]))
+    assert S.sup_value == 3.0
+    assert S.p_plus(3.5) == math.inf
+    with pytest.raises(TruncationError, match=r"lower p_max to at most 3$"):
+        S.window_point(3.5)
+
+
+def test_a_grid_set_reads_its_grid_to_the_last_point_at_or_below_p():
+    q = geometric_grid(2, 3)
+    # q(m) = 2^m - 1, which overflows a float at m = 1024
+    ps = (0.5, 1.0, 2.9, 3.0, 1e300, 1e308, math.inf)
+    assert [q.last_index_at_most(p) for p in ps] == [0, 1, 1, 2, 996, 1023, 1023]
+    S = RestrictedSet.from_grid(q)
+    assert S.segments_to(1e308) == [(v, v) for v in (2.0 ** np.arange(1, 1024) - 1.0).tolist()]
+    assert S.segments_to(8.0) == [(1.0, 1.0), (3.0, 3.0), (7.0, 7.0)]
+    # a grid that never passes P within _EXTEND_CAP terms is still refused
+    with pytest.raises(TruncationError, match=r"did not reach 1e\+09 within 200000 terms"):
+        RestrictedSet.from_grid(integer_grid(5)).segments_to(1e9)
+
+
 def test_grid_backed_set_queries_leave_it_unchanged():
     G = RestrictedSet.from_grid(integer_grid(5))
     assert G.contains(100.0) and not G.contains(100.5)

@@ -16,6 +16,7 @@ from glspace import (
     DomainError,
     EmpiricalModel,
     GeneratingFunction,
+    GridSequence,
     GroupFunctionModel,
     NonMonotoneError,
     PowerSlowVaryParams,
@@ -253,6 +254,36 @@ def test_nan_ratio_raises_naming_p():
         sandwich_check_discrete(exponential_model(), nan_above_50_psi(), integer_grid(60), p_max=55.0, use_w_hat=True)
 
 
+def test_an_overflowing_ratio_raises_naming_p():
+    # every moment of the constant 1e308 is finite, but psi falls below 1
+    # and num / den overflows a float: an error, not a divergent moment
+    model, psi = constant_model(1e308), make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=-5.0))
+    with pytest.raises(DomainError, match=r"^the searched function overflows a float at p=1\.6"):
+        gls_norm(model, psi)
+    with pytest.raises(DomainError, match=r"^the searched function overflows a float at p=2\.0$"):
+        discrete_norm(model, psi, integer_grid(5))
+    # an infinite moment is still a value: the norm is +inf
+    infinite = ClosedFormModel("infinite-past-3", lambda p: np.where(np.asarray(p) > 3.0, np.inf, np.sqrt(p)))
+    res = gls_norm(infinite, root_psi(), p_max=10.0)
+    assert res.value == math.inf and 3.0 < res.arg_p and "divergent" in res.diagnostics
+
+
+def test_a_grid_set_without_a_generator_is_not_truncated():
+    S = RestrictedSet.from_grid(GridSequence([1.0, 2.0, 3.0]))
+    res = gls_norm(gaussian_model(), make_power_slowvary(PowerSlowVaryParams(r=4.0)), 50.0, rset=S)
+    assert not res.truncated
+    assert res.diagnostics == "domain ends within the window; nothing was truncated"
+
+
+def test_a_grid_set_under_the_largest_p_max_takes_every_finite_point():
+    # q(m) = 2^m - 1 overflows a float at m = 1024; the norm is the
+    # discrete norm over q(1)..q(1023)
+    psi = make_power_slowvary(PowerSlowVaryParams(r=4.0))
+    res = gls_norm(gaussian_model(), psi, 1e308, rset=RestrictedSet.from_grid(geometric_grid(2, 3)))
+    ref = discrete_norm(gaussian_model(), psi, geometric_grid(2, 1023))
+    assert (res.value, res.arg_p, res.n_evaluations) == (ref.value, ref.arg_p, 1023)
+
+
 def _per_segment_norm(model, psi, S, p_max=200.0):
     """gls_norm as a loop: grid_refine_supremum on each interval and a
     scalar ratio call on each point (a grid-backed set's grid values up to
@@ -450,11 +481,11 @@ def _searched(call):
 
 def _same_but_the_route(shared: NormResult, shared_lockstep: bool, alone: NormResult, own_lockstep: bool):
     """``shared`` has every field of ``alone``.  Where the shared search
-    went lockstep and the model's own search speculated (more brackets in
-    all than its functions may speculate, at most SCALAR_BRACKETS of the
-    model's), the
-    count may be lower: lockstep asks for no point off golden section's
-    path, speculation for the points of its wrong guesses too."""
+    went lockstep and the model's own search speculated (more than
+    SCALAR_BRACKETS brackets in all, at most SCALAR_BRACKETS of the
+    model's), the count may be lower: lockstep asks for no point off
+    golden section's path, speculation for the points of its wrong guesses
+    too."""
     if shared_lockstep and not own_lockstep:
         assert shared.n_evaluations <= alone.n_evaluations
         shared = dataclasses.replace(shared, n_evaluations=alone.n_evaluations)
@@ -506,11 +537,10 @@ def test_one_search_gives_every_model_its_one_model_result(case):
 
 
 def test_the_route_counts_the_brackets_of_every_model(monkeypatch):
-    # with room for 2 speculating brackets per search of one function, and
-    # 2 * (3 + 1) // 2 = 4 for three, the 2 + 2 + 1 brackets of the three
-    # models go lockstep together while each model alone speculates; the
-    # bits stay.  The psi makes no log_concave promise, so no bracket at a
-    # row end is certified away
+    # with room for 2 speculating brackets per search, the 2 + 2 + 1
+    # brackets of the three models go lockstep together while each model
+    # alone speculates; the bits stay.  The psi makes no log_concave
+    # promise, so no bracket at a row end is certified away
     monkeypatch.setattr(norms, "SCALAR_BRACKETS", 2)
     G = dihedral_group(6)
     rng = np.random.default_rng(8)
@@ -525,17 +555,21 @@ def test_the_route_counts_the_brackets_of_every_model(monkeypatch):
     assert sum(r.n_evaluations for r in batched) < sum(r.n_evaluations for r, _ in alone)
 
 
-def test_three_functions_speculate_more_brackets_than_one(monkeypatch):
-    # the 1 + 2 + 1 brackets of these three models exceed the 2 one
-    # function may speculate, not the 2 * (3 + 1) // 2 = 4 of three
-    monkeypatch.setattr(norms, "SCALAR_BRACKETS", 2)
+@pytest.mark.parametrize("cap", [3, 4])
+def test_one_bracket_cap_counts_the_brackets_of_every_model(monkeypatch, cap):
+    # the 1 + 2 + 1 brackets of these three models refine in guessed rounds
+    # under a cap of 4 and in lockstep under 3, and each model alone, of at
+    # most 2 brackets, in guessed rounds; every model keeps its alone bits
+    monkeypatch.setattr(norms, "SCALAR_BRACKETS", cap)
     G = dihedral_group(6)
     rng = np.random.default_rng(6)
     models = _algebra_models(G, rng.standard_normal(12), rng.standard_normal(12))
     psi = make_power_slowvary(PowerSlowVaryParams(r=4.0, delta=0.0))
     batched, lockstep = _searched(lambda: gls_norms(models, psi, 30.0))
-    assert not lockstep
-    assert [_fields(r) for r in batched] == [_fields(gls_norm(m, psi, 30.0)) for m in models]
+    alone = [_searched(lambda: gls_norm(m, psi, 30.0)) for m in models]
+    assert lockstep == (cap < 4) and not any(own_lockstep for _, own_lockstep in alone)
+    for res, own in zip(batched, alone):
+        _same_but_the_route(res, lockstep, *own)
 
 
 def _diverging_from(p0: float) -> ClosedFormModel:

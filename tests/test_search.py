@@ -353,6 +353,34 @@ def test_an_always_wrong_guess_keeps_the_bits(monkeypatch):
     assert calls[0] > xs.size + 3 * 40
 
 
+def test_a_wrong_first_guess_costs_one_round(monkeypatch):
+    # every guess is right but the search's first: the second round plans
+    # the rest of the path toward the bracket's best point, so the scan and
+    # two rounds are the whole search, with the bits of lockstep
+    xs, f = _one_peak_per_row(1)
+    seq = sup_rows(_rowless(f), xs, guessed=0)
+    guesses = []
+
+    def first_wrong(x1, x2, target):
+        guesses.append((x1, x2, target))
+        return (f(x1) >= f(x2)) != (len(guesses) == 1)
+
+    monkeypatch.setattr(search, "_guess_left", first_wrong)
+    calls = []
+    spec = sup_rows(lambda x, row: calls.append(x.size) or (f(x), np.ones_like(x)), xs)
+    np.testing.assert_array_equal(spec.values, seq.values)
+    np.testing.assert_array_equal(spec.args, seq.args)
+    assert len(calls) == 3
+    # the first round guesses every step, x1 and x2 unevaluated; the second
+    # takes its first step from their values and aims every guess at the
+    # bracket's best point, which before any step is its better end (as in
+    # golden_section_max, a step's new point may replace it; x1 and x2 not)
+    i = int(np.argmax(f(xs[0])))
+    lo, hi = xs[0, i - 1], xs[0, i + 1]
+    assert len(guesses) == (calls[1] - 2) + (calls[2] - 1)
+    assert {target for _, _, target in guesses[calls[1] - 2:]} == {hi if f(hi) > f(lo) else lo}
+
+
 def _true_path(xs):
     """The points golden_section_max evaluates: every point of the lockstep
     search (guessed=0), the scan's included."""
