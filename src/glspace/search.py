@@ -47,34 +47,44 @@ error is the one golden_section_max meets on the first bracket that
 meets one, naming the same p; where no bracket meets one alone, the
 search returns, and RowSupremum.reran counts the brackets it reran.
 
-A search may be pruned.  When ``num`` = |g|_p is a p-norm on a
-probability space and ``den`` is positive and nondecreasing (a moment
-over a nondecreasing generating function), a scan cell [a, b] whose ends
-are evaluated has a bound on f = num / den.  phi(p) = p ln num(p) =
-ln E|g|^p is convex in p (Lyapunov), so it lies below its chord on the
-cell, and ln num(p) <= (phi(a) + (p - a) s) / p with s the chord's
-slope.  When ln den is concave in p as well (the log_concave promise of
-a generating function), ln den(p) lies above its own chord, of slope t;
-otherwise ln den(p) >= ln den(a), and t = 0.  So on the cell
+The chord bound.  When ``num`` = |g|_p is a p-norm on a probability
+space and ``den`` is positive and nondecreasing (a moment over a
+nondecreasing generating function), the values at the ends of a cell
+[a, b] bound f = num / den on the whole cell.  p ln num(p) = ln E|g|^p
+is convex in p (Lyapunov), so it lies below its chord on the cell.  When
+ln den is concave in p as well (the log_concave promise of a generating
+function), ln den lies above its own chord; otherwise ln den(q) >=
+ln den(a).  With w = (q - a) / (b - a), dL = ln(num(b) / num(a)) and dl =
+ln(den(b) / den(a)) (dl = 0 without the promise), the first chord gives
+ln num(q) - ln num(a) <= w (b / q) dL and the second ln den(q) -
+ln den(a) >= w dl, so relative to f(a)
 
-    ln f(p) <= U(p) = (phi(a) + (p - a) s) / p - (ln den(a) + (p - a) t),
+    ln f(q) - ln f(a) <= U(q) - ln f(a) = w ((b / q) dL - dl),
 
-and U(p) = alpha / p + s - ln den(a) - (p - a) t, alpha = phi(a) - a s,
-has one stationary point, p* = sqrt(-alpha / t), so its largest value
-on the cell is at a, b or p* (clipped to the cell).  The cell's bound is
-exp of that value.  With t = 0 it is max(num(a), num(b)) / den(a) =
-num(b) / den(a), the W constant's argument (full <= W * discrete) on the
-scan grid; the chord of ln den makes the bound second-order in the cell
-width, so near a flat peak far fewer cells survive.  The bound is used
-as the Lipschitz bound is in the branch and bound of Piyavskii (1972)
-and Shubert (1972).  The pruned scan works in levels, one per entry of
-_COARSE_STEPS (64, 16, then 4).  The first level evaluates every 64th
-point of each row and the row's last point, and drops every cell whose
+the gain of _chord_gain.  It is 0 at a and dL - dl = ln(f(b) / f(a)) at
+b, and as c - dl q / (b - a) - a b dL / ((b - a) q) it has one
+stationary point, q* = sqrt(a b dL / dl), so its largest value on any
+part of the cell is at that part's ends or at q* clipped to them.  The
+form never takes ln num or ln den themselves, only the logs of ratios of
+neighbouring values near 1, weighed by w and w b / q, both in [0, 1]: a
+few ulp of error in num and den at the cell's ends are a few ulp of
+absolute error in the gain, whatever the scale of f.  So its two readers
+need a margin of a few ulp only, and each keeps one far wider,
+_PRUNE_MARGIN and _CERTIFY_MARGIN.  The bound is used as the Lipschitz
+bound is in the branch and bound of Piyavskii (1972) and Shubert (1972).
+
+A search may be pruned: the bound of a cell is f(a) exp(gain over
+[a, b]).  Without the promise it is max(num(a), num(b)) / den(a), the W
+constant's argument (full <= W * discrete) on the scan grid; the chord
+of ln den makes the bound second-order in the cell width, so near a flat
+peak far fewer cells survive.  The pruned scan works in levels, one per
+entry of _COARSE_STEPS (64, 16, then 4).  The first level evaluates
+every 64th point of each row and the row's last point, and drops every cell whose
 bound, widened by _PRUNE_MARGIN for rounding, is below the best value
 seen.  Each next level evaluates its points inside the live cells of
 the level before only, and drops its cells by the same rule.  In exact
 arithmetic a child cell's bound is at most its parent's (the child's
-chord of phi lies below the parent's, its chord of ln den above), and
+chord of p ln num lies below the parent's, its chord of ln den above), and
 the best point of a level lies in a live cell of the level before, so
 the live cells of the last level are those a one-level pass at its step
 would keep.  The fine pass then evaluates the points of the live cells,
@@ -84,35 +94,24 @@ search evaluates, and every local maximum that remains has the same
 scan neighbours as in the full scan, so the overall supremum, its
 argument and the edge evidence keep their bits.
 
-The same chords certify a peak at a row end, where a ratio that falls
+The same bound certifies a peak at a row end, where a ratio that falls
 (or rises) through its row peaks most often.  Golden section on the cell
 [a, b] of a peak at a asks only for points at least (1 - INV_PHI) *
 INV_PHI * min(b - a, its stopping width), about 0.236 of that, from a:
 its first two points lie 0.382 (b - a) from the ends, and each later one
 0.382 of a bracket that is 0.618 of one still wider than the stopping
-width.  With both chords U(a) = ln f(a) and U(b) = ln f(b), and relative
-to the peak the bound reads
-
-    U(q) - U(a) = (q - a) / (b - a) * ((b / q) dL - dl),
-    U(q) - U(b) = (b - q) / (b - a) * (dl - (a / q) dL),
-
-dL = ln(num(b) / num(a)) and dl = ln(den(b) / den(a)); each has the form
-c - dl q / (b - a) - a b dL / ((b - a) q), whose largest value on an
-interval is at its ends or at q* = sqrt(a b dL / dl).  When its largest
-value over the part of the cell golden section can reach (all of it but
-the _REACH * min(b - a, stopping width) next to the peak) is below
--_CERTIFY_MARGIN, every point golden section would evaluate is below the
-peak, and golden_section_max would return the peak itself: a tie never
-moves its best point to a larger p, and a peak at b is certified only
-where f(b) > f(a), so that b is its best point from the start.  Such a
-bracket is not refined, and only the count of evaluations changes.  The
-form never takes ln num or ln den themselves, only the logs of ratios of
-neighbouring values near 1, so its rounding does not grow with the scale
-of f (see _CERTIFY_MARGIN).  The norms ask for it on both exact moment
-backends: the power means of samples and group functions, and the closed
-forms, whose Gaussian, exponential and uniform01 moments are p-norms on a
-probability space like any other and whose constant and Rademacher
-moments give dL = 0 exactly.
+width.  When the gain over the part of the cell golden section can reach
+(all of it but the _REACH * min(b - a, stopping width) next to the
+peak), less dL - dl for a peak at b, is below -_CERTIFY_MARGIN, every
+point golden section would evaluate is below the peak, and
+golden_section_max would return the peak itself: a tie never moves its
+best point to a larger p, and a peak at b is certified only where f(b) >
+f(a), so that b is its best point from the start.  Such a bracket is not
+refined, and only the count of evaluations changes.  The norms ask for
+it on both exact moment backends: the power means of samples and group
+functions, and the closed forms, whose Gaussian, exponential and
+uniform01 moments are p-norms on a probability space like any other and
+whose constant and Rademacher moments give dL = 0 exactly.
 """
 
 from __future__ import annotations
@@ -158,12 +157,9 @@ _PLATEAU_ULP = 4
 # Each step divides the one before it, so every cell lies in one parent.
 # A cell is dropped when its bound times 1 + _PRUNE_MARGIN is below the best
 # value.  The margin covers rounding with room to spare: the moment and psi
-# carry a few ulp (about 1e-14 relative), an absolute error of that size in
-# their logs; each chord weighs its ends' errors by weights in [0, 1] that
-# sum to 1 (for phi, whose errors scale with a and b, after the division by
-# p); the logs and the chord arithmetic add a few ulp of |ln num| and
-# |ln den|, below 1e-12 in the double range; and an error dp in p*
-# costs t dp^2 / p, second order.  On 2^14..2^16-value samples under the
+# carry a few ulp (about 1e-14 relative), the gain as many in absolute terms
+# (the module docstring), f(a) and the exp a few ulp more, and an error in q*
+# costs second order.  On 2^14..2^16-value samples under the
 # norm workload's psi, plain and on a set, (64, 16, 4) evaluated 29 scan
 # points an op against 35 for (64, 8) and 32 for (64, 8, 2); (128, 32, 8)
 # took 28, and their CPU times were within noise of each other
@@ -291,12 +287,12 @@ class _Golden:
     several points at a time.
 
     The bracket [a, b] holds the inner points x1 < x2 with values f1, f2
-    (None until evaluated).  The points golden section asks for depend only
-    on its decisions, f1 >= f2 (keep [a, x2]) or not, never on the values
-    themselves.  So plan() lays out the points of the whole path, its
-    decisions past the known values guessed, and walk() runs the update
-    rule, the best-point tie-break and the stopping width over their values
-    up to the first guess the values contradict.  Every step walk()
+    (both None until evaluated, together).  The points golden section asks
+    for depend only on its decisions, f1 >= f2 (keep [a, x2]) or not, never
+    on the values themselves.  So plan() lays out the points of the whole
+    path, its decisions past the known values guessed, and walk() runs the
+    update rule, the best-point tie-break and the stopping width over their
+    values up to the first guess the values contradict.  Every step walk()
     confirms is the step of golden_section_max, on the same floats.
     """
 
@@ -322,7 +318,7 @@ class _Golden:
         and x2 first while unevaluated, and the decision of each step: taken
         from the values where these are known, guessed toward ``target``
         past them.  Returns (points, decisions)."""
-        pts = [x for x, v in ((self.x1, self.f1), (self.x2, self.f2)) if v is None]
+        pts = [self.x1, self.x2] if self.f2 is None else []
         left = None if pts else self.f1 >= self.f2
         a, b, x1, x2, tol = self.a, self.b, self.x1, self.x2, self.width_tol
         lefts = []
@@ -352,11 +348,12 @@ class _Golden:
         where the values decide): the walk stops at the first planned one
         the values contradict, when they run out, or at the stopping width."""
         a, b, x1, x2, f1, f2 = self.a, self.b, self.x1, self.x2, self.f1, self.f2
-        if f1 is None:
-            f1 = f(x1)
-        if f2 is None:
-            f2 = f(x2)
         best_x, best_v, steps, tol = self.best_x, self.best_v, self.steps, self.width_tol
+        if f2 is None:
+            f1, f2 = f(x1), f(x2)
+            for x, v in ((x1, f1), (x2, f2)):
+                if v > best_v or (v == best_v and x < best_x):
+                    best_x, best_v = x, v
         for planned in lefts:
             left = f1 >= f2
             if b - a <= tol or steps >= _MAX_ITER or (planned is not None and planned != left):
@@ -421,15 +418,15 @@ def _golden_lockstep(parts, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray):
     array operations; a bracket that stops leaves it.  Returns (args,
     values).
     """
-    best_x, best_v = lo.copy(), f_lo.copy()
-    up = f_hi > best_v
-    best_x[up], best_v[up] = hi[up], f_hi[up]
     a, b = lo, hi
     x1 = b - INV_PHI * (b - a)
     x2 = a + INV_PHI * (b - a)
     # x1 and x2 of each bracket side by side, so the points come row by row
     f12 = _eval_parts(parts, np.stack([x1, x2], axis=1).ravel(), rows.repeat(2))[2].reshape(-1, 2)
     f1, f2 = f12[:, 0], f12[:, 1]
+    # the best of the four points so far: the first largest value in order of p
+    first = np.argmax([f_lo, f1, f2, f_hi], axis=0)
+    best_x, best_v = np.choose(first, (lo, x1, x2, hi)), np.choose(first, (f_lo, f1, f2, f_hi))
     width_tol = tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     # the moving brackets: their indices, then their state
     at, bx, bv = np.arange(lo.size), best_x, best_v
@@ -609,41 +606,59 @@ def _scan_targets(xs: np.ndarray, ys: np.ndarray, r: np.ndarray, i: np.ndarray) 
     ]
 
 
+def _chord_gain(a, b, d_num, d_den, lo, hi):
+    """The largest U(q) - ln f(a) = w ((b / q) d_num - d_den), w = (q - a) /
+    (b - a), over [lo, hi] inside the cell [a, b] (the module docstring),
+    at lo, hi and q* = sqrt(a b d_num / d_den) clipped to them.  d_num and
+    d_den are ln(num(b) / num(a)) and ln(den(b) / den(a)).
+
+    Arrays of cells (the pruning bound): a NaN q* (0 / 0, or the root of a
+    negative) takes lo, and a NaN or infinite part gives a NaN or infinite
+    gain.  Or Python floats for one cell (the end certificate, which passes
+    finite logs and b > a), judged without a NumPy call: on one cell's
+    floats the array branch takes 8.4 us, this one 2.3 us (the machine of
+    _certified's timings).  There q* is taken only for d_num and d_den both
+    positive; otherwise the gain is monotone or convex, and largest at lo
+    or hi."""
+
+    def gain(q):
+        return (q - a) / (b - a) * (b / q * d_num - d_den)
+
+    if isinstance(d_num, float):
+        top = min(max(math.sqrt(a * b * d_num / d_den), lo), hi) if d_num > 0.0 and d_den > 0.0 else lo
+        return max(gain(lo), gain(hi), gain(top))
+    top = np.fmin(np.fmax(np.sqrt(a * b * d_num / d_den), lo), hi)
+    return np.maximum(np.maximum(gain(lo), gain(hi)), gain(top))
+
+
 def cell_bounds(p: np.ndarray, num: np.ndarray, den: np.ndarray, log_concave: bool) -> np.ndarray:
     """Upper bound of num / den on each cell [a, b] between consecutive
-    points p (last axis) of a row, from num and den at the points: exp of
-    the largest U on the cell (see the module docstring), with the chord
-    of ln den when ``log_concave`` and t = 0 otherwise.  Where U is not
-    finite (a zero num, a den that is not positive, an unevaluated end)
-    the bound is inf, which keeps the cell."""
+    points p (last axis) of a row, from num and den at the points:
+    f(a) exp(_chord_gain over [a, b]), with the chord of ln den when
+    ``log_concave`` and dl = 0 otherwise (see the module docstring).  Where
+    the gain is not finite (a zero num, a den that is not positive, an
+    unevaluated end) the bound is inf, which keeps the cell."""
+    a, b = p[..., :-1], p[..., 1:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        phi, ell = p * np.log(num), np.log(den)
-        a, b, phi_a, ell_a = p[..., :-1], p[..., 1:], phi[..., :-1], ell[..., :-1]
-        s = (phi[..., 1:] - phi_a) / (b - a)
-        t = (ell[..., 1:] - ell_a) / (b - a) if log_concave else np.zeros_like(s)
-        # fmax and fmin take a for a NaN -alpha / t (alpha = t = 0)
-        top = np.fmin(np.fmax(np.sqrt((a * s - phi_a) / t), a), b)
-
-        def u(q):
-            return (phi_a + (q - a) * s) / q - (ell_a + (q - a) * t)
-
-        high = np.maximum(np.maximum(u(a), u(b)), u(top))
-        return np.exp(np.where(np.isfinite(high), high, np.inf))
+        d_num = np.log(num[..., 1:] / num[..., :-1])
+        d_den = np.log(den[..., 1:] / den[..., :-1]) if log_concave else 0.0
+        gain = _chord_gain(a, b, d_num, d_den, a, b)
+        return np.where(np.isfinite(gain), num[..., :-1] / den[..., :-1] * np.exp(gain), np.inf)
 
 
 def _certified(xs, ys, num, den, r: np.ndarray, i: np.ndarray, tol: float) -> np.ndarray:
     """Which of the scan peaks (r, i) golden section cannot beat: a peak
-    at a row end whose chord bound (log_concave chords), over the points
-    golden section to ``tol`` reaches on its cell, lies below it by more
-    than _CERTIFY_MARGIN (see the module docstring).  A peak at the last
-    point needs a value above its neighbour's too.  ``num`` and ``den`` are
-    the scan's parts; an interior peak is never certified, nor is one whose
-    cell has a NaN, zero or infinite part or ratio of parts.  A search
-    holds a few end peaks (2-4 on average on the sandwich and algebra
-    benchmarks), so each is judged in Python floats: 23-30 us a search on
-    two seed-7 blocks of either, where the same formulas on arrays, about
-    45 small NumPy calls, took 131 us on algebra (Python 3.11, NumPy 2.4, a
-    2-core x86-64 VM)."""
+    at a row end whose _chord_gain (log_concave chords) over the points
+    golden section to ``tol`` reaches on its cell, less dL - dl =
+    ln(f(b) / f(a)) for a peak at b, is below -_CERTIFY_MARGIN (see the
+    module docstring).  A peak at the last point needs a value above its
+    neighbour's too.  ``num`` and ``den`` are the scan's parts; an interior
+    peak is never certified, nor is one whose cell has a NaN, zero or
+    infinite part or ratio of parts.  A search holds a few end peaks (it
+    certifies 2.4 a search on two seed-7 sandwich blocks, 3.3 on algebra),
+    so each is judged in Python floats: 14 us a search on sandwich and 25 us
+    on algebra, where one NumPy call of _chord_gain over three peaks takes
+    19 us (Python 3.11, NumPy 2.4, a 2-core x86-64 VM)."""
     sure = np.zeros(i.size, dtype=bool)
     last = xs.shape[1] - 1
     for j, (row, col) in enumerate(zip(r.tolist(), i.tolist())):
@@ -662,18 +677,9 @@ def _certified(xs, ys, num, den, r: np.ndarray, i: np.ndarray, tol: float) -> np
         d_num, d_den = math.log(q_num), math.log(q_den)
         a, b = xs.item(row, c), xs.item(row, c + 1)
         reach = _REACH * min(b - a, tol * max(1.0, abs(a), abs(b)))
-        lo, hi = (a + reach, b) if left else (a, b - reach)
-        # U(q) - ln f at the peak (the module docstring) is concave in q,
-        # with its top at sqrt(a b dL / dl), where dL and dl are both
-        # positive; otherwise its largest value on [lo, hi] is at an end.
-        # It is taken at lo, hi and that top clipped to them; a NaN fails
-        # the comparison
-        top = min(max(math.sqrt(a * b * d_num / d_den), lo), hi) if d_num > 0.0 and d_den > 0.0 else lo
-        if left:
-            gains = [(q - a) * (b / q * d_num - d_den) / (b - a) for q in (lo, hi, top)]
-        else:
-            gains = [(b - q) * (d_den - a / q * d_num) / (b - a) for q in (lo, hi, top)]
-        sure[j] = all(g < -_CERTIFY_MARGIN for g in gains)
+        # the reachable part of the cell, and ln f at the peak less ln f(a)
+        lo, hi, peak = (a + reach, b, 0.0) if left else (a, b - reach, d_num - d_den)
+        sure[j] = _chord_gain(a, b, d_num, d_den, lo, hi) - peak < -_CERTIFY_MARGIN
     return sure
 
 

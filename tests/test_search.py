@@ -42,7 +42,7 @@ from glspace.norms import _PRUNE_MIN_VALUES, _cellwise_full_norm, _ratio_fn
 from glspace.models import power_mean
 from glspace.suites import psi_pool
 from glspace import norms, search
-from glspace.search import SCALAR_BRACKETS, _golden_lockstep, golden_section_max, grid_refine_supremum, sup_rows
+from glspace.search import INV_PHI, SCALAR_BRACKETS, _golden_lockstep, golden_section_max, grid_refine_supremum, sup_rows
 
 
 def test_scalar_only_function_is_rejected():
@@ -118,6 +118,23 @@ def test_known_bracket_ends_save_two_calls_with_the_same_result(lo, hi):
     got = golden_section_max(given, lo, hi, f_lo=float(_multi_peak(lo)), f_hi=float(_multi_peak(hi)))
     assert got == ref
     assert given_seen[0] == plain_seen[0] - 2
+
+
+@pytest.mark.parametrize("peak", [1.0 - INV_PHI, INV_PHI], ids=["x1", "x2"])
+def test_golden_section_returns_a_first_inner_point_that_no_later_point_beats(peak):
+    # golden section on [0, 1] evaluates x1 = 1 - INV_PHI and x2 = INV_PHI
+    # first; f peaks exactly at one of them, so every later point is lower
+    # and that point itself comes back, on every route
+    def f(x):
+        return -((x - peak) ** 2)
+
+    assert golden_section_max(f, 0.0, 1.0) == (peak, 0.0)
+    ends = np.array([0.0]), f(np.array([0.0])), np.array([1.0]), f(np.array([1.0]))
+    rows = np.zeros(1, dtype=np.intp)
+    lockstep = _golden_lockstep(_rowless(f), *ends, search._REFINE_TOL, rows)
+    guessed = search._speculate(_rowless(f), *ends, search._REFINE_TOL, rows, [0.5])
+    for args, values in (lockstep, guessed):
+        assert (args.tolist(), values.tolist()) == ([peak], [0.0])
 
 
 def test_lockstep_matches_golden_section_bit_for_bit():
@@ -373,12 +390,14 @@ def test_a_wrong_first_guess_costs_one_round(monkeypatch):
     assert len(calls) == 3
     # the first round guesses every step, x1 and x2 unevaluated; the second
     # takes its first step from their values and aims every guess at the
-    # bracket's best point, which before any step is its better end (as in
-    # golden_section_max, a step's new point may replace it; x1 and x2 not)
+    # bracket's best point, which before any step is the best of its ends,
+    # x1 and x2 (golden_section_max compares each point it evaluates with
+    # the best, x1 and x2 included): the largest value, then the smallest p
     i = int(np.argmax(f(xs[0])))
     lo, hi = xs[0, i - 1], xs[0, i + 1]
+    best = max([lo, hi - INV_PHI * (hi - lo), lo + INV_PHI * (hi - lo), hi], key=lambda p: (f(p), -p))
     assert len(guesses) == (calls[1] - 2) + (calls[2] - 1)
-    assert {target for _, _, target in guesses[calls[1] - 2:]} == {hi if f(hi) > f(lo) else lo}
+    assert {target for _, _, target in guesses[calls[1] - 2:]} == {best}
 
 
 def _true_path(xs):
