@@ -285,11 +285,12 @@ def grid_search(model: RandomVariableModel, q: GridSequence) -> NormSearch:
 
 def _cell_search(model: RandomVariableModel, gtr: GridSequence) -> NormSearch:
     """The search of _cellwise_full_norm: every cell of the grid a scan row
-    of _CELL_POINTS evenly spaced points."""
+    of _CELL_POINTS evenly spaced points; a grid of one point has no cell,
+    and its window [1, 1] is that point, as in domain_search."""
     v = gtr.values
     xs = np.linspace(v[:-1], v[1:], _CELL_POINTS, axis=1)
     xs[:, 0], xs[:, -1] = v[:-1], v[1:]
-    return NormSearch(model, v[-1], xs, _NO_POINTS)
+    return NormSearch(model, v[-1], xs, _NO_POINTS if v.size > 1 else v)
 
 
 def sup_norms(psi: GeneratingFunction, searches: Sequence[NormSearch]) -> list:
@@ -337,14 +338,15 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     gives the norm +inf with that p as its witness.  A shared search that
     raises, or whose refinement met an error and reran its brackets one
     by one (RowSupremum.reran: a NaN ratio or a domain error at a point
-    off golden section's path), is given up: _search returns None, and the
-    caller runs each part alone in its own order, so every error, every
-    +inf and every count is that of the searches alone.  A shared search
-    is not tried (None at once) where a plug-in moment may warn, since
-    interleaved calls would reorder and merge the warning lines of the
-    searches, where the searches' rows differ in length, since one scan
-    array holds rows of one length, or where their models are neither one
-    model nor all plain power means, since one function serves them.
+    off golden section's path), is given up: _search returns None, and
+    sup_norms, its one caller, runs each search alone, in order, so every
+    error, every +inf and every count is that of the searches alone.  A
+    shared search is not tried (None at once) where a plug-in moment may
+    warn, since interleaved calls would reorder and merge the warning
+    lines of the searches, where the searches' rows differ in length,
+    since one scan array holds rows of one length, or where their models
+    are neither one model nor all plain power means, since one function
+    serves them.
 
     The scan is pruned, against the best exact-point value too, when every
     model is a PowerMeanModel of at least _PRUNE_MIN_VALUES values
@@ -613,14 +615,13 @@ def sandwich_check_discrete(
     nothing.  The two routes stay separate on purpose: W^ collapsing to
     W on monotone inputs is itself a tested property, not a shortcut.
 
-    The two norms of each route are one search (_search).  W: the grid
-    values as exact points and the row [1, P]; a psi that fails the
-    monotone test is a NonMonotoneError once the inner norm is found
-    clean.  W^: the grid values and the cell rows of _cellwise_full_norm;
-    the constant is w_hat_constant's, which depends on psi and the grid
-    only and is computed once per (psi, cell ends) per process.  Where the
-    search is given up, the parts run alone in the order inner, constant,
-    full, so errors are theirs.
+    The two norms of each route are one search (sup_norms), the grid
+    values as exact points and the full window: the row [1, P] for W, the
+    cell rows of _cellwise_full_norm for W^.  The constant comes after
+    them, as on every route: W's monotone test, then W (a psi that fails
+    the test is a NonMonotoneError once both norms are found clean); W^
+    from w_hat_constant, which depends on psi and the grid only and is
+    computed once per (psi, cell ends) per process.
     """
     idx = q.first_index_at_least(p_max)
     if idx > q.M:
@@ -629,21 +630,11 @@ def sandwich_check_discrete(
         )
     gtr = q.truncated(idx)
     P = float(gtr.values[-1])
+    window = _cell_search(model, gtr) if use_w_hat else domain_search(model, P)
+    inner, full = sup_norms(psi, [grid_search(model, gtr), window])
     if use_w_hat:
-        found = _search(psi, [grid_search(model, gtr), _cell_search(model, gtr)]) if gtr.M > 1 else None
-        if found is None:
-            inner = discrete_norm(model, psi, gtr)
-            const = w_hat_constant(gtr, psi)
-            full = _cellwise_full_norm(model, psi, gtr)
-        else:
-            inner, full = found
-            const = w_hat_constant(gtr, psi)
+        const = w_hat_constant(gtr, psi)
     else:
-        try:
-            _check_monotone(psi, P, "the W bound does not apply, pass use_w_hat=True")
-        except Exception:
-            discrete_norm(model, psi, gtr)  # an error of the inner norm comes first
-            raise
-        inner, full = sup_norms(psi, [grid_search(model, gtr), domain_search(model, P)])
+        _check_monotone(psi, P, "the W bound does not apply, pass use_w_hat=True")
         const = w_constant(gtr, psi)
     return _sandwich_report("discrete", model, psi, q.description, P, inner, full, const)

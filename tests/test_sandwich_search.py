@@ -54,7 +54,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def _alone(kind, model, psi, domain, p_max=200.0):
     """The report of sandwich_check_* assembled from one-search calls, in
-    the order inner, constant, full."""
+    the order inner, full, constant."""
     if kind == "Z":
         P = domain.window_point(p_max)
         windowed = domain.windowed(P)
@@ -66,11 +66,11 @@ def _alone(kind, model, psi, domain, p_max=200.0):
     P = float(gtr.values[-1])
     inner = discrete_norm(model, psi, gtr)
     if kind == "W_hat":
-        const = w_hat_constant(gtr, psi)
         full = _cellwise_full_norm(model, psi, gtr)
+        const = w_hat_constant(gtr, psi)
     else:
-        _check_monotone(psi, P, "the W bound does not apply, pass use_w_hat=True")
         full = gls_norm(model, psi, P)
+        _check_monotone(psi, P, "the W bound does not apply, pass use_w_hat=True")
         const = w_constant(gtr, psi)
     return _sandwich_report("discrete", model, psi, domain.description, P, inner, full, const)
 
@@ -332,7 +332,7 @@ def test_a_psi_with_an_unhashable_evaluator_still_gets_its_w_hat_constant():
 
 
 # ---------------------------------------------------------------------------
-# Errors: those of the searches run alone, in the order inner, constant, full
+# Errors: those of the searches run alone, in the order inner, full, constant
 
 
 def _nan_between(lo, hi, flagged=True):
@@ -358,11 +358,15 @@ def _raised(call):
     ("W_hat", integer_grid(60)),
 ])
 def test_a_psi_nan_only_in_the_full_window_is_the_searches_error(kind, domain):
-    # NaN on (20.2, 20.8): between the set's segments and the grid points
+    # NaN on (20.2, 20.8): between the set's segments and the grid points.
+    # The full norm meets it first: on the row [1, 50], or, for W^, at the
+    # first NaN point of the cell (20, 21), before the W^ constant's minima
+    # search meets its own (20.20392156862745)
     psi = _nan_between(20.2, 20.8)
     shared = _raised(lambda: _shared(kind, uniform01_model(), psi, domain, 50.0))
     assert shared == _raised(lambda: _alone(kind, uniform01_model(), psi, domain, 50.0))
-    assert shared[0] is DomainError and "NaN" in shared[1]
+    p = 20.206349206349206 if kind == "W_hat" else 20.26022433756431
+    assert shared == (DomainError, f"the searched function is NaN at p={p!r}")
     # the inner norm alone is clean
     if kind == "Z":
         gls_norm(uniform01_model(), psi, 50.0, set_from_spec("intervals:1-3,40-50"))
@@ -402,11 +406,34 @@ def test_a_non_monotone_psi_on_the_w_route_is_raised_after_a_clean_inner_norm():
     nan_dip = GeneratingFunction(lambda p: np.where(np.asarray(p) == 7.0, np.nan, dip.evaluator(p)), False, 1.0)
     shared = _raised(lambda: sandwich_check_discrete(gaussian_model(), nan_dip, q))
     assert shared[0] is DomainError and "p=7.0" in shared[1]
-    # the inner norm is clean and only the full one meets a NaN: the
-    # monotone test still comes first
-    nan_full = GeneratingFunction(lambda p: np.where(np.asarray(p) == 7.5, np.nan, dip.evaluator(p)), False, 1.0)
-    with pytest.raises(NonMonotoneError):
-        sandwich_check_discrete(gaussian_model(), nan_full, q)
+    # the inner norm is clean and the full norm's scan meets a NaN on (7.2,
+    # 7.8), between the grid points: the full norm's error comes before the
+    # monotone test
+    nan_full = GeneratingFunction(
+        lambda p: np.where((np.asarray(p) > 7.2) & (np.asarray(p) < 7.8), np.nan, dip.evaluator(p)), False, 1.0
+    )
+    discrete_norm(gaussian_model(), nan_full, q.truncated(200))
+    shared = _raised(lambda: sandwich_check_discrete(gaussian_model(), nan_full, q))
+    assert shared == _raised(lambda: gls_norm(gaussian_model(), nan_full, 200.0))
+    assert shared[0] is DomainError and "NaN" in shared[1]
+
+
+@pytest.mark.parametrize("use_w_hat, psi, message", [
+    (False, psi_pool()[2], "W needs at least two grid points"),
+    (True, psi_pool()[2], "W^ needs at least two grid points"),
+    (True, sqrt_dip_psi(), "W^ needs at least two grid points"),
+    # a psi not flagged nondecreasing meets W's monotone test first, whose
+    # window [1, 1] is too short as well
+    (False, sqrt_dip_psi(), "the monotone test needs a window [1, end] with end > 1, got 1"),
+])
+def test_a_one_point_window_is_a_domain_error_naming_the_short_grid(use_w_hat, psi, message):
+    # p_max = 1 cuts the window at q(1) = 1: one grid point and no cell
+    kind, text = _raised(lambda: sandwich_check_discrete(gaussian_model(), psi, integer_grid(60), 1.0,
+                                                         use_w_hat=use_w_hat))
+    assert kind is DomainError and message in text
+    # the full norm of W^ over the window [1, 1] is the ratio at p = 1
+    one_point = integer_grid(60).truncated(1)
+    assert _cellwise_full_norm(gaussian_model(), psi, one_point) == gls_norm(gaussian_model(), psi, 1.0)
 
 
 # ---------------------------------------------------------------------------
