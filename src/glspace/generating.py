@@ -26,13 +26,13 @@ class GeneratingFunction:
 
     nondecreasing is a promise made by the constructor that psi is
     nondecreasing on all of [1, inf); it is trusted, never checked.  The
-    pruned norm scan, the early stop of h and the Z/W gap analysis need
-    no more than that.  log_concave, keyword-only, is a second such
-    promise: ln psi is concave in p on [1, inf), so on a scan cell ln psi
-    lies above its chord, and the pruned norm scan's cell bound takes
-    that chord in place of psi at the cell's left end (see search).  Only
-    a constructor that knows its formula sets it, and it takes no part
-    in equality or hashing.  value_at_one caches psi(1).
+    pruned norm scan and the Z/W gap analysis need no more than that.
+    log_concave, keyword-only, is a second such promise: ln psi is
+    concave in p on [1, inf), so on a scan cell ln psi lies above its
+    chord, and the pruned norm scan's cell bound takes that chord in
+    place of psi at the cell's left end (see search).  Only a
+    constructor that knows its formula sets it, and it takes no part in
+    equality or hashing.  value_at_one caches psi(1).
     """
 
     evaluator: Callable[[float | np.ndarray], float | np.ndarray]

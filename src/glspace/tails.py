@@ -2,23 +2,22 @@
 
 The transform
 
-    h(x) = sup_m q(m) * (ln x - ln psi(q(m)))
+    h(x) = max_m q(m) * (ln x - ln psi(q(m)))
 
-turns the per-point moment bound |f|_{q(m)} <= N * psi(q(m)) into the
-Chebyshev-Markov envelope P(|f| >= x) <= exp(-h(x / N)).  The envelope
-is informative for x >= e * N and that threshold is enforced; the bound
-is silent below it.
+is taken over the M stored grid points.  N, the discrete norm over the
+same points, gives |f|_{q(m)} <= N * psi(q(m)) at each of them, so
+Markov's inequality at each gives P(|f| >= x) <= (N psi(q(m)) / x)^q(m),
+and the best of these M bounds is the Chebyshev-Markov envelope
+P(|f| >= x) <= exp(-h(x / N)).  It holds at every x, whatever psi does
+past q(M).  Where psi is nondecreasing, h(x) at x <= psi(q(M)) is also
+the whole grid's (no later term is larger); elsewhere the envelope may
+be looser than the whole grid's.  The envelope is informative for
+x >= e * N and that threshold is enforced; the bound is silent below it.
 
-h is evaluated on the M stored grid points only, for any number of x at
-once: one table of psi(q(m)) and ln psi(q(m)) per call, one array of
-terms, the first maximum of each row.  The logarithms are taken with
-math.log, one value at a time, so every term has the bits of scalar
-arithmetic.  A supremum the stored points cannot settle is a truncation
-error telling the caller to raise M.  For psi flagged nondecreasing that
-is the case when psi(q(M)) < x: once psi reaches x no later term exceeds
-the last stored one (see _HTable).  Without monotonicity nothing orders
-the terms, so the supremum is unresolved when it sits at one of the last
-two indices or the terms are still rising at the end.
+h is evaluated for any number of x at once: one table of psi(q(m)) and
+ln psi(q(m)) per call, one array of terms, the first maximum of each
+row.  The logarithms are taken with math.log, one value at a time, so
+every term has the bits of scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NoFeasibleKError, TruncationError
+from .errors import DomainError, NoFeasibleKError
 from .generating import GeneratingFunction, psi_eval
 from .grids import GridSequence
 from .models import RandomVariableModel, SampleBatch, empirical_survival, sample
@@ -51,45 +50,20 @@ class HTransformResult:
 
 
 class _HTable:
-    """psi(q(m)) and ln psi(q(m)) on the stored grid, and h at many x.
-
-    For psi flagged nondecreasing, h(x) is resolved once psi(q(M)) >= x,
-    and the stop is exact.  Write t(m) = ln x - ln psi(q(m)).  For m > M,
-    psi(q(m)) >= psi(q(M)) >= x, so t(m) <= t(M) <= 0.  With
-    q(m) > q(M) > 0 that gives q(m) t(m) <= q(m) t(M) <= q(M) t(M): no
-    unstored term exceeds the stored term at M.
-    """
+    """psi(q(m)) and ln psi(q(m)) on the stored grid, and h at many x."""
 
     def __init__(self, q: GridSequence, psi: GeneratingFunction):
         self.q = q
-        self.nondecreasing = psi.nondecreasing
         self.psi_values = psi_eval(psi, q.values)
         # math.log, not np.log: NumPy's SIMD log differs from libm in the last place
         self.log_psi = np.array([math.log(v) for v in self.psi_values.tolist()])
 
     def __call__(self, xs: np.ndarray):
-        """h at every x of ``xs``: (values, 1-based arg indices, resolved mask)."""
+        """h at every x of ``xs``: (values, 1-based arg indices)."""
         log_x = np.array([math.log(x) for x in xs.tolist()])
         terms = self.q.values * (log_x[:, None] - self.log_psi)
         k = np.argmax(terms, axis=1)
-        values = terms[np.arange(xs.size), k]
-        if self.nondecreasing:
-            resolved = self.psi_values[-1] >= xs
-        else:
-            # with one stored point the rising test compares the term with itself
-            rising = terms[:, -1] > terms[:, max(self.q.M - 2, 0)]
-            resolved = (k < self.q.M - 2) & ~rising
-        return values, k + 1, resolved
-
-    def truncation_error(self, x: float) -> TruncationError:
-        if self.nondecreasing:
-            return TruncationError(
-                f"psi(q(M)) = {self.psi_values[-1]:g} < x = {x:g} at the materialized truncation "
-                f"M = {self.q.M}; raise M so the supremum is provably bracketed"
-            )
-        return TruncationError(
-            f"h({x:g}) supremum is unresolved at the end of {self.q.description}; increase M"
-        )
+        return terms[np.arange(xs.size), k], k + 1
 
 
 def h_transform(q: GridSequence, psi: GeneratingFunction, x: float):
@@ -97,10 +71,7 @@ def h_transform(q: GridSequence, psi: GeneratingFunction, x: float):
     HTransformResult; bit-identical to a scalar enumeration of the M terms."""
     if not x >= 1.0:
         raise DomainError(f"h is defined for x >= 1, got {x:g}")
-    table = _HTable(q, psi)
-    values, args, resolved = table(np.array([x], dtype=float))
-    if not resolved[0]:
-        raise table.truncation_error(x)
+    values, args = _HTable(q, psi)(np.array([x], dtype=float))
     return HTransformResult(value=float(values[0]), arg_index=int(args[0]), x=x, n_terms=q.M)
 
 
@@ -137,8 +108,8 @@ def make_tail_envelope(model: RandomVariableModel, psi: GeneratingFunction, q: G
     return TailEnvelope(q=q, psi=psi, norm_value=N, model_label=model.label)
 
 
-# multiples of the validity threshold e*N; modest enough that a stored
-# 50-point grid brackets the h supremum for the bundled models
+# multiples of the validity threshold e*N; modest enough that on a stored
+# 50-point grid h under power_slowvary(r=2) is the whole grid's
 DEFAULT_PROBE_MULTIPLIERS = (1.05, 1.2, 1.4, 1.6, 1.8)
 
 
@@ -252,12 +223,12 @@ def membership_K_estimate(
 
     Candidates are scanned in increasing order; K is accepted when the
     empirical survival stays at or below exp(-h(x/K)) plus sampling
-    slack on a probe grid spanning [e*K, max|values|].  All probes of a
-    candidate are judged in one array call, and the first bad probe
-    decides: a violation moves on to the next K, an h the stored grid
-    cannot resolve is a TruncationError.  An empty probe range means the
-    sample never reaches the envelope's domain, so the bound holds
-    trivially (survival is 0 there) and K is accepted.  An empty
+    slack on a probe grid spanning [e*K, max|values|], capped just below
+    K * psi(q(M)) (a grid whose psi(q(M)) < e probes e*K alone).  All
+    probes of a candidate are judged in one array call; a violation
+    moves on to the next K.  An empty probe range means the sample never
+    reaches the envelope's domain, so the bound holds trivially
+    (survival is 0 there) and K is accepted.  An empty
     ``K_grid``, or a candidate that is not finite and positive, is a
     DomainError, which names the first such candidate.  The default
     candidate grid spans the batch's own scale; callers with a
@@ -279,33 +250,24 @@ def membership_K_estimate(
         if k <= 0.0:
             raise DomainError(f"candidate K values must be positive, got {k}")
     ks.sort()
-    # largest x/K whose h supremum the stored grid provably brackets;
-    # probes are capped there so a small candidate K is judged on the
-    # part of the tail its envelope can actually be evaluated on
+    # probes stop just below x/K = psi(q(M)): up to there h of a
+    # nondecreasing psi is the whole grid's, so a small candidate K is
+    # judged where its envelope is the paper's, not a looser one
     table = _HTable(q, psi)
     psi_M = float(table.psi_values[-1])
-    if psi_M < math.e:
-        raise TruncationError(
-            f"psi(q(M)) = {psi_M:g} < e on {q.description}; the envelope domain "
-            "is empty for every scale, raise M"
-        )
     for K in ks:
         lo = math.e * K
         if lo > vmax:
             return MembershipEstimate(K_hat=K, x_range_checked=None, K_grid=tuple(ks), n=batch.size)
         hi = max(lo, min(vmax, K * psi_M * (1.0 - 1e-9)))
         xs = np.geomspace(lo, hi, _MEMBERSHIP_PROBES)
-        h, _, resolved = table(xs / K)
+        h, _ = table(xs / K)
         # math.exp, not np.exp: NumPy's SIMD exp differs from libm in the last place
         e_val = np.array([math.exp(-v) for v in h.tolist()])
-        bad = ~resolved | (empirical_survival(batch, xs) > e_val + _binomial_slack(e_val, batch.size))
-        if not bad.any():
+        if not (empirical_survival(batch, xs) > e_val + _binomial_slack(e_val, batch.size)).any():
             return MembershipEstimate(
                 K_hat=K, x_range_checked=(float(lo), float(hi)), K_grid=tuple(ks), n=batch.size
             )
-        first = int(np.argmax(bad))
-        if not resolved[first]:
-            raise table.truncation_error(float(xs[first]) / K)
     raise NoFeasibleKError(
         f"no candidate K in [{ks[0]:g}, {ks[-1]:g}] dominates the observed tail (n={batch.size})"
     )

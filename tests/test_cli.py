@@ -300,6 +300,21 @@ def test_tail_constant_model_has_empty_tail(capsys):
     assert in_domain and all(row[1] == "0" for row in in_domain)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [("--model", "constant:2", "--psi", "natural:constant:2"), ("--model", "uniform01"), ("--model", "rademacher")],
+    ids=["constant-natural", "uniform01", "rademacher"],
+)
+def test_tail_of_a_natural_psi_below_the_first_probe_is_judged(capsys, model):
+    # psi(q(M)) < x/N at every probe: the envelope is the stored terms'
+    # h, with no advice to raise M that no M could follow
+    code, out, err = run_cli(capsys, "tail", *model, "--n", "2000", "--seed", "1")
+    assert (code, err) == (0, "")
+    rows = parse_rows(out)
+    assert rows[-1]["x"] == "K_hat"
+    assert rows[:-1] and all(math.isfinite(float(r["envelope"])) and r["pass"] == "true" for r in rows[:-1])
+
+
 def test_default_seed_comes_from_the_environment(capsys, monkeypatch):
     args = ("tail", "--model", "gaussian", "--n", "20000")
     monkeypatch.setenv("GLS_DEFAULT_SEED", "1")

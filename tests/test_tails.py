@@ -4,16 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from glspace import (
     DomainError,
     GeneratingFunction,
+    GlsError,
     NoFeasibleKError,
     PowerSlowVaryParams,
     SampleBatch,
     TailEnvelope,
     TruncationError,
     constant_model,
+    exponential_model,
     gaussian_model,
     geometric_grid,
     h_transform,
@@ -21,12 +25,15 @@ from glspace import (
     make_power_slowvary,
     make_tail_envelope,
     membership_K_estimate,
+    model_from_spec,
+    natural_psi,
     psi_eval,
     rademacher_model,
     sample,
     sqrt_dip_psi,
     tail_check,
     tail_envelope,
+    uniform01_model,
 )
 from glspace.tails import default_probe_points, quadratic_h_reference
 
@@ -65,13 +72,6 @@ def test_h_closed_form_anchors():
 def test_h_rejects_x_below_one():
     with pytest.raises(DomainError):
         h_transform(integer_grid(10), root_psi(), 0.5)
-
-
-def test_h_truncation_error_when_psi_never_reaches_x():
-    # sqrt(9) = 3 < 5, so no stored term brackets the supremum
-    with pytest.raises(TruncationError) as exc:
-        h_transform(integer_grid(9), root_psi(), 5.0)
-    assert "materialized truncation" in str(exc.value)
 
 
 def test_h_matches_naive_enumeration_bit_for_bit():
@@ -115,8 +115,6 @@ def test_h_non_monotone_route():
     # dip psi agrees with sqrt(p) at the integers, where the terms live
     assert res.value == pytest.approx(math.log(2.0), rel=1e-12)
     assert res.arg_index in (1, 2)
-    with pytest.raises(TruncationError):
-        h_transform(integer_grid(10), sqrt_dip_psi(), 5.0)
 
 
 def test_envelope_value_and_domain():
@@ -256,29 +254,19 @@ def test_membership_rejects_a_candidate_that_is_not_positive_naming_it(K_grid, b
         membership_K_estimate(batch, integer_grid(60), root_psi(), K_grid=K_grid)
 
 
-def test_membership_needs_a_grid_reaching_e():
-    # sqrt(5) < e, so no probe point is ever inside the envelope domain
+def test_membership_on_a_grid_below_e_judges_each_candidate_at_e_K():
+    # sqrt(5) < e: the probe cap K * psi(q(M)) sits below e*K, so each
+    # candidate is judged at the one point e*K, on the stored terms' h
     batch = sample(gaussian_model(), 1_000, seed=0)
-    with pytest.raises(TruncationError):
-        membership_K_estimate(batch, integer_grid(5), root_psi(), K_grid=[1.0])
-
-
-def test_h_past_the_stored_grid_ends_at_M():
-    # the crossing sits within five indices of M on grids with a
-    # generator; the stored terms alone give the naive answer
-    for q, psi in ((integer_grid(50), root_psi()), (geometric_grid(2, 12), root_psi())):
-        vals = psi_eval(psi, q.values)
-        x = 0.5 * float(vals[-3] + vals[-2])
-        assert q.generator is not None
-        res = h_transform(q, psi, x)
-        assert (res.value, res.arg_index) == naive_h(q, psi, x)
-        assert res.n_terms == q.M
+    q, psi = integer_grid(5), root_psi()
+    est = membership_K_estimate(batch, q, psi, K_grid=[1.0])
+    assert est.K_hat == 1.0 and est.x_range_checked == (math.e, math.e)
+    assert (est.K_hat, est.x_range_checked) == reference_membership(batch, q, psi, [1.0])
 
 
 def plateau_psi(nondecreasing=False):
-    # sqrt(p) up to 9, flat at 3 to p = 29, 10 from p = 30 on; left
-    # unflagged, h(x) on integer_grid(30) from about x = 3.3 on peaks at
-    # m = 29, where it is unresolved
+    # sqrt(p) up to 9, flat at 3 to p = 29, 10 from p = 30 on; on
+    # integer_grid(30), h(x) from about x = 3.3 on peaks at m = 29
     return GeneratingFunction(
         evaluator=lambda p: np.where(p < 29.5, np.sqrt(np.minimum(p, 9.0)), 10.0),
         nondecreasing=nondecreasing,
@@ -304,17 +292,80 @@ def stairs_psi():
         (plateau_psi(nondecreasing=True), integer_grid(30), integer_grid(120)),
     ],
 )
-def test_h_early_stop_is_exact_for_a_flagged_psi_with_flat_stretches(psi, q, longer):
-    # resolved up to x = psi(q(M)) (on integer_grid(30) the stairs' last
-    # flat stretch ties the last two terms at 0 there); the 4x longer grid
-    # finds no larger term, and past psi(q(M)) the stored grid cannot settle h
+def test_h_of_a_flagged_psi_with_flat_stretches_is_the_whole_grids_up_to_psi_of_q_M(psi, q, longer):
+    # exact up to x = psi(q(M)) (on integer_grid(30) the stairs' last flat
+    # stretch ties the last two terms at 0 there): the 4x longer grid finds
+    # no larger term
     psi_M = float(psi_eval(psi, q.values[-1]))
     xs = np.concatenate([np.geomspace(1.0, psi_M, 41), psi_eval(psi, q.values)])
     for x in xs.tolist():
         res = h_transform(q, psi, x)
         assert (res.value, res.arg_index) == naive_h(longer, psi, x)
-    with pytest.raises(TruncationError, match="materialized truncation"):
-        h_transform(q, psi, math.nextafter(psi_M, math.inf))
+
+
+@pytest.mark.parametrize(
+    "psi, q",
+    [
+        (root_psi(), integer_grid(50)),
+        (root_psi(), geometric_grid(2, 12)),
+        (root_psi(), integer_grid(9)),
+        (sqrt_dip_psi(), integer_grid(10)),
+        (stairs_psi(), integer_grid(30)),
+        (plateau_psi(), integer_grid(30)),
+        (plateau_psi(nondecreasing=True), integer_grid(30)),
+    ],
+    ids=["root-50", "root-geometric", "root-9", "sqrt_dip", "stairs", "plateau", "plateau-flagged"],
+)
+def test_h_past_the_stored_grid_ends_at_M(psi, q):
+    # grids with a generator too: below, across and past psi(q(M)), flagged
+    # or not, h is the stored terms' maximum, which bounds the tail by itself
+    vals = psi_eval(psi, q.values)
+    psi_M = float(vals[-1])
+    crossing = 0.5 * float(vals[-3] + vals[-2]) if q.M >= 3 else psi_M
+    xs = np.concatenate([np.geomspace(1.0, 4.0 * psi_M, 40), [crossing, math.nextafter(psi_M, math.inf), 1e6]])
+    for x in xs.tolist():
+        res = h_transform(q, psi, x)
+        assert (res.value, res.arg_index) == naive_h(q, psi, x)
+        assert res.n_terms == q.M
+
+
+# probes past psi(q(M)) (or e, when psi(q(M)) < e): the exponential's norm
+# is infinite under the root psi, so its N is the stored grid's; the
+# natural psi of a bounded model never reaches the first probe
+PAST_PSI_M = [
+    (gaussian_model(), root_psi(), integer_grid(9)),
+    (exponential_model(), root_psi(), integer_grid(9)),
+    (exponential_model(), root_psi(), geometric_grid(2, 5)),
+    (uniform01_model(), natural_psi(uniform01_model()), integer_grid(50)),
+    (constant_model(2.0), natural_psi(constant_model(2.0)), integer_grid(50)),
+    (rademacher_model(), natural_psi(rademacher_model()), integer_grid(50)),
+]
+PAST_PSI_M_IDS = ["gaussian", "exponential", "exponential-geometric", "uniform01", "constant", "rademacher"]
+
+
+def past_psi_M_probes(model, psi, q):
+    N = make_tail_envelope(model, psi, q).norm_value
+    psi_M = float(psi_eval(psi, q.values[-1]))
+    return [N * max(math.e, psi_M) * c for c in (1.05, 1.5, 2.0)]
+
+
+@pytest.mark.parametrize("model, psi, q", PAST_PSI_M, ids=PAST_PSI_M_IDS)
+def test_tail_check_past_psi_of_q_M_prints_the_stored_terms_envelope(model, psi, q):
+    report = tail_check(model, psi, q, n=1_000, seed=0, x_grid=past_psi_M_probes(model, psi, q))
+    log_psi = [math.log(v) for v in psi_eval(psi, q.values).tolist()]
+    for row in report.rows:
+        t = math.log(row.x / report.norm_value)
+        h_M = max(qm * (t - lp) for qm, lp in zip(q.values.tolist(), log_psi))
+        assert row.in_domain and row.envelope == math.exp(-h_M)
+
+
+@pytest.mark.parametrize("model, psi, q", PAST_PSI_M, ids=PAST_PSI_M_IDS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_sample_never_exceeds_the_stored_terms_envelope_beyond_the_slack(model, psi, q, seed):
+    report = tail_check(model, psi, q, n=200_000, seed=seed, x_grid=past_psi_M_probes(model, psi, q))
+    assert report.n_active == 3
+    for row in report.rows:
+        assert row.empirical <= row.envelope + row.slack
 
 
 def reference_membership(batch, q, psi, K_grid, probes=64):
@@ -340,13 +391,11 @@ def reference_membership(batch, q, psi, K_grid, probes=64):
 
 
 def outcome(fn):
-    """(K_hat, x_range_checked), or the error type with a TruncationError's message."""
+    """(K_hat, x_range_checked), or the error type."""
     try:
         return fn()
-    except TruncationError as exc:
-        return "TruncationError", str(exc)
     except NoFeasibleKError:
-        return "NoFeasibleKError", ""
+        return "NoFeasibleKError"
 
 
 @pytest.mark.parametrize(
@@ -357,9 +406,8 @@ def outcome(fn):
         (root_psi(), integer_grid(60), [0.05, 0.1]),
         (sqrt_dip_psi(), integer_grid(60), np.geomspace(0.3, 4.0, 24)),
         (sqrt_dip_psi(), geometric_grid(2, 12), np.geomspace(0.05, 2.0, 16)),
-        # K = 0.1 fails at its first probe, before its unresolved probes
+        # unflagged: from x/K = 3.3 on, the stored terms peak at m = 29
         (plateau_psi(), integer_grid(30), [0.1, 5.0]),
-        # K = 1 passes its first probes, then meets an unresolved one
         (plateau_psi(), integer_grid(30), [1.0, 5.0]),
     ],
 )
@@ -371,19 +419,6 @@ def test_membership_matches_the_per_probe_reference(psi, q, K_grid):
         return est.K_hat, est.x_range_checked
 
     assert outcome(estimate) == outcome(lambda: reference_membership(batch, q, psi, K_grid))
-
-
-def test_membership_plateau_cases_hit_both_orders():
-    batch = sample(gaussian_model(), 20_000, seed=4)
-    q, psi = integer_grid(30), plateau_psi()
-    # a violation first: the unresolved probes of K = 0.1 are never judged
-    assert h_transform(q, psi, 3.2).arg_index < q.M - 1
-    with pytest.raises(TruncationError):
-        h_transform(q, psi, 3.3)
-    assert membership_K_estimate(batch, q, psi, K_grid=[0.1, 5.0]).K_hat == 5.0
-    # an unresolved probe first: the estimate stops there
-    with pytest.raises(TruncationError, match="unresolved"):
-        membership_K_estimate(batch, q, psi, K_grid=[1.0, 5.0])
 
 
 @pytest.mark.parametrize("n", [200_000, 1 << 20])
@@ -412,3 +447,51 @@ def test_the_documented_false_alarm_level_is_the_exact_binomial_worst_case(n):
     env = np.geomspace(1e-3 / n, 0.999, 20001)
     fail = binom.sf(np.floor(n * (env + _binomial_slack(env, n))), n, env)
     assert fail.max() <= worst
+
+
+_MODELS = ("gaussian", "uniform01", "exponential", "rademacher", "constant:2.5")
+
+
+@st.composite
+def _tail_inputs(draw):
+    M = draw(st.integers(1, 60))
+    q = integer_grid(M) if draw(st.booleans()) else geometric_grid(draw(st.integers(2, 4)), M)
+    if draw(st.booleans()):
+        psi = sqrt_dip_psi()
+    else:
+        r = draw(st.floats(0.5, 8.0))
+        psi = make_power_slowvary(PowerSlowVaryParams(r=r, delta=draw(st.floats(-2.0, 2.0))))
+    return q, psi
+
+
+def _gls_errors_only(fn):
+    """fn's result, or None for a GlsError other than a TruncationError."""
+    try:
+        return fn()
+    except TruncationError as exc:
+        raise AssertionError(f"h raised a TruncationError: {exc}") from exc
+    except GlsError:
+        return None
+
+
+@settings(max_examples=60)
+@given(
+    case=_tail_inputs(),
+    x=st.floats(1.0, 1e12),
+    K=st.floats(1e-3, 1e3),
+    model=st.sampled_from(_MODELS),
+    n=st.integers(1, 500),
+    seed=st.integers(0, 2 ** 32 - 1),
+    probes=st.lists(st.floats(-10.0, 1e6), min_size=1, max_size=4),
+    K_grid=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=5),
+)
+def test_tail_entry_points_raise_only_gls_errors_and_no_truncation(case, x, K, model, n, seed, probes, K_grid):
+    q, psi = case
+    res = _gls_errors_only(lambda: h_transform(q, psi, x))
+    assert res is None or (math.isfinite(res.value) and 1 <= res.arg_index <= q.M)
+    env = TailEnvelope(q=q, psi=psi, norm_value=K)
+    _gls_errors_only(lambda: tail_envelope(env, x * env.domain_threshold))
+    f = model_from_spec(model)
+    _gls_errors_only(lambda: tail_check(f, psi, q, n=n, seed=seed, x_grid=probes))
+    batch = sample(f, n, seed)
+    _gls_errors_only(lambda: membership_K_estimate(batch, q, psi, K_grid=K_grid))
