@@ -32,7 +32,14 @@ class GeneratingFunction:
     chord, and the pruned norm scan's cell bound takes that chord in
     place of psi at the cell's left end (see search).  Only a
     constructor that knows its formula sets it, and it takes no part in
-    equality or hashing.  value_at_one caches psi(1).
+    equality or hashing.  lower, keyword-only, is a third: a lower
+    envelope L of psi, an array function with L(p) <= psi(p) on [1, inf),
+    bit for bit as computed, L nondecreasing and ln L concave.  A norm
+    search rules out the refinement of a scan peak whose cell bound, taken
+    with L in place of psi, lies below the best value found (see search);
+    a psi flagged nondecreasing is its own envelope and needs none.  It
+    takes no part in equality or hashing either.  value_at_one caches
+    psi(1).
     """
 
     evaluator: Callable[[float | np.ndarray], float | np.ndarray]
@@ -43,6 +50,8 @@ class GeneratingFunction:
     source: Optional[RandomVariableModel] = field(default=None, compare=False, repr=False)
     #: ln psi is concave in p on [1, inf); trusted, never checked
     log_concave: bool = field(default=False, compare=False, kw_only=True)
+    #: a lower envelope of psi, nondecreasing with ln concave; trusted, never checked
+    lower: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False, repr=False, kw_only=True)
 
     def __call__(self, p):
         return psi_eval(self, p)
@@ -172,6 +181,10 @@ def sqrt_dip_psi() -> GeneratingFunction:
     function agrees with sqrt(p) on the integer grid while dipping by up
     to a factor 1.5 between integers.  Exercises the equivalence-constant
     variant that replaces the left grid value by a minimum over the cell.
+
+    Its lower envelope is sqrt(p) / 1.5, the ripple at its least, and it
+    holds bit for bit: the computed ripple factor 1 + 0.5 cos^2 is at
+    least 1, and each later step rounds monotonically.
     """
 
     def evaluator(p):
@@ -182,4 +195,5 @@ def sqrt_dip_psi() -> GeneratingFunction:
         nondecreasing=False,
         value_at_one=float(evaluator(1.0)),
         description="sqrt_dip",
+        lower=lambda p: np.sqrt(p) / 1.5,
     )

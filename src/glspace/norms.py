@@ -367,14 +367,28 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     implies that every model is a PowerMeanModel, so its bound takes the
     chord of ln psi exactly when psi promises it.  Any other model, such
     as a moment by quadrature, whose error exceeds the certificate's
-    margin, is not certified.
+    margin, is not certified.  Under the same gate on the models, a search
+    of more than SCALAR_BRACKETS brackets drops, before its route is
+    chosen, each bracket whose cell bounds under a lower envelope of psi
+    lie below its search's best scan or exact-point value (sup_rows'
+    ``lower``): psi's declared envelope (GeneratingFunction.lower), whose
+    ln is concave, or a nondecreasing psi itself, with the chord of ln psi
+    where psi promises log_concave.  The W^ full norm under sqrt_dip, one
+    interior peak in each of its cells, refines one or two brackets of
+    about two hundred.
     """
     models = [s.model for s in searches]
     shared = len(searches) > 1
     one_model = all(m is models[0] for m in models)
     stable = [m.stable_p for m in (*models, psi.source) if isinstance(m, EmpiricalModel)]
     prune = psi.nondecreasing and all(_costs_per_point(m) for m in models)
-    certify = psi.log_concave and all(isinstance(m, (PowerMeanModel, ClosedFormModel)) for m in models)
+    exact = all(isinstance(m, (PowerMeanModel, ClosedFormModel)) for m in models)
+    certify = psi.log_concave and exact
+    lower = None
+    if exact and psi.lower is not None:
+        lower = (psi.lower, True)
+    elif exact and psi.nondecreasing:
+        lower = (None, psi.log_concave)
     blocks = [s.rows for s in searches if s.rows.shape[0]]
     mixed = not (one_model or all(_stacks(m, psi) for m in models))
     if shared and (stable or mixed or len({rows.shape[1] for rows in blocks}) > 1):
@@ -415,10 +429,12 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
         found = sup_rows(
             num_den,
             _cat(blocks) if blocks else _NO_ROWS,
-            floor=[v.max(initial=-math.inf) for v in at_points] if prune else None,
+            floor=[v.max(initial=-math.inf) for v in at_points],
             guessed=guessed,
-            search=np.arange(n_parts).repeat(np.diff(row0)) if prune else None,
+            search=np.arange(n_parts).repeat(np.diff(row0)),
             log_concave=certify,
+            prune=prune,
+            lower=lower,
         )
     except Exception as exc:
         if shared:

@@ -68,9 +68,10 @@ part of the cell is at that part's ends or at q* clipped to them.  The
 form never takes ln num or ln den themselves, only the logs of ratios of
 neighbouring values near 1, weighed by w and w b / q, both in [0, 1]: a
 few ulp of error in num and den at the cell's ends are a few ulp of
-absolute error in the gain, whatever the scale of f.  So its two readers
-need a margin of a few ulp only, and each keeps one far wider,
-_PRUNE_MARGIN and _CERTIFY_MARGIN.  The bound is used as the Lipschitz
+absolute error in the gain, whatever the scale of f.  So its three
+readers (the pruned scan, the end certificate and the bracket bound, each
+below) need a margin of a few ulp only, and each keeps one far wider,
+_PRUNE_MARGIN or _CERTIFY_MARGIN.  The bound is used as the Lipschitz
 bound is in the branch and bound of Piyavskii (1972) and Shubert (1972).
 
 A search may be pruned: the bound of a cell is f(a) exp(gain over
@@ -112,6 +113,25 @@ it on both exact moment backends: the power means of samples and group
 functions, and the closed forms, whose Gaussian, exponential and
 uniform01 moments are p-norms on a probability space like any other and
 whose constant and Rademacher moments give dL = 0 exactly.
+
+The same bound rules out brackets whose peak cannot win.  Any function L
+with L <= den, L nondecreasing and ln L concave (a lower envelope) may
+stand in for den at the cell ends: num / den <= num / L, and the chord
+argument holds for num / L as it is.  A bracket spans the one or two scan
+cells beside its peak, so when the cell bound of each, taken with L and
+widened by _PRUNE_MARGIN, lies below the best value its search has
+evaluated (a scan value or a value known from elsewhere, ``floor``),
+golden section cannot lift the bracket to that value, and the bracket is
+not refined.  A generating function that is nondecreasing is its own
+envelope, whose chord is taken only where it promises a concave ln psi;
+one that is not may declare an envelope (GeneratingFunction.lower).  The
+bound reads only scan values and L at three points a bracket, so a search
+takes it only when it holds more brackets than it may guess, where
+refinement costs most: the 199 cells of a W^ check under sqrt_dip, one
+interior peak each, leave one or two brackets to refine.  A dropped
+bracket is strictly below its search's best value, so the search's value
+and argument keep their bits; only its row may report a lower value, as
+under pruning, and the count of evaluations changes.
 """
 
 from __future__ import annotations
@@ -135,10 +155,13 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # (Python 3.11, NumPy 2.4, a 2-core x86-64 VM, CPU time, median of 9
 # rounds, the two routes alternating), lockstep breaks even at 12 brackets
 # for one function (a Gaussian under sqrt_dip).  On one seed-7 run of each
-# benchmark workload, norm sends 111 searches (29 brackets in all) lockstep
-# because their ratios cost by the point; sandwich refines 49 searches
-# (10,093 brackets) lockstep and 432 in guessed rounds, algebra 504 in
-# guessed rounds, and tail refines none.
+# benchmark workload, counting the searches that refine any bracket: norm
+# refines 28 searches (29 brackets in all) lockstep because their ratios
+# cost by the point and 17 (18) in guessed rounds; sandwich refines 68
+# (120) in guessed rounds and one lockstep, W^'s cell minima (237), since
+# sqrt_dip's lower envelope leaves each of its 48 W^ full norms one or two
+# brackets of about 200 (9,856 in all, lockstep, without it); algebra
+# refines 193 (309) in guessed rounds, and tail refines none.
 SCALAR_BRACKETS = 12
 
 # refinement stops once a bracket is narrower than this, relative to the
@@ -223,8 +246,10 @@ class RowSupremum(NamedTuple):
     ``plateaus`` counts the brackets left unrefined because they were
     flat, ``pruned`` the cells a pruned scan dropped unevaluated, and
     ``certified`` the brackets of row-end peaks left unrefined because
-    golden section could not beat them, and ``reran`` the brackets rerun
-    alone after an error in refinement that none of them met alone."""
+    golden section could not beat them, ``reran`` the brackets rerun
+    alone after an error in refinement that none of them met alone, and
+    ``ruled_out`` the brackets whose cell bounds under a lower envelope lay
+    below their search's best value, left unrefined."""
 
     values: np.ndarray
     args: np.ndarray
@@ -233,6 +258,7 @@ class RowSupremum(NamedTuple):
     pruned: int
     certified: int
     reran: int
+    ruled_out: int
 
 
 def golden_section_max(
@@ -462,6 +488,8 @@ def sup_rows(
     guessed: int = SCALAR_BRACKETS,
     search: Optional[np.ndarray] = None,
     log_concave: bool = False,
+    prune: bool = False,
+    lower: Optional[tuple] = None,
 ) -> RowSupremum:
     """Supremum of the ratio num / den over each row of the scan grid ``xs``.
 
@@ -489,31 +517,39 @@ def sup_rows(
     none does, ``reran`` counts the brackets rerun.  Refinement never loses
     the scan value it started from.
 
-    With ``floor`` the scan is pruned (see the module docstring): num must
-    then be a p-norm on a probability space and den positive and
-    nondecreasing.  ``floor`` holds a value known from elsewhere (the exact
-    points of a norm) that the pruning also compares against, one per
-    search, ``search`` giving the search of each row (all the first when
-    None); each search is pruned against its own floor and its own best
-    value, so a cell of one search is never dropped against another's.
-    The largest of a search's row values and its floor and its argument
-    are then those of the full scan, bit for bit, as is
-    ``decreasing_at_hi``; a row that cannot hold that supremum may report
-    a lower value.  When a NaN ratio or a divergent moment stops the pruned
-    scan, the full scan runs instead, so the error and the p it names are
-    the full scan's.  ``log_concave`` promises that num is a p-norm on a
-    probability space and ln den is concave in p; it gates both chords:
-    the pruning bound takes the chord of ln den too, and a peak at a row
-    end whose chord bound proves that golden section cannot beat it is not
-    refined (the module docstring), which changes no result and only the
-    points ``parts`` is asked for.
+    ``floor`` holds a value known from elsewhere (the exact points of a
+    norm), one per search (-inf for each when None), ``search`` giving the
+    search of each row (all the first when None); the pruning and the
+    bracket bound compare each search's cells against the best of its own
+    floor and its own values, never against another search's.  With
+    ``prune`` the scan is pruned (see the module docstring): num must then
+    be a p-norm on a probability space and den positive and nondecreasing.
+    ``lower`` = (L, chord) promises that num is a p-norm on a probability
+    space and gives a lower envelope of den: ``L(p)``, of an array of any
+    shape, is nondecreasing and at most den at every p, and ln L is
+    concave where ``chord`` is set; L None stands for den itself, then
+    nondecreasing, whose chord is taken where ``chord`` is set.  A search
+    that would refine more than SCALAR_BRACKETS brackets then drops each
+    whose cell bounds under L lie below its search's best value (the
+    module docstring), before the route is chosen.  Under either, the
+    largest of a search's row values and its floor and its argument are
+    those of the full search, bit for bit, as is ``decreasing_at_hi``; a
+    row that cannot hold that supremum may report a lower value.  When a
+    NaN ratio or a divergent moment stops the pruned scan, the full scan
+    runs instead, so the error and the p it names are the full scan's.
+    ``log_concave`` promises that num is a p-norm on a probability space
+    and ln den is concave in p; it gates both chords: the pruning bound
+    takes the chord of ln den too, and a peak at a row end whose chord
+    bound proves that golden section cannot beat it is not refined (the
+    module docstring), which changes no result and only the points
+    ``parts`` is asked for.
     """
     rows, n = xs.shape
     if not rows:
-        return RowSupremum(np.empty(0), np.empty(0), np.zeros(0, dtype=bool), 0, 0, 0, 0)
+        return RowSupremum(np.empty(0), np.empty(0), np.zeros(0, dtype=bool), 0, 0, 0, 0, 0)
     known = None
     pruned = 0
-    if floor is not None:
+    if prune:
         try:
             ys, known, pruned, num, den = _pruned_scan(xs, parts, floor, search, log_concave)
         except (DomainError, DivergentMomentError):
@@ -530,6 +566,11 @@ def sup_rows(
         sure = _certified(xs, ys, num, den, r[k], i[k], refine_tol)
         certified = int(np.count_nonzero(sure))
         k = k[~sure]
+    ruled_out = 0
+    if lower is not None and k.size > SCALAR_BRACKETS:
+        below = _below_best(xs, num, den, r[k], i[k], il[k], ih[k], lower, _row_best(ys, floor, search)[r[k]])
+        ruled_out = int(np.count_nonzero(below))
+        k = k[~below]
     cand_x, cand_v = xs[r, i], ys[r, i]
     rk, il, ih = r[k], il[k], ih[k]
     ends = xs[rk, il], ys[rk, il], xs[rk, ih], ys[rk, ih]
@@ -557,7 +598,7 @@ def sup_rows(
         decreasing = (ys[:, -3] > ys[:, -2]) & (ys[:, -2] > ys[:, -1])
     else:
         decreasing = np.zeros(rows, dtype=bool)
-    return RowSupremum(cand_v[first], cand_x[first], decreasing, n_flat, pruned, certified, reran)
+    return RowSupremum(cand_v[first], cand_x[first], decreasing, n_flat, pruned, certified, reran, ruled_out)
 
 
 def _brackets(xs: np.ndarray, ys: np.ndarray, known: Optional[np.ndarray]):
@@ -683,6 +724,32 @@ def _certified(xs, ys, num, den, r: np.ndarray, i: np.ndarray, tol: float) -> np
     return sure
 
 
+def _row_best(ys: np.ndarray, floor, search: Optional[np.ndarray]) -> np.ndarray:
+    """For each row of ``ys``, the best value of its search: the largest of
+    the search's ``floor`` (one per search, -inf for each when None) and the
+    values of its rows, -inf where unevaluated.  ``search`` holds the search
+    of each row, all the first when None."""
+    search = np.zeros(ys.shape[0], dtype=np.intp) if search is None else search
+    best = np.full(int(search.max()) + 1, -np.inf) if floor is None else np.array(floor, dtype=float).reshape(-1)
+    np.maximum.at(best, search, ys.max(axis=1))
+    return best[search]
+
+
+def _below_best(xs, num, den, r: np.ndarray, i: np.ndarray, il: np.ndarray, ih: np.ndarray, lower: tuple, best):
+    """Which brackets of the scan peaks (r, i), spanning the scan points il
+    to ih of their rows, cannot reach ``best``: the cell_bounds of their
+    one or two scan cells, from ``num`` and the envelope L of ``lower`` =
+    (L, chord) at the cell ends (den's own values for L None), times 1 +
+    _PRUNE_MARGIN, lie below it (see the module docstring).  A peak at a
+    row end has one cell; its other, of width 0, bounds nothing."""
+    envelope, chord = lower
+    at = (r[:, None], np.stack((il, i, ih), axis=1))
+    p = xs[at]
+    bound = cell_bounds(p, num[at], den[at] if envelope is None else envelope(p), chord)
+    bound[p[:, 1:] == p[:, :-1]] = -np.inf
+    return bound.max(axis=1) * (1.0 + _PRUNE_MARGIN) < best
+
+
 def _eval_parts(parts, xs: np.ndarray, rows: np.ndarray) -> tuple:
     """(num, den, num / den) of ``parts(xs, rows)``, float arrays of the
     shape of ``xs``, in one call; ``rows`` holds the scan row of each
@@ -723,14 +790,14 @@ def _unit(f):
 
 
 def _pruned_scan(
-    xs: np.ndarray, parts, floor: np.ndarray, search: Optional[np.ndarray] = None, log_concave: bool = False
+    xs: np.ndarray, parts, floor, search: Optional[np.ndarray] = None, log_concave: bool = False
 ):
     """The scan of sup_rows, pruned level by level by the cell bounds of
     ``parts``.
 
     ``floor`` holds one value per search and ``search`` the search of each
-    row (the first when None); each search's cells are judged against the
-    best of its own floor and its own evaluated points.  Returns (ys,
+    row (see _row_best); each search's cells are judged against the best of
+    its own floor and its own evaluated points.  Returns (ys,
     known, pruned cells, num, den): ``ys`` holds the value of every
     evaluated point and -inf elsewhere, ``known`` marks the evaluated
     points, the count is of the cells of the last level dropped, those
@@ -745,8 +812,6 @@ def _pruned_scan(
     # cover marks the points c_k .. c_k+1 - 1 of every live cell [c_k, c_k+1];
     # before the first level the whole row is one live cell
     cover = np.ones((rows, n), dtype=bool)
-    search = np.zeros(rows, dtype=np.intp) if search is None else search
-    best = np.atleast_1d(np.array(floor, dtype=float))
     for step in _COARSE_STEPS:
         level = np.zeros(n, dtype=bool)
         level[::step] = True
@@ -758,11 +823,10 @@ def _pruned_scan(
             rn, cn = np.nonzero(new)
             num[rn, cn], den[rn, cn], ys[rn, cn] = _eval_parts(parts, xs[rn, cn], rn)
             known |= new
-            np.maximum.at(best, search, ys.max(axis=1))
         # a cell under a dropped parent stays dropped (its ends may be
         # unevaluated)
         bound = cell_bounds(xs[:, c], num[:, c], den[:, c], log_concave)
-        live = cover[:, c[:-1]] & ~(bound * (1.0 + _PRUNE_MARGIN) < best[search][:, None])
+        live = cover[:, c[:-1]] & ~(bound * (1.0 + _PRUNE_MARGIN) < _row_best(ys, floor, search)[:, None])
         cover = np.zeros((rows, n), dtype=bool)
         cover[:, :-1] = np.repeat(live, np.diff(c), axis=1)
     # a live cell needs its points and the scan neighbours of its ends,

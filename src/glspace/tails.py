@@ -260,7 +260,8 @@ def membership_K_estimate(
         if lo > vmax:
             return MembershipEstimate(K_hat=K, x_range_checked=None, K_grid=tuple(ks), n=batch.size)
         hi = max(lo, min(vmax, K * psi_M * (1.0 - 1e-9)))
-        xs = np.geomspace(lo, hi, _MEMBERSHIP_PROBES)
+        # a range of one point is judged at that point once
+        xs = np.geomspace(lo, hi, _MEMBERSHIP_PROBES) if hi > lo else np.array([lo])
         h, _ = table(xs / K)
         # math.exp, not np.exp: NumPy's SIMD exp differs from libm in the last place
         e_val = np.array([math.exp(-v) for v in h.tolist()])

@@ -158,7 +158,7 @@ def test_the_lower_peak_of_two_is_pruned():
         seen.append(x)
         return pair(x)
 
-    res = sup_rows(_rowless(parts), xs[None, :], floor=-math.inf)
+    res = sup_rows(_rowless(parts), xs[None, :], prune=True)
     counted, full_seen = _counted(pair)
     full = sup_rows(_rowless(counted), xs[None, :])
     assert (res.values[0], res.args[0], res.decreasing_at_hi[0]) == (
@@ -176,7 +176,7 @@ def test_the_lower_peak_of_two_is_pruned():
 def _counted_search(pair, xs, log_concave=False):
     """sup_rows of ``pair``, pruned, and the number of points it asked for."""
     parts, seen = _counted(pair)
-    res = sup_rows(_rowless(parts), xs, floor=-math.inf, log_concave=log_concave)
+    res = sup_rows(_rowless(parts), xs, prune=True, log_concave=log_concave)
     return res, seen[0]
 
 
@@ -239,7 +239,7 @@ def test_a_peak_at_a_live_cell_end_keeps_its_full_scan_bracket(num_pts, den_pts)
     counted, full_seen = _counted(parts)
     full = sup_rows(_rowless(counted), xs)
     counted, seen = _counted(parts)
-    res = sup_rows(_rowless(counted), xs, floor=-math.inf)
+    res = sup_rows(_rowless(counted), xs, prune=True)
     assert full.values[0] > 2.9
     assert (res.values[0], res.args[0]) == (full.values[0], full.args[0])
     assert res.pruned > 0 and seen[0] < full_seen[0]
@@ -371,12 +371,12 @@ def test_psi_overflow_names_the_full_scans_p():
 
 
 def _is_pruned(monkeypatch, model, psi) -> bool:
-    """Whether gls_norm asks sup_rows to prune its scan: gives it a floor."""
+    """Whether gls_norm asks sup_rows to prune its scan."""
     got = []
 
-    def spy(parts, xs, *args, floor=None, **kw):
-        got.append(floor is not None)
-        return sup_rows(parts, xs, *args, floor=floor, **kw)
+    def spy(parts, xs, *args, prune=False, **kw):
+        got.append(prune)
+        return sup_rows(parts, xs, *args, prune=prune, **kw)
 
     monkeypatch.setattr(norms, "sup_rows", spy)
     gls_norm(model, psi, default_p_max(model))

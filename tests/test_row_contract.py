@@ -129,7 +129,7 @@ def _case(draw):
         kw = {"log_concave": draw(st.sampled_from([True, True, False]))}
         if draw(st.booleans()):
             floor = [draw(st.sampled_from([-np.inf, -np.inf, 0.0, 0.5])) for _ in range(n_search)]
-            kw.update(floor=floor, search=owner)
+            kw.update(floor=floor, search=owner, prune=True)
     kw["guessed"] = draw(st.sampled_from([SCALAR_BRACKETS, SCALAR_BRACKETS, 2, 0]))
     return xs, parts, kw, draw(st.booleans()), draw(st.booleans()), owner
 

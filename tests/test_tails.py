@@ -35,6 +35,7 @@ from glspace import (
     tail_envelope,
     uniform01_model,
 )
+from glspace import tails
 from glspace.tails import default_probe_points, quadratic_h_reference
 
 
@@ -262,6 +263,24 @@ def test_membership_on_a_grid_below_e_judges_each_candidate_at_e_K():
     est = membership_K_estimate(batch, q, psi, K_grid=[1.0])
     assert est.K_hat == 1.0 and est.x_range_checked == (math.e, math.e)
     assert (est.K_hat, est.x_range_checked) == reference_membership(batch, q, psi, [1.0])
+
+
+def test_membership_on_a_grid_below_e_takes_one_survival_probe_per_candidate(monkeypatch):
+    # the probe range [e*K, e*K] is one point, judged once: the two smaller
+    # candidates fail there and the third passes
+    batch = sample(gaussian_model(), 1_000, seed=0)
+    q, psi, K_grid = integer_grid(5), root_psi(), [0.05, 0.1, 1.0]
+    probes, survival = [], tails.empirical_survival
+
+    def counted(batch, x):
+        probes.append(np.size(x))
+        return survival(batch, x)
+
+    monkeypatch.setattr(tails, "empirical_survival", counted)
+    est = membership_K_estimate(batch, q, psi, K_grid=K_grid)
+    assert probes == [1, 1, 1]
+    assert est.K_hat == 1.0 and est.x_range_checked == (math.e, math.e)
+    assert (est.K_hat, est.x_range_checked) == reference_membership(batch, q, psi, K_grid)
 
 
 def plateau_psi(nondecreasing=False):
