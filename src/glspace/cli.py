@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, GlsError, SpecParseError
+from .errors import DegenerateModelError, DomainError, GlsError, SpecParseError
 from .generating import PowerSlowVaryParams, make_power_slowvary, natural_psi
 from .grids import integer_grid
 from .groups import algebra_check, convolve
@@ -338,7 +338,7 @@ def main(argv=None) -> int:
             # the filters are left as they are (-W error, once per message)
             warnings.showwarning = _show_warning
             return int(args.func(cfg))
-    except (SpecParseError, DomainError) as exc:
+    except (SpecParseError, DomainError, DegenerateModelError) as exc:
         print(f"gls: {exc}", file=sys.stderr)
         return 2
     except (GlsError, Warning) as exc:

@@ -25,21 +25,23 @@ class GeneratingFunction:
     """Positive evaluator on [1, inf) with declared shape flags.
 
     nondecreasing is a promise made by the constructor that psi is
-    nondecreasing on all of [1, inf); it is trusted, never checked.  The
-    pruned norm scan and the Z/W gap analysis need no more than that.
+    nondecreasing on all of [1, inf); it is trusted, never checked.  Such
+    a psi is its own lower envelope in a norm search's cell bounds (see
+    search), and the Z/W gap analysis needs no more than that.
     log_concave, keyword-only, is a second such promise: ln psi is
     concave in p on [1, inf), so on a scan cell ln psi lies above its
-    chord, and the pruned norm scan's cell bound takes that chord in
-    place of psi at the cell's left end (see search).  Only a
-    constructor that knows its formula sets it, and it takes no part in
-    equality or hashing.  lower, keyword-only, is a third: a lower
-    envelope L of psi, an array function with L(p) <= psi(p) on [1, inf),
-    bit for bit as computed, L nondecreasing and ln L concave.  A norm
-    search rules out the refinement of a scan peak whose cell bound, taken
-    with L in place of psi, lies below the best value found (see search);
-    a psi flagged nondecreasing is its own envelope and needs none.  It
-    takes no part in equality or hashing either.  value_at_one caches
-    psi(1).
+    chord, which the cell bound then takes in place of psi at the cell's
+    left end.  It is read only with nondecreasing: a concave ln psi that
+    decreases somewhere decreases without bound, so such a psi has no
+    finite norm to certify.  Only a constructor that knows its formula
+    sets it, and it takes no part in equality or hashing.  lower,
+    keyword-only, is a third: a lower envelope L of psi, an array function
+    with L(p) <= psi(p) on [1, inf), bit for bit as computed, L
+    nondecreasing and ln L concave.  A norm search bounds its cells with L
+    in place of psi, to prune its scan and to rule out the refinement of
+    a scan peak whose bound lies below the best value found (see search);
+    a psi flagged nondecreasing needs none.  It takes no part in equality
+    or hashing either.  value_at_one caches psi(1).
     """
 
     evaluator: Callable[[float | np.ndarray], float | np.ndarray]

@@ -159,6 +159,8 @@ class RestrictedSet:
         for a, b in segs:
             if not (a >= 1.0 and a <= b):
                 raise DomainError(f"segment [{a:g}, {b:g}] must satisfy 1 <= a <= b")
+            if a == math.inf:
+                raise DomainError(f"segment [{a:g}, {b:g}] must start at a finite p")
         merged = []
         for a, b in segs:
             if merged and a <= merged[-1][1]:

@@ -14,19 +14,16 @@ refinement.  A shared search has one ratio kernel: the norms of one
 model share its moment and psi call, and the norms of several group
 functions share _stacked_ratio (psi once, the power means of all models
 in one call); searches of any other mix of models run alone.  Equal
-domains share their scan rows (_scan_rows).  Every norm keeps the bits
-of its search alone.  The W^ constant depends on psi and the grid only,
-so a W^ check takes it from grids.w_hat_constant, computed once per
-(psi, cell ends) per process.
-For a large sample or group function under a nondecreasing psi the scan
-is pruned: a cell whose bound lies below the best value is not evaluated
-(see search), which leaves the result's bits as they are.  The bound
-takes the chord of ln E|f|^p, convex in p, and, where psi promises a
-concave ln psi (GeneratingFunction.log_concave), the chord of ln psi.
-Under such a psi the same chords spare the refinement of a row-end peak
-that golden section cannot beat, for the exact moments: power means of
-any size and the closed forms (Gaussian, exponential, uniform01,
-constant, Rademacher), the models of the sandwich suite (see search).
+domains, and equal W^ grids, share their scan rows (_scan_rows).  Every
+norm keeps the bits of its search alone.  The W^ constant depends on psi
+and the grid only, so a W^ check takes it from grids.w_hat_constant,
+computed once per (psi, cell ends) per process.
+A search hands search.sup_rows two facts, and sup_rows reads from them
+what it may skip, each skip leaving the result's bits as they are: a
+lower envelope of psi, given where every model's moments are exact (the
+power means and the closed forms, p-norms on a probability space), and
+whether a ratio costs by the point (a large sample or group function, as
+a model or as the model of a natural psi).  See _search.
 Sandwich checks verify the two-sided equivalence
 
     inner <= full <= constant * inner
@@ -72,7 +69,7 @@ from .models import (
     RandomVariableModel,
     power_means,
 )
-from .search import SCALAR_BRACKETS, _eval_parts, sup_rows
+from .search import _eval_parts, sup_rows
 from .search import grid_refine_supremum  # noqa: F401  unused here; the benchmark tracer patches it
 
 DEFAULT_P_MAX = 200.0
@@ -83,14 +80,14 @@ _CELL_POINTS = 64
 # relative tolerance of a sandwich's two comparisons
 _RTOL = 1e-9
 # a power mean of at least this many values costs by the point
-# (_costs_per_point): a norm search over such moments is pruned and
-# refined in lockstep, without guessed points.  Timed on full and
-# two-interval norms of normal samples and on cyclic-group functions under
-# power_slowvary(r=2, delta=0.5) (Python 3.11, NumPy 2.4, CPU time, median
-# of 21 rounds, the two paths alternating): the pruned scan breaks even at
-# 48-64 values and takes 0.56-0.85 of the full scan's time at 128.  A flat
-# ratio (a sample under its own natural psi) drops no cell and pays 12-20%
-# more there.
+# (_costs_per_point): a norm search over such a ratio is pruned where psi
+# has an envelope, and refined in lockstep, without guessed points.  Timed
+# on full and two-interval norms of normal samples and on cyclic-group
+# functions under power_slowvary(r=2, delta=0.5) (Python 3.11, NumPy 2.4,
+# CPU time, median of 21 rounds, the two paths alternating): the pruned
+# scan breaks even at 48-64 values and takes 0.56-0.85 of the full scan's
+# time at 128.  A flat ratio (a sample under its own natural psi) drops no
+# cell and pays 12-20% more there.
 _PRUNE_MIN_VALUES = 128
 
 
@@ -189,14 +186,14 @@ def _stacked_ratio(psi: GeneratingFunction, models: Sequence[PowerMeanModel]):
 def _costs_per_point(model) -> bool:
     """Whether a moment of ``model`` costs in proportion to the points it is
     asked for more than to the calls: a power mean of at least
-    _PRUNE_MIN_VALUES values.  _search reads this one rule twice.  The scan
-    is pruned when every model costs by the point (and psi is
-    nondecreasing).  Every bracket refines in lockstep, golden section's
-    own points and no other (sup_rows with guessed=0), when any model, or
-    the model of psi, costs by the point, because guessed points would cost
-    more than the calls they save: on a 2^16-value exponential sample with
-    an interior peak, guessing took 148 ms against 84 ms on golden
-    section's points alone (272 evaluations against 195)."""
+    _PRUNE_MIN_VALUES values.  A search costs by the point (sup_rows'
+    ``per_point``) when any model, or the model of psi, does: its scan is
+    then pruned where psi has an envelope, and every bracket refines in
+    lockstep, golden section's own points and no other, because guessed
+    points would cost more than the calls they save: on a 2^16-value
+    exponential sample with an interior peak, guessing took 148 ms against
+    84 ms on golden section's points alone (272 evaluations against
+    195)."""
     return isinstance(model, PowerMeanModel) and model.values.size >= _PRUNE_MIN_VALUES
 
 
@@ -263,16 +260,17 @@ def domain_search(model: RandomVariableModel, p_max: float, rset: Optional[Restr
     segments = [(1.0, p_max)] if rset is None else rset.segments_to(p_max)
     lo, hi = np.array(segments, dtype=float).T
     span = lo < hi
-    rows = _scan_rows(tuple(lo[span].tolist()), tuple(hi[span].tolist()))
+    rows = _scan_rows(tuple(lo[span].tolist()), tuple(hi[span].tolist()), _SCAN_POINTS, True)
     return NormSearch(model, p_max, rows, lo[~span], truncated=rset is None or rset.sup_value > p_max)
 
 
 @lru_cache(maxsize=32)
-def _scan_rows(lo: tuple, hi: tuple) -> np.ndarray:
-    """The geometric scan rows of _SCAN_POINTS points from lo[k] to hi[k],
-    their ends exact.  Every norm over one domain scans the same rows, so
-    the last 32 domains' rows are kept, read-only."""
-    rows = np.geomspace(lo, hi, _SCAN_POINTS, axis=1)
+def _scan_rows(lo: tuple, hi: tuple, points: int, geometric: bool) -> np.ndarray:
+    """The scan rows of ``points`` points from lo[k] to hi[k], geometric or
+    evenly spaced, their ends exact.  Every norm over one domain or W^ grid
+    scans the same rows, so the last 32 domains' or grids' rows are kept,
+    read-only."""
+    rows = (np.geomspace if geometric else np.linspace)(lo, hi, points, axis=1)
     rows[:, 0], rows[:, -1] = lo, hi
     rows.flags.writeable = False
     return rows
@@ -285,11 +283,11 @@ def grid_search(model: RandomVariableModel, q: GridSequence) -> NormSearch:
 
 def _cell_search(model: RandomVariableModel, gtr: GridSequence) -> NormSearch:
     """The search of _cellwise_full_norm: every cell of the grid a scan row
-    of _CELL_POINTS evenly spaced points; a grid of one point has no cell,
-    and its window [1, 1] is that point, as in domain_search."""
+    of _CELL_POINTS evenly spaced points (_scan_rows); a grid of one point
+    has no cell, and its window [1, 1] is that point, as in
+    domain_search."""
     v = gtr.values
-    xs = np.linspace(v[:-1], v[1:], _CELL_POINTS, axis=1)
-    xs[:, 0], xs[:, -1] = v[:-1], v[1:]
+    xs = _scan_rows(tuple(v[:-1].tolist()), tuple(v[1:].tolist()), _CELL_POINTS, False)
     return NormSearch(model, v[-1], xs, _NO_POINTS if v.size > 1 else v)
 
 
@@ -324,15 +322,31 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     the evidence is its last three ratios, and the result carries the
     1-based arg_index.
 
-    Decided once for the search: the prune gate and the route.  Up to
-    SCALAR_BRACKETS brackets, counted over every search, refine in guessed
-    rounds, more in lockstep; when any model, or the model of psi, costs by
-    the point (_costs_per_point), every bracket goes lockstep (sup_rows'
-    ``guessed`` is 0).  Kept per search: the pruning floor and best value,
-    the count, the edge evidence.  Every result has the bits of its search
-    alone; its count is that search's too, unless more brackets in all than
-    its own send it lockstep, which asks for no point off golden section's
-    path.
+    Decided once for the search, from two facts that sup_rows reads (see
+    search): ``lower``, the envelope, and ``per_point``, the cost.  Where
+    every model's moments are exact (a PowerMeanModel of any size or a
+    ClosedFormModel: p-norms on a probability space, whose rounding the
+    chord bound's margins cover; a moment by quadrature errs by more),
+    ``lower`` is psi's declared envelope (GeneratingFunction.lower) with
+    its concave chord, or else, for a nondecreasing psi, psi itself, with
+    the chord of ln psi where psi promises log_concave.  ``per_point``
+    holds where any model, or the model of psi, costs by the point
+    (_costs_per_point).  From them the scan is pruned, against the best
+    exact-point value too, a row-end peak that golden section cannot beat
+    is not refined, a search of more than SCALAR_BRACKETS brackets drops
+    those its envelope rules out (the W^ full norm under sqrt_dip, one
+    interior peak in each of its cells, refines one or two of about two
+    hundred), and the route is chosen: up to SCALAR_BRACKETS brackets,
+    counted over every search, refine in guessed rounds, more in
+    lockstep, and every bracket of a ratio that costs by the point in
+    lockstep.  Pruning runs in levels, and each power mean skips the terms
+    that underflow to exactly 0.0 at large p (models.power_mean), so a
+    large sample pays for the points and terms that can change the result
+    and no others.  Kept per search: the pruning floor and best value, the
+    count, the edge evidence.  Every result has the bits of its search
+    alone; its count is that search's too, unless more brackets in all
+    than its own send it lockstep, which asks for no point off golden
+    section's path.
 
     A search alone raises what it meets, except that a divergent moment
     gives the norm +inf with that p as its witness.  A shared search that
@@ -347,43 +361,12 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     since one scan array holds rows of one length, or where their models
     are neither one model nor all plain power means, since one function
     serves them.
-
-    The scan is pruned, against the best exact-point value too, when every
-    model is a PowerMeanModel of at least _PRUNE_MIN_VALUES values
-    (_costs_per_point) and psi is flagged nondecreasing.  The cell bound
-    needs |f|_p nondecreasing and p ln |f|_p convex, which a power mean is
-    exactly, and psi nondecreasing; it takes the chord of ln psi too when
-    psi is flagged log_concave.  On small arrays the full scan is cheaper.
-    Pruning runs in levels (every 64th scan point, then every 16th inside
-    the 64-cells kept, then every 4th inside the 16-cells kept, then the
-    points of the 4-cells kept), and each power mean skips the terms that
-    underflow to exactly 0.0 at large p (models.power_mean), so a large
-    sample pays for the points and terms that can change the result and
-    no others.  When psi is flagged log_concave and every model's moments
-    are exact, a PowerMeanModel of any size or a ClosedFormModel (the
-    Gaussian, exponential, uniform01, constant and Rademacher families),
-    sup_rows gets log_concave and leaves unrefined the peaks at a row end
-    that golden section cannot beat (search's end certificate); pruning
-    implies that every model is a PowerMeanModel, so its bound takes the
-    chord of ln psi exactly when psi promises it.  Any other model, such
-    as a moment by quadrature, whose error exceeds the certificate's
-    margin, is not certified.  Under the same gate on the models, a search
-    of more than SCALAR_BRACKETS brackets drops, before its route is
-    chosen, each bracket whose cell bounds under a lower envelope of psi
-    lie below its search's best scan or exact-point value (sup_rows'
-    ``lower``): psi's declared envelope (GeneratingFunction.lower), whose
-    ln is concave, or a nondecreasing psi itself, with the chord of ln psi
-    where psi promises log_concave.  The W^ full norm under sqrt_dip, one
-    interior peak in each of its cells, refines one or two brackets of
-    about two hundred.
     """
     models = [s.model for s in searches]
     shared = len(searches) > 1
     one_model = all(m is models[0] for m in models)
     stable = [m.stable_p for m in (*models, psi.source) if isinstance(m, EmpiricalModel)]
-    prune = psi.nondecreasing and all(_costs_per_point(m) for m in models)
     exact = all(isinstance(m, (PowerMeanModel, ClosedFormModel)) for m in models)
-    certify = psi.log_concave and exact
     lower = None
     if exact and psi.lower is not None:
         lower = (psi.lower, True)
@@ -399,7 +382,7 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
         pair = _one_plugin_warning(pair, min(stable)) if stable else pair
     else:
         stacked = _stacked_ratio(psi, models)
-    guessed = 0 if any(map(_costs_per_point, (*models, psi.source))) else SCALAR_BRACKETS
+    per_point = any(map(_costs_per_point, (*models, psi.source)))
     # the first row of each search, then the number of rows
     starts = [0, *accumulate(s.rows.shape[0] for s in searches)]
     row0 = np.array(starts)
@@ -430,10 +413,8 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
             num_den,
             _cat(blocks) if blocks else _NO_ROWS,
             floor=[v.max(initial=-math.inf) for v in at_points],
-            guessed=guessed,
             search=np.arange(n_parts).repeat(np.diff(row0)),
-            log_concave=certify,
-            prune=prune,
+            per_point=per_point,
             lower=lower,
         )
     except Exception as exc:

@@ -18,17 +18,30 @@ agree with it to a few ulp keeps that value.  The best value of a row
 wins, with ties broken toward the smallest argument so results are
 deterministic.
 
+Two facts about the ratio decide what a search may skip, and sup_rows
+reads every choice from them:
+- ``per_point``, a cost: ``parts`` costs by the points it is asked for
+  more than by its calls (a power mean of many values);
+- ``lower`` = (L, chord), an envelope: num is a p-norm on a probability
+  space, and L is a lower envelope of den, nondecreasing and at most den,
+  with a concave ln L where ``chord`` is set.  L None stands for den
+  itself, then nondecreasing.
+The pruned scan runs where ``per_point`` holds and ``lower`` is given.
+The end certificate applies where ``lower`` is (None, True), den's own
+concave chord.  The bracket bound applies where ``lower`` is given and
+more than SCALAR_BRACKETS brackets remain.  Guessed rounds refine where
+``per_point`` does not hold and at most SCALAR_BRACKETS brackets remain;
+lockstep refines every other search.
+
 Refinement takes one of two routes, chosen once for the whole search.
 Both take golden_section_max's update rule, stopping width and tie-break
 and ask ``parts`` for arrays of points only, so they give its bits as
 long as ``parts`` gives a point the same bits in any array, as the moment
 backends and psi_eval do (a scalar p reaches them as a one-element array).
 - Lockstep: every bracket takes one golden step per array call, so
-  ``parts`` is asked for golden_section_max's points and no other.  A
-  search takes it when it holds more brackets than it may guess
-  (``guessed``), and always when ``parts`` costs by the points it is asked
-  for (a power mean of many values), where a guessed point would cost more
-  than the call it saves.
+  ``parts`` is asked for golden_section_max's points and no other: where
+  a guessed point would cost more than the call it saves, or where there
+  are too many brackets to guess.
 - Guessed rounds: a few brackets refine in rounds, one array call for all
   of them per round.  Golden section's next point depends only on its
   left/right decisions, never on the values, so a round lays out the
@@ -48,54 +61,55 @@ meets one, naming the same p; where no bracket meets one alone, the
 search returns, and RowSupremum.reran counts the brackets it reran.
 
 The chord bound.  When ``num`` = |g|_p is a p-norm on a probability
-space and ``den`` is positive and nondecreasing (a moment over a
-nondecreasing generating function), the values at the ends of a cell
-[a, b] bound f = num / den on the whole cell.  p ln num(p) = ln E|g|^p
-is convex in p (Lyapunov), so it lies below its chord on the cell.  When
-ln den is concave in p as well (the log_concave promise of a generating
-function), ln den lies above its own chord; otherwise ln den(q) >=
-ln den(a).  With w = (q - a) / (b - a), dL = ln(num(b) / num(a)) and dl =
-ln(den(b) / den(a)) (dl = 0 without the promise), the first chord gives
-ln num(q) - ln num(a) <= w (b / q) dL and the second ln den(q) -
-ln den(a) >= w dl, so relative to f(a)
+space and L is a lower envelope of ``den`` (``lower``), the values of
+num and L at the ends of a cell [a, b] bound f = num / den on the whole
+cell, since f <= num / L.  p ln num(p) = ln E|g|^p is convex in p
+(Lyapunov), so it lies below its chord on the cell.  Where ``chord`` is
+set, ln L is concave in p and lies above its own chord; otherwise ln L(q)
+>= ln L(a), as L is nondecreasing.  With w = (q - a) / (b - a), dL =
+ln(num(b) / num(a)) and dl = ln(L(b) / L(a)) (dl = 0 without the chord),
+the first chord gives ln num(q) - ln num(a) <= w (b / q) dL and the
+second ln L(q) - ln L(a) >= w dl, so relative to num(a) / L(a), which is
+f(a) where L is den,
 
-    ln f(q) - ln f(a) <= U(q) - ln f(a) = w ((b / q) dL - dl),
+    ln f(q) - ln (num(a) / L(a)) <= w ((b / q) dL - dl),
 
-the gain of _chord_gain.  It is 0 at a and dL - dl = ln(f(b) / f(a)) at
-b, and as c - dl q / (b - a) - a b dL / ((b - a) q) it has one
-stationary point, q* = sqrt(a b dL / dl), so its largest value on any
-part of the cell is at that part's ends or at q* clipped to them.  The
-form never takes ln num or ln den themselves, only the logs of ratios of
-neighbouring values near 1, weighed by w and w b / q, both in [0, 1]: a
-few ulp of error in num and den at the cell's ends are a few ulp of
-absolute error in the gain, whatever the scale of f.  So its three
-readers (the pruned scan, the end certificate and the bracket bound, each
-below) need a margin of a few ulp only, and each keeps one far wider,
-_PRUNE_MARGIN or _CERTIFY_MARGIN.  The bound is used as the Lipschitz
-bound is in the branch and bound of Piyavskii (1972) and Shubert (1972).
+the gain of _chord_gain.  It is 0 at a and dL - dl at b, and as
+c - dl q / (b - a) - a b dL / ((b - a) q) it has one stationary point,
+q* = sqrt(a b dL / dl), so its largest value on any part of the cell is
+at that part's ends or at q* clipped to them.  The form never takes ln
+num or ln L themselves, only the logs of ratios of neighbouring values
+near 1, weighed by w and w b / q, both in [0, 1]: a few ulp of error in
+num and L at the cell's ends are a few ulp of absolute error in the
+gain, whatever the scale of f.  So its three readers (the pruned scan,
+the end certificate and the bracket bound, each below) need a margin of
+a few ulp only, and each keeps one far wider, _PRUNE_MARGIN or
+_CERTIFY_MARGIN.  The bound is used as the Lipschitz bound is in the
+branch and bound of Piyavskii (1972) and Shubert (1972).  The bound of a
+cell, cell_bounds, is num(a) / L(a) exp(gain over [a, b]); for L = den
+without the chord it is max(num(a), num(b)) / den(a), the W constant's
+argument (full <= W * discrete) on the scan grid, and the chord makes it
+second-order in the cell width, so near a flat peak it is far tighter.
 
-A search may be pruned: the bound of a cell is f(a) exp(gain over
-[a, b]).  Without the promise it is max(num(a), num(b)) / den(a), the W
-constant's argument (full <= W * discrete) on the scan grid; the chord
-of ln den makes the bound second-order in the cell width, so near a flat
-peak far fewer cells survive.  The pruned scan works in levels, one per
-entry of _COARSE_STEPS (64, 16, then 4).  The first level evaluates
-every 64th point of each row and the row's last point, and drops every cell whose
-bound, widened by _PRUNE_MARGIN for rounding, is below the best value
-seen.  Each next level evaluates its points inside the live cells of
-the level before only, and drops its cells by the same rule.  In exact
-arithmetic a child cell's bound is at most its parent's (the child's
-chord of p ln num lies below the parent's, its chord of ln den above), and
-the best point of a level lies in a live cell of the level before, so
-the live cells of the last level are those a one-level pass at its step
-would keep.  The fine pass then evaluates the points of the live cells,
-the point next to each end of a live cell and the last three points of
-each row.  Every dropped point or bracket is strictly below a value the
-search evaluates, and every local maximum that remains has the same
-scan neighbours as in the full scan, so the overall supremum, its
-argument and the edge evidence keep their bits.
+The pruned scan works in levels, one per entry of _COARSE_STEPS (64, 16,
+then 4).  The first level evaluates every 64th point of each row and the
+row's last point, and drops every cell whose bound, widened by
+_PRUNE_MARGIN for rounding, is below the best value seen.  Each next
+level evaluates its points inside the live cells of the level before
+only, and drops its cells by the same rule.  In exact arithmetic a child
+cell's bound is at most its parent's (the child's chord of p ln num lies
+below the parent's, its chord of ln L above), and the best point of a
+level lies in a live cell of the level before, so the live cells of the
+last level are those a one-level pass at its step would keep.  The fine
+pass then evaluates the points of the live cells, the point next to each
+end of a live cell and the last three points of each row.  Every
+dropped point or bracket is strictly below a value the search
+evaluates, and every local maximum that remains has the same scan
+neighbours as in the full scan, so the overall supremum, its argument
+and the edge evidence keep their bits.  It pays only where a point costs
+more than a call: on a small array the full scan is cheaper.
 
-The same bound certifies a peak at a row end, where a ratio that falls
+The end certificate spares a peak at a row end, where a ratio that falls
 (or rises) through its row peaks most often.  Golden section on the cell
 [a, b] of a peak at a asks only for points at least (1 - INV_PHI) *
 INV_PHI * min(b - a, its stopping width), about 0.236 of that, from a:
@@ -108,30 +122,21 @@ point golden section would evaluate is below the peak, and
 golden_section_max would return the peak itself: a tie never moves its
 best point to a larger p, and a peak at b is certified only where f(b) >
 f(a), so that b is its best point from the start.  Such a bracket is not
-refined, and only the count of evaluations changes.  The norms ask for
-it on both exact moment backends: the power means of samples and group
-functions, and the closed forms, whose Gaussian, exponential and
-uniform01 moments are p-norms on a probability space like any other and
-whose constant and Rademacher moments give dL = 0 exactly.
+refined, and only the count of evaluations changes.  The bound must be
+f's own there, so the certificate reads den's own concave chord only.
 
-The same bound rules out brackets whose peak cannot win.  Any function L
-with L <= den, L nondecreasing and ln L concave (a lower envelope) may
-stand in for den at the cell ends: num / den <= num / L, and the chord
-argument holds for num / L as it is.  A bracket spans the one or two scan
-cells beside its peak, so when the cell bound of each, taken with L and
-widened by _PRUNE_MARGIN, lies below the best value its search has
-evaluated (a scan value or a value known from elsewhere, ``floor``),
+The bracket bound rules out brackets whose peak cannot win.  A bracket
+spans the one or two scan cells beside its peak, so when the cell bound
+of each, widened by _PRUNE_MARGIN, lies below the best value its search
+has evaluated (a scan value or a value known from elsewhere, ``floor``),
 golden section cannot lift the bracket to that value, and the bracket is
-not refined.  A generating function that is nondecreasing is its own
-envelope, whose chord is taken only where it promises a concave ln psi;
-one that is not may declare an envelope (GeneratingFunction.lower).  The
-bound reads only scan values and L at three points a bracket, so a search
-takes it only when it holds more brackets than it may guess, where
-refinement costs most: the 199 cells of a W^ check under sqrt_dip, one
-interior peak each, leave one or two brackets to refine.  A dropped
-bracket is strictly below its search's best value, so the search's value
-and argument keep their bits; only its row may report a lower value, as
-under pruning, and the count of evaluations changes.
+not refined.  The bound reads only scan values and L at three points a
+bracket, so a search takes it only when it holds more brackets than it
+may guess, where refinement costs most: the 199 cells of a W^ check
+under sqrt_dip, one interior peak each, leave one or two brackets to
+refine.  A dropped bracket is strictly below its search's best value, so
+the search's value and argument keep their bits; only its row may report
+a lower value, as under pruning, and the count of evaluations changes.
 """
 
 from __future__ import annotations
@@ -147,14 +152,15 @@ from .errors import DivergentMomentError, DomainError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
-# The most brackets a search refines in guessed rounds (_speculate,
-# sup_rows' default ``guessed``), counted over all its rows, whatever
-# functions they belong to; a search with more refines in lockstep, and so
-# does every search whose ratio costs by the point, for which norms passes
-# guessed=0.  Timed on k rows of 64 points with one interior peak each
-# (Python 3.11, NumPy 2.4, a 2-core x86-64 VM, CPU time, median of 9
-# rounds, the two routes alternating), lockstep breaks even at 12 brackets
-# for one function (a Gaussian under sqrt_dip).  On one seed-7 run of each
+# The most brackets a search refines in guessed rounds (_speculate),
+# counted over all its rows, whatever functions they belong to.  A search
+# with more refines in lockstep and, under an envelope, takes the bracket
+# bound first; a search whose ratio costs by the point (sup_rows'
+# ``per_point``) refines in lockstep whatever its brackets.  Timed on k
+# rows of 64 points with one interior peak each (Python 3.11, NumPy 2.4, a
+# 2-core x86-64 VM, CPU time, median of 9 rounds, the two routes
+# alternating), lockstep breaks even at 12 brackets for one function (a
+# Gaussian under sqrt_dip).  On one seed-7 run of each
 # benchmark workload, counting the searches that refine any bracket: norm
 # refines 28 searches (29 brackets in all) lockstep because their ratios
 # cost by the point and 17 (18) in guessed rounds; sandwich refines 68
@@ -485,10 +491,8 @@ def sup_rows(
     xs: np.ndarray,
     refine_tol: float = _REFINE_TOL,
     floor=None,
-    guessed: int = SCALAR_BRACKETS,
     search: Optional[np.ndarray] = None,
-    log_concave: bool = False,
-    prune: bool = False,
+    per_point: bool = False,
     lower: Optional[tuple] = None,
 ) -> RowSupremum:
     """Supremum of the ratio num / den over each row of the scan grid ``xs``.
@@ -504,54 +508,50 @@ def sup_rows(
     every local maximum of a row is then refined inside the cell spanned
     by its scan neighbours, to the stopping width ``refine_tol``, unless
     the three scan values agree within _PLATEAU_ULP ulp: such a plateau (a
-    flat ratio makes every scan point one) keeps its scan value.  Up to
-    ``guessed`` brackets, counted over all rows, refine in guessed rounds,
-    more in lockstep (see the module
-    docstring and SCALAR_BRACKETS); guessed=0 sends every bracket lockstep,
-    for ``parts`` whose cost grows with the points it is asked for more
-    than with its calls, so that no point off golden section's path is
-    evaluated.  Both routes reuse the scan values at the bracket ends and
-    give the bits of golden_section_max, and when either raises, each
-    bracket reruns alone in row order, so an error names the p
-    golden_section_max names on the first bracket that meets one; where
-    none does, ``reran`` counts the brackets rerun.  Refinement never loses
-    the scan value it started from.
+    flat ratio makes every scan point one) keeps its scan value.  Both
+    refinement routes reuse the scan values at the bracket ends and give
+    the bits of golden_section_max, and when either raises, each bracket
+    reruns alone in row order, so an error names the p golden_section_max
+    names on the first bracket that meets one; where none does, ``reran``
+    counts the brackets rerun.  Refinement never loses the scan value it
+    started from.
+
+    Two facts choose what the search skips (the module docstring).
+    ``per_point`` says that ``parts`` costs by the points it is asked for
+    more than by its calls.  ``lower`` = (L, chord) promises that num is a
+    p-norm on a probability space and gives a lower envelope of den:
+    ``L(p)``, of an array of any shape, is nondecreasing and at most den
+    at every p, and ln L is concave where ``chord`` is set; L None stands
+    for den itself, then nondecreasing.  With both, the scan is pruned;
+    with (None, True), a peak at a row end whose chord bound proves that
+    golden section cannot beat it is not refined; with ``lower``, a search
+    that would refine more than SCALAR_BRACKETS brackets drops each whose
+    cell bounds lie below its search's best value.  Up to SCALAR_BRACKETS
+    brackets, counted over all rows, refine in guessed rounds unless
+    ``per_point``; every other search refines in lockstep, so that no
+    point off golden section's path is evaluated.
 
     ``floor`` holds a value known from elsewhere (the exact points of a
     norm), one per search (-inf for each when None), ``search`` giving the
     search of each row (all the first when None); the pruning and the
     bracket bound compare each search's cells against the best of its own
-    floor and its own values, never against another search's.  With
-    ``prune`` the scan is pruned (see the module docstring): num must then
-    be a p-norm on a probability space and den positive and nondecreasing.
-    ``lower`` = (L, chord) promises that num is a p-norm on a probability
-    space and gives a lower envelope of den: ``L(p)``, of an array of any
-    shape, is nondecreasing and at most den at every p, and ln L is
-    concave where ``chord`` is set; L None stands for den itself, then
-    nondecreasing, whose chord is taken where ``chord`` is set.  A search
-    that would refine more than SCALAR_BRACKETS brackets then drops each
-    whose cell bounds under L lie below its search's best value (the
-    module docstring), before the route is chosen.  Under either, the
-    largest of a search's row values and its floor and its argument are
-    those of the full search, bit for bit, as is ``decreasing_at_hi``; a
-    row that cannot hold that supremum may report a lower value.  When a
-    NaN ratio or a divergent moment stops the pruned scan, the full scan
-    runs instead, so the error and the p it names are the full scan's.
-    ``log_concave`` promises that num is a p-norm on a probability space
-    and ln den is concave in p; it gates both chords: the pruning bound
-    takes the chord of ln den too, and a peak at a row end whose chord
-    bound proves that golden section cannot beat it is not refined (the
-    module docstring), which changes no result and only the points
-    ``parts`` is asked for.
+    floor and its own values, never against another search's.  Under
+    either, the largest of a search's row values and its floor and its
+    argument are those of the full search, bit for bit, as is
+    ``decreasing_at_hi``; a row that cannot hold that supremum may report
+    a lower value.  When a NaN ratio or a divergent moment stops the
+    pruned scan, the full scan runs instead, so the error and the p it
+    names are the full scan's.  The certificate changes no result, only
+    the points ``parts`` is asked for.
     """
     rows, n = xs.shape
     if not rows:
         return RowSupremum(np.empty(0), np.empty(0), np.zeros(0, dtype=bool), 0, 0, 0, 0, 0)
     known = None
     pruned = 0
-    if prune:
+    if per_point and lower is not None:
         try:
-            ys, known, pruned, num, den = _pruned_scan(xs, parts, floor, search, log_concave)
+            ys, known, pruned, num, den = _pruned_scan(xs, parts, floor, search, lower)
         except (DomainError, DivergentMomentError):
             known = None
     if known is None:
@@ -562,7 +562,7 @@ def sup_rows(
         num, den, ys = (a.reshape(rows, n) for a in _eval_parts(parts, xs.ravel(), scan_rows))
     r, i, il, ih, k, n_flat = _brackets(xs, ys, known)
     certified = 0
-    if log_concave:
+    if lower == (None, True):
         sure = _certified(xs, ys, num, den, r[k], i[k], refine_tol)
         certified = int(np.count_nonzero(sure))
         k = k[~sure]
@@ -576,10 +576,10 @@ def sup_rows(
     ends = xs[rk, il], ys[rk, il], xs[rk, ih], ys[rk, ih]
     reran = 0
     try:
-        if k.size <= guessed:
-            ref_x, ref_v = _speculate(parts, *ends, refine_tol, rk, _scan_targets(xs, ys, rk, i[k]))
-        else:
+        if per_point or k.size > SCALAR_BRACKETS:
             ref_x, ref_v = _golden_lockstep(parts, *ends, refine_tol, rk)
+        else:
+            ref_x, ref_v = _speculate(parts, *ends, refine_tol, rk, _scan_targets(xs, ys, rk, i[k]))
     except (DomainError, DivergentMomentError):
         # each bracket alone, in row order: an error is then the one
         # golden_section_max meets on the first bracket that meets one
@@ -672,24 +672,28 @@ def _chord_gain(a, b, d_num, d_den, lo, hi):
     return np.maximum(np.maximum(gain(lo), gain(hi)), gain(top))
 
 
-def cell_bounds(p: np.ndarray, num: np.ndarray, den: np.ndarray, log_concave: bool) -> np.ndarray:
+def cell_bounds(p: np.ndarray, num: np.ndarray, den: np.ndarray, lower: tuple) -> np.ndarray:
     """Upper bound of num / den on each cell [a, b] between consecutive
-    points p (last axis) of a row, from num and den at the points:
-    f(a) exp(_chord_gain over [a, b]), with the chord of ln den when
-    ``log_concave`` and dl = 0 otherwise (see the module docstring).  Where
-    the gain is not finite (a zero num, a den that is not positive, an
-    unevaluated end) the bound is inf, which keeps the cell."""
+    points p (last axis) of a row, from num and den at the points, under
+    the envelope ``lower`` = (L, chord) of sup_rows: num(a) / L(a)
+    exp(_chord_gain over [a, b]), L taken at p (den itself for L None),
+    with the chord of ln L where ``chord`` is set and dl = 0 otherwise (see
+    the module docstring).  Where the gain is not finite (a zero num, an L
+    that is not positive, an unevaluated end) the bound is inf, which keeps
+    the cell."""
+    envelope, chord = lower
+    den = den if envelope is None else envelope(p)
     a, b = p[..., :-1], p[..., 1:]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         d_num = np.log(num[..., 1:] / num[..., :-1])
-        d_den = np.log(den[..., 1:] / den[..., :-1]) if log_concave else 0.0
+        d_den = np.log(den[..., 1:] / den[..., :-1]) if chord else 0.0
         gain = _chord_gain(a, b, d_num, d_den, a, b)
         return np.where(np.isfinite(gain), num[..., :-1] / den[..., :-1] * np.exp(gain), np.inf)
 
 
 def _certified(xs, ys, num, den, r: np.ndarray, i: np.ndarray, tol: float) -> np.ndarray:
     """Which of the scan peaks (r, i) golden section cannot beat: a peak
-    at a row end whose _chord_gain (log_concave chords) over the points
+    at a row end whose _chord_gain (den's own chords) over the points
     golden section to ``tol`` reaches on its cell, less dL - dl =
     ln(f(b) / f(a)) for a peak at b, is below -_CERTIFY_MARGIN (see the
     module docstring).  A peak at the last point needs a value above its
@@ -738,14 +742,12 @@ def _row_best(ys: np.ndarray, floor, search: Optional[np.ndarray]) -> np.ndarray
 def _below_best(xs, num, den, r: np.ndarray, i: np.ndarray, il: np.ndarray, ih: np.ndarray, lower: tuple, best):
     """Which brackets of the scan peaks (r, i), spanning the scan points il
     to ih of their rows, cannot reach ``best``: the cell_bounds of their
-    one or two scan cells, from ``num`` and the envelope L of ``lower`` =
-    (L, chord) at the cell ends (den's own values for L None), times 1 +
-    _PRUNE_MARGIN, lie below it (see the module docstring).  A peak at a
-    row end has one cell; its other, of width 0, bounds nothing."""
-    envelope, chord = lower
+    one or two scan cells under ``lower``, times 1 + _PRUNE_MARGIN, lie
+    below it (see the module docstring).  A peak at a row end has one
+    cell; its other, of width 0, bounds nothing."""
     at = (r[:, None], np.stack((il, i, ih), axis=1))
     p = xs[at]
-    bound = cell_bounds(p, num[at], den[at] if envelope is None else envelope(p), chord)
+    bound = cell_bounds(p, num[at], den[at], lower)
     bound[p[:, 1:] == p[:, :-1]] = -np.inf
     return bound.max(axis=1) * (1.0 + _PRUNE_MARGIN) < best
 
@@ -789,11 +791,9 @@ def _unit(f):
     return lambda x, row: (f(x), np.ones_like(x))
 
 
-def _pruned_scan(
-    xs: np.ndarray, parts, floor, search: Optional[np.ndarray] = None, log_concave: bool = False
-):
-    """The scan of sup_rows, pruned level by level by the cell bounds of
-    ``parts``.
+def _pruned_scan(xs: np.ndarray, parts, floor, search: Optional[np.ndarray], lower: tuple):
+    """The scan of sup_rows, pruned level by level by the cell_bounds of
+    ``parts`` under ``lower``.
 
     ``floor`` holds one value per search and ``search`` the search of each
     row (see _row_best); each search's cells are judged against the best of
@@ -825,7 +825,7 @@ def _pruned_scan(
             known |= new
         # a cell under a dropped parent stays dropped (its ends may be
         # unevaluated)
-        bound = cell_bounds(xs[:, c], num[:, c], den[:, c], log_concave)
+        bound = cell_bounds(xs[:, c], num[:, c], den[:, c], lower)
         live = cover[:, c[:-1]] & ~(bound * (1.0 + _PRUNE_MARGIN) < _row_best(ys, floor, search)[:, None])
         cover = np.zeros((rows, n), dtype=bool)
         cover[:, :-1] = np.repeat(live, np.diff(c), axis=1)

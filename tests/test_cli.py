@@ -162,6 +162,28 @@ def test_non_finite_constant_model_exits_2_naming_it(capsys, spec, named):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", ["intervals:1-2,inf-inf", "intervals:1-2,1e309-inf"])
+def test_a_set_segment_that_starts_at_infinity_exits_2_naming_it(capsys, spec):
+    code, out, err = run_cli(capsys, "norm", "--model", "gaussian", "--psi", "power_slowvary(r=2)", "--set", spec)
+    assert (code, out, err) == (2, "", "gls: segment [inf, inf] must start at a finite p\n")
+    code, out, _ = run_cli(capsys, "norm", "--model", "gaussian", "--psi", "power_slowvary(r=2)", "--set", "intervals:1-inf")
+    assert code == 0 and parse_rows(out)[0]["domain"] == "intervals:1-inf"
+
+
+@pytest.mark.parametrize("model", ["constant:0", "zeros"])
+def test_tail_of_a_zero_model_under_its_natural_psi_exits_2(capsys, tmp_path, model):
+    # the default psi is the model's natural psi, which a zero model has
+    # not, as when it is named with --psi natural:<model>
+    if model == "zeros":
+        path = tmp_path / "zeros.txt"
+        path.write_text("0\n0\n0\n")
+        model = f"empirical:{path}"
+    for psi in ((), ("--psi", f"natural:{model}")):
+        code, out, err = run_cli(capsys, "tail", "--model", model, *psi, "--n", "100")
+        assert code == 2 and out == ""
+        assert err.startswith("gls: ") and err.endswith("is zero almost surely; |f|_1 = 0\n") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("n", ["0", "-5"])
 def test_tail_sample_size_below_one_exits_2_naming_it(capsys, n):
     code, out, err = run_cli(capsys, "tail", "--model", "uniform01", "--n", n)

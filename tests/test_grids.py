@@ -151,6 +151,16 @@ def test_sets_must_contain_one():
         RestrictedSet.from_intervals([(0.5, 2.0)])
 
 
+@pytest.mark.parametrize("start", [math.inf, float("1e309")], ids=["inf", "1e309"])
+def test_a_segment_that_starts_at_infinity_is_refused_naming_it(start):
+    # no p of [1, inf) lies in it; accepted, it made inf a member and
+    # window_point advise "lower p_max to at most inf"
+    with pytest.raises(DomainError, match=r"^segment \[inf, inf\] must start at a finite p$"):
+        RestrictedSet.from_intervals([(1.0, 2.0), (start, math.inf)])
+    # a segment that only ends there is a set
+    assert RestrictedSet.from_intervals([(1.0, math.inf)]).segments == [(1.0, math.inf)]
+
+
 def test_membership_and_next_point():
     S = RestrictedSet.from_intervals([(1.0, 2.0), (3.0, math.inf)])
     assert S.contains(1.5) and S.contains(2.0) and S.contains(3.0) and S.contains(1e9)

@@ -541,7 +541,7 @@ def test_the_route_counts_the_brackets_of_every_model(monkeypatch):
     # brackets of the three models go lockstep together while each model
     # alone speculates; the bits stay.  The psi makes no log_concave
     # promise, so no bracket at a row end is certified away
-    monkeypatch.setattr(norms, "SCALAR_BRACKETS", 2)
+    monkeypatch.setattr(search, "SCALAR_BRACKETS", 2)
     G = dihedral_group(6)
     rng = np.random.default_rng(8)
     models = _algebra_models(G, rng.standard_normal(12), rng.standard_normal(12))
@@ -555,12 +555,14 @@ def test_the_route_counts_the_brackets_of_every_model(monkeypatch):
     assert sum(r.n_evaluations for r in batched) < sum(r.n_evaluations for r, _ in alone)
 
 
-@pytest.mark.parametrize("cap", [3, 4])
+@pytest.mark.parametrize("cap", [2, 4])
 def test_one_bracket_cap_counts_the_brackets_of_every_model(monkeypatch, cap):
     # the 1 + 2 + 1 brackets of these three models refine in guessed rounds
-    # under a cap of 4 and in lockstep under 3, and each model alone, of at
-    # most 2 brackets, in guessed rounds; every model keeps its alone bits
-    monkeypatch.setattr(norms, "SCALAR_BRACKETS", cap)
+    # under a cap of 4; under 2 (or 3) they are more than the cap, so psi's
+    # own envelope rules one out and the three left refine in lockstep
+    # (under 3, in guessed rounds).  Each model alone, of at most 2
+    # brackets, refines in guessed rounds; every model keeps its alone bits
+    monkeypatch.setattr(search, "SCALAR_BRACKETS", cap)
     G = dihedral_group(6)
     rng = np.random.default_rng(6)
     models = _algebra_models(G, rng.standard_normal(12), rng.standard_normal(12))
@@ -740,6 +742,20 @@ def test_equal_domains_share_read_only_scan_rows():
     expect = np.geomspace(lo, hi, norms._SCAN_POINTS, axis=1)
     expect[:, 0], expect[:, -1] = lo, hi
     assert rows.tobytes() == expect.tobytes()
+    # the W^ cells of equal grids share theirs too: one row of _CELL_POINTS
+    # evenly spaced points per cell, the ends exact, the bits of one
+    # linspace per grid
+    q = integer_grid(40)
+    cells = norms._cell_search(model, q).rows
+    assert norms._cell_search(uniform01_model(), integer_grid(40)).rows is cells
+    with pytest.raises(ValueError, match="read-only"):
+        cells[0, 1] = 2.0
+    v = q.values
+    expect = np.linspace(v[:-1], v[1:], norms._CELL_POINTS, axis=1)
+    expect[:, 0], expect[:, -1] = v[:-1], v[1:]
+    assert cells.tobytes() == expect.tobytes()
+    # a grid of one point has no cell
+    assert norms._cell_search(model, integer_grid(1)).rows.shape == (0, norms._CELL_POINTS)
     # a different p_max is a different domain; the memo stays bounded
     for p_max in np.linspace(2.0, 200.0, 100):
         norms.domain_search(model, float(p_max), S)

@@ -1,6 +1,8 @@
-"""The pruned scan: a large sample or group function under a psi flagged
-nondecreasing skips the scan cells whose bound lies below the best value,
-and must give the full scan's value, argument and edge evidence bit for bit."""
+"""The pruned scan: a ratio that costs by the point (a large sample or
+group function, as the model or as the model of psi) under a psi with a
+lower envelope (a psi flagged nondecreasing, or one that declares an
+envelope) skips the scan cells whose bound lies below the best value, and
+must give the full scan's value, argument and edge evidence bit for bit."""
 
 import dataclasses
 import functools
@@ -20,6 +22,8 @@ from glspace import (
     RestrictedSet,
     cyclic_group,
     default_p_max,
+    exponential_model,
+    gaussian_model,
     gls_norm,
     make_power_slowvary,
     natural_psi,
@@ -158,7 +162,7 @@ def test_the_lower_peak_of_two_is_pruned():
         seen.append(x)
         return pair(x)
 
-    res = sup_rows(_rowless(parts), xs[None, :], prune=True)
+    res = sup_rows(_rowless(parts), xs[None, :], per_point=True, lower=(None, False))
     counted, full_seen = _counted(pair)
     full = sup_rows(_rowless(counted), xs[None, :])
     assert (res.values[0], res.args[0], res.decreasing_at_hi[0]) == (
@@ -173,10 +177,11 @@ def test_the_lower_peak_of_two_is_pruned():
     assert _bits(norm) == _bits(_full_scan(model, psi, p_max))
 
 
-def _counted_search(pair, xs, log_concave=False):
-    """sup_rows of ``pair``, pruned, and the number of points it asked for."""
+def _counted_search(pair, xs, chord=False):
+    """sup_rows of ``pair``, pruned under den's own envelope, and the number
+    of points it asked for."""
     parts, seen = _counted(pair)
-    res = sup_rows(_rowless(parts), xs, prune=True, log_concave=log_concave)
+    res = sup_rows(_rowless(parts), xs, per_point=True, lower=(None, chord))
     return res, seen[0]
 
 
@@ -239,7 +244,7 @@ def test_a_peak_at_a_live_cell_end_keeps_its_full_scan_bracket(num_pts, den_pts)
     counted, full_seen = _counted(parts)
     full = sup_rows(_rowless(counted), xs)
     counted, seen = _counted(parts)
-    res = sup_rows(_rowless(counted), xs, prune=True)
+    res = sup_rows(_rowless(counted), xs, per_point=True, lower=(None, False))
     assert full.values[0] > 2.9
     assert (res.values[0], res.args[0]) == (full.values[0], full.args[0])
     assert res.pruned > 0 and seen[0] < full_seen[0]
@@ -270,15 +275,14 @@ def _with_and_without_promise(psis):
 
 
 def _bound_violations(bounds, psis) -> int:
-    """Cells of _bound_cells where ``bounds(p, num, den, log_concave)``
+    """Cells of _bound_cells where ``bounds(p, num, den, (None, chord))``
     (widened by the pruning margin) falls below the maximum of the ratio
-    on the cell's dense points, under every (psi, log_concave) of
-    ``psis``."""
+    on the cell's dense points, under every (psi, chord) of ``psis``."""
     count = 0
     for ends, num, dense, num_dense in _bound_cells():
-        for psi, log_concave in psis:
+        for psi, chord in psis:
             reference = (num_dense / psi(dense)).max(axis=1)
-            bound = bounds(ends, num, psi(ends), log_concave)
+            bound = bounds(ends, num, psi(ends), (None, chord))
             count += int(np.count_nonzero(bound * (1.0 + _PRUNE_MARGIN) < reference))
     return count
 
@@ -289,7 +293,7 @@ def test_cell_bound_is_at_least_the_cell_maximum():
 
 def test_the_bound_test_catches_a_right_end_denominator():
     # the mutation psi(x_{j+1}) in place of psi(x_j) bounds nothing
-    def right_end(p, num, den, log_concave):
+    def right_end(p, num, den, lower):
         return num[..., 1:] / den[..., 1:]
 
     assert _bound_violations(right_end, _with_and_without_promise(PSIS[:1])) > 0
@@ -298,8 +302,8 @@ def test_the_bound_test_catches_a_right_end_denominator():
 def test_the_bound_test_catches_a_chord_of_ln_num():
     # the mutation that takes the chord of ln num, not of p ln num: a num of
     # num^(1/p) makes cell_bounds' p ln num read ln num
-    def ln_num_chord(p, num, den, log_concave):
-        return cell_bounds(p, num ** (1.0 / p), den, log_concave)
+    def ln_num_chord(p, num, den, lower):
+        return cell_bounds(p, num ** (1.0 / p), den, lower)
 
     assert _bound_violations(ln_num_chord, _with_and_without_promise(PSIS[:1])) > 0
 
@@ -361,7 +365,7 @@ def test_psi_overflow_names_the_full_scans_p():
         first = int(np.argmax(psi.evaluator(xs) == math.inf))
         assert first % 64
         with pytest.raises(DomainError) as coarse:
-            search._pruned_scan(xs[None, :], _rowless(pair), np.array([-math.inf]))
+            search._pruned_scan(xs[None, :], _rowless(pair), np.array([-math.inf]), None, (None, True))
         with pytest.raises(DomainError) as pruned:
             gls_norm(model, psi, p_max)
         with pytest.raises(DomainError) as full:
@@ -371,30 +375,37 @@ def test_psi_overflow_names_the_full_scans_p():
 
 
 def _is_pruned(monkeypatch, model, psi) -> bool:
-    """Whether gls_norm asks sup_rows to prune its scan."""
+    """Whether gls_norm asks sup_rows to prune its scan: a ratio that costs
+    by the point, under an envelope."""
     got = []
 
-    def spy(parts, xs, *args, prune=False, **kw):
-        got.append(prune)
-        return sup_rows(parts, xs, *args, prune=prune, **kw)
+    def spy(parts, xs, *args, per_point=False, lower=None, **kw):
+        got.append(per_point and lower is not None)
+        return sup_rows(parts, xs, *args, per_point=per_point, lower=lower, **kw)
 
     monkeypatch.setattr(norms, "sup_rows", spy)
     gls_norm(model, psi, default_p_max(model))
     return got == [True]
 
 
-def test_only_large_power_means_under_a_nondecreasing_psi_are_pruned(monkeypatch):
+def test_only_ratios_that_cost_by_the_point_under_an_envelope_are_pruned(monkeypatch):
     psi = PSIS[0]
     big, small = EmpiricalModel(_sample(0, N, 1)), EmpiricalModel(_sample(0, N - 1, 1))
     assert _is_pruned(monkeypatch, big, psi)
     assert not _is_pruned(monkeypatch, small, psi)
+    assert not _is_pruned(monkeypatch, gaussian_model(), psi)
     assert _is_pruned(monkeypatch, GroupFunctionModel(cyclic_group(N), _sample(1, N, 2)), psi)
+    # neither nondecreasing nor declaring an envelope
     bent = make_power_slowvary(PowerSlowVaryParams(2.0, -0.5))
     assert not bent.nondecreasing and not _is_pruned(monkeypatch, big, bent)
+    # not nondecreasing, but declaring one
+    assert _is_pruned(monkeypatch, big, sqrt_dip_psi())
+    assert not _is_pruned(monkeypatch, big, dataclasses.replace(sqrt_dip_psi(), lower=None))
     # a natural psi is nondecreasing on a sample, and its pair keeps the
-    # one-moment-per-p division
+    # one-moment-per-p division; a closed form under it costs by the point
     nat = natural_psi(big)
     assert _is_pruned(monkeypatch, big, nat)
+    assert _is_pruned(monkeypatch, gaussian_model(), nat)
     ps = np.array([1.0, 2.0, 9.5])
     num, den = norms._ratio_fn(big, nat)(ps)
     m = big.lp_norm(ps)
@@ -410,6 +421,33 @@ def test_a_flat_natural_ratio_is_pruned_with_the_full_scan_bits(monkeypatch):
     assert psi.nondecreasing and _is_pruned(monkeypatch, model, psi)
     p_max = default_p_max(model)
     assert repr(_bits(gls_norm(model, psi, p_max))) == repr(_bits(_full_scan(model, psi, p_max)))
+
+
+@pytest.mark.parametrize("n", [256, 4096])
+def test_a_declared_envelope_prunes_a_large_sample(n):
+    # sqrt_dip is not nondecreasing, but its declared envelope sqrt(p) / 1.5
+    # bounds the cells of a sample's ratio, which costs by the point: the
+    # scan is pruned, with the bits of the search without the envelope
+    model = EmpiricalModel(np.random.default_rng(n).standard_normal(n))
+    psi, p_max = sqrt_dip_psi(), default_p_max(model)
+    pruned = gls_norm(model, psi, p_max)
+    full = gls_norm(model, dataclasses.replace(psi, lower=None), p_max)
+    assert _bits(pruned) == _bits(full)
+    assert pruned.n_evaluations < norms._SCAN_POINTS <= full.n_evaluations
+
+
+@pytest.mark.parametrize("which_set", [0, 1], ids=["plain", "set"])
+@pytest.mark.parametrize("model", [gaussian_model(), exponential_model()], ids=lambda m: m.label)
+def test_a_closed_form_under_a_large_samples_natural_psi_is_pruned(model, which_set):
+    # the model of psi costs by the point, so the closed-form ratio does
+    # too, and psi, nondecreasing, is its own envelope: the scan is pruned,
+    # with the bits of the search of a psi without the flag
+    psi = natural_psi(EmpiricalModel(1.7 * np.random.default_rng(11).standard_normal(1 << 14)))
+    rset = _sets(0)[which_set]
+    pruned = gls_norm(model, psi, 200.0, rset)
+    full = gls_norm(model, dataclasses.replace(psi, nondecreasing=False), 200.0, rset)
+    assert _bits(pruned) == _bits(full)
+    assert pruned.n_evaluations < norms._SCAN_POINTS <= full.n_evaluations
 
 
 @pytest.mark.parametrize("psi", PSIS, ids=lambda psi: psi.description)

@@ -1,10 +1,12 @@
 """The row contract of sup_rows, as one property over every route: guessed
-rounds, lockstep, the rerun after an error, the end certificate, plateaus
-and the pruned scan.  Unpruned, a row's value is the largest of its scan
-values and of every point golden section evaluates in its refined
-brackets, x1 and x2 included, ties going to the smallest p.  A guessed
-round's points past its first wrong guess are not among them: they are
-discarded, so that the result keeps golden section's bits.  Pruned, the
+rounds, lockstep, the rerun after an error, the end certificate, plateaus,
+the bracket bound and the pruned scan, drawn through sup_rows' two facts,
+``per_point`` and ``lower``.  Without an envelope, a row's value is the
+largest of its scan values and of every point golden section evaluates
+in its refined brackets, x1 and x2 included, ties going to the smallest
+p.  A guessed round's points past its first wrong guess are not among
+them: they are discarded, so that the result keeps golden section's
+bits.  With one, which may prune the scan and rule brackets out, the
 same holds for each search's largest row value."""
 
 import functools
@@ -82,9 +84,9 @@ def _rows(draw, lo_range, n):
 
 @st.composite
 def _case(draw):
-    """A scan array, its (num, den), the sup_rows keywords, whether errors
-    fall off golden section's path, whether guesses go against their
-    prediction, and each row's search."""
+    """A scan array, its (num, den), the sup_rows keywords, the bracket cap
+    (SCALAR_BRACKETS), whether errors fall off golden section's path,
+    whether guesses go against their prediction, and each row's search."""
     if draw(st.booleans()):
         # bumps: guessed rounds or lockstep, plateaus and ties
         xs = _rows(draw, (0.5, 30.0), draw(st.integers(2, 40)))
@@ -102,7 +104,8 @@ def _case(draw):
             c[0, 0] = (hi - INV_PHI * (hi - lo), lo + INV_PHI * (hi - lo))[aim]
             a[0, 0] = 10.0
         parts = _bumps(a, c, s, draw(st.sampled_from([None, None, 4.0, 64.0])), draw(st.booleans()))
-        kw, owner = {}, np.zeros(k, dtype=int)
+        # no p-norm, so no envelope
+        kw, group = {}, np.zeros(k, dtype=int)
     else:
         # moments over a power-family psi: the end certificate and pruning
         xs = _rows(draw, (1.0, 40.0), draw(st.sampled_from([3, 9, 65, 130])))
@@ -126,12 +129,21 @@ def _case(draw):
         scale = peak / (xs[0, start] + draw(st.floats(0.02, 0.98)) * (xs[0, stop] - xs[0, start]))
         if 1.0 < peak < _DENSE[-1] and xs[0, 0] * scale >= 1.0:
             xs[0] *= scale
-        kw = {"log_concave": draw(st.sampled_from([True, True, False]))}
+        # psi's own envelope, with and without its concave chord, or one
+        # declared: psi itself, or half of it, both with the chord (the
+        # bumps draw no envelope)
+        kw = {"lower": draw(st.sampled_from([
+            (None, True), (None, False),
+            (lambda p: psi_eval(psi, p), True), (lambda p: 0.5 * psi_eval(psi, p), True),
+        ]))}
+        group = np.zeros(k, dtype=int)
         if draw(st.booleans()):
             floor = [draw(st.sampled_from([-np.inf, -np.inf, 0.0, 0.5])) for _ in range(n_search)]
-            kw.update(floor=floor, search=owner, prune=True)
-    kw["guessed"] = draw(st.sampled_from([SCALAR_BRACKETS, SCALAR_BRACKETS, 2, 0]))
-    return xs, parts, kw, draw(st.booleans()), draw(st.booleans()), owner
+            kw.update(floor=floor, search=owner)
+            group = owner
+    kw["per_point"] = draw(st.booleans())
+    cap = draw(st.sampled_from([SCALAR_BRACKETS, 2]))
+    return xs, parts, kw, cap, draw(st.booleans()), draw(st.booleans()), group
 
 
 def _contract(xs, parts):
@@ -189,10 +201,11 @@ def _nan_off(parts, path, asked):
 @settings(max_examples=200)
 @given(case=_case())
 def test_every_route_keeps_the_row_contract(case):
-    xs, parts, kw, off_path, contrary, owner = case
+    xs, parts, kw, cap, off_path, contrary, group = case
     best, path, brackets, ys = _contract(xs, parts)
     asked = set()
     with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "SCALAR_BRACKETS", cap)
         if contrary:
             # every guessed decision the opposite of the prediction: most
             # guesses wrong, and many points past them
@@ -202,22 +215,24 @@ def test_every_route_keeps_the_row_contract(case):
     # an error off golden section's path (only a guessed round asks for
     # such a point) reruns every bracket refined, and changes no value; a
     # pruned scan refines only the brackets of the cells it keeps
-    refined = brackets - res.certified
+    lower = kw.get("lower")
+    refined = brackets - res.certified - res.ruled_out
     if not (off_path and asked - path):
         assert res.reran == 0
-    elif "floor" in kw:
+    elif kw["per_point"] and lower is not None:
         assert 0 < res.reran <= refined
     else:
         assert res.reran == refined
     got = list(zip(res.values.tolist(), (-res.args).tolist()))
-    if "floor" not in kw:
+    if lower is None:
         assert got == best
     else:
-        # pruned: each search's largest row value and its argument, above its
-        # floor; no row beats its unpruned contract
-        for k in np.unique(owner).tolist():
-            mine = np.flatnonzero(owner == k).tolist()
-            top, want, floor = max(got[r] for r in mine), max(best[r] for r in mine), kw["floor"][k]
+        # under an envelope: each search's largest row value and its
+        # argument, above its floor; no row beats its full contract
+        floors = kw.get("floor", [-np.inf] * (int(group.max()) + 1))
+        for k in np.unique(group).tolist():
+            mine = np.flatnonzero(group == k).tolist()
+            top, want, floor = max(got[r] for r in mine), max(best[r] for r in mine), floors[k]
             assert top == want if want[0] > floor else top[0] <= floor
         assert all(g <= b for g, b in zip(got, best))
     if xs.shape[1] >= 3:

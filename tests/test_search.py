@@ -254,7 +254,7 @@ def test_few_brackets_refine_one_by_one(monkeypatch, k):
     assert (array_calls, golden_calls) == (2, 0)
     np.testing.assert_allclose(res.args, np.arange(1, k + 1) + 0.3, atol=1e-6)
     # the lockstep path gives the same bits
-    lock, array_calls, golden_calls = _routed(monkeypatch, k, guessed=0)
+    lock, array_calls, golden_calls = _routed(monkeypatch, k, per_point=True)
     assert golden_calls == 0 and array_calls > 10
     np.testing.assert_array_equal(lock.values, res.values)
     np.testing.assert_array_equal(lock.args, res.args)
@@ -274,7 +274,8 @@ def test_many_brackets_go_lockstep(monkeypatch, k):
     assert 10 < array_calls < 100
     np.testing.assert_allclose(res.args, np.arange(1, k + 1) + 0.3, atol=1e-6)
     # speculation gives the same bits
-    spec, array_calls, golden_calls = _routed(monkeypatch, k, guessed=k)
+    monkeypatch.setattr(search, "SCALAR_BRACKETS", k)
+    spec, array_calls, golden_calls = _routed(monkeypatch, k)
     assert (array_calls, golden_calls) == (2, 0)
     np.testing.assert_array_equal(spec.values, res.values)
     np.testing.assert_array_equal(spec.args, res.args)
@@ -345,7 +346,7 @@ def test_speculation_has_the_bits_of_lockstep(search_case):
     f, xs, kind = search_case
     assert kind in _peak_kinds(f, xs)
     spec = sup_rows(_rowless(f), xs)
-    seq = sup_rows(_rowless(f), xs, guessed=0)
+    seq = sup_rows(_rowless(f), xs, per_point=True)
     assert (spec.values[0].hex(), spec.args[0].hex()) == (seq.values[0].hex(), seq.args[0].hex())
 
 
@@ -362,7 +363,7 @@ def _multi_peak_case():
 
 def test_an_always_wrong_guess_keeps_the_bits(monkeypatch):
     xs, scalar = _multi_peak_case()
-    seq = sup_rows(_rowless(_multi_peak), xs, guessed=0)
+    seq = sup_rows(_rowless(_multi_peak), xs, per_point=True)
     _always_wrong(monkeypatch, scalar)
     f, calls = _counted(_multi_peak)
     spec = sup_rows(_rowless(f), xs)
@@ -376,7 +377,7 @@ def test_a_wrong_first_guess_costs_one_round(monkeypatch):
     # the rest of the path toward the bracket's best point, so the scan and
     # two rounds are the whole search, with the bits of lockstep
     xs, f = _one_peak_per_row(1)
-    seq = sup_rows(_rowless(f), xs, guessed=0)
+    seq = sup_rows(_rowless(f), xs, per_point=True)
     guesses = []
 
     def first_wrong(x1, x2, target):
@@ -403,14 +404,14 @@ def test_a_wrong_first_guess_costs_one_round(monkeypatch):
 
 def _true_path(xs):
     """The points golden_section_max evaluates: every point of the lockstep
-    search (guessed=0), the scan's included."""
+    search (per_point=True), the scan's included."""
     seen = set()
 
     def recorded(x):
         seen.update(np.ravel(x).tolist())
         return _multi_peak(x)
 
-    sup_rows(_rowless(recorded), xs, guessed=0)
+    sup_rows(_rowless(recorded), xs, per_point=True)
     return seen
 
 
@@ -431,7 +432,7 @@ def _nan_or_raise(how, bad, g=_multi_peak):
 @pytest.mark.parametrize("how", ["nan", "divergent", "domain"])
 def test_an_error_only_off_the_true_path_gives_the_lockstep_result(monkeypatch, how):
     xs, scalar = _multi_peak_case()
-    seq = sup_rows(_rowless(_multi_peak), xs, guessed=0)
+    seq = sup_rows(_rowless(_multi_peak), xs, per_point=True)
     true_path = _true_path(xs)
     _always_wrong(monkeypatch, scalar)
     spec = sup_rows(_rowless(_nan_or_raise(how, lambda x: x not in true_path)), xs)
@@ -445,8 +446,8 @@ def test_reran_counts_the_brackets_rerun_after_an_error_off_the_true_path(monkey
     brackets = len(_golden_brackets(_multi_peak, xs))
     assert 1 < brackets <= SCALAR_BRACKETS
     # a clean search reruns nothing, on either route and whatever it guesses
-    for guessed in (SCALAR_BRACKETS, 0):
-        assert sup_rows(_rowless(_multi_peak), xs, guessed=guessed).reran == 0
+    for per_point in (False, True):
+        assert sup_rows(_rowless(_multi_peak), xs, per_point=per_point).reran == 0
     true_path = _true_path(xs)
     _always_wrong(monkeypatch, scalar)
     assert sup_rows(_rowless(_multi_peak), xs).reran == 0
@@ -512,7 +513,7 @@ def test_an_error_on_the_true_path_is_the_lockstep_error(monkeypatch, how):
     f = _nan_or_raise(how, lambda x: x == bad or x not in true_path)
     error = DivergentMomentError if how == "divergent" else DomainError
     with pytest.raises(error) as seq:
-        sup_rows(_rowless(f), xs, guessed=0)
+        sup_rows(_rowless(f), xs, per_point=True)
     _always_wrong(monkeypatch, scalar)
     with pytest.raises(error) as spec:
         sup_rows(_rowless(f), xs)
@@ -551,7 +552,7 @@ def test_lockstep_asks_for_golden_sections_points_alone(case):
         calls.append(x.tolist())
         return f(x), np.ones_like(x)
 
-    res = sup_rows(recorded, xs, guessed=0)
+    res = sup_rows(recorded, xs, per_point=True)
     # the scan, then one call of x1 and x2 and one call per golden step of
     # the longest path: every bracket's points, and no other
     assert calls[0] == xs.ravel().tolist()
@@ -631,19 +632,20 @@ def _tripwire(f):
     return arrays_only
 
 
-@pytest.mark.parametrize("route", ["guessed", "guessed=0", "lockstep", "after-a-raise"])
+@pytest.mark.parametrize("route", ["guessed", "per-point", "lockstep", "after-a-raise"])
 def test_every_route_gives_f_arrays_only(monkeypatch, route):
     xs, scalar = _multi_peak_case()
     f = _multi_peak
-    # lockstep: more brackets than may be guessed
-    guessed = {"guessed=0": 0, "lockstep": 1}.get(route, SCALAR_BRACKETS)
+    if route == "lockstep":
+        # more brackets than may be guessed
+        monkeypatch.setattr(search, "SCALAR_BRACKETS", 1)
     if route == "after-a-raise":
         # every guess is wrong and every point off the true path raises, so
         # the first round raises and each bracket reruns alone, in lockstep
         true_path = _true_path(xs)
         _always_wrong(monkeypatch, scalar)
         f = _nan_or_raise("domain", lambda x: x not in true_path)
-    res = sup_rows(_tripwire(f), xs, guessed=guessed)
+    res = sup_rows(_tripwire(f), xs, per_point=route == "per-point")
     ref = sup_rows(_rowless(_multi_peak), xs)
     np.testing.assert_array_equal(res.values, ref.values)
     np.testing.assert_array_equal(res.args, ref.args)
