@@ -202,18 +202,28 @@ def power_means(states, qs: np.ndarray, at) -> np.ndarray:
     by each state's maximum.  The p of ``qs`` are checked already; values
     that are all zero give 0.0."""
     means = np.empty(qs.size)
+    squares = np.count_nonzero(qs == 2.0) > 0
     for state, lo, hi in zip(states, at, at[1:]):
-        _power_means_of(state, qs[lo:hi], means[lo:hi])
+        _power_means_of(state, qs[lo:hi], means[lo:hi], squares)
     out = np.float_power(means, 1.0 / qs)
     for state, lo, hi in zip(states, at, at[1:]):
         out[lo:hi] *= state.mx
     return out
 
 
-def _power_means_of(state: PowerMeanState, qs: np.ndarray, out: np.ndarray) -> None:
+def _power_means_of(state: PowerMeanState, qs: np.ndarray, out: np.ndarray, squares: bool) -> None:
     """out[i] = the pairwise np.add.reduce of scaled ** qs[i] over the
     count of values (0.0 when they are all zero), in chunks of p whose
-    chunk x n temporary stays within _POWER_MEAN_BLOCK elements."""
+    chunk x n temporary stays within _POWER_MEAN_BLOCK elements.
+
+    Every term goes through pow.  NumPy squares where the exponent 2
+    reaches its loop as one scalar (a chunk of one p, or one too large to
+    buffer) and takes pow where it buffers the exponents (three or more p
+    on up to about a thousand values), and on AVX-512 loops the two differ
+    in the last place for about one value in 20.  So where ``squares``
+    says that some p is 2, the rows of p = 2 are taken again, every term
+    against an array of exponents (past zero_p too, where the skip saved
+    nothing then), and p = 2 has the same bits in any array."""
     mx, scaled, zero_p = state
     if scaled is None:
         out[:] = 0.0
@@ -228,6 +238,8 @@ def _power_means_of(state: PowerMeanState, qs: np.ndarray, out: np.ndarray) -> N
             terms = _row_powers(scaled, chunk, zero_p)
         else:
             terms = scaled ** chunk[:, None]
+        if squares:
+            terms[chunk == 2.0] = scaled ** np.full(scaled.size, 2.0)
         np.add.reduce(terms, axis=1, out=out[start : start + step])
     out /= scaled.size
 

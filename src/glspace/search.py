@@ -562,7 +562,7 @@ def sup_rows(
         num, den, ys = (a.reshape(rows, n) for a in _eval_parts(parts, xs.ravel(), scan_rows))
     r, i, il, ih, k, n_flat = _brackets(xs, ys, known)
     certified = 0
-    if lower == (None, True):
+    if lower is not None and lower[0] is None and lower[1]:
         sure = _certified(xs, ys, num, den, r[k], i[k], refine_tol)
         certified = int(np.count_nonzero(sure))
         k = k[~sure]

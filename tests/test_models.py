@@ -353,14 +353,30 @@ def test_power_mean_array_matches_scalar(n, n_p):
     np.testing.assert_array_equal(two_d.ravel(), got[:-2])
 
 
+@pytest.mark.parametrize("seed", [11, 30])
+def test_p_2_has_the_same_bits_in_any_array(seed):
+    # NumPy squares where the exponent 2 reaches its loop as a scalar and
+    # takes pow where it buffers the exponents: on AVX-512 loops, for these
+    # two 64-value samples, p = 2 among three or more p differed from p = 2
+    # alone in the last place
+    values = np.abs(np.random.default_rng(seed).normal(size=64))
+    state = PowerMeanState.of(values)
+    alone = power_mean(state, 2.0)
+    for ps in ([2.0, 3.0, 5.0], [1.5, 2.0, 2.0, 7.0], [2.0] * 40, [2.0, 3.0]):
+        assert power_mean(state, np.array(ps))[ps.index(2.0)] == alone, ps
+    assert alone == _plain_power_mean(values, 2.0)
+
+
 def _plain_power_mean(values, p):
-    """power_mean with every term passed to pow: scalar p and one chunk of
+    """power_mean with every term passed to pow, against an array of
+    exponents (so that NumPy never squares): scalar p and one chunk of
     array p, as the kernel computed them before it skipped zero terms."""
     mx = float(values.max())
     scaled = values / mx
     if isinstance(p, float):
-        return mx * float(np.add.reduce(scaled**p) / scaled.size) ** (1.0 / p)
-    return mx * np.float_power(np.add.reduce(scaled ** p[:, None], axis=1) / scaled.size, 1.0 / p)
+        return mx * float(np.add.reduce(scaled ** np.full(scaled.size, p)) / scaled.size) ** (1.0 / p)
+    terms = np.array([scaled ** np.full(scaled.size, q) for q in p.tolist()])
+    return mx * np.float_power(np.add.reduce(terms, axis=1) / scaled.size, 1.0 / p)
 
 
 @given(
@@ -383,8 +399,8 @@ def test_skipping_zero_terms_keeps_the_power_mean_bits(seed, n, scale, p, ps):
 
 @given(binades=st.lists(st.floats(-1074.0, -550.0), min_size=1, max_size=100), zeros=st.integers(0, 3))
 def test_squares_below_the_cut_are_skipped_with_the_same_bits(binades, zeros):
-    # the smallest value is below 2^-550, so p = 2 is past zero_p; the kept
-    # terms take numpy's square fast path in both routes
+    # the smallest value is below 2^-550, so p = 2 is past zero_p; its
+    # terms go through pow, never NumPy's square, on both routes
     small = np.resize(2.0 ** np.array(binades), _ZERO_MIN_VALUES)
     values = np.r_[1.0, np.zeros(zeros), small, 2.0**-549]
     assert PowerMeanState.of(values).zero_p < 2.0

@@ -6,8 +6,9 @@ largest of its scan values and of every point golden section evaluates
 in its refined brackets, x1 and x2 included, ties going to the smallest
 p.  A guessed round's points past its first wrong guess are not among
 them: they are discarded, so that the result keeps golden section's
-bits.  With one, which may prune the scan and rule brackets out, the
-same holds for each search's largest row value."""
+bits.  The end certificate keeps that contract row by row.  Where the
+scan was pruned or a bracket ruled out under the envelope, it holds for
+each search's largest row value."""
 
 import functools
 
@@ -129,11 +130,11 @@ def _case(draw):
         scale = peak / (xs[0, start] + draw(st.floats(0.02, 0.98)) * (xs[0, stop] - xs[0, start]))
         if 1.0 < peak < _DENSE[-1] and xs[0, 0] * scale >= 1.0:
             xs[0] *= scale
-        # psi's own envelope, with and without its concave chord, or one
-        # declared: psi itself, or half of it, both with the chord (the
-        # bumps draw no envelope)
+        # no envelope; psi's own, most often with its concave chord (the end
+        # certificate), or without it; or one declared: psi itself, or half
+        # of it, both with the chord (the bumps draw no envelope)
         kw = {"lower": draw(st.sampled_from([
-            (None, True), (None, False),
+            None, (None, True), (None, True), (None, True), (None, False),
             (lambda p: psi_eval(psi, p), True), (lambda p: 0.5 * psi_eval(psi, p), True),
         ]))}
         group = np.zeros(k, dtype=int)
@@ -224,10 +225,12 @@ def test_every_route_keeps_the_row_contract(case):
     else:
         assert res.reran == refined
     got = list(zip(res.values.tolist(), (-res.args).tolist()))
-    if lower is None:
+    if lower is None or (res.pruned == 0 and res.ruled_out == 0):
+        # the end certificate changes no row's value: only a pruned cell or
+        # a bracket ruled out can
         assert got == best
     else:
-        # under an envelope: each search's largest row value and its
+        # pruned or ruled out: each search's largest row value and its
         # argument, above its floor; no row beats its full contract
         floors = kw.get("floor", [-np.inf] * (int(group.max()) + 1))
         for k in np.unique(group).tolist():
