@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,38 +23,39 @@ from .models import RandomVariableModel, _check_p, _shaped
 
 @dataclass(frozen=True)
 class GeneratingFunction:
-    """Positive evaluator on [1, inf) with declared shape flags.
+    """Positive evaluator on [1, inf) with one declared fact about its shape.
 
-    nondecreasing is a promise made by the constructor that psi is
-    nondecreasing on all of [1, inf); it is trusted, never checked.  Such
-    a psi is its own lower envelope in a norm search's cell bounds (see
-    search), and the Z/W gap analysis needs no more than that.
-    log_concave, keyword-only, is a second such promise: ln psi is
-    concave in p on [1, inf), so on a scan cell ln psi lies above its
-    chord, which the cell bound then takes in place of psi at the cell's
-    left end.  It is read only with nondecreasing: a concave ln psi that
-    decreases somewhere decreases without bound, so such a psi has no
-    finite norm to certify.  Only a constructor that knows its formula
-    sets it, and it takes no part in equality or hashing.  lower,
-    keyword-only, is a third: a lower envelope L of psi, an array function
-    with L(p) <= psi(p) on [1, inf), bit for bit as computed, L
-    nondecreasing and ln L concave.  A norm search bounds its cells with L
-    in place of psi, to prune its scan and to rule out the refinement of
-    a scan peak whose bound lies below the best value found (see search);
-    a psi flagged nondecreasing needs none.  It takes no part in equality
-    or hashing either.  value_at_one caches psi(1).
+    envelope, keyword-only, is a promise made by the constructor, trusted
+    and never checked: None promises nothing, and a pair (L, chord)
+    promises a lower envelope of psi on [1, inf), nondecreasing, with a
+    concave log where chord is set.  The envelope is psi itself where L is
+    None; else it is L, an array function with L(p) <= psi(p) on
+    [1, inf), bit for bit as computed.  A norm search whose moments are
+    exact hands the pair to search.sup_rows as its ``lower``, which bounds
+    the ratio on a scan cell with the envelope, or with its chord, in
+    place of psi: to prune the scan, to rule out the refinement of a scan
+    peak whose bound lies below the best value found, and, for psi itself
+    with its chord, to leave a row-end peak unrefined (see search).  The
+    envelope takes part in equality and hashing, and so in the W^ memo
+    key.  nondecreasing, psi being its own envelope, is what the Z and W
+    monotone test reads.  value_at_one is psi(1), computed once.
     """
 
     evaluator: Callable[[float | np.ndarray], float | np.ndarray]
-    nondecreasing: bool
-    value_at_one: float
     description: str = ""
     #: the model a natural psi is the moment ratio |f|_p / |f|_1 of
     source: Optional[RandomVariableModel] = field(default=None, compare=False, repr=False)
-    #: ln psi is concave in p on [1, inf); trusted, never checked
-    log_concave: bool = field(default=False, compare=False, kw_only=True)
-    #: a lower envelope of psi, nondecreasing with ln concave; trusted, never checked
-    lower: Optional[Callable[[np.ndarray], np.ndarray]] = field(default=None, compare=False, repr=False, kw_only=True)
+    #: (L or None for psi itself, chord): a nondecreasing lower envelope,
+    #: ln concave where chord is set; trusted, never checked
+    envelope: Optional[tuple] = field(default=None, kw_only=True)
+
+    @property
+    def nondecreasing(self) -> bool:
+        return self.envelope is not None and self.envelope[0] is None
+
+    @cached_property
+    def value_at_one(self) -> float:
+        return psi_eval(self, 1.0)
 
     def __call__(self, p):
         return psi_eval(self, p)
@@ -107,12 +109,11 @@ def _ln3_pow(delta: float) -> float:
 
 def _power_slowvary(params: PowerSlowVaryParams, scale: float, name: str) -> GeneratingFunction:
     """p^(1/r) * ln^delta(2+p) / scale.  For delta >= 0 both factors
-    increase, so the nondecreasing flag is set; negative delta can bend
-    the product downward and the flag is left unset.  For delta >= 0,
-    ln psi = (1/r) ln p + delta ln ln(2+p) - ln scale is a sum of concave
-    terms (ln ln(2+p) is concave: its second derivative is
-    -(1 + ln(2+p)) / ((2+p) ln(2+p))^2), so log_concave is set too; for
-    delta < 0 the middle term is convex and it is not.  DomainError
+    increase, and ln psi = (1/r) ln p + delta ln ln(2+p) - ln scale is a
+    sum of concave terms (ln ln(2+p) is concave: its second derivative is
+    -(1 + ln(2+p)) / ((2+p) ln(2+p))^2), so psi is its own envelope, with
+    its chord; negative delta can bend the product downward, and makes
+    the middle term convex, so no envelope is declared.  DomainError
     when the scale or psi(1) = ln^delta(3) / scale is not finite and
     positive: a delta that large in magnitude leaves no usable psi."""
     r, delta = params.r, params.delta
@@ -128,13 +129,7 @@ def _power_slowvary(params: PowerSlowVaryParams, scale: float, name: str) -> Gen
     def evaluator(p):
         return np.power(p, 1.0 / r) * np.log(2.0 + p) ** delta / scale
 
-    return GeneratingFunction(
-        evaluator=evaluator,
-        nondecreasing=delta >= 0.0,
-        value_at_one=float(evaluator(1.0)),
-        description=description,
-        log_concave=delta >= 0.0,
-    )
+    return GeneratingFunction(evaluator, description, envelope=(None, True) if delta >= 0.0 else None)
 
 
 def make_power_slowvary(params: PowerSlowVaryParams) -> GeneratingFunction:
@@ -156,8 +151,9 @@ def natural_psi(model) -> GeneratingFunction:
     By construction psi_f(1) = 1 exactly and the GLS ratio
     |f|_p / psi_f(p) is constant in p, which makes exact norm fixtures.
     Every model lives on a probability space, where |f|_p is nondecreasing
-    in p (Lyapunov's inequality), so psi_f is nondecreasing by construction;
-    it may be flat (identically 1 for a constant |f|).
+    in p (Lyapunov's inequality), so psi_f is nondecreasing by construction,
+    its own envelope without a chord; it may be flat (identically 1 for a
+    constant |f|).
     """
     m1 = float(model.lp_norm(1.0))
     if m1 == 0.0:
@@ -166,13 +162,7 @@ def natural_psi(model) -> GeneratingFunction:
     def evaluator(p):
         return np.asarray(model.lp_norm(p), dtype=float) / m1
 
-    return GeneratingFunction(
-        evaluator=evaluator,
-        nondecreasing=True,
-        value_at_one=1.0,
-        description=f"natural({getattr(model, 'label', 'model')})",
-        source=model,
-    )
+    return GeneratingFunction(evaluator, f"natural({getattr(model, 'label', 'model')})", model, envelope=(None, False))
 
 
 def sqrt_dip_psi() -> GeneratingFunction:
@@ -184,18 +174,13 @@ def sqrt_dip_psi() -> GeneratingFunction:
     to a factor 1.5 between integers.  Exercises the equivalence-constant
     variant that replaces the left grid value by a minimum over the cell.
 
-    Its lower envelope is sqrt(p) / 1.5, the ripple at its least, and it
-    holds bit for bit: the computed ripple factor 1 + 0.5 cos^2 is at
-    least 1, and each later step rounds monotonically.
+    Its declared envelope is sqrt(p) / 1.5, the ripple at its least, with
+    its chord (ln sqrt is concave), and it holds bit for bit: the
+    computed ripple factor 1 + 0.5 cos^2 is at least 1, and each later
+    step rounds monotonically.
     """
 
     def evaluator(p):
         return np.sqrt(p) * (1.0 + 0.5 * np.cos(np.pi * np.asarray(p)) ** 2) / 1.5
 
-    return GeneratingFunction(
-        evaluator=evaluator,
-        nondecreasing=False,
-        value_at_one=float(evaluator(1.0)),
-        description="sqrt_dip",
-        lower=lambda p: np.sqrt(p) / 1.5,
-    )
+    return GeneratingFunction(evaluator, "sqrt_dip", envelope=(lambda p: np.sqrt(p) / 1.5, True))

@@ -293,11 +293,11 @@ _MONOTONE_POINTS = 1000
 
 
 def _check_monotone(psi: GeneratingFunction, end: float, advice: str) -> None:
-    """Pass when psi is flagged nondecreasing, or else is nondecreasing on
-    _MONOTONE_POINTS geometric samples of [1, end]: the Z and W constants
-    judge a finite window, so a sampled test serves them.  Otherwise a
-    NonMonotoneError naming the window, then ``advice``; a window of one
-    point, end <= 1, is a DomainError."""
+    """Pass when psi declares itself its own envelope (nondecreasing), or
+    else is nondecreasing on _MONOTONE_POINTS geometric samples of
+    [1, end]: the Z and W constants judge a finite window, so a sampled
+    test serves them.  Otherwise a NonMonotoneError naming the window,
+    then ``advice``; a window of one point, end <= 1, is a DomainError."""
     if psi.nondecreasing:
         return
     if not end > 1.0:
@@ -329,7 +329,7 @@ def z_constant(S: RestrictedSet, psi: GeneratingFunction) -> EquivalenceConstant
     Inside a segment p+(p) = p, so only the gaps contribute.  Over a gap
     (b, a) the supremum of psi(a)/psi(p) is the limit value psi(a)/psi(b)
     as p drops to b (psi continuous and nondecreasing); the closed-form
-    gap analysis therefore requires psi to be flagged nondecreasing or
+    gap analysis therefore requires psi to be declared nondecreasing or
     sampled nondecreasing up to the last gap end, and rejects anything
     else (the W^ machinery covers non-monotone psi).  A bounded set has
     nothing beyond its last point, so p_plus diverges there and Z = +inf
@@ -387,9 +387,9 @@ def w_hat_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConst
     memoized on psi and the bytes of the grid values (_w_hat_memo), which
     keeps the 32 most recent psi alive (and the model of a natural psi).
     Two psi share an entry only when they compare equal (the same
-    evaluator object, flag, psi(1) and description).  An error is not
-    memoized, and a psi that cannot be hashed (an unhashable evaluator) is
-    computed every time.
+    evaluator object, description and envelope).  An error is not
+    memoized, and a psi that cannot be hashed (an unhashable evaluator or
+    envelope) is computed every time.
     """
     if q.M < 2:
         raise DomainError("W^ needs at least two grid points")

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -45,6 +46,13 @@ _POWER_MEAN_BLOCK = 1 << 18
 
 class MomentInstabilityWarning(UserWarning):
     """Plug-in moment of an empirical sample is dominated by its maximum."""
+
+
+#: set while a search asks again for p that it has already been warned
+#: about (norms._one_plugin_warning): EmpiricalModel.lp_norm stays quiet
+#: without a change to the warnings filters, whose every change resets
+#: the record of the warnings already shown
+_REPEATED_P = ContextVar("repeated_p", default=False)
 
 
 @dataclass(frozen=True)
@@ -354,7 +362,7 @@ class EmpiricalModel(PowerMeanModel):
     def lp_norm(self, p):
         out = power_mean(self._moments, p)
         top = float(np.asarray(p).max(initial=1.0))
-        if top > self.stable_p:
+        if top > self.stable_p and not _REPEATED_P.get():
             warnings.warn(
                 f"plug-in moment at p={top:g} with n={self.values.size} is dominated by the sample maximum",
                 MomentInstabilityWarning,

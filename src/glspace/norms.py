@@ -42,7 +42,6 @@ the offending p recorded as the witness.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -64,9 +63,9 @@ from .grids import (
 from .models import (
     ClosedFormModel,
     EmpiricalModel,
-    MomentInstabilityWarning,
     PowerMeanModel,
     RandomVariableModel,
+    _REPEATED_P,
     power_means,
 )
 from .search import _eval_parts, sup_rows
@@ -197,13 +196,15 @@ def _costs_per_point(model) -> bool:
     return isinstance(model, PowerMeanModel) and model.values.size >= _PRUNE_MIN_VALUES
 
 
-def _one_plugin_warning(pair, stable_p: float):
+def _one_plugin_warning(pair):
     """``pair``, quiet about plug-in moments on a call whose p all lie at or
     below the largest p an earlier call reached.  A plug-in warning names
     the largest p of its call, and the scan's first call reaches the
     largest p of its rows, so the refinement and the later pruning levels
-    only repeat it.  A call whose p all lie at or below ``stable_p``, where
-    no plug-in moment warns, runs as it is."""
+    only repeat it.  They are quieted through models._REPEATED_P, not
+    through the warnings filters, whose every change makes Python forget
+    the warnings it has shown: a loop of norms shows each warning once
+    under the default filter."""
     reached = -math.inf
 
     def quiet_after_the_first(p):
@@ -212,11 +213,11 @@ def _one_plugin_warning(pair, stable_p: float):
         if top > reached:
             reached = top
             return pair(p)
-        if top <= stable_p:
+        token = _REPEATED_P.set(True)
+        try:
             return pair(p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", MomentInstabilityWarning)
-            return pair(p)
+        finally:
+            _REPEATED_P.reset(token)
 
     return quiet_after_the_first
 
@@ -260,16 +261,18 @@ def domain_search(model: RandomVariableModel, p_max: float, rset: Optional[Restr
     segments = [(1.0, p_max)] if rset is None else rset.segments_to(p_max)
     lo, hi = np.array(segments, dtype=float).T
     span = lo < hi
-    rows = _scan_rows(tuple(lo[span].tolist()), tuple(hi[span].tolist()), _SCAN_POINTS, True)
+    rows = _scan_rows(lo[span].tobytes(), hi[span].tobytes(), _SCAN_POINTS, True)
     return NormSearch(model, p_max, rows, lo[~span], truncated=rset is None or rset.sup_value > p_max)
 
 
 @lru_cache(maxsize=32)
-def _scan_rows(lo: tuple, hi: tuple, points: int, geometric: bool) -> np.ndarray:
+def _scan_rows(lo: bytes, hi: bytes, points: int, geometric: bool) -> np.ndarray:
     """The scan rows of ``points`` points from lo[k] to hi[k], geometric or
-    evenly spaced, their ends exact.  Every norm over one domain or W^ grid
-    scans the same rows, so the last 32 domains' or grids' rows are kept,
-    read-only."""
+    evenly spaced, their ends exact; the row ends come as the bytes of
+    float arrays, as grids.w_hat_constant keys its memo.  Every norm over
+    one domain or W^ grid scans the same rows, so the last 32 domains' or
+    grids' rows are kept, read-only."""
+    lo, hi = np.frombuffer(lo), np.frombuffer(hi)
     rows = (np.geomspace if geometric else np.linspace)(lo, hi, points, axis=1)
     rows[:, 0], rows[:, -1] = lo, hi
     rows.flags.writeable = False
@@ -287,7 +290,7 @@ def _cell_search(model: RandomVariableModel, gtr: GridSequence) -> NormSearch:
     has no cell, and its window [1, 1] is that point, as in
     domain_search."""
     v = gtr.values
-    xs = _scan_rows(tuple(v[:-1].tolist()), tuple(v[1:].tolist()), _CELL_POINTS, False)
+    xs = _scan_rows(v[:-1].tobytes(), v[1:].tobytes(), _CELL_POINTS, False)
     return NormSearch(model, v[-1], xs, _NO_POINTS if v.size > 1 else v)
 
 
@@ -327,26 +330,24 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     every model's moments are exact (a PowerMeanModel of any size or a
     ClosedFormModel: p-norms on a probability space, whose rounding the
     chord bound's margins cover; a moment by quadrature errs by more),
-    ``lower`` is psi's declared envelope (GeneratingFunction.lower) with
-    its concave chord, or else, for a nondecreasing psi, psi itself, with
-    the chord of ln psi where psi promises log_concave.  ``per_point``
-    holds where any model, or the model of psi, costs by the point
-    (_costs_per_point).  From them the scan is pruned, against the best
-    exact-point value too, a row-end peak that golden section cannot beat
-    is not refined, a search of more than SCALAR_BRACKETS brackets drops
-    those its envelope rules out (the W^ full norm under sqrt_dip, one
-    interior peak in each of its cells, refines one or two of about two
-    hundred), and the route is chosen: up to SCALAR_BRACKETS brackets,
-    counted over every search, refine in guessed rounds, more in
-    lockstep, and every bracket of a ratio that costs by the point in
-    lockstep.  Pruning runs in levels, and each power mean skips the terms
-    that underflow to exactly 0.0 at large p (models.power_mean), so a
-    large sample pays for the points and terms that can change the result
-    and no others.  Kept per search: the pruning floor and best value, the
-    count, the edge evidence.  Every result has the bits of its search
-    alone; its count is that search's too, unless more brackets in all
-    than its own send it lockstep, which asks for no point off golden
-    section's path.
+    ``lower`` is the envelope psi declares (GeneratingFunction.envelope);
+    elsewhere it is None.  ``per_point`` holds where any model, or the
+    model of psi, costs by the point (_costs_per_point).  From them the
+    scan is pruned, against the best exact-point value too, a row-end
+    peak that golden section cannot beat is not refined, a search of more
+    than SCALAR_BRACKETS brackets drops those its envelope rules out (the
+    W^ full norm under sqrt_dip, one interior peak in each of its cells,
+    refines one or two of about two hundred), and the route is chosen: up
+    to SCALAR_BRACKETS brackets, counted over every search, refine in
+    guessed rounds, more in lockstep, and every bracket of a ratio that
+    costs by the point in lockstep.  Pruning runs in levels, and each
+    power mean skips the terms that underflow to exactly 0.0 at large p
+    (models.power_mean), so a large sample pays for the points and terms
+    that can change the result and no others.  Kept per search: the
+    pruning floor and best value, the count, the edge evidence.  Every
+    result has the bits of its search alone; its count is that search's
+    too, unless more brackets in all than its own send it lockstep, which
+    asks for no point off golden section's path.
 
     A search alone raises what it meets, except that a divergent moment
     gives the norm +inf with that p as its witness.  A shared search that
@@ -365,21 +366,16 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     models = [s.model for s in searches]
     shared = len(searches) > 1
     one_model = all(m is models[0] for m in models)
-    stable = [m.stable_p for m in (*models, psi.source) if isinstance(m, EmpiricalModel)]
-    exact = all(isinstance(m, (PowerMeanModel, ClosedFormModel)) for m in models)
-    lower = None
-    if exact and psi.lower is not None:
-        lower = (psi.lower, True)
-    elif exact and psi.nondecreasing:
-        lower = (None, psi.log_concave)
+    plugin = any(isinstance(m, EmpiricalModel) for m in (*models, psi.source))
+    lower = psi.envelope if all(isinstance(m, (PowerMeanModel, ClosedFormModel)) for m in models) else None
     blocks = [s.rows for s in searches if s.rows.shape[0]]
     mixed = not (one_model or all(_stacks(m, psi) for m in models))
-    if shared and (stable or mixed or len({rows.shape[1] for rows in blocks}) > 1):
+    if shared and (plugin or mixed or len({rows.shape[1] for rows in blocks}) > 1):
         return None
     n_parts = len(searches)
     if one_model:
         pair = _ratio_fn(models[0], psi)
-        pair = _one_plugin_warning(pair, min(stable)) if stable else pair
+        pair = _one_plugin_warning(pair) if plugin else pair
     else:
         stacked = _stacked_ratio(psi, models)
     per_point = any(map(_costs_per_point, (*models, psi.source)))

@@ -28,7 +28,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::glspace.models.MomentInstabilit
 # power-family psi that promises a concave ln psi
 PSIS = [make(PowerSlowVaryParams(r, d)) for make in (make_power_slowvary, raw_power_slowvary)
         for r in (0.5, 1.0, 2.0, 4.0, 8.0) for d in (0.0, 0.5, 2.0)]
-assert all(psi.log_concave for psi in PSIS)
+assert all(psi.envelope == (None, True) for psi in PSIS)
 
 # points of each sub-interval at which ln f is evaluated
 DENSE = 129

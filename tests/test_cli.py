@@ -496,7 +496,7 @@ def test_nan_ratio_exits_2(capsys, monkeypatch):
     def evaluator(p):
         return np.where(np.asarray(p) > 50.0, np.nan, np.sqrt(p))
 
-    nan_psi = GeneratingFunction(evaluator, False, 1.0, "nan_above_50")
+    nan_psi = GeneratingFunction(evaluator, "nan_above_50")
     monkeypatch.setattr(glspace.cli, "psi_from_spec", lambda spec: nan_psi)
     code, out, err = run_cli(capsys, "norm", "--model", "exponential", "--psi", "nan_above_50")
     assert code == 2 and out == ""

@@ -12,14 +12,21 @@ from glspace import (
     DomainError,
     EmpiricalModel,
     GeneratingFunction,
+    GroupFunctionModel,
     PowerSlowVaryParams,
+    constant_model,
+    cyclic_group,
+    exponential_model,
     gaussian_model,
     make_power_slowvary,
     natural_psi,
     psi_eval,
+    rademacher_model,
     raw_power_slowvary,
     sqrt_dip_psi,
+    uniform01_model,
 )
+from glspace.suites import psi_pool
 
 
 @pytest.mark.parametrize("r,delta", [(0.5, 0.0), (1.0, 0.0), (2.0, 1.0), (3.0, 2.5)])
@@ -35,8 +42,12 @@ def test_descriptions_round_trip_parameters():
 
 
 def test_monotone_flag_tracks_delta_sign():
-    assert make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=0.5)).nondecreasing
-    assert not make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=-0.5)).nondecreasing
+    # delta >= 0: psi is its own envelope, with its chord; delta < 0: no
+    # envelope, and nondecreasing is read off the envelope
+    up = make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=0.5))
+    bent = make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=-0.5))
+    assert up.envelope == (None, True) and up.nondecreasing
+    assert bent.envelope is None and not bent.nondecreasing
 
 
 def test_invalid_exponent_rejected():
@@ -78,13 +89,13 @@ def test_psi_out_of_range_is_a_domain_error_naming_p(delta, value):
 
 
 def test_psi_evaluation_rejects_a_negative_value_and_passes_nan_on():
-    negative = GeneratingFunction(lambda p: 2.0 - np.asarray(p), False, 1.0, "two_minus_p")
+    negative = GeneratingFunction(lambda p: 2.0 - np.asarray(p), "two_minus_p")
     with pytest.raises(DomainError, match=r"^two_minus_p: psi\(p\) = -1 at p=3.0;"):
         psi_eval(negative, 3.0)
     with pytest.raises(DomainError, match=r"^two_minus_p: psi\(p\) = 0 at p=2.0;"):
         psi_eval(negative, np.array([1.0, 2.0, 3.0]))
     # a NaN is the search's to name, with the p it was searching at
-    nan = GeneratingFunction(lambda p: np.sqrt(p) * np.nan, False, 1.0, "nan")
+    nan = GeneratingFunction(lambda p: np.sqrt(p) * np.nan, "nan")
     assert math.isnan(psi_eval(nan, 2.0))
     assert np.isnan(psi_eval(nan, np.array([1.0, 2.0]))).all()
 
@@ -132,7 +143,7 @@ def test_natural_family_is_the_moment_ratio():
     assert psi_eval(psi, 1.0) == 1.0
     # |f|_2 / |f|_1 = 1 / sqrt(2/pi) for the standard normal
     assert psi_eval(psi, 2.0) == pytest.approx(math.sqrt(math.pi / 2.0), rel=1e-12)
-    assert psi.nondecreasing
+    assert psi.envelope == (None, False) and psi.nondecreasing
     assert psi.description == "natural(gaussian)"
 
 
@@ -182,3 +193,66 @@ def test_psi_over_concatenated_points_gives_each_slice_its_bits(r, delta, raw, s
         whole = psi_eval(psi, np.concatenate(slices))
         alone = np.concatenate([psi_eval(psi, p) for p in slices])
         assert whole.tobytes() == alone.tobytes()
+
+
+def _shipped_psi() -> list:
+    """Every kind of psi the package builds: every power_slowvary(r,
+    delta >= 0) of the benchmark's pools (the sandwich and algebra psi
+    pool, the norm workload's grid, the tail workload), the algebra
+    suite's raw members, members with delta < 0, the natural psi of every
+    closed form, of a sample and of a group function, and sqrt_dip."""
+    normalized = sorted({(r, d) for r in (0.5, 1.0, 2.0, 3.0, 4.0) for d in (0.0, 0.5, 1.0)} | {(1.5, 0.5), (1.0, 2.0)})
+    assert {psi.description for psi in psi_pool()} <= {f"power_slowvary(r={r:g}, delta={d:g})" for r, d in normalized}
+    raw = [raw_power_slowvary(PowerSlowVaryParams(r, d)) for r, d in ((1.0, 0.5), (2.0, 1.0), (1.0, 2.0), (3.0, 0.5), (0.5, 1.0))]
+    bent = [make(PowerSlowVaryParams(r, d)) for make in (make_power_slowvary, raw_power_slowvary)
+            for r, d in ((1.0, -0.5), (3.0, -1.0))]
+    sample = EmpiricalModel(1.7 * np.random.default_rng(11).standard_normal(256))
+    group = GroupFunctionModel(cyclic_group(64), np.random.default_rng(7).standard_normal(64))
+    models = (gaussian_model(), exponential_model(), uniform01_model(), rademacher_model(), constant_model(2.5), sample, group)
+    return [*(make_power_slowvary(PowerSlowVaryParams(r, d)) for r, d in normalized), *raw, *bent,
+            *(natural_psi(m) for m in models), sqrt_dip_psi()]
+
+
+SHIPPED = _shipped_psi()
+
+
+def _envelope_points():
+    """Every integer and half-integer of [1, 1e4], then 1e5 seeded points of
+    [1, 1e6]."""
+    rng = np.random.default_rng(34)
+    return np.concatenate([np.arange(2, 20001) / 2.0, rng.uniform(1.0, 1e6, 100_000)])
+
+
+@pytest.mark.filterwarnings("ignore::glspace.models.MomentInstabilityWarning")
+@pytest.mark.parametrize("psi", SHIPPED, ids=lambda psi: psi.description)
+def test_every_shipped_psi_keeps_its_envelope_promise(psi):
+    # the envelope, psi itself or a declared L, is nondecreasing; a declared
+    # L is at most psi bit for bit, one point at a time too (a scalar
+    # reaches the evaluator as a one-element array); with the chord, the
+    # second divided differences of the envelope's log on a dense
+    # geometric grid over [1, 1e6] are at most the rounding of the log (a
+    # few ulp of its magnitude plus the envelope's own few ulp) over the
+    # steps
+    if psi.envelope is None:
+        return
+    L, chord = psi.envelope
+    envelope = psi if L is None else L
+    p = _envelope_points()
+    if L is not None:
+        assert (L(p) <= psi_eval(psi, p)).all()
+        assert all(L(np.array([x]))[0] <= psi(x) for x in p[:2000].tolist())
+    assert (np.diff(envelope(np.sort(p))) >= 0.0).all()
+    if chord:
+        p = np.geomspace(1.0, 1e6, 4001)
+        ell = np.log(envelope(p))
+        h = np.diff(p)
+        rounding = 8.0 * np.spacing(np.abs(ell).max() + 1.0)
+        assert (np.diff(np.diff(ell) / h) <= 4.0 * rounding / h[:-1]).all()
+
+
+@pytest.mark.parametrize("psi", SHIPPED, ids=lambda psi: psi.description)
+def test_value_at_one_is_the_evaluators_value_at_one(psi):
+    # computed from the evaluator through psi_eval, with the bits of the
+    # evaluator's own value at the float 1.0
+    assert psi.value_at_one == float(psi.evaluator(1.0))
+    assert type(psi.value_at_one) is float

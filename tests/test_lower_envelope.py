@@ -1,6 +1,6 @@
-"""The lower envelope of a generating function: sqrt_dip's sqrt(p) / 1.5 is
-at most psi bit for bit and nondecreasing, and a norm search that rules
-out brackets by it keeps every bit of every norm; an envelope above psi
+"""The lower envelope of a generating function: sqrt_dip's sqrt(p) / 1.5
+touches psi, takes part in equality, and a norm search that rules out
+brackets by it keeps every bit of every norm; an envelope above psi
 does not."""
 
 import dataclasses
@@ -26,7 +26,8 @@ from glspace import (
     sqrt_dip_psi,
     uniform01_model,
 )
-from glspace import norms, search
+from glspace import grids, norms, search
+from glspace.grids import w_hat_constant
 from glspace.norms import _cell_search, domain_search, grid_search, sup_norms
 
 pytestmark = pytest.mark.filterwarnings("ignore::glspace.models.MomentInstabilityWarning")
@@ -34,31 +35,25 @@ pytestmark = pytest.mark.filterwarnings("ignore::glspace.models.MomentInstabilit
 CLOSED = [gaussian_model(), exponential_model(), uniform01_model(), rademacher_model(), constant_model(2.5)]
 
 
-def _points():
-    """Every integer and half-integer of [1, 1e4], then 1e5 seeded points of
-    [1, 1e6]."""
-    rng = np.random.default_rng(34)
-    return np.concatenate([np.arange(2, 20001) / 2.0, rng.uniform(1.0, 1e6, 100_000)])
-
-
-def test_sqrt_dips_lower_envelope_is_at_most_psi_bit_for_bit_and_nondecreasing():
-    psi, p = sqrt_dip_psi(), _points()
-    low = psi.lower(p)
-    assert (low <= psi_eval(psi, p)).all()
-    # one point at a time too: a scalar reaches the evaluator as a
-    # one-element array
-    assert all(psi.lower(np.array([x]))[0] <= psi(x) for x in p[:2000].tolist())
-    order = np.argsort(p, kind="stable")
-    assert (np.diff(psi.lower(p[order])) >= 0.0).all()
-    # the ripple touches the envelope at every half-integer
-    half = np.arange(3, 2001, 2) / 2.0
-    assert np.allclose(psi.lower(half), psi_eval(psi, half), rtol=1e-15, atol=0.0)
-
-
-def test_the_envelope_takes_no_part_in_equality_or_hashing():
+def test_sqrt_dips_envelope_touches_psi_at_every_half_integer():
+    # the ripple is at its least there (the promise itself is checked with
+    # every shipped psi's, in test_generating)
     psi = sqrt_dip_psi()
-    off = dataclasses.replace(psi, lower=None)
-    assert off == psi and hash(off) == hash(psi) and off.lower is None
+    half = np.arange(3, 2001, 2) / 2.0
+    assert np.allclose(psi.envelope[0](half), psi_eval(psi, half), rtol=1e-15, atol=0.0)
+
+
+def test_the_envelope_takes_part_in_equality_and_hashing():
+    # so a psi without it, or with another, never shares psi's W^ memo entry
+    psi = sqrt_dip_psi()
+    off = dataclasses.replace(psi, envelope=None)
+    assert off != psi and off.envelope is None
+    assert dataclasses.replace(psi) == psi and hash(dataclasses.replace(psi)) == hash(psi)
+    assert dataclasses.replace(psi, envelope=(psi.envelope[0], False)) != psi
+    memo, q = grids._w_hat_memo, integer_grid(20)
+    memo.cache_clear()
+    assert w_hat_constant(q, off) == w_hat_constant(q, psi)
+    assert memo.cache_info()[:2] == (0, 2)
 
 
 def _norms(psi, case):
@@ -108,7 +103,7 @@ def _cases(draw):
 @given(case=_cases())
 def test_every_norm_keeps_its_bits_with_and_without_the_envelope(case):
     psi = sqrt_dip_psi()
-    assert _norms(psi, case) == _norms(dataclasses.replace(psi, lower=None), case)
+    assert _norms(psi, case) == _norms(dataclasses.replace(psi, envelope=None), case)
 
 
 def _routes(monkeypatch):
@@ -139,7 +134,10 @@ def _routes(monkeypatch):
 def test_a_w_hat_check_under_sqrt_dip_refines_one_or_two_brackets_in_guessed_rounds(monkeypatch, model):
     psi = sqrt_dip_psi()
     q = integer_grid(256)
-    off = sandwich_check_discrete(model, dataclasses.replace(psi, lower=None), q, use_w_hat=True)
+    off = sandwich_check_discrete(model, dataclasses.replace(psi, envelope=None), q, use_w_hat=True)
+    # psi's W^ from the memo, as off's is: its cell minima refine in
+    # lockstep, and are no part of the norm search
+    sandwich_check_discrete(model, psi, q, use_w_hat=True)
     seen = _routes(monkeypatch)
     rep = sandwich_check_discrete(model, psi, q, use_w_hat=True)
     for a, b in ((rep.full, off.full), (rep.inner, off.inner)):
@@ -164,7 +162,7 @@ def test_an_envelope_above_psi_loses_the_peak():
     # the bracket that holds the supremum falls below its scan value, and
     # the norm keeps that lower scan value
     psi = sqrt_dip_psi()
-    high = dataclasses.replace(psi, lower=lambda p: np.sqrt(p) / 1.4)
-    assert high.lower(np.array([1.5]))[0] > psi(1.5)
+    high = dataclasses.replace(psi, envelope=(lambda p: np.sqrt(p) / 1.4, True))
+    assert high.envelope[0](np.array([1.5]))[0] > psi(1.5)
     case = ("cells", gaussian_model(), integer_grid(60))
     assert _norms(high, case)[1][0] < _norms(psi, case)[1][0]

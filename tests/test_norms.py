@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 from itertools import count, takewhile
 
 import numpy as np
@@ -240,7 +241,7 @@ def nan_above_50_psi():
     def evaluator(p):
         return np.where(np.asarray(p) > 50.0, np.nan, np.sqrt(p))
 
-    return GeneratingFunction(evaluator, False, 1.0, "nan_above_50")
+    return GeneratingFunction(evaluator, "nan_above_50")
 
 
 def test_nan_ratio_raises_naming_p():
@@ -539,14 +540,14 @@ def test_one_search_gives_every_model_its_one_model_result(case):
 def test_the_route_counts_the_brackets_of_every_model(monkeypatch):
     # with room for 2 speculating brackets per search, the 2 + 2 + 1
     # brackets of the three models go lockstep together while each model
-    # alone speculates; the bits stay.  The psi makes no log_concave
-    # promise, so no bracket at a row end is certified away
+    # alone speculates; the bits stay.  The psi declares no envelope, so
+    # no bracket at a row end is certified away
     monkeypatch.setattr(search, "SCALAR_BRACKETS", 2)
     G = dihedral_group(6)
     rng = np.random.default_rng(8)
     models = _algebra_models(G, rng.standard_normal(12), rng.standard_normal(12))
     psi = make_power_slowvary(PowerSlowVaryParams(r=4.0, delta=-0.1))
-    assert not psi.log_concave
+    assert psi.envelope is None
     batched, lockstep = _searched(lambda: gls_norms(models, psi, 30.0))
     alone = [_searched(lambda: gls_norm(m, psi, 30.0)) for m in models]
     assert lockstep and not any(own_lockstep for _, own_lockstep in alone)
@@ -707,6 +708,10 @@ def test_a_shared_algebra_search_asks_psi_once_per_array_call(monkeypatch, S):
     rng = np.random.default_rng(12)
     f, g = rng.standard_normal(12), rng.standard_normal(12)
     psi, calls = _counted_psi(make_power_slowvary(PowerSlowVaryParams(r=3.0, delta=-1.0)))
+    # psi(1), the check's constant, is asked for once, on its first read
+    psi.value_at_one, psi.value_at_one
+    assert calls == [1]
+    calls[0] = 0
     arrays = [0]
     for owner in (norms, search):
         real = owner._eval_parts
@@ -795,3 +800,16 @@ def test_only_a_zero_model_is_noted_as_an_exact_zero():
     tiny = gls_norm(constant_model(1e-300), raw_power_slowvary(PowerSlowVaryParams(r=2.0, delta=700.0)), 3.0)
     assert (tiny.value, tiny.zero_model) == (0.0, False)
     assert "exactly 0" not in tiny.diagnostics
+
+
+def test_a_norm_in_a_loop_shows_its_plugin_warning_once():
+    # the search's repeat calls are quiet without a change to the warnings
+    # filters, whose every change resets the record of the warnings already
+    # shown: under the default filter, the second norm shows nothing new
+    model = EmpiricalModel(np.random.default_rng(5).standard_normal(256))
+    psi = sqrt_dip_psi()
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("default")
+        first, second = gls_norm(model, psi), gls_norm(model, psi)
+    assert [str(w.message) for w in seen] == ["plug-in moment at p=200 with n=256 is dominated by the sample maximum"]
+    assert first == second

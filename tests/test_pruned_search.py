@@ -1,7 +1,7 @@
 """The pruned scan: a ratio that costs by the point (a large sample or
-group function, as the model or as the model of psi) under a psi with a
-lower envelope (a psi flagged nondecreasing, or one that declares an
-envelope) skips the scan cells whose bound lies below the best value, and
+group function, as the model or as the model of psi) under a psi that
+declares a lower envelope (psi itself, nondecreasing, or an L below it)
+skips the scan cells whose bound lies below the best value, and
 must give the full scan's value, argument and edge evidence bit for bit."""
 
 import dataclasses
@@ -271,7 +271,7 @@ def _bound_cells():
 
 
 def _with_and_without_promise(psis):
-    return [(psi, flag) for psi in psis for flag in sorted({False, psi.log_concave})]
+    return [(psi, flag) for psi in psis for flag in sorted({False, psi.envelope[1]})]
 
 
 def _bound_violations(bounds, psis) -> int:
@@ -311,18 +311,18 @@ def test_the_bound_test_catches_a_chord_of_ln_num():
 def test_the_bound_test_catches_a_den_chord_on_a_log_convex_psi():
     # exp(p^2 / 5000) is nondecreasing but its log is strictly convex: the
     # chord of ln psi lies above ln psi, and the promise bounds nothing
-    convex = GeneratingFunction(lambda p: np.exp(np.square(p) / 5000.0), True, math.exp(1.0 / 5000.0), "convex")
+    convex = GeneratingFunction(lambda p: np.exp(np.square(p) / 5000.0), "convex", envelope=(None, False))
     assert _bound_violations(cell_bounds, [(convex, False)]) == 0
     assert _bound_violations(cell_bounds, [(convex, True)]) > 0
 
 
 def _nan_psi(bad):
-    """A psi flagged nondecreasing that is NaN where ``bad(p)``."""
+    """A psi, its own envelope, that is NaN where ``bad(p)``."""
 
     def evaluator(p):
         return np.where(bad(p), np.nan, np.sqrt(p))
 
-    return GeneratingFunction(evaluator, True, 1.0, "nan_sqrt")
+    return GeneratingFunction(evaluator, "nan_sqrt", envelope=(None, False))
 
 
 def test_nan_psi_names_the_full_scans_p():
@@ -352,7 +352,7 @@ def test_nan_psi_names_the_full_scans_p():
 
 
 def test_psi_overflow_names_the_full_scans_p():
-    # a 1024-value sample under a flagged (nondecreasing) psi whose value
+    # a 1024-value sample under a psi, its own envelope, whose value
     # overflows to inf from p = 1.17 on: the first level of the pruned scan
     # meets it at xs[64], the full scan at an earlier point
     model = EmpiricalModel(_sample(0, 8 * N, 11))
@@ -400,7 +400,7 @@ def test_only_ratios_that_cost_by_the_point_under_an_envelope_are_pruned(monkeyp
     assert not bent.nondecreasing and not _is_pruned(monkeypatch, big, bent)
     # not nondecreasing, but declaring one
     assert _is_pruned(monkeypatch, big, sqrt_dip_psi())
-    assert not _is_pruned(monkeypatch, big, dataclasses.replace(sqrt_dip_psi(), lower=None))
+    assert not _is_pruned(monkeypatch, big, dataclasses.replace(sqrt_dip_psi(), envelope=None))
     # a natural psi is nondecreasing on a sample, and its pair keeps the
     # one-moment-per-p division; a closed form under it costs by the point
     nat = natural_psi(big)
@@ -413,8 +413,8 @@ def test_only_ratios_that_cost_by_the_point_under_an_envelope_are_pruned(monkeyp
 
 
 def test_a_flat_natural_ratio_is_pruned_with_the_full_scan_bits(monkeypatch):
-    # |f| = c on every value: the natural psi is identically 1, flagged
-    # nondecreasing though not strictly increasing, and the ratio is flat
+    # |f| = c on every value: the natural psi is identically 1, its own
+    # envelope though not strictly increasing, and the ratio is flat
     signs = np.where(np.random.default_rng(3).random(512) < 0.5, -1.0, 1.0)
     model = EmpiricalModel(2.5 * signs)
     psi = natural_psi(model)
@@ -431,7 +431,7 @@ def test_a_declared_envelope_prunes_a_large_sample(n):
     model = EmpiricalModel(np.random.default_rng(n).standard_normal(n))
     psi, p_max = sqrt_dip_psi(), default_p_max(model)
     pruned = gls_norm(model, psi, p_max)
-    full = gls_norm(model, dataclasses.replace(psi, lower=None), p_max)
+    full = gls_norm(model, dataclasses.replace(psi, envelope=None), p_max)
     assert _bits(pruned) == _bits(full)
     assert pruned.n_evaluations < norms._SCAN_POINTS <= full.n_evaluations
 
@@ -441,48 +441,38 @@ def test_a_declared_envelope_prunes_a_large_sample(n):
 def test_a_closed_form_under_a_large_samples_natural_psi_is_pruned(model, which_set):
     # the model of psi costs by the point, so the closed-form ratio does
     # too, and psi, nondecreasing, is its own envelope: the scan is pruned,
-    # with the bits of the search of a psi without the flag
+    # with the bits of the search of a psi without the envelope
     psi = natural_psi(EmpiricalModel(1.7 * np.random.default_rng(11).standard_normal(1 << 14)))
     rset = _sets(0)[which_set]
     pruned = gls_norm(model, psi, 200.0, rset)
-    full = gls_norm(model, dataclasses.replace(psi, nondecreasing=False), 200.0, rset)
+    full = gls_norm(model, dataclasses.replace(psi, envelope=None), 200.0, rset)
     assert _bits(pruned) == _bits(full)
     assert pruned.n_evaluations < norms._SCAN_POINTS <= full.n_evaluations
 
 
-@pytest.mark.parametrize("psi", PSIS, ids=lambda psi: psi.description)
-def test_the_log_concave_promise_holds(psi):
-    # second divided differences of ln psi on a dense geometric grid over
-    # [1, 1e6] are at most the rounding of ln psi (a few ulp of |ln psi|
-    # plus psi's own few ulp) over the steps
-    assert psi.log_concave
-    p = np.geomspace(1.0, 1e6, 4001)
-    ell = np.log(psi(p))
-    h = np.diff(p)
-    rounding = 8.0 * np.spacing(np.abs(ell).max() + 1.0)
-    assert (np.diff(np.diff(ell) / h) <= 4.0 * rounding / h[:-1]).all()
-
-
 def test_only_the_power_family_with_nonnegative_delta_makes_the_promise():
-    assert not natural_psi(EmpiricalModel(_sample(0, N, 1))).log_concave
-    assert not sqrt_dip_psi().log_concave
+    # the chord of psi's own log; sqrt_dip's chord is its envelope's
+    assert natural_psi(EmpiricalModel(_sample(0, N, 1))).envelope == (None, False)
+    assert sqrt_dip_psi().envelope[0] is not None
     for make in (make_power_slowvary, raw_power_slowvary):
         for r, d in ((1.0, -0.5), (3.0, -1.0), (2.0, -0.25)):
-            assert not make(PowerSlowVaryParams(r, d)).log_concave
-    # a psi built by hand makes no promise, and the promise is no part of
+            assert make(PowerSlowVaryParams(r, d)).envelope is None
+    # a psi built by hand makes no promise, and the chord takes part in
     # equality
-    plain = GeneratingFunction(np.sqrt, True, 1.0, "sqrt")
-    assert not plain.log_concave
-    assert dataclasses.replace(plain, log_concave=True) == plain
+    plain = GeneratingFunction(np.sqrt, "sqrt")
+    assert plain.envelope is None and not plain.nondecreasing
+    own = dataclasses.replace(plain, envelope=(None, False))
+    assert own.nondecreasing and own != plain
+    assert dataclasses.replace(plain, envelope=(None, True)) != own
 
 
 def test_a_psi_with_a_wrapped_evaluator_keeps_its_promise(monkeypatch):
     # the benchmark tracer counts psi through dataclasses.replace(psi,
-    # evaluator=...): the copy keeps the promise, so a traced norm prunes as
-    # the plain one does, point for point
+    # evaluator=...): the copy keeps the envelope, so a traced norm prunes
+    # as the plain one does, point for point
     model, psi = _normal_under_root()
     wrapped = dataclasses.replace(psi, evaluator=lambda p: psi.evaluator(p))
-    assert wrapped.log_concave and wrapped.nondecreasing
+    assert wrapped.envelope == psi.envelope == (None, True) and wrapped.nondecreasing
     p_max = default_p_max(model)
     ref, res = gls_norm(model, psi, p_max), gls_norm(model, wrapped, p_max)
     assert (res.value, res.arg_p, res.n_evaluations) == (ref.value, ref.arg_p, ref.n_evaluations)
@@ -498,7 +488,7 @@ def test_the_chord_of_ln_psi_halves_the_points(which_set):
     # p = 1, and the bound without the chord drops nearly every cell too.)
     model = EmpiricalModel(np.random.default_rng(0).standard_normal(1 << 12))
     psi = make_power_slowvary(PowerSlowVaryParams(3.0, 0.0))
-    off = dataclasses.replace(psi, log_concave=False)
+    off = dataclasses.replace(psi, envelope=(None, False))
     rset = set_from_spec("intervals:1-3,9-inf") if which_set else None
     p_max = default_p_max(model)
     chord, flat = gls_norm(model, psi, p_max, rset=rset), gls_norm(model, off, p_max, rset=rset)

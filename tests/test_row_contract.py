@@ -55,9 +55,9 @@ def _state(seed: int, size: int) -> PowerMeanState:
 
 def _moments(states, psi, owner):
     """(num, den) of |f_k|_p / psi(p), f_k the sample of search k =
-    owner[row]: a p-norm on a probability space over a psi flagged
-    nondecreasing and log_concave, which pruning and the end certificate
-    need."""
+    owner[row]: a p-norm on a probability space over a psi whose envelope
+    is psi itself with its chord, (None, True), which pruning and the end
+    certificate need."""
 
     def parts(x, row):
         k = owner[row]
@@ -131,10 +131,11 @@ def _case(draw):
         if 1.0 < peak < _DENSE[-1] and xs[0, 0] * scale >= 1.0:
             xs[0] *= scale
         # no envelope; psi's own, most often with its concave chord (the end
-        # certificate), or without it; or one declared: psi itself, or half
-        # of it, both with the chord (the bumps draw no envelope)
+        # certificate, psi.envelope), or without it; or one declared: psi
+        # itself, or half of it, both with the chord (the bumps draw no
+        # envelope)
         kw = {"lower": draw(st.sampled_from([
-            None, (None, True), (None, True), (None, True), (None, False),
+            None, psi.envelope, psi.envelope, psi.envelope, (None, False),
             (lambda p: psi_eval(psi, p), True), (lambda p: 0.5 * psi_eval(psi, p), True),
         ]))}
         group = np.zeros(k, dtype=int)

@@ -266,7 +266,7 @@ def test_a_memo_hit_asks_psi_only_for_the_points_of_the_norm_search():
         asked.append(np.size(p))
         return dip.evaluator(p)
 
-    psi = GeneratingFunction(evaluator, False, dip.value_at_one, "counted sqrt_dip")
+    psi = GeneratingFunction(evaluator, "counted sqrt_dip")
     model, q = gaussian_model(), integer_grid(256)
     first = sandwich_check_discrete(model, psi, q, use_w_hat=True)
     # a miss also searches psi's 199 cells of 256 points for their minima
@@ -297,8 +297,8 @@ def test_two_grids_or_two_psi_never_share_a_memo_entry():
     memo = glspace.grids._w_hat_memo
     memo.cache_clear()
     # one description, two evaluators with different W^
-    root = GeneratingFunction(np.sqrt, True, 1.0, "same")
-    ripple = GeneratingFunction(sqrt_dip_psi().evaluator, False, 1.0, "same")
+    root = GeneratingFunction(np.sqrt, "same", envelope=(None, False))
+    ripple = GeneratingFunction(sqrt_dip_psi().evaluator, "same")
     grids = [integer_grid(40), glspace.geometric_grid(2, 6)]
     got = {(i, j): w_hat_constant(q, psi) for i, psi in enumerate((root, ripple)) for j, q in enumerate(grids)}
     assert memo.cache_info()[:2] == (0, 4)
@@ -321,7 +321,7 @@ class _UnhashableEvaluator:
 
 def test_a_psi_with_an_unhashable_evaluator_still_gets_its_w_hat_constant():
     dip = sqrt_dip_psi()
-    psi = GeneratingFunction(_UnhashableEvaluator(), False, dip.value_at_one, "unhashable sqrt_dip")
+    psi = GeneratingFunction(_UnhashableEvaluator(), "unhashable sqrt_dip")
     with pytest.raises(TypeError):
         hash(psi)
     q = integer_grid(256)
@@ -336,14 +336,14 @@ def test_a_psi_with_an_unhashable_evaluator_still_gets_its_w_hat_constant():
 
 
 def _nan_between(lo, hi, flagged=True):
-    """sqrt(p), but NaN on (lo, hi)."""
+    """sqrt(p), but NaN on (lo, hi); ``flagged``, its own envelope."""
 
     def evaluator(p):
         p = np.asarray(p, dtype=float)
         out = np.sqrt(p)
         return np.where((p > lo) & (p < hi), np.nan, out)
 
-    return GeneratingFunction(evaluator, flagged, 1.0, f"nan-on-({lo:g},{hi:g})")
+    return GeneratingFunction(evaluator, f"nan-on-({lo:g},{hi:g})", envelope=(None, False) if flagged else None)
 
 
 def _raised(call):
@@ -403,14 +403,14 @@ def test_a_non_monotone_psi_on_the_w_route_is_raised_after_a_clean_inner_norm():
     with pytest.raises(NonMonotoneError):
         sandwich_check_discrete(gaussian_model(), dip, q)
     # the inner norm meets a NaN: its error comes first
-    nan_dip = GeneratingFunction(lambda p: np.where(np.asarray(p) == 7.0, np.nan, dip.evaluator(p)), False, 1.0)
+    nan_dip = GeneratingFunction(lambda p: np.where(np.asarray(p) == 7.0, np.nan, dip.evaluator(p)))
     shared = _raised(lambda: sandwich_check_discrete(gaussian_model(), nan_dip, q))
     assert shared[0] is DomainError and "p=7.0" in shared[1]
     # the inner norm is clean and the full norm's scan meets a NaN on (7.2,
     # 7.8), between the grid points: the full norm's error comes before the
     # monotone test
     nan_full = GeneratingFunction(
-        lambda p: np.where((np.asarray(p) > 7.2) & (np.asarray(p) < 7.8), np.nan, dip.evaluator(p)), False, 1.0
+        lambda p: np.where((np.asarray(p) > 7.2) & (np.asarray(p) < 7.8), np.nan, dip.evaluator(p))
     )
     discrete_norm(gaussian_model(), nan_full, q.truncated(200))
     shared = _raised(lambda: sandwich_check_discrete(gaussian_model(), nan_full, q))
@@ -422,7 +422,7 @@ def test_a_non_monotone_psi_on_the_w_route_is_raised_after_a_clean_inner_norm():
     (False, psi_pool()[2], "W needs at least two grid points"),
     (True, psi_pool()[2], "W^ needs at least two grid points"),
     (True, sqrt_dip_psi(), "W^ needs at least two grid points"),
-    # a psi not flagged nondecreasing meets W's monotone test first, whose
+    # a psi that is not its own envelope meets W's monotone test first, whose
     # window [1, 1] is too short as well
     (False, sqrt_dip_psi(), "the monotone test needs a window [1, end] with end > 1, got 1"),
 ])

@@ -458,8 +458,8 @@ def test_reran_counts_the_brackets_rerun_after_an_error_off_the_true_path(monkey
 
 
 def test_a_shared_search_that_reran_gives_each_norm_its_alone_bits(monkeypatch):
-    # a Gaussian on a set and on all of [1, 30] under a psi that makes no
-    # log_concave promise: one shared search of three brackets, at row-end
+    # a Gaussian on a set and on all of [1, 30] under a psi that declares
+    # no envelope: one shared search of three brackets, at row-end
     # peaks, refined in guessed rounds.  psi is NaN off the points of the
     # searches alone in lockstep, so every wrong guess meets an error and
     # the shared search reruns its brackets
@@ -477,12 +477,12 @@ def test_a_shared_search_that_reran_gives_each_norm_its_alone_bits(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(norms, "_costs_per_point", lambda model: True)
         for s in searches:
-            norms.sup_norms(GeneratingFunction(recorded, False, dip.value_at_one, "recorded"), [s])
+            norms.sup_norms(GeneratingFunction(recorded, "recorded"), [s])
 
     def off_path_nan(p):
         return np.where(np.isin(p, list(path)), dip.evaluator(p), np.nan)
 
-    psi = GeneratingFunction(off_path_nan, False, dip.value_at_one, "nan off the path")
+    psi = GeneratingFunction(off_path_nan, "nan off the path")
     _always_wrong(monkeypatch, _ratio(model, dip))
     found, real = [], norms.sup_rows
 
@@ -588,7 +588,7 @@ def test_a_divergent_moment_in_lockstep_is_witnessed_at_the_first_brackets_p(mon
     # first and at the 3rd on the last, and nowhere else.  Such a model is
     # no p-norm, so sqrt_dip's lower envelope, which would rule out both
     # brackets, is taken off
-    model, psi = gaussian_model(), dataclasses.replace(sqrt_dip_psi(), lower=None)
+    model, psi = gaussian_model(), dataclasses.replace(sqrt_dip_psi(), envelope=None)
     starts, real = [], search._golden_lockstep
 
     def spy(f, lo, f_lo, hi, f_hi, *args):
@@ -798,7 +798,7 @@ def test_searches_whose_rows_differ_in_length_each_keep_the_bits_of_their_search
     # array holds rows of one length, so each search runs alone, and no
     # point is evaluated for a shared search first
     model, dip, asked = gaussian_model(), sqrt_dip_psi(), []
-    psi = GeneratingFunction(lambda p: asked.append(np.size(p)) or dip.evaluator(p), False, 1.0, "counted")
+    psi = GeneratingFunction(lambda p: asked.append(np.size(p)) or dip.evaluator(p), "counted")
     rset = RestrictedSet.from_intervals([(1.0, 3.0), (25.0, 25.0), (30.0, 200.0)])
     searches = [norms.domain_search(model, 200.0, rset), norms._cell_search(model, integer_grid(200))]
     shapes = []

@@ -288,9 +288,8 @@ def plateau_psi(nondecreasing=False):
     # integer_grid(30), h(x) from about x = 3.3 on peaks at m = 29
     return GeneratingFunction(
         evaluator=lambda p: np.where(p < 29.5, np.sqrt(np.minimum(p, 9.0)), 10.0),
-        nondecreasing=nondecreasing,
-        value_at_one=1.0,
         description="plateau",
+        envelope=(None, False) if nondecreasing else None,
     )
 
 
@@ -300,7 +299,7 @@ def stairs_psi():
         k = np.floor(np.asarray(p) / 2.0)
         return k + np.minimum(p - 2.0 * k, 1.0)
 
-    return GeneratingFunction(evaluator=evaluator, nondecreasing=True, value_at_one=1.0, description="stairs")
+    return GeneratingFunction(evaluator=evaluator, description="stairs", envelope=(None, False))
 
 
 @pytest.mark.parametrize(
