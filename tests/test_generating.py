@@ -224,7 +224,7 @@ def _envelope_points():
 
 
 @pytest.mark.filterwarnings("ignore::glspace.models.MomentInstabilityWarning")
-@pytest.mark.parametrize("psi", SHIPPED, ids=lambda psi: psi.description)
+@pytest.mark.parametrize("psi", [psi for psi in SHIPPED if psi.envelope is not None], ids=lambda psi: psi.description)
 def test_every_shipped_psi_keeps_its_envelope_promise(psi):
     # the envelope, psi itself or a declared L, is nondecreasing; a declared
     # L is at most psi bit for bit, one point at a time too (a scalar
@@ -233,8 +233,6 @@ def test_every_shipped_psi_keeps_its_envelope_promise(psi):
     # geometric grid over [1, 1e6] are at most the rounding of the log (a
     # few ulp of its magnitude plus the envelope's own few ulp) over the
     # steps
-    if psi.envelope is None:
-        return
     L, chord = psi.envelope
     envelope = psi if L is None else L
     p = _envelope_points()
