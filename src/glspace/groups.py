@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .norms import gls_norm  # noqa: F401  unused here; the benchmark tracer pat
 _EXHAUSTIVE_ASSOC_LIMIT = 128
 _PRODUCT_ORDER_LIMIT = 10_000
 _YOUNG_EXPONENT_TOL = 1e-12
-# relative slack of the Young and algebra verdicts, stored on their reports
+# relative slack of the Young and algebra verdicts (YoungReport.slack, AlgebraReport.slack)
 _YOUNG_SLACK = 1e-12
 _ALGEBRA_SLACK = 1e-9
 
@@ -143,7 +143,8 @@ def make_group(spec: str) -> FiniteGroup:
     Grammar: "cyclic:<n>", "dihedral:<n>", "symmetric:<n>",
     "product:<spec>x<spec>".  Product operands may themselves be
     products; the splitting point is found by trying each 'x' until both
-    halves parse.
+    halves parse.  When none does, the error names the spec and the
+    operand error of the last split tried.
     """
     spec = spec.strip()
     kind, _, rest = spec.partition(":")
@@ -158,16 +159,18 @@ def make_group(spec: str) -> FiniteGroup:
         except DomainError as exc:
             raise SpecParseError(str(exc)) from exc
     if kind == "product":
+        # the last operand error, appended to the message when no split parses
+        why = ""
         for i, ch in enumerate(rest):
             if ch != "x":
                 continue
             try:
                 return product_group(make_group(rest[:i]), make_group(rest[i + 1 :]))
-            except SpecParseError:
-                continue
+            except SpecParseError as exc:
+                why = f": {exc}"
             except DomainError as exc:
                 raise SpecParseError(str(exc)) from exc
-        raise SpecParseError(f"cannot split product operands in {spec!r}")
+        raise SpecParseError(f"cannot split product operands in {spec!r}{why}")
     raise SpecParseError(f"unknown group kind {kind!r} in {spec!r}")
 
 
@@ -250,10 +253,11 @@ class YoungTriple:
 
 @dataclass(frozen=True)
 class YoungReport:
+    slack: ClassVar[float] = _YOUNG_SLACK
+
     triple: YoungTriple
     lhs: float
     rhs: float
-    slack: float
 
     @property
     def ok(self) -> bool:
@@ -265,7 +269,7 @@ def young_check(G: FiniteGroup, f, g, triple: YoungTriple) -> YoungReport:
     conv = convolve(G, f, g)
     lhs = group_lp_norm(G, conv, triple.r)
     rhs = group_lp_norm(G, f, triple.p) * group_lp_norm(G, g, triple.q)
-    return YoungReport(triple=triple, lhs=lhs, rhs=rhs, slack=_YOUNG_SLACK)
+    return YoungReport(triple=triple, lhs=lhs, rhs=rhs)
 
 
 @dataclass(frozen=True)
@@ -274,11 +278,12 @@ class AlgebraReport:
     limits (max |f|, max |g|, max |f*g|), showing how far the truncated
     suprema sit from the untruncatable ceiling."""
 
+    slack: ClassVar[float] = _ALGEBRA_SLACK
+
     conv_norm: float
     f_norm: float
     g_norm: float
     constant: float
-    slack: float
     sup_values: tuple
 
     @property
@@ -317,6 +322,5 @@ def algebra_check(
         f_norm=f_norm.value,
         g_norm=g_norm.value,
         constant=psi.value_at_one,
-        slack=_ALGEBRA_SLACK,
         sup_values=tuple(float(np.abs(m.values).max()) for m in (fm, gm, cm)),
     )

@@ -274,7 +274,7 @@ def uniform_stream(seed: int, n: int) -> np.ndarray:
     caller owns it and may transform it in place.  A negative seed is a
     DomainError naming it."""
     if n < 0:
-        raise ValueError("n must be nonnegative")
+        raise DomainError("n must be nonnegative")
     _check_seed(seed)
     out = np.empty(n, dtype=np.float64)
     for ci, start in enumerate(range(0, n, SAMPLE_CHUNK)):

@@ -45,7 +45,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import NamedTuple, Optional, Sequence
+from typing import ClassVar, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -494,23 +494,32 @@ class SandwichReport:
 
     left  :  inner <= full        (a sup over a subset cannot exceed it)
     right :  full <= constant * inner
-    ``slack`` is the relative tolerance applied, 1e-9: both moment
-    backends, closed form and power mean, are exact up to rounding.  When
-    the constant or a norm is infinite the right side is not applicable
-    and only the left side is judged.
+    The report stores the two norms, the constant and the labels of the
+    inputs; every verdict is read off them.  ``slack`` is the relative
+    tolerance applied, 1e-9: both moment backends, closed form and power
+    mean, are exact up to rounding.  When the constant or a norm is
+    infinite the right side is not applicable and only the left side is
+    judged.
     """
 
-    kind: str
+    slack: ClassVar[float] = _RTOL
+
     model_label: str
     psi_description: str
     domain_description: str
-    window_p: float
     full: NormResult
     inner: NormResult
     constant: EquivalenceConstant
-    left_ok: bool
-    right_ok: bool
-    slack: float
+
+    @property
+    def kind(self) -> str:
+        """'restricted' for Z, 'discrete' for W and W^."""
+        return "restricted" if self.constant.kind == "Z" else "discrete"
+
+    @property
+    def window_p(self) -> float:
+        """P, the end of the common window: the full norm's truncation."""
+        return self.full.truncation_p_max
 
     @property
     def full_value(self) -> float:
@@ -525,39 +534,19 @@ class SandwichReport:
         return self.constant.value * self.inner_value
 
     @property
+    def left_ok(self) -> bool:
+        return self.inner_value <= self.full_value * (1.0 + self.slack)
+
+    @property
+    def right_ok(self) -> bool:
+        c, full, inner = self.constant.value, self.full_value, self.inner_value
+        if not (math.isfinite(c) and math.isfinite(full) and math.isfinite(inner)):
+            return True  # right side not applicable, never asserted false
+        return full <= c * inner * (1.0 + self.slack)
+
+    @property
     def ok(self) -> bool:
         return self.left_ok and self.right_ok
-
-
-def _sandwich_report(
-    kind: str,
-    model: RandomVariableModel,
-    psi: GeneratingFunction,
-    domain_description: str,
-    P: float,
-    inner: NormResult,
-    full: NormResult,
-    const: EquivalenceConstant,
-) -> SandwichReport:
-    """Judge inner <= full <= constant * inner with the slack _RTOL."""
-    left_ok = inner.value <= full.value * (1.0 + _RTOL)
-    if math.isfinite(const.value) and math.isfinite(full.value) and math.isfinite(inner.value):
-        right_ok = full.value <= const.value * inner.value * (1.0 + _RTOL)
-    else:
-        right_ok = True  # right side not applicable, never asserted false
-    return SandwichReport(
-        kind=kind,
-        model_label=model.label,
-        psi_description=psi.description,
-        domain_description=domain_description,
-        window_p=P,
-        full=full,
-        inner=inner,
-        constant=const,
-        left_ok=bool(left_ok),
-        right_ok=bool(right_ok),
-        slack=_RTOL,
-    )
 
 
 def sandwich_check_restricted(
@@ -578,7 +567,7 @@ def sandwich_check_restricted(
     P = S.window_point(p_max)
     windowed = S.windowed(P)
     inner, full = sup_norms(psi, [domain_search(model, P, windowed), domain_search(model, P)])
-    return _sandwich_report("restricted", model, psi, S.description, P, inner, full, z_constant(windowed, psi))
+    return SandwichReport(model.label, psi.description, S.description, full, inner, z_constant(windowed, psi))
 
 
 def _cellwise_full_norm(model: RandomVariableModel, psi: GeneratingFunction, gtr: GridSequence) -> NormResult:
@@ -630,4 +619,4 @@ def sandwich_check_discrete(
     else:
         _check_monotone(psi, P, "the W bound does not apply, pass use_w_hat=True")
         const = w_constant(gtr, psi)
-    return _sandwich_report("discrete", model, psi, q.description, P, inner, full, const)
+    return SandwichReport(model.label, psi.description, q.description, full, inner, const)

@@ -287,7 +287,7 @@ def golden_section_max(
     every decision taken on known values.
     """
     if hi < lo:
-        raise ValueError(f"empty bracket [{lo}, {hi}]")
+        raise DomainError(f"empty bracket [{lo}, {hi}]")
     f_lo = f(lo) if f_lo is None else f_lo
     f_hi = f(hi) if f_hi is None else f_hi
     g = _Golden(lo, hi, f_lo, f_hi, tol)
@@ -856,7 +856,7 @@ def grid_refine_supremum(
     row.  ``f`` must accept an array of points (see _eval_parts).
     """
     if hi < lo:
-        raise ValueError(f"empty interval [{lo}, {hi}]")
+        raise DomainError(f"empty interval [{lo}, {hi}]")
     if hi == lo:
         return SupremumResult(_eval_parts(_unit(f), np.array([lo], dtype=float), None)[2].item(0), lo, True)
     n_points = max(int(n_points), 2)
@@ -880,7 +880,7 @@ def sampled_min(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     if np.any(hi < lo):
-        raise ValueError("sampled_min needs lo <= hi for every interval")
+        raise DomainError("sampled_min needs lo <= hi for every interval")
     xs = np.linspace(lo, hi, _MIN_SAMPLES, axis=-1).reshape(lo.size, -1)
     res = sup_rows(_unit(lambda x: -f(x)), xs, _MIN_TOL)
     return -res.values.reshape(np.shape(lo))

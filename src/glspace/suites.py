@@ -15,6 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
+from .errors import SpecParseError
 from .generating import (
     PowerSlowVaryParams,
     make_power_slowvary,
@@ -322,7 +323,8 @@ def _draw_triple(rng: np.random.Generator) -> YoungTriple:
 
 def run_suite(name: str, seed: int, n: int = 200_000) -> SuiteResult:
     """Dispatch by suite name; ``n`` only matters for the tails suite.  A
-    negative seed is a DomainError naming it (_check_seed)."""
+    negative seed is a DomainError naming it (_check_seed), an unknown
+    name a SpecParseError."""
     _check_seed(seed)
     if name == "sandwich":
         return sandwich_suite(seed)
@@ -332,4 +334,4 @@ def run_suite(name: str, seed: int, n: int = 200_000) -> SuiteResult:
         return young_suite(seed)
     if name == "algebra":
         return algebra_suite(seed)
-    raise ValueError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    raise SpecParseError(f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)}")

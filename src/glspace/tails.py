@@ -128,20 +128,32 @@ def tail_envelope(env: TailEnvelope, x: float) -> float:
 
 @dataclass(frozen=True)
 class TailRow:
+    """One probe: the empirical survival at x against the envelope plus the
+    sampling slack; a probe below e*N is out of the domain (envelope and
+    slack NaN) and passes unjudged."""
+
     x: float
     empirical: float
     envelope: float
     slack: float
     in_domain: bool
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return not self.in_domain or self.empirical <= self.envelope + self.slack
 
 
 @dataclass(frozen=True)
 class TailReport:
     rows: Tuple[TailRow, ...]
     norm_value: float
-    threshold: float
     batch: SampleBatch = field(compare=False, repr=False)
+
+    @property
+    def threshold(self) -> float:
+        """e * N, below which a probe is out of the domain
+        (TailEnvelope.domain_threshold)."""
+        return math.e * self.norm_value
 
     @property
     def n_active(self) -> int:
@@ -195,12 +207,11 @@ def tail_check(
     for x in xs:
         emp = empirical_survival(batch, x)
         if x < env.domain_threshold:
-            rows.append(TailRow(x=x, empirical=emp, envelope=math.nan, slack=math.nan, in_domain=False, ok=True))
+            rows.append(TailRow(x=x, empirical=emp, envelope=math.nan, slack=math.nan, in_domain=False))
             continue
         e_val = tail_envelope(env, x)
-        slack = float(_binomial_slack(e_val, n))
-        rows.append(TailRow(x=x, empirical=emp, envelope=e_val, slack=slack, in_domain=True, ok=emp <= e_val + slack))
-    return TailReport(rows=tuple(rows), norm_value=env.norm_value, threshold=env.domain_threshold, batch=batch)
+        rows.append(TailRow(x=x, empirical=emp, envelope=e_val, slack=float(_binomial_slack(e_val, n)), in_domain=True))
+    return TailReport(rows=tuple(rows), norm_value=env.norm_value, batch=batch)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from glspace import DomainError, MomentInstabilityWarning, SuiteResult, psi_from_spec, run_suite
+from glspace import ClosedFormModel, DomainError, MomentInstabilityWarning, SuiteResult, psi_from_spec, run_suite
 from glspace.cli import main
 from glspace.suites import TAILS_HEADER
 
@@ -460,6 +460,53 @@ def test_convolve_size_mismatch_exits_1(capsys, tmp_path):
         capsys, "convolve", "--group", "cyclic:4", str(f), str(f)
     )
     assert code == 1 and err != ""
+
+
+@pytest.mark.parametrize("spec, why", [
+    ("product:cyclic:2xcyclic:0", "cyclic groups need n >= 1"),
+    ("product:cyclic:2xfoo:3", "unknown group kind 'foo' in 'foo:3'"),
+])
+def test_convolve_on_a_bad_product_operand_exits_2_naming_it(capsys, tmp_path, spec, why):
+    f = tmp_path / "f.txt"
+    f.write_text("1\n2\n3\n4\n")
+    code, out, err = run_cli(capsys, "convolve", "--group", spec, str(f), str(f))
+    assert code == 2 and out == ""
+    assert err == f"gls: cannot split product operands in {spec!r}: {why}\n"
+
+
+def test_tail_of_a_model_with_norm_zero_exits_2_with_one_line(capsys):
+    code, out, err = run_cli(capsys, "tail", "--model", "constant:0", "--psi", "power_slowvary(r=2)")
+    assert code == 2 and out == ""
+    assert err == "gls: constant:0 has norm 0; no usable tail envelope\n"
+
+
+@pytest.mark.parametrize("spelling, strict", [
+    *((s, True) for s in ("true", "1", "yes", "on", "TRUE", " Yes ")),
+    *((s, False) for s in ("false", "0", "no", "off", "Off")),
+])
+def test_config_strict_takes_each_boolean_spelling(capsys, tmp_path, monkeypatch, spelling, strict):
+    # a norm of +inf exits 1 under strict, 0 without
+    import glspace.cli
+
+    infinite = ClosedFormModel("infinite-past-3", lambda p: np.where(np.asarray(p) > 3.0, np.inf, np.sqrt(p)))
+    monkeypatch.setattr(glspace.cli, "model_from_spec", lambda spec: infinite)
+    cfg = tmp_path / "norm.cfg"
+    cfg.write_text(f"model=infinite\npsi=power_slowvary(r=2)\np_max=10\nstrict={spelling}\n")
+    code, out, err = run_cli(capsys, "norm", "--config", str(cfg))
+    assert (code, err) == (1 if strict else 0, "")
+    assert parse_rows(out)[0]["value"] == "inf"
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("norm", "strict=maybe", "strict must be a boolean, got 'maybe'"),
+    ("tail", "xs=2.5,abc", "xs must be a comma-separated number list, got '2.5,abc'"),
+])
+def test_a_config_value_that_does_not_parse_exits_2_naming_it(capsys, tmp_path, command, line, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"model=gaussian\npsi=power_slowvary(r=2)\nn=1000\n{line}\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2 and out == ""
+    assert err == f"gls: {message}\n"
 
 
 def test_strict_flag_accepts_finite_norms(capsys):

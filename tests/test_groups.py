@@ -1,6 +1,7 @@
 """Finite groups, normalized convolution, Young and algebra inequalities."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from glspace import (
     unit_function,
     young_check,
 )
-from glspace import SpecParseError
+from glspace import SpecParseError, groups
 
 
 def small_groups():
@@ -198,3 +199,45 @@ def test_group_spec_errors():
         make_group("cyclic:abc")
     with pytest.raises(SpecParseError):
         make_group("symmetric:7")
+
+
+@pytest.mark.parametrize("spec, why", [
+    ("product:cyclic:2xcyclic:0", ": cyclic groups need n >= 1"),
+    ("product:cyclic:2xfoo:3", ": unknown group kind 'foo' in 'foo:3'"),
+    # no 'x' to split at: no operand was tried
+    ("product:cyclic:2", ""),
+])
+def test_a_bad_product_operand_is_named_in_the_split_error(spec, why):
+    # the message said only that the operands could not be split
+    message = f"cannot split product operands in {spec!r}{why}"
+    with pytest.raises(SpecParseError, match=f"^{re.escape(message)}$"):
+        make_group(spec)
+
+
+# a table with an identity (0) and two-sided inverses (each element is its
+# own) whose product is not associative: (1 1) 2 = 2 but 1 (1 2) = 0
+_NOT_ASSOCIATIVE = [[0, 1, 2], [1, 0, 1], [2, 2, 0]]
+
+
+@pytest.mark.parametrize("table, labels, message", [
+    (np.zeros((2, 3)), None, "t: multiplication table must be square"),
+    (np.zeros(4), None, "t: multiplication table must be square"),
+    ([[0, 2], [2, 0]], None, "t: table entries must index elements 0..1"),
+    ([[0, -1], [-1, 0]], None, "t: table entries must index elements 0..1"),
+    ([[0, 1], [1, 0]], ("e",), "t: 1 labels for 2 elements"),
+    # no element leaves every other one in place; two identities e, e'
+    # cannot both be, since e e' is e' and e at once
+    ([[0, 0], [0, 0]], None, "t: expected exactly one identity, found 0"),
+    (_NOT_ASSOCIATIVE, None, "t: multiplication is not associative"),
+], ids=["rectangular", "flat", "entry-past-n", "negative-entry", "labels", "no-identity", "not-associative"])
+def test_a_table_that_breaks_an_axiom_is_rejected_naming_it(table, labels, message):
+    with pytest.raises(GroupAxiomError, match=f"^{re.escape(message)}$"):
+        FiniteGroup("t", table, labels)
+
+
+def test_above_the_exhaustive_limit_associativity_is_spot_checked(monkeypatch):
+    monkeypatch.setattr(groups, "_EXHAUSTIVE_ASSOC_LIMIT", 2)
+    with pytest.raises(GroupAxiomError, match=r"^t: associativity spot check failed$"):
+        FiniteGroup("t", _NOT_ASSOCIATIVE)
+    G = cyclic_group(5)
+    assert np.array_equal(FiniteGroup("cyclic:5", G.mul).mul, G.mul)

@@ -16,13 +16,16 @@ from glspace import (
     DivergentMomentError,
     DomainError,
     EmpiricalModel,
+    EquivalenceConstant,
     GeneratingFunction,
     GridSequence,
     GroupFunctionModel,
     NonMonotoneError,
+    NormResult,
     PowerSlowVaryParams,
     RandomVariableModel,
     RestrictedSet,
+    SandwichReport,
     TruncationError,
     algebra_check,
     constant_model,
@@ -191,6 +194,26 @@ def test_restricted_sandwich_with_the_linear_gap():
     assert rep.window_p == 200.0
     assert rep.constant.value == 1.5
     assert rep.inner_value <= rep.full_value <= rep.bound * (1.0 + rep.slack)
+
+
+def _report(inner, full, constant, kind="Z"):
+    """A SandwichReport of the given values, windowed at P = 200."""
+    norm = lambda v: NormResult(v, 1.0, 200.0, True, 1)
+    return SandwichReport("m", "psi", "S", norm(full), norm(inner), EquivalenceConstant(kind, constant, 1.0))
+
+
+def test_a_sandwich_report_reads_its_window_and_verdicts_off_its_numbers():
+    rep = _report(1.0, 1.5, 2.0)
+    assert (rep.kind, rep.window_p, rep.bound, rep.slack) == ("restricted", 200.0, 2.0, 1e-9)
+    assert rep.left_ok and rep.right_ok and rep.ok
+    assert [_report(1.0, 1.0, 1.0, kind).kind for kind in ("W", "W_hat")] == ["discrete", "discrete"]
+    # each side holds within the relative slack 1e-9 and fails past it
+    assert _report(1.0, 1.0 - 5e-10, 2.0).left_ok and not _report(1.0, 1.0 - 2e-9, 2.0).left_ok
+    assert _report(1.0, 2.0 + 1e-9, 2.0).right_ok and not _report(1.0, 2.0 + 4e-9, 2.0).right_ok
+    assert not _report(1.0, 0.5, 2.0).ok and not _report(1.0, 3.0, 2.0).ok
+    # an infinite constant or norm leaves the right side not applicable
+    assert _report(1.0, 5.0, math.inf).right_ok
+    assert _report(1.0, math.inf, 2.0).right_ok and _report(math.inf, math.inf, 2.0).ok
 
 
 def test_restricted_sandwich_on_a_bounded_window():

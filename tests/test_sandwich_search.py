@@ -46,7 +46,7 @@ from glspace import (
 from glspace import norms, search
 from glspace.cli import main
 from glspace.grids import _check_monotone
-from glspace.norms import _cellwise_full_norm, _sandwich_report
+from glspace.norms import SandwichReport, _cellwise_full_norm
 from glspace.suites import _closed_form_pool, grid_pool, psi_pool
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -60,8 +60,8 @@ def _alone(kind, model, psi, domain, p_max=200.0):
         windowed = domain.windowed(P)
         inner = gls_norm(model, psi, P, rset=windowed)
         full = gls_norm(model, psi, P)
-        return _sandwich_report("restricted", model, psi, domain.description, P, inner, full,
-                                z_constant(windowed, psi))
+        return SandwichReport(model.label, psi.description, domain.description, full, inner,
+                              z_constant(windowed, psi))
     gtr = domain.truncated(domain.first_index_at_least(p_max))
     P = float(gtr.values[-1])
     inner = discrete_norm(model, psi, gtr)
@@ -72,7 +72,7 @@ def _alone(kind, model, psi, domain, p_max=200.0):
         full = gls_norm(model, psi, P)
         _check_monotone(psi, P, "the W bound does not apply, pass use_w_hat=True")
         const = w_constant(gtr, psi)
-    return _sandwich_report("discrete", model, psi, domain.description, P, inner, full, const)
+    return SandwichReport(model.label, psi.description, domain.description, full, inner, const)
 
 
 def _shared(kind, model, psi, domain, p_max=200.0):
@@ -99,19 +99,26 @@ def _outcome(call):
             return (type(exc), str(exc)), bool(lockstep)
 
 
+# what a SandwichReport derives from its fields, compared with them
+_DERIVED = ("kind", "window_p", "left_ok", "right_ok", "ok")
+
+
 def _bits(value):
-    """A report or result with its floats as their bits, recursively."""
+    """A report or result with its floats as their bits, recursively; a
+    SandwichReport's derived window and verdicts too."""
     if dataclasses.is_dataclass(value):
-        return tuple(_bits(getattr(value, f.name)) for f in dataclasses.fields(value))
+        names = [f.name for f in dataclasses.fields(value)]
+        names += _DERIVED if isinstance(value, SandwichReport) else ()
+        return tuple(_bits(getattr(value, name)) for name in names)
     return value.hex() if isinstance(value, float) else value
 
 
 def _same_report(shared, shared_lockstep, alone, alone_lockstep):
     """Every field of the two reports, both NormResults and the constant
-    included, is the same.  Where the shared search went lockstep and the
-    one-search calls did not, a norm's count may be lower: lockstep asks for
-    no point off golden section's path, speculation also for the points of
-    its wrong guesses."""
+    included, and the window and verdicts each derives, is the same.  Where
+    the shared search went lockstep and the one-search calls did not, a
+    norm's count may be lower: lockstep asks for no point off golden
+    section's path, speculation also for the points of its wrong guesses."""
     if isinstance(alone, tuple):
         assert shared == alone
         return
@@ -395,6 +402,11 @@ def test_a_divergent_moment_in_one_search_is_the_report_of_the_searches_alone(ki
     shared, alone = _shared(kind, _diverging_from(p0), psi, domain), _alone(kind, _diverging_from(p0), psi, domain)
     assert _bits(shared) == _bits(alone)
     assert math.isinf(shared.full.value)
+    # the report reads its window and verdicts off the +inf result too:
+    # P = 200 on every route, and the right side is not applicable
+    assert shared.kind == ("restricted" if kind == "Z" else "discrete")
+    assert shared.window_p == 200.0
+    assert shared.left_ok and shared.right_ok and shared.ok
 
 
 def test_a_non_monotone_psi_on_the_w_route_is_raised_after_a_clean_inner_norm():

@@ -36,7 +36,7 @@ from glspace import (
     uniform01_model,
 )
 from glspace import tails
-from glspace.tails import default_probe_points, quadratic_h_reference
+from glspace.tails import TailRow, default_probe_points, quadratic_h_reference
 
 
 def root_psi():
@@ -196,6 +196,17 @@ def test_tail_check_rejects_a_sample_size_below_one_naming_it(n):
         tail_check(gaussian_model(), root_psi(), integer_grid(50), n=n, seed=0)
 
 
+def test_a_tail_report_reads_its_verdicts_and_threshold_off_its_numbers():
+    assert TailRow(3.0, 0.002, 0.001, 0.001, True).ok
+    assert not TailRow(3.0, 0.0021, 0.001, 0.001, True).ok
+    # out of the domain a row passes unjudged, whatever its numbers
+    assert TailRow(1.0, 0.5, math.nan, math.nan, False).ok
+    model, psi, q = gaussian_model(), root_psi(), integer_grid(50)
+    report = tail_check(model, psi, q, n=1000, seed=0, x_grid=[1.0, 3.0, 3.5])
+    assert report.threshold == make_tail_envelope(model, psi, q).domain_threshold
+    assert [r.in_domain for r in report.rows] == [False, True, True]
+
+
 def test_membership_scan_brackets_the_gaussian_norm():
     batch = sample(gaussian_model(), 50_000, seed=3)
     q, psi = integer_grid(60), root_psi()
@@ -222,6 +233,19 @@ def test_membership_no_feasible_scale():
         membership_K_estimate(
             batch, integer_grid(60), root_psi(), K_grid=[0.1, 0.2]
         )
+
+
+@pytest.mark.parametrize("values, lo", [
+    # the smallest nonzero |value| is above 1e-6 of the largest: it starts the grid
+    ([0.0, -0.5, 2.0, 3.0, -4.0], 0.5),
+    # below it, the grid starts at 1e-6 of the largest
+    ([1e-9, 0.0, -4.0, 2.0], 4e-6),
+])
+def test_membership_without_a_grid_takes_32_candidates_up_to_the_sample_max(values, lo):
+    batch = SampleBatch(values=np.array(values), seed=0)
+    est = membership_K_estimate(batch, integer_grid(60), root_psi())
+    assert est.K_grid == tuple(np.geomspace(lo, 4.0, 32).tolist())
+    assert est.K_hat in est.K_grid
 
 
 def test_membership_zero_batch_needs_an_explicit_grid():
