@@ -304,12 +304,20 @@ class ClosedFormModel(RandomVariableModel):
     at each.  ``transform`` maps a fresh array of uniforms to draws.  It
     owns that array and may overwrite it; the built-in families write their
     draws into it, so a sample allocates its output and nothing of its size
-    beside it."""
+    beside it.  ``ess_sup``, keyword-only, is ess sup |f| as an exact
+    float, or +inf, the default, for an |f| unbounded or not declared."""
 
-    def __init__(self, label, moment_fn, transform=None):
+    def __init__(self, label, moment_fn, transform=None, *, ess_sup=math.inf):
         self.label = label
         self._moment_fn = moment_fn
         self._transform = transform
+        self.ess_sup = float(ess_sup)
+
+    @cached_property
+    def _mean_abs(self) -> float:
+        """|f|_1 from the moment map, computed once per model and not
+        through lp_norm."""
+        return float(self._moment_fn(np.ones(1))[0])
 
     def lp_norm(self, p):
         q = _check_p(p)
@@ -342,6 +350,11 @@ class PowerMeanModel(RandomVariableModel):
     @cached_property
     def _moments(self) -> PowerMeanState:
         return PowerMeanState.of(np.abs(self.values))
+
+    @property
+    def ess_sup(self) -> float:
+        """ess sup |f|, the largest |value|."""
+        return self._moments.mx
 
 
 class EmpiricalModel(PowerMeanModel):
@@ -425,7 +438,7 @@ def uniform01_model() -> ClosedFormModel:
     def moments(p):
         return np.exp(-np.log(p + 1.0) / p)
 
-    return ClosedFormModel("uniform01", moments, transform=lambda u: u)
+    return ClosedFormModel("uniform01", moments, transform=lambda u: u, ess_sup=1.0)
 
 
 def exponential_model() -> ClosedFormModel:
@@ -457,7 +470,7 @@ def constant_model(c: float) -> ClosedFormModel:
         u.fill(float(c))
         return u
 
-    return ClosedFormModel(f"constant:{c:g}", moments, transform=transform)
+    return ClosedFormModel(f"constant:{c:g}", moments, transform=transform, ess_sup=a)
 
 
 def rademacher_model() -> ClosedFormModel:
@@ -472,7 +485,7 @@ def rademacher_model() -> ClosedFormModel:
         u[negative] = -1.0
         return u
 
-    return ClosedFormModel("rademacher", moments, transform=transform)
+    return ClosedFormModel("rademacher", moments, transform=transform, ess_sup=1.0)
 
 
 # ---------------------------------------------------------------------------

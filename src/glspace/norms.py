@@ -23,7 +23,12 @@ what it may skip, each skip leaving the result's bits as they are: a
 lower envelope of psi, given where every model's moments are exact (the
 power means and the closed forms, p-norms on a probability space), and
 whether a ratio costs by the point (a large sample or group function, as
-a model or as the model of a natural psi).  See _search.
+a model or as the model of a natural psi).  A search whose ratio cannot
+rise along a row makes no sup_rows at all: where the moments are exact
+and psi is the model's own natural psi (the ratio is |f|_1 at every p),
+or psi is nondecreasing and |f| is constant almost surely (read off the
+model exactly, _abs_constant), a row's supremum is its first point.  See
+_search.
 Sandwich checks verify the two-sided equivalence
 
     inner <= full <= constant * inner
@@ -68,7 +73,7 @@ from .models import (
     _REPEATED_P,
     power_means,
 )
-from .search import _eval_parts, sup_rows
+from .search import RowSupremum, _eval_parts, sup_rows
 from .search import grid_refine_supremum  # noqa: F401  unused here; the benchmark tracer patches it
 
 DEFAULT_P_MAX = 200.0
@@ -85,8 +90,7 @@ _RTOL = 1e-9
 # functions under power_slowvary(r=2, delta=0.5) (Python 3.11, NumPy 2.4,
 # CPU time, median of 21 rounds, the two paths alternating): the pruned
 # scan breaks even at 48-64 values and takes 0.56-0.85 of the full scan's
-# time at 128.  A flat ratio (a sample under its own natural psi) drops no
-# cell and pays 12-20% more there.
+# time at 128
 _PRUNE_MIN_VALUES = 128
 
 
@@ -109,7 +113,8 @@ class NormResult:
     n_evaluations: int
     arg_index: Optional[int] = None
     #: psi is the model's own natural psi, so the ratio is |f|_1 at every p
-    #: and the value is exact whatever the edge evidence says
+    #: and the value is exact whatever the edge evidence says (|f|_1 itself
+    #: at p = 1 where the moments are exact and a scan row starts there)
     constant_ratio: bool = False
     #: |f|_1 = 0, so f = 0 almost surely and the norm is exactly 0
     zero_model: bool = False
@@ -349,6 +354,19 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     too, unless more brackets in all than its own send it lockstep, which
     asks for no point off golden section's path.
 
+    A search is flat where its ratio cannot rise along a row: its model's
+    moments are exact and psi is the model's own natural psi (the ratio is
+    |f|_1 at every p), or psi is nondecreasing and |f| is constant almost
+    surely (_abs_constant).  Then each row's supremum is its first point,
+    and sup_rows is not called: _row_starts evaluates the rows' first
+    points, and the edge evidence, in one array call.  Every result keeps
+    its bits but the count, where the computed psi is nondecreasing as
+    declared; under the model's own natural psi, whose rounded ratio may
+    lie 1 ulp above |f|_1 at some p, the value is the largest ratio at the
+    rows' first points and the exact points, at most the full search's,
+    and |f|_1 itself at p = 1.  A shared search whose searches differ in
+    flatness is given up (None), as for the models below.
+
     A search alone raises what it meets, except that a divergent moment
     gives the norm +inf with that p as its witness.  A shared search that
     raises, or whose refinement met an error and reran its brackets one
@@ -367,10 +385,12 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     shared = len(searches) > 1
     one_model = all(m is models[0] for m in models)
     plugin = any(isinstance(m, EmpiricalModel) for m in (*models, psi.source))
-    lower = psi.envelope if all(isinstance(m, (PowerMeanModel, ClosedFormModel)) for m in models) else None
+    exact = all(isinstance(m, (PowerMeanModel, ClosedFormModel)) for m in models)
+    lower = psi.envelope if exact else None
+    flat = [exact and (psi.source is m or psi.nondecreasing and _abs_constant(m)) for m in models]
     blocks = [s.rows for s in searches if s.rows.shape[0]]
     mixed = not (one_model or all(_stacks(m, psi) for m in models))
-    if shared and (plugin or mixed or len({rows.shape[1] for rows in blocks}) > 1):
+    if shared and (plugin or mixed or len(set(flat)) > 1 or len({rows.shape[1] for rows in blocks}) > 1):
         return None
     n_parts = len(searches)
     if one_model:
@@ -405,14 +425,17 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     try:
         points = _eval_parts(lambda p, _: parts(p, at), _cat([s.points for s in searches]), None)[2]
         at_points = [points[lo:hi] for lo, hi in zip(at, at[1:])]
-        found = sup_rows(
-            num_den,
-            _cat(blocks) if blocks else _NO_ROWS,
-            floor=[v.max(initial=-math.inf) for v in at_points],
-            search=np.arange(n_parts).repeat(np.diff(row0)),
-            per_point=per_point,
-            lower=lower,
-        )
+        if flat[0]:
+            found = _row_starts(parts, searches)
+        else:
+            found = sup_rows(
+                num_den,
+                _cat(blocks) if blocks else _NO_ROWS,
+                floor=[v.max(initial=-math.inf) for v in at_points],
+                search=np.arange(n_parts).repeat(np.diff(row0)),
+                per_point=per_point,
+                lower=lower,
+            )
     except Exception as exc:
         if shared:
             return None
@@ -450,6 +473,38 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     return out
 
 
+def _abs_constant(model) -> bool:
+    """Whether |f| is constant almost surely, for a PowerMeanModel or a
+    ClosedFormModel, decided exactly and without a moment: every value of a
+    power mean scaled by its maximum is 1.0, or the maximum is 0; a closed
+    form's ess_sup is finite and equals its |f|_1.  A power mean's |f|_1
+    would not do: {2, 2 (1 - 2^-53)} rounds to |f|_1 = 2 = ess_sup."""
+    if isinstance(model, PowerMeanModel):
+        scaled = model._moments.scaled
+        # the first value turns down most models without a NumPy call
+        return scaled is None or scaled.item(0) == 1.0 and bool((scaled == 1.0).all())
+    return model.ess_sup < math.inf and model.ess_sup == model._mean_abs
+
+
+def _row_starts(parts, searches: Sequence[NormSearch]) -> RowSupremum:
+    """sup_rows' result for ``searches`` whose ratio cannot rise along a
+    row (see _search), from one array call of ``parts``: each row's value
+    is its first point's, and the edge evidence of a search's last row is
+    read from that row's last three points (as in the exact points' call,
+    search k's points are p[at[k]:at[k + 1]]).  Scan rows hold at least
+    _CELL_POINTS points."""
+    xs = [np.concatenate((s.rows[:, 0], s.rows[-1, -3:])) if s.rows.shape[0] else _NO_POINTS for s in searches]
+    at = [0, *accumulate(x.size for x in xs)]
+    ys = _eval_parts(lambda p, _: parts(p, at), _cat(xs), None)[2]
+    values, decreasing = [], []
+    for lo, hi in zip(at, at[1:]):
+        if hi > lo:
+            values.append(ys[lo : hi - 3])
+            decreasing += [False] * (hi - lo - 4) + [ys[hi - 3] > ys[hi - 2] > ys[hi - 1]]
+    args = _cat([s.rows[:, 0] for s in searches])
+    return RowSupremum(_cat(values), args, np.array(decreasing, dtype=bool), 0, 0, 0, 0, 0)
+
+
 def gls_norms(
     models: Sequence[RandomVariableModel],
     psi: GeneratingFunction,
@@ -459,6 +514,8 @@ def gls_norms(
     """gls_norm of every model of ``models`` under one psi, domain and
     p_max, in one search (see _search): one NormResult per model, each
     with the bits gls_norm gives that model alone."""
+    if not models:
+        raise DomainError("gls_norms needs at least one model")
     search = domain_search(models[0], p_max, rset)
     return sup_norms(psi, [search._replace(model=m) for m in models])
 

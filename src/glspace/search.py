@@ -777,11 +777,11 @@ def _eval_parts(parts, xs: np.ndarray, rows: np.ndarray) -> tuple:
 
 
 def _per_point(xs: np.ndarray, values) -> np.ndarray:
-    """``values``, one per point of ``xs``, as a float array; ValueError
+    """``values``, one per point of ``xs``, as a float array; DomainError
     when their shape is not that of ``xs``."""
     values = np.asarray(values, dtype=float)
     if values.shape != xs.shape:
-        raise ValueError(f"parts returned shape {values.shape} for {xs.shape} points; it must accept arrays")
+        raise DomainError(f"parts returned shape {values.shape} for {xs.shape} points; it must accept arrays")
     return values
 
 

@@ -93,19 +93,30 @@ def test_natural_psi_norm_is_the_first_moment():
 )
 def test_the_models_own_natural_psi_notes_a_constant_ratio_and_keeps_every_other_field(make):
     # the same psi on a twin of the model is not the model's own: the ratio
-    # is taken by two calls, with the same bits, and the edge evidence speaks
+    # is taken by two calls, and the edge evidence speaks.  Under its own
+    # psi the ratio is |f|_1 at every p, so a scan row is read at its start
+    # only, and the exact points as before: on [1, p_max] the value is |f|_1
+    # exactly, at p = 1, where the twin's full search may end up 1 ulp above
+    # it at a later p (not for rademacher, a constant |f| under a
+    # nondecreasing psi, which reads its row start too).  Every other field
+    # but the count is the twin's.  A grid is exact points only, evaluated
+    # alike, so it keeps every field
     model = make()
     own, twin = natural_psi(model), natural_psi(make())
     p_max = default_p_max(model)
-    for norm in (
-        lambda psi: gls_norm(model, psi, p_max),
-        lambda psi: gls_norm(model, psi, p_max, rset=MIXED_SET),
-        lambda psi: discrete_norm(model, psi, integer_grid(10)),
-    ):
-        res, res_twin = norm(own), norm(twin)
+    m1 = model.lp_norm(1.0)
+    for rset in (None, MIXED_SET):
+        res, res_twin = gls_norm(model, own, p_max, rset), gls_norm(model, twin, p_max, rset)
         assert res.constant_ratio and not res_twin.constant_ratio
         assert res.diagnostics == "ratio constant under the model's own natural psi"
-        assert _fields(dataclasses.replace(res, constant_ratio=False)) == _fields(res_twin)
+        assert res.value in (res_twin.value, np.nextafter(res_twin.value, -math.inf))
+        if rset is None:
+            assert (res.value, res.arg_p) == (m1, 1.0)
+        moved = dict(value=res_twin.value, arg_p=res_twin.arg_p, n_evaluations=res_twin.n_evaluations)
+        assert _fields(dataclasses.replace(res, constant_ratio=False, **moved)) == _fields(res_twin)
+    res, res_twin = discrete_norm(model, own, integer_grid(10)), discrete_norm(model, twin, integer_grid(10))
+    assert res.constant_ratio and res.diagnostics == "ratio constant under the model's own natural psi"
+    assert _fields(dataclasses.replace(res, constant_ratio=False)) == _fields(res_twin)
 
 
 def test_p_max_must_be_at_least_one():
@@ -552,8 +563,11 @@ def test_one_search_gives_every_model_its_one_model_result(case):
         m.setattr(norms, "_stacked_ratio", spy)
         batched, lockstep = _searched(lambda: gls_norms(models, psi, 200.0, S))
     # the three ratios are one _stacked_ratio, and every field, the count
-    # included, is the one the per-model ratios give
-    assert stacked == [3]
+    # included, is the one the per-model ratios give; where some ratios
+    # cannot rise and others can (g = 0 under a nondecreasing psi), the
+    # shared search is given up and every model searches alone
+    flat = {psi.nondecreasing and norms._abs_constant(model) for model in models}
+    assert stacked == ([3] if len(flat) == 1 else [])
     per_model = _per_model_ratios(lambda: gls_norms(models, psi, 200.0, S))
     assert [_fields(r) for r in batched] == [_fields(r) for r in per_model]
     for res, model in zip(batched, models):

@@ -374,9 +374,10 @@ def test_psi_overflow_names_the_full_scans_p():
     assert str(pruned.value) == str(full.value) == message.format(float(xs[first]))
 
 
-def _is_pruned(monkeypatch, model, psi) -> bool:
-    """Whether gls_norm asks sup_rows to prune its scan: a ratio that costs
-    by the point, under an envelope."""
+def _routes(monkeypatch, model, psi) -> list:
+    """For each sup_rows that gls_norm makes, whether it asks for a pruned
+    scan: a ratio that costs by the point, under an envelope.  None where
+    the norm makes no sup_rows, its ratio unable to rise along a row."""
     got = []
 
     def spy(parts, xs, *args, per_point=False, lower=None, **kw):
@@ -385,7 +386,11 @@ def _is_pruned(monkeypatch, model, psi) -> bool:
 
     monkeypatch.setattr(norms, "sup_rows", spy)
     gls_norm(model, psi, default_p_max(model))
-    return got == [True]
+    return got or None
+
+
+def _is_pruned(monkeypatch, model, psi) -> bool:
+    return _routes(monkeypatch, model, psi) == [True]
 
 
 def test_only_ratios_that_cost_by_the_point_under_an_envelope_are_pruned(monkeypatch):
@@ -401,26 +406,34 @@ def test_only_ratios_that_cost_by_the_point_under_an_envelope_are_pruned(monkeyp
     # not nondecreasing, but declaring one
     assert _is_pruned(monkeypatch, big, sqrt_dip_psi())
     assert not _is_pruned(monkeypatch, big, dataclasses.replace(sqrt_dip_psi(), envelope=None))
-    # a natural psi is nondecreasing on a sample, and its pair keeps the
-    # one-moment-per-p division; a closed form under it costs by the point
+    # a natural psi is nondecreasing on a sample, and a closed form under
+    # it costs by the point; the sample's own ratio cannot rise, so its norm
+    # makes no sup_rows, though its pair keeps the one-moment-per-p division
     nat = natural_psi(big)
-    assert _is_pruned(monkeypatch, big, nat)
     assert _is_pruned(monkeypatch, gaussian_model(), nat)
+    assert _routes(monkeypatch, big, nat) is None
     ps = np.array([1.0, 2.0, 9.5])
     num, den = norms._ratio_fn(big, nat)(ps)
     m = big.lp_norm(ps)
     np.testing.assert_array_equal(num / den, m / (m / big.lp_norm(1.0)))
 
 
-def test_a_flat_natural_ratio_is_pruned_with_the_full_scan_bits(monkeypatch):
+def test_a_flat_natural_ratio_reads_the_row_start_with_the_full_scan_bits(monkeypatch):
     # |f| = c on every value: the natural psi is identically 1, its own
-    # envelope though not strictly increasing, and the ratio is flat
+    # envelope though not strictly increasing, and the ratio is flat.  The
+    # norm reads the row's first point and its last three, the edge
+    # evidence, and no sup_rows, with the bits of the full scan, which a
+    # twin's psi, not the model's own, takes under no envelope
     signs = np.where(np.random.default_rng(3).random(512) < 0.5, -1.0, 1.0)
     model = EmpiricalModel(2.5 * signs)
     psi = natural_psi(model)
-    assert psi.nondecreasing and _is_pruned(monkeypatch, model, psi)
+    assert psi.nondecreasing and _routes(monkeypatch, model, psi) is None
     p_max = default_p_max(model)
-    assert repr(_bits(gls_norm(model, psi, p_max))) == repr(_bits(_full_scan(model, psi, p_max)))
+    res = gls_norm(model, psi, p_max)
+    twin = dataclasses.replace(natural_psi(EmpiricalModel(2.5 * signs)), envelope=None)
+    assert _routes(monkeypatch, model, twin) == [False]
+    assert repr(_bits(res)) == repr(_bits(_full_scan(model, twin, p_max)))
+    assert res.n_evaluations == 4
 
 
 @pytest.mark.parametrize("n", [256, 4096])
