@@ -98,6 +98,19 @@ def psi_eval(psi: GeneratingFunction, p):
     )
 
 
+def psi_values(psi: GeneratingFunction, q: np.ndarray) -> np.ndarray:
+    """psi at every p of the float array ``q``, all of them at least 1
+    already (a norm search's points lie in [1, p_max] by construction): the
+    evaluator on ``q`` itself, its values tested once for the call.  Where
+    one is not positive and finite, psi_eval takes over, so the DomainError
+    is psi_eval's, naming the same p (a NaN comes back as it is, for the
+    search to name)."""
+    out = np.asarray(psi.evaluator(q), dtype=float)
+    if 0.0 < out.min(initial=math.inf) and out.max(initial=0.0) < math.inf:
+        return out
+    return psi_eval(psi, q)
+
+
 def _ln3_pow(delta: float) -> float:
     """ln^delta(3) in Python floats: inf where it overflows, 0.0 where it
     underflows, and no RuntimeWarning either way."""

@@ -290,6 +290,14 @@ class RandomVariableModel:
     def lp_norm(self, p):
         raise NotImplementedError
 
+    def _lp_norms(self, q: np.ndarray) -> np.ndarray:
+        """|f|_p at every p of the float array ``q``, all of them at least 1
+        already: the moment kernel that lp_norm wraps with its check of p,
+        called directly where the points lie in [1, p_max] by construction
+        (a norm search's).  Here lp_norm itself; the shipped backends take
+        their moment map or power_means without a check."""
+        return self.lp_norm(q)
+
     def sample_values(self, n: int, seed: int) -> np.ndarray:
         raise UnsupportedBackendError(f"{self.label} backend does not support sampling")
 
@@ -321,7 +329,10 @@ class ClosedFormModel(RandomVariableModel):
 
     def lp_norm(self, p):
         q = _check_p(p)
-        return _shaped(self._moment_fn(np.atleast_1d(q)), q)
+        return _shaped(self._lp_norms(np.atleast_1d(q)), q)
+
+    def _lp_norms(self, q: np.ndarray) -> np.ndarray:
+        return self._moment_fn(q)
 
     def sample_values(self, n: int, seed: int) -> np.ndarray:
         if self._transform is None:
@@ -334,8 +345,9 @@ class PowerMeanModel(RandomVariableModel):
     empirical measure, or a function on a finite group under normalized
     Haar measure.  |f|_p is their normalized power mean: each subclass's
     lp_norm is power_mean(self._moments, p), EmpiricalModel's with a
-    warning.  A norm search of several models takes the moments of those
-    without one for all of them at once (power_means; see norms._stacks)."""
+    warning, and the unchecked kernel _lp_norms is power_means.  A norm
+    search of several models takes the moments of those without one for
+    all of them at once (power_means; see norms._stacks)."""
 
     #: what the values are, in the error an empty array raises
     what = "power-mean model"
@@ -356,6 +368,10 @@ class PowerMeanModel(RandomVariableModel):
         """ess sup |f|, the largest |value|."""
         return self._moments.mx
 
+    def _lp_norms(self, q: np.ndarray) -> np.ndarray:
+        flat = q.ravel()
+        return power_means([self._moments], flat, (0, flat.size)).reshape(q.shape)
+
 
 class EmpiricalModel(PowerMeanModel):
     """Plug-in moments of a stored sample; sampling bootstraps from it."""
@@ -374,14 +390,23 @@ class EmpiricalModel(PowerMeanModel):
 
     def lp_norm(self, p):
         out = power_mean(self._moments, p)
-        top = float(np.asarray(p).max(initial=1.0))
+        self._warn_past_stable(float(np.asarray(p).max(initial=1.0)))
+        return out
+
+    def _lp_norms(self, q: np.ndarray) -> np.ndarray:
+        out = super()._lp_norms(q)
+        self._warn_past_stable(float(q.max()))
+        return out
+
+    def _warn_past_stable(self, top: float) -> None:
+        """The plug-in warning for a call whose largest p is ``top``, shown
+        as raised by the caller of lp_norm or _lp_norms."""
         if top > self.stable_p and not _REPEATED_P.get():
             warnings.warn(
                 f"plug-in moment at p={top:g} with n={self.values.size} is dominated by the sample maximum",
                 MomentInstabilityWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-        return out
 
     def sample_values(self, n: int, seed: int) -> np.ndarray:
         u = uniform_stream(seed, n)

@@ -55,7 +55,7 @@ from typing import ClassVar, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DivergentMomentError, DomainError, TruncationError
-from .generating import GeneratingFunction, psi_eval
+from .generating import GeneratingFunction, psi_eval, psi_values
 from .grids import (
     EquivalenceConstant,
     GridSequence,
@@ -113,8 +113,11 @@ class NormResult:
     n_evaluations: int
     arg_index: Optional[int] = None
     #: psi is the model's own natural psi, so the ratio is |f|_1 at every p
-    #: and the value is exact whatever the edge evidence says (|f|_1 itself
-    #: at p = 1 where the moments are exact and a scan row starts there)
+    #: in exact arithmetic, whatever the edge evidence says.  The value is
+    #: the largest rounded ratio m / (m / |f|_1) at the points read, which
+    #: may lie a few ulp above |f|_1 (1 ulp at p = 2 on a sample's integer
+    #: grid); it is |f|_1 itself at p = 1 where the moments are exact and a
+    #: scan row starts there, and at least |f|_1 wherever p = 1 is read
     constant_ratio: bool = False
     #: |f|_1 = 0, so f = 0 almost surely and the norm is exactly 0
     zero_model: bool = False
@@ -140,19 +143,29 @@ class NormResult:
 
 
 def _ratio_fn(model: RandomVariableModel, psi: GeneratingFunction):
-    """p -> (|f|_p, psi(p)), the numerator and denominator of the ratio."""
+    """p -> (|f|_p, psi(p)), the numerator and denominator of the ratio.
+
+    A search's points lie in [1, p_max] by construction (domain_search
+    checks p_max, grids and sets start at 1, golden points lie inside their
+    brackets), so an array p goes to the model's moment kernel
+    (RandomVariableModel._lp_norms) and to psi_values unchecked, psi's
+    values tested once for the call.  Any other p, a float, takes the
+    checked lp_norm and psi_eval; both give a point the same bits."""
+    moments = model._lp_norms
     if psi.source is model:
         # psi(p) = |f|_p / |f|_1 of this very model: one moment per p serves
         # both, and m / (m / m1) is the division the two-call route makes
         m1 = float(model.lp_norm(1.0))
 
         def pair(p):
-            m = model.lp_norm(p)
+            m = moments(p) if isinstance(p, np.ndarray) else model.lp_norm(p)
             return m, m / m1
 
     else:
 
         def pair(p):
+            if isinstance(p, np.ndarray):
+                return moments(p), psi_values(psi, p)
             return model.lp_norm(p), psi_eval(psi, p)
 
     return pair
@@ -181,8 +194,8 @@ def _stacked_ratio(psi: GeneratingFunction, models: Sequence[PowerMeanModel]):
         num = power_means(states, p, at)
         size = at[1]
         if size and at == list(range(0, n_parts * size + 1, size)) and (p.reshape(n_parts, size) == p[:size]).all():
-            return num, np.concatenate((psi_eval(psi, p[:size]),) * n_parts)
-        return num, psi_eval(psi, p)
+            return num, np.concatenate((psi_values(psi, p[:size]),) * n_parts)
+        return num, psi_values(psi, p)
 
     return pair
 
@@ -450,8 +463,8 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
         lo, hi = starts[k], starts[k + 1]
         vals = np.concatenate([at_points[k], found.values[lo:hi]])
         args = np.concatenate([s.points, found.args[lo:hi]])
-        ties = np.flatnonzero(vals == vals.max())
-        i = ties[np.argmin(args[ties])]
+        # the largest value, ties going to the smallest p, in one call
+        i = int(np.lexsort((args, -vals))[0])
         if s.grid:
             decreasing = vals.size >= 3 and vals[-3] > vals[-2] > vals[-1]
         else:
@@ -488,11 +501,12 @@ def _abs_constant(model) -> bool:
 
 def _row_starts(parts, searches: Sequence[NormSearch]) -> RowSupremum:
     """sup_rows' result for ``searches`` whose ratio cannot rise along a
-    row (see _search), from one array call of ``parts``: each row's value
-    is its first point's, and the edge evidence of a search's last row is
-    read from that row's last three points (as in the exact points' call,
-    search k's points are p[at[k]:at[k + 1]]).  Scan rows hold at least
-    _CELL_POINTS points."""
+    row (see _search), from one array call of ``parts`` (``calls`` is 1,
+    or 0 where no search has a row): each row's value is its first
+    point's, and the edge evidence of a search's last row is read from that
+    row's last three points (as in the exact points' call, search k's
+    points are p[at[k]:at[k + 1]]).  Scan rows hold at least _CELL_POINTS
+    points."""
     xs = [np.concatenate((s.rows[:, 0], s.rows[-1, -3:])) if s.rows.shape[0] else _NO_POINTS for s in searches]
     at = [0, *accumulate(x.size for x in xs)]
     ys = _eval_parts(lambda p, _: parts(p, at), _cat(xs), None)[2]
@@ -502,7 +516,7 @@ def _row_starts(parts, searches: Sequence[NormSearch]) -> RowSupremum:
             values.append(ys[lo : hi - 3])
             decreasing += [False] * (hi - lo - 4) + [ys[hi - 3] > ys[hi - 2] > ys[hi - 1]]
     args = _cat([s.rows[:, 0] for s in searches])
-    return RowSupremum(_cat(values), args, np.array(decreasing, dtype=bool), 0, 0, 0, 0, 0)
+    return RowSupremum(_cat(values), args, np.array(decreasing, dtype=bool), 0, 0, 0, 0, 0, int(at[-1] > 0))
 
 
 def gls_norms(

@@ -37,7 +37,7 @@ Refinement takes one of two routes, chosen once for the whole search.
 Both take golden_section_max's update rule, stopping width and tie-break
 and ask ``parts`` for arrays of points only, so they give its bits as
 long as ``parts`` gives a point the same bits in any array, as the moment
-backends and psi_eval do (a scalar p reaches them as a one-element array).
+kernels and psi's evaluators do (norms._ratio_fn).
 - Lockstep: every bracket takes one golden step per array call, so
   ``parts`` is asked for golden_section_max's points and no other: where
   a guessed point would cost more than the call it saves, or where there
@@ -50,8 +50,12 @@ backends and psi_eval do (a scalar p reaches them as a one-element array).
   decisions to the end of its path, toward a predicted peak: in the first
   round a row end for a peak there, else the vertex of the parabola
   through the scan peak and its neighbours; in every later round the
-  bracket's best point so far.  The replay stops at the first wrong
-  guess, which only costs the points evaluated past it.
+  vertex of the parabola through the inner point golden section keeps
+  and its two neighbours in the bracket (_Golden.aim), as in Brent's
+  parabolic step (Brent, "Algorithms for Minimization without
+  Derivatives", 1973), which here only aims the guesses.  The replay
+  stops at the first wrong guess, which only costs the points evaluated
+  past it.
 When refinement raises (a NaN ratio, a domain error, a divergent moment),
 perhaps at a point off golden section's path in a guessed round, or on a
 later bracket's path that lockstep reaches first, each bracket reruns
@@ -253,9 +257,12 @@ class RowSupremum(NamedTuple):
     flat, ``pruned`` the cells a pruned scan dropped unevaluated, and
     ``certified`` the brackets of row-end peaks left unrefined because
     golden section could not beat them, ``reran`` the brackets rerun
-    alone after an error in refinement that none of them met alone, and
+    alone after an error in refinement that none of them met alone,
     ``ruled_out`` the brackets whose cell bounds under a lower envelope lay
-    below their search's best value, left unrefined."""
+    below their search's best value, left unrefined, and ``calls`` the
+    array calls of ``parts`` the search made: the scan (or each pruning
+    level and the fine pass), each guessed round or lockstep iteration, and
+    each call of the reruns."""
 
     values: np.ndarray
     args: np.ndarray
@@ -265,6 +272,7 @@ class RowSupremum(NamedTuple):
     certified: int
     reran: int
     ruled_out: int
+    calls: int
 
 
 def golden_section_max(
@@ -328,13 +336,13 @@ class _Golden:
     confirms is the step of golden_section_max, on the same floats.
     """
 
-    __slots__ = ("a", "b", "x1", "x2", "f1", "f2", "best_x", "best_v", "width_tol", "steps")
+    __slots__ = ("a", "b", "fa", "fb", "x1", "x2", "f1", "f2", "best_x", "best_v", "width_tol", "steps")
 
     def __init__(self, lo, hi, f_lo, f_hi, tol: float):
         self.best_x, self.best_v = lo, f_lo
         if f_hi > f_lo:
             self.best_x, self.best_v = hi, f_hi
-        self.a, self.b = lo, hi
+        self.a, self.b, self.fa, self.fb = lo, hi, f_lo, f_hi
         self.x1 = hi - INV_PHI * (hi - lo)
         self.x2 = lo + INV_PHI * (hi - lo)
         self.f1 = self.f2 = None
@@ -344,6 +352,20 @@ class _Golden:
     @property
     def done(self) -> bool:
         return self.f2 is not None and (self.b - self.a <= self.width_tol or self.steps >= _MAX_ITER)
+
+    def aim(self) -> float:
+        """The predicted peak once x1 and x2 are evaluated: the vertex of
+        the parabola through the inner point golden section keeps (x1 where
+        f1 >= f2) and its two neighbours in the bracket, or the bracket end
+        beside it where that end is higher, for a bracket that rises to an
+        end."""
+        if self.f1 >= self.f2:
+            if self.fa > self.f1:
+                return self.a
+            return _vertex(self.a, self.fa, self.x1, self.f1, self.x2, self.f2)
+        if self.fb > self.f2:
+            return self.b
+        return _vertex(self.x1, self.f1, self.x2, self.f2, self.b, self.fb)
 
     def plan(self, target: float) -> tuple:
         """The points golden section asks for to the end of its path, x1
@@ -379,7 +401,7 @@ class _Golden:
         unevaluated.  ``lefts`` holds a planned decision per step (None
         where the values decide): the walk stops at the first planned one
         the values contradict, when they run out, or at the stopping width."""
-        a, b, x1, x2, f1, f2 = self.a, self.b, self.x1, self.x2, self.f1, self.f2
+        a, b, fa, fb, x1, x2, f1, f2 = self.a, self.b, self.fa, self.fb, self.x1, self.x2, self.f1, self.f2
         best_x, best_v, steps, tol = self.best_x, self.best_v, self.steps, self.width_tol
         if f2 is None:
             f1, f2 = f(x1), f(x2)
@@ -393,17 +415,17 @@ class _Golden:
             # keep [a, x2] (left) or [x1, b]; the new point is x1 or x2 of
             # the new bracket, the other inner point the old x1 or x2
             if left:
-                b, x2, f2 = x2, x1, f1
+                b, fb, x2, f2 = x2, f2, x1, f1
                 x1 = x = b - INV_PHI * (b - a)
                 f1 = v = f(x)
             else:
-                a, x1, f1 = x1, x2, f2
+                a, fa, x1, f1 = x1, f1, x2, f2
                 x2 = x = a + INV_PHI * (b - a)
                 f2 = v = f(x)
             steps += 1
             if v > best_v or (v == best_v and x < best_x):
                 best_x, best_v = x, v
-        self.a, self.b, self.x1, self.x2, self.f1, self.f2 = a, b, x1, x2, f1, f2
+        self.a, self.b, self.fa, self.fb, self.x1, self.x2, self.f1, self.f2 = a, b, fa, fb, x1, x2, f1, f2
         self.best_x, self.best_v, self.steps = best_x, best_v, steps
 
 
@@ -413,7 +435,7 @@ def _speculate(parts, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray, targets:
 
     Each round asks for the points of every unfinished bracket's whole
     remaining path, its decisions guessed toward a target: targets[k] in
-    the first round, the bracket's best point so far in every later one.
+    the first round, the bracket's _Golden.aim in every later one.
     An error of ``parts`` propagates, whether or not it lies on golden
     section's path (sup_rows then reruns the brackets one by one).
     Returns (args, values).
@@ -435,7 +457,7 @@ def _speculate(parts, lo, f_lo, hi, f_hi, tol: float, rows: np.ndarray, targets:
             at += count
         live_rows = [row for g, row in zip(live, live_rows) if not g.done]
         live = [g for g in live if not g.done]
-        targets = [g.best_x for g in live]
+        targets = [g.aim() for g in live]
     return np.array([(g.best_x, g.best_v) for g in brackets], dtype=float).reshape(-1, 2).T
 
 
@@ -546,12 +568,19 @@ def sup_rows(
     """
     rows, n = xs.shape
     if not rows:
-        return RowSupremum(np.empty(0), np.empty(0), np.zeros(0, dtype=bool), 0, 0, 0, 0, 0)
+        return RowSupremum(np.empty(0), np.empty(0), np.zeros(0, dtype=bool), 0, 0, 0, 0, 0, 0)
+    calls = 0
+
+    def counted(x, row):
+        nonlocal calls
+        calls += 1
+        return parts(x, row)
+
     known = None
     pruned = 0
     if per_point and lower is not None:
         try:
-            ys, known, pruned, num, den = _pruned_scan(xs, parts, floor, search, lower)
+            ys, known, pruned, num, den = _pruned_scan(xs, counted, floor, search, lower)
         except (DomainError, DivergentMomentError):
             known = None
     if known is None:
@@ -559,7 +588,7 @@ def sup_rows(
         # as int64, the 51200 indices of W^'s cell minima took about 4% more
         # time there (the allocation, not the arithmetic)
         scan_rows = np.arange(rows, dtype=np.min_scalar_type(rows)).repeat(n)
-        num, den, ys = (a.reshape(rows, n) for a in _eval_parts(parts, xs.ravel(), scan_rows))
+        num, den, ys = (a.reshape(rows, n) for a in _eval_parts(counted, xs.ravel(), scan_rows))
     r, i, il, ih, k, n_flat = _brackets(xs, ys, known)
     certified = 0
     if lower is not None and lower[0] is None and lower[1]:
@@ -577,13 +606,13 @@ def sup_rows(
     reran = 0
     try:
         if per_point or k.size > SCALAR_BRACKETS:
-            ref_x, ref_v = _golden_lockstep(parts, *ends, refine_tol, rk)
+            ref_x, ref_v = _golden_lockstep(counted, *ends, refine_tol, rk)
         else:
-            ref_x, ref_v = _speculate(parts, *ends, refine_tol, rk, _scan_targets(xs, ys, rk, i[k]))
+            ref_x, ref_v = _speculate(counted, *ends, refine_tol, rk, _scan_targets(xs, ys, rk, i[k]))
     except (DomainError, DivergentMomentError):
         # each bracket alone, in row order: an error is then the one
         # golden_section_max meets on the first bracket that meets one
-        alone = [_golden_lockstep(parts, *(e[j : j + 1] for e in ends), refine_tol, rk[j : j + 1]) for j in range(k.size)]
+        alone = [_golden_lockstep(counted, *(e[j : j + 1] for e in ends), refine_tol, rk[j : j + 1]) for j in range(k.size)]
         ref_x, ref_v = (np.concatenate(a) for a in zip(*alone))
         reran = k.size
     keep = ~(cand_v[k] > ref_v)
@@ -598,7 +627,7 @@ def sup_rows(
         decreasing = (ys[:, -3] > ys[:, -2]) & (ys[:, -2] > ys[:, -1])
     else:
         decreasing = np.zeros(rows, dtype=bool)
-    return RowSupremum(cand_v[first], cand_x[first], decreasing, n_flat, pruned, certified, reran, ruled_out)
+    return RowSupremum(cand_v[first], cand_x[first], decreasing, n_flat, pruned, certified, reran, ruled_out, calls)
 
 
 def _brackets(xs: np.ndarray, ys: np.ndarray, known: Optional[np.ndarray]):

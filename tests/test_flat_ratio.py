@@ -24,7 +24,9 @@ from glspace import (
     discrete_norm,
     exponential_model,
     gaussian_model,
+    geometric_grid,
     gls_norm,
+    integer_grid,
     make_power_slowvary,
     natural_psi,
     rademacher_model,
@@ -226,3 +228,21 @@ def test_reading_the_row_start_gives_the_full_searchs_fields(model, own, pool, r
         _same(flat.inner, full.inner, own, m1)
         _same(flat.full, full.full, own, m1)
         assert (flat.ok, flat.constant.value) == (full.ok, full.constant.value)
+
+
+def test_a_value_under_the_models_own_natural_psi_lies_a_few_ulp_at_most_above_its_l1():
+    # the ratio is |f|_1 at every p in exact arithmetic, but the value is the
+    # rounded m / (m / |f|_1) at the largest of the points read: on a
+    # 40-value sample's integer grid (at p = 2), and in the Gaussian's W^
+    # full norm on a doubling grid (at p = 127 on NumPy's default loops of
+    # an AVX-512 machine, at p = 31 on its baseline loops), it is 1 ulp
+    # above |f|_1.  Both reads include p = 1, where the ratio is |f|_1
+    # itself, so the value is not below it
+    sample = EmpiricalModel(np.random.default_rng(3).standard_normal(40))
+    on_grid = discrete_norm(sample, natural_psi(sample), integer_grid(40))
+    gauss = gaussian_model()
+    w_hat = sandwich_check_discrete(gauss, natural_psi(gauss), geometric_grid(2, 40), 128.0, use_w_hat=True).full
+    for model, res in ((sample, on_grid), (gauss, w_hat)):
+        l1 = float(model.lp_norm(1.0))
+        assert res.constant_ratio
+        assert l1 < res.value <= l1 + 4 * np.spacing(l1)

@@ -367,15 +367,17 @@ def test_norm_over_a_set_equals_a_per_segment_search(model, psi):
 
 
 def _counting(model):
-    """``model`` with its moment map wrapped to count the points asked for."""
+    """``model`` with its moment kernel, the unchecked _lp_norms that a norm
+    search calls (lp_norm is its checked wrapper), wrapped to count the
+    points asked for."""
     seen = [0]
-    lp_norm = model.lp_norm
+    kernel = model._lp_norms
 
-    def counted(p):
-        seen[0] += np.size(p)
-        return lp_norm(p)
+    def counted(q):
+        seen[0] += np.size(q)
+        return kernel(q)
 
-    model.lp_norm = counted
+    model._lp_norms = counted
     return model, seen
 
 

@@ -523,3 +523,31 @@ def test_every_name_the_benchmark_tracer_patches_resolves():
 def test_a_constant_model_sandwich_is_exact():
     rep = sandwich_check_restricted(constant_model(2.0), psi_pool()[0], set_fixtures()[0])
     assert rep.inner_value == rep.full_value == rep.inner.value == rep.full.value
+
+
+# The array calls of the W^ full norm's search (RowSupremum.calls) in the
+# check of each sandwich model under sqrt_dip on integer_grid(256) to
+# p_max 200: the scan, then one call a guessed round for the one or two
+# brackets the envelope leaves.  When every round after the first aimed at
+# the bracket's best point so far, the checks made 9, 13, 6, 11, 11 and 11
+# calls.  Aimed at the parabola vertex of the inner point golden section
+# keeps and its bracket neighbours, they make these, with the same bits.
+# uniform01's moments round differently on NumPy's baseline loops, and its
+# search takes one round more there, at both aims (14 calls before).
+_W_HAT_CALLS = {"gaussian": {5}, "uniform01": {9, 10}, "exponential": {4}, "rademacher": {7}, "constant:2": {7},
+                "constant:5.5": {7}}
+_W_HAT_CALLS_AIMED_AT_THE_BEST_POINT = {
+    "gaussian": 9, "uniform01": 13, "exponential": 6, "rademacher": 11, "constant:2": 11, "constant:5.5": 11,
+}
+
+
+def test_w_hat_checks_count_their_calls_and_take_fewer_rounds_than_when_aimed_at_the_best_point(monkeypatch):
+    found, real = [], norms.sup_rows
+    monkeypatch.setattr(norms, "sup_rows", lambda *a, **kw: found.append(real(*a, **kw)) or found[-1])
+    models = [*_closed_form_pool(np.random.default_rng(0))[:4], constant_model(2.0), constant_model(5.5)]
+    for model in models:
+        found.clear()
+        sandwich_check_discrete(model, sqrt_dip_psi(), integer_grid(256), 200.0, use_w_hat=True)
+        (calls,) = [res.calls for res in found]
+        assert calls in _W_HAT_CALLS[model.label]
+        assert calls < _W_HAT_CALLS_AIMED_AT_THE_BEST_POINT[model.label]

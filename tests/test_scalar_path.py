@@ -128,14 +128,24 @@ def test_natural_ratio_takes_one_moment_per_p_with_the_two_call_bits(model, monk
             np.testing.assert_array_equal(num / den, expect)
 
     m1 = model.lp_norm(1.0)
-    calls = [0]
-    lp_norm = type(model).lp_norm
+    # the moments asked of the model, through lp_norm (psi's evaluator, |f|_1)
+    # or its unchecked kernel _lp_norms (the search's points), counted at the
+    # outer of the two where one calls the other
+    calls, depth = [0], [0]
 
-    def counted(self, p):
-        calls[0] += np.size(p)
-        return lp_norm(self, p)
+    def counting(real):
+        def counted(self, p):
+            calls[0] += np.size(p) * (depth[0] == 0)
+            depth[0] += 1
+            try:
+                return real(self, p)
+            finally:
+                depth[0] -= 1
 
-    monkeypatch.setattr(type(model), "lp_norm", counted)
+        return counted
+
+    for name in ("lp_norm", "_lp_norms"):
+        monkeypatch.setattr(type(model), name, counting(getattr(type(model), name)))
     res = gls_norm(model, psi, p_max=60.0)
     one_moment = calls[0]
     calls[0] = 0

@@ -374,8 +374,8 @@ def test_an_always_wrong_guess_keeps_the_bits(monkeypatch):
 
 def test_a_wrong_first_guess_costs_one_round(monkeypatch):
     # every guess is right but the search's first: the second round plans
-    # the rest of the path toward the bracket's best point, so the scan and
-    # two rounds are the whole search, with the bits of lockstep
+    # the rest of the path toward the predicted peak, so the scan and two
+    # rounds are the whole search, with the bits of lockstep
     xs, f = _one_peak_per_row(1)
     seq = sup_rows(_rowless(f), xs, per_point=True)
     guesses = []
@@ -392,14 +392,17 @@ def test_a_wrong_first_guess_costs_one_round(monkeypatch):
     assert len(calls) == 3
     # the first round guesses every step, x1 and x2 unevaluated; the second
     # takes its first step from their values and aims every guess at the
-    # bracket's best point, which before any step is the best of its ends,
-    # x1 and x2 (golden_section_max compares each point it evaluates with
-    # the best, x1 and x2 included): the largest value, then the smallest p
+    # vertex of the parabola through the inner point golden section keeps
+    # (x1 where f(x1) >= f(x2)) and its two neighbours in the bracket; f is
+    # a parabola, so that vertex is its peak, 1.3, up to rounding
     i = int(np.argmax(f(xs[0])))
     lo, hi = xs[0, i - 1], xs[0, i + 1]
-    best = max([lo, hi - INV_PHI * (hi - lo), lo + INV_PHI * (hi - lo), hi], key=lambda p: (f(p), -p))
+    x1, x2 = hi - INV_PHI * (hi - lo), lo + INV_PHI * (hi - lo)
+    three = (lo, x1, x2) if f(x1) >= f(x2) else (x1, x2, hi)
+    vertex = search._vertex(*(float(v) for x in three for v in (x, f(x))))
     assert len(guesses) == (calls[1] - 2) + (calls[2] - 1)
-    assert {target for _, _, target in guesses[calls[1] - 2:]} == {best}
+    assert {target for _, _, target in guesses[calls[1] - 2:]} == {vertex}
+    assert vertex == pytest.approx(1.3, abs=1e-12)
 
 
 def _true_path(xs):
@@ -649,6 +652,23 @@ def test_every_route_gives_f_arrays_only(monkeypatch, route):
     ref = sup_rows(_rowless(_multi_peak), xs)
     np.testing.assert_array_equal(res.values, ref.values)
     np.testing.assert_array_equal(res.args, ref.args)
+
+
+@pytest.mark.parametrize("route", ["guessed", "per-point", "lockstep", "after-a-raise"])
+def test_calls_count_every_array_call_of_parts(monkeypatch, route):
+    xs, scalar = _multi_peak_case()
+    f = _multi_peak
+    if route == "lockstep":
+        monkeypatch.setattr(search, "SCALAR_BRACKETS", 1)
+    if route == "after-a-raise":
+        true_path = _true_path(xs)
+        _always_wrong(monkeypatch, scalar)
+        f = _nan_or_raise("domain", lambda x: x not in true_path)
+    calls = []
+    res = sup_rows(lambda x, row: calls.append(x.size) or (f(x), np.ones_like(x)), xs, per_point=route == "per-point")
+    assert res.calls == len(calls) > 1
+    # the scan, then one call a round or iteration, and the reruns
+    assert calls[0] == xs.size and (res.reran > 0) == (route == "after-a-raise")
 
 
 class _ArraysOnly(PowerMeanModel):
