@@ -2,11 +2,12 @@
 
 The central quantity is sup over admissible p of |f|_p / psi(p).  The
 full norm ranges over [1, p_max], the restricted norm over a Borel
-subset, the discrete norm over a grid (exact enumeration, no
+subset, the discrete norm over a grid (its exact values, no
 refinement).  Each is a NormSearch (scan rows and exact points) and all
 go through one path, _search: intervals and grid cells are rows of one
 scan grid, refined together, and isolated points and grid values are
-evaluated exactly in one array call.  Several searches under one psi
+evaluated exactly, in one array call, except a grid's values where the
+pruned scan may skip them (_point_values).  Several searches under one psi
 share that path's every array call: the three norms of an algebra
 check, the two of ``gls norm --set ... --grid ...``, and the two sides
 of a sandwich check, so each check's norms are one scan and one
@@ -73,7 +74,7 @@ from .models import (
     _REPEATED_P,
     power_means,
 )
-from .search import RowSupremum, _eval_parts, sup_rows
+from .search import RowSupremum, _eval_parts, _pruned_scan, sup_rows
 from .search import grid_refine_supremum  # noqa: F401  unused here; the benchmark tracer patches it
 
 DEFAULT_P_MAX = 200.0
@@ -298,7 +299,9 @@ def _scan_rows(lo: bytes, hi: bytes, points: int, geometric: bool) -> np.ndarray
 
 
 def grid_search(model: RandomVariableModel, q: GridSequence) -> NormSearch:
-    """The search of discrete_norm: the stored grid values as exact points."""
+    """The search of discrete_norm: the stored grid values as exact points,
+    one row of the pruned scan where the ratio costs by the point under an
+    envelope (_point_values)."""
     return NormSearch(model, q.values[-1], _NO_ROWS, q.values, grid=True)
 
 
@@ -327,7 +330,8 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     NormResult per search, or None where a shared search is given up.
 
     Every array call of the search (the exact points, the scan, each
-    pruning level, each refinement round) serves every search: the rows
+    pruning level, each refinement round) serves every search, but the
+    calls of a pruned grid, each its own search's (_point_values): the rows
     of all searches are one scan array of sup_rows, and one (num, den)
     function gives the ratios of all searches at once, sup_rows dividing:
     the _ratio_fn pair of their one model, or, where every model is a
@@ -350,8 +354,9 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     chord bound's margins cover; a moment by quadrature errs by more),
     ``lower`` is the envelope psi declares (GeneratingFunction.envelope);
     elsewhere it is None.  ``per_point`` holds where any model, or the
-    model of psi, costs by the point (_costs_per_point).  From them the
-    scan is pruned, against the best exact-point value too, a row-end
+    model of psi, costs by the point (_costs_per_point).  From them a
+    grid's exact points are pruned as one scan row, the scan is pruned,
+    against the best exact-point value too, a row-end
     peak that golden section cannot beat is not refined, a search of more
     than SCALAR_BRACKETS brackets drops those its envelope rules out (the
     W^ full norm under sqrt_dip, one interior peak in each of its cells,
@@ -432,12 +437,8 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
         # each search's points start where its first row does
         return parts(p, None if n_parts == 1 else np.searchsorted(row, row0.astype(row.dtype, copy=False)).tolist())
 
-    # where each search's exact points start in their array call, then
-    # their end
-    at = [0, *accumulate(s.points.size for s in searches)]
     try:
-        points = _eval_parts(lambda p, _: parts(p, at), _cat([s.points for s in searches]), None)[2]
-        at_points = [points[lo:hi] for lo, hi in zip(at, at[1:])]
+        at_points = _point_values(parts, searches, lower if per_point else None)
         if flat[0]:
             found = _row_starts(parts, searches)
         else:
@@ -484,6 +485,39 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
             truncated=s.truncated,
         ))
     return out
+
+
+def _point_values(parts, searches: Sequence[NormSearch], lower: Optional[tuple]) -> list:
+    """The ratio at the exact points of each search, from ``parts`` as in
+    _search (search k's points of a call are p[at[k]:at[k + 1]]).  Where
+    ``lower`` is given, a grid's points are one row of search._pruned_scan,
+    its levels, chord bound and margin: the first level holds the grid's
+    last point, so the first call reaches its largest p as the one-call
+    evaluation does, and the last three points, its edge evidence, are
+    always evaluated; a point the scan skips reads -inf, and lies strictly
+    below the grid's largest value.  Where that scan meets a NaN ratio or
+    a divergent moment, the grid's points are evaluated in one call
+    instead, so the error and the p it names are that call's.  Every other
+    search's points are evaluated in one array call, made first."""
+    n_parts = len(searches)
+    pruned = [lower is not None and s.grid for s in searches]
+    # where each search's points start in the one call, then their end
+    at = [0, *accumulate(0 if skip else s.points.size for s, skip in zip(searches, pruned))]
+    rest = _cat([s.points for s, skip in zip(searches, pruned) if not skip])
+    points = _eval_parts(lambda p, _: parts(p, at), rest, None)[2]
+    values = [points[lo:hi] for lo, hi in zip(at, at[1:])]
+    for k, s in enumerate(searches):
+        if pruned[k]:
+
+            def grid_parts(p, _, k=k):
+                # every point of the call is search k's
+                return parts(p, [0] * (k + 1) + [p.size] * (n_parts - k))
+
+            try:
+                values[k] = _pruned_scan(s.points[None, :], grid_parts, None, None, lower)[0][0]
+            except (DomainError, DivergentMomentError):
+                values[k] = _eval_parts(grid_parts, s.points, None)[2]
+    return values
 
 
 def _abs_constant(model) -> bool:
@@ -552,7 +586,10 @@ def gls_norm(
 
 
 def discrete_norm(model: RandomVariableModel, psi: GeneratingFunction, q: GridSequence) -> NormResult:
-    """max over the stored grid of |f|_{q(m)} / psi(q(m)); exact enumeration."""
+    """max over the stored grid of |f|_{q(m)} / psi(q(m)), with the bits of
+    the enumeration of every grid point: where the ratio costs by the
+    point under an envelope, the points the chord bound puts below the
+    largest value are not evaluated, and only n_evaluations falls."""
     return sup_norms(psi, [grid_search(model, q)])[0]
 
 

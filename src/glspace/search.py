@@ -111,7 +111,10 @@ dropped point or bracket is strictly below a value the search
 evaluates, and every local maximum that remains has the same scan
 neighbours as in the full scan, so the overall supremum, its argument
 and the edge evidence keep their bits.  It pays only where a point costs
-more than a call: on a small array the full scan is cheaper.
+more than a call: on a small array the full scan is cheaper.  The rows
+need not be a norm's scan: norms._point_values scans a grid's values as
+one row, whose cells lie between consecutive grid values, which the bound
+of a cell covers as it covers every p of the cell.
 
 The end certificate spares a peak at a row end, where a ratio that falls
 (or rises) through its row peaks most often.  Golden section on the cell

@@ -1,6 +1,7 @@
 """Moment backends: closed forms and plug-in samples, cross-checked
 against the quadrature twins of the test helper."""
 
+import gzip
 import math
 import tracemalloc
 
@@ -41,6 +42,7 @@ from glspace.models import (
     _ZERO_MIN_VALUES,
     PowerMeanState,
     power_mean,
+    read_values,
     _uniform_chunk,
     uniform_stream,
 )
@@ -478,6 +480,78 @@ def test_from_file_keeps_floats_error_text(tmp_path):
     path.write_text("1.0\n0x1p3\n2.0\n")
     with pytest.raises(ValueError, match=r"^could not convert string to float: '0x1p3'$"):
         EmpiricalModel.from_file(path)
+
+
+def _outcome(parse):
+    """The bits of the array ``parse()`` returns, or the type and message of
+    what it raised."""
+    try:
+        return parse().tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_TOKENS = st.one_of(
+    _FINITE.map(repr),
+    _FINITE.map(lambda x: "%.18e" % x),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1_000", "١", "0x1p3", "nan", "-inf", "inf", "1e", "--1", "abc", '"2"', "1,5", "1e400"]),
+)
+_SEPARATORS = st.sampled_from([" ", "\t", "\x0b", "\x1c", "\xa0", "　"])
+_LINE_ENDS = st.sampled_from(["\n", "\r\n", "\n\n", "\r"])
+
+
+@st.composite
+def _sample_text(draw):
+    """A sample file's text: one token a line, several a line, ragged lines,
+    blank lines, odd separators and line ends, empty or whitespace only."""
+    layout = draw(st.sampled_from(["one", "rows", "ragged", "empty", "blank"]))
+    if layout == "empty":
+        return ""
+    if layout == "blank":
+        return "".join(draw(st.lists(st.one_of(_SEPARATORS, _LINE_ENDS), max_size=6)))
+    count = draw(st.integers(1, 12)) if layout == "one" else None
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(count or draw(st.integers(1, 5))):
+        n = 1 if layout == "one" else width if layout == "rows" else draw(st.integers(1, 4))
+        sep = draw(_SEPARATORS)
+        lines.append(sep.join(draw(st.lists(_TOKENS, min_size=n, max_size=n))))
+    end = draw(_LINE_ENDS)
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@given(text=_sample_text())
+def test_read_values_gives_the_token_parsers_bits_or_its_error(tmp_path_factory, text):
+    # loadtxt's path and the token parser's: the same bits or the same
+    # error, and no warning (filterwarnings = error), also on a file
+    # without a token
+    path = tmp_path_factory.mktemp("sample") / "x.txt"
+    path.write_text(text, newline="")
+    assert _outcome(lambda: read_values(path)) == _outcome(lambda: np.array(text.split(), dtype=float))
+
+
+def _token_parser(path):
+    return np.array(path.read_text().split(), dtype=float)
+
+
+def test_read_values_keeps_the_errors_of_a_missing_file_and_a_directory(tmp_path):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        kept = _outcome(lambda: read_values(path))
+        assert issubclass(kept[0], OSError) and kept == _outcome(lambda: _token_parser(path))
+
+
+def test_read_values_does_not_decompress(tmp_path):
+    # loadtxt opens a .gz path through gzip; the token parser reads the
+    # compressed bytes as text
+    packed = tmp_path / "x.gz"
+    packed.write_bytes(gzip.compress(b"1.5\n2.5\n"))
+    assert np.loadtxt(packed).tolist() == [1.5, 2.5]
+    assert _outcome(lambda: read_values(packed)) == _outcome(lambda: _token_parser(packed))
+    plain = tmp_path / "y.gz"
+    plain.write_text("1.5 2.5\n")
+    assert read_values(plain).tolist() == [1.5, 2.5]
 
 
 def test_scaling_is_exact_homogeneity():

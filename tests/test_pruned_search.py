@@ -2,7 +2,10 @@
 group function, as the model or as the model of psi) under a psi that
 declares a lower envelope (psi itself, nondecreasing, or an L below it)
 skips the scan cells whose bound lies below the best value, and
-must give the full scan's value, argument and edge evidence bit for bit."""
+must give the full scan's value, argument and edge evidence bit for bit.
+A grid's exact points are one row of the same scan, and the discrete norm
+keeps every field of the enumeration of every point but its count, alone
+and inside a shared search."""
 
 import dataclasses
 import functools
@@ -10,10 +13,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glspace import (
+    ClosedFormModel,
+    DivergentMomentError,
     DomainError,
     EmpiricalModel,
     GeneratingFunction,
@@ -22,9 +27,12 @@ from glspace import (
     RestrictedSet,
     cyclic_group,
     default_p_max,
+    discrete_norm,
     exponential_model,
     gaussian_model,
+    geometric_grid,
     gls_norm,
+    integer_grid,
     make_power_slowvary,
     natural_psi,
     raw_power_slowvary,
@@ -64,11 +72,12 @@ def _rowless(f):
     return lambda x, row: f(x)
 
 
-def _full_scan(*args, **kw):
-    """gls_norm with pruning switched off, as every search ran before it."""
+def _full_scan(*args, norm=gls_norm, **kw):
+    """``norm`` with pruning switched off, as every search ran before it:
+    no ratio costs by the point, and a grid's points are one call."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(norms, "_PRUNE_MIN_VALUES", math.inf)
-        return gls_norm(*args, **kw)
+        return norm(*args, **kw)
 
 
 def _bits(res):
@@ -528,3 +537,145 @@ def test_a_wrapped_ratio_is_pruned_too(monkeypatch):
     res = gls_norm(model, psi, p_max)
     assert (res.value, res.arg_p, res.n_evaluations) == (ref.value, ref.arg_p, ref.n_evaluations)
     assert res.n_evaluations == seen[0][0] < 512
+
+
+# ---------------------------------------------------------------------------
+# A grid's exact points
+
+# every shipped psi that declares an envelope: the power family with delta
+# >= 0 (its own, with the chord), sqrt_dip (sqrt(p) / 1.5, with the chord)
+# and a natural psi (its own, without), of the model itself or of another
+# sample
+GRID_PSIS = [
+    make_power_slowvary(PowerSlowVaryParams(1.0, 0.0)),
+    make_power_slowvary(PowerSlowVaryParams(2.0, 0.5)),
+    make_power_slowvary(PowerSlowVaryParams(3.0, 1.0)),
+    raw_power_slowvary(PowerSlowVaryParams(2.0, 1.0)),
+    sqrt_dip_psi(),
+    "natural of the model",
+    natural_psi(EmpiricalModel(1.3 * np.random.default_rng(17).standard_normal(1 << 10))),
+]
+assert all(psi == "natural of the model" or psi.envelope is not None for psi in GRID_PSIS)
+
+
+def _enumerated(model, psi, q):
+    """The discrete norm's fields from every grid point's ratio, in one
+    call: the largest value, ties going to the smallest p, its p and
+    1-based index, the last three ratios' edge evidence, the window end."""
+    num, den = norms._ratio_fn(model, psi)(q.values)
+    ys = num / den
+    i = int(np.lexsort((q.values, -ys))[0])
+    decreasing = ys.size >= 3 and ys[-3] > ys[-2] > ys[-1]
+    return ys[i].hex(), q.values[i].hex(), i + 1, bool(decreasing), q.values[-1].hex()
+
+
+def _fields(res):
+    return res.value.hex(), res.arg_p.hex(), res.arg_index, res.decreasing_at_hi, res.truncation_p_max.hex()
+
+
+_GRIDS = st.one_of(
+    st.integers(1, 60).map(integer_grid),
+    st.tuples(st.sampled_from([2, 3]), st.integers(1, 12)).map(lambda dm: geometric_grid(*dm)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.integers(0, 2),
+    n=st.sampled_from([128, 300, 2048]),
+    group=st.booleans(),
+    psi=st.sampled_from(GRID_PSIS),
+    q=_GRIDS,
+)
+def test_a_pruned_grid_has_the_bits_of_every_point(seed, kind, n, group, psi, q):
+    values = _sample(kind, n, seed)
+    model = GroupFunctionModel(cyclic_group(n), values) if group else EmpiricalModel(values)
+    psi = natural_psi(model) if psi == "natural of the model" else psi
+    alone = discrete_norm(model, psi, q)
+    assert _fields(alone) == _enumerated(model, psi, q)
+    assert alone.n_evaluations <= q.M
+    # inside a shared search (a group function's, which shares; a sample's
+    # runs each search alone), the grid's result is the one it has alone
+    p_max = default_p_max(model)
+    _, shared = norms.sup_norms(psi, [norms.domain_search(model, p_max), norms.grid_search(model, q)])
+    assert _fields(shared) == _fields(alone) and shared.n_evaluations == alone.n_evaluations
+
+
+@pytest.mark.parametrize("group", [False, True], ids=["sample", "group"])
+def test_a_grid_of_fifty_integers_evaluates_fewer_points(group):
+    values = _sample(0, 4096, 3)
+    model = GroupFunctionModel(cyclic_group(4096), values) if group else EmpiricalModel(values)
+    psi, q = make_power_slowvary(PowerSlowVaryParams(2.0, 0.5)), integer_grid(50)
+    res, before = discrete_norm(model, psi, q), _full_scan(model, psi, q, norm=discrete_norm)
+    assert res.n_evaluations < 25 and before.n_evaluations == 50 and _fields(res) == _fields(before)
+    domain = norms.domain_search(model, default_p_max(model))
+    assert norms.sup_norms(psi, [domain, norms.grid_search(model, q)])[1] == res
+
+
+@pytest.mark.parametrize("psi", [
+    make_power_slowvary(PowerSlowVaryParams(3.0, -1.0)),
+    dataclasses.replace(sqrt_dip_psi(), envelope=None),
+], ids=["delta<0", "sqrt_dip without its envelope"])
+def test_a_grid_under_a_psi_without_an_envelope_is_not_pruned(psi):
+    model = EmpiricalModel(_sample(1, 4096, 5))
+    assert psi.envelope is None
+    res = discrete_norm(model, psi, integer_grid(50))
+    assert res.n_evaluations == 50 and _fields(res) == _enumerated(model, psi, integer_grid(50))
+
+
+def _raised(call):
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class _NanGroupFunction(GroupFunctionModel):
+    """A group function whose moment is NaN for p in (lo, hi)."""
+
+    def __init__(self, G, values, lo, hi):
+        super().__init__(G, values)
+        self.lo, self.hi = lo, hi
+
+    def _lp_norms(self, q):
+        out = super()._lp_norms(q)
+        return np.where((q > self.lo) & (q < self.hi), np.nan, out)
+
+
+def _diverging_from(p0: float) -> ClosedFormModel:
+    def moments(p):
+        past = np.atleast_1d(p) >= p0
+        if past.any():
+            raise DivergentMomentError(float(np.atleast_1d(p)[past][0]))
+        return np.sqrt(p)
+
+    return ClosedFormModel(f"diverging-from-{p0:g}", moments)
+
+
+def test_a_nan_at_a_grid_point_names_the_p_of_the_one_call():
+    # NaN on (20, 40): the pruned scan meets it first at q(33), the one
+    # call at q(21), which the error names
+    G, values = cyclic_group(512), _sample(0, 512, 7)
+    q = integer_grid(50)
+    for model, psi in [
+        (_NanGroupFunction(G, values, 20.0, 40.0), make_power_slowvary(PowerSlowVaryParams(2.0, 0.5))),
+        (GroupFunctionModel(G, values), _nan_psi(lambda p: (p > 20.0) & (p < 40.0))),
+    ]:
+        error = _raised(lambda: discrete_norm(model, psi, q))
+        assert error == _raised(lambda: _full_scan(model, psi, q, norm=discrete_norm))
+        assert error == (DomainError, "the searched function is NaN at p=21.0")
+
+
+@pytest.mark.parametrize("p0", [1.0, 20.5, 50.0])
+def test_a_divergent_moment_at_a_grid_point_is_the_one_calls_witness(p0):
+    # a closed form under a large sample's natural psi costs by the point;
+    # the first level reaches q(50) first, the one call q(1), and the +inf
+    # result names the first divergent p of the one call, counting the
+    # points of the pruned attempt too
+    model = _diverging_from(p0)
+    psi = natural_psi(EmpiricalModel(_sample(0, 1 << 12, 9)))
+    q = integer_grid(50)
+    res, before = discrete_norm(model, psi, q), _full_scan(model, psi, q, norm=discrete_norm)
+    assert math.isinf(res.value) and res.arg_p == math.ceil(p0)
+    assert dataclasses.replace(res, n_evaluations=before.n_evaluations) == before
+    assert before.n_evaluations == 50 <= res.n_evaluations
