@@ -20,7 +20,6 @@ the cell [q(m), q(m+1)].
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import math
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NonMonotoneError, TruncationError
-from .generating import GeneratingFunction, psi_eval
+from .generating import GeneratingFunction, psi_eval, psi_values
 from .models import _check_finite
 from .search import sampled_min
 
@@ -79,9 +78,13 @@ class GridSequence:
             return math.inf
 
     def truncated(self, M: int) -> "GridSequence":
+        """The grid's first M points, with its description and generator; a
+        prefix of checked values is not checked again."""
         if not 1 <= M <= self.M:
             raise DomainError(f"cannot truncate a {self.M}-point grid to M={M}")
-        return GridSequence(self.values[:M], self.description, self.generator)
+        q = GridSequence.__new__(GridSequence)
+        q.values, q.description, q.generator = self.values[:M], self.description, self.generator
+        return q
 
     def first_index_at_least(self, p: float) -> int:
         """Smallest m with q(m) >= p; extends through the generator."""
@@ -241,24 +244,49 @@ class RestrictedSet:
             raise DomainError(f"window point {P:g} is not an element of {self.description}")
         return RestrictedSet(self.segments_to(P), f"{self.description}|p<={P:g}", windowed_at=float(P))
 
+    def window(self, p_max: float) -> "RestrictedSet":
+        """``windowed(window_point(p_max))``, with its errors.  Where P =
+        p_plus(p_max) lies in a stored segment, the set is cut there in one
+        pass: that segment is the first whose end reaches p_max, every
+        later one starts past its end, and the cut ends need no sorting,
+        merging or checking again."""
+        p_max = float(p_max)
+        k = int(np.searchsorted(self._hi, p_max))
+        if not (1.0 <= p_max < math.inf and k < self._hi.size):
+            return self.windowed(self.window_point(p_max))
+        P = max(p_max, float(self._lo[k]))
+        W = RestrictedSet.__new__(RestrictedSet)
+        W._lo, W._hi = self._lo[: k + 1], self._hi[: k + 1].copy()
+        W._hi[k] = P
+        W.description, W.grid, W.windowed_at = f"{self.description}|p<={P:g}", None, P
+        return W
+
     def segments_to(self, P: float) -> list:
         """The segments that meet [1, P], cut at P.  A grid-backed set is
         read on through its grid's generator, past its stored points, to
         its last point at or below P (a TruncationError where the grid
         neither passes P nor overflows within _EXTEND_CAP terms)."""
-        segs = [(a, min(b, P)) for a, b in self.segments if a <= P]
+        return list(zip(*(ends.tolist() for ends in self._ends_to(P))))
+
+    def _ends_to(self, P: float) -> tuple:
+        """segments_to(P) as the arrays (lo, hi) of its segments' ends."""
+        k = int(np.count_nonzero(self._lo <= P))
+        lo, hi = self._lo[:k], np.minimum(self._hi[:k], P)
         if P > self._hi[-1] and self.grid is not None and self.grid.generator is not None:
             tail = range(self.grid.M + 1, self.grid.last_index_at_most(P) + 1)
-            segs += [(v, v) for v in map(self.grid.value_at, tail)]
-        return segs
+            points = np.array([self.grid.value_at(m) for m in tail], dtype=float)
+            lo, hi = np.concatenate((lo, points)), np.concatenate((hi, points))
+        return lo, hi
 
     def gaps(self):
         """Open gaps (hi_k, lo_{k+1}) between consecutive segments."""
-        return [
-            (float(self._hi[k]), float(self._lo[k + 1]))
-            for k in range(self._lo.size - 1)
-            if self._lo[k + 1] > self._hi[k]
-        ]
+        return list(zip(*(ends.tolist() for ends in self._gap_ends())))
+
+    def _gap_ends(self) -> tuple:
+        """gaps() as the arrays of the gaps' left and right ends."""
+        b, a = self._hi[:-1], self._lo[1:]
+        gap = a > b
+        return b[gap], a[gap]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RestrictedSet({self.description})"
@@ -309,15 +337,17 @@ def _check_monotone(psi: GeneratingFunction, end: float, advice: str) -> None:
         raise NonMonotoneError(f"{psi.description} is not nondecreasing on [1, {end:g}]; {advice}")
 
 
-def _grid_constant(kind: str, ratios: np.ndarray, args: np.ndarray) -> EquivalenceConstant:
-    """Z, W or W^ from its per-cell ratios and per-cell ``args``: the first
-    maximum and the tail evidence."""
-    idx = int(np.argmax(ratios))
+def _grid_constant(kind: str, ratios: np.ndarray, args: Optional[np.ndarray] = None, least=None) -> EquivalenceConstant:
+    """Z, W or W^ from its per-cell ratios and per-cell ``args`` (the 1-based
+    cell index where None): the first maximum, at least ``least`` where
+    given, and the tail evidence."""
+    idx = int(ratios.argmax())
+    value = float(ratios[idx])
     tail_increasing = ratios.size >= 3 and ratios[-1] > ratios[-2] > ratios[-3]
     return EquivalenceConstant(
         kind=kind,
-        value=float(ratios[idx]),
-        arg=float(args[idx]),
+        value=value if least is None else max(least, value),
+        arg=float(idx + 1 if args is None else args[idx]),
         tail_ratio=float(ratios[-1]),
         tail_increasing=bool(tail_increasing),
     )
@@ -333,20 +363,24 @@ def z_constant(S: RestrictedSet, psi: GeneratingFunction) -> EquivalenceConstant
     sampled nondecreasing up to the last gap end, and rejects anything
     else (the W^ machinery covers non-monotone psi).  A bounded set has
     nothing beyond its last point, so p_plus diverges there and Z = +inf
-    with an unbounded-gap marker.
+    with an unbounded-gap marker.  psi is evaluated at every gap's two
+    ends in one call (psi_values: the ends are set elements, at least 1),
+    the right ends first, so that a psi value that is not finite and
+    positive is named where the right ends, then the left ones, meet it
+    first.
     """
-    gaps = S.gaps()
+    b, a = S._gap_ends()
     extended = S.grid is not None and S.grid.generator is not None
     if extended:
         # the stored points are a truncation; extend a few gaps past the
         # end so the reported tail ratio reflects the true sequence
         last = S.grid.M
-        ext = [S.grid.value_at(m) for m in range(last, last + _Z_TAIL_TERMS + 1)]
-        gaps = gaps + [(ext[i], ext[i + 1]) for i in range(_Z_TAIL_TERMS)]
-    if gaps:
+        ext = np.array([S.grid.value_at(m) for m in range(last, last + _Z_TAIL_TERMS + 1)])
+        b, a = np.concatenate((b, ext[:-1])), np.concatenate((a, ext[1:]))
+    if a.size:
         # gaps run in increasing order, so the last one ends highest
         _check_monotone(
-            psi, gaps[-1][1], "the gap analysis for Z needs monotone psi (use the W^ cell-minimum machinery instead)"
+            psi, float(a[-1]), "the gap analysis for Z needs monotone psi (use the W^ cell-minimum machinery instead)"
         )
     if not extended and math.isfinite(S.sup_value) and S.windowed_at is None:
         # nothing beyond the last point: p_plus diverges there, so no
@@ -357,19 +391,19 @@ def z_constant(S: RestrictedSet, psi: GeneratingFunction) -> EquivalenceConstant
             arg=S.sup_value,
             unbounded=True,
         )
-    if not gaps:
+    if not a.size:
         return EquivalenceConstant(kind="Z", value=1.0, arg=1.0)
-    lo, hi = (np.array(ends) for ends in zip(*gaps))
-    z = _grid_constant("Z", psi_eval(psi, hi) / psi_eval(psi, lo), lo)
-    return dataclasses.replace(z, value=max(1.0, z.value))
+    ends = psi_values(psi, np.concatenate((a, b)))
+    return _grid_constant("Z", ends[: a.size] / ends[a.size :], b, least=1.0)
 
 
 def w_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConstant:
-    """W = max_m psi(q(m+1))/psi(q(m)) over the stored grid."""
+    """W = max_m psi(q(m+1))/psi(q(m)) over the stored grid, from one call
+    of psi at its values (psi_values: a grid's values are at least 1)."""
     if q.M < 2:
         raise DomainError("W needs at least two grid points")
-    vals = psi_eval(psi, q.values)
-    return _grid_constant("W", vals[1:] / vals[:-1], np.arange(1.0, q.M))
+    vals = psi_values(psi, q.values)
+    return _grid_constant("W", vals[1:] / vals[:-1])
 
 
 def w_hat_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConstant:
@@ -403,7 +437,7 @@ def w_hat_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConst
 def _w_hat(psi: GeneratingFunction, v: np.ndarray) -> EquivalenceConstant:
     """W^ of psi over the cells between consecutive values of ``v``."""
     mins = sampled_min(lambda p: psi_eval(psi, p), v[:-1], v[1:])
-    return _grid_constant("W_hat", psi_eval(psi, v[1:]) / mins, np.arange(1.0, v.size))
+    return _grid_constant("W_hat", psi_eval(psi, v[1:]) / mins)
 
 
 @functools.lru_cache(maxsize=32)

@@ -126,6 +126,9 @@ def read_values(path) -> np.ndarray:
 
 #: a byte of ASCII text that is not whitespace to str.split() or loadtxt
 _TOKEN_BYTE = re.compile(rb"[^\t-\r\x1c-\x1f ]")
+#: bytes of a text that _loadtxt_rows tests at a time, in buffers it reuses
+#: (64 KiB; fresh full-size masks cost more in page faults than in compares)
+_ROWS_CHUNK = 1 << 16
 
 
 def _loadtxt_rows(path: Path):
@@ -149,13 +152,23 @@ def _loadtxt_rows(path: Path):
     data = path.read_bytes()
     if not (data.isascii() and _TOKEN_BYTE.search(data)):
         return 0
-    chars = np.frombuffer(data, dtype=np.uint8)
-    ends = chars == ord("\n")
-    after_space = chars[:-1] <= ord(" ")
-    after_space &= ends[1:]
-    if b"\r" in data or ends[0] or after_space.any() or not (ends[-1] or chars[-1] > ord(" ")):
+    if b"\r" in data or data[0] == ord("\n") or not (data[-1] == ord("\n") or data[-1] > ord(" ")):
         return None
-    return int(np.count_nonzero(ends)) + 1
+    chars = np.frombuffer(data, dtype=np.uint8)
+    ends, after_space = np.empty(_ROWS_CHUNK, dtype=bool), np.empty(_ROWS_CHUNK, dtype=bool)
+    lines = 0
+    # the line ends at chars[i:i + n] and the bytes before them, the first
+    # byte being no line end
+    for i in range(1, chars.size, _ROWS_CHUNK):
+        n = min(_ROWS_CHUNK, chars.size - i)
+        e, a = ends[:n], after_space[:n]
+        np.equal(chars[i : i + n], ord("\n"), out=e)
+        np.less_equal(chars[i - 1 : i - 1 + n], ord(" "), out=a)
+        a &= e
+        if a.any():
+            return None
+        lines += int(np.count_nonzero(e))
+    return lines + 1
 
 
 def _check_seed(seed: int) -> None:

@@ -93,6 +93,17 @@ _RTOL = 1e-9
 # scan breaks even at 48-64 values and takes 0.56-0.85 of the full scan's
 # time at 128
 _PRUNE_MIN_VALUES = 128
+# a grid's exact points are pruned as one scan row only where its points
+# times the values its ratio reads at each point reach this (_prune_pays).
+# Timed on discrete_norm of normal samples of 2^10 to 2^16 values under
+# power_slowvary(r=2, delta=0.5) and (r=8, delta=0), on integers:M=20 and
+# M=50 and geometric D=2:M=12 and D=3:M=8 (Python 3.11, NumPy 2.4, 2-core
+# x86-64 VM, CPU time, median of 15 alternating rounds of 10 calls each
+# way): the pruned row took 1.0-3.2x the one call at up to 1.6e5, 0.57-0.77x
+# on integers:M=50 at 2.0e5 and 0.9-1.3x on geometric D=2:M=12 at the same
+# product; geometric:D=3:M=8, which prunes none of its points, pays only
+# from about 5e5
+_PRUNE_GRID_MIN = 200_000
 
 
 def default_p_max(model: RandomVariableModel) -> float:
@@ -215,6 +226,14 @@ def _costs_per_point(model) -> bool:
     return isinstance(model, PowerMeanModel) and model.values.size >= _PRUNE_MIN_VALUES
 
 
+def _prune_pays(s: "NormSearch", psi: GeneratingFunction) -> bool:
+    """Whether the grid of ``s`` is worth pruning: its points times the
+    values its ratio reads at each point, those of each power mean among
+    its model and the model of psi, reach _PRUNE_GRID_MIN."""
+    read = {id(m): m.values.size for m in (s.model, psi.source) if isinstance(m, PowerMeanModel)}
+    return s.points.size * sum(read.values()) >= _PRUNE_GRID_MIN
+
+
 def _one_plugin_warning(pair):
     """``pair``, quiet about plug-in moments on a call whose p all lie at or
     below the largest p an earlier call reached.  A plug-in warning names
@@ -244,8 +263,9 @@ def _one_plugin_warning(pair):
 class NormSearch(NamedTuple):
     """One norm of a search: the sup of |f|_p / psi(p) for ``model`` over
     the scan ``rows`` (each an increasing grid of one interval, refined by
-    sup_rows) and the exact ``points``.  With ``grid`` the points are a
-    grid and the result carries its arg_index.  ``truncated`` says that the
+    sup_rows) and the exact ``points``, rows and points each in increasing
+    order of p.  With ``grid`` the points are a grid, there are no rows,
+    and the result carries its arg_index.  ``truncated`` says that the
     domain goes on past p_max, so that the edge evidence is needed.  See
     _search."""
 
@@ -268,17 +288,24 @@ def _cat(arrays: list) -> np.ndarray:
     return np.concatenate(arrays) if arrays else np.empty(0)
 
 
+def _check_p_max(p_max: float) -> None:
+    """DomainError unless p_max is a finite p of at least 1."""
+    if not 1.0 <= p_max < math.inf:
+        raise DomainError(f"p_max must be finite and at least 1, got {p_max:g}")
+
+
 def domain_search(model: RandomVariableModel, p_max: float, rset: Optional[RestrictedSet] = None) -> NormSearch:
     """The search of gls_norm: every interval component of ``rset``
     (all of [1, p_max] when None) within [1, p_max] a geometric scan row of
     _SCAN_POINTS points (_scan_rows), every point component an exact
-    point, a grid-backed set's read through its grid up to p_max
-    (RestrictedSet.segments_to).  The domain is truncated when it goes on
-    past p_max."""
-    if not 1.0 <= p_max < math.inf:
-        raise DomainError(f"p_max must be finite and at least 1, got {p_max:g}")
-    segments = [(1.0, p_max)] if rset is None else rset.segments_to(p_max)
-    lo, hi = np.array(segments, dtype=float).T
+    point, a grid-backed set's read through its grid up to p_max (the ends
+    of RestrictedSet.segments_to, as arrays).  The domain is truncated when
+    it goes on past p_max."""
+    _check_p_max(p_max)
+    if rset is None:
+        lo, hi = np.array([[1.0], [p_max]], dtype=float)
+    else:
+        lo, hi = rset._ends_to(p_max)
     span = lo < hi
     rows = _scan_rows(lo[span].tobytes(), hi[span].tobytes(), _SCAN_POINTS, True)
     return NormSearch(model, p_max, rows, lo[~span], truncated=rset is None or rset.sup_value > p_max)
@@ -301,7 +328,8 @@ def _scan_rows(lo: bytes, hi: bytes, points: int, geometric: bool) -> np.ndarray
 def grid_search(model: RandomVariableModel, q: GridSequence) -> NormSearch:
     """The search of discrete_norm: the stored grid values as exact points,
     one row of the pruned scan where the ratio costs by the point under an
-    envelope (_point_values)."""
+    envelope and the grid is large enough to pay (_prune_pays,
+    _point_values)."""
     return NormSearch(model, q.values[-1], _NO_ROWS, q.values, grid=True)
 
 
@@ -355,7 +383,8 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     ``lower`` is the envelope psi declares (GeneratingFunction.envelope);
     elsewhere it is None.  ``per_point`` holds where any model, or the
     model of psi, costs by the point (_costs_per_point).  From them a
-    grid's exact points are pruned as one scan row, the scan is pruned,
+    grid's exact points are pruned as one scan row, where its points times
+    its values pass a measured break-even (_prune_pays), the scan is pruned,
     against the best exact-point value too, a row-end
     peak that golden section cannot beat is not refined, a search of more
     than SCALAR_BRACKETS brackets drops those its envelope rules out (the
@@ -399,26 +428,29 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     are neither one model nor all plain power means, since one function
     serves them.
     """
-    models = [s.model for s in searches]
-    shared = len(searches) > 1
-    one_model = all(m is models[0] for m in models)
-    plugin = any(isinstance(m, EmpiricalModel) for m in (*models, psi.source))
-    exact = all(isinstance(m, (PowerMeanModel, ClosedFormModel)) for m in models)
-    lower = psi.envelope if exact else None
-    flat = [exact and (psi.source is m or psi.nondecreasing and _abs_constant(m)) for m in models]
-    blocks = [s.rows for s in searches if s.rows.shape[0]]
-    mixed = not (one_model or all(_stacks(m, psi) for m in models))
-    if shared and (plugin or mixed or len(set(flat)) > 1 or len({rows.shape[1] for rows in blocks}) > 1):
-        return None
     n_parts = len(searches)
+    shared = n_parts > 1
+    models = [s.model for s in searches]
+    one_model = all(m is models[0] for m in models)
+    # the models' facts, each model once
+    distinct = models[:1] if one_model else models
+    plugin = any(isinstance(m, EmpiricalModel) for m in (*distinct, psi.source))
+    exact = all(isinstance(m, (PowerMeanModel, ClosedFormModel)) for m in distinct)
+    flat = {exact and (psi.source is m or psi.nondecreasing and _abs_constant(m)) for m in distinct}
+    counts = [s.rows.shape[0] for s in searches]
+    blocks = [s.rows for s, n in zip(searches, counts) if n]
+    mixed = not (one_model or all(_stacks(m, psi) for m in models))
+    if shared and (plugin or mixed or len(flat) > 1 or len({rows.shape[1] for rows in blocks}) > 1):
+        return None
+    lower = psi.envelope if exact else None
     if one_model:
         pair = _ratio_fn(models[0], psi)
         pair = _one_plugin_warning(pair) if plugin else pair
     else:
         stacked = _stacked_ratio(psi, models)
-    per_point = any(map(_costs_per_point, (*models, psi.source)))
+    per_point = any(map(_costs_per_point, (*distinct, psi.source)))
     # the first row of each search, then the number of rows
-    starts = [0, *accumulate(s.rows.shape[0] for s in searches)]
+    starts = [0, *accumulate(counts)]
     row0 = np.array(starts)
     asked = [0] * n_parts
 
@@ -437,16 +469,17 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
         # each search's points start where its first row does
         return parts(p, None if n_parts == 1 else np.searchsorted(row, row0.astype(row.dtype, copy=False)).tolist())
 
+    pruned = [per_point and lower is not None and s.grid and _prune_pays(s, psi) for s in searches]
     try:
-        at_points = _point_values(parts, searches, lower if per_point else None)
-        if flat[0]:
+        at_points = _point_values(parts, searches, lower, pruned)
+        if flat == {True}:
             found = _row_starts(parts, searches)
         else:
             found = sup_rows(
                 num_den,
                 _cat(blocks) if blocks else _NO_ROWS,
-                floor=[v.max(initial=-math.inf) for v in at_points],
-                search=np.arange(n_parts).repeat(np.diff(row0)),
+                floor=[v.max() if v.size else -math.inf for v in at_points],
+                search=np.arange(n_parts).repeat(counts),
                 per_point=per_point,
                 lower=lower,
             )
@@ -462,36 +495,46 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     out = []
     for k, s in enumerate(searches):
         lo, hi = starts[k], starts[k + 1]
-        vals = np.concatenate([at_points[k], found.values[lo:hi]])
-        args = np.concatenate([s.points, found.args[lo:hi]])
-        # the largest value, ties going to the smallest p, in one call
-        i = int(np.lexsort((args, -vals))[0])
+        at = at_points[k]
+        # the largest value, ties going to the smallest p: the first best
+        # of the points, then of the rows, both in increasing order of p;
+        # i indexes the points followed by the rows
+        value, arg, i = -math.inf, math.inf, -1
+        if at.size:
+            i = int(at.argmax())
+            value, arg = float(at[i]), float(s.points[i])
+        if hi > lo:
+            j = lo + int(found.values[lo:hi].argmax())
+            row_value, row_arg = float(found.values[j]), float(found.args[j])
+            if row_value > value or row_value == value and row_arg < arg:
+                value, arg, i = row_value, row_arg, at.size + j - lo
         if s.grid:
-            decreasing = vals.size >= 3 and vals[-3] > vals[-2] > vals[-1]
+            decreasing = at.size >= 3 and at[-3] > at[-2] > at[-1]
         else:
             at_p_max = hi > lo and s.rows[-1, -1] == s.p_max
             decreasing = not s.truncated or at_p_max and found.decreasing_at_hi[hi - 1]
         out.append(NormResult(
-            value=float(vals[i]),
-            arg_p=float(args[i]),
+            value=value,
+            arg_p=arg,
             truncation_p_max=float(s.p_max),
             decreasing_at_hi=bool(decreasing),
             n_evaluations=asked[k],
-            arg_index=int(i) + 1 if s.grid else None,
+            arg_index=i + 1 if s.grid else None,
             constant_ratio=psi.source is s.model,
             # a zero model has the value 0.0, which a tiny nonzero one may
             # also underflow to; only |f|_1 tells them apart
-            zero_model=bool(vals[i] == 0.0) and float(s.model.lp_norm(1.0)) == 0.0,
+            zero_model=value == 0.0 and float(s.model.lp_norm(1.0)) == 0.0,
             truncated=s.truncated,
         ))
     return out
 
 
-def _point_values(parts, searches: Sequence[NormSearch], lower: Optional[tuple]) -> list:
+def _point_values(parts, searches: Sequence[NormSearch], lower: Optional[tuple], pruned: list) -> list:
     """The ratio at the exact points of each search, from ``parts`` as in
     _search (search k's points of a call are p[at[k]:at[k + 1]]).  Where
-    ``lower`` is given, a grid's points are one row of search._pruned_scan,
-    its levels, chord bound and margin: the first level holds the grid's
+    ``pruned[k]``, search k's points, a grid's, are one row of
+    search._pruned_scan under ``lower``, its levels, chord bound and
+    margin: the first level holds the grid's
     last point, so the first call reaches its largest p as the one-call
     evaluation does, and the last three points, its edge evidence, are
     always evaluated; a point the scan skips reads -inf, and lies strictly
@@ -500,7 +543,8 @@ def _point_values(parts, searches: Sequence[NormSearch], lower: Optional[tuple])
     instead, so the error and the p it names are that call's.  Every other
     search's points are evaluated in one array call, made first."""
     n_parts = len(searches)
-    pruned = [lower is not None and s.grid for s in searches]
+    if not any(s.points.size for s in searches):
+        return [_NO_POINTS] * n_parts
     # where each search's points start in the one call, then their end
     at = [0, *accumulate(0 if skip else s.points.size for s, skip in zip(searches, pruned))]
     rest = _cat([s.points for s, skip in zip(searches, pruned) if not skip])
@@ -588,8 +632,9 @@ def gls_norm(
 def discrete_norm(model: RandomVariableModel, psi: GeneratingFunction, q: GridSequence) -> NormResult:
     """max over the stored grid of |f|_{q(m)} / psi(q(m)), with the bits of
     the enumeration of every grid point: where the ratio costs by the
-    point under an envelope, the points the chord bound puts below the
-    largest value are not evaluated, and only n_evaluations falls."""
+    point under an envelope and the grid's points times its values pass
+    _PRUNE_GRID_MIN, the points the chord bound puts below the largest
+    value are not evaluated, and only n_evaluations falls."""
     return sup_norms(psi, [grid_search(model, q)])[0]
 
 
@@ -663,17 +708,20 @@ def sandwich_check_restricted(
     S: RestrictedSet,
     p_max: float = DEFAULT_P_MAX,
 ) -> SandwichReport:
-    """Check inner <= full <= Z * inner on the window [1, p_plus(p_max)].
+    """Check inner <= full <= Z * inner on the window [1, p_plus(p_max)],
+    p_max checked first, as domain_search checks it.
 
-    Z is computed over the windowed set: its gaps are exactly the gaps
-    a p in the window can fall into, so the bound is valid and finite
-    even when the untruncated set continues with larger gaps.  The inner
+    The window is RestrictedSet.window, the set's ends cut at P.  Z is
+    computed over the windowed set: its gaps are exactly the gaps a p in
+    the window can fall into, so the bound is valid and finite even when
+    the untruncated set continues with larger gaps.  The inner
     norm (the windowed set's rows and isolated points) and the full norm
     (the row [1, P]) are one search (sup_norms), each with the bits of
     gls_norm.
     """
-    P = S.window_point(p_max)
-    windowed = S.windowed(P)
+    _check_p_max(p_max)
+    windowed = S.window(p_max)
+    P = windowed.windowed_at
     inner, full = sup_norms(psi, [domain_search(model, P, windowed), domain_search(model, P)])
     return SandwichReport(model.label, psi.description, S.description, full, inner, z_constant(windowed, psi))
 
@@ -698,7 +746,8 @@ def sandwich_check_discrete(
     p_max: float = DEFAULT_P_MAX,
     use_w_hat: bool = False,
 ) -> SandwichReport:
-    """Check discrete <= full <= W * discrete (or W^ when requested).
+    """Check discrete <= full <= W * discrete (or W^ when requested), p_max
+    checked first, as domain_search checks it.
 
     The W route is only sound for nondecreasing psi; a non-monotone
     generating function must go through W^, whose cell minima assume
@@ -713,6 +762,7 @@ def sandwich_check_discrete(
     from w_hat_constant, which depends on psi and the grid only and is
     computed once per (psi, cell ends) per process.
     """
+    _check_p_max(p_max)
     idx = q.first_index_at_least(p_max)
     if idx > q.M:
         raise TruncationError(

@@ -130,8 +130,8 @@ def test_nan_has_no_grid_index(q):
     # NaN compares false with every q(m); that must not read as "past them all"
     with pytest.raises(DomainError, match=rf"^{q.description}: no grid index for p=nan$"):
         q.first_index_at_least(math.nan)
-    with pytest.raises(DomainError, match=r"no grid index for p=nan"):
-        sandwich_check_discrete(gaussian_model(), root_psi(), q, p_max=math.nan)
+    with pytest.raises(DomainError, match=rf"^{q.description}: no grid index for p=nan$"):
+        q.last_index_at_most(math.nan)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, ndtri
 
@@ -552,6 +552,48 @@ def test_read_values_does_not_decompress(tmp_path):
     plain = tmp_path / "y.gz"
     plain.write_text("1.5 2.5\n")
     assert read_values(plain).tolist() == [1.5, 2.5]
+
+
+def _loadtxt_rows_reference(path):
+    """models._loadtxt_rows as first written, with full-size masks."""
+    if path.suffix in (".gz", ".bz2", ".xz", ".lzma"):
+        return 0
+    data = path.read_bytes()
+    if not (data.isascii() and glspace.models._TOKEN_BYTE.search(data)):
+        return 0
+    chars = np.frombuffer(data, dtype=np.uint8)
+    ends = chars == ord("\n")
+    after_space = chars[:-1] <= ord(" ")
+    after_space &= ends[1:]
+    if b"\r" in data or ends[0] or after_space.any() or not (ends[-1] or chars[-1] > ord(" ")):
+        return None
+    return int(np.count_nonzero(ends)) + 1
+
+
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=40),
+    # ASCII, mostly tokens and line ends, so that most files pass the
+    # first tests and the line ends decide
+    st.lists(
+        st.sampled_from([b"1", b"-2.5", b"e", b"7", b"\n", b"\n", b"\n", b" ", b"\t", b"\r", b"\x0b", b"\x00", b"!"]),
+        max_size=30,
+    ).map(b"".join),
+    _sample_text().map(str.encode),
+)
+
+
+@settings(max_examples=300)
+@given(data=_FILE_BYTES, chunk=st.sampled_from([1, 2, 3, 5, glspace.models._ROWS_CHUNK]))
+def test_loadtxt_rows_reads_a_file_as_full_size_masks_do(tmp_path_factory, data, chunk):
+    # chunks of a few bytes, so that line ends and the bytes before them
+    # fall on every side of a chunk's edge
+    path = tmp_path_factory.mktemp("rows") / "x.txt"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(glspace.models, "_ROWS_CHUNK", chunk)
+        got = glspace.models._loadtxt_rows(path)
+    expected = _loadtxt_rows_reference(path)
+    assert (type(got), got) == (type(expected), expected)
 
 
 def test_scaling_is_exact_homogeneity():

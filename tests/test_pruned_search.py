@@ -80,6 +80,15 @@ def _full_scan(*args, norm=gls_norm, **kw):
         return norm(*args, **kw)
 
 
+def _every_grid_pruned(call):
+    """``call()`` with the break-even of grid pruning at 0: every grid whose
+    ratio costs by the point under an envelope is pruned, however few its
+    points and values."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(norms, "_PRUNE_GRID_MIN", 0)
+        return call()
+
+
 def _bits(res):
     return (res.value, res.arg_p, res.decreasing_at_hi)
 
@@ -592,14 +601,42 @@ def test_a_pruned_grid_has_the_bits_of_every_point(seed, kind, n, group, psi, q)
     values = _sample(kind, n, seed)
     model = GroupFunctionModel(cyclic_group(n), values) if group else EmpiricalModel(values)
     psi = natural_psi(model) if psi == "natural of the model" else psi
-    alone = discrete_norm(model, psi, q)
-    assert _fields(alone) == _enumerated(model, psi, q)
-    assert alone.n_evaluations <= q.M
-    # inside a shared search (a group function's, which shares; a sample's
-    # runs each search alone), the grid's result is the one it has alone
-    p_max = default_p_max(model)
-    _, shared = norms.sup_norms(psi, [norms.domain_search(model, p_max), norms.grid_search(model, q)])
-    assert _fields(shared) == _fields(alone) and shared.n_evaluations == alone.n_evaluations
+    # as the break-even decides, and with every grid pruned, since these
+    # grids and samples mostly fall below it
+    for run in (lambda call: call(), _every_grid_pruned):
+        alone = run(lambda: discrete_norm(model, psi, q))
+        assert _fields(alone) == _enumerated(model, psi, q)
+        assert alone.n_evaluations <= q.M
+        # inside a shared search (a group function's, which shares; a
+        # sample's runs each search alone), the grid's result is the one it
+        # has alone
+        p_max = default_p_max(model)
+        searches = [norms.domain_search(model, p_max), norms.grid_search(model, q)]
+        _, shared = run(lambda: norms.sup_norms(psi, searches))
+        assert _fields(shared) == _fields(alone) and shared.n_evaluations == alone.n_evaluations
+
+
+@pytest.mark.parametrize("n, q, pruned", [
+    (16384, geometric_grid(3, 8), False),
+    (1024, integer_grid(50), False),
+    (4096, integer_grid(50), True),
+    (65536, geometric_grid(3, 8), True),
+], ids=["D=3:M=8 at 2^14", "M=50 at 2^10", "M=50 at 2^12", "D=3:M=8 at 2^16"])
+def test_a_grid_is_pruned_from_its_points_times_values_on(n, q, pruned):
+    # 8 * 2^14 and 50 * 2^10 lie below _PRUNE_GRID_MIN, 50 * 2^12 and
+    # 8 * 2^16 above it; a grid kept whole is one array call
+    model = EmpiricalModel(_sample(0, n, 4))
+    psi = make_power_slowvary(PowerSlowVaryParams(2.0, 0.5))
+    calls = []
+    moments = model._lp_norms
+    model._lp_norms = lambda p: calls.append(p.size) or moments(p)
+    res = discrete_norm(model, psi, q)
+    assert (q.M * n >= norms._PRUNE_GRID_MIN) == pruned
+    assert (len(calls) > 1) == pruned and sum(calls) == res.n_evaluations
+    if not pruned:
+        assert calls == [q.M]
+    del model._lp_norms
+    assert _fields(res) == _enumerated(model, psi, q)
 
 
 @pytest.mark.parametrize("group", [False, True], ids=["sample", "group"])
@@ -661,7 +698,8 @@ def test_a_nan_at_a_grid_point_names_the_p_of_the_one_call():
         (_NanGroupFunction(G, values, 20.0, 40.0), make_power_slowvary(PowerSlowVaryParams(2.0, 0.5))),
         (GroupFunctionModel(G, values), _nan_psi(lambda p: (p > 20.0) & (p < 40.0))),
     ]:
-        error = _raised(lambda: discrete_norm(model, psi, q))
+        # 50 points of 512 values lie below the break-even: pruned anyway
+        error = _every_grid_pruned(lambda: _raised(lambda: discrete_norm(model, psi, q)))
         assert error == _raised(lambda: _full_scan(model, psi, q, norm=discrete_norm))
         assert error == (DomainError, "the searched function is NaN at p=21.0")
 
