@@ -33,7 +33,7 @@ from .generating import PowerSlowVaryParams, make_power_slowvary, natural_psi
 from .grids import integer_grid
 from .groups import algebra_check, convolve
 from .models import sample  # noqa: F401  unused here; the benchmark tracer patches it
-from .norms import default_p_max, discrete_norm, domain_search, gls_norm, grid_search, sup_norms
+from .norms import DEFAULT_P_MAX, default_p_max, discrete_norm, domain_search, gls_norm, grid_search, sup_norms
 from .reporting import render_csv
 from .specs import (
     grid_from_spec,
@@ -141,22 +141,15 @@ def merge_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
-def _cfg_int(cfg: dict, key: str, default: int) -> int:
+def _cfg_number(cfg: dict, key: str, default, kind=float):
+    """cfg[key] read as ``kind``, int or float; ``default`` where unset."""
     if key not in cfg:
         return default
     try:
-        return int(str(cfg[key]))
+        return kind(str(cfg[key]))
     except ValueError:
-        raise SpecParseError(f"{key} must be an integer, got {cfg[key]!r}") from None
-
-
-def _cfg_float(cfg: dict, key: str, default: float) -> float:
-    if key not in cfg:
-        return default
-    try:
-        return float(str(cfg[key]))
-    except ValueError:
-        raise SpecParseError(f"{key} must be a number, got {cfg[key]!r}") from None
+        what = "an integer" if kind is int else "a number"
+        raise SpecParseError(f"{key} must be {what}, got {cfg[key]!r}") from None
 
 
 def _cfg_bool(cfg: dict, key: str) -> bool:
@@ -207,7 +200,7 @@ def cmd_norm(cfg: dict) -> int:
         psi = psi_from_spec(psi_spec)
     rset = set_from_spec(str(cfg["set"])) if "set" in cfg else None
     grid = grid_from_spec(str(cfg["grid"])) if "grid" in cfg else None
-    p_max = _cfg_float(cfg, "p_max", default_p_max(model))
+    p_max = _cfg_number(cfg, "p_max", default_p_max(model))
     strict = _cfg_bool(cfg, "strict")
 
     rows = []
@@ -238,8 +231,8 @@ def cmd_verify(cfg: dict) -> int:
     suite = _require(cfg, "suite", "verify")
     if suite != "all" and suite not in SUITE_NAMES:
         raise SpecParseError(f"unknown suite {suite!r}; choose from {', '.join(SUITE_NAMES)} or all")
-    seed = _cfg_int(cfg, "seed", 0)
-    n = _cfg_int(cfg, "n", 200_000)
+    seed = _cfg_number(cfg, "seed", 0, int)
+    n = _cfg_number(cfg, "n", 200_000, int)
 
     if suite == "all":
         lines = []
@@ -263,9 +256,9 @@ def cmd_tail(cfg: dict) -> int:
     if "grid" in cfg:
         q = grid_from_spec(str(cfg["grid"]))
     else:
-        q = integer_grid(_cfg_int(cfg, "M", 50))
-    seed = _cfg_int(cfg, "seed", 0)
-    n = _cfg_int(cfg, "n", 200_000)
+        q = integer_grid(_cfg_number(cfg, "M", 50, int))
+    seed = _cfg_number(cfg, "seed", 0, int)
+    n = _cfg_number(cfg, "n", 200_000, int)
 
     xs = None
     if "xs" in cfg:
@@ -301,7 +294,7 @@ def cmd_convolve(cfg: dict) -> int:
         psi = psi_from_spec(str(cfg["psi"]))
     else:
         psi = make_power_slowvary(PowerSlowVaryParams(r=2.0, delta=0.0))
-    p_max = _cfg_float(cfg, "p_max", 200.0)
+    p_max = _cfg_number(cfg, "p_max", DEFAULT_P_MAX)
 
     conv = convolve(G, f, g)
     lines = [render_csv(("element", "f", "g", "conv"),

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import DomainError, NonMonotoneError, TruncationError
-from .generating import GeneratingFunction, psi_eval, psi_values
+from .generating import GeneratingFunction, psi_values
 from .models import _check_finite
 from .search import sampled_min
 
@@ -235,41 +235,32 @@ class RestrictedSet:
             )
         return P
 
-    def windowed(self, P: float) -> "RestrictedSet":
-        """Intersection with [1, P].  P must itself belong to the set,
-        so that every p <= P keeps its p_plus inside the window; Z of
-        the result is then a valid constant for the truncated sandwich.
-        """
-        if not self.contains(P):
-            raise DomainError(f"window point {P:g} is not an element of {self.description}")
-        return RestrictedSet(self.segments_to(P), f"{self.description}|p<={P:g}", windowed_at=float(P))
-
     def window(self, p_max: float) -> "RestrictedSet":
-        """``windowed(window_point(p_max))``, with its errors.  Where P =
-        p_plus(p_max) lies in a stored segment, the set is cut there in one
-        pass: that segment is the first whose end reaches p_max, every
-        later one starts past its end, and the cut ends need no sorting,
-        merging or checking again."""
+        """Intersection with [1, P], P = window_point(p_max), with its
+        errors.  P belongs to the set, so every p <= P keeps its p_plus
+        inside the window, and Z of the result is a valid constant for the
+        truncated sandwich.  Where p_max falls in a stored segment, P is
+        read off that segment, the first whose end reaches p_max, without
+        a p_plus call; the ends are cut at P by _ends_to, which reads a
+        grid-backed set on past its stored points.  They come merged and in
+        order, so they are not sorted, merged or checked again."""
         p_max = float(p_max)
         k = int(np.searchsorted(self._hi, p_max))
-        if not (1.0 <= p_max < math.inf and k < self._hi.size):
-            return self.windowed(self.window_point(p_max))
-        P = max(p_max, float(self._lo[k]))
+        if 1.0 <= p_max < math.inf and k < self._hi.size:
+            P = max(p_max, float(self._lo[k]))
+        else:
+            P = self.window_point(p_max)
         W = RestrictedSet.__new__(RestrictedSet)
-        W._lo, W._hi = self._lo[: k + 1], self._hi[: k + 1].copy()
-        W._hi[k] = P
+        W._lo, W._hi = self._ends_to(P)
         W.description, W.grid, W.windowed_at = f"{self.description}|p<={P:g}", None, P
         return W
 
-    def segments_to(self, P: float) -> list:
-        """The segments that meet [1, P], cut at P.  A grid-backed set is
-        read on through its grid's generator, past its stored points, to
-        its last point at or below P (a TruncationError where the grid
-        neither passes P nor overflows within _EXTEND_CAP terms)."""
-        return list(zip(*(ends.tolist() for ends in self._ends_to(P))))
-
     def _ends_to(self, P: float) -> tuple:
-        """segments_to(P) as the arrays (lo, hi) of its segments' ends."""
+        """The arrays (lo, hi) of the ends of the segments that meet [1, P],
+        cut at P.  A grid-backed set is read on through its grid's
+        generator, past its stored points, to its last point at or below P
+        (a TruncationError where the grid neither passes P nor overflows
+        within _EXTEND_CAP terms)."""
         k = int(np.count_nonzero(self._lo <= P))
         lo, hi = self._lo[:k], np.minimum(self._hi[:k], P)
         if P > self._hi[-1] and self.grid is not None and self.grid.generator is not None:
@@ -435,9 +426,10 @@ def w_hat_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConst
 
 
 def _w_hat(psi: GeneratingFunction, v: np.ndarray) -> EquivalenceConstant:
-    """W^ of psi over the cells between consecutive values of ``v``."""
-    mins = sampled_min(lambda p: psi_eval(psi, p), v[:-1], v[1:])
-    return _grid_constant("W_hat", psi_eval(psi, v[1:]) / mins)
+    """W^ of psi over the cells between consecutive values of ``v``, psi
+    read by psi_values: every p of a cell is at least 1."""
+    mins = sampled_min(lambda p: psi_values(psi, p), v[:-1], v[1:])
+    return _grid_constant("W_hat", psi_values(psi, v[1:]) / mins)
 
 
 @functools.lru_cache(maxsize=32)

@@ -25,7 +25,7 @@ from .errors import DomainError, GroupAxiomError, SizeMismatchError, SpecParseEr
 from .generating import GeneratingFunction
 from .grids import RestrictedSet
 from .models import PowerMeanModel, _check_finite, power_mean
-from .norms import gls_norms
+from .norms import DEFAULT_P_MAX, gls_norms
 from .norms import gls_norm  # noqa: F401  unused here; the benchmark tracer patches it
 
 _EXHAUSTIVE_ASSOC_LIMIT = 128
@@ -301,7 +301,7 @@ def algebra_check(
     g,
     psi: GeneratingFunction,
     S: Optional[RestrictedSet] = None,
-    p_max: float = 200.0,
+    p_max: float = DEFAULT_P_MAX,
 ) -> AlgebraReport:
     """Submultiplicativity of the norm under convolution.
 

@@ -465,13 +465,14 @@ class EmpiricalModel(PowerMeanModel):
         return out
 
     def _warn_past_stable(self, top: float) -> None:
-        """The plug-in warning for a call whose largest p is ``top``, shown
-        as raised by the caller of lp_norm or _lp_norms."""
+        """The plug-in warning for a call whose largest p is ``top``.  It
+        is raised from this line whoever calls lp_norm or _lp_norms (a norm
+        search's kernel, psi_eval of a natural psi), so the ``default``
+        filter shows each text once."""
         if top > self.stable_p and not _REPEATED_P.get():
             warnings.warn(
                 f"plug-in moment at p={top:g} with n={self.values.size} is dominated by the sample maximum",
                 MomentInstabilityWarning,
-                stacklevel=3,
             )
 
     def sample_values(self, n: int, seed: int) -> np.ndarray:

@@ -74,7 +74,7 @@ from .models import (
     _REPEATED_P,
     power_means,
 )
-from .search import RowSupremum, _eval_parts, _pruned_scan, sup_rows
+from .search import RowSupremum, _eval_parts, _scan, sup_rows
 from .search import grid_refine_supremum  # noqa: F401  unused here; the benchmark tracer patches it
 
 DEFAULT_P_MAX = 200.0
@@ -298,8 +298,8 @@ def domain_search(model: RandomVariableModel, p_max: float, rset: Optional[Restr
     """The search of gls_norm: every interval component of ``rset``
     (all of [1, p_max] when None) within [1, p_max] a geometric scan row of
     _SCAN_POINTS points (_scan_rows), every point component an exact
-    point, a grid-backed set's read through its grid up to p_max (the ends
-    of RestrictedSet.segments_to, as arrays).  The domain is truncated when
+    point, a grid-backed set's read through its grid up to p_max
+    (RestrictedSet._ends_to).  The domain is truncated when
     it goes on past p_max."""
     _check_p_max(p_max)
     if rset is None:
@@ -531,25 +531,18 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
 
 def _point_values(parts, searches: Sequence[NormSearch], lower: Optional[tuple], pruned: list) -> list:
     """The ratio at the exact points of each search, from ``parts`` as in
-    _search (search k's points of a call are p[at[k]:at[k + 1]]).  Where
-    ``pruned[k]``, search k's points, a grid's, are one row of
-    search._pruned_scan under ``lower``, its levels, chord bound and
-    margin: the first level holds the grid's
-    last point, so the first call reaches its largest p as the one-call
-    evaluation does, and the last three points, its edge evidence, are
-    always evaluated; a point the scan skips reads -inf, and lies strictly
-    below the grid's largest value.  Where that scan meets a NaN ratio or
-    a divergent moment, the grid's points are evaluated in one call
-    instead, so the error and the p it names are that call's.  Every other
-    search's points are evaluated in one array call, made first."""
+    _search.  Where ``pruned[k]``, search k's points, a grid's, are one row
+    of search._scan under ``lower``, its levels, chord bound and margin: the
+    first level holds the grid's last point, so the first call reaches its
+    largest p as the one-call evaluation does, and the last three points,
+    its edge evidence, are always evaluated; a point the scan skips reads
+    -inf, and lies strictly below the grid's largest value.  Where that scan
+    meets a NaN ratio or a divergent moment, the grid's points are evaluated
+    in one call instead, so the error and the p it names are that call's.
+    Every other search's points are evaluated in one array call, made
+    first (_split_call)."""
     n_parts = len(searches)
-    if not any(s.points.size for s in searches):
-        return [_NO_POINTS] * n_parts
-    # where each search's points start in the one call, then their end
-    at = [0, *accumulate(0 if skip else s.points.size for s, skip in zip(searches, pruned))]
-    rest = _cat([s.points for s, skip in zip(searches, pruned) if not skip])
-    points = _eval_parts(lambda p, _: parts(p, at), rest, None)[2]
-    values = [points[lo:hi] for lo, hi in zip(at, at[1:])]
+    values = _split_call(parts, [_NO_POINTS if skip else s.points for s, skip in zip(searches, pruned)])
     for k, s in enumerate(searches):
         if pruned[k]:
 
@@ -557,11 +550,20 @@ def _point_values(parts, searches: Sequence[NormSearch], lower: Optional[tuple],
                 # every point of the call is search k's
                 return parts(p, [0] * (k + 1) + [p.size] * (n_parts - k))
 
-            try:
-                values[k] = _pruned_scan(s.points[None, :], grid_parts, None, None, lower)[0][0]
-            except (DomainError, DivergentMomentError):
-                values[k] = _eval_parts(grid_parts, s.points, None)[2]
+            values[k] = _scan(s.points[None, :], grid_parts, None, None, lower)[0][0]
     return values
+
+
+def _split_call(parts, points: list) -> list:
+    """The ratio at the points ``points[k]`` of each search k, from one
+    array call of ``parts`` (search k's points of the call are
+    p[at[k]:at[k + 1]]), as one array per search; no call where no search
+    has a point (the empty arrays are then their own ratios)."""
+    at = [0, *accumulate(p.size for p in points)]
+    if not at[-1]:
+        return points
+    ys = _eval_parts(lambda p, _: parts(p, at), _cat(points), None)[2]
+    return [ys[lo:hi] for lo, hi in zip(at, at[1:])]
 
 
 def _abs_constant(model) -> bool:
@@ -582,19 +584,16 @@ def _row_starts(parts, searches: Sequence[NormSearch]) -> RowSupremum:
     row (see _search), from one array call of ``parts`` (``calls`` is 1,
     or 0 where no search has a row): each row's value is its first
     point's, and the edge evidence of a search's last row is read from that
-    row's last three points (as in the exact points' call, search k's
-    points are p[at[k]:at[k + 1]]).  Scan rows hold at least _CELL_POINTS
-    points."""
+    row's last three points (_split_call).  Scan rows hold at least
+    _CELL_POINTS points."""
     xs = [np.concatenate((s.rows[:, 0], s.rows[-1, -3:])) if s.rows.shape[0] else _NO_POINTS for s in searches]
-    at = [0, *accumulate(x.size for x in xs)]
-    ys = _eval_parts(lambda p, _: parts(p, at), _cat(xs), None)[2]
     values, decreasing = [], []
-    for lo, hi in zip(at, at[1:]):
-        if hi > lo:
-            values.append(ys[lo : hi - 3])
-            decreasing += [False] * (hi - lo - 4) + [ys[hi - 3] > ys[hi - 2] > ys[hi - 1]]
+    for ys in _split_call(parts, xs):
+        if ys.size:
+            values.append(ys[:-3])
+            decreasing += [False] * (ys.size - 4) + [ys[-3] > ys[-2] > ys[-1]]
     args = _cat([s.rows[:, 0] for s in searches])
-    return RowSupremum(_cat(values), args, np.array(decreasing, dtype=bool), 0, 0, 0, 0, 0, int(at[-1] > 0))
+    return RowSupremum(_cat(values), args, np.array(decreasing, dtype=bool), 0, 0, 0, 0, 0, int(bool(values)))
 
 
 def gls_norms(

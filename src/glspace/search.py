@@ -87,18 +87,18 @@ near 1, weighed by w and w b / q, both in [0, 1]: a few ulp of error in
 num and L at the cell's ends are a few ulp of absolute error in the
 gain, whatever the scale of f.  So its three readers (the pruned scan,
 the end certificate and the bracket bound, each below) need a margin of
-a few ulp only, and each keeps one far wider, _PRUNE_MARGIN or
-_CERTIFY_MARGIN.  The bound is used as the Lipschitz bound is in the
-branch and bound of Piyavskii (1972) and Shubert (1972).  The bound of a
-cell, cell_bounds, is num(a) / L(a) exp(gain over [a, b]); for L = den
-without the chord it is max(num(a), num(b)) / den(a), the W constant's
-argument (full <= W * discrete) on the scan grid, and the chord makes it
-second-order in the cell width, so near a flat peak it is far tighter.
+a few ulp only, and all read one far wider, _CHORD_MARGIN.  The bound is
+used as the Lipschitz bound is in the branch and bound of Piyavskii
+(1972) and Shubert (1972).  The bound of a cell, cell_bounds, is
+num(a) / L(a) exp(gain over [a, b]); for L = den without the chord it is
+max(num(a), num(b)) / den(a), the W constant's argument (full <= W *
+discrete) on the scan grid, and the chord makes it second-order in the
+cell width, so near a flat peak it is far tighter.
 
 The pruned scan works in levels, one per entry of _COARSE_STEPS (64, 16,
 then 4).  The first level evaluates every 64th point of each row and the
 row's last point, and drops every cell whose bound, widened by
-_PRUNE_MARGIN for rounding, is below the best value seen.  Each next
+_CHORD_MARGIN for rounding, is below the best value seen.  Each next
 level evaluates its points inside the live cells of the level before
 only, and drops its cells by the same rule.  In exact arithmetic a child
 cell's bound is at most its parent's (the child's chord of p ln num lies
@@ -124,7 +124,7 @@ its first two points lie 0.382 (b - a) from the ends, and each later one
 0.382 of a bracket that is 0.618 of one still wider than the stopping
 width.  When the gain over the part of the cell golden section can reach
 (all of it but the _REACH * min(b - a, stopping width) next to the
-peak), less dL - dl for a peak at b, is below -_CERTIFY_MARGIN, every
+peak), less dL - dl for a peak at b, is below -_CHORD_MARGIN, every
 point golden section would evaluate is below the peak, and
 golden_section_max would return the peak itself: a tie never moves its
 best point to a larger p, and a peak at b is certified only where f(b) >
@@ -134,7 +134,7 @@ f's own there, so the certificate reads den's own concave chord only.
 
 The bracket bound rules out brackets whose peak cannot win.  A bracket
 spans the one or two scan cells beside its peak, so when the cell bound
-of each, widened by _PRUNE_MARGIN, lies below the best value its search
+of each, widened by _CHORD_MARGIN, lies below the best value its search
 has evaluated (a scan value or a value known from elsewhere, ``floor``),
 golden section cannot lift the bracket to that value, and the bracket is
 not refined.  The bound reads only scan values and L at three points a
@@ -191,44 +191,43 @@ _PLATEAU_ULP = 4
 # the pruned scan's levels: level k takes every _COARSE_STEPS[k]-th point of
 # a row inside the cells the level before kept, and the row's last point.
 # Each step divides the one before it, so every cell lies in one parent.
-# A cell is dropped when its bound times 1 + _PRUNE_MARGIN is below the best
-# value.  The margin covers rounding with room to spare: the moment and psi
-# carry a few ulp (about 1e-14 relative), the gain as many in absolute terms
-# (the module docstring), f(a) and the exp a few ulp more, and an error in q*
-# costs second order.  On 2^14..2^16-value samples under the
-# norm workload's psi, plain and on a set, (64, 16, 4) evaluated 29 scan
-# points an op against 35 for (64, 8) and 32 for (64, 8, 2); (128, 32, 8)
-# took 28, and their CPU times were within noise of each other
+# On 2^14..2^16-value samples under the norm workload's psi, plain and on a
+# set, (64, 16, 4) evaluated 29 scan points an op against 35 for (64, 8)
+# and 32 for (64, 8, 2); (128, 32, 8) took 28, and their CPU times were
+# within noise of each other (measured at a margin of 1e-10)
 _COARSE_STEPS = (64, 16, 4)
-_PRUNE_MARGIN = 1e-10
-# a bracket of a peak at a row end is left unrefined when the chord bound
-# over the points golden section can reach lies below the peak by more than
-# _CERTIFY_MARGIN, in ln f (see the module docstring).  Golden section comes
-# no nearer the peak than 0.236 of min(width, stopping width), 2.4e-11 p on
-# a norm's scan; _REACH leaves room for the rounding of its points, a few
-# ulp of p.  The margin covers rounding in units of 2^-52, each an absolute
-# error of that size in a log.  The ratio at the peak and at a golden point:
-# each within 4 ulp for the power mean, 20 for the Gaussian, exponential and
-# uniform01 moments (exact for a constant and the Rademacher signs) and 6
-# for the power family psi (all against a 40-digit reference in
-# tests/test_decimal_reference.py), 0.5 for the division, 53 in all at the
-# closed forms.  The chord's dL and dl, from num and den at the cell ends:
-# 2 * 20 and 2 * 6, weighed by factors in [0, 1], and 1.5 for each quotient
-# and its log, 55.  And a few ulp of the gain itself, which is of the order
-# of dL, far below 1 ulp in a log.  About 110 ulp, 2.4e-14, is a fortieth
-# of the margin (45 ulp, a hundredth, for the power means); the rest covers
-# a power mean of more values than the reference test's, whose pairwise sum
-# rounds up to log2 n times, and closed-form moments at p between the
-# reference's integer and half-integer arguments of Gamma.  With
-# a reach of 2e-11 p a peak certifies where ln f falls off it by more than
-# about 0.05 per unit of ln p.  On two seed-7 blocks of the benchmark, 1e-12
-# certified 63 of the 64 end brackets of the norm workload and 823 of 858 of
-# algebra when only power means took the certificate; 1e-13 64 and 851;
-# 1e-11 24 and 530; the pruning's 1e-10 none.  With the closed forms, 1e-12
-# certifies 259 of the 268 end brackets of the sandwich workload and 474 of
-# 487 of norm
+# The one margin of the chord bound's three readers (the module docstring):
+# the pruned scan and the bracket bound drop a cell whose bound times
+# 1 + _CHORD_MARGIN is below the best value, and the end certificate leaves
+# a bracket of a row-end peak unrefined where the bound over the points
+# golden section can reach lies below the peak by more than _CHORD_MARGIN,
+# in ln f.  Each compares a computed bound with computed values, so the
+# margin covers rounding in units of 2^-52, each an absolute error of that
+# size in a log.  The ratio at a point: each within 4 ulp for the power
+# mean, 20 for the Gaussian, exponential and uniform01 moments (exact for a
+# constant and the Rademacher signs) and 6 for the power family psi (all
+# against a 40-digit reference in tests/test_decimal_reference.py), 0.5 for
+# the division, 53 in all at the closed forms.  The chord's dL and dl, from
+# num and den at the cell ends: 2 * 20 and 2 * 6, weighed by factors in
+# [0, 1], and 1.5 for each quotient and its log, 55.  A few ulp of the gain
+# itself, which is of the order of dL, far below 1 ulp in a log; for a
+# cell's bound, a few ulp of f(a) and the exp; and an error in q* costs
+# second order.  About 110 ulp, 2.4e-14, is a fortieth of the margin (45
+# ulp, a hundredth, for the power means); the rest covers a power mean of
+# more values than the reference test's, whose pairwise sum rounds up to
+# log2 n times, and closed-form moments at p between the reference's
+# integer and half-integer arguments of Gamma.  With _REACH's 2e-11 p a
+# peak certifies where ln f falls off it by more than about 0.05 per unit of
+# ln p.  On two seed-7 blocks of the benchmark, 1e-12 certified 63 of the 64
+# end brackets of the norm workload and 823 of 858 of algebra when only
+# power means took the certificate; 1e-13 64 and 851; 1e-11 24 and 530;
+# 1e-10 none.  With the closed forms, 1e-12 certifies 259 of the 268 end
+# brackets of the sandwich workload and 474 of 487 of norm
+_CHORD_MARGIN = 1e-12
+# Golden section comes no nearer a row-end peak than 0.236 of min(width,
+# stopping width), 2.4e-11 p on a norm's scan; _REACH leaves room for the
+# rounding of its points, a few ulp of p
 _REACH = 0.2
-_CERTIFY_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -579,19 +578,7 @@ def sup_rows(
         calls += 1
         return parts(x, row)
 
-    known = None
-    pruned = 0
-    if per_point and lower is not None:
-        try:
-            ys, known, pruned, num, den = _pruned_scan(xs, counted, floor, search, lower)
-        except (DomainError, DivergentMomentError):
-            known = None
-    if known is None:
-        # each scan point's row, in the smallest integer type that holds it:
-        # as int64, the 51200 indices of W^'s cell minima took about 4% more
-        # time there (the allocation, not the arithmetic)
-        scan_rows = np.arange(rows, dtype=np.min_scalar_type(rows)).repeat(n)
-        num, den, ys = (a.reshape(rows, n) for a in _eval_parts(counted, xs.ravel(), scan_rows))
+    ys, known, pruned, num, den = _scan(xs, counted, floor, search, lower if per_point else None)
     r, i, il, ih, k, n_flat = _brackets(xs, ys, known)
     certified = 0
     if lower is not None and lower[0] is None and lower[1]:
@@ -727,7 +714,7 @@ def _certified(xs, ys, num, den, r: np.ndarray, i: np.ndarray, tol: float) -> np
     """Which of the scan peaks (r, i) golden section cannot beat: a peak
     at a row end whose _chord_gain (den's own chords) over the points
     golden section to ``tol`` reaches on its cell, less dL - dl =
-    ln(f(b) / f(a)) for a peak at b, is below -_CERTIFY_MARGIN (see the
+    ln(f(b) / f(a)) for a peak at b, is below -_CHORD_MARGIN (see the
     module docstring).  A peak at the last point needs a value above its
     neighbour's too.  ``num`` and ``den`` are the scan's parts; an interior
     peak is never certified, nor is one whose cell has a NaN, zero or
@@ -756,7 +743,7 @@ def _certified(xs, ys, num, den, r: np.ndarray, i: np.ndarray, tol: float) -> np
         reach = _REACH * min(b - a, tol * max(1.0, abs(a), abs(b)))
         # the reachable part of the cell, and ln f at the peak less ln f(a)
         lo, hi, peak = (a + reach, b, 0.0) if left else (a, b - reach, d_num - d_den)
-        sure[j] = _chord_gain(a, b, d_num, d_den, lo, hi) - peak < -_CERTIFY_MARGIN
+        sure[j] = _chord_gain(a, b, d_num, d_den, lo, hi) - peak < -_CHORD_MARGIN
     return sure
 
 
@@ -774,14 +761,14 @@ def _row_best(ys: np.ndarray, floor, search: Optional[np.ndarray]) -> np.ndarray
 def _below_best(xs, num, den, r: np.ndarray, i: np.ndarray, il: np.ndarray, ih: np.ndarray, lower: tuple, best):
     """Which brackets of the scan peaks (r, i), spanning the scan points il
     to ih of their rows, cannot reach ``best``: the cell_bounds of their
-    one or two scan cells under ``lower``, times 1 + _PRUNE_MARGIN, lie
+    one or two scan cells under ``lower``, times 1 + _CHORD_MARGIN, lie
     below it (see the module docstring).  A peak at a row end has one
     cell; its other, of width 0, bounds nothing."""
     at = (r[:, None], np.stack((il, i, ih), axis=1))
     p = xs[at]
     bound = cell_bounds(p, num[at], den[at], lower)
     bound[p[:, 1:] == p[:, :-1]] = -np.inf
-    return bound.max(axis=1) * (1.0 + _PRUNE_MARGIN) < best
+    return bound.max(axis=1) * (1.0 + _CHORD_MARGIN) < best
 
 
 def _eval_parts(parts, xs: np.ndarray, rows: np.ndarray) -> tuple:
@@ -823,6 +810,27 @@ def _unit(f):
     return lambda x, row: (f(x), np.ones_like(x))
 
 
+def _scan(xs: np.ndarray, parts, floor, search: Optional[np.ndarray], lower: Optional[tuple]):
+    """The scan of the rows ``xs``: _pruned_scan under the envelope
+    ``lower``, and the whole of ``xs`` in one call of ``parts`` without one,
+    or where a NaN ratio or a divergent moment stops the pruned scan, so that
+    the error and the p it names are the whole scan's.  Returns (ys, known,
+    pruned cells, num, den) as _pruned_scan does, ``known`` None and no cell
+    pruned for the whole scan."""
+    if lower is not None:
+        try:
+            return _pruned_scan(xs, parts, floor, search, lower)
+        except (DomainError, DivergentMomentError):
+            pass
+    rows, n = xs.shape
+    # each scan point's row, in the smallest integer type that holds it: as
+    # int64, the 51200 indices of W^'s cell minima took about 4% more time
+    # there (the allocation, not the arithmetic)
+    scan_rows = np.arange(rows, dtype=np.min_scalar_type(rows)).repeat(n)
+    num, den, ys = (a.reshape(rows, n) for a in _eval_parts(parts, xs.ravel(), scan_rows))
+    return ys, None, 0, num, den
+
+
 def _pruned_scan(xs: np.ndarray, parts, floor, search: Optional[np.ndarray], lower: tuple):
     """The scan of sup_rows, pruned level by level by the cell_bounds of
     ``parts`` under ``lower``.
@@ -858,7 +866,7 @@ def _pruned_scan(xs: np.ndarray, parts, floor, search: Optional[np.ndarray], low
         # a cell under a dropped parent stays dropped (its ends may be
         # unevaluated)
         bound = cell_bounds(xs[:, c], num[:, c], den[:, c], lower)
-        live = cover[:, c[:-1]] & ~(bound * (1.0 + _PRUNE_MARGIN) < _row_best(ys, floor, search)[:, None])
+        live = cover[:, c[:-1]] & ~(bound * (1.0 + _CHORD_MARGIN) < _row_best(ys, floor, search)[:, None])
         cover = np.zeros((rows, n), dtype=bool)
         cover[:, :-1] = np.repeat(live, np.diff(c), axis=1)
     # a live cell needs its points and the scan neighbours of its ends,

@@ -57,16 +57,10 @@ __all__ = [
 ]
 
 
-def _float(text: str, what: str) -> float:
+def _number(text: str, what: str, kind=float):
+    """``text`` read as ``kind``, int or float."""
     try:
-        return float(text)
-    except ValueError:
-        raise SpecParseError(f"bad {what}: {text!r}") from None
-
-
-def _int(text: str, what: str) -> int:
-    try:
-        return int(text)
+        return kind(text)
     except ValueError:
         raise SpecParseError(f"bad {what}: {text!r}") from None
 
@@ -82,7 +76,7 @@ def model_from_spec(spec: str) -> RandomVariableModel:
     if s == "rademacher":
         return rademacher_model()
     if s.startswith("constant:"):
-        return constant_model(_float(s[len("constant:"):], "constant value"))
+        return constant_model(_number(s[len("constant:"):], "constant value"))
     if s.startswith("empirical:"):
         path = s[len("empirical:"):]
         try:
@@ -101,7 +95,7 @@ def psi_from_spec(spec: str) -> GeneratingFunction:
     if m:
         args = m.group("args").strip()
         fields = _kv_fields(args.split(",") if args else [], spec)
-        kv = {key: _float(val, f"value for {key!r}") for key, val in fields.items()}
+        kv = {key: _number(val, f"value for {key!r}") for key, val in fields.items()}
         unknown = set(kv) - {"r", "delta"}
         if unknown:
             raise SpecParseError(f"unknown parameters {sorted(unknown)} in {spec!r}")
@@ -152,11 +146,11 @@ def grid_from_spec(spec: str) -> GridSequence:
         if kind == "geometric":
             if set(kv) != {"D", "M"}:
                 raise SpecParseError(f"geometric grid needs D=<int>:M=<int>, got {spec!r}")
-            return geometric_grid(_int(kv["D"], "D"), _int(kv["M"], "M"))
+            return geometric_grid(_number(kv["D"], "D", int), _number(kv["M"], "M", int))
         if kind == "integers":
             if set(kv) != {"M"}:
                 raise SpecParseError(f"integer grid needs M=<int>, got {spec!r}")
-            return integer_grid(_int(kv["M"], "M"))
+            return integer_grid(_number(kv["M"], "M", int))
     except DomainError as exc:
         raise SpecParseError(str(exc)) from exc
     raise SpecParseError(f"unknown grid spec {spec!r}")
@@ -174,8 +168,8 @@ def set_from_spec(spec: str) -> RestrictedSet:
             a_text, dash, b_text = token.partition("-")
             if not dash:
                 raise SpecParseError(f"expected <a>-<b> in {spec!r}, got {token!r}")
-            a = _float(a_text, "interval start")
-            b = math.inf if b_text.strip() == "inf" else _float(b_text, "interval end")
+            a = _number(a_text, "interval start")
+            b = math.inf if b_text.strip() == "inf" else _number(b_text, "interval end")
             intervals.append((a, b))
         try:
             return RestrictedSet(intervals, description=s)

@@ -20,7 +20,7 @@ from glspace import (
     set_from_spec,
 )
 from glspace import norms, search
-from glspace.search import _CERTIFY_MARGIN, _chord_gain, golden_section_max
+from glspace.search import _CHORD_MARGIN, _chord_gain, golden_section_max
 
 pytestmark = pytest.mark.filterwarnings("ignore::glspace.models.MomentInstabilityWarning")
 
@@ -62,8 +62,8 @@ def test_the_gain_bounds_ln_f_on_every_part_of_a_cell_from_either_end(seed, n, s
                        lo, hi)
     assert over.tolist() == [_chord_gain(a, b, d_num, d_den, x, y) for x, y in zip(lo.tolist(), hi.tolist())]
     # a peak at a, and a peak at b, where ln(f(b) / f(a)) = dL - dl
-    assert (ln_f.max(axis=1) - math.log(num_a / den_a) <= over + _CERTIFY_MARGIN).all()
-    assert (ln_f.max(axis=1) - math.log(num_b / den_b) <= over - (d_num - d_den) + _CERTIFY_MARGIN).all()
+    assert (ln_f.max(axis=1) - math.log(num_a / den_a) <= over + _CHORD_MARGIN).all()
+    assert (ln_f.max(axis=1) - math.log(num_b / den_b) <= over - (d_num - d_den) + _CHORD_MARGIN).all()
 
 
 def _zeros_and_ones(n: int) -> np.ndarray:

@@ -253,6 +253,17 @@ def test_a_norm_search_prints_one_plugin_warning(capsys, tmp_path):
     assert err == "gls: warning: plug-in moment at p=100 with n=60 is dominated by the sample maximum\n"
 
 
+@pytest.mark.filterwarnings("default::glspace.MomentInstabilityWarning")
+def test_gls_tail_on_a_small_sample_prints_its_plugin_warning_once(capsys, tmp_path):
+    # the norm search's moment kernel and the h table's psi_eval of the
+    # sample's natural psi both ask for p = 50: one text, one line
+    sample_file = tmp_path / "sample.txt"
+    np.savetxt(sample_file, np.random.default_rng(7).standard_normal(256))
+    code, _, err = run_cli(capsys, "tail", "--model", f"empirical:{sample_file}", "--n", "1000")
+    assert code == 0
+    assert err == "gls: warning: plug-in moment at p=50 with n=256 is dominated by the sample maximum\n"
+
+
 def test_warning_raised_as_an_error_prints_one_gls_line_and_exits_1(capsys, tmp_path):
     # the suite's filters make the warning an error, as python -W error does
     sample_file = tmp_path / "sample.txt"
@@ -263,6 +274,25 @@ def test_warning_raised_as_an_error_prints_one_gls_line_and_exits_1(capsys, tmp_
     )
     assert (code, out) == (1, "")
     assert err == "gls: plug-in moment at p=4095 with n=256 is dominated by the sample maximum\n"
+
+
+_PSI = "power_slowvary(r=2)"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--suite", "sandwich", "--seed", "x"), "seed must be an integer, got 'x'"),
+    (("verify", "--suite", "sandwich", "--n", "1.5"), "n must be an integer, got '1.5'"),
+    (("tail", "--model", "gaussian", "--M", "x"), "M must be an integer, got 'x'"),
+    (("norm", "--model", "gaussian", "--psi", _PSI, "--p-max", "abc"), "p_max must be a number, got 'abc'"),
+    (("norm", "--model", "constant:x", "--psi", _PSI), "bad constant value: 'x'"),
+    (("norm", "--model", "gaussian", "--psi", "power_slowvary(r=x)"), "bad value for 'r': 'x'"),
+    (("norm", "--model", "gaussian", "--psi", _PSI, "--grid", "geometric:D=x:M=3"), "bad D: 'x'"),
+    (("norm", "--model", "gaussian", "--psi", _PSI, "--grid", "integers:M=1.5"), "bad M: '1.5'"),
+    (("norm", "--model", "gaussian", "--psi", _PSI, "--set", "intervals:y-3"), "bad interval start: 'y'"),
+    (("norm", "--model", "gaussian", "--psi", _PSI, "--set", "intervals:1-x"), "bad interval end: 'x'"),
+])
+def test_a_number_that_does_not_parse_is_named_and_exits_2(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"gls: {message}\n")
 
 
 def test_norm_requires_a_model(capsys):

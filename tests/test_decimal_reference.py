@@ -10,7 +10,7 @@ psi reference is p^(1/r) ln^delta(2 + p), divided by ln^delta(3) for the
 normalized member, by Decimal.ln and exp.  The closed forms' reference is
 |f|_p at integer and half-integer arguments of Gamma, where Gamma is a
 factorial or (2n)! sqrt(pi) / (4^n n!), with pi from the recipe of the
-``decimal`` documentation.  search._CERTIFY_MARGIN's error budget takes
+``decimal`` documentation.  search._CHORD_MARGIN's error budget takes
 all three bounds."""
 
 import math

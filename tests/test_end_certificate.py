@@ -38,6 +38,16 @@ PSIS = [make(PowerSlowVaryParams(r, d)) for make in (make_power_slowvary, raw_po
         for r in (0.5, 1.0, 2.0, 4.0, 8.0) for d in (0.0, 0.5, 2.0)]
 
 
+def _never(xs, ys, num, den, r, i, tol):
+    """A search._certified that never fires."""
+    return np.zeros(i.size, dtype=bool)
+
+
+def _always(xs, ys, num, den, r, i, tol):
+    """A search._certified that always fires."""
+    return np.ones(i.size, dtype=bool)
+
+
 def _searched(monkeypatch, call):
     """call()'s result and the RowSupremum of each sup_rows it made."""
     found = []
@@ -66,7 +76,7 @@ def test_a_sample_that_peaks_at_row_ends_is_certified_with_the_same_bits(
     rset = spec and set_from_spec(spec)
     ends = norms.domain_search(model, p_max, rset).rows[:, [0, -1]]
     res, found = _searched(monkeypatch, lambda: gls_norm(model, psi, p_max, rset=rset))
-    monkeypatch.setattr(search, "_CERTIFY_MARGIN", math.inf)  # a certificate that never fires
+    monkeypatch.setattr(search, "_certified", _never)
     off, found_off = _searched(monkeypatch, lambda: gls_norm(model, psi, p_max, rset=rset))
     assert (res.value, res.arg_p, res.decreasing_at_hi) == (off.value, off.arg_p, off.decreasing_at_hi)
     assert found[0].args.tolist() == found_off[0].args.tolist() and np.isin(found[0].args, ends).all()
@@ -96,7 +106,7 @@ def test_a_peak_inside_the_first_cell_is_still_refined(monkeypatch, model):
     res = gls_norm(model, psi, 200.0)
     assert 1.0 < res.arg_p < xs[1] and res.value > ys[0]
     # a certificate that always fires returns the scan value
-    monkeypatch.setattr(search, "_CERTIFY_MARGIN", -math.inf)
+    monkeypatch.setattr(search, "_certified", _always)
     always = gls_norm(model, psi, 200.0)
     assert (always.value, always.arg_p) == (ys[0], 1.0)
 
@@ -167,7 +177,7 @@ def test_a_closed_form_z_check_is_certified_with_the_same_bits(monkeypatch, make
     model, psi = make(), make_power_slowvary(PowerSlowVaryParams(r, delta))
     S = set_from_spec("intervals:1-3,9-inf")
     rep, found = _searched(monkeypatch, lambda: sandwich_check_restricted(model, psi, S))
-    monkeypatch.setattr(search, "_CERTIFY_MARGIN", math.inf)  # a certificate that never fires
+    monkeypatch.setattr(search, "_certified", _never)
     off, found_off = _searched(monkeypatch, lambda: sandwich_check_restricted(model, psi, S))
     for on_side, off_side in ((rep.inner, off.inner), (rep.full, off.full)):
         assert (on_side.value, on_side.arg_p, on_side.decreasing_at_hi) == (

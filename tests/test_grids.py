@@ -185,11 +185,13 @@ def test_next_point_diverges_past_a_bounded_set():
 def test_windowing_keeps_only_reachable_gaps():
     S = RestrictedSet.from_intervals([(1.0, 2.0), (3.0, math.inf)])
     assert S.window_point(200.0) == 200.0
-    W = S.windowed(200.0)
+    W = S.window(200.0)
     assert W.segments == [(1.0, 2.0), (3.0, 200.0)]
     assert W.windowed_at == 200.0
-    with pytest.raises(DomainError):
-        S.windowed(2.5)  # not a member
+    # a p_max in a gap is windowed at the next element
+    W = S.window(2.5)
+    assert W.segments == [(1.0, 2.0), (3.0, 3.0)]
+    assert W.windowed_at == 3.0
 
 
 def test_grid_backed_sets_pull_points_on_demand():
@@ -214,11 +216,12 @@ def test_a_grid_set_reads_its_grid_to_the_last_point_at_or_below_p():
     ps = (0.5, 1.0, 2.9, 3.0, 1e300, 1e308, math.inf)
     assert [q.last_index_at_most(p) for p in ps] == [0, 1, 1, 2, 996, 1023, 1023]
     S = RestrictedSet.from_grid(q)
-    assert S.segments_to(1e308) == [(v, v) for v in (2.0 ** np.arange(1, 1024) - 1.0).tolist()]
-    assert S.segments_to(8.0) == [(1.0, 1.0), (3.0, 3.0), (7.0, 7.0)]
+    points = (2.0 ** np.arange(1, 1024) - 1.0).tolist()
+    assert [ends.tolist() for ends in S._ends_to(1e308)] == [points, points]
+    assert [ends.tolist() for ends in S._ends_to(8.0)] == [[1.0, 3.0, 7.0]] * 2
     # a grid that never passes P within _EXTEND_CAP terms is still refused
     with pytest.raises(TruncationError, match=r"did not reach 1e\+09 within 200000 terms"):
-        RestrictedSet.from_grid(integer_grid(5)).segments_to(1e9)
+        RestrictedSet.from_grid(integer_grid(5))._ends_to(1e9)
 
 
 def test_grid_backed_set_queries_leave_it_unchanged():
@@ -229,7 +232,7 @@ def test_grid_backed_set_queries_leave_it_unchanged():
     assert G.window_point(200.0) == 200.0
     assert G.segments == [(v, v) for v in (1.0, 2.0, 3.0, 4.0, 5.0)]
     # the window reads the grid on to P without taking it into G
-    W = G.windowed(12.0)
+    W = G.window(12.0)
     assert W.segments == [(float(m), float(m)) for m in range(1, 13)]
     assert len(G.segments) == 5
 
@@ -254,7 +257,7 @@ def test_bounded_set_constant_is_unbounded_until_windowed():
     B = RestrictedSet.from_intervals([(1.0, 2.0)])
     z = z_constant(B, root_psi())
     assert z.unbounded and math.isinf(z.value)
-    zw = z_constant(B.windowed(2.0), root_psi())
+    zw = z_constant(B.window(2.0), root_psi())
     assert zw.value == 1.0
 
 
@@ -312,7 +315,7 @@ def _z_reference(S, psi):
 
 def test_z_equals_the_per_gap_scalar_reference():
     grid_set = RestrictedSet.from_grid(geometric_grid(2, 12))
-    sets = set_fixtures() + [grid_set, grid_set.windowed(8191.0), set_fixtures()[16].windowed(12.0)]
+    sets = set_fixtures() + [grid_set, grid_set.window(8191.0), set_fixtures()[16].window(12.0)]
     for S in sets:
         for psi in psi_pool():
             z = z_constant(S, psi)

@@ -38,9 +38,10 @@ from glspace import (
     raw_power_slowvary,
     set_from_spec,
     sqrt_dip_psi,
+    uniform01_model,
 )
 from glspace import norms, search
-from glspace.search import _PRUNE_MARGIN, cell_bounds, sup_rows
+from glspace.search import _CHORD_MARGIN, cell_bounds, sup_rows
 
 pytestmark = pytest.mark.filterwarnings("ignore::glspace.models.MomentInstabilityWarning")
 
@@ -301,7 +302,7 @@ def _bound_violations(bounds, psis) -> int:
         for psi, chord in psis:
             reference = (num_dense / psi(dense)).max(axis=1)
             bound = bounds(ends, num, psi(ends), (None, chord))
-            count += int(np.count_nonzero(bound * (1.0 + _PRUNE_MARGIN) < reference))
+            count += int(np.count_nonzero(bound * (1.0 + _CHORD_MARGIN) < reference))
     return count
 
 
@@ -614,6 +615,48 @@ def test_a_pruned_grid_has_the_bits_of_every_point(seed, kind, n, group, psi, q)
         searches = [norms.domain_search(model, p_max), norms.grid_search(model, q)]
         _, shared = run(lambda: norms.sup_norms(psi, searches))
         assert _fields(shared) == _fields(alone) and shared.n_evaluations == alone.n_evaluations
+
+
+def _unpruned(call):
+    """``call()`` with the chord bound's margin at inf: no cell is pruned,
+    no bracket ruled out and no row-end peak certified, so every scan point
+    is evaluated and every bracket refined."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(search, "_CHORD_MARGIN", math.inf)
+        return call()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["sample", "group", "gaussian", "exponential", "uniform01"]),
+    n=st.integers(N, 3000),
+    psi=st.sampled_from([*PSIS, sqrt_dip_psi()]),
+    which_set=st.integers(0, 2),
+    q=st.one_of(st.integers(1, 60).map(integer_grid),
+                st.tuples(st.sampled_from([2, 3]), st.integers(1, 6)).map(lambda dm: geometric_grid(*dm))),
+)
+def test_at_the_one_margin_every_route_keeps_the_unpruned_bits(seed, kind, n, psi, which_set, q):
+    # the pruned scan and the end certificate of a norm on a domain, the
+    # pruned grid of a discrete norm, and the bracket bound of W^'s cell
+    # rows (one interior peak a cell under sqrt_dip), each against the same
+    # search with the margin at inf
+    values = _sample(seed % 3, n, seed)
+    model = {
+        "sample": lambda: EmpiricalModel(values),
+        "group": lambda: GroupFunctionModel(cyclic_group(n), values),
+        "gaussian": gaussian_model,
+        "exponential": exponential_model,
+        "uniform01": uniform01_model,
+    }[kind]()
+    rset = _sets(seed)[which_set]
+    calls = [
+        lambda: gls_norm(model, psi, default_p_max(model), rset=rset),
+        lambda: _every_grid_pruned(lambda: discrete_norm(model, psi, q)),
+        lambda: norms._cellwise_full_norm(model, sqrt_dip_psi(), q),
+    ]
+    for call in calls:
+        assert _fields(call()) == _fields(_unpruned(call))
 
 
 @pytest.mark.parametrize("n, q, pruned", [

@@ -56,8 +56,8 @@ def _alone(kind, model, psi, domain, p_max=200.0):
     """The report of sandwich_check_* assembled from one-search calls, in
     the order inner, full, constant."""
     if kind == "Z":
-        P = domain.window_point(p_max)
-        windowed = domain.windowed(P)
+        windowed = domain.window(p_max)
+        P = windowed.windowed_at
         inner = gls_norm(model, psi, P, rset=windowed)
         full = gls_norm(model, psi, P)
         return SandwichReport(model.label, psi.description, domain.description, full, inner,

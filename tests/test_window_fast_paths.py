@@ -1,7 +1,7 @@
 """The set-up of a sandwich check reads the arrays it already holds: the
-window is cut from a set's merged ends in one pass (RestrictedSet.window),
-a truncated grid is not checked again, Z and W evaluate psi in one call,
-and domain_search reads a set's ends as arrays.  Each must give what the
+window is a set's merged ends cut at P (RestrictedSet.window), a truncated
+grid is not checked again, Z and W evaluate psi in one call, and
+domain_search reads a set's ends as arrays.  Each must give what the
 composition it replaces gives, bit for bit and error for error."""
 
 import dataclasses
@@ -76,13 +76,23 @@ def _summary(W):
     return W.segments, W.description, W.windowed_at, W.grid, W._lo.dtype, W._hi.dtype
 
 
+def _window_reference(S, p_max):
+    """The set's ends cut at P = window_point(p_max), through the validating
+    constructor."""
+    P = S.window_point(p_max)
+    segments = list(zip(*(ends.tolist() for ends in S._ends_to(P))))
+    return RestrictedSet(segments, f"{S.description}|p<={P:g}", windowed_at=float(P))
+
+
 @settings(max_examples=200)
 @given(st.data())
-def test_the_cut_window_is_window_point_then_windowed(data):
+def test_the_window_is_the_validated_set_of_its_cut_ends(data):
+    # p_max anywhere, at an element, NaN, inf or below 1, and on a grid-backed
+    # set past its stored points
     S = data.draw(_sets())
     p_max = data.draw(_p_max(S))
     cut = _outcome(lambda: S.window(p_max))
-    old = _outcome(lambda: S.windowed(S.window_point(p_max)))
+    old = _outcome(lambda: _window_reference(S, p_max))
     assert _summary(cut) == _summary(old)
     if not isinstance(cut, str):
         assert repr(cut.windowed_at) == repr(old.windowed_at)
@@ -99,13 +109,13 @@ def test_the_cut_window_is_window_point_then_windowed(data):
 def test_the_ends_of_a_set_are_its_segments(data):
     S = data.draw(_sets())
     P = data.draw(st.one_of(st.floats(1.0, 5000.0), st.just(math.nan)))
-    got = _outcome(lambda: S.segments_to(P))
-    reference = _outcome(lambda: _segments_to_reference(S, P))
+    got = _outcome(lambda: list(zip(*(ends.tolist() for ends in S._ends_to(P)))))
+    reference = _outcome(lambda: _ends_to_reference(S, P))
     assert got == reference
 
 
-def _segments_to_reference(S, P):
-    """RestrictedSet.segments_to one segment at a time."""
+def _ends_to_reference(S, P):
+    """RestrictedSet._ends_to as a list of segments, one at a time."""
     segs = [(a, min(b, P)) for a, b in S.segments if a <= P]
     if P > S._hi[-1] and S.grid is not None and S.grid.generator is not None:
         tail = range(S.grid.M + 1, S.grid.last_index_at_most(P) + 1)
