@@ -414,7 +414,10 @@ def w_hat_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConst
     Two psi share an entry only when they compare equal (the same
     evaluator object, description and envelope).  An error is not
     memoized, and a psi that cannot be hashed (an unhashable evaluator or
-    envelope) is computed every time.
+    envelope) is computed every time.  The other side of a W^ sandwich,
+    its full norm, reads psi at its cell rows from a memo of its own, keyed
+    and bounded alike (norms._cell_psi), so on two hits a W^ check
+    evaluates psi only at the grid values and the refinement's points.
     """
     if q.M < 2:
         raise DomainError("W^ needs at least two grid points")

@@ -177,13 +177,22 @@ def make_group(spec: str) -> FiniteGroup:
 # ---------------------------------------------------------------------------
 # Functions on a group
 
-def _check_values(G: FiniteGroup, f, label: Optional[str] = None) -> np.ndarray:
+def _sized_values(G: FiniteGroup, f) -> np.ndarray:
     """``f`` as a flat float array, or SizeMismatchError when it has not one
-    value per element of G, or DomainError naming its first non-finite one."""
+    value per element of G."""
     arr = np.asarray(f, dtype=float).ravel()
     if arr.size != G.order:
         raise SizeMismatchError(f"function has {arr.size} values on a group of order {G.order}")
-    return _check_finite(arr, label or f"function on {G.name}")
+    return arr
+
+
+def _check_values(G: FiniteGroup, f, label: Optional[str] = None) -> np.ndarray:
+    """``f`` as a flat float array, or SizeMismatchError when it has not one
+    value per element of G, or DomainError naming its first non-finite one.
+    A GroupFunctionModel on G gives its values, checked when it was built."""
+    if isinstance(f, GroupFunctionModel) and f.group is G:
+        return f.values
+    return _check_finite(_sized_values(G, f), label or f"function on {G.name}")
 
 
 def unit_function(G: FiniteGroup) -> np.ndarray:
@@ -194,7 +203,8 @@ def unit_function(G: FiniteGroup) -> np.ndarray:
 
 
 def convolve(G: FiniteGroup, f, g) -> np.ndarray:
-    """(f * g)(x) = (1/n) sum_y f(y) g(y^{-1} x), y in index order."""
+    """(f * g)(x) = (1/n) sum_y f(y) g(y^{-1} x), y in index order; f and
+    g are arrays of values or GroupFunctionModels on G (_check_values)."""
     fv = _check_values(G, f)
     gv = _check_values(G, g)
     # A[y, x] = y^{-1} x
@@ -217,8 +227,9 @@ class GroupFunctionModel(PowerMeanModel):
     """
 
     def __init__(self, group: FiniteGroup, values, label: Optional[str] = None):
+        # PowerMeanModel checks the values are finite, naming the label
         label = label or f"fn-on-{group.name}"
-        super().__init__(_check_values(group, values, label), label)
+        super().__init__(_sized_values(group, values), label)
         self.group = group
 
     def lp_norm(self, p):
@@ -315,7 +326,8 @@ def algebra_check(
     """
     fm = GroupFunctionModel(G, f, label="f")
     gm = GroupFunctionModel(G, g, label="g")
-    cm = GroupFunctionModel(G, convolve(G, fm.values, gm.values), label="f*g")
+    # each array's values are checked once, when its model is built
+    cm = GroupFunctionModel(G, convolve(G, fm, gm), label="f*g")
     conv_norm, f_norm, g_norm = gls_norms([cm, fm, gm], psi, p_max, S)
     return AlgebraReport(
         conv_norm=conv_norm.value,

@@ -18,7 +18,10 @@ in one call); searches of any other mix of models run alone.  Equal
 domains, and equal W^ grids, share their scan rows (_scan_rows).  Every
 norm keeps the bits of its search alone.  The W^ constant depends on psi
 and the grid only, so a W^ check takes it from grids.w_hat_constant,
-computed once per (psi, cell ends) per process.
+computed once per (psi, cell ends) per process; so do psi's values at the
+W^ full norm's cell rows, which its scan takes from _cell_psi, a memo of
+its own, computed once per (psi, cell ends) per process too.  The scan's
+moments are computed, and its points counted, on every check.
 A search hands search.sup_rows two facts, and sup_rows reads from them
 what it may skip, each skip leaving the result's bits as they are: a
 lower envelope of psi, given where every model's moments are exact (the
@@ -48,7 +51,7 @@ the offending p recorded as the witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
 from typing import ClassVar, NamedTuple, Optional, Sequence
@@ -275,6 +278,9 @@ class NormSearch(NamedTuple):
     points: np.ndarray
     grid: bool = False
     truncated: bool = True
+    #: the bytes of the grid values whose cells the rows are (_cell_search),
+    #: which key psi's values at the rows (_cell_psi); empty for other rows
+    cell_ends: bytes = b""
 
 
 _NO_ROWS = np.empty((0, 2))
@@ -317,9 +323,11 @@ def _scan_rows(lo: bytes, hi: bytes, points: int, geometric: bool) -> np.ndarray
     evenly spaced, their ends exact; the row ends come as the bytes of
     float arrays, as grids.w_hat_constant keys its memo.  Every norm over
     one domain or W^ grid scans the same rows, so the last 32 domains' or
-    grids' rows are kept, read-only."""
+    grids' rows are kept, read-only, in an array of their own, C-ordered:
+    ``axis=1`` lays several rows out column by column, and every scan's
+    ravel would copy them."""
     lo, hi = np.frombuffer(lo), np.frombuffer(hi)
-    rows = (np.geomspace if geometric else np.linspace)(lo, hi, points, axis=1)
+    rows = np.array((np.geomspace if geometric else np.linspace)(lo, hi, points, axis=1), order="C")
     rows[:, 0], rows[:, -1] = lo, hi
     rows.flags.writeable = False
     return rows
@@ -337,10 +345,60 @@ def _cell_search(model: RandomVariableModel, gtr: GridSequence) -> NormSearch:
     """The search of _cellwise_full_norm: every cell of the grid a scan row
     of _CELL_POINTS evenly spaced points (_scan_rows); a grid of one point
     has no cell, and its window [1, 1] is that point, as in
-    domain_search."""
+    domain_search.  The search keeps the bytes of the grid values, the key
+    of psi's values at its rows (_cell_psi)."""
     v = gtr.values
-    xs = _scan_rows(v[:-1].tobytes(), v[1:].tobytes(), _CELL_POINTS, False)
-    return NormSearch(model, v[-1], xs, _NO_POINTS if v.size > 1 else v)
+    ends = v.tobytes()
+    return NormSearch(model, v[-1], _cell_rows(ends), _NO_POINTS if v.size > 1 else v, cell_ends=ends)
+
+
+def _cell_rows(ends: bytes) -> np.ndarray:
+    """The cell rows of the grid values whose bytes are ``ends``."""
+    v = np.frombuffer(ends)
+    return _scan_rows(v[:-1].tobytes(), v[1:].tobytes(), _CELL_POINTS, False)
+
+
+@lru_cache(maxsize=32)
+def _cell_psi(psi: GeneratingFunction, ends: bytes) -> np.ndarray:
+    """psi at every point of the cell rows of the grid values whose bytes
+    are ``ends``, in the order of their ravel, read-only: the den of a W^
+    full norm's scan, which depends on psi and the grid only, so it is
+    computed once per (psi, cell ends), memoized as grids._w_hat_memo
+    memoizes the W^ constant (the last 32, a psi shared only with one that
+    compares equal).  An error of psi_values is not memoized; a NaN is, as
+    psi_values returns it, for the search to name."""
+    den = psi_values(psi, _cell_rows(ends).ravel())
+    den.flags.writeable = False
+    return den
+
+
+def _cell_memo(psi: GeneratingFunction, searches: Sequence[NormSearch]) -> GeneratingFunction:
+    """``psi`` for the ratio of a one-model search whose only scan rows are
+    those of a _cell_search: a copy whose evaluator gives the full scan's
+    values, every point of those rows in order, from _cell_psi and every
+    other call's from psi's own evaluator; psi itself for any other search,
+    for a psi that comes from a model (a natural psi, whose values are
+    moments) and for one that cannot be hashed."""
+    scanned = [s for s in searches if s.rows.shape[0]]
+    if len(scanned) != 1 or not scanned[0].cell_ends or psi.source is not None:
+        return psi
+    try:
+        hash(psi)
+    except TypeError:
+        return psi
+    rows, ends = scanned[0].rows, scanned[0].cell_ends
+
+    def evaluator(p):
+        return _cell_psi(psi, ends) if _reads_in_order(p, rows) else psi.evaluator(p)
+
+    return replace(psi, evaluator=evaluator)
+
+
+def _reads_in_order(p: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether the array ``p`` is ``rows`` (_scan_rows: C-ordered, owning
+    its memory) raveled, every point in order, as the full scan asks for
+    them (search._scan): a flat contiguous view of all of that memory."""
+    return p.base is rows and p.size == rows.size and p.ndim == 1 and p.flags.c_contiguous
 
 
 def sup_norms(psi: GeneratingFunction, searches: Sequence[NormSearch]) -> list:
@@ -444,7 +502,7 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
         return None
     lower = psi.envelope if exact else None
     if one_model:
-        pair = _ratio_fn(models[0], psi)
+        pair = _ratio_fn(models[0], _cell_memo(psi, searches))
         pair = _one_plugin_warning(pair) if plugin else pair
     else:
         stacked = _stacked_ratio(psi, models)
@@ -759,7 +817,12 @@ def sandwich_check_discrete(
     them, as on every route: W's monotone test, then W (a psi that fails
     the test is a NonMonotoneError once both norms are found clean); W^
     from w_hat_constant, which depends on psi and the grid only and is
-    computed once per (psi, cell ends) per process.
+    computed once per (psi, cell ends) per process.  On the W^ route psi's
+    values at the full norm's cell rows, the den of its scan, are computed
+    once per (psi, cell ends) per process as well (_cell_psi), in a memo
+    apart from the constant's, which still comes after both norms; the
+    scan's moments are computed at every point, and n_evaluations counts
+    every point.
     """
     _check_p_max(p_max)
     idx = q.first_index_at_least(p_max)

@@ -15,15 +15,17 @@ be looser than the whole grid's.  The envelope is informative for
 x >= e * N and that threshold is enforced; the bound is silent below it.
 
 h is evaluated for any number of x at once: one table of psi(q(m)) and
-ln psi(q(m)) per call, one array of terms, the first maximum of each
-row.  The logarithms are taken with math.log, one value at a time, so
-every term has the bits of scalar arithmetic.
+ln psi(q(m)) (one per h_transform call, one per envelope for all its
+probes), one array of terms, the first maximum of each row.  The
+logarithms are taken with math.log, one value at a time, so every term
+has the bits of scalar arithmetic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,11 +68,16 @@ class _HTable:
         return terms[np.arange(xs.size), k], k + 1
 
 
+def _check_h_domain(x: float) -> None:
+    """DomainError unless x >= 1, where h is defined."""
+    if not x >= 1.0:
+        raise DomainError(f"h is defined for x >= 1, got {x:g}")
+
+
 def h_transform(q: GridSequence, psi: GeneratingFunction, x: float):
     """sup_m q(m) * (ln x - ln psi(q(m))) over the stored grid, as an
     HTransformResult; bit-identical to a scalar enumeration of the M terms."""
-    if not x >= 1.0:
-        raise DomainError(f"h is defined for x >= 1, got {x:g}")
+    _check_h_domain(x)
     values, args = _HTable(q, psi)(np.array([x], dtype=float))
     return HTransformResult(value=float(values[0]), arg_index=int(args[0]), x=x, n_terms=q.M)
 
@@ -96,6 +103,12 @@ class TailEnvelope:
     def domain_threshold(self) -> float:
         return math.e * self.norm_value
 
+    @cached_property
+    def _h_table(self) -> _HTable:
+        """The h table of q and psi, built at the first probe and shared by
+        every later one."""
+        return _HTable(self.q, self.psi)
+
     def __call__(self, x: float) -> float:
         return tail_envelope(self, x)
 
@@ -118,12 +131,16 @@ def default_probe_points(env: TailEnvelope) -> list:
 
 
 def tail_envelope(env: TailEnvelope, x: float) -> float:
-    """Evaluate the envelope at x; the bound is undefined below e*norm."""
+    """Evaluate the envelope at x; the bound is undefined below e*norm.
+    h comes from the envelope's one table (TailEnvelope._h_table), with the
+    bits of h_transform at x / norm."""
     if x < env.domain_threshold:
         raise DomainError(
             f"envelope holds for x >= e*norm = {env.domain_threshold:g}, got {x:g}"
         )
-    return math.exp(-h_transform(env.q, env.psi, x / env.norm_value).value)
+    y = x / env.norm_value
+    _check_h_domain(y)
+    return math.exp(-float(env._h_table(np.array([y], dtype=float))[0][0]))
 
 
 @dataclass(frozen=True)

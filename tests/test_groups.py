@@ -26,7 +26,7 @@ from glspace import (
     unit_function,
     young_check,
 )
-from glspace import SpecParseError, groups
+from glspace import SpecParseError, groups, models
 
 
 def small_groups():
@@ -147,6 +147,31 @@ def test_group_function_rejects_non_finite_values(bad):
     ):
         with pytest.raises(DomainError, match=rf"^function on cyclic:3: value {bad!r} at index 1 is not finite$"):
             call()
+
+
+def test_an_algebra_check_checks_each_array_once(monkeypatch):
+    # f and g when their models are built, f*g when its model is; convolve
+    # takes the models' checked values
+    G, rng = dihedral_group(4), np.random.default_rng(4)
+    f, g = rng.standard_normal(8), rng.standard_normal(8)
+    psi = make_power_slowvary(PowerSlowVaryParams(r=2.0))
+    expect = algebra_check(G, f, g, psi)
+    checked = []
+    real = models._check_finite
+
+    def spy(values, label):
+        checked.append(label)
+        return real(values, label)
+
+    monkeypatch.setattr(models, "_check_finite", spy)
+    monkeypatch.setattr(groups, "_check_finite", spy)
+    assert algebra_check(G, f, g, psi) == expect
+    assert checked == ["f", "g", "f*g"]
+    # models on G convolve as their values do, unchecked
+    fm, gm = GroupFunctionModel(G, f), GroupFunctionModel(G, g)
+    checked.clear()
+    assert convolve(G, fm, gm).tobytes() == convolve(G, f, g).tobytes()
+    assert checked == ["function on dihedral:4"] * 2
 
 
 def test_young_triple_validation():

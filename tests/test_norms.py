@@ -769,6 +769,13 @@ def test_a_shared_algebra_search_asks_psi_once_per_array_call(monkeypatch, S):
     assert (rep.conv_norm, rep.f_norm, rep.g_norm) == tuple(r.value for r in alone)
 
 
+def _assert_scanned_in_place(rows):
+    """The rows are C-ordered in memory of their own, so the scan's ravel
+    is a view of them, not a copy."""
+    assert rows.flags.c_contiguous and rows.flags.owndata
+    assert rows.ravel().base is rows
+
+
 def test_equal_domains_share_read_only_scan_rows():
     norms._scan_rows.cache_clear()
     model = gaussian_model()
@@ -779,6 +786,7 @@ def test_equal_domains_share_read_only_scan_rows():
         with pytest.raises(ValueError, match="read-only"):
             rows[0, 1] = 2.0
         assert rows[0, 0] == 1.0 and np.all(np.diff(rows, axis=1) > 0.0)
+        _assert_scanned_in_place(rows)
     # one row per interval, the ends exact, the bits of one geomspace per
     # domain
     rows = norms.domain_search(model, 30.0, MIXED_SET).rows
@@ -794,6 +802,8 @@ def test_equal_domains_share_read_only_scan_rows():
     assert norms._cell_search(uniform01_model(), integer_grid(40)).rows is cells
     with pytest.raises(ValueError, match="read-only"):
         cells[0, 1] = 2.0
+    _assert_scanned_in_place(cells)
+    _assert_scanned_in_place(norms._cell_search(model, integer_grid(2)).rows)
     v = q.values
     expect = np.linspace(v[:-1], v[1:], norms._CELL_POINTS, axis=1)
     expect[:, 0], expect[:, -1] = v[:-1], v[1:]

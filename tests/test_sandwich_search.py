@@ -282,9 +282,11 @@ def test_a_memo_hit_asks_psi_only_for_the_points_of_the_norm_search():
     asked.clear()
     rep = sandwich_check_discrete(model, psi, q, use_w_hat=True)
     assert _bits(rep) == _bits(first)
-    # a hit: psi is asked for the points of the two norms' ratios only
-    assert 199 * 256 not in asked
-    assert sum(asked) == rep.inner.n_evaluations + rep.full.n_evaluations
+    # a hit: psi is asked for the points of the two norms' ratios only, but
+    # the full norm's scan of 199 cells of 64 points, whose psi values are
+    # memoized too (norms._cell_psi); the scan's points are still counted
+    assert 199 * 256 not in asked and 199 * 64 not in asked
+    assert sum(asked) == rep.inner.n_evaluations + rep.full.n_evaluations - 199 * 64
 
 
 def test_a_psi_nan_in_one_cell_raises_its_error_on_every_check():
@@ -336,6 +338,86 @@ def test_a_psi_with_an_unhashable_evaluator_still_gets_its_w_hat_constant():
     rep = sandwich_check_discrete(gaussian_model(), psi, q, use_w_hat=True)
     assert _bits(rep.constant) == _bits(_w_hat_uncached(dip, q))
     assert rep.ok
+
+
+# ---------------------------------------------------------------------------
+# psi at the W^ full norm's cell rows: computed once per (psi, cell ends)
+
+
+def _cell_points(q):
+    """The points of the cell rows of the grid ``q``, in the full scan's order."""
+    return norms._cell_search(gaussian_model(), q).rows.ravel()
+
+
+def _zero_between(lo, hi):
+    """sqrt(p), but 0 on (lo, hi): not a psi there, and no envelope."""
+
+    def evaluator(p):
+        p = np.asarray(p, dtype=float)
+        return np.where((p > lo) & (p < hi), 0.0, np.sqrt(p))
+
+    return GeneratingFunction(evaluator, f"zero-on-({lo:g},{hi:g})")
+
+
+@pytest.mark.parametrize("q", [integer_grid(200), glspace.geometric_grid(2, 8), integer_grid(2)],
+                         ids=["integers", "geometric", "one-cell"])
+def test_the_memoized_psi_at_the_cell_rows_is_psi_values_there_bit_for_bit(q):
+    dip = sqrt_dip_psi()
+    den = norms._cell_psi(dip, q.values.tobytes())
+    assert den.tobytes() == glspace.generating.psi_values(dip, _cell_points(q)).tobytes()
+    assert not den.flags.writeable
+    assert norms._cell_psi(dip, q.values.tobytes()) is den
+
+
+@pytest.mark.parametrize("model", [gaussian_model(), uniform01_model(), constant_model(1.3)], ids=lambda m: m.label)
+def test_w_hat_checks_keep_their_counts_and_values_on_a_memo_hit_and_a_miss(model):
+    dip, q = sqrt_dip_psi(), integer_grid(256)
+    # the same psi but unhashable, so that nothing of it is memoized
+    plain = GeneratingFunction(_UnhashableEvaluator(), dip.description, envelope=dip.envelope)
+    expect = _bits(sandwich_check_discrete(model, plain, q, use_w_hat=True))
+    norms._cell_psi.cache_clear()
+    assert _bits(sandwich_check_discrete(model, dip, q, use_w_hat=True)) == expect
+    assert norms._cell_psi.cache_info()[:2] == (0, 1)
+    assert _bits(sandwich_check_discrete(model, dip, q, use_w_hat=True)) == expect
+    assert norms._cell_psi.cache_info()[:2] == (1, 1)
+
+
+def test_an_unhashable_psi_is_evaluated_at_the_cell_rows_every_time():
+    dip, q = sqrt_dip_psi(), integer_grid(60)
+    psi = GeneratingFunction(_UnhashableEvaluator(), dip.description, envelope=dip.envelope)
+    search = norms._cell_search(gaussian_model(), q)
+    assert norms._cell_memo(psi, [search]) is psi
+    assert norms._cell_memo(dip, [search]) is not dip
+    norms._cell_psi.cache_clear()
+    for _ in range(2):
+        assert _bits(_cellwise_full_norm(gaussian_model(), psi, q)) == _bits(_cellwise_full_norm(gaussian_model(), dip, q))
+    # dip's two norms only: a miss, then a hit
+    info = norms._cell_psi.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
+def test_a_psi_that_fails_at_a_cell_point_raises_its_error_and_is_not_memoized():
+    psi, q = _zero_between(20.2, 20.8), integer_grid(60)
+    gtr = q.truncated(q.first_index_at_least(50.0))
+    norms._cell_psi.cache_clear()
+    expect = _raised(lambda: glspace.generating.psi_values(psi, _cell_points(gtr)))
+    assert expect[0] is DomainError and "p=20.206349206349206" in expect[1]
+    for _ in range(2):
+        assert _raised(lambda: _cellwise_full_norm(uniform01_model(), psi, gtr)) == expect
+        assert _raised(lambda: sandwich_check_discrete(uniform01_model(), psi, q, 50.0, use_w_hat=True)) == expect
+    # every attempt missed (a shared search that raised reruns its searches
+    # alone), and none left an entry
+    info = norms._cell_psi.cache_info()
+    assert info.currsize == 0 and info.hits == 0
+
+
+def test_a_divergent_moment_wins_over_a_psi_that_fails_at_a_cell_point():
+    psi, gtr = _zero_between(20.2, 20.8), integer_grid(50)
+    norms._cell_psi.cache_clear()
+    res = _cellwise_full_norm(_diverging_from(2.5), psi, gtr)
+    # the scan's moments raise before psi is asked, at the first p >= 2.5
+    assert res.value == math.inf and res.arg_p == _cell_points(gtr)[_cell_points(gtr) >= 2.5][0]
+    assert norms._cell_psi.cache_info()[:2] == (0, 0)
 
 
 # ---------------------------------------------------------------------------

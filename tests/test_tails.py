@@ -164,6 +164,29 @@ def test_tail_check_gaussian_smoke():
     assert report.n_active == 2
 
 
+def test_a_tail_check_builds_one_h_table_for_all_its_probes(monkeypatch):
+    model, psi, q = gaussian_model(), root_psi(), integer_grid(50)
+    env = make_tail_envelope(model, psi, q)
+    xs = [env.domain_threshold * c for c in (1.0, 1.1, 1.5, 2.0, 3.0)]
+    # the bits of one h_transform per probe
+    expect = [math.exp(-h_transform(q, psi, x / env.norm_value).value) for x in xs]
+    built = []
+
+    class CountedTable(tails._HTable):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(tails, "_HTable", CountedTable)
+    report = tail_check(model, psi, q, n=1_000, seed=2, x_grid=[1.0, *xs])
+    assert [r.envelope for r in report.rows[1:]] == expect
+    assert len(built) == 1
+    # an envelope builds its table at its first probe, and keeps it
+    env = make_tail_envelope(model, psi, q)
+    assert [tail_envelope(env, x) for x in xs] == expect
+    assert len(built) == 2
+
+
 def test_tail_check_bounded_variable_never_violates():
     report = tail_check(
         rademacher_model(), root_psi(), integer_grid(50), n=5_000, seed=1,

@@ -15,9 +15,13 @@ each call in CPU time, so that both sides see the same drift of the host.
 
 Prints each side's median over rounds of its CPU time, the median over
 rounds of the paired ratio (working tree / base) with its range, and a
-digest of each side's op outcomes (reprs, so a moved bit shows).  Exits 1
-when the digests differ, 0 otherwise.  perfbench/workloads.py is imported,
-not changed.
+digest of each side's op outcomes (reprs, so a moved bit shows).  Then the
+same per op kind (``op.kind``: Z / W / W_hat on sandwich, closed_form /
+empirical / natural / natural_empirical on norm; an op without a kind, as
+on algebra, counts under the workload's name): the op count, each side's
+median CPU time a round and the paired ratio, so that a gain claimed on
+one route shows whether the others stayed put.  Exits 1 when the digests
+differ, 0 otherwise.  perfbench/workloads.py is imported, not changed.
 """
 
 from __future__ import annotations
@@ -96,25 +100,37 @@ def main(argv=None) -> int:
         blocks = workload.blocks(np.random.default_rng(input_seq), envs["head"], workdir)
         ops = [op for _ in range(args.blocks) for op in next(blocks)]
 
+        kinds = [getattr(op, "kind", args.workload) for op in ops]
         order = np.random.default_rng(args.seed)
-        times = {name: [0.0] * args.rounds for name in sides}
+        # CPU time per side, op kind and round
+        times = {name: {kind: [0.0] * args.rounds for kind in kinds} for name in sides}
         digests = {name: hashlib.sha256() for name in sides}
         for r in range(args.rounds):
-            for op in ops:
+            for op, kind in zip(ops, kinds):
                 for name in ("base", "head") if order.random() < 0.5 else ("head", "base"):
                     # a CLI op prints its own warnings; they are not compared
                     with contextlib.redirect_stderr(io.StringIO()):
                         t0 = process_time()
                         out = outcome(workload, envs[name], op)
-                        times[name][r] += process_time() - t0
+                        times[name][kind][r] += process_time() - t0
                     if r == 0:
                         digests[name].update(repr(out).encode())
 
-    ratios = [h / b for h, b in zip(times["head"], times["base"])]
+    def paired(per_round):
+        """The median and range over rounds of the head/base ratio of the
+        per-round times ``per_round[side]``."""
+        r = [h / b for h, b in zip(per_round["head"], per_round["base"])]
+        return f"median {statistics.median(r):.3f} (range {min(r):.3f}-{max(r):.3f})"
+
+    total = {name: [sum(col) for col in zip(*times[name].values())] for name in sides}
     print(f"workload {args.workload}  seed {args.seed}  {len(ops)} ops  {args.rounds} rounds  base {args.base}")
     for name in sides:
-        print(f"{name}: median CPU {statistics.median(times[name]):.3f} s a round  digest {digests[name].hexdigest()[:16]}")
-    print(f"paired ratio head/base: median {statistics.median(ratios):.3f} (range {min(ratios):.3f}-{max(ratios):.3f})")
+        print(f"{name}: median CPU {statistics.median(total[name]):.3f} s a round  digest {digests[name].hexdigest()[:16]}")
+    print(f"paired ratio head/base: {paired(total)}")
+    for kind in times["head"]:
+        per_round = {name: times[name][kind] for name in sides}
+        medians = "  ".join(f"{name} {statistics.median(per_round[name]):.4f} s" for name in sides)
+        print(f"  kind {kind} ({kinds.count(kind)} ops): {medians}  head/base {paired(per_round)}")
     same = digests["base"].digest() == digests["head"].digest()
     print("outcomes: identical" if same else "outcomes: DIFFER")
     return 0 if same else 1
