@@ -39,11 +39,19 @@ class GeneratingFunction:
     envelope takes part in equality and hashing, and so in the W^ memo
     key.  nondecreasing, psi being its own envelope, is what the Z and W
     monotone test reads.  value_at_one is psi(1), computed once.
+
+    source, set by natural_psi, is a declared fact too, trusted as the
+    envelope is: the model g with psi(p) = |g|_p / |g|_1.  A norm search
+    reads such a psi through g's moment kernel, never its evaluator: one
+    moment per p where g is the searched model, g._lp_norms(p) / |g|_1
+    otherwise (see norms._ratio_fn).  A psi whose evaluator gives other
+    values keeps source None.
     """
 
     evaluator: Callable[[float | np.ndarray], float | np.ndarray]
     description: str = ""
-    #: the model a natural psi is the moment ratio |f|_p / |f|_1 of
+    #: the model a natural psi is the moment ratio |f|_p / |f|_1 of;
+    #: trusted, never checked
     source: Optional[RandomVariableModel] = field(default=None, compare=False, repr=False)
     #: (L or None for psi itself, chord): a nondecreasing lower envelope,
     #: ln concave where chord is set; trusted, never checked

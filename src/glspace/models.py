@@ -13,6 +13,11 @@ the other closed-form families and the power means run on numpy alone.
 No moment is computed by quadrature, so the package never imports SciPy's
 integration routines.
 
+A plug-in moment taken past its sample's stable_p warns, from one line
+(EmpiricalModel._warn_past_stable) whoever asks: lp_norm on every call,
+and a norm search for the moment kernels it calls (_lp_norms), which warn
+of nothing themselves.  No state outside a call decides whether it warns.
+
 Sampling is deterministic: a (seed, n) pair always regenerates the same
 array.  Generation is defined chunkwise with a fixed chunk size and one
 child RNG stream per chunk index, so chunks may be produced in any order
@@ -24,7 +29,6 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -47,13 +51,6 @@ _POWER_MEAN_BLOCK = 1 << 18
 
 class MomentInstabilityWarning(UserWarning):
     """Plug-in moment of an empirical sample is dominated by its maximum."""
-
-
-#: set while a search asks again for p that it has already been warned
-#: about (norms._one_plugin_warning): EmpiricalModel.lp_norm stays quiet
-#: without a change to the warnings filters, whose every change resets
-#: the record of the warnings already shown
-_REPEATED_P = ContextVar("repeated_p", default=False)
 
 
 @dataclass(frozen=True)
@@ -361,7 +358,8 @@ class RandomVariableModel:
         already: the moment kernel that lp_norm wraps with its check of p,
         called directly where the points lie in [1, p_max] by construction
         (a norm search's).  Here lp_norm itself; the shipped backends take
-        their moment map or power_means without a check."""
+        their moment map or power_means without a check, and warn of
+        nothing (a search warns for its kernels: norms._search)."""
         return self.lp_norm(q)
 
     def sample_values(self, n: int, seed: int) -> np.ndarray:
@@ -411,9 +409,9 @@ class PowerMeanModel(RandomVariableModel):
     empirical measure, or a function on a finite group under normalized
     Haar measure.  |f|_p is their normalized power mean: each subclass's
     lp_norm is power_mean(self._moments, p), EmpiricalModel's with a
-    warning, and the unchecked kernel _lp_norms is power_means.  A norm
-    search of several models takes the moments of those without one for
-    all of them at once (power_means; see norms._stacks)."""
+    warning, and the unchecked kernel _lp_norms, quiet for every subclass,
+    is power_means.  A norm search of several models takes their moments
+    for all of them at once (power_means; see norms._stacks)."""
 
     #: what the values are, in the error an empty array raises
     what = "power-mean model"
@@ -447,7 +445,7 @@ class EmpiricalModel(PowerMeanModel):
     def __init__(self, values, label="empirical"):
         super().__init__(values, label)
         #: beyond this p the plug-in moment is dominated by the sample
-        #: maximum, and lp_norm warns
+        #: maximum, and lp_norm and a norm search warn
         self.stable_p = 5.0 * math.log(max(self.values.size, 2))
 
     @classmethod
@@ -459,17 +457,13 @@ class EmpiricalModel(PowerMeanModel):
         self._warn_past_stable(float(np.asarray(p).max(initial=1.0)))
         return out
 
-    def _lp_norms(self, q: np.ndarray) -> np.ndarray:
-        out = super()._lp_norms(q)
-        self._warn_past_stable(float(q.max()))
-        return out
-
     def _warn_past_stable(self, top: float) -> None:
         """The plug-in warning for a call whose largest p is ``top``.  It
-        is raised from this line whoever calls lp_norm or _lp_norms (a norm
-        search's kernel, psi_eval of a natural psi), so the ``default``
-        filter shows each text once."""
-        if top > self.stable_p and not _REPEATED_P.get():
+        is raised from this line whoever warns (lp_norm, so psi_eval of a
+        natural psi, and a norm search, which warns for its quiet moment
+        kernels: norms._search), so the ``default`` filter shows each text
+        once."""
+        if top > self.stable_p:
             warnings.warn(
                 f"plug-in moment at p={top:g} with n={self.values.size} is dominated by the sample maximum",
                 MomentInstabilityWarning,

@@ -46,6 +46,12 @@ arithmetic; the reported slack covers search and moment-backend error.
 A divergent moment is not an error here: ||f|| = +inf is a meaningful
 statement (f lies outside the space), so it short-circuits to +inf with
 the offending p recorded as the witness.
+
+A search reads its ratio at arrays of p only, through kernels that warn
+of nothing: each model's _lp_norms, and psi_values of psi, a natural psi
+of another model read through that model's _lp_norms (_kernel_psi).  The
+search raises the plug-in warnings itself, once per call that reaches
+past every earlier call's largest p (see _search).
 """
 
 from __future__ import annotations
@@ -59,7 +65,7 @@ from typing import ClassVar, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DivergentMomentError, DomainError, TruncationError
-from .generating import GeneratingFunction, psi_eval, psi_values
+from .generating import GeneratingFunction, psi_values
 from .grids import (
     EquivalenceConstant,
     GridSequence,
@@ -74,7 +80,6 @@ from .models import (
     EmpiricalModel,
     PowerMeanModel,
     RandomVariableModel,
-    _REPEATED_P,
     power_means,
 )
 from .search import RowSupremum, _eval_parts, _scan, sup_rows
@@ -158,14 +163,15 @@ class NormResult:
 
 
 def _ratio_fn(model: RandomVariableModel, psi: GeneratingFunction):
-    """p -> (|f|_p, psi(p)), the numerator and denominator of the ratio.
+    """p -> (|f|_p, psi(p)), the numerator and denominator of the ratio at
+    a float array p.
 
     A search's points lie in [1, p_max] by construction (domain_search
     checks p_max, grids and sets start at 1, golden points lie inside their
-    brackets), so an array p goes to the model's moment kernel
+    brackets), so p goes to the model's moment kernel
     (RandomVariableModel._lp_norms) and to psi_values unchecked, psi's
-    values tested once for the call.  Any other p, a float, takes the
-    checked lp_norm and psi_eval; both give a point the same bits."""
+    values tested once for the call, with the bits of the checked lp_norm
+    and psi_eval.  Neither warns (_search does)."""
     moments = model._lp_norms
     if psi.source is model:
         # psi(p) = |f|_p / |f|_1 of this very model: one moment per p serves
@@ -173,24 +179,32 @@ def _ratio_fn(model: RandomVariableModel, psi: GeneratingFunction):
         m1 = float(model.lp_norm(1.0))
 
         def pair(p):
-            m = moments(p) if isinstance(p, np.ndarray) else model.lp_norm(p)
+            m = moments(p)
             return m, m / m1
 
-    else:
+        return pair
+    psi = _kernel_psi(psi)
+    return lambda p: (moments(p), psi_values(psi, p))
 
-        def pair(p):
-            if isinstance(p, np.ndarray):
-                return moments(p), psi_values(psi, p)
-            return model.lp_norm(p), psi_eval(psi, p)
 
-    return pair
+def _kernel_psi(psi: GeneratingFunction) -> GeneratingFunction:
+    """``psi`` for a search of a model other than psi's own: a natural psi
+    (GeneratingFunction.source) as a copy whose evaluator is its model's
+    moment kernel over |g|_1, taken as natural_psi takes it, so the values
+    are psi's, bit for bit, and quiet; any other psi as it is.  The copy
+    still goes through psi_values, so a bad value is psi's DomainError."""
+    g = psi.source
+    if g is None:
+        return psi
+    m1 = float(g.lp_norm(1.0))
+    return replace(psi, evaluator=lambda p: np.asarray(g._lp_norms(p), dtype=float) / m1)
 
 
 def _stacks(model: RandomVariableModel, psi: GeneratingFunction) -> bool:
     """Whether the moment of ``model`` is the plain power mean of its
     values, which power_means may take for several models at once: a
-    PowerMeanModel whose moment does not warn, and not the model of psi."""
-    return isinstance(model, PowerMeanModel) and not isinstance(model, EmpiricalModel) and model is not psi.source
+    PowerMeanModel, and not the model of psi."""
+    return isinstance(model, PowerMeanModel) and model is not psi.source
 
 
 def _stacked_ratio(psi: GeneratingFunction, models: Sequence[PowerMeanModel]):
@@ -204,6 +218,7 @@ def _stacked_ratio(psi: GeneratingFunction, models: Sequence[PowerMeanModel]):
     point."""
     states = [m._moments for m in models]
     n_parts = len(models)
+    psi = _kernel_psi(psi)
 
     def pair(p, at):
         num = power_means(states, p, at)
@@ -235,32 +250,6 @@ def _prune_pays(s: "NormSearch", psi: GeneratingFunction) -> bool:
     its model and the model of psi, reach _PRUNE_GRID_MIN."""
     read = {id(m): m.values.size for m in (s.model, psi.source) if isinstance(m, PowerMeanModel)}
     return s.points.size * sum(read.values()) >= _PRUNE_GRID_MIN
-
-
-def _one_plugin_warning(pair):
-    """``pair``, quiet about plug-in moments on a call whose p all lie at or
-    below the largest p an earlier call reached.  A plug-in warning names
-    the largest p of its call, and the scan's first call reaches the
-    largest p of its rows, so the refinement and the later pruning levels
-    only repeat it.  They are quieted through models._REPEATED_P, not
-    through the warnings filters, whose every change makes Python forget
-    the warnings it has shown: a loop of norms shows each warning once
-    under the default filter."""
-    reached = -math.inf
-
-    def quiet_after_the_first(p):
-        nonlocal reached
-        top = float(p.max())
-        if top > reached:
-            reached = top
-            return pair(p)
-        token = _REPEATED_P.set(True)
-        try:
-            return pair(p)
-        finally:
-            _REPEATED_P.reset(token)
-
-    return quiet_after_the_first
 
 
 class NormSearch(NamedTuple):
@@ -485,6 +474,17 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     since one scan array holds rows of one length, or where their models
     are neither one model nor all plain power means, since one function
     serves them.
+
+    The kernels warn of nothing (_ratio_fn); the search raises the plug-in
+    warnings.  A warning names the largest p of its call, and the scan's
+    first call reaches the largest p of its rows, so only a call whose
+    largest p exceeds every earlier call's warns: the searched model's
+    warning before the ratio, then that of psi's model after it, the order
+    in which their moments are taken, so a ratio that raises in the
+    model's moments has warned for the model alone.  Nothing else is set
+    or read around a call, and the warnings filters are left as they are:
+    their every change makes Python forget the warnings it has shown, and
+    a loop of norms shows each warning once under the ``default`` filter.
     """
     n_parts = len(searches)
     shared = n_parts > 1
@@ -503,9 +503,13 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     lower = psi.envelope if exact else None
     if one_model:
         pair = _ratio_fn(models[0], _cell_memo(psi, searches))
-        pair = _one_plugin_warning(pair) if plugin else pair
     else:
         stacked = _stacked_ratio(psi, models)
+    # the plug-in models the search warns for, its model before a call's
+    # ratio and psi's after it, the order in which their moments are taken
+    warn_before = models[0] if isinstance(models[0], EmpiricalModel) else None
+    warn_after = psi.source if isinstance(psi.source, EmpiricalModel) and psi.source is not warn_before else None
+    reached = -math.inf
     per_point = any(map(_costs_per_point, (*distinct, psi.source)))
     # the first row of each search, then the number of rows
     starts = [0, *accumulate(counts)]
@@ -515,13 +519,24 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     def parts(p, at):
         """(num, den) at the points of an array call, search k's being
         p[at[k]:at[k + 1]] (all of p for one search, ``at`` None); every
-        point is counted to its search."""
+        point is counted to its search, and a call that reaches past every
+        earlier call's largest p raises the plug-in warnings for it."""
+        nonlocal reached
         if n_parts == 1:
             asked[0] += p.size
         else:
             for k in range(n_parts):
                 asked[k] += at[k + 1] - at[k]
-        return pair(p) if one_model else stacked(p, at)
+        top = float(p.max()) if plugin else reached
+        if top <= reached:
+            return pair(p) if one_model else stacked(p, at)
+        reached = top
+        if warn_before is not None:
+            warn_before._warn_past_stable(top)
+        out = pair(p)
+        if warn_after is not None:
+            warn_after._warn_past_stable(top)
+        return out
 
     def num_den(p, row):
         # each search's points start where its first row does

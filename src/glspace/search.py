@@ -37,7 +37,8 @@ Refinement takes one of two routes, chosen once for the whole search.
 Both take golden_section_max's update rule, stopping width and tie-break
 and ask ``parts`` for arrays of points only, so they give its bits as
 long as ``parts`` gives a point the same bits in any array, as the moment
-kernels and psi's evaluators do (norms._ratio_fn).
+kernels and psi's evaluators do (norms._ratio_fn, which takes arrays
+only).
 - Lockstep: every bracket takes one golden step per array call, so
   ``parts`` is asked for golden_section_max's points and no other: where
   a guessed point would cost more than the call it saves, or where there

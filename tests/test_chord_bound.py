@@ -89,7 +89,7 @@ def _beaten(certify, tol: float) -> int:
     count = 0
     for j in k[certify(xs, ys, num, den, r[k], i[k], tol)].tolist():
         row, lo, hi = r[j], il[j], ih[j]
-        found = golden_section_max(lambda p: float(np.divide(*pair(p))), float(xs[row, lo]), float(xs[row, hi]), tol,
+        found = golden_section_max(lambda p: np.divide(*pair(np.array([p]))).item(), float(xs[row, lo]), float(xs[row, hi]), tol,
                                    f_lo=float(ys[row, lo]), f_hi=float(ys[row, hi]))
         count += found != (xs[row, i[j]], ys[row, i[j]])
     return count

@@ -122,7 +122,7 @@ def _assert_certified_brackets_are_unbeatable(model, psi, rset):
     sure = search._certified(xs, ys, num, den, r[k], i[k], search._REFINE_TOL)
     for j in k[sure].tolist():
         row, lo, hi = r[j], il[j], ih[j]
-        found = golden_section_max(lambda p: float(np.divide(*pair(p))), float(xs[row, lo]), float(xs[row, hi]),
+        found = golden_section_max(lambda p: np.divide(*pair(np.array([p]))).item(), float(xs[row, lo]), float(xs[row, hi]),
                                    f_lo=float(ys[row, lo]), f_hi=float(ys[row, hi]))
         assert found == (xs[row, i[j]], ys[row, i[j]])
 

@@ -108,7 +108,9 @@ _BAD = {"zero": 0.0, "negative": -1.0, "inf": np.inf, "nan": np.nan}
 
 def _spoiled(psi: GeneratingFunction, at: float, bad: float) -> GeneratingFunction:
     """``psi`` with the value ``bad`` at every p >= ``at``, its envelope
-    kept, so that a pruned scan meets the bad values first where it runs."""
+    kept, so that a pruned scan meets the bad values first where it runs,
+    and its source dropped: a natural psi's values are its model's moments
+    by declaration, which a search reads through the model's kernel."""
     evaluator = psi.evaluator
 
     def spoiled(p):
@@ -116,7 +118,7 @@ def _spoiled(psi: GeneratingFunction, at: float, bad: float) -> GeneratingFuncti
         out[p >= at] = bad
         return out
 
-    return dataclasses.replace(psi, evaluator=spoiled, description=f"spoiled {psi.description}")
+    return dataclasses.replace(psi, evaluator=spoiled, description=f"spoiled {psi.description}", source=None)
 
 
 # a model under its own natural psi never asks psi (the ratio is |f|_1), so

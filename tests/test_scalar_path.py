@@ -121,7 +121,8 @@ def test_natural_ratio_takes_one_moment_per_p_with_the_two_call_bits(model, monk
     two_call = dataclasses.replace(psi, source=None)
     ps = np.geomspace(1.0, 200.0, 37)
     shared, separate = _ratio_fn(model, psi), _ratio_fn(model, two_call)
-    for p in [*ps.tolist(), ps]:
+    # one p at a time as a one-element array, then all of them
+    for p in [*ps[:, None], ps]:
         expect = model.lp_norm(p) / psi_eval(two_call, p)
         for pair in (shared, separate):
             num, den = pair(p)

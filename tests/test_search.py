@@ -81,12 +81,13 @@ def _rowless(f):
 
 def _ratio(model, psi):
     """p -> |f|_p / psi(p), the quotient of the norm's (numerator,
-    denominator) pair."""
+    denominator) pair, which takes arrays only: a float p goes to it as a
+    one-element array, whose quotient comes back as a float."""
     pair = _ratio_fn(model, psi)
 
     def ratio(p):
-        num, den = pair(p)
-        return num / den
+        num, den = pair(np.atleast_1d(np.asarray(p, dtype=float)))
+        return num / den if np.ndim(p) else (num / den).item()
 
     return ratio
 

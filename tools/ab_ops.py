@@ -15,7 +15,13 @@ each call in CPU time, so that both sides see the same drift of the host.
 
 Prints each side's median over rounds of its CPU time, the median over
 rounds of the paired ratio (working tree / base) with its range, and a
-digest of each side's op outcomes (reprs, so a moved bit shows).  Then the
+digest of each side's op outcomes (reprs, so a moved bit shows) and of
+each op's stderr, so a moved, lost or added warning line shows too: what
+a CLI op prints (perfbench runs gls in process, into a buffer of its own,
+which a wrapper of each side's cli.main reads when the run ends) and the
+warnings an op raises outside the CLI, as one line of category and text
+(the file and line of the raising code differ between the sides).  Each
+op starts from a fresh warnings state, as a CLI run does.  Then the
 same per op kind (``op.kind``: Z / W / W_hat on sandwich, closed_form /
 empirical / natural / natural_empirical on norm; an op without a kind, as
 on algebra, counts under the workload's name): the op count, each side's
@@ -36,6 +42,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import warnings
 from pathlib import Path
 from time import process_time
 
@@ -73,6 +80,27 @@ def outcome(workload, env, op):
         return f"{type(exc).__name__}: {exc}"
 
 
+def keep_cli_stderr(gl) -> list:
+    """Wrap ``gl``'s cli.main so that what each run wrote to stderr, the
+    buffer perfbench redirects it into, is appended to the list returned."""
+    printed, main = [], gl.cli.main
+
+    def main_keeping_stderr(argv=None):
+        try:
+            return main(argv)
+        finally:
+            printed.append(sys.stderr.getvalue())
+
+    gl.cli.main = main_keeping_stderr
+    return printed
+
+
+def show_warning(message, category, filename, lineno, file=None, line=None):
+    """A warning as one line of its category and text, without the file
+    and line of the code that raised it."""
+    print(f"{category.__name__}: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision of the base side")
@@ -91,6 +119,7 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         unpack_base(args.base, tmp)
         sides = {"base": load("glspace_base", tmp), "head": load("glspace", ROOT / "src")}
+        cli_stderr = {name: keep_cli_stderr(gl) for name, gl in sides.items()}
         # the seeds of perfbench/harness.py: set-up inputs, then the blocks
         setup_seq, input_seq = np.random.SeedSequence(args.seed).spawn(2)
         inputs = workload.setup_inputs(np.random.default_rng(setup_seq))
@@ -108,13 +137,14 @@ def main(argv=None) -> int:
         for r in range(args.rounds):
             for op, kind in zip(ops, kinds):
                 for name in ("base", "head") if order.random() < 0.5 else ("head", "base"):
-                    # a CLI op prints its own warnings; they are not compared
-                    with contextlib.redirect_stderr(io.StringIO()):
+                    cli_stderr[name].clear()
+                    with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()) as err:
+                        warnings.showwarning = show_warning
                         t0 = process_time()
                         out = outcome(workload, envs[name], op)
                         times[name][kind][r] += process_time() - t0
                     if r == 0:
-                        digests[name].update(repr(out).encode())
+                        digests[name].update(repr((out, err.getvalue(), cli_stderr[name])).encode())
 
     def paired(per_round):
         """The median and range over rounds of the head/base ratio of the
