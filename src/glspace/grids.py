@@ -415,8 +415,8 @@ def w_hat_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConst
     evaluator object, description and envelope).  An error is not
     memoized, and a psi that cannot be hashed (an unhashable evaluator or
     envelope) is computed every time.  The other side of a W^ sandwich,
-    its full norm, reads psi at its cell rows from a memo of its own, keyed
-    and bounded alike (norms._cell_psi), so on two hits a W^ check
+    its full norm, reads psi at its cell rows from a memo of its own, which
+    holds psi weakly (norms._row_values), so on two hits a W^ check
     evaluates psi only at the grid values and the refinement's points.
     """
     if q.M < 2:

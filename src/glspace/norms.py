@@ -18,10 +18,10 @@ in one call); searches of any other mix of models run alone.  Equal
 domains, and equal W^ grids, share their scan rows (_scan_rows).  Every
 norm keeps the bits of its search alone.  The W^ constant depends on psi
 and the grid only, so a W^ check takes it from grids.w_hat_constant,
-computed once per (psi, cell ends) per process; so do psi's values at the
-W^ full norm's cell rows, which its scan takes from _cell_psi, a memo of
-its own, computed once per (psi, cell ends) per process too.  The scan's
-moments are computed, and its points counted, on every check.
+computed once per (psi, cell ends) per process.  So are the values at a
+block of cached scan rows of a closed-form model's moments and of a psi
+(_row_values): a one-model search reads its whole scan from that memo
+wherever it can (_memo_pair), and counts its points on every check.
 A search hands search.sup_rows two facts, and sup_rows reads from them
 what it may skip, each skip leaving the result's bits as they are: a
 lower envelope of psi, given where every model's moments are exact (the
@@ -57,6 +57,7 @@ past every earlier call's largest p (see _search).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
@@ -90,6 +91,8 @@ DEFAULT_P_MAX = 200.0
 _SCAN_POINTS = 512
 # scan points per W^ cell in _cellwise_full_norm
 _CELL_POINTS = 64
+# blocks of scan rows kept: by _scan_rows, and by _row_values per function
+_ROWS_KEPT = 32
 # relative tolerance of a sandwich's two comparisons
 _RTOL = 1e-9
 # a power mean of at least this many values costs by the point
@@ -267,9 +270,10 @@ class NormSearch(NamedTuple):
     points: np.ndarray
     grid: bool = False
     truncated: bool = True
-    #: the bytes of the grid values whose cells the rows are (_cell_search),
-    #: which key psi's values at the rows (_cell_psi); empty for other rows
-    cell_ends: bytes = b""
+    #: the arguments of _scan_rows that gave ``rows`` (domain_search,
+    #: _cell_search), which key the ratio's values there (_row_values);
+    #: empty for rows built any other way
+    rows_key: tuple = ()
 
 
 _NO_ROWS = np.empty((0, 2))
@@ -302,19 +306,20 @@ def domain_search(model: RandomVariableModel, p_max: float, rset: Optional[Restr
     else:
         lo, hi = rset._ends_to(p_max)
     span = lo < hi
-    rows = _scan_rows(lo[span].tobytes(), hi[span].tobytes(), _SCAN_POINTS, True)
-    return NormSearch(model, p_max, rows, lo[~span], truncated=rset is None or rset.sup_value > p_max)
+    key = (lo[span].tobytes(), hi[span].tobytes(), _SCAN_POINTS, True)
+    truncated = rset is None or rset.sup_value > p_max
+    return NormSearch(model, p_max, _scan_rows(*key), lo[~span], truncated=truncated, rows_key=key)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=_ROWS_KEPT)
 def _scan_rows(lo: bytes, hi: bytes, points: int, geometric: bool) -> np.ndarray:
     """The scan rows of ``points`` points from lo[k] to hi[k], geometric or
     evenly spaced, their ends exact; the row ends come as the bytes of
     float arrays, as grids.w_hat_constant keys its memo.  Every norm over
-    one domain or W^ grid scans the same rows, so the last 32 domains' or
-    grids' rows are kept, read-only, in an array of their own, C-ordered:
-    ``axis=1`` lays several rows out column by column, and every scan's
-    ravel would copy them."""
+    one domain or W^ grid scans the same rows, so the last _ROWS_KEPT
+    domains' or grids' rows are kept, read-only, in an array of their own,
+    C-ordered: ``axis=1`` lays several rows out column by column, and every
+    scan's ravel would copy them."""
     lo, hi = np.frombuffer(lo), np.frombuffer(hi)
     rows = np.array((np.geomspace if geometric else np.linspace)(lo, hi, points, axis=1), order="C")
     rows[:, 0], rows[:, -1] = lo, hi
@@ -334,59 +339,88 @@ def _cell_search(model: RandomVariableModel, gtr: GridSequence) -> NormSearch:
     """The search of _cellwise_full_norm: every cell of the grid a scan row
     of _CELL_POINTS evenly spaced points (_scan_rows); a grid of one point
     has no cell, and its window [1, 1] is that point, as in
-    domain_search.  The search keeps the bytes of the grid values, the key
-    of psi's values at its rows (_cell_psi)."""
+    domain_search."""
     v = gtr.values
-    ends = v.tobytes()
-    return NormSearch(model, v[-1], _cell_rows(ends), _NO_POINTS if v.size > 1 else v, cell_ends=ends)
+    key = (v[:-1].tobytes(), v[1:].tobytes(), _CELL_POINTS, False)
+    return NormSearch(model, v[-1], _scan_rows(*key), _NO_POINTS if v.size > 1 else v, rows_key=key)
 
 
-def _cell_rows(ends: bytes) -> np.ndarray:
-    """The cell rows of the grid values whose bytes are ``ends``."""
-    v = np.frombuffer(ends)
-    return _scan_rows(v[:-1].tobytes(), v[1:].tobytes(), _CELL_POINTS, False)
+#: f -> {rows key: f at those rows}, for _row_values
+_row_memo = weakref.WeakKeyDictionary()
 
 
-@lru_cache(maxsize=32)
-def _cell_psi(psi: GeneratingFunction, ends: bytes) -> np.ndarray:
-    """psi at every point of the cell rows of the grid values whose bytes
-    are ``ends``, in the order of their ravel, read-only: the den of a W^
-    full norm's scan, which depends on psi and the grid only, so it is
-    computed once per (psi, cell ends), memoized as grids._w_hat_memo
-    memoizes the W^ constant (the last 32, a psi shared only with one that
-    compares equal).  An error of psi_values is not memoized; a NaN is, as
-    psi_values returns it, for the search to name."""
-    den = psi_values(psi, _cell_rows(ends).ravel())
-    den.flags.writeable = False
-    return den
+def _row_values(f, key: tuple) -> Optional[np.ndarray]:
+    """f at every point of the scan rows _scan_rows(*key), in the order of
+    their ravel, read-only: a ClosedFormModel's moments (_lp_norms) or a
+    psi's values (psi_values), in an array of the memo's own.  They depend
+    on f and the rows only, so they are computed once per (f, rows) and
+    kept while f lives (_row_memo holds f weakly), the last _ROWS_KEPT rows
+    of each f.  An error is not kept; a NaN is, for the search to name.
+    None, and nothing kept, where f gives other than one value per point
+    (the search's pair then names the shape)."""
+    kept = _row_memo.get(f)
+    if kept is not None and key in kept:
+        # the most recently read last
+        kept[key] = values = kept.pop(key)
+        return values
+    p = _scan_rows(*key).ravel()
+    values = np.array(f._lp_norms(p) if isinstance(f, ClosedFormModel) else psi_values(f, p), dtype=float)
+    if values.shape != p.shape:
+        return None
+    values.flags.writeable = False
+    kept = _row_memo.setdefault(f, {})
+    if len(kept) == _ROWS_KEPT:
+        del kept[next(iter(kept))]
+    kept[key] = values
+    return values
 
 
-def _cell_memo(psi: GeneratingFunction, searches: Sequence[NormSearch]) -> GeneratingFunction:
-    """``psi`` for the ratio of a one-model search whose only scan rows are
-    those of a _cell_search: a copy whose evaluator gives the full scan's
-    values, every point of those rows in order, from _cell_psi and every
-    other call's from psi's own evaluator; psi itself for any other search,
-    for a psi that comes from a model (a natural psi, whose values are
-    moments) and for one that cannot be hashed."""
-    scanned = [s for s in searches if s.rows.shape[0]]
-    if len(scanned) != 1 or not scanned[0].cell_ends or psi.source is not None:
-        return psi
+def _memo_pair(pair, model: RandomVariableModel, psi: GeneratingFunction, searches: Sequence[NormSearch], xs):
+    """``pair``, the _ratio_fn pair of a one-model search, with the call of
+    its whole scan, the scan array ``xs`` raveled in order
+    (_reads_in_order), read from _row_values where every search with rows
+    has its rows' key: the moments of a ClosedFormModel, then psi where it
+    has no source and can be hashed, each the values of every block in
+    order, so a divergent moment still wins over a failing psi and an error
+    names the call's first bad p.  A half the memo does not hold (a power
+    mean's moments, a natural or unhashable psi), and every other call, are
+    ``pair``'s.  ``pair`` itself where the memo holds neither half, or
+    there is no scan (``xs`` empty)."""
+    keys = [s.rows_key for s in searches if s.rows.shape[0]]
+    num_kept = isinstance(model, ClosedFormModel)
+    den_kept = psi.source is None and _hashable(psi)
+    if not (xs.size and all(keys) and (num_kept or den_kept)) or psi.source is model:
+        return pair
+    moments, other = model._lp_norms, _kernel_psi(psi)
+
+    def kept(f):
+        values = [_row_values(f, key) for key in keys]
+        return None if any(v is None for v in values) else _cat(values)
+
+    def memo_pair(p):
+        if not _reads_in_order(p, xs):
+            return pair(p)
+        num = kept(model) if num_kept else moments(p)
+        den = kept(psi) if den_kept else psi_values(other, p)
+        return pair(p) if num is None or den is None else (num, den)
+
+    return memo_pair
+
+
+def _hashable(obj) -> bool:
+    """Whether hash(obj) succeeds."""
     try:
-        hash(psi)
+        hash(obj)
     except TypeError:
-        return psi
-    rows, ends = scanned[0].rows, scanned[0].cell_ends
-
-    def evaluator(p):
-        return _cell_psi(psi, ends) if _reads_in_order(p, rows) else psi.evaluator(p)
-
-    return replace(psi, evaluator=evaluator)
+        return False
+    return True
 
 
 def _reads_in_order(p: np.ndarray, rows: np.ndarray) -> bool:
-    """Whether the array ``p`` is ``rows`` (_scan_rows: C-ordered, owning
-    its memory) raveled, every point in order, as the full scan asks for
-    them (search._scan): a flat contiguous view of all of that memory."""
+    """Whether the array ``p`` is ``rows`` (owning its memory, C-ordered:
+    _scan_rows or a concatenation of them) raveled, every point in order,
+    as the full scan asks for them (search._scan): a flat contiguous view
+    of all of that memory."""
     return p.base is rows and p.size == rows.size and p.ndim == 1 and p.flags.c_contiguous
 
 
@@ -412,7 +446,10 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     the _ratio_fn pair of their one model, or, where every model is a
     plain power mean (_stacks: the three of an algebra check), one
     _stacked_ratio, which evaluates psi once over their points and their
-    moments in one power_means.  A norm's value is
+    moments in one power_means.  The pair of one model takes the whole
+    scan's moments and psi, where it can, from the memo of their values at
+    cached scan rows (_memo_pair): a search that meets the same model or
+    psi over the same rows again computes them once.  A norm's value is
     its best value over its rows and its points, ties going to the
     smallest p, and n_evaluations counts every point its ratio was asked
     for, including those of a call that raised.  The edge evidence
@@ -501,8 +538,10 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     if shared and (plugin or mixed or len(flat) > 1 or len({rows.shape[1] for rows in blocks}) > 1):
         return None
     lower = psi.envelope if exact else None
+    # the scan array, where sup_rows runs
+    xs = _cat(blocks) if blocks and flat != {True} else _NO_ROWS
     if one_model:
-        pair = _ratio_fn(models[0], _cell_memo(psi, searches))
+        pair = _memo_pair(_ratio_fn(models[0], psi), models[0], psi, searches, xs)
     else:
         stacked = _stacked_ratio(psi, models)
     # the plug-in models the search warns for, its model before a call's
@@ -550,9 +589,10 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
         else:
             found = sup_rows(
                 num_den,
-                _cat(blocks) if blocks else _NO_ROWS,
+                xs,
                 floor=[v.max() if v.size else -math.inf for v in at_points],
-                search=np.arange(n_parts).repeat(counts),
+                # read under an envelope only; None is one search's
+                search=np.arange(n_parts).repeat(counts) if shared and lower is not None else None,
                 per_point=per_point,
                 lower=lower,
             )
@@ -832,12 +872,11 @@ def sandwich_check_discrete(
     them, as on every route: W's monotone test, then W (a psi that fails
     the test is a NonMonotoneError once both norms are found clean); W^
     from w_hat_constant, which depends on psi and the grid only and is
-    computed once per (psi, cell ends) per process.  On the W^ route psi's
-    values at the full norm's cell rows, the den of its scan, are computed
-    once per (psi, cell ends) per process as well (_cell_psi), in a memo
-    apart from the constant's, which still comes after both norms; the
-    scan's moments are computed at every point, and n_evaluations counts
-    every point.
+    computed once per (psi, cell ends) per process.  On either route the
+    full norm's scan takes a closed form's moments and psi's values at its
+    rows from their memo (_row_values): computed once per (model or psi,
+    rows) while that object lives, apart from the constant's memo, which
+    still comes after both norms; n_evaluations counts every point.
     """
     _check_p_max(p_max)
     idx = q.first_index_at_least(p_max)

@@ -1,13 +1,16 @@
 """A sandwich check as one search: its inner norm and its full norm share
 one scan and one refinement, with the results of the searches run one by
-one; the W^ constant is computed once per (psi, cell ends)."""
+one; the W^ constant is computed once per (psi, cell ends), and a closed
+form's moments and psi at cached scan rows once per (model or psi, rows)."""
 
 import csv
 import dataclasses
+import gc
 import io
 import math
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -266,29 +269,6 @@ def test_a_w_hat_check_on_a_memoized_constant_is_the_report_of_its_searches_alon
         assert _bits(shared[0].constant) == _bits(_w_hat_uncached(dip, q))
 
 
-def test_a_memo_hit_asks_psi_only_for_the_points_of_the_norm_search():
-    dip, asked = sqrt_dip_psi(), []
-
-    def evaluator(p):
-        asked.append(np.size(p))
-        return dip.evaluator(p)
-
-    psi = GeneratingFunction(evaluator, "counted sqrt_dip")
-    model, q = gaussian_model(), integer_grid(256)
-    first = sandwich_check_discrete(model, psi, q, use_w_hat=True)
-    # a miss also searches psi's 199 cells of 256 points for their minima
-    assert 199 * 256 in asked
-    assert sum(asked) > first.inner.n_evaluations + first.full.n_evaluations + 199 * 256
-    asked.clear()
-    rep = sandwich_check_discrete(model, psi, q, use_w_hat=True)
-    assert _bits(rep) == _bits(first)
-    # a hit: psi is asked for the points of the two norms' ratios only, but
-    # the full norm's scan of 199 cells of 64 points, whose psi values are
-    # memoized too (norms._cell_psi); the scan's points are still counted
-    assert 199 * 256 not in asked and 199 * 64 not in asked
-    assert sum(asked) == rep.inner.n_evaluations + rep.full.n_evaluations - 199 * 64
-
-
 def test_a_psi_nan_in_one_cell_raises_its_error_on_every_check():
     psi, q = _nan_between(20.2, 20.8, flagged=False), integer_grid(60)
     memo = glspace.grids._w_hat_memo
@@ -320,12 +300,16 @@ def test_two_grids_or_two_psi_never_share_a_memo_entry():
 
 
 class _UnhashableEvaluator:
-    """sqrt_dip's evaluator as a callable whose objects cannot be hashed."""
+    """An evaluator, sqrt_dip's by default, as a callable whose objects
+    cannot be hashed."""
 
     __hash__ = None
 
+    def __init__(self, evaluator=None):
+        self.evaluator = evaluator or sqrt_dip_psi().evaluator
+
     def __call__(self, p):
-        return sqrt_dip_psi().evaluator(p)
+        return self.evaluator(p)
 
 
 def test_a_psi_with_an_unhashable_evaluator_still_gets_its_w_hat_constant():
@@ -341,7 +325,8 @@ def test_a_psi_with_an_unhashable_evaluator_still_gets_its_w_hat_constant():
 
 
 # ---------------------------------------------------------------------------
-# psi at the W^ full norm's cell rows: computed once per (psi, cell ends)
+# A closed form's moments and psi at cached scan rows: computed once per
+# (model or psi, rows) while the model or psi lives (norms._row_values)
 
 
 def _cell_points(q):
@@ -359,65 +344,266 @@ def _zero_between(lo, hi):
     return GeneratingFunction(evaluator, f"zero-on-({lo:g},{hi:g})")
 
 
-@pytest.mark.parametrize("q", [integer_grid(200), glspace.geometric_grid(2, 8), integer_grid(2)],
-                         ids=["integers", "geometric", "one-cell"])
-def test_the_memoized_psi_at_the_cell_rows_is_psi_values_there_bit_for_bit(q):
-    dip = sqrt_dip_psi()
-    den = norms._cell_psi(dip, q.values.tobytes())
-    assert den.tobytes() == glspace.generating.psi_values(dip, _cell_points(q)).tobytes()
-    assert not den.flags.writeable
-    assert norms._cell_psi(dip, q.values.tobytes()) is den
+def _kept(f):
+    """The row keys the memo holds for ``f`` (none for an unhashable psi)."""
+    return [key for g, rows in norms._row_memo.items() if g is f for key in rows]
 
 
-@pytest.mark.parametrize("model", [gaussian_model(), uniform01_model(), constant_model(1.3)], ids=lambda m: m.label)
-def test_w_hat_checks_keep_their_counts_and_values_on_a_memo_hit_and_a_miss(model):
-    dip, q = sqrt_dip_psi(), integer_grid(256)
-    # the same psi but unhashable, so that nothing of it is memoized
-    plain = GeneratingFunction(_UnhashableEvaluator(), dip.description, envelope=dip.envelope)
-    expect = _bits(sandwich_check_discrete(model, plain, q, use_w_hat=True))
-    norms._cell_psi.cache_clear()
-    assert _bits(sandwich_check_discrete(model, dip, q, use_w_hat=True)) == expect
-    assert norms._cell_psi.cache_info()[:2] == (0, 1)
-    assert _bits(sandwich_check_discrete(model, dip, q, use_w_hat=True)) == expect
-    assert norms._cell_psi.cache_info()[:2] == (1, 1)
+def _unmemoized(monkeypatch):
+    """Every search's pair as _ratio_fn makes it, the memo never read."""
+    monkeypatch.setattr(norms, "_memo_pair", lambda pair, *args: pair)
+
+
+_ROW_SEARCHES = {
+    "integers": lambda m: norms._cell_search(m, integer_grid(200)),
+    "geometric": lambda m: norms._cell_search(m, glspace.geometric_grid(2, 8)),
+    "one-cell": lambda m: norms._cell_search(m, integer_grid(2)),
+    "full": lambda m: norms.domain_search(m, 200.0),
+    "set": lambda m: norms.domain_search(m, 120.0, set_fixtures()[3]),
+}
+
+
+@pytest.mark.parametrize("rows", _ROW_SEARCHES.values(), ids=_ROW_SEARCHES.keys())
+def test_the_memoized_values_at_scan_rows_are_psi_values_and_the_moments_there_bit_for_bit(rows):
+    dip, model = sqrt_dip_psi(), gaussian_model()
+    s = rows(model)
+    points = s.rows.ravel()
+    for f, expect in ((dip, glspace.generating.psi_values(dip, points)), (model, model._lp_norms(points))):
+        got = norms._row_values(f, s.rows_key)
+        assert got.tobytes() == expect.tobytes()
+        assert not got.flags.writeable
+        assert norms._row_values(f, s.rows_key) is got
+
+
+_ROUTES = {"Z": set_fixtures()[3], "W": grid_pool()[1], "W_hat": integer_grid(256)}
+
+
+# a constant model under a nondecreasing psi is flat, and its search
+# makes no scan (_row_starts), so it is searched on the W^ route only
+@pytest.mark.parametrize("kind, model", [
+    *((kind, m) for kind in _ROUTES for m in (gaussian_model(), uniform01_model(), glspace.exponential_model())),
+    ("W_hat", constant_model(1.3)),
+], ids=lambda x: x if isinstance(x, str) else x.label)
+def test_sandwich_checks_keep_their_counts_and_values_on_a_memo_hit_and_a_miss(kind, model, monkeypatch):
+    dip = sqrt_dip_psi() if kind == "W_hat" else psi_pool()[2]
+    with monkeypatch.context() as m:
+        _unmemoized(m)
+        expect = _bits(_shared(kind, model, dip, _ROUTES[kind]))
+    norms._row_memo.clear()
+    assert _bits(_shared(kind, model, dip, _ROUTES[kind])) == expect
+    kept = {f: {key: norms._row_memo[f][key] for key in _kept(f)} for f in (model, dip)}
+    assert all(kept.values())
+    assert _bits(_shared(kind, model, dip, _ROUTES[kind])) == expect
+    # the hit read the same arrays, and kept no other
+    assert all(norms._row_memo[f][key] is values for f in kept for key, values in kept[f].items())
+    assert all(_kept(f) == list(kept[f]) for f in kept)
 
 
 def test_an_unhashable_psi_is_evaluated_at_the_cell_rows_every_time():
     dip, q = sqrt_dip_psi(), integer_grid(60)
-    psi = GeneratingFunction(_UnhashableEvaluator(), dip.description, envelope=dip.envelope)
-    search = norms._cell_search(gaussian_model(), q)
-    assert norms._cell_memo(psi, [search]) is psi
-    assert norms._cell_memo(dip, [search]) is not dip
-    norms._cell_psi.cache_clear()
+    asked = []
+
+    def evaluator(p):
+        asked.append(np.size(p))
+        return dip.evaluator(p)
+
+    psi = GeneratingFunction(_UnhashableEvaluator(evaluator), dip.description, envelope=dip.envelope)
+    model = gaussian_model()
+    cells = _cell_points(q).size
+    norms._row_memo.clear()
     for _ in range(2):
-        assert _bits(_cellwise_full_norm(gaussian_model(), psi, q)) == _bits(_cellwise_full_norm(gaussian_model(), dip, q))
-    # dip's two norms only: a miss, then a hit
-    info = norms._cell_psi.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        asked.clear()
+        assert _bits(_cellwise_full_norm(model, psi, q)) == _bits(_cellwise_full_norm(model, dip, q))
+        assert cells in asked
+    # the model's moments and dip's values, one row key each; none of psi
+    assert _kept(psi) == [] and len(_kept(dip)) == len(_kept(model)) == 1
 
 
 def test_a_psi_that_fails_at_a_cell_point_raises_its_error_and_is_not_memoized():
     psi, q = _zero_between(20.2, 20.8), integer_grid(60)
     gtr = q.truncated(q.first_index_at_least(50.0))
-    norms._cell_psi.cache_clear()
+    norms._row_memo.clear()
     expect = _raised(lambda: glspace.generating.psi_values(psi, _cell_points(gtr)))
     assert expect[0] is DomainError and "p=20.206349206349206" in expect[1]
     for _ in range(2):
         assert _raised(lambda: _cellwise_full_norm(uniform01_model(), psi, gtr)) == expect
         assert _raised(lambda: sandwich_check_discrete(uniform01_model(), psi, q, 50.0, use_w_hat=True)) == expect
-    # every attempt missed (a shared search that raised reruns its searches
-    # alone), and none left an entry
-    info = norms._cell_psi.cache_info()
-    assert info.currsize == 0 and info.hits == 0
+    # every attempt evaluated psi, and none left an entry
+    assert not any(f is psi for f in norms._row_memo.keys())
 
 
-def test_a_divergent_moment_wins_over_a_psi_that_fails_at_a_cell_point():
-    psi, gtr = _zero_between(20.2, 20.8), integer_grid(50)
-    norms._cell_psi.cache_clear()
-    res = _cellwise_full_norm(_diverging_from(2.5), psi, gtr)
-    # the scan's moments raise before psi is asked, at the first p >= 2.5
-    assert res.value == math.inf and res.arg_p == _cell_points(gtr)[_cell_points(gtr) >= 2.5][0]
-    assert norms._cell_psi.cache_info()[:2] == (0, 0)
+@pytest.mark.parametrize("kind, domain", [("Z", set_from_spec("intervals:1-3,40-inf")), ("W_hat", integer_grid(50))])
+def test_a_divergent_moment_wins_over_a_psi_that_fails_at_a_scan_point(kind, domain, monkeypatch):
+    psi, model = _zero_between(20.2, 20.8), _diverging_from(2.5)
+    searches = _searches(kind, model, domain, 45.0)
+    with monkeypatch.context() as m:
+        _unmemoized(m)
+        expect = repr(norms.sup_norms(psi, searches))
+    norms._row_memo.clear()
+    full = norms.sup_norms(psi, searches)[1]
+    # the scan's moments raise before psi is asked, at the first p >= 2.5 of
+    # the full norm's rows (a shared search that raised reruns its searches
+    # alone)
+    xs = searches[1].rows.ravel()
+    assert full.value == math.inf and full.arg_p == xs[xs >= 2.5][0]
+    assert repr(norms.sup_norms(psi, searches)) == expect
+    assert not any(f is psi or f is model for f in norms._row_memo.keys())
+
+
+@pytest.mark.parametrize("kind", _ROUTES)
+def test_a_model_with_one_moment_for_all_its_points_is_named_as_without_the_memo(kind, monkeypatch):
+    # one value, not one per point: the memo keeps nothing, and the search's
+    # pair names the shape of the whole scan's call
+    model, psi = ClosedFormModel("scalar", lambda p: 1.0), psi_pool()[2]
+    with monkeypatch.context() as m:
+        _unmemoized(m)
+        expect = _raised(lambda: _shared(kind, model, psi, _ROUTES[kind]))
+    assert expect[0] is DomainError and "it must accept arrays" in expect[1]
+    norms._row_memo.clear()
+    assert _raised(lambda: _shared(kind, model, psi, _ROUTES[kind])) == expect
+    assert _kept(model) == []
+
+
+def _searches(kind, model, domain, p_max):
+    """The searches of a sandwich check's shared search."""
+    if kind == "Z":
+        windowed = domain.window(p_max)
+        return [norms.domain_search(model, windowed.windowed_at, windowed),
+                norms.domain_search(model, windowed.windowed_at)]
+    gtr = domain.truncated(domain.first_index_at_least(p_max))
+    return [norms.grid_search(model, gtr), norms._cell_search(model, gtr)]
+
+
+@pytest.mark.parametrize("kind", _ROUTES)
+def test_a_memo_hit_asks_psi_only_for_the_points_of_the_norm_search(kind, monkeypatch):
+    base, model, domain = sqrt_dip_psi() if kind == "W_hat" else psi_pool()[2], gaussian_model(), _ROUTES[kind]
+    # each call's size, and whether the check's norm search asked for it
+    asked, searching = [], []
+
+    def evaluator(p):
+        asked.append((bool(searching), np.size(p)))
+        return base.evaluator(p)
+
+    real = norms.sup_norms
+
+    def sup_norms(*args):
+        searching.append(True)
+        try:
+            return real(*args)
+        finally:
+            searching.clear()
+
+    monkeypatch.setattr(norms, "sup_norms", sup_norms)
+    psi = GeneratingFunction(evaluator, f"counted {base.description}", envelope=base.envelope)
+    # the full scan's blocks: the windowed set's two rows, then [1, P];
+    # [1, P]; the 199 cells of the window [1, 200]
+    blocks = {"Z": [2 * 512, 512], "W": [512], "W_hat": [199 * 64]}[kind]
+    scan = sum(blocks)
+    first = _shared(kind, model, psi, domain)
+    searched = [n for inside, n in asked if inside]
+    # a miss asks psi for each block of the scan
+    assert all(n in searched for n in blocks)
+    assert sum(searched) == first.inner.n_evaluations + first.full.n_evaluations
+    # a W^ miss also searches psi's 199 cells of 256 points for their minima
+    assert ((False, 199 * 256) in asked) == (kind == "W_hat")
+    asked.clear()
+    rep = _shared(kind, model, psi, domain)
+    assert _bits(rep) == _bits(first)
+    # a hit: psi is asked for the points of the two norms' ratios only, but
+    # the full scan's, whose psi values are memoized; the scan's points are
+    # still counted
+    searched = [n for inside, n in asked if inside]
+    assert not any(n in searched for n in blocks) and (False, 199 * 256) not in asked
+    assert sum(searched) == rep.inner.n_evaluations + rep.full.n_evaluations - scan
+
+
+def test_a_models_or_psis_entries_go_once_it_is_collected():
+    model, psi = gaussian_model(), GeneratingFunction(lambda p: np.sqrt(p), "root", envelope=(None, True))
+    sandwich_check_restricted(model, psi, set_fixtures()[3])
+    sandwich_check_discrete(model, psi, grid_pool()[1])
+    assert _kept(model) and _kept(psi)
+    gc.collect()
+    gone, size = (weakref.ref(model), weakref.ref(psi)), len(norms._row_memo)
+    del model, psi
+    gc.collect()
+    assert [ref() for ref in gone] == [None, None]
+    assert len(norms._row_memo) == size - 2
+
+
+def test_one_function_keeps_at_most_32_row_keys():
+    model, psi = gaussian_model(), psi_pool()[2]
+    keys = [norms.domain_search(model, p_max).rows_key for p_max in range(2, 42)]
+    assert norms._ROWS_KEPT == 32
+    for p_max in range(2, 42):
+        gls_norm(model, psi, p_max)
+    assert _kept(model) == _kept(psi) == keys[-32:]
+    # the most recently read last: a hit on the oldest (p_max 10) keeps it,
+    # and the next miss drops the one after it (11)
+    gls_norm(model, psi, 10.0)
+    gls_norm(model, psi, 50.0)
+    assert _kept(model) == _kept(psi) == keys[-30:] + [keys[8], norms.domain_search(model, 50.0).rows_key]
+
+
+def test_fresh_objects_as_gls_norm_makes_them_leave_the_memo_empty(capsys):
+    norms._row_memo.clear()
+    for psi in ("power_slowvary(r=2, delta=0)", "sqrt_dip"):
+        for domain in ((), ("--set", "intervals:1-3,40-inf"), ("--grid", "integers:M=60")):
+            for _ in range(3):
+                assert main(["norm", "--model", "gaussian", "--psi", psi, *domain]) == 0
+    capsys.readouterr()
+    # every model and psi of a run is gone with the run, and so are its
+    # entries, without a collection
+    assert len(norms._row_memo) == 0
+
+
+def _memo_psi(model, name):
+    """A psi of the property below: the pool's, sqrt_dip, an unhashable one,
+    the natural psi of another model and the model's own."""
+    if name == "unhashable":
+        dip = sqrt_dip_psi()
+        return GeneratingFunction(_UnhashableEvaluator(dip.evaluator), "unhashable sqrt_dip", envelope=dip.envelope)
+    if name == "natural":
+        return glspace.natural_psi(_MEMO_OTHER)
+    if name == "own":
+        return glspace.natural_psi(model)
+    return name
+
+
+_MEMO_OTHER = glspace.exponential_model()
+
+
+@st.composite
+def _memo_case(draw):
+    kind = draw(st.sampled_from(["Z", "W", "W_hat", "norm"]))
+    model = draw(st.sampled_from(_MODELS))
+    psi = _memo_psi(model, draw(st.sampled_from([*psi_pool(), sqrt_dip_psi(), "unhashable", "natural", "own"])))
+    if kind == "W_hat":
+        domain = integer_grid(256)
+    else:
+        domain = draw(st.sampled_from(grid_pool() if kind == "W" else set_fixtures()))
+    return kind, model, psi, domain, draw(st.sampled_from([200.0, 80.0, 37.5]))
+
+
+def _memo_call(kind, model, psi, domain, p_max):
+    """The report of a sandwich check, or gls_norm's result on a set, by
+    repr, or the type and text of what it raised."""
+    try:
+        if kind == "norm":
+            return repr(gls_norm(model, psi, p_max, rset=domain))
+        return repr(_shared(kind, model, psi, domain, p_max))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_memo_case())
+def test_a_memo_miss_and_a_hit_give_the_results_of_the_unmemoized_search(case):
+    with pytest.MonkeyPatch.context() as m:
+        _unmemoized(m)
+        expect = _memo_call(*case)
+    norms._row_memo.clear()
+    assert _memo_call(*case) == expect
+    assert _memo_call(*case) == expect
 
 
 # ---------------------------------------------------------------------------

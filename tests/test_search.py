@@ -108,6 +108,9 @@ def test_n_evaluations_counts_every_refinement_call(monkeypatch):
         return counted
 
     monkeypatch.setattr(norms, "_ratio_fn", counted_ratio_fn)
+    # the pair itself for every call: the memo at cached scan rows would
+    # answer the scan without it (norms._memo_pair)
+    monkeypatch.setattr(norms, "_memo_pair", lambda pair, *args: pair)
     res = gls_norm(gaussian_model(), sqrt_dip_psi())
     assert res.n_evaluations == counts[0][0] > 512
 
@@ -705,6 +708,7 @@ def test_n_evaluations_counts_speculated_points(monkeypatch):
         return counted
 
     monkeypatch.setattr(norms, "_ratio_fn", counted_ratio_fn)
+    monkeypatch.setattr(norms, "_memo_pair", lambda pair, *args: pair)
     monkeypatch.setattr(norms, "_costs_per_point", lambda model: True)
     seq = gls_norm(model, psi, p_max=30.0)
     monkeypatch.setattr(norms, "_costs_per_point", lambda model: False)

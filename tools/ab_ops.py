@@ -26,8 +26,11 @@ same per op kind (``op.kind``: Z / W / W_hat on sandwich, closed_form /
 empirical / natural / natural_empirical on norm; an op without a kind, as
 on algebra, counts under the workload's name): the op count, each side's
 median CPU time a round and the paired ratio, so that a gain claimed on
-one route shows whether the others stayed put.  Exits 1 when the digests
-differ, 0 otherwise.  perfbench/workloads.py is imported, not changed.
+one route shows whether the others stayed put.  Last, what each side's
+memo of values at cached scan rows (norms._row_memo) holds after the run:
+its entries, one per function and rows, and their megabytes.  Exits 1
+when the digests differ, 0 otherwise.  perfbench/workloads.py is
+imported, not changed.
 """
 
 from __future__ import annotations
@@ -101,6 +104,16 @@ def show_warning(message, category, filename, lineno, file=None, line=None):
     print(f"{category.__name__}: {message}", file=sys.stderr)
 
 
+def row_memo(gl) -> str:
+    """The entries of ``gl``'s memo of values at cached scan rows and their
+    megabytes; a side without that memo says so."""
+    memo = getattr(gl.norms, "_row_memo", None)
+    if memo is None:
+        return "no row memo"
+    values = [v for rows in memo.values() for v in rows.values()]
+    return f"{len(values)} entries, {sum(v.nbytes for v in values) / 2**20:.2f} MB"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision of the base side")
@@ -161,6 +174,8 @@ def main(argv=None) -> int:
         per_round = {name: times[name][kind] for name in sides}
         medians = "  ".join(f"{name} {statistics.median(per_round[name]):.4f} s" for name in sides)
         print(f"  kind {kind} ({kinds.count(kind)} ops): {medians}  head/base {paired(per_round)}")
+    for name, gl in sides.items():
+        print(f"{name} row memo: {row_memo(gl)}")
     same = digests["base"].digest() == digests["head"].digest()
     print("outcomes: identical" if same else "outcomes: DIFFER")
     return 0 if same else 1
