@@ -20,7 +20,6 @@ the cell [q(m), q(m+1)].
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -30,7 +29,7 @@ import numpy as np
 from .errors import DomainError, NonMonotoneError, TruncationError
 from .generating import GeneratingFunction, psi_values
 from .models import _check_finite
-from .search import sampled_min
+from .search import memoized, sampled_min
 
 _EXTEND_CAP = 200000
 # Z on a generator-backed set also reads this many gaps past the stored points
@@ -125,13 +124,19 @@ class GridSequence:
         return f"GridSequence({self.description}, M={self.M})"
 
 
+def _whole(grids: str, name: str, value, least: int) -> int:
+    """``value`` as an int, or a DomainError naming it where it is not an
+    integer of at least ``least``: a NaN, an infinity or a fraction is
+    not."""
+    if not (math.isfinite(value) and value == int(value) and value >= least):
+        raise DomainError(f"{grids} need an integer {name} >= {least}, got {value}")
+    return int(value)
+
+
 def geometric_grid(D: int, M: int) -> GridSequence:
-    """q(m) = D^m - D + 1 for an integer ratio D >= 2; q(1) = 1."""
-    if float(D) != int(D) or int(D) < 2:
-        raise DomainError(f"geometric grids need an integer D >= 2, got {D}")
-    D = float(int(D))
-    if M < 1:
-        raise DomainError("M must be positive")
+    """q(m) = D^m - D + 1 for an integer ratio D >= 2 and an integer
+    M >= 1; q(1) = 1."""
+    D, M = float(_whole("geometric grids", "D", D, 2)), _whole("geometric grids", "M", M, 1)
     description = f"grid:geometric:D={D:g}:M={M}"
     try:
         math.pow(D, M)
@@ -142,9 +147,8 @@ def geometric_grid(D: int, M: int) -> GridSequence:
 
 
 def integer_grid(M: int) -> GridSequence:
-    """q(m) = m."""
-    if M < 1:
-        raise DomainError("M must be positive")
+    """q(m) = m for an integer M >= 1."""
+    M = _whole("integer grids", "M", M, 1)
     return GridSequence(np.arange(1, M + 1, dtype=float), f"grid:integers:M={M}", generator=float)
 
 
@@ -408,24 +412,18 @@ def w_hat_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConst
 
     W^ depends on psi and the grid values only, never on a model, and
     its minima search costs more than a W^ sandwich's norm search, so it
-    is computed once per (psi, cell ends) per process: the result is
-    memoized on psi and the bytes of the grid values (_w_hat_memo), which
-    keeps the 32 most recent psi alive (and the model of a natural psi).
-    Two psi share an entry only when they compare equal (the same
-    evaluator object, description and envelope).  An error is not
-    memoized, and a psi that cannot be hashed (an unhashable evaluator or
-    envelope) is computed every time.  The other side of a W^ sandwich,
-    its full norm, reads psi at its cell rows from a memo of its own, which
-    holds psi weakly (norms._row_values), so on two hits a W^ check
+    is an entry of psi in the one memo of reused values (search.memoized),
+    keyed by the bytes of the grid values: computed once per (psi, cell
+    ends) while psi lives, and shared by a psi that compares equal (the
+    same evaluator object, description and envelope).  An error leaves no
+    entry, and a psi that cannot be hashed is computed every time.  The
+    full norm on the other side of a W^ sandwich reads psi at its cell rows
+    from the same memo (norms._row_values), so on two hits a W^ check
     evaluates psi only at the grid values and the refinement's points.
     """
     if q.M < 2:
         raise DomainError("W^ needs at least two grid points")
-    try:
-        hash(psi)
-    except TypeError:
-        return _w_hat(psi, q.values)
-    return _w_hat_memo(psi, q.values.tobytes())
+    return memoized(psi, q.values.tobytes(), lambda: _w_hat(psi, q.values))
 
 
 def _w_hat(psi: GeneratingFunction, v: np.ndarray) -> EquivalenceConstant:
@@ -433,9 +431,3 @@ def _w_hat(psi: GeneratingFunction, v: np.ndarray) -> EquivalenceConstant:
     read by psi_values: every p of a cell is at least 1."""
     mins = sampled_min(lambda p: psi_values(psi, p), v[:-1], v[1:])
     return _grid_constant("W_hat", psi_values(psi, v[1:]) / mins)
-
-
-@functools.lru_cache(maxsize=32)
-def _w_hat_memo(psi: GeneratingFunction, ends: bytes) -> EquivalenceConstant:
-    """_w_hat of the grid values whose bytes are ``ends``."""
-    return _w_hat(psi, np.frombuffer(ends))

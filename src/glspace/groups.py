@@ -334,5 +334,6 @@ def algebra_check(
         f_norm=f_norm.value,
         g_norm=g_norm.value,
         constant=psi.value_at_one,
-        sup_values=tuple(float(np.abs(m.values).max()) for m in (fm, gm, cm)),
+        # the maximum each model's power-mean state already holds
+        sup_values=tuple(m.ess_sup for m in (fm, gm, cm)),
     )

@@ -335,7 +335,12 @@ def uniform_stream(seed: int, n: int) -> np.ndarray:
     _uniform_chunk(seed, i, <its slice>), which depends on no other chunk,
     so the chunks may be produced in any order.  The array is fresh: the
     caller owns it and may transform it in place.  A negative seed is a
-    DomainError naming it."""
+    DomainError naming it.
+
+    The uniforms lie in (0, 1], not (0, 1): k = 2^53 - 1 gives u = 1.0
+    exactly, one draw in 2^53, and this is kept (changing it would move the
+    bits of every sample that holds such a draw).  See sample for what the
+    transforms make of it."""
     if n < 0:
         raise DomainError("n must be nonnegative")
     _check_seed(seed)
@@ -579,7 +584,19 @@ def rademacher_model() -> ClosedFormModel:
 
 def sample(model: RandomVariableModel, n: int, seed: int) -> SampleBatch:
     """Deterministic sample of size n; chunk order cannot change the bits.
-    A negative seed is a DomainError naming it, whatever n is."""
+    A negative seed is a DomainError naming it, whatever n is.
+
+    One draw in 2^53 is u = 1.0 (uniform_stream).  There the Gaussian
+    sample is ndtri(1.0) = +inf, and the exponential one -log1p(-1.0) =
+    +inf, with NumPy's RuntimeWarning "divide by zero encountered in
+    log1p"; uniform01 gives 1.0, and the bootstrap of an EmpiricalModel
+    its last stored value.  A +inf draw lies above every finite probe, so
+    tail_check counts it in the empirical survival at every probe, as it
+    counts any draw past the probes, and the report's batch keeps it;
+    membership_K_estimate on that batch raises a DomainError for its
+    default candidate grid, whose top is the batch's largest value; and an
+    EmpiricalModel of such values raises a DomainError naming the value
+    and its index."""
     if n < 0:
         raise DomainError("sample size must be nonnegative")
     _check_seed(seed)

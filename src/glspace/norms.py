@@ -16,12 +16,18 @@ model share its moment and psi call, and the norms of several group
 functions share _stacked_ratio (psi once, the power means of all models
 in one call); searches of any other mix of models run alone.  Equal
 domains, and equal W^ grids, share their scan rows (_scan_rows).  Every
-norm keeps the bits of its search alone.  The W^ constant depends on psi
-and the grid only, so a W^ check takes it from grids.w_hat_constant,
-computed once per (psi, cell ends) per process.  So are the values at a
-block of cached scan rows of a closed-form model's moments and of a psi
-(_row_values): a one-model search reads its whole scan from that memo
-wherever it can (_memo_pair), and counts its points on every check.
+norm keeps the bits of its search alone.  Values that depend on one
+function and its rows only are kept in one memo, under one policy
+(search.memoized): weak on the function (a model or a psi), so they go
+when it is collected; the last _ROWS_KEPT keys of each function; no entry
+for an error or for a function that cannot be hashed; every lookup
+counted as a hit or a miss (search.memo_counts); a psi that compares equal
+shares the entries.  Two kinds of entry: the W^ constant of a psi, keyed
+by the bytes of the grid values (grids.w_hat_constant), and the values
+at a search's whole scan of a closed-form model's moments and of a psi
+(_row_values), keyed by the search's rows: a one-model search reads its
+whole scan from the memo wherever it can (_memo_pair), in one lookup per
+function and search, and counts its points on every check.
 A search hands search.sup_rows two facts, and sup_rows reads from them
 what it may skip, each skip leaving the result's bits as they are: a
 lower envelope of psi, given where every model's moments are exact (the
@@ -57,7 +63,6 @@ past every earlier call's largest p (see _search).
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
@@ -83,7 +88,8 @@ from .models import (
     RandomVariableModel,
     power_means,
 )
-from .search import RowSupremum, _eval_parts, _scan, sup_rows
+from .search import _ROWS_KEPT, RowSupremum, _eval_parts, _scan, memoized, sup_rows
+from .search import _row_memo  # noqa: F401  unused here; tests read the memo as norms._row_memo
 from .search import grid_refine_supremum  # noqa: F401  unused here; the benchmark tracer patches it
 
 DEFAULT_P_MAX = 200.0
@@ -91,8 +97,6 @@ DEFAULT_P_MAX = 200.0
 _SCAN_POINTS = 512
 # scan points per W^ cell in _cellwise_full_norm
 _CELL_POINTS = 64
-# blocks of scan rows kept: by _scan_rows, and by _row_values per function
-_ROWS_KEPT = 32
 # relative tolerance of a sandwich's two comparisons
 _RTOL = 1e-9
 # a power mean of at least this many values costs by the point
@@ -315,13 +319,31 @@ def domain_search(model: RandomVariableModel, p_max: float, rset: Optional[Restr
 def _scan_rows(lo: bytes, hi: bytes, points: int, geometric: bool) -> np.ndarray:
     """The scan rows of ``points`` points from lo[k] to hi[k], geometric or
     evenly spaced, their ends exact; the row ends come as the bytes of
-    float arrays, as grids.w_hat_constant keys its memo.  Every norm over
-    one domain or W^ grid scans the same rows, so the last _ROWS_KEPT
-    domains' or grids' rows are kept, read-only, in an array of their own,
-    C-ordered: ``axis=1`` lays several rows out column by column, and every
-    scan's ravel would copy them."""
+    float arrays, as grids.w_hat_constant keys its memo entry.  Every norm
+    over one domain or W^ grid scans the same rows, so the last _ROWS_KEPT
+    domains' or grids' rows are kept, read-only, in a C-ordered array of
+    their own, so that every scan's ravel is a view.  The same arguments
+    key a function's values at these rows in the memo of reused values
+    (NormSearch.rows_key, _row_values).
+
+    The points have the bits of np.geomspace(lo, hi, points, axis=1), or
+    np.linspace's, whose arithmetic is written out here, row by row: point
+    i of row k is a[k] + i * ((b[k] - a[k]) / (points - 1)), with a and b
+    the log10 of the ends and then 10 to that power where geometric, and
+    the ends themselves where not (NumPy's order of operations where a step
+    rounds to 0 is kept too).  NumPy's own call lays the rows out column by
+    column and, mostly in Python, took 38 us for one row of 512 points
+    where this takes 9 us (Python 3.11, NumPy 2.4, a 2-core x86-64 VM,
+    timeit); a cold norm search builds its rows anew."""
     lo, hi = np.frombuffer(lo), np.frombuffer(hi)
-    rows = np.array((np.geomspace if geometric else np.linspace)(lo, hi, points, axis=1), order="C")
+    a, b = (np.log10(lo), np.log10(hi)) if geometric else (lo, hi)
+    i, step = np.arange(points, dtype=float), (b - a) / (points - 1)
+    # NumPy's rule too: where any row's step is 0 (ends one ulp apart, whose
+    # logs may round equal), every row's point is (i / (points - 1)) * (b - a)
+    rows = (i / (points - 1)) * (b - a)[:, None] if (step == 0.0).any() else i * step[:, None]
+    rows += a[:, None]
+    if geometric:
+        np.power(10.0, rows, out=rows)
     rows[:, 0], rows[:, -1] = lo, hi
     rows.flags.writeable = False
     return rows
@@ -345,75 +367,53 @@ def _cell_search(model: RandomVariableModel, gtr: GridSequence) -> NormSearch:
     return NormSearch(model, v[-1], _scan_rows(*key), _NO_POINTS if v.size > 1 else v, rows_key=key)
 
 
-#: f -> {rows key: f at those rows}, for _row_values
-_row_memo = weakref.WeakKeyDictionary()
-
-
-def _row_values(f, key: tuple) -> Optional[np.ndarray]:
-    """f at every point of the scan rows _scan_rows(*key), in the order of
-    their ravel, read-only: a ClosedFormModel's moments (_lp_norms) or a
+def _row_values(f, key: tuple, p: np.ndarray) -> Optional[np.ndarray]:
+    """f at the points ``p`` of a search's whole scan, whose rows' keys
+    are ``key``, read-only: a ClosedFormModel's moments (_lp_norms) or a
     psi's values (psi_values), in an array of the memo's own.  They depend
-    on f and the rows only, so they are computed once per (f, rows) and
-    kept while f lives (_row_memo holds f weakly), the last _ROWS_KEPT rows
-    of each f.  An error is not kept; a NaN is, for the search to name.
-    None, and nothing kept, where f gives other than one value per point
-    (the search's pair then names the shape)."""
-    kept = _row_memo.get(f)
-    if kept is not None and key in kept:
-        # the most recently read last
-        kept[key] = values = kept.pop(key)
-        return values
-    p = _scan_rows(*key).ravel()
-    values = np.array(f._lp_norms(p) if isinstance(f, ClosedFormModel) else psi_values(f, p), dtype=float)
-    if values.shape != p.shape:
-        return None
-    values.flags.writeable = False
-    kept = _row_memo.setdefault(f, {})
-    if len(kept) == _ROWS_KEPT:
-        del kept[next(iter(kept))]
-    kept[key] = values
-    return values
+    on f and the rows only, so they are an entry of f in the one memo of
+    reused values (search.memoized, the policy: weak on f, the last
+    _ROWS_KEPT keys of each f, no entry for an error or an f that cannot be
+    hashed, a hit or a miss counted).  A NaN is kept, for the search to
+    name.  None, and nothing kept, where f gives other than one value per
+    point (the search's pair then names the shape)."""
+
+    def values():
+        out = np.array(f._lp_norms(p) if isinstance(f, ClosedFormModel) else psi_values(f, p), dtype=float)
+        if out.shape != p.shape:
+            return None
+        out.flags.writeable = False
+        return out
+
+    return memoized(f, key, values)
 
 
 def _memo_pair(pair, model: RandomVariableModel, psi: GeneratingFunction, searches: Sequence[NormSearch], xs):
     """``pair``, the _ratio_fn pair of a one-model search, with the call of
     its whole scan, the scan array ``xs`` raveled in order
     (_reads_in_order), read from _row_values where every search with rows
-    has its rows' key: the moments of a ClosedFormModel, then psi where it
-    has no source and can be hashed, each the values of every block in
-    order, so a divergent moment still wins over a failing psi and an error
-    names the call's first bad p.  A half the memo does not hold (a power
-    mean's moments, a natural or unhashable psi), and every other call, are
+    has its rows' key, one lookup per function and search, keyed by those
+    keys in order: the moments of a ClosedFormModel, then psi where it has
+    no source, so a divergent moment still wins over a failing psi and an
+    error names the call's first bad p.  A half the memo does not hold (a
+    power mean's moments, a natural psi), and every other call, are
     ``pair``'s.  ``pair`` itself where the memo holds neither half, or
     there is no scan (``xs`` empty)."""
-    keys = [s.rows_key for s in searches if s.rows.shape[0]]
+    key = tuple(s.rows_key for s in searches if s.rows.shape[0])
     num_kept = isinstance(model, ClosedFormModel)
-    den_kept = psi.source is None and _hashable(psi)
-    if not (xs.size and all(keys) and (num_kept or den_kept)) or psi.source is model:
+    den_kept = psi.source is None
+    if not (xs.size and all(key) and (num_kept or den_kept)) or psi.source is model:
         return pair
     moments, other = model._lp_norms, _kernel_psi(psi)
-
-    def kept(f):
-        values = [_row_values(f, key) for key in keys]
-        return None if any(v is None for v in values) else _cat(values)
 
     def memo_pair(p):
         if not _reads_in_order(p, xs):
             return pair(p)
-        num = kept(model) if num_kept else moments(p)
-        den = kept(psi) if den_kept else psi_values(other, p)
+        num = _row_values(model, key, p) if num_kept else moments(p)
+        den = _row_values(psi, key, p) if den_kept else psi_values(other, p)
         return pair(p) if num is None or den is None else (num, den)
 
     return memo_pair
-
-
-def _hashable(obj) -> bool:
-    """Whether hash(obj) succeeds."""
-    try:
-        hash(obj)
-    except TypeError:
-        return False
-    return True
 
 
 def _reads_in_order(p: np.ndarray, rows: np.ndarray) -> bool:
@@ -872,11 +872,14 @@ def sandwich_check_discrete(
     them, as on every route: W's monotone test, then W (a psi that fails
     the test is a NonMonotoneError once both norms are found clean); W^
     from w_hat_constant, which depends on psi and the grid only and is
-    computed once per (psi, cell ends) per process.  On either route the
-    full norm's scan takes a closed form's moments and psi's values at its
-    rows from their memo (_row_values): computed once per (model or psi,
-    rows) while that object lives, apart from the constant's memo, which
-    still comes after both norms; n_evaluations counts every point.
+    computed once per (psi, cell ends) while psi lives.  On either route
+    the full norm's scan takes a closed form's moments and psi's values at
+    its rows from the same memo (_row_values): computed once per (model or
+    psi, rows) while that object lives.  The memo holds each function
+    weakly, so a psi used only in W^ checks goes, with its constant and
+    its values, once its caller drops it; a psi that compares equal
+    shares them.  The constant's lookup still comes after both norms;
+    n_evaluations counts every point.
     """
     _check_p_max(p_max)
     idx = q.first_index_at_least(p_max)

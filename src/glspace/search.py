@@ -145,11 +145,17 @@ under sqrt_dip, one interior peak each, leave one or two brackets to
 refine.  A dropped bracket is strictly below its search's best value, so
 the search's value and argument keep their bits; only its row may report
 a lower value, as under pruning, and the count of evaluations changes.
+
+Values that a search or a constant reuses, and that depend on one function
+(a model or a psi) and a key only, are kept in one memo, under one policy
+(memoized): a norm search's moments and psi at its scan rows, and the W^
+constant of a psi on a grid.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, NamedTuple, Optional
@@ -926,3 +932,43 @@ def sampled_min(f: Callable[[np.ndarray], np.ndarray], lo, hi) -> np.ndarray:
     res = sup_rows(_unit(lambda x: -f(x)), xs, _MIN_TOL)
     return -res.values.reshape(np.shape(lo))
 
+
+# ---------------------------------------------------------------------------
+# The memo of values that a search or a constant reuses
+
+# keys kept per function by memoized, and blocks of scan rows by
+# norms._scan_rows
+_ROWS_KEPT = 32
+#: f -> {key: value}: memoized's entries, weak on f
+_row_memo = weakref.WeakKeyDictionary()
+#: memoized's calls answered from _row_memo ("hits") and computed ("misses")
+memo_counts = {"hits": 0, "misses": 0}
+
+
+def memoized(f, key, compute: Callable[[], object]):
+    """compute(), a value that depends on the function ``f`` (a model or a
+    psi) and on ``key`` only, read from the one memo of such values where
+    it holds it.  The policy: the memo holds f weakly, so f's entries go
+    when f is collected; it keeps the last _ROWS_KEPT keys of each f, the
+    most recently read last; functions that compare equal share their
+    entries; nothing is kept for a compute that raises or returns None, or
+    for an f that cannot be hashed, which is computed on every call.  Every
+    call counts one hit or one miss in memo_counts."""
+    try:
+        kept = _row_memo.get(f)
+    except TypeError:  # f cannot be hashed
+        memo_counts["misses"] += 1
+        return compute()
+    if kept is not None and key in kept:
+        memo_counts["hits"] += 1
+        # the most recently read last
+        kept[key] = value = kept.pop(key)
+        return value
+    memo_counts["misses"] += 1
+    value = compute()
+    if value is not None:
+        kept = _row_memo.setdefault(f, {})
+        if len(kept) == _ROWS_KEPT:
+            del kept[next(iter(kept))]
+        kept[key] = value
+    return value

@@ -8,11 +8,15 @@ import re
 import numpy as np
 import pytest
 
-from glspace import GlsError, gaussian_model, integer_grid, run_suite
+from glspace import GlsError, gaussian_model, geometric_grid, integer_grid, run_suite
 from glspace.models import uniform_stream
 from glspace.norms import gls_norms, sandwich_check_discrete, sandwich_check_restricted
 from glspace.search import golden_section_max, grid_refine_supremum, sampled_min
 from glspace.suites import psi_pool, set_fixtures
+
+
+# an M that is not a finite integer of at least 1
+_BAD_M = (math.nan, math.inf, -math.inf, 2.5, 0)
 
 
 @pytest.mark.parametrize("call, message", [
@@ -29,10 +33,18 @@ from glspace.suites import psi_pool, set_fixtures
        f"p_max must be finite and at least 1, got {p:g}") for p in (math.nan, 0.5, math.inf)),
     *((lambda p=p, w=w: sandwich_check_discrete(gaussian_model(), psi_pool()[0], integer_grid(50), p, use_w_hat=w),
        f"p_max must be finite and at least 1, got {p:g}") for p in (math.nan, 0.5, math.inf) for w in (False, True)),
+    # a grid's M and D are finite integers: a NaN, an infinity or a
+    # fraction is named
+    *((lambda M=M: integer_grid(M), f"integer grids need an integer M >= 1, got {M}") for M in _BAD_M),
+    *((lambda M=M: geometric_grid(2, M), f"geometric grids need an integer M >= 1, got {M}") for M in _BAD_M),
+    *((lambda D=D: geometric_grid(D, 5), f"geometric grids need an integer D >= 2, got {D}")
+      for D in (math.nan, math.inf, 2.5, 1)),
 ], ids=["run_suite", "uniform_stream", "golden_section_max", "grid_refine_supremum", "sampled_min",
         "a_scalar_function", "gls_norms",
         *(f"restricted_p_max_{p}" for p in ("nan", "0.5", "inf")),
-        *(f"discrete_{w}_p_max_{p}" for p in ("nan", "0.5", "inf") for w in ("W", "W_hat"))])
+        *(f"discrete_{w}_p_max_{p}" for p in ("nan", "0.5", "inf") for w in ("W", "W_hat")),
+        *(f"integer_grid_M_{M}" for M in _BAD_M), *(f"geometric_grid_M_{M}" for M in _BAD_M),
+        *(f"geometric_grid_D_{D}" for D in ("nan", "inf", "2.5", "1"))])
 def test_malformed_input_raises_a_gls_error_that_is_a_value_error(call, message):
     with pytest.raises(GlsError, match=f"^{re.escape(message)}$") as info:
         call()

@@ -149,6 +149,24 @@ def test_group_function_rejects_non_finite_values(bad):
             call()
 
 
+@pytest.mark.parametrize("G", [cyclic_group(1), dihedral_group(4), symmetric_group(4)], ids=lambda G: G.name)
+def test_an_algebra_checks_sup_values_are_the_largest_abs_values_bit_for_bit(G):
+    # read off each model's power-mean state, as its ess_sup, with the bits
+    # of a fresh max of the absolute values of f, g and f*g
+    rng = np.random.default_rng(G.order)
+    psi = make_power_slowvary(PowerSlowVaryParams(r=2.0))
+    for f, g in [
+        (rng.standard_normal(G.order), rng.standard_normal(G.order)),
+        (-np.abs(rng.standard_normal(G.order)) * 1e300, rng.standard_normal(G.order) * 1e-300),
+        (np.zeros(G.order), np.full(G.order, -0.0)),
+        (dyadic(rng, G.order), unit_function(G)),
+    ]:
+        rep = algebra_check(G, f, g, psi)
+        expect = [float(np.abs(v).max()) for v in (f, g, convolve(G, f, g))]
+        assert np.array(rep.sup_values).tobytes() == np.array(expect).tobytes()
+        assert all(type(v) is float for v in rep.sup_values)
+
+
 def test_an_algebra_check_checks_each_array_once(monkeypatch):
     # f and g when their models are built, f*g when its model is; convolve
     # takes the models' checked values

@@ -26,7 +26,7 @@ from glspace import (
     sqrt_dip_psi,
     uniform01_model,
 )
-from glspace import grids, norms, search
+from glspace import norms, search
 from glspace.grids import w_hat_constant
 from glspace.norms import _cell_search, domain_search, grid_search, sup_norms
 
@@ -50,10 +50,11 @@ def test_the_envelope_takes_part_in_equality_and_hashing():
     assert off != psi and off.envelope is None
     assert dataclasses.replace(psi) == psi and hash(dataclasses.replace(psi)) == hash(psi)
     assert dataclasses.replace(psi, envelope=(psi.envelope[0], False)) != psi
-    memo, q = grids._w_hat_memo, integer_grid(20)
-    memo.cache_clear()
+    q = integer_grid(20)
+    norms._row_memo.clear()
+    hits, misses = search.memo_counts["hits"], search.memo_counts["misses"]
     assert w_hat_constant(q, off) == w_hat_constant(q, psi)
-    assert memo.cache_info()[:2] == (0, 2)
+    assert (search.memo_counts["hits"] - hits, search.memo_counts["misses"] - misses) == (0, 2)
 
 
 def _norms(psi, case):

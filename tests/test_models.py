@@ -295,6 +295,33 @@ def test_bootstrap_index_that_rounds_up_to_the_size_takes_the_last_value(monkeyp
     assert EmpiricalModel([10.0, 20.0, 30.0]).sample_values(4, 0).tolist() == [10.0, 20.0, 30.0, 30.0]
 
 
+class _TopAndBottomDraws:
+    """A stand-in for a chunk's Generator whose random() gives k 2^-53 for
+    the largest k, 2^53 - 1, and the smallest, 0."""
+
+    def random(self, out):
+        out[:] = [1.0 - 2.0**-53, 0.0]
+        return out
+
+
+def test_the_top_draw_is_u_one_and_the_gaussian_and_exponential_samples_are_inf_there(monkeypatch):
+    # kept as it is, and documented (uniform_stream, sample): one draw in
+    # 2^53 is u = 1.0, since k + 1/2 rounds to even past 2^52
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: _TopAndBottomDraws())
+    assert _uniform_chunk(0, 0, np.empty(2)).tolist() == [1.0, 2.0**-54]
+    gauss = sample(gaussian_model(), 2, 0)
+    assert gauss.values[0] == math.inf and gauss.values[1] == ndtri(2.0**-54)
+    with pytest.warns(RuntimeWarning, match="divide by zero encountered in log1p"):
+        expo = sample(exponential_model(), 2, 0)
+    assert expo.values[0] == math.inf and expo.values[1] == -math.log1p(-(2.0**-54))
+    # the draw lies above every finite probe, and is no value of a sample
+    assert empirical_survival(gauss, 1e300) == 0.5
+    with pytest.raises(DomainError, match="^empirical: value inf at index 0 is not finite$"):
+        EmpiricalModel(gauss.values)
+    # the bootstrap maps u = 1.0 to its last value
+    assert EmpiricalModel([10.0, 20.0]).sample_values(2, 0).tolist() == [20.0, 10.0]
+
+
 @pytest.mark.parametrize(
     "factory", [gaussian_model, exponential_model, pytest.param(lambda: EmpiricalModel(_STORED), id="bootstrap")]
 )

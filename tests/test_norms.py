@@ -819,6 +819,24 @@ def test_equal_domains_share_read_only_scan_rows():
     assert info.currsize == info.maxsize <= 64
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    ends=st.lists(st.tuples(st.floats(1.0, 1e12), st.floats(0.0, 1e4)), min_size=1, max_size=8),
+    points=st.sampled_from([norms._SCAN_POINTS, norms._CELL_POINTS, 3]),
+    geometric=st.booleans(),
+)
+def test_scan_rows_have_the_bits_of_numpys_geomspace_and_linspace(ends, points, geometric):
+    lo = np.array([a for a, _ in ends])
+    # every row at least one ulp wide, as domain_search and _cell_search
+    # hand them over
+    hi = np.maximum(lo + np.array([d for _, d in ends]), np.nextafter(lo, np.inf))
+    expect = (np.geomspace if geometric else np.linspace)(lo, hi, points, axis=1)
+    expect[:, 0], expect[:, -1] = lo, hi
+    got = norms._scan_rows.__wrapped__(lo.tobytes(), hi.tobytes(), points, geometric)
+    assert got.tobytes() == np.ascontiguousarray(expect).tobytes()
+    _assert_scanned_in_place(got)
+
+
 @pytest.mark.parametrize("G", [cyclic_group(24), symmetric_group(4), cyclic_group(512)], ids=lambda G: G.name)
 def test_an_algebra_check_peaks_no_higher_than_with_per_model_ratios(G):
     rng = np.random.default_rng(G.order)

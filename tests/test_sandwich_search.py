@@ -252,51 +252,72 @@ def _w_hat_uncached(psi, q, p_max=200.0):
     return glspace.grids._w_hat(psi, q.truncated(q.first_index_at_least(p_max)).values)
 
 
+def _counts():
+    """The memo's hits and misses so far (search.memo_counts)."""
+    return search.memo_counts["hits"], search.memo_counts["misses"]
+
+
+@pytest.fixture
+def w_hat_counts(monkeypatch):
+    """A list of the (hits, misses) that each W^ lookup of the memo adds to
+    its counters, the lookups of norms' scan values left out."""
+    counts, real = [], glspace.grids.memoized
+
+    def memoized(f, key, compute):
+        before = _counts()
+        try:
+            return real(f, key, compute)
+        finally:
+            counts.append(tuple(now - then for now, then in zip(_counts(), before)))
+
+    monkeypatch.setattr(glspace.grids, "memoized", memoized)
+    return counts
+
+
 @pytest.mark.filterwarnings("ignore::glspace.MomentInstabilityWarning")  # the sample's plug-in moments
 @pytest.mark.parametrize("clear", [False, True], ids=["hit", "after-cache-clear"])
-def test_a_w_hat_check_on_a_memoized_constant_is_the_report_of_its_searches_alone(clear):
-    memo = glspace.grids._w_hat_memo
+def test_a_w_hat_check_on_a_memoized_constant_is_the_report_of_its_searches_alone(clear, w_hat_counts):
     dip, q = sqrt_dip_psi(), integer_grid(256)
     sandwich_check_discrete(_MODELS[0], dip, q, use_w_hat=True)
     for model in (*_MODELS, _SAMPLE):
         if clear:
-            memo.cache_clear()
-        before = memo.cache_info()
+            norms._row_memo.clear()
+        w_hat_counts.clear()
         shared = _outcome(lambda: _shared("W_hat", model, dip, q))
-        after = memo.cache_info()
-        assert (after.hits - before.hits, after.misses - before.misses) == ((0, 1) if clear else (1, 0))
+        assert w_hat_counts == [(0, 1) if clear else (1, 0)]
         _same_report(*shared, *_outcome(lambda: _alone("W_hat", model, dip, q)))
         assert _bits(shared[0].constant) == _bits(_w_hat_uncached(dip, q))
 
 
-def test_a_psi_nan_in_one_cell_raises_its_error_on_every_check():
+def test_a_psi_nan_in_one_cell_raises_its_error_on_every_check(w_hat_counts):
     psi, q = _nan_between(20.2, 20.8, flagged=False), integer_grid(60)
-    memo = glspace.grids._w_hat_memo
-    size = memo.cache_info().currsize
     check = _raised(lambda: sandwich_check_discrete(uniform01_model(), psi, q, 50.0, use_w_hat=True))
     assert check[0] is DomainError and "NaN" in check[1]
     assert _raised(lambda: sandwich_check_discrete(uniform01_model(), psi, q, 50.0, use_w_hat=True)) == check
     const = _raised(lambda: w_hat_constant(q, psi))
     assert const[0] is DomainError and "NaN" in const[1]
     assert _raised(lambda: w_hat_constant(q, psi)) == const
-    assert memo.cache_info().currsize == size
+    # the checks' searches raised before their constants; each constant that
+    # raised missed, and left no entry
+    assert w_hat_counts == [(0, 1), (0, 1)]
+    assert not any(isinstance(key, bytes) for key in _kept(psi))
 
 
 def test_two_grids_or_two_psi_never_share_a_memo_entry():
-    memo = glspace.grids._w_hat_memo
-    memo.cache_clear()
+    norms._row_memo.clear()
+    start = _counts()
     # one description, two evaluators with different W^
     root = GeneratingFunction(np.sqrt, "same", envelope=(None, False))
     ripple = GeneratingFunction(sqrt_dip_psi().evaluator, "same")
     grids = [integer_grid(40), glspace.geometric_grid(2, 6)]
     got = {(i, j): w_hat_constant(q, psi) for i, psi in enumerate((root, ripple)) for j, q in enumerate(grids)}
-    assert memo.cache_info()[:2] == (0, 4)
+    assert tuple(now - then for now, then in zip(_counts(), start)) == (0, 4)
     for (i, j), const in got.items():
         assert _bits(const) == _bits(glspace.grids._w_hat((root, ripple)[i], grids[j].values))
     assert len({const.value for const in got.values()}) == 4
     # equal grid values in another grid object, and an equal psi, are one entry
     assert w_hat_constant(integer_grid(40), dataclasses.replace(root)) is got[0, 0]
-    assert memo.cache_info()[:2] == (1, 4)
+    assert tuple(now - then for now, then in zip(_counts(), start)) == (1, 4)
 
 
 class _UnhashableEvaluator:
@@ -369,10 +390,10 @@ def test_the_memoized_values_at_scan_rows_are_psi_values_and_the_moments_there_b
     s = rows(model)
     points = s.rows.ravel()
     for f, expect in ((dip, glspace.generating.psi_values(dip, points)), (model, model._lp_norms(points))):
-        got = norms._row_values(f, s.rows_key)
+        got = norms._row_values(f, (s.rows_key,), points)
         assert got.tobytes() == expect.tobytes()
         assert not got.flags.writeable
-        assert norms._row_values(f, s.rows_key) is got
+        assert norms._row_values(f, (s.rows_key,), points) is got
 
 
 _ROUTES = {"Z": set_fixtures()[3], "W": grid_pool()[1], "W_hat": integer_grid(256)}
@@ -495,14 +516,13 @@ def test_a_memo_hit_asks_psi_only_for_the_points_of_the_norm_search(kind, monkey
 
     monkeypatch.setattr(norms, "sup_norms", sup_norms)
     psi = GeneratingFunction(evaluator, f"counted {base.description}", envelope=base.envelope)
-    # the full scan's blocks: the windowed set's two rows, then [1, P];
-    # [1, P]; the 199 cells of the window [1, 200]
-    blocks = {"Z": [2 * 512, 512], "W": [512], "W_hat": [199 * 64]}[kind]
-    scan = sum(blocks)
+    # the full scan: the windowed set's two rows and [1, P]; [1, P]; the
+    # 199 cells of the window [1, 200]
+    scan = {"Z": 3 * 512, "W": 512, "W_hat": 199 * 64}[kind]
     first = _shared(kind, model, psi, domain)
     searched = [n for inside, n in asked if inside]
-    # a miss asks psi for each block of the scan
-    assert all(n in searched for n in blocks)
+    # a miss asks psi for the whole scan in one call
+    assert scan in searched
     assert sum(searched) == first.inner.n_evaluations + first.full.n_evaluations
     # a W^ miss also searches psi's 199 cells of 256 points for their minima
     assert ((False, 199 * 256) in asked) == (kind == "W_hat")
@@ -513,7 +533,7 @@ def test_a_memo_hit_asks_psi_only_for_the_points_of_the_norm_search(kind, monkey
     # the full scan's, whose psi values are memoized; the scan's points are
     # still counted
     searched = [n for inside, n in asked if inside]
-    assert not any(n in searched for n in blocks) and (False, 199 * 256) not in asked
+    assert scan not in searched and (False, 199 * 256) not in asked
     assert sum(searched) == rep.inner.n_evaluations + rep.full.n_evaluations - scan
 
 
@@ -530,9 +550,28 @@ def test_a_models_or_psis_entries_go_once_it_is_collected():
     assert len(norms._row_memo) == size - 2
 
 
+def test_a_psi_used_only_in_w_hat_checks_is_collected_with_all_its_entries():
+    # the W^ constant is an entry of psi in the weak memo, as psi's values
+    # at the cell rows are, so nothing holds psi once its caller drops it
+    model, q = gaussian_model(), integer_grid(60)
+    dips = [sqrt_dip_psi() for _ in range(3)]
+    for dip in dips:
+        sandwich_check_discrete(model, dip, q, 50.0, use_w_hat=True)
+        # the constant, under the bytes of the window's grid values, and the
+        # values at the cell rows, under the full norm's rows key
+        assert sorted(type(key).__name__ for key in _kept(dip)) == ["bytes", "tuple"]
+    gc.collect()
+    gone, size = [weakref.ref(dip) for dip in dips], len(norms._row_memo)
+    del dip, dips
+    gc.collect()
+    assert [ref() for ref in gone] == [None] * 3
+    assert len(norms._row_memo) == size - 3
+
+
 def test_one_function_keeps_at_most_32_row_keys():
     model, psi = gaussian_model(), psi_pool()[2]
-    keys = [norms.domain_search(model, p_max).rows_key for p_max in range(2, 42)]
+    # one key per search: its rows' keys
+    keys = [(norms.domain_search(model, p_max).rows_key,) for p_max in range(2, 42)]
     assert norms._ROWS_KEPT == 32
     for p_max in range(2, 42):
         gls_norm(model, psi, p_max)
@@ -541,7 +580,7 @@ def test_one_function_keeps_at_most_32_row_keys():
     # and the next miss drops the one after it (11)
     gls_norm(model, psi, 10.0)
     gls_norm(model, psi, 50.0)
-    assert _kept(model) == _kept(psi) == keys[-30:] + [keys[8], norms.domain_search(model, 50.0).rows_key]
+    assert _kept(model) == _kept(psi) == keys[-30:] + [keys[8], (norms.domain_search(model, 50.0).rows_key,)]
 
 
 def test_fresh_objects_as_gls_norm_makes_them_leave_the_memo_empty(capsys):

@@ -27,10 +27,12 @@ empirical / natural / natural_empirical on norm; an op without a kind, as
 on algebra, counts under the workload's name): the op count, each side's
 median CPU time a round and the paired ratio, so that a gain claimed on
 one route shows whether the others stayed put.  Last, what each side's
-memo of values at cached scan rows (norms._row_memo) holds after the run:
-its entries, one per function and rows, and their megabytes.  Exits 1
-when the digests differ, 0 otherwise.  perfbench/workloads.py is
-imported, not changed.
+memo of reused values (``_row_memo``, in search.py, or in norms.py where a
+side keeps it there) holds after the run: its entries, one per function
+and key, the megabytes of their arrays, and the memo's hits and misses
+over the whole run (``search.memo_counts``; a side that does not count
+them says so).  Exits 1 when the digests differ, 0 otherwise.
+perfbench/workloads.py is imported, not changed.
 """
 
 from __future__ import annotations
@@ -105,13 +107,20 @@ def show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def row_memo(gl) -> str:
-    """The entries of ``gl``'s memo of values at cached scan rows and their
-    megabytes; a side without that memo says so."""
-    memo = getattr(gl.norms, "_row_memo", None)
-    if memo is None:
+    """The entries of ``gl``'s memo of reused values, the megabytes of
+    their arrays, and its hits and misses, read in the module where that
+    side keeps them; a side without the memo, or without its counts, says
+    so."""
+    home = next((mod for mod in (gl.search, gl.norms) if hasattr(mod, "_row_memo")), None)
+    if home is None:
         return "no row memo"
-    values = [v for rows in memo.values() for v in rows.values()]
-    return f"{len(values)} entries, {sum(v.nbytes for v in values) / 2**20:.2f} MB"
+    values = [v for rows in home._row_memo.values() for v in rows.values()]
+    held = f"{len(values)} entries, {sum(getattr(v, 'nbytes', 0) for v in values) / 2**20:.2f} MB"
+    counts = getattr(gl.search, "memo_counts", None)
+    if counts is None:
+        return f"{held}, no hit or miss counts"
+    hits, misses = counts["hits"], counts["misses"]
+    return f"{held}, {hits} hits, {misses} misses ({hits / max(hits + misses, 1):.1%} hits)"
 
 
 def main(argv=None) -> int:
