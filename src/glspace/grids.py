@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError, NonMonotoneError, TruncationError
 from .generating import GeneratingFunction, psi_values
 from .models import _check_finite
-from .search import memoized, sampled_min
+from .search import memoized, sampled_min, spaced_rows
 
 _EXTEND_CAP = 200000
 # Z on a generator-backed set also reads this many gaps past the stored points
@@ -318,15 +318,15 @@ _MONOTONE_POINTS = 1000
 def _check_monotone(psi: GeneratingFunction, end: float, advice: str) -> None:
     """Pass when psi declares itself its own envelope (nondecreasing), or
     else is nondecreasing on _MONOTONE_POINTS geometric samples of
-    [1, end]: the Z and W constants judge a finite window, so a sampled
-    test serves them.  Otherwise a NonMonotoneError naming the window,
-    then ``advice``; a window of one point, end <= 1, is a DomainError."""
+    [1, end] (search.spaced_rows): the Z and W constants judge a finite
+    window, so a sampled test serves them.  Otherwise a NonMonotoneError
+    naming the window, then ``advice``; a window of one point, end <= 1, is
+    a DomainError."""
     if psi.nondecreasing:
         return
     if not end > 1.0:
         raise DomainError(f"{psi.description}: the monotone test needs a window [1, end] with end > 1, got {end:g}")
-    ps = np.geomspace(1.0, end, _MONOTONE_POINTS)
-    ps[0] = 1.0
+    ps = spaced_rows(1.0, end, _MONOTONE_POINTS, True)[0]
     # the evaluator, not psi_eval: a value psi_eval rejects (0, inf) is compared, not raised
     if not (np.diff(np.asarray(psi.evaluator(ps), dtype=float)) >= 0).all():
         raise NonMonotoneError(f"{psi.description} is not nondecreasing on [1, {end:g}]; {advice}")
@@ -417,9 +417,10 @@ def w_hat_constant(q: GridSequence, psi: GeneratingFunction) -> EquivalenceConst
     ends) while psi lives, and shared by a psi that compares equal (the
     same evaluator object, description and envelope).  An error leaves no
     entry, and a psi that cannot be hashed is computed every time.  The
-    full norm on the other side of a W^ sandwich reads psi at its cell rows
-    from the same memo (norms._row_values), so on two hits a W^ check
-    evaluates psi only at the grid values and the refinement's points.
+    full norm on the other side of a W^ sandwich of a closed form reads
+    psi at its cell rows from the same memo (norms._row_values), so on two
+    hits such a W^ check evaluates psi only at the grid values and the
+    refinement's points.
     """
     if q.M < 2:
         raise DomainError("W^ needs at least two grid points")

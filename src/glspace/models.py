@@ -195,6 +195,8 @@ class PowerMeanState(NamedTuple):
 
     @classmethod
     def of(cls, abs_values: np.ndarray) -> "PowerMeanState":
+        if not abs_values.size:
+            raise EmptyBatchError("a power mean needs at least one value")
         mx = float(abs_values.max())
         if mx == 0.0:
             return cls(mx, None, math.inf)
@@ -249,9 +251,10 @@ def power_mean(abs_values, p):
 
     The values are scaled by their maximum first, so a large p cannot
     overflow, and p = inf gives the maximum exactly (the scaled mean is
-    at least 1/n and its 0th power is 1).  ``abs_values`` is the array of
-    values or its PowerMeanState, which a model computes once instead of
-    on every call.  ``p`` is a scalar (returns a float) or an array
+    at least 1/n and its 0th power is 1).  ``abs_values`` is the values,
+    taken as a float array, or their PowerMeanState, which a model
+    computes once instead of on every call; no values is an
+    EmptyBatchError.  ``p`` is a scalar (returns a float) or an array
     (returns an array of its shape); either goes through power_means, a
     scalar as a one-element array.  The 1/p-th root is libm's pow
     (np.float_power; np.power may take a SIMD pow that differs from libm
@@ -260,7 +263,7 @@ def power_mean(abs_values, p):
     operator, and the sum runs over the same full-length array, so the
     skip leaves the bits as they are.
     """
-    state = abs_values if isinstance(abs_values, PowerMeanState) else PowerMeanState.of(abs_values)
+    state = abs_values if isinstance(abs_values, PowerMeanState) else PowerMeanState.of(np.asarray(abs_values, float))
     q = _check_p(p)
     flat = q.ravel()
     return _shaped(power_means([state], flat, (0, flat.size)).reshape(q.shape), q)
@@ -541,7 +544,9 @@ def exponential_model() -> ClosedFormModel:
 
     def transform(u):
         np.negative(u, out=u)
-        np.log1p(u, out=u)
+        # u = 1.0 (uniform_stream) gives -log1p(-1.0) = +inf, without a warning
+        with np.errstate(divide="ignore"):
+            np.log1p(u, out=u)
         return np.negative(u, out=u)
 
     return ClosedFormModel("exponential", moments, transform=transform)
@@ -588,15 +593,15 @@ def sample(model: RandomVariableModel, n: int, seed: int) -> SampleBatch:
 
     One draw in 2^53 is u = 1.0 (uniform_stream).  There the Gaussian
     sample is ndtri(1.0) = +inf, and the exponential one -log1p(-1.0) =
-    +inf, with NumPy's RuntimeWarning "divide by zero encountered in
-    log1p"; uniform01 gives 1.0, and the bootstrap of an EmpiricalModel
-    its last stored value.  A +inf draw lies above every finite probe, so
-    tail_check counts it in the empirical survival at every probe, as it
-    counts any draw past the probes, and the report's batch keeps it;
-    membership_K_estimate on that batch raises a DomainError for its
-    default candidate grid, whose top is the batch's largest value; and an
-    EmpiricalModel of such values raises a DomainError naming the value
-    and its index."""
+    +inf, neither with a warning; uniform01 gives 1.0, and the bootstrap of
+    an EmpiricalModel its last stored value.  A +inf draw lies above every
+    finite probe, so tail_check counts it in the empirical survival at
+    every probe, as it counts any draw past the probes, and the report's
+    batch keeps it; membership_K_estimate on that batch raises a
+    DomainError naming the infinite largest value before it builds its
+    default candidate grid, whose top that value would be, and takes an
+    explicit finite K_grid; and an EmpiricalModel of such values raises a
+    DomainError naming the value and its index."""
     if n < 0:
         raise DomainError("sample size must be nonnegative")
     _check_seed(seed)

@@ -25,9 +25,10 @@ counted as a hit or a miss (search.memo_counts); a psi that compares equal
 shares the entries.  Two kinds of entry: the W^ constant of a psi, keyed
 by the bytes of the grid values (grids.w_hat_constant), and the values
 at a search's whole scan of a closed-form model's moments and of a psi
-(_row_values), keyed by the search's rows: a one-model search reads its
-whole scan from the memo wherever it can (_memo_pair), in one lookup per
-function and search, and counts its points on every check.
+without a source (_row_values), keyed by the search's rows: a one-model
+search of such a pair reads both halves of its whole scan from the memo
+(_memo_pair), in one lookup per function and search, and counts its
+points on every check; any other search computes both.
 A search hands search.sup_rows two facts, and sup_rows reads from them
 what it may skip, each skip leaving the result's bits as they are: a
 lower envelope of psi, given where every model's moments are exact (the
@@ -88,8 +89,7 @@ from .models import (
     RandomVariableModel,
     power_means,
 )
-from .search import _ROWS_KEPT, RowSupremum, _eval_parts, _scan, memoized, sup_rows
-from .search import _row_memo  # noqa: F401  unused here; tests read the memo as norms._row_memo
+from .search import _ROWS_KEPT, RowSupremum, _eval_parts, _scan, memoized, spaced_rows, sup_rows
 from .search import grid_refine_supremum  # noqa: F401  unused here; the benchmark tracer patches it
 
 DEFAULT_P_MAX = 200.0
@@ -217,24 +217,13 @@ def _stacks(model: RandomVariableModel, psi: GeneratingFunction) -> bool:
 def _stacked_ratio(psi: GeneratingFunction, models: Sequence[PowerMeanModel]):
     """The (num, den) of consecutive searches of the _stacks ``models``, one
     model per search, in one function: ``f(p, at)`` at an array p whose
-    points p[at[k]:at[k + 1]] are search k's.  A call evaluates psi once
-    over its points, and only once over points that every search of the
-    call repeats (a scan row that gls_norms' searches share), and takes the
-    moments of all models in one power_means.  Every value has the bits of
-    the model's own _ratio_fn pair: psi and the power means act point by
-    point."""
+    points p[at[k]:at[k + 1]] are search k's.  A call takes the moments of
+    all models in one power_means, then psi once over all its points.
+    Every value has the bits of the model's own _ratio_fn pair: psi and
+    the power means act point by point."""
     states = [m._moments for m in models]
-    n_parts = len(models)
     psi = _kernel_psi(psi)
-
-    def pair(p, at):
-        num = power_means(states, p, at)
-        size = at[1]
-        if size and at == list(range(0, n_parts * size + 1, size)) and (p.reshape(n_parts, size) == p[:size]).all():
-            return num, np.concatenate((psi_values(psi, p[:size]),) * n_parts)
-        return num, psi_values(psi, p)
-
-    return pair
+    return lambda p, at: (power_means(states, p, at), psi_values(psi, p))
 
 
 def _costs_per_point(model) -> bool:
@@ -318,33 +307,14 @@ def domain_search(model: RandomVariableModel, p_max: float, rset: Optional[Restr
 @lru_cache(maxsize=_ROWS_KEPT)
 def _scan_rows(lo: bytes, hi: bytes, points: int, geometric: bool) -> np.ndarray:
     """The scan rows of ``points`` points from lo[k] to hi[k], geometric or
-    evenly spaced, their ends exact; the row ends come as the bytes of
-    float arrays, as grids.w_hat_constant keys its memo entry.  Every norm
-    over one domain or W^ grid scans the same rows, so the last _ROWS_KEPT
-    domains' or grids' rows are kept, read-only, in a C-ordered array of
-    their own, so that every scan's ravel is a view.  The same arguments
-    key a function's values at these rows in the memo of reused values
-    (NormSearch.rows_key, _row_values).
-
-    The points have the bits of np.geomspace(lo, hi, points, axis=1), or
-    np.linspace's, whose arithmetic is written out here, row by row: point
-    i of row k is a[k] + i * ((b[k] - a[k]) / (points - 1)), with a and b
-    the log10 of the ends and then 10 to that power where geometric, and
-    the ends themselves where not (NumPy's order of operations where a step
-    rounds to 0 is kept too).  NumPy's own call lays the rows out column by
-    column and, mostly in Python, took 38 us for one row of 512 points
-    where this takes 9 us (Python 3.11, NumPy 2.4, a 2-core x86-64 VM,
-    timeit); a cold norm search builds its rows anew."""
-    lo, hi = np.frombuffer(lo), np.frombuffer(hi)
-    a, b = (np.log10(lo), np.log10(hi)) if geometric else (lo, hi)
-    i, step = np.arange(points, dtype=float), (b - a) / (points - 1)
-    # NumPy's rule too: where any row's step is 0 (ends one ulp apart, whose
-    # logs may round equal), every row's point is (i / (points - 1)) * (b - a)
-    rows = (i / (points - 1)) * (b - a)[:, None] if (step == 0.0).any() else i * step[:, None]
-    rows += a[:, None]
-    if geometric:
-        np.power(10.0, rows, out=rows)
-    rows[:, 0], rows[:, -1] = lo, hi
+    evenly spaced, their ends exact (search.spaced_rows, the bits of
+    np.geomspace or np.linspace); the row ends come as the bytes of float
+    arrays.  Every norm over one domain or W^ grid scans the same rows, so
+    the last _ROWS_KEPT domains' or grids' rows are kept, read-only; a cold
+    norm search builds its rows anew.  The same arguments key a function's
+    values at these rows in the memo of reused values (NormSearch.rows_key,
+    _row_values)."""
+    rows = spaced_rows(np.frombuffer(lo), np.frombuffer(hi), points, geometric)
     rows.flags.writeable = False
     return rows
 
@@ -391,26 +361,23 @@ def _row_values(f, key: tuple, p: np.ndarray) -> Optional[np.ndarray]:
 def _memo_pair(pair, model: RandomVariableModel, psi: GeneratingFunction, searches: Sequence[NormSearch], xs):
     """``pair``, the _ratio_fn pair of a one-model search, with the call of
     its whole scan, the scan array ``xs`` raveled in order
-    (_reads_in_order), read from _row_values where every search with rows
-    has its rows' key, one lookup per function and search, keyed by those
-    keys in order: the moments of a ClosedFormModel, then psi where it has
-    no source, so a divergent moment still wins over a failing psi and an
-    error names the call's first bad p.  A half the memo does not hold (a
-    power mean's moments, a natural psi), and every other call, are
-    ``pair``'s.  ``pair`` itself where the memo holds neither half, or
-    there is no scan (``xs`` empty)."""
+    (_reads_in_order), read from _row_values where the memo can hold both
+    halves: a ClosedFormModel's moments under a psi without a source, every
+    search with rows having its rows' key.  One lookup per function and
+    search, keyed by those keys in order, the moments before psi, so a
+    divergent moment still wins over a failing psi and an error names the
+    call's first bad p.  Every other call is ``pair``'s; ``pair`` itself
+    for any other model or psi, or where there is no scan (``xs``
+    empty)."""
     key = tuple(s.rows_key for s in searches if s.rows.shape[0])
-    num_kept = isinstance(model, ClosedFormModel)
-    den_kept = psi.source is None
-    if not (xs.size and all(key) and (num_kept or den_kept)) or psi.source is model:
+    if not (xs.size and all(key) and isinstance(model, ClosedFormModel) and psi.source is None):
         return pair
-    moments, other = model._lp_norms, _kernel_psi(psi)
 
     def memo_pair(p):
         if not _reads_in_order(p, xs):
             return pair(p)
-        num = _row_values(model, key, p) if num_kept else moments(p)
-        den = _row_values(psi, key, p) if den_kept else psi_values(other, p)
+        num = _row_values(model, key, p)
+        den = _row_values(psi, key, p)
         return pair(p) if num is None or den is None else (num, den)
 
     return memo_pair
@@ -445,14 +412,14 @@ def _search(psi: GeneratingFunction, searches: Sequence[NormSearch]):
     function gives the ratios of all searches at once, sup_rows dividing:
     the _ratio_fn pair of their one model, or, where every model is a
     plain power mean (_stacks: the three of an algebra check), one
-    _stacked_ratio, which evaluates psi once over their points and their
-    moments in one power_means.  The pair of one model takes the whole
-    scan's moments and psi, where it can, from the memo of their values at
-    cached scan rows (_memo_pair): a search that meets the same model or
-    psi over the same rows again computes them once.  A norm's value is
-    its best value over its rows and its points, ties going to the
-    smallest p, and n_evaluations counts every point its ratio was asked
-    for, including those of a call that raised.  The edge evidence
+    _stacked_ratio, which takes their moments in one power_means and psi
+    once over their points.  The pair of a closed-form model under a psi
+    without a source takes the whole scan's moments and psi from the memo
+    of their values at cached scan rows (_memo_pair): a search that meets
+    the same model and psi over the same rows again computes neither.  A
+    norm's value is its best value over its rows and its points, ties going
+    to the smallest p, and n_evaluations counts every point its ratio was
+    asked for, including those of a call that raised.  The edge evidence
     decreasing_at_hi is True where the domain goes no further than p_max
     (not ``truncated``), and otherwise the last row's when that row ends
     at p_max (False when none does); with ``grid`` the points are a grid,
@@ -873,13 +840,13 @@ def sandwich_check_discrete(
     the test is a NonMonotoneError once both norms are found clean); W^
     from w_hat_constant, which depends on psi and the grid only and is
     computed once per (psi, cell ends) while psi lives.  On either route
-    the full norm's scan takes a closed form's moments and psi's values at
-    its rows from the same memo (_row_values): computed once per (model or
-    psi, rows) while that object lives.  The memo holds each function
-    weakly, so a psi used only in W^ checks goes, with its constant and
-    its values, once its caller drops it; a psi that compares equal
-    shares them.  The constant's lookup still comes after both norms;
-    n_evaluations counts every point.
+    the full norm's scan of a closed form under a psi without a source
+    takes the moments and psi's values at its rows from the same memo
+    (_row_values): computed once per (model or psi, rows) while that
+    object lives.  The memo holds each function weakly, so a psi used only
+    in W^ checks goes, with its constant and its values, once its caller
+    drops it; a psi that compares equal shares them.  The constant's
+    lookup still comes after both norms; n_evaluations counts every point.
     """
     _check_p_max(p_max)
     idx = q.first_index_at_least(p_max)

@@ -259,7 +259,9 @@ def membership_K_estimate(
     (survival is 0 there) and K is accepted.  An empty
     ``K_grid``, or a candidate that is not finite and positive, is a
     DomainError, which names the first such candidate.  The default
-    candidate grid spans the batch's own scale; callers with a
+    candidate grid spans the batch's own scale, so a batch whose largest
+    |value| is 0 or +inf (a u = 1.0 draw, models.sample) has none: a
+    DomainError that asks for an explicit K_grid; callers with a
     computable discrete norm should pass a grid bracketing it.
     """
     absv = batch.sorted_abs
@@ -267,6 +269,8 @@ def membership_K_estimate(
     if K_grid is None:
         if vmax <= 0.0:
             raise DomainError("all-zero batch has no intrinsic scale; pass an explicit K_grid")
+        if vmax == math.inf:
+            raise DomainError("the batch's largest |value| is inf; pass an explicit K_grid")
         vmin = float(absv[np.searchsorted(absv, 0.0, side="right")])
         K_grid = np.geomspace(max(vmin, vmax * 1e-6), vmax, 32)
     ks = [float(k) for k in K_grid]

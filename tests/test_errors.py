@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from glspace import GlsError, gaussian_model, geometric_grid, integer_grid, run_suite
-from glspace.models import uniform_stream
+from glspace.models import power_mean, uniform_stream
 from glspace.norms import gls_norms, sandwich_check_discrete, sandwich_check_restricted
 from glspace.search import golden_section_max, grid_refine_supremum, sampled_min
 from glspace.suites import psi_pool, set_fixtures
@@ -22,6 +22,7 @@ _BAD_M = (math.nan, math.inf, -math.inf, 2.5, 0)
 @pytest.mark.parametrize("call, message", [
     (lambda: run_suite("nope", 1), "unknown suite 'nope'; choose from sandwich, tails, young, algebra"),
     (lambda: uniform_stream(0, -1), "n must be nonnegative"),
+    *((lambda v=v: power_mean(v, 2.0), "a power mean needs at least one value") for v in (np.empty(0), [])),
     (lambda: golden_section_max(np.sqrt, 2.0, 1.0), "empty bracket [2.0, 1.0]"),
     (lambda: grid_refine_supremum(np.sqrt, 2.0, 1.0), "empty interval [2.0, 1.0]"),
     (lambda: sampled_min(np.sqrt, [1.0, 3.0], [2.0, 2.5]), "sampled_min needs lo <= hi for every interval"),
@@ -39,8 +40,8 @@ _BAD_M = (math.nan, math.inf, -math.inf, 2.5, 0)
     *((lambda M=M: geometric_grid(2, M), f"geometric grids need an integer M >= 1, got {M}") for M in _BAD_M),
     *((lambda D=D: geometric_grid(D, 5), f"geometric grids need an integer D >= 2, got {D}")
       for D in (math.nan, math.inf, 2.5, 1)),
-], ids=["run_suite", "uniform_stream", "golden_section_max", "grid_refine_supremum", "sampled_min",
-        "a_scalar_function", "gls_norms",
+], ids=["run_suite", "uniform_stream", "power_mean_array", "power_mean_list", "golden_section_max",
+        "grid_refine_supremum", "sampled_min", "a_scalar_function", "gls_norms",
         *(f"restricted_p_max_{p}" for p in ("nan", "0.5", "inf")),
         *(f"discrete_{w}_p_max_{p}" for p in ("nan", "0.5", "inf") for w in ("W", "W_hat")),
         *(f"integer_grid_M_{M}" for M in _BAD_M), *(f"geometric_grid_M_{M}" for M in _BAD_M),

@@ -51,7 +51,7 @@ def test_the_envelope_takes_part_in_equality_and_hashing():
     assert dataclasses.replace(psi) == psi and hash(dataclasses.replace(psi)) == hash(psi)
     assert dataclasses.replace(psi, envelope=(psi.envelope[0], False)) != psi
     q = integer_grid(20)
-    norms._row_memo.clear()
+    search._row_memo.clear()
     hits, misses = search.memo_counts["hits"], search.memo_counts["misses"]
     assert w_hat_constant(q, off) == w_hat_constant(q, psi)
     assert (search.memo_counts["hits"] - hits, search.memo_counts["misses"] - misses) == (0, 2)

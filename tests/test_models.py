@@ -4,6 +4,7 @@ against the quadrature twins of the test helper."""
 import gzip
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -311,7 +312,9 @@ def test_the_top_draw_is_u_one_and_the_gaussian_and_exponential_samples_are_inf_
     assert _uniform_chunk(0, 0, np.empty(2)).tolist() == [1.0, 2.0**-54]
     gauss = sample(gaussian_model(), 2, 0)
     assert gauss.values[0] == math.inf and gauss.values[1] == ndtri(2.0**-54)
-    with pytest.warns(RuntimeWarning, match="divide by zero encountered in log1p"):
+    # +inf with no warning, so that python -W error samples on
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         expo = sample(exponential_model(), 2, 0)
     assert expo.values[0] == math.inf and expo.values[1] == -math.log1p(-(2.0**-54))
     # the draw lies above every finite probe, and is no value of a sample

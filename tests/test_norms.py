@@ -762,12 +762,12 @@ def test_a_shared_algebra_search_asks_psi_once_per_array_call(monkeypatch, S):
         monkeypatch.setattr(owner, "_eval_parts", counted)
     rep = algebra_check(G, f, g, psi, S)
     assert calls[0] == arrays[0] > 1
-    # each model alone asks psi once per array call of its own search, but
-    # the scans of the second and third, which read psi's values at the
-    # domain's rows from the memo the first filled (norms._row_values)
+    # each model alone asks psi once per array call of its own search: the
+    # memo keeps psi's values only beside a closed form's moments
+    # (norms._memo_pair), and these models are power means
     calls[0] = arrays[0] = 0
     alone = [gls_norm(m, psi, 200.0, S) for m in _algebra_models(G, f, g)]
-    assert calls[0] == arrays[0] - 2
+    assert calls[0] == arrays[0]
     assert (rep.conv_norm, rep.f_norm, rep.g_norm) == tuple(r.value for r in alone)
 
 
@@ -824,17 +824,37 @@ def test_equal_domains_share_read_only_scan_rows():
     ends=st.lists(st.tuples(st.floats(1.0, 1e12), st.floats(0.0, 1e4)), min_size=1, max_size=8),
     points=st.sampled_from([norms._SCAN_POINTS, norms._CELL_POINTS, 3]),
     geometric=st.booleans(),
+    start=st.floats(-1e6, 1e6),
 )
-def test_scan_rows_have_the_bits_of_numpys_geomspace_and_linspace(ends, points, geometric):
-    lo = np.array([a for a, _ in ends])
+def test_scan_rows_have_the_bits_of_numpys_geomspace_and_linspace(ends, points, geometric, start):
+    lo, width = np.array(ends).T
     # every row at least one ulp wide, as domain_search and _cell_search
     # hand them over
-    hi = np.maximum(lo + np.array([d for _, d in ends]), np.nextafter(lo, np.inf))
+    hi = np.maximum(lo + width, np.nextafter(lo, np.inf))
     expect = (np.geomspace if geometric else np.linspace)(lo, hi, points, axis=1)
     expect[:, 0], expect[:, -1] = lo, hi
     got = norms._scan_rows.__wrapped__(lo.tobytes(), hi.tobytes(), points, geometric)
     assert got.tobytes() == np.ascontiguousarray(expect).tobytes()
     _assert_scanned_in_place(got)
+    # the one row builder at its other callers' layouts: sampled_min's 256
+    # evenly spaced points a W^ cell, np.linspace's own ends, a cell of
+    # width 0 too
+    expect = np.linspace(lo, lo + width, search._MIN_SAMPLES, axis=-1).reshape(lo.size, -1)
+    got = search.spaced_rows(lo, lo + width, search._MIN_SAMPLES, False)
+    assert got.tobytes() == np.ascontiguousarray(expect).tobytes()
+    _assert_scanned_in_place(got)
+    # grids._check_monotone's 1000 geometric points from 1
+    end = float(hi.max())
+    expect = np.geomspace(1.0, end, 1000)
+    expect[0] = 1.0
+    assert search.spaced_rows(1.0, end, 1000, True)[0].tobytes() == expect.tobytes()
+    # grid_refine_supremum's one row, geometric where it starts above 0
+    stop = max(start + width[0], np.nextafter(start, np.inf))
+    for geometric in {start > 0, False}:
+        expect = (np.geomspace if geometric else np.linspace)(start, stop, points)
+        expect[0], expect[-1] = start, stop
+        got = search.spaced_rows(start, stop, points, geometric)
+        assert got.shape == (1, points) and got[0].tobytes() == expect.tobytes()
 
 
 @pytest.mark.parametrize("G", [cyclic_group(24), symmetric_group(4), cyclic_group(512)], ids=lambda G: G.name)

@@ -281,7 +281,7 @@ def test_a_w_hat_check_on_a_memoized_constant_is_the_report_of_its_searches_alon
     sandwich_check_discrete(_MODELS[0], dip, q, use_w_hat=True)
     for model in (*_MODELS, _SAMPLE):
         if clear:
-            norms._row_memo.clear()
+            search._row_memo.clear()
         w_hat_counts.clear()
         shared = _outcome(lambda: _shared("W_hat", model, dip, q))
         assert w_hat_counts == [(0, 1) if clear else (1, 0)]
@@ -304,7 +304,7 @@ def test_a_psi_nan_in_one_cell_raises_its_error_on_every_check(w_hat_counts):
 
 
 def test_two_grids_or_two_psi_never_share_a_memo_entry():
-    norms._row_memo.clear()
+    search._row_memo.clear()
     start = _counts()
     # one description, two evaluators with different W^
     root = GeneratingFunction(np.sqrt, "same", envelope=(None, False))
@@ -367,7 +367,7 @@ def _zero_between(lo, hi):
 
 def _kept(f):
     """The row keys the memo holds for ``f`` (none for an unhashable psi)."""
-    return [key for g, rows in norms._row_memo.items() if g is f for key in rows]
+    return [key for g, rows in search._row_memo.items() if g is f for key in rows]
 
 
 def _unmemoized(monkeypatch):
@@ -410,13 +410,13 @@ def test_sandwich_checks_keep_their_counts_and_values_on_a_memo_hit_and_a_miss(k
     with monkeypatch.context() as m:
         _unmemoized(m)
         expect = _bits(_shared(kind, model, dip, _ROUTES[kind]))
-    norms._row_memo.clear()
+    search._row_memo.clear()
     assert _bits(_shared(kind, model, dip, _ROUTES[kind])) == expect
-    kept = {f: {key: norms._row_memo[f][key] for key in _kept(f)} for f in (model, dip)}
+    kept = {f: {key: search._row_memo[f][key] for key in _kept(f)} for f in (model, dip)}
     assert all(kept.values())
     assert _bits(_shared(kind, model, dip, _ROUTES[kind])) == expect
     # the hit read the same arrays, and kept no other
-    assert all(norms._row_memo[f][key] is values for f in kept for key, values in kept[f].items())
+    assert all(search._row_memo[f][key] is values for f in kept for key, values in kept[f].items())
     assert all(_kept(f) == list(kept[f]) for f in kept)
 
 
@@ -431,7 +431,7 @@ def test_an_unhashable_psi_is_evaluated_at_the_cell_rows_every_time():
     psi = GeneratingFunction(_UnhashableEvaluator(evaluator), dip.description, envelope=dip.envelope)
     model = gaussian_model()
     cells = _cell_points(q).size
-    norms._row_memo.clear()
+    search._row_memo.clear()
     for _ in range(2):
         asked.clear()
         assert _bits(_cellwise_full_norm(model, psi, q)) == _bits(_cellwise_full_norm(model, dip, q))
@@ -443,14 +443,14 @@ def test_an_unhashable_psi_is_evaluated_at_the_cell_rows_every_time():
 def test_a_psi_that_fails_at_a_cell_point_raises_its_error_and_is_not_memoized():
     psi, q = _zero_between(20.2, 20.8), integer_grid(60)
     gtr = q.truncated(q.first_index_at_least(50.0))
-    norms._row_memo.clear()
+    search._row_memo.clear()
     expect = _raised(lambda: glspace.generating.psi_values(psi, _cell_points(gtr)))
     assert expect[0] is DomainError and "p=20.206349206349206" in expect[1]
     for _ in range(2):
         assert _raised(lambda: _cellwise_full_norm(uniform01_model(), psi, gtr)) == expect
         assert _raised(lambda: sandwich_check_discrete(uniform01_model(), psi, q, 50.0, use_w_hat=True)) == expect
     # every attempt evaluated psi, and none left an entry
-    assert not any(f is psi for f in norms._row_memo.keys())
+    assert not any(f is psi for f in search._row_memo.keys())
 
 
 @pytest.mark.parametrize("kind, domain", [("Z", set_from_spec("intervals:1-3,40-inf")), ("W_hat", integer_grid(50))])
@@ -460,7 +460,7 @@ def test_a_divergent_moment_wins_over_a_psi_that_fails_at_a_scan_point(kind, dom
     with monkeypatch.context() as m:
         _unmemoized(m)
         expect = repr(norms.sup_norms(psi, searches))
-    norms._row_memo.clear()
+    search._row_memo.clear()
     full = norms.sup_norms(psi, searches)[1]
     # the scan's moments raise before psi is asked, at the first p >= 2.5 of
     # the full norm's rows (a shared search that raised reruns its searches
@@ -468,7 +468,7 @@ def test_a_divergent_moment_wins_over_a_psi_that_fails_at_a_scan_point(kind, dom
     xs = searches[1].rows.ravel()
     assert full.value == math.inf and full.arg_p == xs[xs >= 2.5][0]
     assert repr(norms.sup_norms(psi, searches)) == expect
-    assert not any(f is psi or f is model for f in norms._row_memo.keys())
+    assert not any(f is psi or f is model for f in search._row_memo.keys())
 
 
 @pytest.mark.parametrize("kind", _ROUTES)
@@ -480,7 +480,7 @@ def test_a_model_with_one_moment_for_all_its_points_is_named_as_without_the_memo
         _unmemoized(m)
         expect = _raised(lambda: _shared(kind, model, psi, _ROUTES[kind]))
     assert expect[0] is DomainError and "it must accept arrays" in expect[1]
-    norms._row_memo.clear()
+    search._row_memo.clear()
     assert _raised(lambda: _shared(kind, model, psi, _ROUTES[kind])) == expect
     assert _kept(model) == []
 
@@ -543,11 +543,11 @@ def test_a_models_or_psis_entries_go_once_it_is_collected():
     sandwich_check_discrete(model, psi, grid_pool()[1])
     assert _kept(model) and _kept(psi)
     gc.collect()
-    gone, size = (weakref.ref(model), weakref.ref(psi)), len(norms._row_memo)
+    gone, size = (weakref.ref(model), weakref.ref(psi)), len(search._row_memo)
     del model, psi
     gc.collect()
     assert [ref() for ref in gone] == [None, None]
-    assert len(norms._row_memo) == size - 2
+    assert len(search._row_memo) == size - 2
 
 
 def test_a_psi_used_only_in_w_hat_checks_is_collected_with_all_its_entries():
@@ -561,11 +561,11 @@ def test_a_psi_used_only_in_w_hat_checks_is_collected_with_all_its_entries():
         # values at the cell rows, under the full norm's rows key
         assert sorted(type(key).__name__ for key in _kept(dip)) == ["bytes", "tuple"]
     gc.collect()
-    gone, size = [weakref.ref(dip) for dip in dips], len(norms._row_memo)
+    gone, size = [weakref.ref(dip) for dip in dips], len(search._row_memo)
     del dip, dips
     gc.collect()
     assert [ref() for ref in gone] == [None] * 3
-    assert len(norms._row_memo) == size - 3
+    assert len(search._row_memo) == size - 3
 
 
 def test_one_function_keeps_at_most_32_row_keys():
@@ -584,7 +584,7 @@ def test_one_function_keeps_at_most_32_row_keys():
 
 
 def test_fresh_objects_as_gls_norm_makes_them_leave_the_memo_empty(capsys):
-    norms._row_memo.clear()
+    search._row_memo.clear()
     for psi in ("power_slowvary(r=2, delta=0)", "sqrt_dip"):
         for domain in ((), ("--set", "intervals:1-3,40-inf"), ("--grid", "integers:M=60")):
             for _ in range(3):
@@ -592,7 +592,7 @@ def test_fresh_objects_as_gls_norm_makes_them_leave_the_memo_empty(capsys):
     capsys.readouterr()
     # every model and psi of a run is gone with the run, and so are its
     # entries, without a collection
-    assert len(norms._row_memo) == 0
+    assert len(search._row_memo) == 0
 
 
 def _memo_psi(model, name):
@@ -640,7 +640,7 @@ def test_a_memo_miss_and_a_hit_give_the_results_of_the_unmemoized_search(case):
     with pytest.MonkeyPatch.context() as m:
         _unmemoized(m)
         expect = _memo_call(*case)
-    norms._row_memo.clear()
+    search._row_memo.clear()
     assert _memo_call(*case) == expect
     assert _memo_call(*case) == expect
 

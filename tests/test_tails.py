@@ -1,6 +1,7 @@
 """Discrete Legendre-type transform, tail envelopes, membership scans."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -277,6 +278,20 @@ def test_membership_zero_batch_needs_an_explicit_grid():
         membership_K_estimate(batch, integer_grid(60), root_psi())
     est = membership_K_estimate(batch, integer_grid(60), root_psi(), K_grid=[0.5, 1.0])
     assert est.K_hat == 0.5 and est.x_range_checked is None
+
+
+def test_membership_on_an_infinite_largest_value_needs_an_explicit_grid():
+    # a u = 1.0 draw of a Gaussian or exponential sample is +inf
+    # (models.sample): the default grid would top out there, so it is named
+    # before any grid is built, with no NumPy warning first, and an
+    # explicit finite grid is judged as on any batch
+    batch = SampleBatch(values=np.array([0.5, -2.0, math.inf]), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^the batch's largest \|value\| is inf; pass an explicit K_grid$"):
+            membership_K_estimate(batch, integer_grid(60), root_psi())
+        est = membership_K_estimate(batch, integer_grid(60), root_psi(), K_grid=[0.5, 1.0, 4.0])
+    assert est.K_grid == (0.5, 1.0, 4.0) and est.K_hat in est.K_grid and est.n == 3
 
 
 @pytest.mark.parametrize("K_grid, bad", [([math.inf], "inf"), ([math.nan, 1.0], "nan"), ([1.0, -math.inf], "-inf")])

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired A/B timing of a benchmark workload's ops, both sides in one process.
 
-    python tools/ab_ops.py --base <git rev> --workload W --seed 7 --blocks 4 --rounds 7
+    python tools/ab_ops.py --base <git rev> --workload W --seed 7 --blocks 4 --rounds 7 [--cold]
 
 W is one of perfbench's workloads: sandwich, algebra, norm or tail.  The
 working tree's src/glspace is imported as ``glspace``, and src/glspace at
@@ -12,6 +12,10 @@ pools from the same seeded inputs that ``perfbench/run.py --seed`` draws,
 and the ops of ``--blocks`` blocks are drawn once and shared.  Every round
 runs each op on both sides, in an order drawn at random per op, and times
 each call in CPU time, so that both sides see the same drift of the host.
+With ``--cold`` every op starts cold, as a one-shot ``gls`` run does: before
+each op, on each side and outside the timed call, every function of
+norms, grids and search that has ``cache_clear`` is cleared, and so is the
+memo of reused values (``_row_memo``).
 
 Prints each side's median over rounds of its CPU time, the median over
 rounds of the paired ratio (working tree / base) with its range, and a
@@ -106,12 +110,31 @@ def show_warning(message, category, filename, lineno, file=None, line=None):
     print(f"{category.__name__}: {message}", file=sys.stderr)
 
 
+def memo_home(gl):
+    """The module of ``gl`` that keeps its memo of reused values
+    (``_row_memo``), search or, at an older revision, norms; None without
+    one."""
+    return next((mod for mod in (gl.search, gl.norms) if hasattr(mod, "_row_memo")), None)
+
+
+def clear_caches(gl) -> None:
+    """Empty every cache of ``gl``'s norms, grids and search that has
+    ``cache_clear`` (the lru_caches) and its memo of reused values."""
+    for mod in (gl.norms, gl.grids, gl.search):
+        for f in vars(mod).values():
+            if callable(getattr(f, "cache_clear", None)):
+                f.cache_clear()
+    home = memo_home(gl)
+    if home is not None:
+        home._row_memo.clear()
+
+
 def row_memo(gl) -> str:
     """The entries of ``gl``'s memo of reused values, the megabytes of
     their arrays, and its hits and misses, read in the module where that
     side keeps them; a side without the memo, or without its counts, says
     so."""
-    home = next((mod for mod in (gl.search, gl.norms) if hasattr(mod, "_row_memo")), None)
+    home = memo_home(gl)
     if home is None:
         return "no row memo"
     values = [v for rows in home._row_memo.values() for v in rows.values()]
@@ -130,6 +153,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--blocks", type=int, default=4)
     ap.add_argument("--rounds", type=int, default=7)
+    ap.add_argument("--cold", action="store_true", help="clear every cache and the memo before each op")
     args = ap.parse_args(argv)
 
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -160,6 +184,8 @@ def main(argv=None) -> int:
             for op, kind in zip(ops, kinds):
                 for name in ("base", "head") if order.random() < 0.5 else ("head", "base"):
                     cli_stderr[name].clear()
+                    if args.cold:
+                        clear_caches(sides[name])
                     with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()) as err:
                         warnings.showwarning = show_warning
                         t0 = process_time()
@@ -175,7 +201,8 @@ def main(argv=None) -> int:
         return f"median {statistics.median(r):.3f} (range {min(r):.3f}-{max(r):.3f})"
 
     total = {name: [sum(col) for col in zip(*times[name].values())] for name in sides}
-    print(f"workload {args.workload}  seed {args.seed}  {len(ops)} ops  {args.rounds} rounds  base {args.base}")
+    print(f"workload {args.workload}  seed {args.seed}  {len(ops)} ops  {args.rounds} rounds  base {args.base}"
+          f"{'  cold' if args.cold else ''}")
     for name in sides:
         print(f"{name}: median CPU {statistics.median(total[name]):.3f} s a round  digest {digests[name].hexdigest()[:16]}")
     print(f"paired ratio head/base: {paired(total)}")
