@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Optional
@@ -45,30 +44,64 @@ from .errors import (
 SAMPLE_CHUNK = 65536
 #: draws per block of the bootstrap's gather (its int64 indices: 64 KiB)
 _GATHER_BLOCK = SAMPLE_CHUNK // 8
-#: largest chunk x n temporary power_means builds for an array of p
-_POWER_MEAN_BLOCK = 1 << 18
+#: largest chunk x n block of powers power_means holds for an array of p:
+#: 2^16 elements, 512 KiB, one row of 2^16 values (a longer row is a chunk
+#: alone).  In the norm benchmark's op sequence (seed 7, one process, a
+#: 2-core x86-64 VM, NumPy 2.4), a 2^16-value op took 1510 minor page
+#: faults at 2^18 elements, against 107, 96 and 144 at 2^15, 2^16 and
+#: 2^17, and a 2^15-value op 439 against 0, 3 and 46; ops_per_kref (seed
+#: 3, median of 3 runs) read 144.6 at 2^18 and 159.0, 158.0 and 152.9
+#: at 2^15, 2^16 and 2^17.  2^16 is kept: it faults least at 2^16 values,
+#: and the three throughputs lie within their runs' spread
+_POWER_MEAN_BLOCK = 1 << 16
 
 
 class MomentInstabilityWarning(UserWarning):
     """Plug-in moment of an empirical sample is dominated by its maximum."""
 
 
-@dataclass(frozen=True)
 class SampleBatch:
-    """Deterministically regenerable sample: same (seed, size), same bits.
-    The size is read off the values, never stored beside them."""
+    """A deterministically regenerable sample: same (model, size, seed),
+    same bits.  Held, ``SampleBatch(values, seed)`` (what sample returns),
+    it keeps the values it is given, and its size is read off them.
+    Drawn, ``SampleBatch.drawn(model, n, seed)``, it keeps the model, the
+    size and the seed, and draws each view when it is first read: so a
+    caller that reads only ``sorted_abs`` (tail_check, then
+    membership_K_estimate) holds one array of the sample's size, and one
+    that reads ``values`` after it pays one more draw, with the same bits."""
 
-    values: np.ndarray
-    seed: int
+    def __init__(self, values: np.ndarray, seed: int):
+        self._values, self._model, self.seed, self.size = values, None, seed, len(values)
+
+    @classmethod
+    def drawn(cls, model: "RandomVariableModel", n: int, seed: int) -> "SampleBatch":
+        """The batch of sample(model, n, seed), drawn when a view is first
+        read; n and seed are checked here, as sample checks them."""
+        _check_sample_args(n, seed)
+        batch = cls.__new__(cls)
+        batch._values, batch._model, batch.seed, batch.size = None, model, int(seed), n
+        return batch
+
+    def _draw(self) -> np.ndarray:
+        return self._model.sample_values(self.size, self.seed) if self.size else np.empty(0, dtype=float)
 
     @property
-    def size(self) -> int:
-        return len(self.values)
+    def values(self) -> np.ndarray:
+        """The draws in order, drawn at the first read of a drawn batch."""
+        if self._values is None:
+            self._values = self._draw()
+        return self._values
 
     @cached_property
     def sorted_abs(self) -> np.ndarray:
-        """|values| in increasing order, sorted once per batch."""
-        absv = np.abs(self.values)
+        """|values| in increasing order, sorted once per batch: a copy of
+        the values where they are held, else a fresh draw made absolute
+        and sorted in place."""
+        if self._values is None:
+            absv = self._draw()
+            np.abs(absv, out=absv)
+        else:
+            absv = np.abs(self._values)
         absv.sort()
         absv.flags.writeable = False  # shared by every caller
         return absv
@@ -231,19 +264,22 @@ _ZERO_MIN_VALUES = 128
 _ZERO_P_MAX = 2.0**40
 
 
-def _row_powers(scaled: np.ndarray, qs: np.ndarray, zero_p: float) -> np.ndarray:
-    """scaled ** qs[:, None]; in the rows past zero_p (and below
-    _ZERO_P_MAX) the terms below the cut, which are exactly 0.0, are set
-    without a pow call, and the others go through the same operator."""
+def _row_powers(scaled: np.ndarray, qs: np.ndarray, zero_p: float, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """scaled ** qs[:, None], written into ``out`` where it is given; in the
+    rows past zero_p (and below _ZERO_P_MAX) the terms below the cut,
+    which are exactly 0.0, are set without a pow call, and the others go
+    through the same operator."""
     skip = (zero_p < qs) & (qs < _ZERO_P_MAX)
     if not skip.any():
-        return scaled ** qs[:, None]
-    terms = np.zeros((qs.size, scaled.size))
-    terms[~skip] = scaled ** qs[~skip, None]
+        return np.power(scaled, qs[:, None], out=out)
+    if out is None:
+        out = np.empty((qs.size, scaled.size))
+    out[~skip] = scaled ** qs[~skip, None]
     for i in np.flatnonzero(skip).tolist():
         keep = scaled >= 2.0 ** (_ZERO_EXP / qs[i])
-        terms[i, keep] = scaled[keep] ** qs[i]
-    return terms
+        out[i] = 0.0
+        out[i, keep] = scaled[keep] ** qs[i]
+    return out
 
 
 def power_mean(abs_values, p):
@@ -254,19 +290,32 @@ def power_mean(abs_values, p):
     at least 1/n and its 0th power is 1).  ``abs_values`` is the values,
     taken as a float array, or their PowerMeanState, which a model
     computes once instead of on every call; no values is an
-    EmptyBatchError.  ``p`` is a scalar (returns a float) or an array
-    (returns an array of its shape); either goes through power_means, a
-    scalar as a one-element array.  The 1/p-th root is libm's pow
-    (np.float_power; np.power may take a SIMD pow that differs from libm
-    in the last place).  Terms that underflow to exactly 0.0 (see
+    EmptyBatchError, and a negative or NaN value a DomainError naming the
+    first and its index (a model passes the state of its |values|, so its
+    moment kernel pays no check).  ``p`` is a scalar (returns a float) or
+    an array (returns an array of its shape); either goes through
+    power_means, a scalar as a one-element array.  The 1/p-th root is
+    libm's pow (np.float_power; np.power may take a SIMD pow that differs
+    from libm in the last place).  Terms that underflow to exactly 0.0 (see
     _ZERO_EXP) are not passed to pow; the others go through the same
     operator, and the sum runs over the same full-length array, so the
     skip leaves the bits as they are.
     """
-    state = abs_values if isinstance(abs_values, PowerMeanState) else PowerMeanState.of(np.asarray(abs_values, float))
+    state = abs_values if isinstance(abs_values, PowerMeanState) else PowerMeanState.of(_check_abs(abs_values))
     q = _check_p(p)
     flat = q.ravel()
     return _shaped(power_means([state], flat, (0, flat.size)).reshape(q.shape), q)
+
+
+def _check_abs(values) -> np.ndarray:
+    """``values`` as a float array, or DomainError naming the first that is
+    negative or NaN, and its index."""
+    a = np.asarray(values, dtype=float)
+    ok = a >= 0.0
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise DomainError(f"a power mean needs nonnegative values, got {float(a.flat[i])!r} at index {i}")
+    return a
 
 
 def power_means(states, qs: np.ndarray, at) -> np.ndarray:
@@ -288,7 +337,11 @@ def power_means(states, qs: np.ndarray, at) -> np.ndarray:
 def _power_means_of(state: PowerMeanState, qs: np.ndarray, out: np.ndarray, squares: bool) -> None:
     """out[i] = the pairwise np.add.reduce of scaled ** qs[i] over the
     count of values (0.0 when they are all zero), in chunks of p whose
-    chunk x n temporary stays within _POWER_MEAN_BLOCK elements.
+    chunk x n rows stay within _POWER_MEAN_BLOCK elements.  The first
+    chunk's powers are the one array of that size a call allocates, and
+    every later chunk writes into its rows, so no chunk's powers are alive
+    beside another's.  Chunks split the p only: each row's sum runs over
+    all n values, so the bits do not depend on the bound.
 
     Every term goes through pow.  NumPy squares where the exponent 2
     reaches its loop as one scalar (a chunk of one p, or one too large to
@@ -297,23 +350,29 @@ def _power_means_of(state: PowerMeanState, qs: np.ndarray, out: np.ndarray, squa
     in the last place for about one value in 20.  So where ``squares``
     says that some p is 2, the rows of p = 2 are taken again, every term
     against an array of exponents (past zero_p too, where the skip saved
-    nothing then), and p = 2 has the same bits in any array."""
+    nothing then), and p = 2 has the same bits in any array.  The row is
+    its own array of exponents: filled with 2.0, then raised in place."""
     mx, scaled, zero_p = state
     if scaled is None:
         out[:] = 0.0
         return
     step = max(1, _POWER_MEAN_BLOCK // scaled.size)
+    terms = None
     for start in range(0, qs.size, step):
         chunk = qs[start : start + step]
+        rows = None if terms is None else terms[: chunk.size]
         # one float comparison when no p can skip (as for fewer values than
         # _ZERO_MIN_VALUES, whose zero_p is inf), and one reduction when no p
         # of the chunk does
         if zero_p < _ZERO_P_MAX and zero_p < chunk.max():
-            terms = _row_powers(scaled, chunk, zero_p)
+            terms = _row_powers(scaled, chunk, zero_p, rows)
         else:
-            terms = scaled ** chunk[:, None]
+            terms = np.power(scaled, chunk[:, None], out=rows)
         if squares:
-            terms[chunk == 2.0] = scaled ** np.full(scaled.size, 2.0)
+            for i in np.flatnonzero(chunk == 2.0).tolist():
+                row = terms[i]
+                row.fill(2.0)
+                np.power(scaled, row, out=row)
         np.add.reduce(terms, axis=1, out=out[start : start + step])
     out /= scaled.size
 
@@ -602,11 +661,16 @@ def sample(model: RandomVariableModel, n: int, seed: int) -> SampleBatch:
     default candidate grid, whose top that value would be, and takes an
     explicit finite K_grid; and an EmpiricalModel of such values raises a
     DomainError naming the value and its index."""
+    _check_sample_args(n, seed)
+    values = model.sample_values(n, seed) if n > 0 else np.empty(0, dtype=float)
+    return SampleBatch(values=values, seed=int(seed))
+
+
+def _check_sample_args(n: int, seed: int) -> None:
+    """DomainError for a negative sample size or seed, the size first."""
     if n < 0:
         raise DomainError("sample size must be nonnegative")
     _check_seed(seed)
-    values = model.sample_values(n, seed) if n > 0 else np.empty(0, dtype=float)
-    return SampleBatch(values=values, seed=int(seed))
 
 
 def empirical_survival(batch: SampleBatch, x):

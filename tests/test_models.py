@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln, ndtri
 
@@ -43,6 +43,7 @@ from glspace.models import (
     _ZERO_MIN_VALUES,
     PowerMeanState,
     power_mean,
+    power_means,
     read_values,
     _uniform_chunk,
     uniform_stream,
@@ -470,6 +471,53 @@ def test_power_mean_chunks_its_temporary():
         tracemalloc.stop()
     # one unchunked 512 x 2^16 temporary alone would be 256 MiB
     assert peak < 8 * 2**20
+
+
+def test_power_means_holds_one_512_kib_chunk_of_powers_at_a_time():
+    # nine p on 2^16 values: a row of powers is 512 KiB, and a chunk is
+    # one row; two such chunks alive at once is the most allowed (2 MiB
+    # chunks, each allocated before the last was freed, peaked at 4,098 KiB)
+    a = np.abs(np.random.default_rng(1).normal(size=1 << 16))
+    state = PowerMeanState.of(a)
+    ps = np.array([1.0, 2.0, 3.0, 5.0, 8.0, 13.0, 21.0, 34.0, 55.0])
+    tracemalloc.start()
+    try:
+        power_means([state], ps, (0, ps.size))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * a.size + 4096
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.one_of(st.integers(1, 1200), st.sampled_from([(1 << 16) - 1, (1 << 16) + 5])),
+    tiny=st.booleans(),
+    ps=st.lists(st.one_of(st.floats(1.0, 1e4), st.just(2.0), st.just(math.inf)), min_size=1, max_size=40),
+    at=st.integers(0, 40),
+)
+@settings(max_examples=30)
+# the two 64-value samples of test_p_2_has_the_same_bits_in_any_array
+@example(seed=11, n=64, tiny=False, ps=[3.0, 5.0], at=0)
+@example(seed=30, n=64, tiny=False, ps=[3.0, 5.0], at=0)
+def test_power_means_bits_do_not_depend_on_the_chunk_bound(seed, n, tiny, ps, at):
+    # p = 2 is always among the p: NumPy squares it where the exponent
+    # reaches its loop as one scalar (a chunk of one p, as under a bound
+    # of 1) and takes pow where it buffers the exponents; tiny values make
+    # the large p skip the terms that underflow
+    rng = np.random.default_rng(seed)
+    values = np.abs(rng.normal(size=n))
+    if tiny:
+        values *= 10.0 ** rng.uniform(-300.0, 0.0, n)
+    ps.insert(at % (len(ps) + 1), 2.0)
+    qs = np.array(ps)
+    states = [PowerMeanState.of(values), PowerMeanState.of(values[: max(1, n // 3)])]
+    bits = []
+    for block in (1, 1 << 16, 1 << 18):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(glspace.models, "_POWER_MEAN_BLOCK", block)
+            bits.append(power_means(states, np.r_[qs, qs[::-1]], (0, qs.size, 2 * qs.size)).tobytes())
+    assert bits[0] == bits[1] == bits[2]
 
 
 def test_zero_sample_has_zero_norm():

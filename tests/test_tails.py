@@ -1,6 +1,7 @@
 """Discrete Legendre-type transform, tail envelopes, membership scans."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from glspace import (
     DomainError,
+    EmpiricalModel,
     GeneratingFunction,
     GlsError,
     NoFeasibleKError,
@@ -37,6 +39,7 @@ from glspace import (
     uniform01_model,
 )
 from glspace import tails
+from glspace.models import SAMPLE_CHUNK
 from glspace.tails import TailRow, default_probe_points, quadratic_h_reference
 
 
@@ -186,6 +189,40 @@ def test_a_tail_check_builds_one_h_table_for_all_its_probes(monkeypatch):
     env = make_tail_envelope(model, psi, q)
     assert [tail_envelope(env, x) for x in xs] == expect
     assert len(built) == 2
+
+
+@pytest.mark.parametrize("factory", [
+    gaussian_model, uniform01_model, exponential_model, lambda: constant_model(-1.5), rademacher_model,
+    lambda: EmpiricalModel(np.random.default_rng(5).standard_normal(1000)),
+], ids=["gaussian", "uniform01", "exponential", "constant", "rademacher", "bootstrap"])
+def test_a_drawn_batch_has_the_bits_of_sample_whichever_view_is_read_first(factory):
+    model, n, seed = factory(), 2 * SAMPLE_CHUNK + 5, 9
+    want = sample(model, n, seed).values
+    want_abs = np.sort(np.abs(want))
+    # the check's survival counts read sorted_abs first; values draws again
+    batch = tail_check(model, root_psi(), integer_grid(20), n=n, seed=seed).batch
+    assert batch.sorted_abs.tobytes() == want_abs.tobytes()
+    assert batch.values.tobytes() == want.tobytes()
+    batch = SampleBatch.drawn(model, n, seed)
+    assert batch.values.tobytes() == want.tobytes()
+    assert batch.sorted_abs.tobytes() == want_abs.tobytes()
+    assert (batch.size, batch.seed) == (n, seed)
+
+
+def test_a_tail_check_and_its_k_estimate_hold_one_sample_sized_array():
+    # the report's batch draws for its sorted |values| alone: 8 MiB at
+    # 2^20 draws, where the draws and their sorted copy took 16.09 MiB
+    model, q, n = gaussian_model(), integer_grid(50), 1 << 20
+    psi = natural_psi(model)
+    N = make_tail_envelope(model, psi, q).norm_value
+    tracemalloc.start()
+    try:
+        report = tail_check(model, psi, q, n=n, seed=3)
+        membership_K_estimate(report.batch, q, psi, K_grid=np.geomspace(N / 4.0, 8.0 * N, 32))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n + (1 << 20)
 
 
 def test_tail_check_bounded_variable_never_violates():

@@ -37,6 +37,18 @@ and key, the megabytes of their arrays, and the memo's hits and misses
 over the whole run (``search.memo_counts``; a side that does not count
 them says so).  Exits 1 when the digests differ, 0 otherwise.
 perfbench/workloads.py is imported, not changed.
+
+Beside each side's CPU time, overall and per op kind, it prints the minor
+page faults and the system CPU time taken during that side's timed calls
+(``resource.getrusage``), the median a round.  Both sides share one
+process and so one allocator: the pages one side's large temporaries
+faulted in are reused by the other side's, so a change to the size or
+lifetime of large temporaries is understated here: bounding the power-mean
+chunks and drawing a tail check's batch when first read read 0.925 on tail
+and 0.934 on norm's empirical ops in process (seed 7), against tail
+ops_per_kref +13% and norm op_tail_ref -10% in separate processes.
+Compare the faults column, or run ``perfbench/run.py`` on each side in
+its own process.
 """
 
 from __future__ import annotations
@@ -46,6 +58,7 @@ import contextlib
 import hashlib
 import importlib
 import io
+import resource
 import statistics
 import subprocess
 import sys
@@ -146,6 +159,12 @@ def row_memo(gl) -> str:
     return f"{held}, {hits} hits, {misses} misses ({hits / max(hits + misses, 1):.1%} hits)"
 
 
+def usage():
+    """This process's minor page faults and system CPU seconds so far."""
+    r = resource.getrusage(resource.RUSAGE_SELF)
+    return r.ru_minflt, r.ru_stime
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision of the base side")
@@ -177,8 +196,9 @@ def main(argv=None) -> int:
 
         kinds = [getattr(op, "kind", args.workload) for op in ops]
         order = np.random.default_rng(args.seed)
-        # CPU time per side, op kind and round
-        times = {name: {kind: [0.0] * args.rounds for kind in kinds} for name in sides}
+        # CPU time, minor page faults and system CPU time per side, op kind and round
+        times, faults, system = ({name: {kind: [0.0] * args.rounds for kind in kinds} for name in sides}
+                                 for _ in range(3))
         digests = {name: hashlib.sha256() for name in sides}
         for r in range(args.rounds):
             for op, kind in zip(ops, kinds):
@@ -188,9 +208,13 @@ def main(argv=None) -> int:
                         clear_caches(sides[name])
                     with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()) as err:
                         warnings.showwarning = show_warning
+                        f0, s0 = usage()
                         t0 = process_time()
                         out = outcome(workload, envs[name], op)
                         times[name][kind][r] += process_time() - t0
+                        f1, s1 = usage()
+                        faults[name][kind][r] += f1 - f0
+                        system[name][kind][r] += s1 - s0
                     if r == 0:
                         digests[name].update(repr((out, err.getvalue(), cli_stderr[name])).encode())
 
@@ -200,15 +224,24 @@ def main(argv=None) -> int:
         r = [h / b for h, b in zip(per_round["head"], per_round["base"])]
         return f"median {statistics.median(r):.3f} (range {min(r):.3f}-{max(r):.3f})"
 
+    def paging(name, kind=None):
+        """The median a round of the side's minor page faults and system
+        CPU time, in its timed calls of op kind ``kind`` (all kinds for None)."""
+        per_round = [[sum(col) for col in zip(*table[name].values())] if kind is None else table[name][kind]
+                     for table in (faults, system)]
+        return f"faults {statistics.median(per_round[0]):.0f}, sys {statistics.median(per_round[1]) * 1e3:.1f} ms"
+
     total = {name: [sum(col) for col in zip(*times[name].values())] for name in sides}
     print(f"workload {args.workload}  seed {args.seed}  {len(ops)} ops  {args.rounds} rounds  base {args.base}"
           f"{'  cold' if args.cold else ''}")
     for name in sides:
-        print(f"{name}: median CPU {statistics.median(total[name]):.3f} s a round  digest {digests[name].hexdigest()[:16]}")
+        print(f"{name}: median CPU {statistics.median(total[name]):.3f} s a round ({paging(name)})"
+              f"  digest {digests[name].hexdigest()[:16]}")
     print(f"paired ratio head/base: {paired(total)}")
     for kind in times["head"]:
         per_round = {name: times[name][kind] for name in sides}
-        medians = "  ".join(f"{name} {statistics.median(per_round[name]):.4f} s" for name in sides)
+        medians = "  ".join(f"{name} {statistics.median(per_round[name]):.4f} s ({paging(name, kind)})"
+                            for name in sides)
         print(f"  kind {kind} ({kinds.count(kind)} ops): {medians}  head/base {paired(per_round)}")
     for name, gl in sides.items():
         print(f"{name} row memo: {row_memo(gl)}")
